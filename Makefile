@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race stress asyncstress shardstress chainstress servestress tunestress obsstress bench benchsmoke benchdiff info trace monitor metrics ci
+.PHONY: all build vet lint test race stress asyncstress shardstress chainstress servestress tunestress obsstress bench benchsmoke benchdiff info trace monitor metrics loc ci
 
 all: ci
 
@@ -126,6 +126,12 @@ metrics:
 # with a demo workload driving it.
 monitor:
 	$(GO) run ./cmd/iatf-monitor -demo
+
+# Code-size figures the roadmap tracks: non-test Go lines outside
+# perfbench/, the same for internal/engine, and the exported root-package
+# symbols (go/ast, methods included).
+loc:
+	$(GO) run ./cmd/iatf-loc
 
 # benchdiff gates ci: the diff tool's 15% tolerance absorbs ordinary
 # run-to-run noise, so a failure means a real regression (or a baseline

@@ -105,16 +105,15 @@ func CholeskyStage[T Scalar](a *Compact[T]) Stage[T] {
 	}}
 }
 
-// lowerStages applies the call configuration to every stage and
-// returns the engine-level stage list.
-func lowerStages[T Scalar](stages []Stage[T], cfg callCfg) []engine.ChainStage {
-	st := make([]engine.ChainStage, len(stages))
+// lowerStages appends the engine-level stage list to buf, applying the
+// call's worker split to every stage. With a stack buf the lowered list
+// of a short chain never touches the heap.
+func lowerStages[T Scalar](buf []engine.ChainStage, stages []Stage[T], workers int) []engine.ChainStage {
 	for i := range stages {
-		st[i] = stages[i].inner
-		st[i].Op.Workers = cfg.workers
-		st[i].Op.Priority = cfg.priority
+		buf = append(buf, stages[i].inner)
+		buf[len(buf)-1].Op.Workers = workers
 	}
-	return st
+	return buf
 }
 
 // Chain executes the stages in order as one planned unit and blocks
@@ -123,18 +122,20 @@ func lowerStages[T Scalar](stages []Stage[T], cfg callCfg) []engine.ChainStage {
 // scatter + re-pack round trip per stage boundary, chain-invariant
 // operands (triangular factors reused across stages) are auto-prepacked,
 // and the whole analysis replays from cache on every later iteration.
+// A one-stage chain is exactly its op: same results, counters, spans
+// and per-shape series as Do.
 //
 // A failing stage aborts the chain after re-materializing the canonical
 // contents of any operand held in packed form, so operands always hold
 // the prefix of completed stages; the error is a *ChainError locating
-// the stage. ctx is checked between stages — cancellation also
-// re-materializes before returning.
+// the stage (for any stage count). ctx is checked before every stage —
+// cancellation also re-materializes before returning.
 //
 // Options work as in Do: WithWorkers applies to every stage, WithEngine/
 // WithEngineSet select the target, WithSpanSink traces the chain as one
-// parent span with per-stage children, and WithAsync routes through the
-// submission queue where identical concurrent chains coalesce into one
-// fused execution.
+// parent span with per-stage children, WithTrace/WithTenant tag it, and
+// WithAsync routes through the submission queue where identical
+// concurrent chains coalesce into one fused execution.
 //
 //	err := iatf.Chain(ctx, []iatf.Stage[float64]{
 //	    iatf.LUStage(a),
@@ -143,30 +144,9 @@ func lowerStages[T Scalar](stages []Stage[T], cfg callCfg) []engine.ChainStage {
 //	}, iatf.WithWorkers(0))
 func Chain[T Scalar](ctx context.Context, stages []Stage[T], opts ...Option) error {
 	cfg := resolveOpts(opts)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st := lowerStages(stages, cfg)
-	if !cfg.async {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.set != nil {
-			if cfg.sink != nil {
-				return cfg.set.inner.RunChainSpanned(ctx, st, cfg.sink)
-			}
-			return cfg.set.inner.RunChain(ctx, st)
-		}
-		if cfg.sink != nil {
-			return cfg.eng.inner.RunChainSpanned(ctx, st, cfg.sink)
-		}
-		return cfg.eng.inner.RunChain(ctx, st)
-	}
-	fut, err := submitChain(ctx, st, cfg)
-	if err != nil {
-		return err
-	}
-	return fut.Wait(ctx)
+	cfg.call.Chain = true
+	var buf [4]engine.ChainStage
+	return cfg.run(ctx, lowerStages(buf[:0], stages, cfg.workers))
 }
 
 // SubmitChain enqueues the chain on the submission queue and returns a
@@ -176,19 +156,7 @@ func Chain[T Scalar](ctx context.Context, stages []Stage[T], opts ...Option) err
 // returns ErrQueueFull.
 func SubmitChain[T Scalar](ctx context.Context, stages []Stage[T], opts ...Option) (*Future, error) {
 	cfg := resolveOpts(opts)
-	return submitChain(ctx, lowerStages(stages, cfg), cfg)
-}
-
-func submitChain(ctx context.Context, st []engine.ChainStage, cfg callCfg) (*Future, error) {
-	var fut *engine.Future
-	var err error
-	if cfg.set != nil {
-		fut, err = cfg.set.inner.SubmitChain(ctx, st, cfg.sink)
-	} else {
-		fut, err = cfg.eng.inner.SubmitChain(ctx, st, cfg.sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Future{inner: fut}, nil
+	cfg.call.Chain = true
+	var buf [4]engine.ChainStage
+	return cfg.submit(ctx, lowerStages(buf[:0], stages, cfg.workers))
 }

@@ -12,11 +12,6 @@ import (
 // signal under overload. Branch with errors.Is(err, iatf.ErrQueueFull).
 var ErrQueueFull = engine.ErrQueueFull
 
-// ErrQueueStarted is returned by SetQueueCapacity once the engine's
-// dispatcher is live — the queue can only be sized before the first
-// Submit. Branch with errors.Is(err, iatf.ErrQueueStarted).
-var ErrQueueStarted = engine.ErrQueueStarted
-
 // Op selects the routine of a Request.
 type Op int
 
@@ -50,16 +45,15 @@ type Request[T Scalar] struct {
 	A, B, C        *Compact[T]
 }
 
-// callCfg is the resolved option set of one Do/Submit call.
+// callCfg is the resolved option set of one call: the target, the
+// worker split, and the engine call envelope (span sink, trace id,
+// tenant, priority).
 type callCfg struct {
-	workers  int
-	priority int
-	eng      *Engine
-	set      *EngineSet
-	async    bool
-	sink     func(*Span)
-	trace    string
-	tenant   string
+	workers int
+	eng     *Engine
+	set     *EngineSet
+	async   bool
+	call    engine.Call
 }
 
 // Option configures one Do or Submit call. Options are plain values (not
@@ -134,7 +128,7 @@ func resolveOpts(opts []Option) callCfg {
 			cfg.workers = o.workers
 		}
 		if o.hasPrio {
-			cfg.priority = o.priority
+			cfg.call.Priority = o.priority
 		}
 		if o.eng != nil {
 			cfg.eng = o.eng
@@ -146,13 +140,13 @@ func resolveOpts(opts []Option) callCfg {
 			cfg.async = true
 		}
 		if o.sink != nil {
-			cfg.sink = o.sink
+			cfg.call.Sink = o.sink
 		}
 		if o.trace != "" {
-			cfg.trace = o.trace
+			cfg.call.Trace = o.trace
 		}
 		if o.tenant != "" {
-			cfg.tenant = o.tenant
+			cfg.call.Origin = o.tenant
 		}
 	}
 	if cfg.eng == nil {
@@ -161,35 +155,34 @@ func resolveOpts(opts []Option) callCfg {
 	return cfg
 }
 
-// toDesc lowers a Request onto the engine's op descriptor and operand
-// list. The operand array lives on the caller's stack: the warm
-// synchronous path must not allocate.
-func toDesc[T Scalar](req Request[T], workers int) (engine.OpDesc, [3]engine.Operand, int, error) {
-	desc := engine.OpDesc{
+// stageOf lowers a Request onto the engine's one-stage list. The array
+// lives on the caller's stack: the warm synchronous path must not
+// allocate.
+func stageOf[T Scalar](req Request[T], workers int) ([1]engine.ChainStage, error) {
+	st := [1]engine.ChainStage{{Op: engine.OpDesc{
 		TransA: req.TransA, TransB: req.TransB,
 		Side: req.Side, Uplo: req.Uplo, Diag: req.Diag,
 		Alpha: scalarToComplex(req.Alpha), Beta: scalarToComplex(req.Beta),
 		Workers: workers,
-	}
-	var ops [3]engine.Operand
+	}}}
+	s := &st[0]
 	switch req.Op {
 	case OpGEMM:
-		desc.Kind = engine.OpGEMM
-		ops[0], ops[1], ops[2] = operandOf(req.A), operandOf(req.B), operandOf(req.C)
-		return desc, ops, 3, nil
+		s.Op.Kind = engine.OpGEMM
+		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.B), operandOf(req.C)}, 3
 	case OpTRSM, OpTRMM:
-		desc.Kind = engine.OpTRSM
+		s.Op.Kind = engine.OpTRSM
 		if req.Op == OpTRMM {
-			desc.Kind = engine.OpTRMM
+			s.Op.Kind = engine.OpTRMM
 		}
-		ops[0], ops[1] = operandOf(req.A), operandOf(req.B)
-		return desc, ops, 2, nil
+		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.B)}, 2
 	case OpSYRK:
-		desc.Kind = engine.OpSYRK
-		ops[0], ops[1] = operandOf(req.A), operandOf(req.C)
-		return desc, ops, 2, nil
+		s.Op.Kind = engine.OpSYRK
+		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.C)}, 2
+	default:
+		return st, fmt.Errorf("iatf: unknown request op %d: %w", int(req.Op), ErrOperand)
 	}
-	return desc, ops, 0, fmt.Errorf("iatf: unknown request op %d: %w", int(req.Op), ErrOperand)
+	return st, nil
 }
 
 // Do executes one request. By default it runs synchronously through the
@@ -204,59 +197,22 @@ func toDesc[T Scalar](req Request[T], workers int) (engine.OpDesc, [3]engine.Ope
 //	}, iatf.WithWorkers(0), iatf.WithAsync())
 func Do[T Scalar](ctx context.Context, req Request[T], opts ...Option) error {
 	cfg := resolveOpts(opts)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !cfg.async {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.set != nil {
-			return doSetSync(cfg.set, &cfg, req)
-		}
-		if cfg.sink != nil || cfg.trace != "" || cfg.tenant != "" {
-			return doSyncTagged(cfg.eng, &cfg, req)
-		}
-		return doSync(cfg.eng, cfg.workers, req)
-	}
-	var fut *Future
-	var err error
-	if cfg.set != nil {
-		fut, err = submitSetSpanned(ctx, cfg.set, &cfg, req)
-	} else {
-		fut, err = submitSpanned(ctx, cfg.eng, &cfg, req)
-	}
+	st, err := stageOf(req, cfg.workers)
 	if err != nil {
 		return err
 	}
-	return fut.Wait(ctx)
+	return cfg.run(ctx, st[:])
 }
 
-// doSync is the shared synchronous path behind Do and the compatibility
-// wrappers (GEMM/TRSM/... and their Parallel/On variants), kept free of
-// option handling so the warm call stays allocation-minimal.
+// doSync is the synchronous path behind the compatibility wrappers
+// (GEMM/TRSM/... and their Parallel/On variants), kept free of option
+// handling so the warm call stays allocation-minimal.
 func doSync[T Scalar](e *Engine, workers int, req Request[T]) error {
-	desc, ops, n, err := toDesc(req, workers)
+	st, err := stageOf(req, workers)
 	if err != nil {
 		return err
 	}
-	return e.inner.Run(desc, ops[:n]...)
-}
-
-// doSyncTagged is doSync with per-call observability (WithSpanSink,
-// WithTrace, WithTenant) — kept off the plain path so untagged warm
-// calls stay allocation-minimal. The tagged path holds the same ≤2-alloc
-// warm budget: trace/tenant ride the pooled span.
-func doSyncTagged[T Scalar](e *Engine, cfg *callCfg, req Request[T]) error {
-	desc, ops, n, err := toDesc(req, cfg.workers)
-	if err != nil {
-		return err
-	}
-	desc.Trace, desc.Origin = cfg.trace, cfg.tenant
-	if cfg.sink == nil {
-		return e.inner.Run(desc, ops[:n]...)
-	}
-	return e.inner.RunSpanned(desc, cfg.sink, ops[:n]...)
+	return e.inner.Run(context.Background(), st[:], engine.Call{})
 }
 
 // Submit enqueues one request on the engine's submission queue and
@@ -268,69 +224,44 @@ func doSyncTagged[T Scalar](e *Engine, cfg *callCfg, req Request[T]) error {
 // already done returns ctx.Err().
 func Submit[T Scalar](ctx context.Context, req Request[T], opts ...Option) (*Future, error) {
 	cfg := resolveOpts(opts)
-	if cfg.set != nil {
-		return submitSetSpanned(ctx, cfg.set, &cfg, req)
-	}
-	return submitSpanned(ctx, cfg.eng, &cfg, req)
-}
-
-func submitSpanned[T Scalar](ctx context.Context, e *Engine, cfg *callCfg, req Request[T]) (*Future, error) {
-	desc, ops, n, err := toDesc(req, cfg.workers)
+	st, err := stageOf(req, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
-	desc.Priority = cfg.priority
-	desc.Trace, desc.Origin = cfg.trace, cfg.tenant
-	fut, err := e.inner.SubmitSpanned(ctx, desc, cfg.sink, ops[:n]...)
-	if err != nil {
-		return nil, err
-	}
-	return &Future{inner: fut}, nil
+	return cfg.submit(ctx, st[:])
 }
 
-// doSetSync routes a synchronous call through a sharded set: the
-// problem identity picks the home shard. Same warm-path allocation
-// budget as doSync — routing is hash arithmetic on the stack.
-func doSetSync[T Scalar](s *EngineSet, cfg *callCfg, req Request[T]) error {
-	desc, ops, n, err := toDesc(req, cfg.workers)
+// run executes a lowered stage list on the configured target: inline,
+// or through the submission queue and waited out with WithAsync.
+func (c *callCfg) run(ctx context.Context, st []engine.ChainStage) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if !c.async {
+		if c.set != nil {
+			return c.set.inner.Run(ctx, st, c.call)
+		}
+		return c.eng.inner.Run(ctx, st, c.call)
+	}
+	fut, err := c.submit(ctx, st)
 	if err != nil {
 		return err
 	}
-	desc.Trace, desc.Origin = cfg.trace, cfg.tenant
-	if cfg.sink != nil {
-		return s.inner.RunSpanned(desc, cfg.sink, ops[:n]...)
-	}
-	return s.inner.Run(desc, ops[:n]...)
+	return fut.Wait(ctx)
 }
 
-// submitSetSpanned is submitSpanned through a sharded set, with the
-// set's sibling fallback on a full home queue.
-func submitSetSpanned[T Scalar](ctx context.Context, s *EngineSet, cfg *callCfg, req Request[T]) (*Future, error) {
-	desc, ops, n, err := toDesc(req, cfg.workers)
-	if err != nil {
-		return nil, err
+// submit enqueues a lowered stage list on the configured target (a set
+// falls back to a sibling shard when the home queue is full).
+func (c *callCfg) submit(ctx context.Context, st []engine.ChainStage) (*Future, error) {
+	if c.set != nil {
+		return c.set.inner.Submit(ctx, st, c.call)
 	}
-	desc.Priority = cfg.priority
-	desc.Trace, desc.Origin = cfg.trace, cfg.tenant
-	fut, err := s.inner.SubmitSpanned(ctx, desc, cfg.sink, ops[:n]...)
-	if err != nil {
-		return nil, err
-	}
-	return &Future{inner: fut}, nil
+	return c.eng.inner.Submit(ctx, st, c.call)
 }
 
-// Future is the completion handle of a submitted request.
-type Future struct {
-	inner *engine.Future
-}
-
-// Done returns a channel closed when the request has completed.
-func (f *Future) Done() <-chan struct{} { return f.inner.Done() }
-
-// Err blocks until the request completes and returns its outcome.
-func (f *Future) Err() error { return f.inner.Err() }
-
-// Wait blocks until the request completes or ctx is done, returning the
-// request's error or ctx.Err(). Abandoning the wait does not cancel the
-// request; the submission's own context governs execution.
-func (f *Future) Wait(ctx context.Context) error { return f.inner.Wait(ctx) }
+// Future is the completion handle of a submitted request: Done returns
+// a channel closed on completion, Err blocks for the outcome, and
+// Wait(ctx) blocks until completion or ctx is done (abandoning the wait
+// does not cancel the request; the submission's own context governs
+// execution).
+type Future = engine.Future

@@ -85,20 +85,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 // series in Stats.Shapes (ordered by call count).
 func (e *Engine) Stats() EngineStats { return e.inner.Stats() }
 
-// SetQueueCapacity bounds the engine's async submission queue (default
-// 1024 requests). Submissions beyond the bound fail fast with
-// ErrQueueFull.
-//
-// The bound must be set before the engine's first Submit (or Do with
-// WithAsync): once the dispatcher has started the live queue cannot be
-// resized, and the call fails with an error wrapping ErrQueueStarted,
-// leaving the running queue untouched. Branch with
-// errors.Is(err, iatf.ErrQueueStarted).
-//
-// Deprecated: pass WithQueueCapacity to NewEngine instead — a
-// construction-time bound cannot race the dispatcher start.
-func (e *Engine) SetQueueCapacity(n int) error { return e.inner.SetQueueCapacity(n) }
-
 // SetEDF toggles deadline-ordered dispatch on the engine's async queue.
 // When on (the default) each drained batch's bundles execute in earliest-
 // context-deadline order, with WithPriority classes breaking ties, so a

@@ -83,22 +83,6 @@ func (s *EngineSet) ResetShapeStats() { s.inner.ResetShapeStats() }
 // SetProfileLabels toggles pprof goroutine labels on every shard.
 func (s *EngineSet) SetProfileLabels(on bool) { s.inner.SetProfileLabels(on) }
 
-// SetQueueCapacity bounds every shard's submission queue. Like
-// Engine.SetQueueCapacity it must run before the set's first Submit;
-// the first shard whose dispatcher is already live returns an error
-// wrapping ErrQueueStarted and the remaining shards keep their current
-// capacity.
-//
-// Deprecated: pass WithQueueCapacity to NewEngineSet instead.
-func (s *EngineSet) SetQueueCapacity(n int) error {
-	for i := 0; i < s.inner.Shards(); i++ {
-		if err := s.inner.Shard(i).SetQueueCapacity(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // QueueStats returns the cross-shard aggregate of every shard's
 // submission-queue counters — the cheap admission-control view of the
 // whole set; see Engine.QueueStats.

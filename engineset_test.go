@@ -106,24 +106,3 @@ func TestEngineSetSteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm sharded GEMM allocates %.0f objects/call, want <= 2", allocs)
 	}
 }
-
-// TestEngineSetQueueCapacityContract: capacity is settable between
-// construction and the first Submit, and rejected with ErrQueueStarted
-// afterwards.
-func TestEngineSetQueueCapacityContract(t *testing.T) {
-	set := NewEngineSet(2)
-	if err := set.SetQueueCapacity(16); err != nil {
-		t.Fatalf("SetQueueCapacity before first Submit: %v", err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	a := Pack(randBatch[float32](rng, 8, 4, 4))
-	b := Pack(randBatch[float32](rng, 8, 4, 4))
-	c := Pack(randBatch[float32](rng, 8, 4, 4))
-	req := Request[float32]{Op: OpGEMM, Alpha: 1, Beta: 1, A: a, B: b, C: c}
-	if err := Do(context.Background(), req, WithEngineSet(set), WithAsync()); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.SetQueueCapacity(32); err == nil {
-		t.Fatal("SetQueueCapacity after first Submit succeeded, want ErrQueueStarted")
-	}
-}

@@ -8,10 +8,13 @@
 //   - Submit enqueues a request on a bounded per-engine queue and
 //     returns a Future. A lazily started dispatcher goroutine drains
 //     whatever accumulated while the previous dispatch ran, partitions
-//     the drained batch by problem identity (op, dtype, mode, dims,
-//     scalars, workers) and executes each bundle as ONE fused dispatch
-//     over the concatenated super-batches — one validation, one plan
-//     resolution, one worker-pool round-trip for N requests.
+//     the drained batch by problem identity (per stage: op, dtype,
+//     modes, scalars, workers, dims and the operand alias pattern —
+//     never the batch count) and executes each bundle as ONE fused
+//     dispatch over the concatenated super-batches — one validation, one
+//     plan resolution, one worker-pool round-trip for N requests. A
+//     request is a stage list like a Run call: single ops and chains
+//     share the queue, the coalescer, the fuser and the span finisher.
 //   - When the queue is idle the submitting goroutine executes
 //     synchronously instead (the idle fast path), so single-caller
 //     latency is identical to a direct Run call.
@@ -33,13 +36,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"iatf/internal/layout"
-	"iatf/internal/matrix"
 	"iatf/internal/obs"
 	"iatf/internal/vec"
 )
@@ -104,31 +107,35 @@ func (f *Future) Wait(ctx context.Context) error {
 	}
 }
 
-// asyncReq is one queued submission.
+// asyncReq is one queued submission: a stage list with its call
+// envelope. One-stage lists live inline in one, so a single-op
+// submission costs no stage-slice allocation.
 type asyncReq struct {
-	ctx  context.Context
-	op   OpDesc
-	ops  [3]Operand
-	nops int
-	fut  *Future
+	ctx    context.Context
+	stages []ChainStage
+	one    [1]ChainStage
+	call   Call
+	fut    *Future
 
-	// Chain submissions (SubmitChain): the stage list, its resolved plan
-	// and the fuse identity hash. op then holds stage 0's descriptor so
-	// the EDF pass sees the chain's priority. nil chain = ordinary
-	// request.
-	chain     []ChainStage
-	cplan     *chainPlan
-	chainHash uint64
-	outcome   obs.CacheOutcome
+	// hash is the coalescing identity (see fuseHash); requests bucket by
+	// it and fuse only after sameIdentity confirms the match.
+	hash uint64
 
 	// deadline/hasDL cache ctx.Deadline() at submission time so the EDF
 	// pass never re-walks the context chain on the dispatcher.
 	deadline time.Time
 	hasDL    bool
 
-	enq  time.Time    // when the request joined the queue (zero on the inline path)
-	sp   *obs.Span    // lifecycle span; nil when tracing is off
-	sink obs.SpanFunc // per-request span sink (SubmitSpanned), or nil
+	enq time.Time // when the request joined the queue (zero on the inline path)
+	sp  *obs.Span // lifecycle span; nil when tracing is off
+}
+
+// opName names a stage list for spans and errors: its op, or "CHAIN".
+func opName(stages []ChainStage) string {
+	if len(stages) == 1 {
+		return stages[0].Op.Kind.String()
+	}
+	return "CHAIN"
 }
 
 // submitQueue is the per-engine async state: the bounded request channel,
@@ -284,7 +291,7 @@ func (e *Engine) QueueStats() QueueStats { return e.queue.snapshot() }
 
 // SetEDF toggles deadline-ordered dispatch. When on (the default) the
 // dispatcher executes each drained batch's bundles in earliest-context-
-// deadline order, with OpDesc.Priority breaking ties, so a tight-deadline
+// deadline order, with Call.Priority breaking ties, so a tight-deadline
 // request never waits behind a loose bundle that merely arrived earlier.
 // When off, bundles execute in arrival order (FIFO). Safe to flip at any
 // time; it affects batches drained after the call.
@@ -353,24 +360,17 @@ func (q *submitQueue) start(e *Engine) {
 	})
 }
 
-// Submit enqueues one request and returns its Future. The operands must
-// not be mutated until the future resolves. If the queue is idle the
-// request executes synchronously on the caller (same latency as Run);
-// otherwise it joins the queue, where the dispatcher may coalesce it
-// with concurrent same-problem requests into one fused dispatch. A full
-// queue returns ErrQueueFull; a context already done returns ctx.Err().
-// In both failure cases the returned Future is nil.
-func (e *Engine) Submit(ctx context.Context, op OpDesc, operands ...Operand) (*Future, error) {
-	return e.SubmitSpanned(ctx, op, nil, operands...)
-}
-
-// SubmitSpanned is Submit with a per-request span sink: when sink is
-// non-nil the request always carries a lifecycle span (even with no
-// engine-level sink installed) and sink receives it after the request
-// resolves — including rejection and cancellation outcomes. sink runs on
-// whichever goroutine resolves the request and must copy the span if it
-// retains it.
-func (e *Engine) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc, operands ...Operand) (*Future, error) {
+// Submit enqueues a stage list and returns its Future; the operands must
+// not be mutated until it resolves (the list itself is copied). A one-stage
+// list is its op; a longer list is one queue identity that occupies one
+// slot, coalesces only with identical chains and executes atomically.
+// If the queue is idle the request runs synchronously on the caller
+// (same latency as Run); otherwise it joins the queue, where the
+// dispatcher may coalesce it with concurrent same-identity requests
+// into one fused dispatch. Validation failures resolve the future. A
+// full queue returns ErrQueueFull and a context already done returns
+// ctx.Err(), both with a nil Future.
+func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -379,13 +379,17 @@ func (e *Engine) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc
 	}
 	q := &e.queue
 	q.start(e)
-	r := &asyncReq{ctx: ctx, op: op, fut: newFuture(), sink: sink}
-	r.nops = copy(r.ops[:], operands)
+	r := &asyncReq{ctx: ctx, call: call, fut: newFuture()}
+	if len(stages) == 1 {
+		r.one[0] = stages[0]
+		r.stages = r.one[:]
+	} else {
+		r.stages = append([]ChainStage(nil), stages...)
+	}
 	r.deadline, r.hasDL = ctx.Deadline()
 	// Span start = submission time, so queued requests attribute the gap
 	// to PhaseQueueWait.
-	r.sp = e.obs.StartSpan(sink != nil || e.forceSpan(&op))
-	stampSpan(r.sp, &op)
+	r.sp = e.startSpan(&call)
 	if r.sp != nil && r.hasDL {
 		r.sp.Deadline = r.deadline.Sub(r.sp.Start)
 	}
@@ -394,12 +398,12 @@ func (e *Engine) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc
 	if len(q.ch) == 0 && q.busy.CompareAndSwap(false, true) {
 		q.submitted.Add(1)
 		q.inline.Add(1)
-		err := e.run(r.op, r.sp, r.ops[:r.nops]...)
+		err := e.exec(ctx, r.stages, r.sp, true)
 		q.busy.Store(false)
-		e.obs.FinishSpan(r.sp, err, r.sink)
-		r.fut.resolve(err)
+		e.finish(r, err)
 		return r.fut, nil
 	}
+	r.hash = fuseHash(r.stages)
 	r.enq = time.Now()
 	select {
 	case q.ch <- r:
@@ -408,21 +412,25 @@ func (e *Engine) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc
 		// just sent may already be in the dispatcher's hands (direct
 		// handoff empties the buffer before inflight is stamped), so the
 		// floor is 1: at this instant at least our own request is pending.
-		if d := len(q.ch) + int(q.inflight.Load()); d > 0 {
-			q.noteDepth(d)
-		} else {
-			q.noteDepth(1)
-		}
+		q.noteDepth(max(len(q.ch)+int(q.inflight.Load()), 1))
 		return r.fut, nil
 	default:
 		q.rejected.Add(1)
-		err := fmt.Errorf("iatf: %v: %w (capacity %d)", op.Kind, ErrQueueFull, cap(q.ch))
+		err := fmt.Errorf("iatf: %s: %w (capacity %d)", opName(stages), ErrQueueFull, cap(q.ch))
 		if r.sp != nil {
-			r.sp.Op = op.Kind.String()
+			r.sp.Op = opName(stages)
 		}
-		e.obs.FinishSpan(r.sp, err, r.sink)
+		e.obs.FinishSpan(r.sp, err, call.Sink)
 		return nil, err
 	}
+}
+
+// finish completes a request that executed on its own: its span, then
+// its future, with the error shaped for its call.
+func (e *Engine) finish(r *asyncReq, err error) {
+	err = r.call.result(r.stages, err)
+	e.obs.FinishSpan(r.sp, err, r.call.Sink)
+	r.fut.resolve(err)
 }
 
 // noteDepth raises the queue-depth high-water mark to depth (CAS-max).
@@ -545,84 +553,100 @@ func (e *Engine) dispatchLoop() {
 	}
 }
 
-// coalesceKey is the full problem identity two requests must share to be
-// fused: the op descriptor including scalars and the worker request,
-// plus every operand's dtype and dimensions. Batch counts are free to
-// differ — fusing concatenates them.
-type coalesceKey struct {
-	kind           OpKind
-	dt             vec.DType
-	transA, transB matrix.Trans
-	side           matrix.Side
-	uplo           matrix.Uplo
-	diag           matrix.Diag
-	alpha, beta    complex128
-	workers        int
-	nops           int
-	rows, cols     [3]int
-
-	// chain partitions chain submissions: nonzero for chains (the fuse
-	// identity hash over the chain descriptor, scalars and workers),
-	// zero for ordinary requests — the two kinds never share a bundle.
-	chain uint64
-}
-
-// opName names a request for span/error reporting: the op kind, or
-// "CHAIN" for chain submissions (whose op field holds only stage 0).
-func (r *asyncReq) opName() string {
-	if r.chain != nil {
-		return "CHAIN"
-	}
-	return r.op.Kind.String()
-}
-
-func keyOf(r *asyncReq) coalesceKey {
-	if r.chain != nil {
-		return coalesceKey{chain: r.chainHash}
-	}
-	k := coalesceKey{
-		kind: r.op.Kind, transA: r.op.TransA, transB: r.op.TransB,
-		side: r.op.Side, uplo: r.op.Uplo, diag: r.op.Diag,
-		alpha: r.op.Alpha, beta: r.op.Beta, workers: r.op.Workers,
-		nops: r.nops,
-	}
-	for i := 0; i < r.nops; i++ {
-		if !r.ops[i].valid() {
-			// Malformed requests keep a zero dim signature; they fail
-			// validation identically fused or alone.
-			continue
+// fuseHash condenses the coalescing identity of a stage list: per stage
+// the op descriptor (kind, modes, scalars, workers), the arity and every
+// operand's dtype, dimensions and alias pattern. Batch counts are
+// excluded — fusing concatenates them, and the fused run resolves its
+// plan at the fused count bucket. Allocation-free.
+func fuseHash(stages []ChainStage) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	h = mix64(h, uint64(len(stages)))
+	for i := range stages {
+		st := &stages[i]
+		op := &st.Op
+		for _, v := range [...]uint64{uint64(op.Kind), uint64(op.TransA), uint64(op.TransB),
+			uint64(op.Side), uint64(op.Uplo), uint64(op.Diag),
+			math.Float64bits(real(op.Alpha)), math.Float64bits(imag(op.Alpha)),
+			math.Float64bits(real(op.Beta)), math.Float64bits(imag(op.Beta)),
+			uint64(int64(op.Workers)), uint64(st.NOps)} {
+			h = mix64(h, v)
 		}
-		k.dt = r.ops[i].DT
-		k.rows[i], k.cols[i] = r.ops[i].rows(), r.ops[i].cols()
+		for s := 0; s < min(st.NOps, 3); s++ {
+			// Malformed operands keep a zero dim signature; they fail
+			// validation identically fused or alone.
+			if o := st.Ops[s]; o.valid() {
+				h = mix64(h, uint64(o.DT))
+				h = mix64(h, uint64(o.rows()))
+				h = mix64(h, uint64(o.cols()))
+			}
+			h = mix64(h, uint64(aliasOf(stages, i, s)))
+		}
 	}
-	return k
+	return h
 }
 
-// runBatch resolves cancelled requests, partitions the rest by problem
-// identity and executes each bundle — in earliest-deadline-first order
-// unless EDF is disabled (then arrival order, the FIFO drain).
+// sameIdentity verifies (not just by hash) that two stage lists share
+// the coalescing identity of fuseHash.
+func sameIdentity(a, b []ChainStage) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Op != b[i].Op || a[i].NOps != b[i].NOps {
+			return false
+		}
+		for s := 0; s < min(a[i].NOps, 3); s++ {
+			oa, ob := a[i].Ops[s], b[i].Ops[s]
+			if oa.valid() != ob.valid() || aliasOf(a, i, s) != aliasOf(b, i, s) {
+				return false
+			}
+			if oa.valid() && (oa.DT != ob.DT || (oa.F32 == nil) != (ob.F32 == nil) ||
+				oa.rows() != ob.rows() || oa.cols() != ob.cols()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fusable reports whether a stage list may ride a fused dispatch: it
+// validates, and no stage factors — concatenation promotes each part's
+// padding lanes to real matrices of the fused batch, and a factor
+// stage's per-matrix info scan would abort the whole bundle on that
+// garbage.
+func fusable(stages []ChainStage) bool {
+	if checkChainLen(len(stages)) != nil {
+		return false
+	}
+	for i := range stages {
+		if k := stages[i].Op.Kind; k == OpLU || k == OpCholesky {
+			return false
+		}
+		if _, err := checkChainStage(stages, i); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// runBatch resolves cancelled requests, partitions the rest by
+// coalescing identity and executes each bundle — in earliest-deadline-
+// first order unless EDF is disabled (then arrival order, the FIFO
+// drain).
 func (e *Engine) runBatch(batch []*asyncReq) {
-	q := &e.queue
-	var order []coalesceKey
-	buckets := make(map[coalesceKey][]*asyncReq, len(batch))
+	var order []uint64
+	buckets := make(map[uint64][]*asyncReq, len(batch))
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
-			q.cancelled.Add(1)
-			if r.sp != nil {
-				r.sp.Op = r.opName()
-				r.sp.Phases[obs.PhaseQueueWait] = time.Since(r.enq)
-			}
-			e.obs.FinishSpan(r.sp, err, r.sink)
-			r.fut.resolve(err)
+			e.cancel(r, err)
 			continue
 		}
-		k := keyOf(r)
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
+		if _, ok := buckets[r.hash]; !ok {
+			order = append(order, r.hash)
 		}
-		buckets[k] = append(buckets[k], r)
+		buckets[r.hash] = append(buckets[r.hash], r)
 	}
-	if !q.fifo.Load() && len(order) > 1 {
+	if !e.queue.fifo.Load() && len(order) > 1 {
 		orderByDeadline(order, buckets)
 	}
 	for _, k := range order {
@@ -630,28 +654,40 @@ func (e *Engine) runBatch(batch []*asyncReq) {
 	}
 }
 
+// cancel resolves a request whose context died in the queue, without
+// executing it.
+func (e *Engine) cancel(r *asyncReq, err error) {
+	e.queue.cancelled.Add(1)
+	if r.sp != nil {
+		r.sp.Op = opName(r.stages)
+		r.sp.Phases[obs.PhaseQueueWait] = time.Since(r.enq)
+	}
+	e.obs.FinishSpan(r.sp, err, r.call.Sink)
+	r.fut.resolve(err)
+}
+
 // orderByDeadline sorts the bundle execution order EDF-style: bundles
 // with a context deadline run before bundles without one, earlier
-// deadlines first; the highest OpDesc.Priority in the bundle breaks ties
+// deadlines first; the highest Call.Priority in the bundle breaks ties
 // (and orders the no-deadline bundles among themselves), and arrival
 // order breaks what remains (stable sort). Reordering whole bundles is
 // result-neutral: bundles share no operands with each other — only the
 // order of independent fused dispatches changes, never their content.
-func orderByDeadline(order []coalesceKey, buckets map[coalesceKey][]*asyncReq) {
+func orderByDeadline(order []uint64, buckets map[uint64][]*asyncReq) {
 	type rank struct {
 		hasDL bool
 		dl    time.Time
 		prio  int
 	}
-	ranks := make(map[coalesceKey]rank, len(order))
+	ranks := make(map[uint64]rank, len(order))
 	for _, k := range order {
 		var rk rank
 		for i, r := range buckets[k] {
 			if r.hasDL && (!rk.hasDL || r.deadline.Before(rk.dl)) {
 				rk.hasDL, rk.dl = true, r.deadline
 			}
-			if i == 0 || r.op.Priority > rk.prio {
-				rk.prio = r.op.Priority
+			if i == 0 || r.call.Priority > rk.prio {
+				rk.prio = r.call.Priority
 			}
 		}
 		ranks[k] = rk
@@ -668,11 +704,13 @@ func orderByDeadline(order []coalesceKey, buckets map[coalesceKey][]*asyncReq) {
 	})
 }
 
-// runBundle executes one same-problem bundle: a lone request runs
-// directly on its own operands; two or more run as one fused dispatch.
-// Queue wait is stamped here — at bundle start, not drain time — so a
-// request's recorded phases sum to its observed end-to-end latency even
-// when earlier bundles of the same drained batch ran first.
+// runBundle executes one same-identity bundle: the riders that fuse
+// with its lead run as one fused dispatch, everything else (a lone
+// request, an invalid or factor-bearing request, a hash-collision rider)
+// runs on its own. Queue wait is stamped here — at bundle start, not
+// drain time — so a request's recorded phases sum to its observed
+// end-to-end latency even when earlier bundles of the same drained batch
+// ran first.
 func (e *Engine) runBundle(reqs []*asyncReq) {
 	q := &e.queue
 	// Fuse-time expiry check: a bundle late in a drained batch waited
@@ -683,13 +721,7 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 	live := reqs[:0]
 	for _, r := range reqs {
 		if err := r.ctx.Err(); err != nil {
-			q.cancelled.Add(1)
-			if r.sp != nil {
-				r.sp.Op = r.opName()
-				r.sp.Phases[obs.PhaseQueueWait] = time.Since(r.enq)
-			}
-			e.obs.FinishSpan(r.sp, err, r.sink)
-			r.fut.resolve(err)
+			e.cancel(r, err)
 			continue
 		}
 		live = append(live, r)
@@ -707,112 +739,119 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 			r.sp.Phases[obs.PhaseQueueWait] += wait
 		}
 	}
-	if reqs[0].chain != nil {
-		e.runChainBundle(reqs)
-		return
-	}
-	if len(reqs) == 1 {
-		r := reqs[0]
-		err := e.run(r.op, r.sp, r.ops[:r.nops]...)
-		e.obs.FinishSpan(r.sp, err, r.sink)
-		r.fut.resolve(err)
-		return
-	}
-	q.coalesced.Add(uint64(len(reqs) - 1))
-	for {
-		old := q.maxFused.Load()
-		if int64(len(reqs)) <= old || q.maxFused.CompareAndSwap(old, int64(len(reqs))) {
-			break
+	// Partition in place: the lead's fusable same-identity riders first.
+	n := 1
+	if len(reqs) > 1 && fusable(reqs[0].stages) {
+		for i := 1; i < len(reqs); i++ {
+			if sameIdentity(reqs[0].stages, reqs[i].stages) && fusable(reqs[i].stages) {
+				reqs[n], reqs[i] = reqs[i], reqs[n]
+				n++
+			}
 		}
 	}
-	err := e.runFused(reqs)
-	for _, r := range reqs {
-		r.fut.resolve(err)
+	solo := reqs
+	if n > 1 {
+		fused := reqs[:n]
+		solo = reqs[n:]
+		q.coalesced.Add(uint64(n - 1))
+		for {
+			old := q.maxFused.Load()
+			if int64(n) <= old || q.maxFused.CompareAndSwap(old, int64(n)) {
+				break
+			}
+		}
+		err := e.execFused(fused)
+		for _, r := range fused {
+			r.fut.resolve(r.call.result(r.stages, err))
+		}
+	}
+	for _, r := range solo {
+		e.finish(r, e.exec(r.ctx, r.stages, r.sp, true))
 	}
 }
 
-// writtenOperand returns the BLAS argument position the op writes (the
-// operand whose fused result must be scattered back per request).
-func writtenOperand(k OpKind) int {
-	if k == OpGEMM {
-		return 2 // C
-	}
-	return 1 // TRSM/TRMM's B, SYRK's C
-}
-
-// runFused concatenates the bundle's operands group-wise into one
-// super-request, executes it through the normal dispatch path, and
-// scatters the written operand's groups back into each request's own
-// storage. Group data is untouched by the concatenation, so results are
-// bit-identical to executing the requests serially.
+// execFused concatenates the bundle's operands alias-wise — each
+// distinct compact of the lead's stage list becomes one fused compact
+// shared by the same slots — executes the fused list once through the
+// synchronous path, and scatters every written alias back into each
+// request's own storage. Group data is untouched by the concatenation,
+// so results are bit-identical to executing the requests serially. On
+// error nothing is scattered: the riders' operands are left untouched.
 //
 // Span emission: the fused dispatch itself carries a parent span
 // (Fused = N, phases Fuse/Plan/Pack/Compute/Scatter); each rider's child
 // span copies the parent's shared phases alongside its own queue wait
-// and links via ParentID, so a slow Do is attributable even when it
+// and links via ParentID, so a slow request is attributable even when it
 // executed as one rider of a coalesced dispatch.
-func (e *Engine) runFused(reqs []*asyncReq) error {
+func (e *Engine) execFused(reqs []*asyncReq) error {
 	lead := reqs[0]
 	// The parent span is forced whenever any rider carries a span, so
 	// children never lack the dispatch they rode in.
 	force := false
 	for _, r := range reqs {
-		if r.sp != nil {
-			force = true
-			break
-		}
+		force = force || r.sp != nil
 	}
 	parent := e.obs.StartSpan(force)
 	if parent != nil {
 		// The parent carries every traced rider's id, so a trace lookup
 		// by any rider surfaces the shared dispatch it rode in.
 		for _, r := range reqs {
-			if r.op.Trace != "" {
-				parent.Riders = append(parent.Riders, r.op.Trace)
+			if r.call.Trace != "" {
+				parent.Riders = append(parent.Riders, r.call.Trace)
 			}
 		}
 	}
-	var t0 time.Time
-	if parent != nil {
-		t0 = time.Now()
-	}
-	fused := make([]Operand, lead.nops)
-	for i := range fused {
-		src := lead.ops[i]
-		if src.F32 != nil {
-			fused[i] = Operand{DT: src.DT, F32: fuseCompacts(src.DT, partsF32(reqs, i))}
-		} else {
-			fused[i] = Operand{DT: src.DT, F64: fuseCompacts(src.DT, partsF64(reqs, i))}
+	t0 := clock(parent)
+	// Each distinct compact is concatenated once, at its first slot
+	// (aliasOf); every slot sharing it gets the same fused operand.
+	fused := make([]Operand, 3*len(lead.stages))
+	fstages := make([]ChainStage, len(lead.stages))
+	for i := range fstages {
+		fstages[i] = lead.stages[i]
+		for s := 0; s < fstages[i].NOps; s++ {
+			a := aliasOf(lead.stages, i, s)
+			if a == 3*i+s {
+				if lead.stages[i].Ops[s].F32 != nil {
+					fused[a] = fuseAlias[float32](reqs, i, s)
+				} else {
+					fused[a] = fuseAlias[float64](reqs, i, s)
+				}
+			}
+			fstages[i].Ops[s] = fused[a]
 		}
 	}
 	parent.Mark(obs.PhaseFuse, t0)
-	err := e.run(lead.op, parent, fused...)
+	// The fused list resolves (and caches) its own plan at the fused count
+	// bucket. Auto-prepack is off: the fused compacts are throwaways, and
+	// packing them would churn the cache.
+	err := e.exec(context.Background(), fstages, parent, false)
 	if err == nil {
-		if parent != nil {
-			t0 = time.Now()
-		}
-		wi := writtenOperand(lead.op.Kind)
-		if lead.ops[wi].F32 != nil {
-			scatterCompacts(fused[wi].F32, partsF32(reqs, wi))
-		} else {
-			scatterCompacts(fused[wi].F64, partsF64(reqs, wi))
+		t0 = clock(parent)
+		for a, w := range writtenAliases(lead.stages) {
+			if !w {
+				continue
+			}
+			if f := fused[a]; f.F32 != nil {
+				scatterCompacts(f.F32, parts[float32](reqs, a/3, a%3))
+			} else {
+				scatterCompacts(f.F64, parts[float64](reqs, a/3, a%3))
+			}
 		}
 		parent.Mark(obs.PhaseScatter, t0)
 	}
 	if parent != nil {
 		parent.Fused = len(reqs)
-		finishFusedSpans(e, parent, reqs, err)
+		e.finishRiders(parent, reqs, err)
 	}
 	e.obs.FinishSpan(parent, err, nil)
 	return err
 }
 
-// finishFusedSpans completes each rider's child span: the parent's
+// finishRiders completes each rider's child span: the parent's
 // descriptor and shared phases (fuse through scatter) plus the rider's
 // own queue wait and batch count, linked by ParentID. Runs before the
 // parent is finished (and recycled), so the copies are safe.
-func finishFusedSpans(e *Engine, parent *obs.Span, reqs []*asyncReq, err error) {
-	wi := writtenOperand(reqs[0].op.Kind)
+func (e *Engine) finishRiders(parent *obs.Span, reqs []*asyncReq, err error) {
 	for _, r := range reqs {
 		sp := r.sp
 		if sp == nil {
@@ -823,30 +862,35 @@ func finishFusedSpans(e *Engine, parent *obs.Span, reqs []*asyncReq, err error) 
 		sp.M, sp.N, sp.K = parent.M, parent.N, parent.K
 		sp.Workers = parent.Workers
 		sp.PrepackHits, sp.PrepackBuilds = parent.PrepackHits, parent.PrepackBuilds
-		if r.ops[wi].valid() {
-			sp.Count = r.ops[wi].count()
-		}
+		sp.Count = r.stages[0].count()
 		for p := obs.PhaseFuse; p < obs.PhaseCount; p++ {
 			sp.Phases[p] = parent.Phases[p]
 		}
-		e.obs.FinishSpan(sp, err, r.sink)
+		e.obs.FinishSpan(sp, r.call.result(r.stages, err), r.call.Sink)
 	}
 }
 
-func partsF32(reqs []*asyncReq, idx int) []*layout.Compact[float32] {
-	out := make([]*layout.Compact[float32], len(reqs))
-	for i, r := range reqs {
-		out[i] = r.ops[idx].F32
+// parts collects every request's compact at stage i's slot s.
+func parts[E vec.Float](reqs []*asyncReq, i, s int) []*layout.Compact[E] {
+	out := make([]*layout.Compact[E], len(reqs))
+	for j, r := range reqs {
+		out[j] = compactOf[E](r.stages[i].Ops[s])
 	}
 	return out
 }
 
-func partsF64(reqs []*asyncReq, idx int) []*layout.Compact[float64] {
-	out := make([]*layout.Compact[float64], len(reqs))
-	for i, r := range reqs {
-		out[i] = r.ops[idx].F64
+// fuseAlias concatenates stage i's slot s across the bundle into one
+// fused operand.
+func fuseAlias[E vec.Float](reqs []*asyncReq, i, s int) Operand {
+	src := reqs[0].stages[i].Ops[s]
+	f := fuseCompacts(src.DT, parts[E](reqs, i, s))
+	o := Operand{DT: src.DT}
+	if c, ok := any(f).(*layout.Compact[float32]); ok {
+		o.F32 = c
+	} else {
+		o.F64 = any(f).(*layout.Compact[float64])
 	}
-	return out
+	return o
 }
 
 // fuseCompacts concatenates same-shape compact batches at interleave-

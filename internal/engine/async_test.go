@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestAsyncIdleFastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	a, b, c := gemmReqOperands(rng, 12, 4, 4, 4)
 
-	fut, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestAsyncQueueFullBackpressure(t *testing.T) {
 
 	submit := func() (*Future, error) {
 		a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
-		return e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+		return e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	}
 
 	// First request: dequeued by the dispatcher, which parks in the hook.
@@ -114,7 +115,7 @@ func TestAsyncCancelBeforeDequeue(t *testing.T) {
 
 	// Occupy the dispatcher with a first request.
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestAsyncCancelBeforeDequeue(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 	before := append([]float32(nil), c.Data...)
 	ctx, cancel := context.WithCancel(context.Background())
-	fut, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestAsyncCancelAfterDequeue(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 	before := append([]float32(nil), c.Data...)
 	ctx, cancel := context.WithCancel(context.Background())
-	fut, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestAsyncCancelledAtSubmit(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c)); !errors.Is(err, context.Canceled) {
+	if _, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -204,7 +205,7 @@ func TestAsyncCoalescingParity(t *testing.T) {
 
 	// Occupy the dispatcher so everything below queues up behind it.
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +219,10 @@ func TestAsyncCoalescingParity(t *testing.T) {
 	for i := 0; i < N; i++ {
 		as[i], bs[i], cs[i] = gemmReqOperands(rng, count, m, n, k)
 		want[i] = cs[i].Clone()
-		if err := ref.Run(desc, op32(as[i]), op32(bs[i]), op32(want[i])); err != nil {
+		if err := ref.Run(context.Background(), one(desc, op32(as[i]), op32(bs[i]), op32(want[i])), Call{}); err != nil {
 			t.Fatal(err)
 		}
-		if futs[i], err = e.Submit(ctx, desc, op32(as[i]), op32(bs[i]), op32(cs[i])); err != nil {
+		if futs[i], err = e.Submit(ctx, one(desc, op32(as[i]), op32(bs[i]), op32(cs[i])), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,10 +238,10 @@ func TestAsyncCoalescingParity(t *testing.T) {
 	rhs := randCompact(rng, count, m, 3)
 	wantRHS := rhs.Clone()
 	trsmDesc := OpDesc{Kind: OpTRSM, Alpha: 1, Workers: 1}
-	if err := ref.Run(trsmDesc, op32(tri), op32(wantRHS)); err != nil {
+	if err := ref.Run(context.Background(), one(trsmDesc, op32(tri), op32(wantRHS)), Call{}); err != nil {
 		t.Fatal(err)
 	}
-	ftrsm, err := e.Submit(ctx, trsmDesc, op32(tri), op32(rhs))
+	ftrsm, err := e.Submit(ctx, one(trsmDesc, op32(tri), op32(rhs)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestAsyncCoalesceKeySeparatesScalars(t *testing.T) {
 	ctx := context.Background()
 
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestAsyncCoalesceKeySeparatesScalars(t *testing.T) {
 	var futs []*Future
 	for _, d := range []OpDesc{descA, descB, descA, descB} {
 		a, b, c := gemmReqOperands(rng, 16, 4, 4, 4)
-		f, err := e.Submit(ctx, d, op32(a), op32(b), op32(c))
+		f, err := e.Submit(ctx, one(d, op32(a), op32(b), op32(c)), Call{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +336,7 @@ func TestAsyncValidationError(t *testing.T) {
 	a := randCompact(rng, 8, 4, 4)
 	b := randCompact(rng, 8, 5, 4) // K mismatch
 	c := randCompact(rng, 8, 4, 4)
-	fut, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestAsyncFutureWaitHonorsContext(t *testing.T) {
 	defer close(gate)
 	rng := rand.New(rand.NewSource(58))
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
-	fut, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +433,7 @@ func edfOrderTrial(t *testing.T, edf bool) []string {
 	ctx := context.Background()
 
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +458,8 @@ func edfOrderTrial(t *testing.T, edf bool) []string {
 		a, b, c := gemmReqOperands(rng, 9, 4, 4, s.k)
 		cs[i] = c
 		want[i] = c.Clone()
-		desc := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1, Priority: s.prio}
-		if err := ref.Run(desc, op32(a), op32(b), op32(want[i])); err != nil {
+		desc := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}
+		if err := ref.Run(context.Background(), one(desc, op32(a), op32(b), op32(want[i])), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		sctx := ctx
@@ -469,7 +470,7 @@ func edfOrderTrial(t *testing.T, edf bool) []string {
 		}
 		name := s.name
 		sink := obs.SpanFunc(func(sp *obs.Span) { got = append(got, name) })
-		if futs[i], err = e.SubmitSpanned(sctx, desc, sink, op32(a), op32(b), op32(c)); err != nil {
+		if futs[i], err = e.Submit(sctx, one(desc, op32(a), op32(b), op32(c)), Call{Sink: sink, Priority: s.prio}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +540,7 @@ func TestAsyncFuseTimeExpiry(t *testing.T) {
 		cs[i] = c
 		want[i] = c.Clone() // survivors: overwritten by the reference run below
 		if !dead[i] {
-			if err := ref.Run(asyncGEMMDesc, op32(a), op32(b), op32(want[i])); err != nil {
+			if err := ref.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(want[i])), Call{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -549,8 +550,7 @@ func TestAsyncFuseTimeExpiry(t *testing.T) {
 			cancel()
 			rctx = cctx
 		}
-		r := &asyncReq{ctx: rctx, op: asyncGEMMDesc, fut: newFuture(), enq: time.Now(), nops: 3}
-		r.ops[0], r.ops[1], r.ops[2] = op32(a), op32(b), op32(c)
+		r := &asyncReq{ctx: rctx, stages: one(asyncGEMMDesc, op32(a), op32(b), op32(c)), fut: newFuture(), enq: time.Now()}
 		reqs[i] = r
 	}
 
@@ -595,8 +595,7 @@ func TestAsyncFuseTimeExpiry(t *testing.T) {
 		a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 		cctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		r2[i] = &asyncReq{ctx: cctx, op: asyncGEMMDesc, fut: newFuture(), enq: time.Now(), nops: 3}
-		r2[i].ops[0], r2[i].ops[1], r2[i].ops[2] = op32(a), op32(b), op32(c)
+		r2[i] = &asyncReq{ctx: cctx, stages: one(asyncGEMMDesc, op32(a), op32(b), op32(c)), fut: newFuture(), enq: time.Now()}
 	}
 	e.runBundle(append([]*asyncReq(nil), r2...))
 	for i := range r2 {
@@ -627,7 +626,7 @@ func TestAsyncWindowBatching(t *testing.T) {
 	// release it by submitting through the dispatcher.
 	entered, gate := holdDispatcher(e)
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,14 +640,14 @@ func TestAsyncWindowBatching(t *testing.T) {
 	// into the open window right after release.
 	for i := 0; i < N/2; i++ {
 		a, b, c := gemmReqOperands(rng, count, m, n, k)
-		if futs[i], err = e.Submit(ctx, desc, op32(a), op32(b), op32(c)); err != nil {
+		if futs[i], err = e.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(gate)
 	for i := N / 2; i < N; i++ {
 		a, b, c := gemmReqOperands(rng, count, m, n, k)
-		if futs[i], err = e.Submit(ctx, desc, op32(a), op32(b), op32(c)); err != nil {
+		if futs[i], err = e.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -673,5 +672,90 @@ func TestAsyncWindowBatching(t *testing.T) {
 	}
 	if !s.EDF {
 		t.Errorf("QueueStats.EDF = false, want true (default)")
+	}
+}
+
+// TestAsyncFuseIdentity pins the coalescing identity: it excludes the
+// batch count (one problem, or one chain, with counts in three buckets
+// fuses into one dispatch) and includes the operand alias pattern (a
+// GEMM whose C is its A never fuses with an unaliased one). Every result
+// stays bit-identical to a serial reference.
+func TestAsyncFuseIdentity(t *testing.T) {
+	e := New(core.DefaultTuning())
+	ref := New(core.DefaultTuning())
+	entered, gate := holdDispatcher(e)
+	rng := rand.New(rand.NewSource(140))
+	ctx := context.Background()
+
+	a0, b0, c0 := gemmReqOperands(rng, 4, 4, 4, 4)
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	var futs []*Future
+	var got, want []*layout.Compact[float32]
+	submit := func(n, count int, alias bool) {
+		a, b, c := gemmReqOperands(rng, count, n, n, n)
+		if alias {
+			c = a
+		}
+		ra, rb := a.Clone(), b.Clone()
+		rc := ra
+		if !alias {
+			rc = c.Clone()
+		}
+		if err := ref.Run(ctx, one(asyncGEMMDesc, op32(ra), op32(rb), op32(rc)), Call{}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs, got, want = append(futs, f), append(got, c), append(want, rc)
+	}
+	// One problem, counts in buckets 4, 16 and 64: one bundle.
+	for _, count := range []int{3, 13, 40} {
+		submit(8, count, false)
+	}
+	// Another shape, aliased (C is A) and unaliased: two bundles.
+	for i := 0; i < 6; i++ {
+		submit(6, 5+i, i%2 == 0)
+	}
+	// Chains follow the same count-free rule: one fused chain.
+	for _, count := range []int{3, 13, 40} {
+		a, b := chainTriOperands(rng, count, 8, 4)
+		rb := b.Clone()
+		if err := ref.Run(ctx, fusableChain(a, rb), Call{Chain: true}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs, got, want = append(futs, f), append(got, b), append(want, rb)
+	}
+	close(gate)
+	if err := f0.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range futs {
+		if err := f.Err(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	st := e.Stats()
+	if s := st.Queue; s.Dispatches != 5 || s.Coalesced != 8 || s.MaxFused != 3 {
+		t.Fatalf("dispatches %d coalesced %d max fused %d; want the occupier plus four fused bundles of 3",
+			s.Dispatches, s.Coalesced, s.MaxFused)
+	}
+	if st.Chain.Runs != 1 {
+		t.Fatalf("chain runs = %d, want the one fused chain", st.Chain.Runs)
+	}
+	for i := range got {
+		if !slices.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("request %d diverges from the serial reference", i)
+		}
 	}
 }

@@ -29,27 +29,23 @@
 //
 // Beyond elision the chain plan carries two more replay wins: every
 // stage's core plan is resolved once and cached under the chain key
-// (replay skips per-stage validation and plan-cache rounds), and pure
+// (replay skips the per-stage plan-cache rounds), and pure
 // chain inputs — operands read by some stage and written by none — are
 // auto-prepacked, so a chain-invariant triangle (block-Jacobi's
 // Cholesky factor) packs once and every later iteration jumps straight
 // to the kernels.
+//
+// A one-stage list never comes here: it is its op (exec.go) and leaves
+// the chain-plan memo and Stats.Chain untouched.
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
-	"iatf/internal/bufpool"
 	"iatf/internal/core"
-	"iatf/internal/layout"
-	"iatf/internal/matrix"
 	"iatf/internal/obs"
-	"iatf/internal/sched"
-	"iatf/internal/vec"
 )
 
 // maxChainStages bounds a chain's length (a sanity bound, far above any
@@ -118,28 +114,40 @@ func chainArity(k OpKind) (int, bool) {
 	return 0, false
 }
 
-// chainStageDesc is one stage's slice of the chain identity: everything
-// plan geometry and fusion analysis depend on. Scalars, workers and
-// priority are excluded (spliced at dispatch, like the plan cache); the
-// batch count is bucketed once chain-wide. alias is the operand-sharing
-// pattern: each distinct compact gets its first-appearance index, so
-// "TRSM(A,B) then TRSM(A,B)" and "TRSM(A,B) then TRSM(C,B)" are
-// different chains even with identical dims.
+// chainStageDesc is one stage's slice of the chain identity: its
+// validated plan key (kind, dtype, modes, dims; scalars, workers and the
+// exact count excluded, like the plan cache) and its operand-sharing
+// pattern (aliasOf per slot).
 type chainStageDesc struct {
-	kind           OpKind
-	dt             vec.DType
-	transA, transB matrix.Trans
-	side           matrix.Side
-	uplo           matrix.Uplo
-	diag           matrix.Diag
-	nops           int
-	rows, cols     [3]int
-	alias          [3]int8
+	key   planKey
+	alias [3]int16
 }
 
-// aliasRef locates one occurrence of an alias in the stage list.
-type aliasRef struct {
-	stage, slot int
+func sameCompact(a, b Operand) bool { return a.F32 == b.F32 && a.F64 == b.F64 }
+
+// aliasOf returns the first slot, numbered 3·stage+slot, holding the
+// same compact as stage i's slot s — the operand-sharing pattern that
+// makes "TRSM(A,B) then TRSM(A,B)" and "TRSM(A,B) then TRSM(C,B)"
+// different chains even with identical dims. Allocation-free.
+func aliasOf(stages []ChainStage, i, s int) int {
+	o := stages[i].Ops[s]
+	for j := 0; j <= i; j++ {
+		for t := 0; t < min(stages[j].NOps, 3); t++ {
+			if sameCompact(stages[j].Ops[t], o) {
+				return 3*j + t
+			}
+		}
+	}
+	return 3*i + s
+}
+
+// writtenAliases marks, by aliasOf slot, the operands some stage writes.
+func writtenAliases(stages []ChainStage) []bool {
+	w := make([]bool, 3*len(stages))
+	for i := range stages {
+		w[aliasOf(stages, i, chainWrites(stages[i].Op.Kind))] = true
+	}
+	return w
 }
 
 // chainStagePlan is the cached per-stage execution state.
@@ -169,23 +177,19 @@ type chainPlan struct {
 	label    string // stage kinds joined: "LU+TRSM+TRSM" (series mode, span)
 	fuseDesc string // packing descriptor for the series: "elide:N"
 
-	stages       []chainStagePlan
-	nAliases     int
-	aliasFirst   []aliasRef
-	aliasWritten []bool
-	hasFactor    bool
+	stages []chainStagePlan
 
 	flopsPerMatrix float64
 }
 
-// chainDescEqual reports whether two chain identities match exactly —
-// the collision-safe comparison behind the hashed cache lookup.
-func chainDescEqual(a, b *chainPlan) bool {
-	if a.bucket != b.bucket || len(a.desc) != len(b.desc) {
+// is reports whether the plan analyzes exactly this chain identity — the
+// collision-safe comparison behind the hashed cache lookup.
+func (cp *chainPlan) is(desc []chainStageDesc, bucket int) bool {
+	if cp.bucket != bucket || len(cp.desc) != len(desc) {
 		return false
 	}
-	for i := range a.desc {
-		if a.desc[i] != b.desc[i] {
+	for i := range desc {
+		if cp.desc[i] != desc[i] {
 			return false
 		}
 	}
@@ -203,31 +207,7 @@ func chainWrites(k OpKind) int {
 	return 1 // TRSM/TRMM's B, SYRK's C
 }
 
-// stageFLOPs models one stage's per-matrix flop count for the chain
-// series' GFLOPS estimate.
-func stageFLOPs(d *chainStageDesc) float64 {
-	switch d.kind {
-	case OpGEMM:
-		k := d.cols[0]
-		if d.transA == matrix.Transpose {
-			k = d.rows[0]
-		}
-		return 2 * float64(d.rows[2]) * float64(d.cols[2]) * float64(k)
-	case OpTRSM, OpTRMM:
-		dim := d.rows[1]
-		if d.side == matrix.Right {
-			dim = d.cols[1]
-		}
-		return float64(d.rows[1]) * float64(d.cols[1]) * float64(dim)
-	case OpSYRK:
-		k := d.cols[0]
-		if d.transA == matrix.Transpose {
-			k = d.rows[0]
-		}
-		return float64(d.rows[1]) * float64(d.cols[1]) * float64(k)
-	}
-	return factorFLOPs(d.kind, d.rows[0])
-}
+func isTri(k OpKind) bool { return k == OpTRSM || k == OpTRMM }
 
 // triCanon extracts the canonical-B geometry of a cached triangular
 // plan: whether B is canonicalized at all, and the block permutation
@@ -242,106 +222,75 @@ func triCanon(pv any) (packB, reverse, transpose bool) {
 	return false, false, false
 }
 
+// checkChainLen bounds a stage list's length.
+func checkChainLen(n int) error {
+	if n == 0 {
+		return fmt.Errorf("iatf: chain: %w: no stages", ErrOperand)
+	}
+	if n > maxChainStages {
+		return fmt.Errorf("iatf: chain: %w: %d stages exceeds the %d-stage bound", ErrOperand, n, maxChainStages)
+	}
+	return nil
+}
+
+// checkChainStage validates stage i of a chain — the stage itself, then
+// the chain-wide rules: one dtype and one batch count for every stage —
+// and attributes a failure to the stage. Stages before i must be valid.
+func checkChainStage(stages []ChainStage, i int) (planKey, error) {
+	st := &stages[i]
+	key, err := stageKey(st)
+	if first, a := stages[0].Ops[0], st.Ops[0]; err == nil && i > 0 {
+		switch {
+		case a.DT != first.DT:
+			err = opErr(st.Op.Kind, "", ErrDType, "stage dtype %s differs from chain dtype %s", a.DT, first.DT)
+		case a.count() != first.count():
+			err = opErr(st.Op.Kind, "A", ErrCount,
+				"has %d, chain has %d (chain stages share one batch count)", a.count(), first.count())
+		}
+	}
+	if err != nil {
+		return key, &ChainError{Stage: i, Kind: st.Op.Kind, Err: err}
+	}
+	return key, nil
+}
+
 // chainPlanFor resolves (building and caching on miss) the chain plan
 // of a stage list. Validation errors are attributed to their stage via
-// ChainError.
+// ChainError. A hit allocates nothing: the identity is assembled on the
+// stack and copied only when a new plan is built.
 func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome, error) {
-	if len(stages) == 0 {
-		return nil, obs.CacheMiss, fmt.Errorf("iatf: chain: %w: no stages", ErrOperand)
+	if err := checkChainLen(len(stages)); err != nil {
+		return nil, obs.CacheMiss, err
 	}
-	if len(stages) > maxChainStages {
-		return nil, obs.CacheMiss, fmt.Errorf("iatf: chain: %w: %d stages exceeds the %d-stage bound",
-			ErrOperand, len(stages), maxChainStages)
-	}
-	cp := &chainPlan{desc: make([]chainStageDesc, len(stages))}
-	aliases := make(map[any]int8)
-	count := -1
+	var buf [8]chainStageDesc
+	desc := buf[:0]
 	for i := range stages {
-		st := &stages[i]
-		kind := st.Op.Kind
-		arity, ok := chainArity(kind)
-		if !ok {
-			return nil, obs.CacheMiss, &ChainError{Stage: i, Kind: kind,
-				Err: opErr(kind, "", ErrOperand, "op kind not chainable")}
-		}
-		if st.NOps != arity {
-			return nil, obs.CacheMiss, &ChainError{Stage: i, Kind: kind,
-				Err: opErr(kind, "", ErrOperand, "takes %d operands, got %d", arity, st.NOps)}
-		}
-		var err error
-		if kind == OpLU || kind == OpCholesky {
-			err = checkFactor(kind, st.Ops[0])
-		} else {
-			err = checkOperands(kind, st.Ops[:st.NOps], arity)
-		}
-		if err == nil {
-			switch kind {
-			case OpGEMM:
-				_, _, _, err = gemmDims(st.Op, st.Ops[0], st.Ops[1], st.Ops[2])
-			case OpTRSM, OpTRMM:
-				_, _, err = triDims(st.Op, st.Ops[0], st.Ops[1])
-			case OpSYRK:
-				_, _, err = syrkDims(st.Op, st.Ops[0], st.Ops[1])
-			}
-		}
+		key, err := checkChainStage(stages, i)
 		if err != nil {
-			return nil, obs.CacheMiss, &ChainError{Stage: i, Kind: kind, Err: err}
+			return nil, obs.CacheMiss, err
 		}
-		d := &cp.desc[i]
-		d.kind, d.dt = kind, st.Ops[0].DT
-		d.transA, d.transB = st.Op.TransA, st.Op.TransB
-		d.side, d.uplo, d.diag = st.Op.Side, st.Op.Uplo, st.Op.Diag
-		d.nops = st.NOps
-		if d.dt != stages[0].Ops[0].DT {
-			return nil, obs.CacheMiss, &ChainError{Stage: i, Kind: kind,
-				Err: opErr(kind, "", ErrDType, "stage dtype %s differs from chain dtype %s",
-					d.dt, stages[0].Ops[0].DT)}
+		d := chainStageDesc{key: key}
+		for s := 0; s < stages[i].NOps; s++ {
+			d.alias[s] = int16(aliasOf(stages, i, s))
 		}
-		for s := 0; s < st.NOps; s++ {
-			o := st.Ops[s]
-			d.rows[s], d.cols[s] = o.rows(), o.cols()
-			if count < 0 {
-				count = o.count()
-			} else if o.count() != count {
-				return nil, obs.CacheMiss, &ChainError{Stage: i, Kind: kind,
-					Err: opErr(kind, operandNames[kind][s], ErrCount,
-						"has %d, chain has %d (chain stages share one batch count)", o.count(), count)}
-			}
-			var ptr any
-			if o.F32 != nil {
-				ptr = o.F32
-			} else {
-				ptr = o.F64
-			}
-			id, ok := aliases[ptr]
-			if !ok {
-				id = int8(len(aliases))
-				aliases[ptr] = id
-				cp.aliasFirst = append(cp.aliasFirst, aliasRef{stage: i, slot: s})
-			}
-			d.alias[s] = id
-		}
+		desc = append(desc, d)
 	}
-	cp.bucket = countBucket(count)
-	cp.nAliases = len(aliases)
-
+	bucket := countBucket(stages[0].Ops[0].count())
 	h := uint64(0xcbf29ce484222325)
-	h = mix64(h, uint64(len(cp.desc)))
-	h = mix64(h, uint64(cp.bucket))
-	for i := range cp.desc {
-		d := &cp.desc[i]
-		for _, v := range [...]int{int(d.kind), int(d.dt), int(d.transA), int(d.transB),
-			int(d.side), int(d.uplo), int(d.diag), d.nops,
-			d.rows[0], d.cols[0], d.rows[1], d.cols[1], d.rows[2], d.cols[2],
-			int(d.alias[0]), int(d.alias[1]), int(d.alias[2])} {
+	h = mix64(h, uint64(len(desc)))
+	h = mix64(h, uint64(bucket))
+	for i := range desc {
+		d := &desc[i]
+		k := &d.key
+		for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
+			int(k.side), int(k.uplo), int(k.diag), int(d.alias[0]), int(d.alias[1]), int(d.alias[2])} {
 			h = mix64(h, uint64(v))
 		}
 	}
-	cp.hash = h
 
 	e.chainMu.Lock()
 	for _, cand := range e.chainPlans[h] {
-		if chainDescEqual(cand, cp) {
+		if cand.is(desc, bucket) {
 			e.chainMu.Unlock()
 			e.chainHits.Add(1)
 			return cand, obs.CacheHit, nil
@@ -350,7 +299,8 @@ func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome
 	e.chainMu.Unlock()
 	e.chainMisses.Add(1)
 
-	if err := e.buildChainPlan(cp, stages); err != nil {
+	cp := &chainPlan{hash: h, desc: append([]chainStageDesc(nil), desc...), bucket: bucket}
+	if err := e.buildChainPlan(cp, writtenAliases(stages)); err != nil {
 		return nil, obs.CacheMiss, err
 	}
 
@@ -358,7 +308,7 @@ func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome
 	// Re-check: a concurrent builder may have landed the same identity;
 	// keep the first so callers can compare plans by pointer.
 	for _, cand := range e.chainPlans[h] {
-		if chainDescEqual(cand, cp) {
+		if cand.is(desc, bucket) {
 			e.chainMu.Unlock()
 			return cand, obs.CacheMiss, nil
 		}
@@ -381,27 +331,28 @@ func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome
 }
 
 // buildChainPlan fills the analysis of a validated chain descriptor:
-// per-stage core plans, the producer→consumer elision edges, write/read
-// alias sets and the auto-prepack marks.
-func (e *Engine) buildChainPlan(cp *chainPlan, stages []ChainStage) error {
+// per-stage core plans (through the regular plan cache, so chain and
+// standalone calls of one shape share plans and counters), the
+// producer→consumer elision edges and the auto-prepack marks.
+func (e *Engine) buildChainPlan(cp *chainPlan, written []bool) error {
 	n := len(cp.desc)
 	cp.stages = make([]chainStagePlan, n)
-	cp.aliasWritten = make([]bool, cp.nAliases)
 	kinds := make([]string, n)
 	for i := range cp.desc {
-		d := &cp.desc[i]
-		kinds[i] = d.kind.String()
-		cp.flopsPerMatrix += stageFLOPs(d)
-		cp.aliasWritten[d.alias[chainWrites(d.kind)]] = true
-		if d.kind == OpLU || d.kind == OpCholesky {
-			cp.hasFactor = true
+		key := cp.desc[i].key
+		kinds[i] = key.kind.String()
+		cp.stages[i].key = key
+		if key.kind == OpLU || key.kind == OpCholesky {
+			cp.flopsPerMatrix += factorFLOPs(key.kind, key.m)
 			continue
 		}
-		key, pv, err := e.stagePlan(&stages[i].Op, d, cp.bucket)
+		pv, _, err := e.plan(key, nil)
 		if err != nil {
-			return &ChainError{Stage: i, Kind: d.kind, Err: err}
+			return &ChainError{Stage: i, Kind: key.kind, Err: err}
 		}
-		cp.stages[i].key, cp.stages[i].pv = key, pv
+		cp.stages[i].pv = pv
+		_, _, _, flops := e.planFacts(pv, 1, false)
+		cp.flopsPerMatrix += flops
 	}
 	cp.label = strings.Join(kinds, "+")
 
@@ -412,7 +363,7 @@ func (e *Engine) buildChainPlan(cp *chainPlan, stages []ChainStage) error {
 	elided := 0
 	for i := 0; i+1 < n; i++ {
 		p, c := &cp.desc[i], &cp.desc[i+1]
-		if (p.kind != OpTRSM && p.kind != OpTRMM) || (c.kind != OpTRSM && c.kind != OpTRMM) {
+		if !isTri(p.key.kind) || !isTri(c.key.kind) {
 			continue
 		}
 		if p.alias[1] != c.alias[1] || p.alias[0] == p.alias[1] || c.alias[0] == c.alias[1] {
@@ -434,418 +385,14 @@ func (e *Engine) buildChainPlan(cp *chainPlan, stages []ChainStage) error {
 	// chain replays because no stage ever bumps their generation.
 	for i := range cp.desc {
 		d := &cp.desc[i]
-		switch d.kind {
+		switch d.key.kind {
 		case OpTRSM, OpTRMM:
-			cp.stages[i].autoPre[0] = !cp.aliasWritten[d.alias[0]]
+			cp.stages[i].autoPre[0] = !written[d.alias[0]]
 		case OpGEMM:
 			pl := cp.stages[i].pv.(*core.GEMMPlan)
-			cp.stages[i].autoPre[0] = pl.PackA && !cp.aliasWritten[d.alias[0]]
-			cp.stages[i].autoPre[1] = pl.PackB && !cp.aliasWritten[d.alias[1]]
+			cp.stages[i].autoPre[0] = pl.PackA && !written[d.alias[0]]
+			cp.stages[i].autoPre[1] = pl.PackB && !written[d.alias[1]]
 		}
 	}
-	return nil
-}
-
-// stagePlan resolves one stage's core plan through the regular plan
-// cache (so chain and standalone calls of the same shape share plans
-// and counters).
-func (e *Engine) stagePlan(op *OpDesc, d *chainStageDesc, bucket int) (planKey, any, error) {
-	switch d.kind {
-	case OpGEMM:
-		m, n := d.rows[2], d.cols[2]
-		k := d.cols[0]
-		if d.transA == matrix.Transpose {
-			k = d.rows[0]
-		}
-		key := planKey{kind: OpGEMM, dt: d.dt, m: m, n: n, k: k,
-			transA: d.transA, transB: d.transB, countBucket: bucket}
-		pv, _, err := e.plan(key, func() (any, error) {
-			return core.NewGEMMPlan(core.GEMMProblem{
-				DT: d.dt, M: m, N: n, K: k, TransA: d.transA, TransB: d.transB,
-				Alpha: 1, Beta: 1, Count: bucket,
-			}, e.tun)
-		})
-		return key, pv, err
-	case OpTRSM:
-		m, n := d.rows[1], d.cols[1]
-		key := planKey{kind: OpTRSM, dt: d.dt, m: m, n: n,
-			transA: d.transA, side: d.side, uplo: d.uplo, diag: d.diag, countBucket: bucket}
-		pv, _, err := e.plan(key, func() (any, error) {
-			return core.NewTRSMPlan(core.TRSMProblem{
-				DT: d.dt, M: m, N: n, Side: d.side, Uplo: d.uplo,
-				TransA: d.transA, Diag: d.diag, Alpha: 1, Count: bucket,
-			}, e.tun)
-		})
-		return key, pv, err
-	case OpTRMM:
-		m, n := d.rows[1], d.cols[1]
-		key := planKey{kind: OpTRMM, dt: d.dt, m: m, n: n,
-			transA: d.transA, side: d.side, uplo: d.uplo, diag: d.diag, countBucket: bucket}
-		pv, _, err := e.plan(key, func() (any, error) {
-			return core.NewTRMMPlan(core.TRMMProblem{
-				DT: d.dt, M: m, N: n, Side: d.side, Uplo: d.uplo,
-				TransA: d.transA, Diag: d.diag, Alpha: 1, Count: bucket,
-			}, e.tun)
-		})
-		return key, pv, err
-	case OpSYRK:
-		n := d.rows[1]
-		k := d.cols[0]
-		if d.transA == matrix.Transpose {
-			k = d.rows[0]
-		}
-		key := planKey{kind: OpSYRK, dt: d.dt, m: n, k: k,
-			transA: d.transA, uplo: d.uplo, countBucket: bucket}
-		pv, _, err := e.plan(key, func() (any, error) {
-			return core.NewSYRKPlan(core.SYRKProblem{
-				DT: d.dt, N: n, K: k, Uplo: d.uplo, Trans: d.transA,
-				Alpha: 1, Beta: 1, Count: bucket,
-			}, e.tun)
-		})
-		return key, pv, err
-	}
-	_ = op
-	return planKey{}, nil, nil
-}
-
-// RunChain executes a chain synchronously: one plan resolution for the
-// whole stage list, per-stage cached core plans, and packed-layout
-// handoffs between fusable stages. Results are bit-identical to running
-// the stages as individual calls in order. On failure the returned
-// error is a *ChainError naming the failing stage, and every operand is
-// left exactly as the serial prefix up to that stage would have left
-// it.
-func (e *Engine) RunChain(ctx context.Context, stages []ChainStage) error {
-	cp, outcome, err := e.chainPlanFor(stages)
-	if err != nil {
-		return err
-	}
-	sp := e.obs.StartSpan(false)
-	err = e.runChainInner(ctx, stages, cp, outcome, sp, true)
-	e.obs.FinishSpan(sp, err, nil)
-	return err
-}
-
-// RunChainSpanned is RunChain with a per-call span sink: the chain
-// carries one parent span (Op "CHAIN", Mode the stage-kind list) that
-// sink receives, with per-stage child spans delivered to the
-// engine-level sink.
-func (e *Engine) RunChainSpanned(ctx context.Context, stages []ChainStage, sink obs.SpanFunc) error {
-	if sink == nil {
-		return e.RunChain(ctx, stages)
-	}
-	cp, outcome, err := e.chainPlanFor(stages)
-	if err != nil {
-		return err
-	}
-	sp := e.obs.StartSpan(true)
-	err = e.runChainInner(ctx, stages, cp, outcome, sp, true)
-	e.obs.FinishSpan(sp, err, sink)
-	return err
-}
-
-// runChainInner executes a resolved chain: fills the parent span, feeds
-// the CHAIN shape series, and dispatches on element type. autoPre
-// gates the pure-input auto-prepack (disabled for fused throwaway
-// operands).
-func (e *Engine) runChainInner(ctx context.Context, stages []ChainStage, cp *chainPlan, outcome obs.CacheOutcome, sp *obs.Span, autoPre bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.chainRuns.Add(1)
-	d0 := &cp.desc[0]
-	count := stages[0].count()
-	if sp != nil {
-		sp.Op = "CHAIN"
-		sp.DType = d0.dt.String()
-		sp.Mode = cp.label
-		sp.M, sp.N = d0.rows[0], d0.cols[0]
-		sp.Count = count
-		sp.Workers = sched.Resolve(stages[0].Op.Workers)
-	}
-	series := e.obs.Series(obs.ShapeKey{Op: "CHAIN", DType: d0.dt.String(),
-		Mode: cp.label, M: d0.rows[0], N: d0.cols[0]})
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(stages[0].Op.Workers))
-	if outcome == obs.CacheMiss {
-		series.SetPlan(0, cp.fuseDesc, 1)
-	}
-	start := time.Now()
-	var err error
-	if stages[0].Ops[0].F32 != nil {
-		err = runChain[float32](e, ctx, stages, cp, sp, series, count, autoPre)
-	} else {
-		err = runChain[float64](e, ctx, stages, cp, sp, series, count, autoPre)
-	}
-	series.Record(time.Since(start), cp.flopsPerMatrix*float64(count), err != nil)
-	return err
-}
-
-// compactOf recovers the typed compact from a type-erased operand.
-func compactOf[E vec.Float](o Operand) *layout.Compact[E] {
-	if o.F32 != nil {
-		return any(o.F32).(*layout.Compact[E])
-	}
-	return any(o.F64).(*layout.Compact[E])
-}
-
-// resolveChainPre resolves the prepacked image of one chain-stage
-// operand, first enabling prepack when the chain plan marked the slot
-// as a pure chain input.
-func resolveChainPre[E vec.Float](e *Engine, c *layout.Compact[E], auto bool, key planKey, role packRole, length int, build func([]E) error, series *obs.Series, child, parent *obs.Span) ([]E, *packEntry, error) {
-	if auto {
-		c.EnablePrepack()
-	}
-	id, gen := c.PrepackState()
-	if id == 0 {
-		return nil, nil, nil
-	}
-	ent, data, hit, err := acquirePacked[E](e, packKey{id: id, gen: gen, plan: key, role: role}, length, build)
-	if err != nil {
-		return nil, nil, err
-	}
-	series.Prepack(hit)
-	child.Prepack(hit)
-	parent.Prepack(hit)
-	return data, ent, nil
-}
-
-// startChainChild opens one stage's child span under the chain's parent
-// span (nil parent → nil child: chain tracing is all-or-nothing).
-func (e *Engine) startChainChild(parent *obs.Span, st *ChainStage, d *chainStageDesc, count int) *obs.Span {
-	if parent == nil {
-		return nil
-	}
-	child := e.obs.StartSpan(true)
-	child.ParentID = parent.ID
-	child.Op = d.kind.String()
-	child.DType = d.dt.String()
-	child.Count = count
-	child.Workers = sched.Resolve(st.Op.Workers)
-	switch d.kind {
-	case OpGEMM:
-		child.Mode = gemmMode(d.transA, d.transB)
-		child.M, child.N = d.rows[2], d.cols[2]
-		child.K = d.cols[0]
-		if d.transA == matrix.Transpose {
-			child.K = d.rows[0]
-		}
-	case OpTRSM, OpTRMM:
-		child.Mode = d.side.String() + d.transA.String() + d.uplo.String() + d.diag.String()
-		child.M, child.N = d.rows[1], d.cols[1]
-	case OpSYRK:
-		child.Mode = d.transA.String() + d.uplo.String()
-		child.M, child.N = d.rows[1], d.cols[1]
-		child.K = d.cols[0]
-		if d.transA == matrix.Transpose {
-			child.K = d.rows[0]
-		}
-	default:
-		child.M, child.N = d.rows[0], d.cols[0]
-	}
-	return child
-}
-
-// runChain is the typed chain executor. Canonical-image state threads
-// between stages: liveB's storage is stale while canon holds its
-// canonical image, and every exit path re-materializes before
-// returning, so callers always observe serial-prefix semantics.
-func runChain[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage, cp *chainPlan, parent *obs.Span, series *obs.Series, count int, autoPre bool) error {
-	var (
-		canonBuf           *bufpool.Buf[E]
-		canon              []E
-		canonLive          bool
-		liveB              *layout.Compact[E]
-		liveRev, liveTrans bool
-	)
-	defer func() {
-		if canonBuf != nil {
-			bufpool.Put(e.rt.Bufs, canonBuf)
-		}
-	}()
-	remat := func() {
-		if !canonLive {
-			return
-		}
-		core.ScatterCanonicalB(liveB, liveRev, liveTrans, canon)
-		liveB.Invalidate()
-		canonLive = false
-	}
-	for i := range stages {
-		st := &stages[i]
-		d := &cp.desc[i]
-		spl := &cp.stages[i]
-		if err := ctx.Err(); err != nil {
-			remat()
-			return &ChainError{Stage: i, Kind: d.kind, Err: err}
-		}
-		child := e.startChainChild(parent, st, d, count)
-		t0 := time.Now()
-		var err error
-		switch d.kind {
-		case OpLU, OpCholesky:
-			ck := core.LUKind
-			if d.kind == OpCholesky {
-				ck = core.CholeskyKind
-			}
-			aC := compactOf[E](st.Ops[0])
-			var info []int
-			info, err = core.ExecFactorNative(e.rt, ck, aC, st.Op.Workers)
-			aC.Invalidate()
-			if err == nil {
-				for _, code := range info {
-					if code != 0 {
-						err = &ChainError{Stage: i, Kind: d.kind, Info: info, Err: ErrSingular}
-						break
-					}
-				}
-			}
-		case OpGEMM:
-			pl := *spl.pv.(*core.GEMMPlan)
-			pl.P.Alpha, pl.P.Beta, pl.P.Count = st.Op.Alpha, st.Op.Beta, count
-			pl.RT = e.rt
-			aC, bC, cC := compactOf[E](st.Ops[0]), compactOf[E](st.Ops[1]), compactOf[E](st.Ops[2])
-			var preA, preB []E
-			var entA, entB *packEntry
-			if pl.PackA {
-				preA, entA, err = resolveChainPre(e, aC, autoPre && spl.autoPre[0], spl.key, roleA,
-					pl.PrepackALen(aC.Groups()), func(dst []E) error {
-						return core.PrepackGEMMA(&pl, aC, dst)
-					}, series, child, parent)
-			}
-			if err == nil && pl.PackB {
-				preB, entB, err = resolveChainPre(e, bC, autoPre && spl.autoPre[1], spl.key, roleB,
-					pl.PrepackBLen(bC.Groups()), func(dst []E) error {
-						return core.PrepackGEMMB(&pl, bC, dst)
-					}, series, child, parent)
-			}
-			if err == nil {
-				err = core.ExecGEMMNativePrepacked(&pl, aC, bC, cC, preA, preB, st.Op.Workers)
-				cC.Invalidate()
-			}
-			if entA != nil {
-				e.packs.release(entA)
-			}
-			if entB != nil {
-				e.packs.release(entB)
-			}
-		case OpSYRK:
-			pl := *spl.pv.(*core.SYRKPlan)
-			pl.P.Alpha, pl.P.Beta, pl.P.Count = st.Op.Alpha, st.Op.Beta, count
-			pl.RT = e.rt
-			aC, cC := compactOf[E](st.Ops[0]), compactOf[E](st.Ops[1])
-			err = core.ExecSYRKNativeParallel(&pl, aC, cC, st.Op.Workers)
-			cC.Invalidate()
-		case OpTRSM:
-			pl := *spl.pv.(*core.TRSMPlan)
-			pl.P.Alpha, pl.P.Count = st.Op.Alpha, count
-			pl.RT = e.rt
-			aC, bC := compactOf[E](st.Ops[0]), compactOf[E](st.Ops[1])
-			var preTri []E
-			var ent *packEntry
-			preTri, ent, err = resolveChainPre(e, aC, autoPre && spl.autoPre[0], spl.key, roleTri,
-				pl.PrepackTriLen(aC.Groups()), func(dst []E) error {
-					return core.PrepackTRSMTri(&pl, aC, dst)
-				}, series, child, parent)
-			if err == nil {
-				if spl.donated || spl.elideOut {
-					if !spl.donated {
-						canonBuf = bufpool.Get[E](e.rt.Bufs, len(bC.Data))
-						canon = canonBuf.Slice()[:len(bC.Data)]
-					}
-					var inB, outB []E
-					if spl.donated {
-						inB = canon
-					}
-					if spl.elideOut {
-						outB = canon
-					}
-					err = core.ExecTRSMNativeChained(&pl, aC, bC, preTri, inB, outB, st.Op.Workers)
-					if err == nil {
-						if spl.donated {
-							e.packElided.Add(1)
-						}
-						if spl.elideOut {
-							e.scatterElided.Add(1)
-							canonLive, liveB = true, bC
-							liveRev, liveTrans = pl.ReverseB, pl.TransposeB
-						} else {
-							canonLive = false
-							bufpool.Put(e.rt.Bufs, canonBuf)
-							canonBuf, canon = nil, nil
-							bC.Invalidate()
-						}
-					}
-				} else {
-					err = core.ExecTRSMNativePrepacked(&pl, aC, bC, preTri, st.Op.Workers)
-					bC.Invalidate()
-				}
-			}
-			if ent != nil {
-				e.packs.release(ent)
-			}
-		case OpTRMM:
-			pl := *spl.pv.(*core.TRMMPlan)
-			pl.P.Alpha, pl.P.Count = st.Op.Alpha, count
-			pl.RT = e.rt
-			aC, bC := compactOf[E](st.Ops[0]), compactOf[E](st.Ops[1])
-			var preTri []E
-			var ent *packEntry
-			preTri, ent, err = resolveChainPre(e, aC, autoPre && spl.autoPre[0], spl.key, roleTri,
-				pl.PrepackTriLen(aC.Groups()), func(dst []E) error {
-					return core.PrepackTRMMTri(&pl, aC, dst)
-				}, series, child, parent)
-			if err == nil {
-				if spl.donated || spl.elideOut {
-					if !spl.donated {
-						canonBuf = bufpool.Get[E](e.rt.Bufs, len(bC.Data))
-						canon = canonBuf.Slice()[:len(bC.Data)]
-					}
-					var inB, outB []E
-					if spl.donated {
-						inB = canon
-					}
-					if spl.elideOut {
-						outB = canon
-					}
-					err = core.ExecTRMMNativeChained(&pl, aC, bC, preTri, inB, outB, st.Op.Workers)
-					if err == nil {
-						if spl.donated {
-							e.packElided.Add(1)
-						}
-						if spl.elideOut {
-							e.scatterElided.Add(1)
-							canonLive, liveB = true, bC
-							liveRev, liveTrans = pl.ReverseB, pl.TransposeB
-						} else {
-							canonLive = false
-							bufpool.Put(e.rt.Bufs, canonBuf)
-							canonBuf, canon = nil, nil
-							bC.Invalidate()
-						}
-					}
-				} else {
-					err = core.ExecTRMMNativePrepacked(&pl, aC, bC, preTri, st.Op.Workers)
-					bC.Invalidate()
-				}
-			}
-			if ent != nil {
-				e.packs.release(ent)
-			}
-		}
-		child.Mark(obs.PhaseCompute, t0)
-		e.obs.FinishSpan(child, err, nil)
-		if err != nil {
-			remat()
-			var ce *ChainError
-			if errors.As(err, &ce) {
-				return err
-			}
-			return &ChainError{Stage: i, Kind: d.kind, Err: err}
-		}
-	}
-	// Unreachable in a well-formed plan (the final stage never elides its
-	// scatter), kept as a safety net.
-	remat()
 	return nil
 }

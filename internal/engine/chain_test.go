@@ -78,12 +78,12 @@ func TestChainCancelMidChain(t *testing.T) {
 	ref := b.Clone()
 	// Serial prefix: only the TRMM.
 	trmm := OpDesc{Kind: OpTRMM, Side: matrix.Left, Uplo: matrix.Upper, Alpha: 1, Workers: 1}
-	if err := e.Run(trmm, op32(a), op32(ref)); err != nil {
+	if err := e.Run(context.Background(), one(trmm, op32(a), op32(ref)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// One Err pass admits stage 0; the stage-1 check sees the cancel.
-	err := e.RunChain(&countdownCtx{left: 1}, fusableChain(a, b))
+	err := e.Run(&countdownCtx{left: 1}, fusableChain(a, b), Call{Chain: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -95,7 +95,7 @@ func TestChainCancelMidChain(t *testing.T) {
 		t.Fatal("B was not re-materialized to the completed prefix")
 	}
 	// The engine stays healthy: the same chain runs to completion now.
-	if err := e.RunChain(context.Background(), fusableChain(a, b)); err != nil {
+	if err := e.Run(context.Background(), fusableChain(a, b), Call{Chain: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +111,7 @@ func TestChainAsyncCoalesce(t *testing.T) {
 
 	// Decoy parks the dispatcher inside the hook.
 	a0, b0 := chainTriOperands(rng, 7, 8, 4)
-	f0, err := e.SubmitChain(ctx, fusableChain(a0, b0), nil)
+	f0, err := e.Submit(ctx, fusableChain(a0, b0), Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChainAsyncCoalesce(t *testing.T) {
 	a, _ := chainTriOperands(rng, 7, 8, 4)
 	bSeed := randCompact(rng, 7, 8, 4)
 	ref := bSeed.Clone()
-	if err := eRef.RunChain(ctx, fusableChain(a, ref)); err != nil {
+	if err := eRef.Run(ctx, fusableChain(a, ref), Call{Chain: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestChainAsyncCoalesce(t *testing.T) {
 	var bs []*layout.Compact[float32]
 	for i := 0; i < riders; i++ {
 		b := bSeed.Clone()
-		f, err := e.SubmitChain(ctx, fusableChain(a, b), nil)
+		f, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestChainAsyncNoCrossCoalesce(t *testing.T) {
 	ctx := context.Background()
 
 	a0, b0 := chainTriOperands(rng, 7, 8, 4)
-	f0, err := e.SubmitChain(ctx, fusableChain(a0, b0), nil)
+	f0, err := e.Submit(ctx, fusableChain(a0, b0), Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +178,19 @@ func TestChainAsyncNoCrossCoalesce(t *testing.T) {
 	// One chain, one plain GEMM over the same-shape operands, and one
 	// chain with a different alpha: three distinct bundles.
 	a, b := chainTriOperands(rng, 7, 8, 4)
-	fChain, err := e.SubmitChain(ctx, fusableChain(a, b), nil)
+	fChain, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ga, gb, gc := gemmReqOperands(rng, 7, 8, 8, 8)
-	fGEMM, err := e.Submit(ctx, asyncGEMMDesc, op32(ga), op32(gb), op32(gc))
+	fGEMM, err := e.Submit(ctx, one(asyncGEMMDesc, op32(ga), op32(gb), op32(gc)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a2, b2 := chainTriOperands(rng, 7, 8, 4)
 	alt := fusableChain(a2, b2)
 	alt[0].Op.Alpha = 2
-	fAlt, err := e.SubmitChain(ctx, alt, nil)
+	fAlt, err := e.Submit(ctx, alt, Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChainFactorNeverFuses(t *testing.T) {
 	}
 
 	st0, _ := luChain()
-	f0, err := e.SubmitChain(ctx, st0, nil)
+	f0, err := e.Submit(ctx, st0, Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestChainFactorNeverFuses(t *testing.T) {
 	var futs []*Future
 	for i := 0; i < 3; i++ {
 		st, _ := luChain()
-		f, err := e.SubmitChain(ctx, st, nil)
+		f, err := e.Submit(ctx, st, Call{Chain: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,24 +262,29 @@ func TestChainFactorNeverFuses(t *testing.T) {
 	}
 }
 
-// TestChainQueueFull: a full queue rejects SubmitChain with
+// TestChainQueueFull: a full queue rejects a chain Submit with
 // ErrQueueFull, and the future-less error path leaves no goroutines or
 // counters wedged.
 func TestChainQueueFull(t *testing.T) {
 	e := New(core.DefaultTuning())
 	e.SetQueueCapacity(1)
-	_, gate := holdDispatcher(e)
+	entered, gate := holdDispatcher(e)
 	defer close(gate)
 	rng := rand.New(rand.NewSource(94))
 	ctx := context.Background()
 
-	a, b := chainTriOperands(rng, 7, 8, 4)
-	// The held dispatcher never drains: first submit occupies the slot.
-	if _, err := e.SubmitChain(ctx, fusableChain(a, b), nil); err != nil {
-		t.Fatal(err)
+	// The first chain parks the dispatcher; the second occupies the slot.
+	for i := 0; i < 2; i++ {
+		a, b := chainTriOperands(rng, 7, 8, 4)
+		if _, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-entered
+		}
 	}
 	a2, b2 := chainTriOperands(rng, 7, 8, 4)
-	if _, err := e.SubmitChain(ctx, fusableChain(a2, b2), nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := e.Submit(ctx, fusableChain(a2, b2), Call{Chain: true}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	if got := e.Stats().Queue.Rejected; got != 1 {
@@ -296,7 +301,7 @@ func TestChainSetRouting(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 4; i++ {
-		if err := s.RunChain(ctx, fusableChain(a, b)); err != nil {
+		if err := s.Run(ctx, fusableChain(a, b), Call{Chain: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +315,7 @@ func TestChainSetRouting(t *testing.T) {
 	if runs != 4 || shards != 1 {
 		t.Fatalf("runs=%d on %d shards, want all 4 on one shard", runs, shards)
 	}
-	fut, err := s.SubmitChain(ctx, fusableChain(a, b), nil)
+	fut, err := s.Submit(ctx, fusableChain(a, b), Call{Chain: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,12 @@
 //   - packing buffers come from size-class pools (internal/bufpool);
 //   - parallel execution runs on the persistent worker pool
 //     (internal/sched) instead of goroutine-per-call;
-//   - a single generic dispatch path (Run) does all shape checking and
-//     f32/f64 selection, collapsing the per-op wrappers in the public
-//     package into thin shims. Validation errors are typed (ErrShape,
-//     ErrCount, ErrDType, ErrOperand) and always name the op and the
-//     offending operand;
+//   - one execution path: every level-3 call is a stage list, and a
+//     single op is the one-stage case. Run (sync) and Submit (async) are
+//     the only entries; they share one stage executor, one queue, one
+//     fuser and one span finisher. Validation errors are typed
+//     (ErrShape, ErrCount, ErrDType, ErrOperand) and always name the op
+//     and the offending operand;
 //   - every call feeds the per-shape observability layer (internal/obs):
 //     rolling latency histograms, achieved GFLOPS vs the plan's
 //     CMAR-predicted ceiling, plan-cache outcomes, and an optional trace
@@ -35,7 +36,6 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"iatf/internal/bufpool"
 	"iatf/internal/core"
@@ -50,8 +50,9 @@ import (
 // OpKind selects the routine an OpDesc describes.
 type OpKind int
 
-// The batched routines the engine dispatches: the level-3 ops through
-// Run/Submit, the in-place factorizations through RunFactor/RunLUPiv.
+// The batched routines the engine dispatches: the level-3 ops and the
+// in-place factorizations as stages of Run/Submit, the factorizations
+// with info codes through RunFactor/RunLUPiv.
 const (
 	OpGEMM OpKind = iota
 	OpTRSM
@@ -83,10 +84,11 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
 
-// OpDesc describes one batched call: the routine, its mode flags and
+// OpDesc describes one batched op: the routine, its mode flags and
 // scalars, and the worker request. Dimensions are taken from the
 // operands. Workers <= 0 means auto (GOMAXPROCS); Workers == 1 is
-// serial.
+// serial. OpDesc is the whole problem identity minus the operands;
+// per-call tags ride in Call.
 type OpDesc struct {
 	Kind           OpKind
 	TransA, TransB matrix.Trans // TransB is GEMM-only; TransA doubles as SYRK's Trans
@@ -95,22 +97,43 @@ type OpDesc struct {
 	Diag           matrix.Diag  // TRSM/TRMM
 	Alpha, Beta    complex128   // Beta is GEMM/SYRK-only
 	Workers        int
+}
 
-	// Priority is the request's dispatch class: when two drained bundles
-	// share the earliest context deadline (or neither has one), the bundle
-	// holding the higher Priority executes first. It affects only the
-	// EDF ordering pass — never results, plan identity, shard routing or
-	// coalescing (requests differing only in Priority still fuse, and the
-	// bundle ranks by its most urgent rider).
-	Priority int
-
-	// Trace is the request's end-to-end correlation id and Origin the
-	// tenant it was submitted on behalf of. Both are observability-only:
-	// stamped onto the request's lifecycle span (Origin additionally
-	// keys per-tenant SLO accounting) and — like Priority — excluded
-	// from plan identity, shard routing and coalescing.
-	Trace  string
+// Call is the per-call envelope of Run and Submit: everything about a
+// request that is not its problem. None of it affects plan identity,
+// shard routing, coalescing or results.
+type Call struct {
+	// Sink, when set, forces a lifecycle span for the call and receives
+	// it once the call resolves — including rejection and cancellation —
+	// after the engine-level sink. It must copy the span if it retains it.
+	Sink obs.SpanFunc
+	// Trace is the end-to-end correlation id stamped on the span; a fused
+	// dispatch's parent span lists every traced rider's id.
+	Trace string
+	// Origin is the tenant the call runs for: stamped on the span and
+	// keying per-tenant SLO accounting (which forces a span when on).
 	Origin string
+	// Priority is the async dispatch class: when two drained bundles
+	// share the earliest context deadline (or neither has one), the
+	// bundle holding the higher Priority executes first. Ignored by Run.
+	Priority int
+	// Chain asks for chain error reporting: every execution failure
+	// arrives as a *ChainError naming its stage, whatever the stage
+	// count. Without it a one-stage call reports its op's plain
+	// taxonomy error.
+	Chain bool
+}
+
+// result shapes an execution error for the caller (see Call.Chain).
+// Multi-stage runs already attribute their failures.
+func (c *Call) result(stages []ChainStage, err error) error {
+	if err == nil || !c.Chain || len(stages) != 1 {
+		return err
+	}
+	if _, ok := err.(*ChainError); ok {
+		return err
+	}
+	return &ChainError{Stage: 0, Kind: stages[0].Op.Kind, Err: err}
 }
 
 // Operand is a type-erased compact batch: exactly one of F32/F64 is set
@@ -145,11 +168,12 @@ func (o Operand) count() int {
 	return o.F64.Count
 }
 
-func (o Operand) groups() int {
+// compactOf recovers the typed compact from a type-erased operand.
+func compactOf[E vec.Float](o Operand) *layout.Compact[E] {
 	if o.F32 != nil {
-		return o.F32.Groups()
+		return any(o.F32).(*layout.Compact[E])
 	}
-	return o.F64.Groups()
+	return any(o.F64).(*layout.Compact[E])
 }
 
 // planKey is the full problem descriptor a cached plan is keyed by.
@@ -238,8 +262,8 @@ type Engine struct {
 	storePath  string
 	storeState storeCounters
 
-	// Chain-plan cache (RunChain): whole-chain analyses keyed by the
-	// hashed chain identity, with full-descriptor equality on lookup.
+	// Chain-plan cache (multi-stage runs): whole-chain analyses keyed by
+	// the hashed chain identity, with full-descriptor equality on lookup.
 	chainMu    sync.Mutex
 	chainPlans map[uint64][]*chainPlan
 	chainOrder []uint64
@@ -286,8 +310,9 @@ func (e *Engine) Obs() *obs.Registry { return e.obs }
 
 // plan returns the cached plan for key, building and inserting it on
 // miss. Concurrent misses on the same key are single-flighted: exactly
-// one goroutine runs build (counted as the one miss), the rest wait for
-// its result (counted as shared). Failed builds are not cached.
+// one goroutine runs the build (counted as the one miss), the rest wait
+// for its result (counted as shared). Failed builds are not cached. The
+// build is buildForKey unless build overrides it.
 func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOutcome, error) {
 	sh := &e.shards[key.shard()]
 	sh.mu.Lock()
@@ -312,17 +337,16 @@ func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOut
 	sh.building[key] = c
 	sh.mu.Unlock()
 	e.planMisses.Add(1)
-	c.val, c.err = build()
+	if build != nil {
+		c.val, c.err = build()
+	} else {
+		c.val, c.err = e.buildForKey(key)
+	}
 	sh.mu.Lock()
 	delete(sh.building, key)
 	if c.err == nil {
 		if _, ok := sh.m[key]; !ok && len(sh.m) >= planShardCap {
-			for k := range sh.m {
-				delete(sh.m, k)
-				delete(sh.hydrated, k)
-				e.planEvictions.Add(1)
-				break
-			}
+			sh.evictOne(e)
 		}
 		sh.m[key] = c.val
 		delete(sh.hydrated, key)
@@ -330,6 +354,49 @@ func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOut
 	sh.mu.Unlock()
 	close(c.done)
 	return c.val, obs.CacheMiss, c.err
+}
+
+// evictOne drops an arbitrary entry to make room. Callers hold sh.mu.
+func (sh *planShard) evictOne(e *Engine) {
+	for k := range sh.m {
+		delete(sh.m, k)
+		delete(sh.hydrated, k)
+		e.planEvictions.Add(1)
+		return
+	}
+}
+
+// buildForKey constructs the plan a cache key describes — the one plan
+// constructor behind live misses, chain planning, store hydration and
+// Warm, so a hydrated or pre-baked plan is bit-equal to a freshly tuned
+// one. Plans are built for the key's count bucket with unit scalars
+// (both are spliced per call).
+func (e *Engine) buildForKey(key planKey) (any, error) {
+	switch key.kind {
+	case OpGEMM:
+		return core.NewGEMMPlan(core.GEMMProblem{
+			DT: key.dt, M: key.m, N: key.n, K: key.k, TransA: key.transA, TransB: key.transB,
+			Alpha: 1, Beta: 1, Count: key.countBucket,
+		}, e.tun)
+	case OpTRSM:
+		return core.NewTRSMPlan(core.TRSMProblem{
+			DT: key.dt, M: key.m, N: key.n, Side: key.side, Uplo: key.uplo,
+			TransA: key.transA, Diag: key.diag, Alpha: 1, Count: key.countBucket,
+		}, e.tun)
+	case OpTRMM:
+		return core.NewTRMMPlan(core.TRMMProblem{
+			DT: key.dt, M: key.m, N: key.n, Side: key.side, Uplo: key.uplo,
+			TransA: key.transA, Diag: key.diag, Alpha: 1, Count: key.countBucket,
+		}, e.tun)
+	case OpSYRK:
+		return core.NewSYRKPlan(core.SYRKProblem{
+			DT: key.dt, N: key.m, K: key.k, Uplo: key.uplo, Trans: key.transA,
+			Alpha: 1, Beta: 1, Count: key.countBucket,
+		}, e.tun)
+	case OpLU, OpCholesky, OpLUPiv:
+		return &factorPlan{flopsPerMatrix: factorFLOPs(key.kind, key.m)}, nil
+	}
+	return nil, opErr(key.kind, "", ErrOperand, "not a plannable kind")
 }
 
 // Stats is a point-in-time snapshot of the engine counters. Plan-cache
@@ -355,7 +422,8 @@ type Stats struct {
 	// Packed-operand cache (this engine).
 	PackCache PackCacheStats
 
-	// Chain dispatch (this engine).
+	// Chain dispatch (this engine): multi-stage executions only — a
+	// one-stage call is its op and never touches these counters.
 	Chain ChainStats
 
 	// Async submission queue (this engine).
@@ -399,7 +467,7 @@ func (s *Stats) Add(o Stats) {
 
 // ChainStats is a snapshot of the chain dispatch counters.
 type ChainStats struct {
-	Runs          uint64 // chains executed (sync, async and fused)
+	Runs          uint64 // multi-stage chains executed (sync, async and fused)
 	PlanHits      uint64 // chain-plan cache hits
 	PlanMisses    uint64 // chain-plan cache misses (analyses built)
 	PlanEntries   int    // cached chain plans
@@ -461,60 +529,21 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Run is the single dispatch path: it validates operand shapes for the
-// described op, resolves the plan through the cache, and executes on the
-// native backend. Operand order follows BLAS argument order:
-// GEMM (A, B, C) — TRSM/TRMM (A, B) — SYRK (A, C).
-//
-// When a span sink is installed on the engine's registry, the call
-// carries a lifecycle span (plan/pack/compute phase attribution); with no
-// sink the span cost is one atomic load.
-func (e *Engine) Run(op OpDesc, operands ...Operand) error {
-	sp := e.obs.StartSpan(e.forceSpan(&op))
-	stampSpan(sp, &op)
-	err := e.run(op, sp, operands...)
-	e.obs.FinishSpan(sp, err, nil)
-	return err
-}
-
-// forceSpan reports whether a request must carry a span even without a
-// sink: tenant-tagged requests need one when accounting is on, because
-// FinishSpan is where the tenant ledger records. Untagged requests pay
-// a nil-string check; tagged requests on an engine without a tenant
-// table pay one atomic load.
-func (e *Engine) forceSpan(op *OpDesc) bool {
-	return op.Origin != "" && e.obs.TenantsEnabled()
-}
-
-// stampSpan threads the request's correlation identity onto its span.
-// Applied at the entry wrappers (Run/RunSpanned/SubmitSpanned), not
-// inside run, so a fused dispatch's parent span never inherits the lead
-// rider's trace id.
-func stampSpan(sp *obs.Span, op *OpDesc) {
-	if sp == nil {
-		return
+// startSpan opens a call's lifecycle span: forced by a per-call sink,
+// and by a tenant tag while accounting is on (FinishSpan is where the
+// tenant ledger records). Untagged calls with no sink anywhere pay one
+// atomic load.
+func (e *Engine) startSpan(call *Call) *obs.Span {
+	sp := e.obs.StartSpan(call.Sink != nil || (call.Origin != "" && e.obs.TenantsEnabled()))
+	if sp != nil {
+		sp.TraceID = call.Trace
+		sp.Origin = call.Origin
 	}
-	sp.TraceID = op.Trace
-	sp.Origin = op.Origin
-}
-
-// RunSpanned is Run with a per-call span sink: the request's completed
-// span is delivered to sink (after the engine-level sink, if any) even
-// when no engine-level sink is installed. sink must copy the span if it
-// retains it.
-func (e *Engine) RunSpanned(op OpDesc, sink obs.SpanFunc, operands ...Operand) error {
-	if sink == nil {
-		return e.Run(op, operands...)
-	}
-	sp := e.obs.StartSpan(true)
-	stampSpan(sp, &op)
-	err := e.run(op, sp, operands...)
-	e.obs.FinishSpan(sp, err, sink)
-	return err
+	return sp
 }
 
 // SetTenants installs the engine's per-tenant SLO objectives and enables
-// tenant accounting: every request whose OpDesc carries an Origin is
+// tenant accounting: every request whose Call carries an Origin is
 // classified into its tenant's rolling series (requests, errors, sheds,
 // deadline hits/misses, latency histogram, sliding-window burn rate).
 // Origins not in cfg are tracked with a zero objective; nil disables
@@ -537,45 +566,23 @@ func (e *Engine) SetProfileLabels(on bool) { e.profLabels.Store(on) }
 
 // profileLabels returns the label context for a dispatch when labeling is
 // enabled, else nil (one atomic load).
-func (e *Engine) profileLabels(op string, dt vec.DType, m, n, k int) context.Context {
+func (e *Engine) profileLabels(key planKey) context.Context {
 	if !e.profLabels.Load() {
 		return nil
 	}
+	s := shapeOf(key)
 	return pprof.WithLabels(context.Background(), pprof.Labels(
-		"op", op, "dtype", dt.String(), "shape", fmt.Sprintf("%dx%dx%d", m, n, k)))
-}
-
-// run dispatches with an optional lifecycle span (nil = disabled).
-func (e *Engine) run(op OpDesc, sp *obs.Span, operands ...Operand) error {
-	if sp != nil {
-		sp.Op = op.Kind.String()
-	}
-	switch op.Kind {
-	case OpGEMM:
-		if err := checkOperands(op.Kind, operands, 3); err != nil {
-			return err
-		}
-		return e.runGEMM(op, sp, operands[0], operands[1], operands[2])
-	case OpTRSM, OpTRMM:
-		if err := checkOperands(op.Kind, operands, 2); err != nil {
-			return err
-		}
-		return e.runTri(op, sp, operands[0], operands[1])
-	case OpSYRK:
-		if err := checkOperands(op.Kind, operands, 2); err != nil {
-			return err
-		}
-		return e.runSYRK(op, sp, operands[0], operands[1])
-	}
-	return fmt.Errorf("iatf: unknown op kind %v", op.Kind)
+		"op", s.Op, "dtype", s.DType, "shape", fmt.Sprintf("%dx%dx%d", s.M, s.N, s.K)))
 }
 
 // operandNames maps BLAS argument positions to names per op kind.
 var operandNames = map[OpKind][]string{
-	OpGEMM: {"A", "B", "C"},
-	OpTRSM: {"A", "B"},
-	OpTRMM: {"A", "B"},
-	OpSYRK: {"A", "C"},
+	OpGEMM:     {"A", "B", "C"},
+	OpTRSM:     {"A", "B"},
+	OpTRMM:     {"A", "B"},
+	OpSYRK:     {"A", "C"},
+	OpLU:       {"A"},
+	OpCholesky: {"A"},
 }
 
 func checkOperands(kind OpKind, ops []Operand, want int) error {
@@ -591,6 +598,69 @@ func checkOperands(kind OpKind, ops []Operand, want int) error {
 		}
 	}
 	return nil
+}
+
+// stageKey validates one stage — arity, operand presence and dtype,
+// shapes, counts — and returns its plan-cache key, so every entry
+// rejects with identical taxonomy errors. A factorization keys on its
+// order alone: its plan is a per-matrix flop model.
+func stageKey(st *ChainStage) (planKey, error) {
+	op := &st.Op
+	arity, ok := chainArity(op.Kind)
+	if !ok {
+		return planKey{}, opErr(op.Kind, "", ErrOperand, "op kind not chainable")
+	}
+	if st.NOps != arity {
+		return planKey{}, opErr(op.Kind, "", ErrOperand, "takes %d operands, got %d", arity, st.NOps)
+	}
+	ops := st.Ops[:arity]
+	if err := checkOperands(op.Kind, ops, arity); err != nil {
+		return planKey{}, err
+	}
+	key := planKey{kind: op.Kind, dt: ops[0].DT, countBucket: countBucket(ops[0].count())}
+	var err error
+	switch op.Kind {
+	case OpGEMM:
+		key.m, key.n, key.k, err = gemmDims(op, ops[0], ops[1], ops[2])
+		key.transA, key.transB = op.TransA, op.TransB
+	case OpTRSM, OpTRMM:
+		key.m, key.n, err = triDims(op, ops[0], ops[1])
+		key.transA, key.side, key.uplo, key.diag = op.TransA, op.Side, op.Uplo, op.Diag
+	case OpSYRK:
+		key.m, key.k, err = syrkDims(op, ops[0], ops[1])
+		key.transA, key.uplo = op.TransA, op.Uplo
+	default:
+		err = checkFactor(op.Kind, ops[0])
+		key.m, key.countBucket = ops[0].rows(), 1
+	}
+	return key, err
+}
+
+// shapeOf names a plan key's per-shape series; copied onto a span it is
+// also the request's problem descriptor.
+func shapeOf(key planKey) obs.ShapeKey {
+	s := obs.ShapeKey{Op: key.kind.String(), DType: key.dt.String(), M: key.m, N: key.n, K: key.k}
+	switch key.kind {
+	case OpGEMM:
+		s.Mode = gemmMode(key.transA, key.transB)
+	case OpTRSM, OpTRMM:
+		s.Mode = key.side.String() + key.transA.String() + key.uplo.String() + key.diag.String()
+	case OpSYRK:
+		s.Mode = key.transA.String() + key.uplo.String()
+		s.N = key.m
+	default:
+		s.N = key.m
+	}
+	return s
+}
+
+// describe stamps a span with a stage's problem descriptor.
+func describe(sp *obs.Span, s obs.ShapeKey, count, workers int) {
+	if sp != nil {
+		sp.DType, sp.Mode = s.DType, s.Mode
+		sp.M, sp.N, sp.K, sp.Count = s.M, s.N, s.K, count
+		sp.Workers = sched.Resolve(workers)
+	}
 }
 
 // gemmModes holds the four static GEMM mode strings so the warm path
@@ -622,10 +692,92 @@ func cmarCeiling(tun core.Tuning, dt vec.DType, mc, nc int) float64 {
 	return prof.FreqGHz * fma * float64(prof.Lanes(eb)) * 2
 }
 
+// planFacts reads a cached plan's static decisions for the per-shape
+// series — the CMAR ceiling of its main kernel, its packing decision and
+// its super-batch size — and the flops of count matrices. summary=false
+// skips the decisions (the warm path records only flops).
+func (e *Engine) planFacts(pv any, count int, summary bool) (ceiling float64, pack string, gpb int, flops float64) {
+	switch pl := pv.(type) {
+	case *core.GEMMPlan:
+		p := pl.P
+		p.Count = count
+		if summary {
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.MTiles[0], pl.NTiles[0]), gemmPackDesc(pl.PackA, pl.PackB)
+		}
+		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
+	case *core.TRSMPlan:
+		p := pl.P
+		p.Count = count
+		if summary {
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB)
+		}
+		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
+	case *core.TRMMPlan:
+		p := pl.P
+		p.Count = count
+		if summary {
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB)
+		}
+		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
+	case *core.SYRKPlan:
+		p := pl.P
+		p.Count = count
+		if summary {
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Tiles[0], pl.Tiles[0]), "A+Aᵀ"
+		}
+		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
+	case *factorPlan:
+		return 0, "in-place", 1, pl.flopsPerMatrix * float64(count)
+	}
+	return 0, "", 0, 0
+}
+
+// resolve looks up key's plan and the per-shape series it records into
+// (shape is shapeOf(key), built once by the caller): the series gets the
+// plan outcome, the worker split and — on a miss or a hydrated plan's
+// first use — the plan's static decisions. flops is the work of count
+// matrices.
+func (e *Engine) resolve(key planKey, shape obs.ShapeKey, count, workers int) (pv any, outcome obs.CacheOutcome, s *obs.Series, flops float64, err error) {
+	pv, outcome, err = e.plan(key, nil)
+	if err != nil {
+		return nil, outcome, nil, 0, err
+	}
+	s = e.obs.Series(shape)
+	s.Plan(outcome)
+	s.SetWorkers(sched.Resolve(workers))
+	summary := outcome == obs.CacheMiss || outcome == obs.CacheHydrated
+	ceiling, pack, gpb, flops := e.planFacts(pv, count, summary)
+	if summary {
+		s.SetPlan(ceiling, pack, gpb)
+	}
+	return pv, outcome, s, flops, nil
+}
+
+// gemmPackDesc names the GEMM packing decision for the per-shape series.
+func gemmPackDesc(packA, packB bool) string {
+	switch {
+	case packA && packB:
+		return "A+B"
+	case packA:
+		return "A"
+	case packB:
+		return "B"
+	}
+	return "none"
+}
+
+// triPackDesc names the triangular routines' packing decision: the
+// triangle is always packed; B joins it only in non-canonical modes.
+func triPackDesc(packB bool) string {
+	if packB {
+		return "tri+B"
+	}
+	return "tri"
+}
+
 // gemmDims validates GEMM operand shapes and counts and returns the
-// problem dimensions (m, n, k). Shared by the direct dispatch path and
-// the chain planner, so both reject with identical taxonomy errors.
-func gemmDims(op OpDesc, a, b, c Operand) (m, n, k int, err error) {
+// problem dimensions (m, n, k).
+func gemmDims(op *OpDesc, a, b, c Operand) (m, n, k int, err error) {
 	m, n = c.rows(), c.cols()
 	k = a.cols()
 	if op.TransA == matrix.Transpose {
@@ -654,146 +806,9 @@ func gemmDims(op OpDesc, a, b, c Operand) (m, n, k int, err error) {
 	return m, n, k, nil
 }
 
-func (e *Engine) runGEMM(op OpDesc, sp *obs.Span, a, b, c Operand) error {
-	m, n, k, err := gemmDims(op, a, b, c)
-	if err != nil {
-		return err
-	}
-	key := planKey{kind: OpGEMM, dt: a.DT, m: m, n: n, k: k,
-		transA: op.TransA, transB: op.TransB, countBucket: countBucket(c.count())}
-	var t0 time.Time
-	if sp != nil {
-		sp.DType = a.DT.String()
-		sp.Mode = gemmMode(op.TransA, op.TransB)
-		sp.M, sp.N, sp.K, sp.Count = m, n, k, c.count()
-		sp.Workers = sched.Resolve(op.Workers)
-		t0 = time.Now()
-	}
-	pv, outcome, err := e.plan(key, func() (any, error) {
-		return core.NewGEMMPlan(core.GEMMProblem{
-			DT: key.dt, M: m, N: n, K: k, TransA: op.TransA, TransB: op.TransB,
-			Alpha: 1, Beta: 1, Count: key.countBucket,
-		}, e.tun)
-	})
-	sp.Mark(obs.PhasePlan, t0)
-	if err != nil {
-		return err
-	}
-	pl := *pv.(*core.GEMMPlan)
-	pl.P.Alpha, pl.P.Beta, pl.P.Count = op.Alpha, op.Beta, c.count()
-	pl.RT = e.rt
-	if labels := e.profileLabels("GEMM", key.dt, m, n, k); labels != nil {
-		pl.Labels = labels
-		pprof.SetGoroutineLabels(labels)
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-	series := e.obs.Series(obs.ShapeKey{Op: "GEMM", DType: a.DT.String(),
-		Mode: gemmMode(op.TransA, op.TransB), M: m, N: n, K: k})
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(op.Workers))
-	if outcome == obs.CacheMiss || outcome == obs.CacheHydrated {
-		series.SetPlan(cmarCeiling(e.tun, key.dt, pl.MTiles[0], pl.NTiles[0]),
-			gemmPackDesc(pl.PackA, pl.PackB), pl.GroupsPerBatch)
-	}
-	if fn := e.obs.TraceSink(); fn != nil {
-		fn(gemmTrace(op, &pl, c.groups(), outcome))
-	}
-	start := time.Now()
-	if a.F32 != nil {
-		err = execGEMM(e, key, &pl, a.F32, b.F32, c.F32, op.Workers, series, sp)
-	} else {
-		err = execGEMM(e, key, &pl, a.F64, b.F64, c.F64, op.Workers, series, sp)
-	}
-	series.Record(time.Since(start), pl.P.FLOPs(), err != nil)
-	return err
-}
-
-// gemmPackDesc names the GEMM packing decision for the per-shape series.
-func gemmPackDesc(packA, packB bool) string {
-	switch {
-	case packA && packB:
-		return "A+B"
-	case packA:
-		return "A"
-	case packB:
-		return "B"
-	}
-	return "none"
-}
-
-// execGEMM resolves prepacked images for opted-in operands and runs the
-// native executor. References on cache entries are held across the
-// kernel loop and dropped after it, so invalidation or eviction during
-// the call cannot free storage the kernels are reading.
-func execGEMM[E vec.Float](e *Engine, key planKey, pl *core.GEMMPlan, a, b, c *layout.Compact[E], workers int, series *obs.Series, sp *obs.Span) error {
-	var preA, preB []E
-	var entA, entB *packEntry
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	if pl.PackA {
-		if id, gen := a.PrepackState(); id != 0 {
-			k := packKey{id: id, gen: gen, plan: key, role: roleA}
-			ent, data, ok, err := lookupPacked[E](e, k)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				ent, data, err = buildPacked(e, k, pl.PrepackALen(a.Groups()), func(dst []E) error {
-					return core.PrepackGEMMA(pl, a, dst)
-				})
-				if err != nil {
-					return err
-				}
-			}
-			preA, entA = data, ent
-			series.Prepack(ok)
-			sp.Prepack(ok)
-		}
-	}
-	if pl.PackB {
-		if id, gen := b.PrepackState(); id != 0 {
-			k := packKey{id: id, gen: gen, plan: key, role: roleB}
-			ent, data, ok, err := lookupPacked[E](e, k)
-			if err == nil && !ok {
-				ent, data, err = buildPacked(e, k, pl.PrepackBLen(b.Groups()), func(dst []E) error {
-					return core.PrepackGEMMB(pl, b, dst)
-				})
-			}
-			if err != nil {
-				if entA != nil {
-					e.packs.release(entA)
-				}
-				return err
-			}
-			preB, entB = data, ent
-			series.Prepack(ok)
-			sp.Prepack(ok)
-		}
-	}
-	if sp != nil {
-		sp.Mark(obs.PhasePack, t0)
-		t0 = time.Now()
-	}
-	err := core.ExecGEMMNativePrepacked(pl, a, b, c, preA, preB, workers)
-	sp.Mark(obs.PhaseCompute, t0)
-	if entA != nil {
-		e.packs.release(entA)
-	}
-	if entB != nil {
-		e.packs.release(entB)
-	}
-	// The call wrote C: retire any packed images of its previous contents
-	// (no-op unless C opted into reuse).
-	c.Invalidate()
-	return err
-}
-
 // triDims validates TRSM/TRMM operand shapes and counts and returns B's
-// dimensions (m, n). Shared by the direct dispatch path and the chain
-// planner.
-func triDims(op OpDesc, a, b Operand) (m, n int, err error) {
+// dimensions (m, n).
+func triDims(op *OpDesc, a, b Operand) (m, n int, err error) {
 	m, n = b.rows(), b.cols()
 	if a.rows() != a.cols() {
 		return 0, 0, opErr(op.Kind, "A", ErrShape, "A must be square, got %dx%d", a.rows(), a.cols())
@@ -812,186 +827,9 @@ func triDims(op OpDesc, a, b Operand) (m, n int, err error) {
 	return m, n, nil
 }
 
-func (e *Engine) runTri(op OpDesc, sp *obs.Span, a, b Operand) error {
-	m, n, err := triDims(op, a, b)
-	if err != nil {
-		return err
-	}
-	key := planKey{kind: op.Kind, dt: a.DT, m: m, n: n,
-		transA: op.TransA, side: op.Side, uplo: op.Uplo, diag: op.Diag,
-		countBucket: countBucket(b.count())}
-	shape := obs.ShapeKey{Op: op.Kind.String(), DType: a.DT.String(),
-		Mode: op.Side.String() + op.TransA.String() + op.Uplo.String() + op.Diag.String(), M: m, N: n}
-	var t0 time.Time
-	if sp != nil {
-		sp.DType = a.DT.String()
-		sp.Mode = shape.Mode
-		sp.M, sp.N, sp.Count = m, n, b.count()
-		sp.Workers = sched.Resolve(op.Workers)
-		t0 = time.Now()
-	}
-	if op.Kind == OpTRSM {
-		pv, outcome, err := e.plan(key, func() (any, error) {
-			return core.NewTRSMPlan(core.TRSMProblem{
-				DT: key.dt, M: m, N: n, Side: op.Side, Uplo: op.Uplo,
-				TransA: op.TransA, Diag: op.Diag, Alpha: 1, Count: key.countBucket,
-			}, e.tun)
-		})
-		sp.Mark(obs.PhasePlan, t0)
-		if err != nil {
-			return err
-		}
-		pl := *pv.(*core.TRSMPlan)
-		pl.P.Alpha, pl.P.Count = op.Alpha, b.count()
-		pl.RT = e.rt
-		if labels := e.profileLabels(op.Kind.String(), key.dt, m, n, 0); labels != nil {
-			pl.Labels = labels
-			pprof.SetGoroutineLabels(labels)
-			defer pprof.SetGoroutineLabels(context.Background())
-		}
-		series := e.obs.Series(shape)
-		series.Plan(outcome)
-		series.SetWorkers(sched.Resolve(op.Workers))
-		if outcome == obs.CacheMiss || outcome == obs.CacheHydrated {
-			series.SetPlan(cmarCeiling(e.tun, key.dt, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB), pl.GroupsPerBatch)
-		}
-		if fn := e.obs.TraceSink(); fn != nil {
-			fn(trsmTrace(op, &pl, b.groups(), outcome))
-		}
-		start := time.Now()
-		if a.F32 != nil {
-			err = execTRSM(e, key, &pl, a.F32, b.F32, op.Workers, series, sp)
-		} else {
-			err = execTRSM(e, key, &pl, a.F64, b.F64, op.Workers, series, sp)
-		}
-		series.Record(time.Since(start), pl.P.FLOPs(), err != nil)
-		return err
-	}
-	pv, outcome, err := e.plan(key, func() (any, error) {
-		return core.NewTRMMPlan(core.TRMMProblem{
-			DT: key.dt, M: m, N: n, Side: op.Side, Uplo: op.Uplo,
-			TransA: op.TransA, Diag: op.Diag, Alpha: 1, Count: key.countBucket,
-		}, e.tun)
-	})
-	sp.Mark(obs.PhasePlan, t0)
-	if err != nil {
-		return err
-	}
-	pl := *pv.(*core.TRMMPlan)
-	pl.P.Alpha, pl.P.Count = op.Alpha, b.count()
-	pl.RT = e.rt
-	if labels := e.profileLabels(op.Kind.String(), key.dt, m, n, 0); labels != nil {
-		pl.Labels = labels
-		pprof.SetGoroutineLabels(labels)
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-	series := e.obs.Series(shape)
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(op.Workers))
-	if outcome == obs.CacheMiss || outcome == obs.CacheHydrated {
-		series.SetPlan(cmarCeiling(e.tun, key.dt, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB), pl.GroupsPerBatch)
-	}
-	if fn := e.obs.TraceSink(); fn != nil {
-		fn(trmmTrace(op, &pl, b.groups(), outcome))
-	}
-	start := time.Now()
-	if a.F32 != nil {
-		err = execTRMM(e, key, &pl, a.F32, b.F32, op.Workers, series, sp)
-	} else {
-		err = execTRMM(e, key, &pl, a.F64, b.F64, op.Workers, series, sp)
-	}
-	series.Record(time.Since(start), pl.P.FLOPs(), err != nil)
-	return err
-}
-
-// execTRSM resolves a prepacked triangle for an opted-in A and runs the
-// native executor; see execGEMM for the reference discipline.
-func execTRSM[E vec.Float](e *Engine, key planKey, pl *core.TRSMPlan, a, b *layout.Compact[E], workers int, series *obs.Series, sp *obs.Span) error {
-	var preTri []E
-	var ent *packEntry
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	if id, gen := a.PrepackState(); id != 0 {
-		k := packKey{id: id, gen: gen, plan: key, role: roleTri}
-		var ok bool
-		var err error
-		ent, preTri, ok, err = lookupPacked[E](e, k)
-		if err == nil && !ok {
-			ent, preTri, err = buildPacked(e, k, pl.PrepackTriLen(a.Groups()), func(dst []E) error {
-				return core.PrepackTRSMTri(pl, a, dst)
-			})
-		}
-		if err != nil {
-			return err
-		}
-		series.Prepack(ok)
-		sp.Prepack(ok)
-	}
-	if sp != nil {
-		sp.Mark(obs.PhasePack, t0)
-		t0 = time.Now()
-	}
-	err := core.ExecTRSMNativePrepacked(pl, a, b, preTri, workers)
-	sp.Mark(obs.PhaseCompute, t0)
-	if ent != nil {
-		e.packs.release(ent)
-	}
-	b.Invalidate() // the call wrote B
-	return err
-}
-
-// execTRMM is execTRSM for TRMM (true-diagonal triangle image).
-func execTRMM[E vec.Float](e *Engine, key planKey, pl *core.TRMMPlan, a, b *layout.Compact[E], workers int, series *obs.Series, sp *obs.Span) error {
-	var preTri []E
-	var ent *packEntry
-	var t0 time.Time
-	if sp != nil {
-		t0 = time.Now()
-	}
-	if id, gen := a.PrepackState(); id != 0 {
-		k := packKey{id: id, gen: gen, plan: key, role: roleTri}
-		var ok bool
-		var err error
-		ent, preTri, ok, err = lookupPacked[E](e, k)
-		if err == nil && !ok {
-			ent, preTri, err = buildPacked(e, k, pl.PrepackTriLen(a.Groups()), func(dst []E) error {
-				return core.PrepackTRMMTri(pl, a, dst)
-			})
-		}
-		if err != nil {
-			return err
-		}
-		series.Prepack(ok)
-		sp.Prepack(ok)
-	}
-	if sp != nil {
-		sp.Mark(obs.PhasePack, t0)
-		t0 = time.Now()
-	}
-	err := core.ExecTRMMNativePrepacked(pl, a, b, preTri, workers)
-	sp.Mark(obs.PhaseCompute, t0)
-	if ent != nil {
-		e.packs.release(ent)
-	}
-	b.Invalidate() // the call wrote B
-	return err
-}
-
-// triPackDesc names the triangular routines' packing decision: the
-// triangle is always packed; B joins it only in non-canonical modes.
-func triPackDesc(packB bool) string {
-	if packB {
-		return "tri+B"
-	}
-	return "tri"
-}
-
 // syrkDims validates SYRK operand shapes and counts and returns the
-// problem dimensions (n, k). Shared by the direct dispatch path and the
-// chain planner.
-func syrkDims(op OpDesc, a, c Operand) (n, k int, err error) {
+// problem dimensions (n, k).
+func syrkDims(op *OpDesc, a, c Operand) (n, k int, err error) {
 	n = c.rows()
 	if c.rows() != c.cols() {
 		return 0, 0, opErr(OpSYRK, "C", ErrShape, "C must be square, got %dx%d", c.rows(), c.cols())
@@ -1008,62 +846,6 @@ func syrkDims(op OpDesc, a, c Operand) (n, k int, err error) {
 		return 0, 0, opErr(OpSYRK, "A", ErrCount, "A has %d, C has %d", a.count(), c.count())
 	}
 	return n, k, nil
-}
-
-func (e *Engine) runSYRK(op OpDesc, sp *obs.Span, a, c Operand) error {
-	n, k, err := syrkDims(op, a, c)
-	if err != nil {
-		return err
-	}
-	key := planKey{kind: OpSYRK, dt: a.DT, m: n, k: k,
-		transA: op.TransA, uplo: op.Uplo, countBucket: countBucket(c.count())}
-	var t0 time.Time
-	if sp != nil {
-		sp.DType = a.DT.String()
-		sp.Mode = op.TransA.String() + op.Uplo.String()
-		sp.M, sp.N, sp.K, sp.Count = n, n, k, c.count()
-		sp.Workers = sched.Resolve(op.Workers)
-		t0 = time.Now()
-	}
-	pv, outcome, err := e.plan(key, func() (any, error) {
-		return core.NewSYRKPlan(core.SYRKProblem{
-			DT: key.dt, N: key.m, K: k, Uplo: op.Uplo, Trans: op.TransA,
-			Alpha: 1, Beta: 1, Count: key.countBucket,
-		}, e.tun)
-	})
-	sp.Mark(obs.PhasePlan, t0)
-	if err != nil {
-		return err
-	}
-	pl := *pv.(*core.SYRKPlan)
-	pl.P.Alpha, pl.P.Beta, pl.P.Count = op.Alpha, op.Beta, c.count()
-	pl.RT = e.rt
-	if labels := e.profileLabels("SYRK", key.dt, n, n, k); labels != nil {
-		pl.Labels = labels
-		pprof.SetGoroutineLabels(labels)
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-	series := e.obs.Series(obs.ShapeKey{Op: "SYRK", DType: a.DT.String(),
-		Mode: op.TransA.String() + op.Uplo.String(), M: n, N: n, K: k})
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(op.Workers))
-	if outcome == obs.CacheMiss || outcome == obs.CacheHydrated {
-		series.SetPlan(cmarCeiling(e.tun, key.dt, pl.Tiles[0], pl.Tiles[0]), "A+Aᵀ", pl.GroupsPerBatch)
-	}
-	if fn := e.obs.TraceSink(); fn != nil {
-		fn(syrkTrace(op, &pl, c.groups(), outcome))
-	}
-	start := time.Now()
-	if a.F32 != nil {
-		err = core.ExecSYRKNativeParallel(&pl, a.F32, c.F32, op.Workers)
-		c.F32.Invalidate() // the call wrote C
-	} else {
-		err = core.ExecSYRKNativeParallel(&pl, a.F64, c.F64, op.Workers)
-		c.F64.Invalidate()
-	}
-	sp.Mark(obs.PhaseCompute, start)
-	series.Record(time.Since(start), pl.P.FLOPs(), err != nil)
-	return err
 }
 
 // Resolve re-exports the workers convention for API documentation and the

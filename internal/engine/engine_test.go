@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,6 +25,14 @@ func randCompact(rng *rand.Rand, count, rows, cols int) *layout.Compact[float32]
 
 func op32(c *layout.Compact[float32]) Operand { return Operand{DT: vec.S, F32: c} }
 
+// one builds the one-stage list of a single op, the form Run and Submit
+// take.
+func one(op OpDesc, ops ...Operand) []ChainStage {
+	st := ChainStage{Op: op, NOps: len(ops)}
+	copy(st.Ops[:], ops)
+	return []ChainStage{st}
+}
+
 func TestCountBucket(t *testing.T) {
 	cases := [][2]int{{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1000, 1024}, {1024, 1024}, {1025, 2048}}
 	for _, c := range cases {
@@ -41,7 +50,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	c := randCompact(rng, 100, 4, 5)
 	op := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}
 
-	if err := e.Run(op, op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(op, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -49,7 +58,7 @@ func TestPlanCacheHitMiss(t *testing.T) {
 		t.Fatalf("after first call: %+v", s)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.Run(op, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(op, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +79,7 @@ func TestScalarsAndCountShareAPlan(t *testing.T) {
 		b := randCompact(rng, count, 4, 4)
 		c := randCompact(rng, count, 4, 4)
 		op := OpDesc{Kind: OpGEMM, Alpha: alpha, Beta: beta, Workers: 1}
-		if err := e.Run(op, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(op, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -149,18 +158,18 @@ func TestOperandValidation(t *testing.T) {
 	a := randCompact(rng, 10, 4, 4)
 	op := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}
 
-	checkTypedErr(t, e.Run(op, op32(a), op32(a), Operand{}), ErrOperand, "GEMM", "C", "nil or empty")
-	checkTypedErr(t, e.Run(op, op32(a), op32(a)), ErrOperand, "GEMM", "takes 3 operands")
+	checkTypedErr(t, e.Run(context.Background(), one(op, op32(a), op32(a), Operand{}), Call{}), ErrOperand, "GEMM", "C", "nil or empty")
+	checkTypedErr(t, e.Run(context.Background(), one(op, op32(a), op32(a)), Call{}), ErrOperand, "GEMM", "takes 3 operands")
 
 	bad := randCompact(rng, 10, 3, 5)
-	checkTypedErr(t, e.Run(op, op32(a), op32(bad), op32(a)), ErrShape, "GEMM", "B", "shape mismatch")
+	checkTypedErr(t, e.Run(context.Background(), one(op, op32(a), op32(bad), op32(a)), Call{}), ErrShape, "GEMM", "B", "shape mismatch")
 
 	b64 := matrix.NewBatch[float64](10, 4, 4)
 	o64 := Operand{DT: vec.D, F64: layout.FromBatch(vec.D, b64)}
-	checkTypedErr(t, e.Run(op, op32(a), o64, op32(a)), ErrDType, "GEMM", "B", "mismatched element type")
+	checkTypedErr(t, e.Run(context.Background(), one(op, op32(a), o64, op32(a)), Call{}), ErrDType, "GEMM", "B", "mismatched element type")
 
 	tri := OpDesc{Kind: OpTRSM, Alpha: 1, Workers: 1}
-	checkTypedErr(t, e.Run(tri, op32(bad), op32(a)), ErrShape, "TRSM", "A", "must be square")
+	checkTypedErr(t, e.Run(context.Background(), one(tri, op32(bad), op32(a)), Call{}), ErrShape, "TRSM", "A", "must be square")
 }
 
 // TestTriAndSYRKValidation covers the checks that used to tunnel into
@@ -177,15 +186,15 @@ func TestTriAndSYRKValidation(t *testing.T) {
 	for _, kind := range []OpKind{OpTRSM, OpTRMM} {
 		op := OpDesc{Kind: kind, Side: matrix.Left, Uplo: matrix.Lower, Alpha: 1, Workers: 1}
 		// Count mismatch must be caught at the boundary with op context.
-		checkTypedErr(t, e.Run(op, op32(a4), op32(b45c)), ErrCount, kind.String(), "A has 10", "B has 12")
+		checkTypedErr(t, e.Run(context.Background(), one(op, op32(a4), op32(b45c)), Call{}), ErrCount, kind.String(), "A has 10", "B has 12")
 		// Left side with a 4x5 B needs a 4x4 A; a 5x5 A must be named.
 		a5 := randCompact(rng, 10, 5, 5)
-		checkTypedErr(t, e.Run(op, op32(a5), op32(b45)), ErrShape, kind.String(), "A", "side L")
+		checkTypedErr(t, e.Run(context.Background(), one(op, op32(a5), op32(b45)), Call{}), ErrShape, kind.String(), "A", "side L")
 		// Right side with a 4x5 B needs a 5x5 A.
 		opR := OpDesc{Kind: kind, Side: matrix.Right, Uplo: matrix.Lower, Alpha: 1, Workers: 1}
-		checkTypedErr(t, e.Run(opR, op32(a4), op32(b45)), ErrShape, kind.String(), "A", "side R")
+		checkTypedErr(t, e.Run(context.Background(), one(opR, op32(a4), op32(b45)), Call{}), ErrShape, kind.String(), "A", "side R")
 		// Valid right-side call still passes.
-		if err := e.Run(opR, op32(a5), op32(b45)); err != nil {
+		if err := e.Run(context.Background(), one(opR, op32(a5), op32(b45)), Call{}); err != nil {
 			t.Errorf("%v valid Right call rejected: %v", kind, err)
 		}
 	}
@@ -194,15 +203,15 @@ func TestTriAndSYRKValidation(t *testing.T) {
 	c4 := randCompact(rng, 10, 4, 4)
 	aT := randCompact(rng, 10, 4, 3) // op(A) 4x3: valid for NoTrans
 	syrk := OpDesc{Kind: OpSYRK, Uplo: matrix.Lower, Alpha: 1, Beta: 1, Workers: 1}
-	if err := e.Run(syrk, op32(aT), op32(c4)); err != nil {
+	if err := e.Run(context.Background(), one(syrk, op32(aT), op32(c4)), Call{}); err != nil {
 		t.Errorf("valid SYRK rejected: %v", err)
 	}
 	aBadC := randCompact(rng, 12, 4, 3)
-	checkTypedErr(t, e.Run(syrk, op32(aBadC), op32(c4)), ErrCount, "SYRK", "A has 12", "C has 10")
+	checkTypedErr(t, e.Run(context.Background(), one(syrk, op32(aBadC), op32(c4)), Call{}), ErrCount, "SYRK", "A has 12", "C has 10")
 	aBadR := randCompact(rng, 10, 5, 3)
-	checkTypedErr(t, e.Run(syrk, op32(aBadR), op32(c4)), ErrShape, "SYRK", "A")
+	checkTypedErr(t, e.Run(context.Background(), one(syrk, op32(aBadR), op32(c4)), Call{}), ErrShape, "SYRK", "A")
 	cRect := randCompact(rng, 10, 4, 5)
-	checkTypedErr(t, e.Run(syrk, op32(aT), op32(cRect)), ErrShape, "SYRK", "C", "square")
+	checkTypedErr(t, e.Run(context.Background(), one(syrk, op32(aT), op32(cRect)), Call{}), ErrShape, "SYRK", "C", "square")
 }
 
 // TestPlanSingleFlight: concurrent cold-start misses on one key build the
@@ -288,7 +297,7 @@ func TestEngineMatchesCore(t *testing.T) {
 	for _, workers := range []int{1, 0, 3} {
 		cc := c0.Clone()
 		op := OpDesc{Kind: OpGEMM, Alpha: complex(1.5, 0), Beta: complex(0.5, 0), Workers: workers}
-		if err := e.Run(op, op32(a), op32(b), op32(cc)); err != nil {
+		if err := e.Run(context.Background(), one(op, op32(a), op32(b), op32(cc)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range cRef.Data {

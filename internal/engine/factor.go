@@ -12,7 +12,6 @@ import (
 
 	"iatf/internal/core"
 	"iatf/internal/obs"
-	"iatf/internal/sched"
 )
 
 // factorPlan is the cached plan of a factorization: the flop count of
@@ -46,21 +45,12 @@ func checkFactor(kind OpKind, a Operand) error {
 	return nil
 }
 
-// factorSeries resolves the plan (cache counters) and obs series for a
-// factorization call and returns the per-matrix flop model.
+// factorSeries resolves the factor plan (cache counters) and the obs
+// series for a factorization call, and returns the flops of the batch.
 func (e *Engine) factorSeries(kind OpKind, a Operand, workers int) (*obs.Series, float64) {
-	n := a.rows()
-	key := planKey{kind: kind, dt: a.DT, m: n, countBucket: 1}
-	pv, outcome, _ := e.plan(key, func() (any, error) {
-		return &factorPlan{flopsPerMatrix: factorFLOPs(kind, n)}, nil
-	})
-	series := e.obs.Series(obs.ShapeKey{Op: kind.String(), DType: a.DT.String(), M: n, N: n})
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(workers))
-	if outcome == obs.CacheMiss || outcome == obs.CacheHydrated {
-		series.SetPlan(0, "in-place", 1)
-	}
-	return series, pv.(*factorPlan).flopsPerMatrix
+	key := planKey{kind: kind, dt: a.DT, m: a.rows(), countBucket: 1}
+	_, _, series, flops, _ := e.resolve(key, shapeOf(key), a.count(), workers)
+	return series, flops
 }
 
 // RunFactor is the dispatch path for the in-place factorizations
@@ -74,7 +64,7 @@ func (e *Engine) RunFactor(op OpDesc, a Operand) ([]int, error) {
 	if err := checkFactor(op.Kind, a); err != nil {
 		return nil, err
 	}
-	series, perMatrix := e.factorSeries(op.Kind, a, op.Workers)
+	series, flops := e.factorSeries(op.Kind, a, op.Workers)
 	coreKind := core.LUKind
 	if op.Kind == OpCholesky {
 		coreKind = core.CholeskyKind
@@ -89,7 +79,7 @@ func (e *Engine) RunFactor(op OpDesc, a Operand) ([]int, error) {
 		info, err = core.ExecFactorNative(e.rt, coreKind, a.F64, op.Workers)
 		a.F64.Invalidate()
 	}
-	series.Record(time.Since(start), perMatrix*float64(a.count()), err != nil)
+	series.Record(time.Since(start), flops, err != nil)
 	return info, err
 }
 
@@ -99,7 +89,7 @@ func (e *Engine) RunLUPiv(op OpDesc, a Operand) (*core.Pivots, []int, error) {
 	if err := checkFactor(OpLUPiv, a); err != nil {
 		return nil, nil, err
 	}
-	series, perMatrix := e.factorSeries(OpLUPiv, a, op.Workers)
+	series, flops := e.factorSeries(OpLUPiv, a, op.Workers)
 	start := time.Now()
 	var (
 		piv  *core.Pivots
@@ -113,6 +103,6 @@ func (e *Engine) RunLUPiv(op OpDesc, a Operand) (*core.Pivots, []int, error) {
 		piv, info, err = core.ExecLUPivNative(e.rt, a.F64, op.Workers)
 		a.F64.Invalidate()
 	}
-	series.Record(time.Since(start), perMatrix*float64(a.count()), err != nil)
+	series.Record(time.Since(start), flops, err != nil)
 	return piv, info, err
 }

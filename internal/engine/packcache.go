@@ -92,9 +92,10 @@ func (pc *packCache) snapshot() PackCacheStats {
 	}
 }
 
-// release drops one reference; the last one returns the buffer.
+// release drops one reference (nil-safe); the last one returns the
+// buffer.
 func (pc *packCache) release(ent *packEntry) {
-	if ent.refs.Add(-1) == 0 && ent.put != nil {
+	if ent != nil && ent.refs.Add(-1) == 0 && ent.put != nil {
 		ent.put()
 	}
 }

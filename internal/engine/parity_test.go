@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		c := randCompactT[E](rng, dt, count, m, n)
 		cEng := c.Clone()
 		op := OpDesc{Kind: OpGEMM, Alpha: alpha, Beta: beta, Workers: 1}
-		if err := e.Run(op, opOf(dt, a), opOf(dt, b), opOf(dt, cEng)); err != nil {
+		if err := e.Run(context.Background(), one(op, opOf(dt, a), opOf(dt, b), opOf(dt, cEng)), Call{}); err != nil {
 			t.Fatalf("GEMM count=%d: %v", count, err)
 		}
 		pl, err := core.NewGEMMPlan(core.GEMMProblem{
@@ -92,7 +93,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		bt := randCompactT[E](rng, dt, count, m, n)
 		btEng := bt.Clone()
 		trsm := OpDesc{Kind: OpTRSM, Side: matrix.Left, Uplo: matrix.Lower, Alpha: alpha, Workers: 1}
-		if err := e.Run(trsm, opOf(dt, at), opOf(dt, btEng)); err != nil {
+		if err := e.Run(context.Background(), one(trsm, opOf(dt, at), opOf(dt, btEng)), Call{}); err != nil {
 			t.Fatalf("TRSM count=%d: %v", count, err)
 		}
 		spl, err := core.NewTRSMPlan(core.TRSMProblem{
@@ -110,7 +111,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		bm := randCompactT[E](rng, dt, count, m, n)
 		bmEng := bm.Clone()
 		trmm := OpDesc{Kind: OpTRMM, Side: matrix.Left, Uplo: matrix.Lower, Alpha: alpha, Workers: 1}
-		if err := e.Run(trmm, opOf(dt, at), opOf(dt, bmEng)); err != nil {
+		if err := e.Run(context.Background(), one(trmm, opOf(dt, at), opOf(dt, bmEng)), Call{}); err != nil {
 			t.Fatalf("TRMM count=%d: %v", count, err)
 		}
 		mpl, err := core.NewTRMMPlan(core.TRMMProblem{
@@ -129,7 +130,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		cs := randCompactT[E](rng, dt, count, n, n)
 		csEng := cs.Clone()
 		syrk := OpDesc{Kind: OpSYRK, Uplo: matrix.Lower, Alpha: alpha, Beta: beta, Workers: 1}
-		if err := e.Run(syrk, opOf(dt, as), opOf(dt, csEng)); err != nil {
+		if err := e.Run(context.Background(), one(syrk, opOf(dt, as), opOf(dt, csEng)), Call{}); err != nil {
 			t.Fatalf("SYRK count=%d: %v", count, err)
 		}
 		ypl, err := core.NewSYRKPlan(core.SYRKProblem{

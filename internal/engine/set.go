@@ -12,10 +12,11 @@
 //
 //   - Routing is identity-affine: the route key hashes the op kind, mode
 //     flags, dtype and operand dimensions — the same fields the async
-//     coalescer partitions on, minus scalars and worker count (plan
-//     geometry ignores those). Jump consistent hashing maps the key onto
-//     a shard, so the mapping is stable for a given shard count and
-//     minimally disturbed when the count changes.
+//     coalescer partitions on, minus scalars, worker count and operand
+//     aliasing (plan geometry ignores those); a chain folds its stages'
+//     keys. Jump consistent hashing maps the key onto a shard, so the
+//     mapping is stable for a given shard count and minimally disturbed
+//     when the count changes.
 //   - Every shard is a full Engine with its own core.Runtime: plan cache,
 //     pack cache, buffer pools, worker pool, obs registry and submission
 //     queue are strictly per-shard. A shard's packing churn cannot evict
@@ -181,41 +182,49 @@ func jumpHash(key uint64, n int) int {
 	return int(b)
 }
 
+// stagesRouteHash is the routing key of a stage list. A one-stage list
+// routes exactly like its op (routeHash, which routeHashKey mirrors for
+// store hydration); a chain folds every stage's identity, so it always
+// lands on the shard whose caches have seen it before.
+func stagesRouteHash(stages []ChainStage) uint64 {
+	if len(stages) == 1 {
+		return routeHash(stages[0].Op, stages[0].Ops[:min(stages[0].NOps, 3)])
+	}
+	h := uint64(0x9e3779b97f4a7c15)
+	h = mix64(h, uint64(len(stages)))
+	for i := range stages {
+		st := &stages[i]
+		h = mix64(h, routeHash(st.Op, st.Ops[:min(st.NOps, 3)]))
+	}
+	return h
+}
+
 // route picks the home shard of a problem identity.
 func (s *Set) route(op OpDesc, operands []Operand) int {
 	return jumpHash(routeHash(op, operands), len(s.engines))
 }
 
-// Run executes one call synchronously on the identity's home shard. Same
+// home picks the home shard of a stage list and counts the call there.
+func (s *Set) home(stages []ChainStage) int {
+	sh := jumpHash(stagesRouteHash(stages), len(s.engines))
+	s.routed[sh].Add(1)
+	return sh
+}
+
+// Run executes a stage list synchronously on its home shard. Same
 // contract (and allocation budget) as Engine.Run.
-func (s *Set) Run(op OpDesc, operands ...Operand) error {
-	sh := s.route(op, operands)
-	s.routed[sh].Add(1)
-	return s.engines[sh].Run(op, operands...)
+func (s *Set) Run(ctx context.Context, stages []ChainStage, call Call) error {
+	return s.engines[s.home(stages)].Run(ctx, stages, call)
 }
 
-// RunSpanned is Run with a per-call span sink; see Engine.RunSpanned.
-func (s *Set) RunSpanned(op OpDesc, sink obs.SpanFunc, operands ...Operand) error {
-	sh := s.route(op, operands)
-	s.routed[sh].Add(1)
-	return s.engines[sh].RunSpanned(op, sink, operands...)
-}
-
-// Submit enqueues one request on the identity's home shard. If the home
-// queue is full the request falls back to the least-loaded sibling once
-// (losing cache affinity for that one call but keeping it alive) before
+// Submit enqueues a stage list on its home shard. If the home queue is
+// full the request falls back to the least-loaded sibling once (losing
+// cache affinity for that one call but keeping it alive) before
 // surfacing ErrQueueFull.
-func (s *Set) Submit(ctx context.Context, op OpDesc, operands ...Operand) (*Future, error) {
-	return s.SubmitSpanned(ctx, op, nil, operands...)
-}
-
-// SubmitSpanned is Submit with a per-request span sink; see
-// Engine.SubmitSpanned.
-func (s *Set) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc, operands ...Operand) (*Future, error) {
+func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	s.started.Do(s.startAll)
-	sh := s.route(op, operands)
-	s.routed[sh].Add(1)
-	fut, err := s.engines[sh].SubmitSpanned(ctx, op, sink, operands...)
+	sh := s.home(stages)
+	fut, err := s.engines[sh].Submit(ctx, stages, call)
 	if err == nil || !errors.Is(err, ErrQueueFull) || len(s.engines) == 1 {
 		return fut, err
 	}
@@ -224,64 +233,7 @@ func (s *Set) SubmitSpanned(ctx context.Context, op OpDesc, sink obs.SpanFunc, o
 		return fut, err
 	}
 	s.fallbacks.Add(1)
-	fut2, err2 := s.engines[alt].SubmitSpanned(ctx, op, sink, operands...)
-	if err2 != nil && errors.Is(err2, ErrQueueFull) {
-		s.fallbackRejects.Add(1)
-		return nil, err // surface the home shard's error
-	}
-	return fut2, err2
-}
-
-// chainRouteHash folds every stage's problem identity into one routing
-// key, so a whole chain — like a single call — always lands on the
-// shard whose caches have seen it before.
-func chainRouteHash(stages []ChainStage) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	h = mix64(h, uint64(len(stages)))
-	for i := range stages {
-		st := &stages[i]
-		h = mix64(h, routeHash(st.Op, st.Ops[:st.NOps]))
-	}
-	return h
-}
-
-// routeChain picks the home shard of a chain identity.
-func (s *Set) routeChain(stages []ChainStage) int {
-	return jumpHash(chainRouteHash(stages), len(s.engines))
-}
-
-// RunChain executes a chain synchronously on its home shard; see
-// Engine.RunChain.
-func (s *Set) RunChain(ctx context.Context, stages []ChainStage) error {
-	sh := s.routeChain(stages)
-	s.routed[sh].Add(1)
-	return s.engines[sh].RunChain(ctx, stages)
-}
-
-// RunChainSpanned is RunChain with a per-call span sink; see
-// Engine.RunChainSpanned.
-func (s *Set) RunChainSpanned(ctx context.Context, stages []ChainStage, sink obs.SpanFunc) error {
-	sh := s.routeChain(stages)
-	s.routed[sh].Add(1)
-	return s.engines[sh].RunChainSpanned(ctx, stages, sink)
-}
-
-// SubmitChain enqueues a chain on its home shard with the same
-// queue-full sibling fallback as SubmitSpanned; see Engine.SubmitChain.
-func (s *Set) SubmitChain(ctx context.Context, stages []ChainStage, sink obs.SpanFunc) (*Future, error) {
-	s.started.Do(s.startAll)
-	sh := s.routeChain(stages)
-	s.routed[sh].Add(1)
-	fut, err := s.engines[sh].SubmitChain(ctx, stages, sink)
-	if err == nil || !errors.Is(err, ErrQueueFull) || len(s.engines) == 1 {
-		return fut, err
-	}
-	alt := s.leastLoaded(sh)
-	if alt == sh {
-		return fut, err
-	}
-	s.fallbacks.Add(1)
-	fut2, err2 := s.engines[alt].SubmitChain(ctx, stages, sink)
+	fut2, err2 := s.engines[alt].Submit(ctx, stages, call)
 	if err2 != nil && errors.Is(err2, ErrQueueFull) {
 		s.fallbackRejects.Add(1)
 		return nil, err // surface the home shard's error

@@ -125,7 +125,7 @@ func parkOccupier(t *testing.T, s *Set, desc OpDesc, mk func() (a, b, c *layout.
 	ctx := context.Background()
 	for try := 0; try < 100; try++ {
 		a, b, c := mk()
-		f, err := s.Submit(ctx, desc, op32(a), op32(b), op32(c))
+		f, err := s.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +168,12 @@ func TestSetStealParity(t *testing.T) {
 	for i := 0; i < N; i++ {
 		a, b, c := mk()
 		want[i] = c.Clone()
-		if err := ref.Run(desc, op32(a), op32(b), op32(want[i])); err != nil {
+		if err := ref.Run(context.Background(), one(desc, op32(a), op32(b), op32(want[i])), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		cs[i] = c
 		var err error
-		if futs[i], err = s.Submit(ctx, desc, op32(a), op32(b), op32(c)); err != nil {
+		if futs[i], err = s.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestSetQueueFullFallback(t *testing.T) {
 	ctx := context.Background()
 	submit := func(desc OpDesc, mk func() (a, b, c *layout.Compact[float32])) (*Future, error) {
 		a, b, c := mk()
-		return s.Submit(ctx, desc, op32(a), op32(b), op32(c))
+		return s.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{})
 	}
 
 	// Park both dispatchers, each on an occupier routed to it (retrying
@@ -299,7 +299,7 @@ func TestSetShardIsolation(t *testing.T) {
 	before := s.engines[1].Stats()
 	for i := 0; i < 4; i++ {
 		a, b, c := mk()
-		if err := s.Run(desc, op32(a), op32(b), op32(c)); err != nil {
+		if err := s.Run(context.Background(), one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestSetShapeShardLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	desc, mk := setHomeGEMM(t, s, rng, 1, 8)
 	a, b, c := mk()
-	if err := s.Run(desc, op32(a), op32(b), op32(c)); err != nil {
+	if err := s.Run(context.Background(), one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -355,7 +355,7 @@ func TestSetShapeShardLabels(t *testing.T) {
 
 	solo := New(core.DefaultTuning())
 	a2, b2, c2 := gemmReqOperands(rng, 8, 4, 4, 4)
-	if err := solo.Run(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}, op32(a2), op32(b2), op32(c2)); err != nil {
+	if err := solo.Run(context.Background(), one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}, op32(a2), op32(b2), op32(c2)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range solo.Stats().Shapes {
@@ -375,7 +375,7 @@ func TestSetAggregateShapesMath(t *testing.T) {
 	const calls = 3
 	for i := 0; i < calls; i++ {
 		a, b, c := mk()
-		if err := s.Run(desc, op32(a), op32(b), op32(c)); err != nil {
+		if err := s.Run(context.Background(), one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,10 +407,10 @@ func TestSetRunParity(t *testing.T) {
 	for _, dim := range [][3]int{{4, 4, 4}, {6, 5, 7}, {12, 9, 3}} {
 		a, b, c := gemmReqOperands(rng, 11, dim[0], dim[1], dim[2])
 		want := c.Clone()
-		if err := solo.Run(desc, op32(a), op32(b), op32(want)); err != nil {
+		if err := solo.Run(context.Background(), one(desc, op32(a), op32(b), op32(want)), Call{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(desc, op32(a), op32(b), op32(c)); err != nil {
+		if err := s.Run(context.Background(), one(desc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		for j := range c.Data {

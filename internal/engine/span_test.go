@@ -30,7 +30,7 @@ func TestSpanSyncLifecycle(t *testing.T) {
 	a.EnablePrepack()
 
 	for i := 0; i < 2; i++ {
-		if err := e.Run(asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestSpanSyncError(t *testing.T) {
 	a, b, _ := gemmReqOperands(rng, 8, 4, 4, 4)
 	mismatched := randCompact(rng, 8, 5, 5) // wrong C shape
 
-	if err := e.Run(asyncGEMMDesc, op32(a), op32(b), op32(mismatched)); err == nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(mismatched)), Call{}); err == nil {
 		t.Fatal("mismatched GEMM did not fail")
 	}
 	if len(got) != 1 || got[0].Error == "" {
@@ -85,7 +85,7 @@ func TestSpanSyncError(t *testing.T) {
 	}
 }
 
-// TestSpanPerRequestSink: RunSpanned forces a span for one call even
+// TestSpanPerRequestSink: a Call sink forces a span for one call even
 // with no engine-level sink installed, and removing nothing afterwards
 // keeps the disabled fast path (StartSpan returns nil).
 func TestSpanPerRequestSink(t *testing.T) {
@@ -94,7 +94,7 @@ func TestSpanPerRequestSink(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 
 	var got obs.Span
-	err := e.RunSpanned(asyncGEMMDesc, func(sp *obs.Span) { got = *sp }, op32(a), op32(b), op32(c))
+	err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Sink: func(sp *obs.Span) { got = *sp }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestAsyncSpanFusedParentChildren(t *testing.T) {
 
 	// Occupy the dispatcher so the riders below coalesce.
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAsyncSpanFusedParentChildren(t *testing.T) {
 	var futs [N]*Future
 	for i := 0; i < N; i++ {
 		a, b, c := gemmReqOperands(rng, count, m, n, k)
-		if futs[i], err = e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+		if futs[i], err = e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestAsyncSpanQueueWaitStats(t *testing.T) {
 
 	// Idle engine: inline execution, nothing queued.
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
-	fut, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	fut, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestAsyncSpanQueueWaitStats(t *testing.T) {
 	}
 
 	entered, gate := holdDispatcher(e)
-	f0s, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	f0s, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestAsyncSpanQueueWaitStats(t *testing.T) {
 	var futs [queued]*Future
 	for i := 0; i < queued; i++ {
 		qa, qb, qc := gemmReqOperands(rng, 8, 4, 4, 4)
-		if futs[i], err = e.Submit(ctx, asyncGEMMDesc, op32(qa), op32(qb), op32(qc)); err != nil {
+		if futs[i], err = e.Submit(ctx, one(asyncGEMMDesc, op32(qa), op32(qb), op32(qc)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestAsyncSpanCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +282,11 @@ func TestAsyncSpanCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
-	fut, err := e.SubmitSpanned(ctx, asyncGEMMDesc, func(sp *obs.Span) {
+	fut, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Sink: func(sp *obs.Span) {
 		mu.Lock()
 		spans = append(spans, *sp)
 		mu.Unlock()
-	}, op32(a), op32(b), op32(c))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +321,13 @@ func TestOpenMetricsValidity(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 16, 8, 8, 8)
 	a.EnablePrepack()
 	for i := 0; i < 3; i++ {
-		if err := e.Run(asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Drive one queued batch so the wait histogram has samples.
 	entered, gate := holdDispatcher(e)
-	f0, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a), op32(b), op32(c))
+	f0, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,16 +153,12 @@ func (e *Engine) Hydrate(f *store.File) (plans, kernels int) {
 	return plans, kernels
 }
 
-// hydratePlan builds key's plan through the same constructor the live
-// path uses and installs it marked hydrated, without touching the
-// hit/miss counters. Returns false when the entry already exists, the
-// kind is unknown, or the build fails (a stored descriptor this tuning
-// rejects — e.g. a dimension over the triangular cap — is skipped).
+// hydratePlan builds key's plan through the live constructor and
+// installs it marked hydrated, without touching the hit/miss counters.
+// Returns false when the entry already exists or the build fails (a
+// stored descriptor this tuning rejects — e.g. a dimension over the
+// triangular cap — is skipped).
 func (e *Engine) hydratePlan(key planKey) bool {
-	build := e.buildForKey(key)
-	if build == nil {
-		return false
-	}
 	sh := &e.shards[key.shard()]
 	sh.mu.Lock()
 	_, exists := sh.m[key]
@@ -170,7 +166,7 @@ func (e *Engine) hydratePlan(key planKey) bool {
 	if exists {
 		return false
 	}
-	v, err := build()
+	v, err := e.buildForKey(key)
 	if err != nil {
 		return false
 	}
@@ -180,59 +176,12 @@ func (e *Engine) hydratePlan(key planKey) bool {
 		return false // raced with a live build; the live plan wins
 	}
 	if len(sh.m) >= planShardCap {
-		for k := range sh.m {
-			delete(sh.m, k)
-			delete(sh.hydrated, k)
-			e.planEvictions.Add(1)
-			break
-		}
+		sh.evictOne(e)
 	}
 	sh.m[key] = v
 	sh.hydrated[key] = true
 	e.planHydrated.Add(1)
 	return true
-}
-
-// buildForKey returns the plan constructor closure for a cache key —
-// the exact closure the live dispatch path passes to plan(), so a
-// hydrated plan is bit-equal to a freshly tuned one. Nil for unknown
-// kinds.
-func (e *Engine) buildForKey(key planKey) func() (any, error) {
-	switch key.kind {
-	case OpGEMM:
-		return func() (any, error) {
-			return core.NewGEMMPlan(core.GEMMProblem{
-				DT: key.dt, M: key.m, N: key.n, K: key.k, TransA: key.transA, TransB: key.transB,
-				Alpha: 1, Beta: 1, Count: key.countBucket,
-			}, e.tun)
-		}
-	case OpTRSM:
-		return func() (any, error) {
-			return core.NewTRSMPlan(core.TRSMProblem{
-				DT: key.dt, M: key.m, N: key.n, Side: key.side, Uplo: key.uplo,
-				TransA: key.transA, Diag: key.diag, Alpha: 1, Count: key.countBucket,
-			}, e.tun)
-		}
-	case OpTRMM:
-		return func() (any, error) {
-			return core.NewTRMMPlan(core.TRMMProblem{
-				DT: key.dt, M: key.m, N: key.n, Side: key.side, Uplo: key.uplo,
-				TransA: key.transA, Diag: key.diag, Alpha: 1, Count: key.countBucket,
-			}, e.tun)
-		}
-	case OpSYRK:
-		return func() (any, error) {
-			return core.NewSYRKPlan(core.SYRKProblem{
-				DT: key.dt, N: key.m, K: key.k, Uplo: key.uplo, Trans: key.transA,
-				Alpha: 1, Beta: 1, Count: key.countBucket,
-			}, e.tun)
-		}
-	case OpLU, OpCholesky, OpLUPiv:
-		return func() (any, error) {
-			return &factorPlan{flopsPerMatrix: factorFLOPs(key.kind, key.m)}, nil
-		}
-	}
-	return nil
 }
 
 // Warm resolves the plan for one problem descriptor through the regular
@@ -244,11 +193,7 @@ func (e *Engine) Warm(d store.PlanDesc) error {
 	if err != nil {
 		return err
 	}
-	build := e.buildForKey(key)
-	if build == nil {
-		return opErr(key.kind, "", ErrOperand, "not a plannable kind")
-	}
-	_, _, err = e.plan(key, build)
+	_, _, err = e.plan(key, nil)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"reflect"
@@ -50,7 +51,7 @@ func TestStoreRoundTripBitExact(t *testing.T) {
 	a := randCompact(rng, 64, 8, 6)
 	b := randCompact(rng, 64, 6, 5)
 	c := randCompact(rng, 64, 8, 5)
-	if err := e1.Run(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)); err != nil {
+	if err := e1.Run(context.Background(), one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	warm := []store.PlanDesc{
@@ -110,7 +111,7 @@ func TestStoreHydrationIsNotAMiss(t *testing.T) {
 		a := randCompact(rng, 32, 6, 6)
 		b := randCompact(rng, 32, 6, 6)
 		c := randCompact(rng, 32, 6, 6)
-		if err := e.Run(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)), Call{}); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -182,7 +183,7 @@ func TestStoreFingerprintMismatchFallsBack(t *testing.T) {
 	a := randCompact(rng, 8, 4, 4)
 	b := randCompact(rng, 8, 4, 4)
 	c := randCompact(rng, 8, 4, 4)
-	if err := e.Run(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 0, Workers: 1}, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats(); s.PlanMisses != 1 {
@@ -273,7 +274,7 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(21))
 	for _, cl := range calls {
-		if err := e1.Run(cl.op, cl.operands(rng)...); err != nil {
+		if err := e1.Run(context.Background(), one(cl.op, cl.operands(rng)...), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +304,7 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	// find its plan on its home shard — zero misses anywhere.
 	rng = rand.New(rand.NewSource(21))
 	for _, cl := range calls {
-		if err := set.Run(cl.op, cl.operands(rng)...); err != nil {
+		if err := set.Run(context.Background(), one(cl.op, cl.operands(rng)...), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,14 +13,6 @@ import (
 	"iatf/internal/obs"
 )
 
-// tracedGEMMDesc returns the shared async GEMM descriptor tagged with a
-// trace id and tenant origin.
-func tracedGEMMDesc(trace, origin string) OpDesc {
-	d := asyncGEMMDesc
-	d.Trace, d.Origin = trace, origin
-	return d
-}
-
 // TestTraceSyncPropagation: a traced sync Run delivers a span carrying
 // the request's trace id and origin, and the tags stay out of the plan
 // identity (the traced rerun is a plan-cache hit).
@@ -36,10 +28,10 @@ func TestTraceSyncPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 
-	if err := e.Run(asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(tracedGEMMDesc("aaaabbbb", "rt"), op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "aaaabbbb", Origin: "rt"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +69,7 @@ func TestTraceFusedDispatch(t *testing.T) {
 	ctx := context.Background()
 
 	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a0), op32(b0), op32(c0))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +80,7 @@ func TestTraceFusedDispatch(t *testing.T) {
 	var futs [N]*Future
 	for i := 0; i < N; i++ {
 		a, b, c := gemmReqOperands(rng, 10, 6, 5, 7)
-		futs[i], err = e.Submit(ctx, tracedGEMMDesc(traces[i], "rt"), op32(a), op32(b), op32(c))
+		futs[i], err = e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: traces[i], Origin: "rt"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,27 +147,27 @@ func TestTenantAccountingPaths(t *testing.T) {
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 
 	// Success within a generous objective → deadline hit.
-	if err := e.Run(tracedGEMMDesc("t1", "hit"), op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t1", Origin: "hit"}); err != nil {
 		t.Fatal(err)
 	}
 	// Success over an impossible objective → deadline miss.
-	if err := e.Run(tracedGEMMDesc("t2", "miss"), op32(a), op32(b), op32(c)); err != nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t2", Origin: "miss"}); err != nil {
 		t.Fatal(err)
 	}
 	// Shape error → plain error, not burned.
 	bad := randCompact(rng, 8, 5, 5)
-	if err := e.Run(tracedGEMMDesc("t3", "hit"), op32(a), op32(b), op32(bad)); err == nil {
+	if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(bad)), Call{Trace: "t3", Origin: "hit"}); err == nil {
 		t.Fatal("mismatched GEMM did not fail")
 	}
 	// Cancelled while queued → deadline miss.
 	entered, gate := holdDispatcher(e)
-	f0, err := e.Submit(context.Background(), asyncGEMMDesc, op32(a), op32(b), op32(c))
+	f0, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
-	fut, err := e.Submit(ctx, tracedGEMMDesc("t4", "hit"), op32(a), op32(b), op32(c))
+	fut, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t4", Origin: "hit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,17 +219,17 @@ func TestTenantQueueFullShed(t *testing.T) {
 	ctx := context.Background()
 
 	entered, gate := holdDispatcher(e)
-	f0, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	// Fill the capacity-1 queue, then overflow it with the tagged request.
-	f1, err := e.Submit(ctx, asyncGEMMDesc, op32(a), op32(b), op32(c))
+	f1, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Submit(ctx, tracedGEMMDesc("t-full", "rt"), op32(a), op32(b), op32(c))
+	_, err = e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t-full", Origin: "rt"})
 	if err == nil {
 		t.Fatal("overflow submit did not fail")
 	}
@@ -270,7 +262,7 @@ func TestTenantSetAggregation(t *testing.T) {
 	shapes := [][3]int{{4, 4, 4}, {6, 5, 7}, {8, 8, 8}, {5, 6, 4}}
 	for _, sh := range shapes {
 		a, b, c := gemmReqOperands(rng, 8, sh[0], sh[1], sh[2])
-		if err := s.Run(tracedGEMMDesc("t", "rt"), op32(a), op32(b), op32(c)); err != nil {
+		if err := s.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t", Origin: "rt"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +329,7 @@ func TestTenantOpenMetricsFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(135))
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
 	for _, origin := range []string{"rt", weird} {
-		if err := e.Run(tracedGEMMDesc("t", origin), op32(a), op32(b), op32(c)); err != nil {
+		if err := e.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: "t", Origin: origin}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +364,7 @@ func TestTenantOpenMetricsFamilies(t *testing.T) {
 
 	// Disabled accounting emits no tenant families.
 	e2 := New(core.DefaultTuning())
-	if err := e2.Run(asyncGEMMDesc, op32(a), op32(b), op32(c)); err != nil {
+	if err := e2.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()

@@ -18,7 +18,7 @@ import (
 // traceBase fills the descriptor and worker-split fields shared by all
 // ops: groups are pulled in super-batch-sized chunks by up to `workers`
 // participants (capped by the chunk count, as sched.Run does).
-func traceBase(op OpDesc, dtype, mode string, m, n, k, count, groups, gpb int, outcome obs.CacheOutcome) obs.TraceEvent {
+func traceBase(op *OpDesc, dtype, mode string, m, n, k, count, groups, gpb int, outcome obs.CacheOutcome) obs.TraceEvent {
 	chunks := (groups + gpb - 1) / gpb
 	workers := sched.Resolve(op.Workers)
 	if workers > chunks {
@@ -35,7 +35,7 @@ func traceBase(op OpDesc, dtype, mode string, m, n, k, count, groups, gpb int, o
 	}
 }
 
-func gemmTrace(op OpDesc, pl *core.GEMMPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
+func gemmTrace(op *OpDesc, pl *core.GEMMPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
 	p := pl.P
 	ev := traceBase(op, p.DT.String(), gemmMode(op.TransA, op.TransB),
 		p.M, p.N, p.K, p.Count, groups, pl.GroupsPerBatch, outcome)
@@ -76,95 +76,72 @@ func gemmTrace(op OpDesc, pl *core.GEMMPlan, groups int, outcome obs.CacheOutcom
 	return ev
 }
 
-// triSteps renders the shared TRSM/TRMM panel decomposition: panel
-// heights with their row offsets.
-func triSteps(panels []int) []struct{ r0, q int } {
-	out := make([]struct{ r0, q int }, 0, len(panels))
-	r0 := 0
-	for _, q := range panels {
-		out = append(out, struct{ r0, q int }{r0, q})
-		r0 += q
-	}
-	return out
-}
-
-func triPackQueue(q []obs.Command, packB, reverse, transpose, recip bool, panels []int) []obs.Command {
+// triTrace renders a TRSM or TRMM command queue. The ops share the
+// triangle/B packing and the panel decomposition; TRSM solves panels
+// top-down against the reciprocal diagonal (rectangle update first),
+// TRMM multiplies them bottom-up with the true diagonal (rectangle
+// update last).
+func triTrace(op *OpDesc, key planKey, count int, tv *triView, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
+	solve := key.kind == OpTRSM
+	ev := traceBase(op, key.dt.String(), shapeOf(key).Mode, key.m, key.n, 0, count, groups, tv.gpb, outcome)
 	diag := "true diagonal"
-	if recip {
+	if solve {
 		diag = "reciprocal diagonal"
 	}
-	q = append(q, obs.Command{Stage: "pack", Kernel: "npackTri",
-		Detail: fmt.Sprintf("packed triangle, panels %v, %s", panels, diag)})
-	if packB {
-		q = append(q, obs.Command{Stage: "pack", Kernel: "nBCopy",
-			Detail: fmt.Sprintf("canonicalize B (reverse=%v, transpose=%v)", reverse, transpose)})
+	ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "npackTri",
+		Detail: fmt.Sprintf("packed triangle, panels %v, %s", tv.panels, diag)})
+	if tv.packB {
+		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "nBCopy",
+			Detail: fmt.Sprintf("canonicalize B (reverse=%v, transpose=%v)", tv.reverse, tv.transpose)})
 	} else {
-		q = append(q, obs.Command{Stage: "pack", Kernel: "none",
+		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "none",
 			Detail: "B in place: canonical lower solve order (§4.4)"})
 	}
-	return q
-}
-
-func trsmTrace(op OpDesc, pl *core.TRSMPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
-	p := pl.P
-	ev := traceBase(op, p.DT.String(), p.Mode(), p.M, p.N, 0, p.Count, groups, pl.GroupsPerBatch, outcome)
-	ev.Queue = triPackQueue(ev.Queue, pl.PackB, pl.ReverseB, pl.TransposeB, true, pl.Panels)
-	if p.Alpha != 1 {
+	if op.Alpha != 1 {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "scale", Kernel: "nscale",
-			Detail: fmt.Sprintf("B *= alpha (%v)", p.Alpha)})
+			Detail: fmt.Sprintf("B *= alpha (%v)", op.Alpha)})
 	}
-	steps := triSteps(pl.Panels)
-	for _, ct := range pl.ColTiles {
-		for _, st := range steps {
-			if st.r0 > 0 {
-				ev.Queue = append(ev.Queue, obs.Command{Stage: "compute",
-					Kernel: fmt.Sprintf("%strsm_rect_%dx%d", p.DT, st.q, ct),
-					Detail: fmt.Sprintf("panel rows %d:%d -= A[%d:,0:%d]·X, %d cols", st.r0, st.r0+st.q, st.r0, st.r0, ct)})
+	dt := key.dt
+	for _, ct := range tv.colTiles {
+		for j := range tv.panels {
+			i := j
+			if !solve {
+				i = len(tv.panels) - 1 - j
 			}
-			ev.Queue = append(ev.Queue, obs.Command{Stage: "compute",
-				Kernel: fmt.Sprintf("%strsm_tri_%d", p.DT, st.q),
-				Detail: fmt.Sprintf("solve %dx%d triangle, rows %d:%d, %d cols", st.q, st.q, st.r0, st.r0+st.q, ct)})
+			q, r0 := tv.panels[i], 0
+			for _, p := range tv.panels[:i] {
+				r0 += p
+			}
+			rect := obs.Command{Stage: "compute",
+				Kernel: fmt.Sprintf("%strmm_rect_%dx%d", dt, q, ct),
+				Detail: fmt.Sprintf("rows %d:%d += A[%d:,0:%d]·B[0:%d], %d cols", r0, r0+q, r0, r0, r0, ct)}
+			tri := obs.Command{Stage: "compute",
+				Kernel: fmt.Sprintf("%strmm_tri_%d", dt, q),
+				Detail: fmt.Sprintf("rows %d:%d *= %dx%d triangle, %d cols", r0, r0+q, q, q, ct)}
+			if solve {
+				rect.Kernel = fmt.Sprintf("%strsm_rect_%dx%d", dt, q, ct)
+				rect.Detail = fmt.Sprintf("panel rows %d:%d -= A[%d:,0:%d]·X, %d cols", r0, r0+q, r0, r0, ct)
+				tri.Kernel = fmt.Sprintf("%strsm_tri_%d", dt, q)
+				tri.Detail = fmt.Sprintf("solve %dx%d triangle, rows %d:%d, %d cols", q, q, r0, r0+q, ct)
+			}
+			switch {
+			case r0 == 0:
+				ev.Queue = append(ev.Queue, tri)
+			case solve:
+				ev.Queue = append(ev.Queue, rect, tri)
+			default:
+				ev.Queue = append(ev.Queue, tri, rect)
+			}
 		}
 	}
-	if pl.PackB {
+	if tv.packB {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "writeback", Kernel: "nBUncopy",
 			Detail: "restore B from the canonical buffer"})
 	}
 	return ev
 }
 
-func trmmTrace(op OpDesc, pl *core.TRMMPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
-	p := pl.P
-	ev := traceBase(op, p.DT.String(), p.Mode(), p.M, p.N, 0, p.Count, groups, pl.GroupsPerBatch, outcome)
-	ev.Queue = triPackQueue(ev.Queue, pl.PackB, pl.ReverseB, pl.TransposeB, false, pl.Panels)
-	if p.Alpha != 1 {
-		ev.Queue = append(ev.Queue, obs.Command{Stage: "scale", Kernel: "nscale",
-			Detail: fmt.Sprintf("B *= alpha (%v)", p.Alpha)})
-	}
-	steps := triSteps(pl.Panels)
-	for _, ct := range pl.ColTiles {
-		// Bottom-up panel order: each panel multiplies its own rows
-		// before any panel above it is touched.
-		for i := len(steps) - 1; i >= 0; i-- {
-			st := steps[i]
-			ev.Queue = append(ev.Queue, obs.Command{Stage: "compute",
-				Kernel: fmt.Sprintf("%strmm_tri_%d", p.DT, st.q),
-				Detail: fmt.Sprintf("rows %d:%d *= %dx%d triangle, %d cols", st.r0, st.r0+st.q, st.q, st.q, ct)})
-			if st.r0 > 0 {
-				ev.Queue = append(ev.Queue, obs.Command{Stage: "compute",
-					Kernel: fmt.Sprintf("%strmm_rect_%dx%d", p.DT, st.q, ct),
-					Detail: fmt.Sprintf("rows %d:%d += A[%d:,0:%d]·B[0:%d], %d cols", st.r0, st.r0+st.q, st.r0, st.r0, st.r0, ct)})
-			}
-		}
-	}
-	if pl.PackB {
-		ev.Queue = append(ev.Queue, obs.Command{Stage: "writeback", Kernel: "nBUncopy",
-			Detail: "restore B from the canonical buffer"})
-	}
-	return ev
-}
-
-func syrkTrace(op OpDesc, pl *core.SYRKPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
+func syrkTrace(op *OpDesc, pl *core.SYRKPlan, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
 	p := pl.P
 	ev := traceBase(op, p.DT.String(), op.TransA.String()+op.Uplo.String(),
 		p.N, p.N, p.K, p.Count, groups, pl.GroupsPerBatch, outcome)

@@ -1,0 +1,344 @@
+package iatf_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"iatf"
+)
+
+// oneStageCase is one level-3 op expressed as a Request and as a Stage
+// over the same operands; out names the operand the op writes.
+type oneStageCase[T float32 | float64] struct {
+	name  string
+	req   func(a, b, c *iatf.Compact[T]) iatf.Request[T]
+	stage func(a, b, c *iatf.Compact[T]) iatf.Stage[T]
+	out   func(a, b, c *iatf.Compact[T]) *iatf.Compact[T]
+}
+
+func oneStageCases[T float32 | float64]() []oneStageCase[T] {
+	return []oneStageCase[T]{
+		{"GEMM",
+			func(a, b, c *iatf.Compact[T]) iatf.Request[T] {
+				return iatf.Request[T]{Op: iatf.OpGEMM, TransB: iatf.Transpose, Alpha: 1.5, Beta: 0.5, A: a, B: b, C: c}
+			},
+			func(a, b, c *iatf.Compact[T]) iatf.Stage[T] {
+				return iatf.GEMMStage(iatf.NoTrans, iatf.Transpose, T(1.5), a, b, T(0.5), c)
+			},
+			func(a, b, c *iatf.Compact[T]) *iatf.Compact[T] { return c }},
+		{"TRSM",
+			func(a, b, c *iatf.Compact[T]) iatf.Request[T] {
+				return iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Upper, Diag: iatf.NonUnit, Alpha: 2, A: a, B: b}
+			},
+			func(a, b, c *iatf.Compact[T]) iatf.Stage[T] {
+				return iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, T(2), a, b)
+			},
+			func(a, b, c *iatf.Compact[T]) *iatf.Compact[T] { return b }},
+		{"TRMM",
+			func(a, b, c *iatf.Compact[T]) iatf.Request[T] {
+				return iatf.Request[T]{Op: iatf.OpTRMM, Side: iatf.Right, Uplo: iatf.Lower, TransA: iatf.Transpose, Diag: iatf.Unit, Alpha: 1, A: a, B: b}
+			},
+			func(a, b, c *iatf.Compact[T]) iatf.Stage[T] {
+				return iatf.TRMMStage(iatf.Right, iatf.Lower, iatf.Transpose, iatf.Unit, T(1), a, b)
+			},
+			func(a, b, c *iatf.Compact[T]) *iatf.Compact[T] { return b }},
+		{"SYRK",
+			func(a, b, c *iatf.Compact[T]) iatf.Request[T] {
+				return iatf.Request[T]{Op: iatf.OpSYRK, Uplo: iatf.Lower, Alpha: 1, Beta: 1, A: a, C: c}
+			},
+			func(a, b, c *iatf.Compact[T]) iatf.Stage[T] {
+				return iatf.SYRKStage(iatf.Lower, iatf.NoTrans, T(1), a, T(1), c)
+			},
+			func(a, b, c *iatf.Compact[T]) *iatf.Compact[T] { return c }},
+	}
+}
+
+// oneStageRun is everything a path observably produced for two calls
+// (cold, then warm) on a fresh engine.
+type oneStageRun[T float32 | float64] struct {
+	out    *iatf.Compact[T]
+	spans  []iatf.Span
+	traces []iatf.TraceEvent
+	plan   [3]uint64 // PlanHits, PlanMisses, PlanShared deltas
+	shapes []iatf.ShapeStats
+	chain  bool // Stats.Chain moved
+	inline uint64
+}
+
+func runOneStagePath[T float32 | float64](t *testing.T, c oneStageCase[T], path string) oneStageRun[T] {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	a := chainRand[T](rng, 13, 8, 8, 8)
+	b := chainRand[T](rng, 13, 8, 8, 0)
+	cc := chainRand[T](rng, 13, 8, 8, 0)
+	eng := iatf.NewEngine()
+	var res oneStageRun[T]
+	eng.SetTrace(func(ev iatf.TraceEvent) { res.traces = append(res.traces, ev) }, 0)
+	eng.ForceTrace(2)
+	opts := []iatf.Option{iatf.WithEngine(eng), iatf.WithSpanSink(func(sp *iatf.Span) { res.spans = append(res.spans, *sp) })}
+	ctx := context.Background()
+	before := eng.Stats()
+	for i := 0; i < 2; i++ {
+		var err error
+		switch path {
+		case "Do":
+			err = iatf.Do(ctx, c.req(a, b, cc), opts...)
+		case "Submit":
+			var f *iatf.Future
+			if f, err = iatf.Submit(ctx, c.req(a, b, cc), opts...); err == nil {
+				err = f.Err()
+			}
+		case "Chain":
+			err = iatf.Chain(ctx, []iatf.Stage[T]{c.stage(a, b, cc)}, opts...)
+		}
+		if err != nil {
+			t.Fatalf("%s via %s: %v", c.name, path, err)
+		}
+	}
+	after := eng.Stats()
+	res.out = c.out(a, b, cc)
+	res.plan = [3]uint64{after.PlanHits - before.PlanHits, after.PlanMisses - before.PlanMisses, after.PlanShared - before.PlanShared}
+	for _, s := range after.Shapes {
+		s.P50, s.P99, s.AvgGFLOPS, s.BestGFLOPS = 0, 0, 0, 0 // timing-dependent
+		res.shapes = append(res.shapes, s)
+	}
+	res.chain = after.Chain != before.Chain
+	res.inline = after.Queue.Inline
+	return res
+}
+
+// spanShape is the part of a span that must not depend on the path: the
+// descriptor and which phases were attributed.
+func spanShape(sp iatf.Span) string {
+	var phases []iatf.SpanPhase
+	for p, d := range sp.Phases {
+		if d > 0 {
+			phases = append(phases, iatf.SpanPhase(p))
+		}
+	}
+	return fmt.Sprintf("%s %s %s %dx%dx%d count=%d workers=%d fused=%d parent=%d prepack=%d/%d err=%q phases=%v",
+		sp.Op, sp.DType, sp.Mode, sp.M, sp.N, sp.K, sp.Count, sp.Workers, sp.Fused, sp.ParentID,
+		sp.PrepackHits, sp.PrepackBuilds, sp.Error, phases)
+}
+
+func oneStageIsOp[T float32 | float64](t *testing.T) {
+	for _, c := range oneStageCases[T]() {
+		do := runOneStagePath(t, c, "Do")
+		for _, path := range []string{"Submit", "Chain"} {
+			got := runOneStagePath(t, c, path)
+			label := c.name + " via " + path
+			expectEqual(t, label, got.out, do.out)
+			if len(got.spans) != 2 || len(do.spans) != 2 {
+				t.Fatalf("%s: %d spans, Do %d, want 2 each", label, len(got.spans), len(do.spans))
+			}
+			for i := range got.spans {
+				if g, w := spanShape(got.spans[i]), spanShape(do.spans[i]); g != w {
+					t.Errorf("%s: span %d\n got %s\nwant %s", label, i, g, w)
+				}
+			}
+			if !reflect.DeepEqual(got.traces, do.traces) || len(got.traces) != 2 {
+				t.Errorf("%s: command queues differ from Do:\n got %+v\nwant %+v", label, got.traces, do.traces)
+			}
+			if got.plan != do.plan {
+				t.Errorf("%s: plan hits/misses/shared %v, Do %v", label, got.plan, do.plan)
+			}
+			if !reflect.DeepEqual(got.shapes, do.shapes) {
+				t.Errorf("%s: per-shape rows\n got %+v\nwant %+v", label, got.shapes, do.shapes)
+			}
+			if got.chain || do.chain {
+				t.Errorf("%s: a one-stage execution touched Stats.Chain", label)
+			}
+			if path == "Submit" && got.inline != 2 {
+				t.Errorf("%s: %d inline executions, want 2 (idle queue)", label, got.inline)
+			}
+		}
+	}
+}
+
+// TestChainOneStageIsOp: a one-stage chain and an idle-queue Submit are
+// observably the op — the same results, span descriptors, command
+// queues, plan counters and per-shape rows as Do, with no chain state.
+func TestChainOneStageIsOp(t *testing.T) {
+	t.Run("f32", oneStageIsOp[float32])
+	t.Run("f64", oneStageIsOp[float64])
+}
+
+// TestChainTenantTrace: tenant and trace tags ride every chain entry —
+// sync Chain, inline and queued SubmitChain, and a chain on an engine
+// set — into the tenant ledger and onto the chain's span.
+func TestChainTenantTrace(t *testing.T) {
+	objectives := map[string]iatf.TenantObjective{"rt": {Class: 1, Objective: 10 * time.Second, Target: 0.99}}
+	eng := iatf.NewEngine()
+	eng.SetTenants(objectives)
+	set := iatf.NewEngineSet(2)
+	set.SetTenants(objectives)
+	rng := rand.New(rand.NewSource(12))
+	a := chainRand[float64](rng, 7, 8, 8, 4)
+
+	var mu sync.Mutex
+	seen := map[string]string{} // trace id → span op
+	tagged := func(target iatf.Option, id string) []iatf.Option {
+		return []iatf.Option{target, iatf.WithTenant("rt"), iatf.WithTrace(id), iatf.WithSpanSink(func(sp *iatf.Span) {
+			mu.Lock()
+			seen[sp.TraceID] = sp.Op
+			mu.Unlock()
+		})}
+	}
+	ctx := context.Background()
+	run := func(label string, call func(stages []iatf.Stage[float64]) error) {
+		t.Helper()
+		b := chainRand[float64](rng, 7, 8, 4, 0)
+		want := b.Clone()
+		if err := iatf.TRMM(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := iatf.TRSM(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := call([]iatf.Stage[float64]{
+			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
+			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
+		}); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		expectEqual(t, label, b, want)
+	}
+	submit := func(opts []iatf.Option) func([]iatf.Stage[float64]) error {
+		return func(stages []iatf.Stage[float64]) error {
+			f, err := iatf.SubmitChain(ctx, stages, opts...)
+			if err != nil {
+				return err
+			}
+			return f.Err()
+		}
+	}
+
+	run("sync", func(stages []iatf.Stage[float64]) error {
+		return iatf.Chain(ctx, stages, tagged(iatf.WithEngine(eng), "sync")...)
+	})
+	run("inline", submit(tagged(iatf.WithEngine(eng), "inline")))
+
+	// Queued: hold an idle-path GEMM inside the trace hook (which runs on
+	// the executing goroutine before compute, while the queue counts as
+	// busy), so the chain cannot run inline and goes to the dispatcher.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng.SetTrace(func(iatf.TraceEvent) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}, 1)
+	ga, gb, gc := chainRand[float64](rng, 4, 4, 4, 0), chainRand[float64](rng, 4, 4, 4, 0), chainRand[float64](rng, 4, 4, 4, 0)
+	held := make(chan error, 1)
+	go func() {
+		held <- iatf.Do(ctx, iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: ga, B: gb, C: gc},
+			iatf.WithEngine(eng), iatf.WithAsync())
+	}()
+	<-entered
+	q0 := eng.QueueStats()
+	run("queued", submit(tagged(iatf.WithEngine(eng), "queued")))
+	q1 := eng.QueueStats()
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	eng.SetTrace(nil, 0)
+	if q1.Submitted-q0.Submitted != 1 || q1.Inline != q0.Inline {
+		t.Fatalf("queued chain ran inline: submitted %d→%d inline %d→%d", q0.Submitted, q1.Submitted, q0.Inline, q1.Inline)
+	}
+
+	run("set", func(stages []iatf.Stage[float64]) error {
+		return iatf.Chain(ctx, stages, tagged(iatf.WithEngineSet(set), "set")...)
+	})
+
+	for _, id := range []string{"sync", "inline", "queued", "set"} {
+		if op := seen[id]; op != "CHAIN" {
+			t.Errorf("trace %q: span op %q, want a CHAIN span carrying the id (seen %v)", id, op, seen)
+		}
+	}
+	for label, ts := range map[string][]iatf.TenantStats{"engine": eng.TenantStats(), "set": set.TenantStats()} {
+		want := uint64(3)
+		if label == "set" {
+			want = 1
+		}
+		if len(ts) != 1 || ts[0].Name != "rt" || ts[0].Requests != want {
+			t.Errorf("%s tenant ledger = %+v, want %d rt requests", label, ts, want)
+		}
+	}
+}
+
+// TestAsyncChainAllocCeilings pins warm allocation ceilings of the
+// paths the ≤2-alloc Do tests do not cover (f64 8×8, the same at every
+// count): a 3-stage Chain on an engine and on a 1-shard set, an inline
+// Submit, an inline 3-stage SubmitChain and a one-stage Chain.
+func TestAsyncChainAllocCeilings(t *testing.T) {
+	ctx := context.Background()
+	id := make([]float64, 64)
+	for i := 0; i < 8; i++ {
+		id[i*8+i] = 1
+	}
+	for _, count := range []int{13, 64, 1024} {
+		rng := rand.New(rand.NewSource(13))
+		// LU of the identity is the identity, so the chain replays on
+		// unchanged operands every iteration.
+		a, err := iatf.PackReplicated(id, 8, 8, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := chainRand[float64](rng, count, 8, 8, 0)
+		c := chainRand[float64](rng, count, 8, 8, 0)
+		chain3 := []iatf.Stage[float64]{
+			iatf.LUStage(a),
+			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.NoTrans, iatf.Unit, 1.0, a, b),
+			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
+		}
+		chain1 := []iatf.Stage[float64]{iatf.GEMMStage(iatf.NoTrans, iatf.NoTrans, 1.0, a, b, 0.0, c)}
+		req := iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, Beta: 0, A: a, B: b, C: c}
+		onEng := []iatf.Option{iatf.WithEngine(iatf.NewEngine())}
+		onSet := []iatf.Option{iatf.WithEngineSet(iatf.NewEngineSet(1))}
+		wait := func(f *iatf.Future, err error) error {
+			if err != nil {
+				return err
+			}
+			return f.Err()
+		}
+		for _, c := range []struct {
+			name    string
+			ceiling float64
+			call    func() error
+		}{
+			{"3-stage Chain, engine", 12, func() error { return iatf.Chain(ctx, chain3, onEng...) }},
+			{"3-stage Chain, 1-shard set", 12, func() error { return iatf.Chain(ctx, chain3, onSet...) }},
+			{"inline Submit", 6, func() error { return wait(iatf.Submit(ctx, req, onEng...)) }},
+			{"inline 3-stage SubmitChain", 16, func() error { return wait(iatf.SubmitChain(ctx, chain3, onEng...)) }},
+			{"one-stage Chain", 8, func() error { return iatf.Chain(ctx, chain1, onEng...) }},
+		} {
+			for i := 0; i < 2; i++ { // warm plans, packed images, pools
+				if err := c.call(); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+			}
+			run := func() {
+				if err := c.call(); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+			}
+			allocs := testing.AllocsPerRun(50, run)
+			// Noise only ever adds allocations (under the race detector
+			// sync.Pool drops pooled buffers at random), so up to two
+			// re-measurements keep the lowest reading.
+			for i := 0; i < 2 && allocs > c.ceiling; i++ {
+				allocs = min(allocs, testing.AllocsPerRun(50, run))
+			}
+			if allocs > c.ceiling {
+				t.Errorf("count %d: warm %s allocates %.0f objects/call, ceiling %.0f", count, c.name, allocs, c.ceiling)
+			}
+		}
+	}
+}

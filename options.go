@@ -1,10 +1,9 @@
 // Construction-time configuration for engines and engine sets. Options
-// replace the old post-construction setters for everything that is
-// really a property of how the engine is built — queue capacity, drain
-// order, batch window, machine profile, and the persistent autotune
-// store — so configuration races (SetQueueCapacity after the dispatcher
-// started, a store attached after the first cold miss) cannot happen by
-// construction.
+// cover everything that is really a property of how the engine is
+// built — queue capacity, drain order, batch window, machine profile,
+// and the persistent autotune store — so configuration races (a queue
+// resized after the dispatcher started, a store attached after the
+// first cold miss) cannot happen by construction.
 //
 //	eng := iatf.NewEngine(
 //	    iatf.WithMachineProfile(iatf.Kunpeng920()),
@@ -88,9 +87,8 @@ func WithMachineProfile(p MachineProfile) EngineOption {
 
 // WithQueueCapacity bounds the async submission queue (default 1024
 // requests; values below 1 clamp to 1). Submissions beyond the bound
-// fail fast with ErrQueueFull. Unlike the deprecated SetQueueCapacity,
-// the bound is in place before the dispatcher can start, so it cannot
-// race with the first Submit.
+// fail fast with ErrQueueFull. The bound is in place before the
+// dispatcher can start, so it cannot race with the first Submit.
 func WithQueueCapacity(n int) EngineOption {
 	return func(c *engineConfig) { c.queueCap = n }
 }
