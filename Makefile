@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race stress asyncstress shardstress chainstress servestress tunestress obsstress bench benchsmoke benchdiff info trace monitor metrics loc ci
+.PHONY: all build vet lint test race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
 
 all: ci
 
@@ -80,6 +80,13 @@ tunestress:
 	$(GO) test -race -count=2 ./internal/store/
 	IATF_STORE_DIR=$$(mktemp -d) $(GO) run ./cmd/iatf-tune -counts 1 -shapes gemm:f32:8x8x8,cholesky:f64:8
 
+# Ten seconds of coverage-guided fuzzing of the /v1/do codec against
+# encoding/json (same accept/reject, equal decoded request) and of the
+# handler (no panic, no 500). The committed corpus under
+# internal/serve/testdata/fuzz replays in every plain `go test`.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzDoRequest -fuzztime 10s ./internal/serve/
+
 # Wall-clock benchmark of the native path — pack-per-call vs prepacked
 # operand reuse — writing the rows to BENCH_wallclock.json.
 bench:
@@ -136,4 +143,4 @@ loc:
 # benchdiff gates ci: the diff tool's 15% tolerance absorbs ordinary
 # run-to-run noise, so a failure means a real regression (or a baseline
 # that needs a deliberate `make bench` refresh alongside the change).
-ci: lint build test race stress asyncstress shardstress chainstress servestress tunestress obsstress benchsmoke benchdiff
+ci: lint build test race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke benchsmoke benchdiff

@@ -366,7 +366,10 @@ func phase3(rng *rand.Rand) {
 	url := "http://" + ln.Addr().String() + "/v1/do"
 
 	const n = 8
+	var rngMu sync.Mutex // the posting goroutines below share rng
 	data := func(count, n int) []float64 {
+		rngMu.Lock()
+		defer rngMu.Unlock()
 		d := make([]float64, count*n*n)
 		for i := range d {
 			d[i] = rng.Float64()
@@ -444,7 +447,10 @@ func phase3(rng *rand.Rand) {
 	}
 
 	// The access log carries one JSON line per request, joined with its
-	// engine span; show the line for the traceparent-tagged rt post.
+	// engine span; show the line for the traceparent-tagged rt post. A
+	// handler writes its line after the response is sent, so shut the
+	// server down first: Shutdown returns once every handler has.
+	hs.Shutdown(context.Background())
 	for _, line := range bytes.Split(accessLog.Bytes(), []byte("\n")) {
 		if bytes.Contains(line, []byte(sentTrace)) {
 			fmt.Printf("access-log line for that trace:\n  %s\n", line)

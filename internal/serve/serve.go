@@ -9,9 +9,10 @@
 //
 //   - POST /v1/do accepts one batched compact-BLAS request as JSON,
 //     lowers it onto iatf.Submit (the coalescing, EDF-ordered queue) and
-//     streams the written operand back. A context deadline comes from the
-//     request body (deadline_ms) or the server default; a tenant header
-//     maps to a priority class that breaks EDF ties.
+//     writes the written operand back; a one-pass codec (codec.go) reads
+//     and writes the wire without encoding/json. A context deadline comes
+//     from the request body (deadline_ms) or the server default; a tenant
+//     header maps to a priority class that breaks EDF ties.
 //   - Admission control sheds load BEFORE enqueueing: the predicted queue
 //     wait — the recent iatf_queue_wait_seconds p99 scaled by how full
 //     the queue is relative to its depth high-water mark — is compared
@@ -34,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -271,9 +273,9 @@ type WireOperand struct {
 
 // DoRequest is the /v1/do body. Mode strings follow BLAS spelling:
 // trans "N"/"T", side "L"/"R", uplo "L"/"U", diag "N"/"U". DType is
-// "f32" (default) or "f64"; f32 requests parse Data at float32
-// precision. Which operands are read depends on Op exactly as in
-// iatf.Request: gemm A,B,C — trsm/trmm A,B — syrk A,C.
+// "f32" (default) or "f64"; Data is parsed at float64 precision and, for
+// f32 requests, rounded once to float32. Which operands are read depends
+// on Op exactly as in iatf.Request: gemm A,B,C — trsm/trmm A,B — syrk A,C.
 type DoRequest struct {
 	Op     string `json:"op"` // "gemm" | "trsm" | "trmm" | "syrk"
 	DType  string `json:"dtype,omitempty"`
@@ -386,6 +388,11 @@ func isHex(s string) bool {
 type reqLog struct {
 	span     iatf.Span
 	haveSpan bool
+
+	// The wire phases: decode is read + parse + pack, encode is unpack +
+	// format + write; mark is when the running one started.
+	mark           time.Time
+	decode, encode time.Duration
 }
 
 // accessEntry is one structured access-log line.
@@ -408,6 +415,7 @@ type accessEntry struct {
 	SpanID   uint64           `json:"span_id,omitempty"`
 	FusedOf  uint64           `json:"fused_of,omitempty"` // parent dispatch span id
 	PhasesUs map[string]int64 `json:"phases_us,omitempty"`
+	WireUs   map[string]int64 `json:"wire_us,omitempty"` // set once the request reached the engine
 
 	Error string `json:"error,omitempty"`
 }
@@ -469,6 +477,9 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request) {
 					}
 				}
 			}
+			if rl.decode > 0 {
+				e.WireUs = map[string]int64{"decode": rl.decode.Microseconds(), "encode": rl.encode.Microseconds()}
+			}
 			s.logAccess(&e)
 		}()
 	}
@@ -482,8 +493,12 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusMethodNotAllowed, "POST only", 0)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	wb := wirePool.Get().(*wireBuf)
+	defer putWire(wb)
+	if rl != nil {
+		rl.mark = time.Now()
+	}
+	if err := wb.readRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), &req); err != nil {
 		s.errors.Add(1)
 		fail(http.StatusBadRequest, "decode: "+err.Error(), 0)
 		return
@@ -514,13 +529,12 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var result []float64
 	var err error
 	switch req.DType {
 	case "", "f32":
-		result, err = run[float32](s, ctx, &req, s.priorityOf(tenant, &req), trace, tenant, rl)
+		err = run[float32](s, ctx, wb, &req, s.priorityOf(tenant, &req), trace, tenant, rl, start)
 	case "f64":
-		result, err = run[float64](s, ctx, &req, s.priorityOf(tenant, &req), trace, tenant, rl)
+		err = run[float64](s, ctx, wb, &req, s.priorityOf(tenant, &req), trace, tenant, rl, start)
 	default:
 		s.errors.Add(1)
 		fail(http.StatusBadRequest, "dtype must be f32 or f64", 0)
@@ -529,11 +543,13 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request) {
 
 	if err == nil {
 		s.done.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(DoResponse{
-			Result:    result,
-			ElapsedUs: time.Since(start).Microseconds(),
-		})
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(wb.out)))
+		w.Write(wb.out)
+		if rl != nil {
+			rl.encode = time.Since(rl.mark)
+		}
 		return
 	}
 	st := classify(err)
@@ -572,30 +588,31 @@ func classify(err error) int {
 // short data) that never reach the engine's typed taxonomy.
 var errBadRequest = errors.New("bad request")
 
-// run lowers the wire request onto one iatf.Submit and waits it out,
-// threading the trace id and tenant into the engine span (and, when the
-// access log wants the span back, a per-request sink). Methods cannot
-// be generic, so the dtype split lives here.
-func run[T float32 | float64](s *Server, ctx context.Context, req *DoRequest, priority int, trace, tenant string, rl *reqLog) ([]float64, error) {
+// run lowers the wire request onto one iatf.Submit, waits it out and
+// leaves the response body in wb.out, threading the trace id and tenant
+// into the engine span (and, when the access log wants the span back, a
+// per-request sink). Methods cannot be generic, so the dtype split lives
+// here.
+func run[T float32 | float64](s *Server, ctx context.Context, wb *wireBuf, req *DoRequest, priority int, trace, tenant string, rl *reqLog, start time.Time) error {
 	if req.Count < 1 {
-		return nil, fmt.Errorf("%w: count must be >= 1", errBadRequest)
+		return fmt.Errorf("%w: count must be >= 1", errBadRequest)
 	}
 	ir := iatf.Request[T]{Alpha: T(req.Alpha), Beta: T(req.Beta)}
 	var err error
 	if ir.TransA, err = parseTrans(req.TransA); err != nil {
-		return nil, err
+		return err
 	}
 	if ir.TransB, err = parseTrans(req.TransB); err != nil {
-		return nil, err
+		return err
 	}
 	if ir.Side, err = parseSide(req.Side); err != nil {
-		return nil, err
+		return err
 	}
 	if ir.Uplo, err = parseUplo(req.Uplo); err != nil {
-		return nil, err
+		return err
 	}
 	if ir.Diag, err = parseDiag(req.Diag); err != nil {
-		return nil, err
+		return err
 	}
 
 	var written *iatf.Compact[T]
@@ -603,13 +620,13 @@ func run[T float32 | float64](s *Server, ctx context.Context, req *DoRequest, pr
 	case "gemm":
 		ir.Op = iatf.OpGEMM
 		if ir.A, err = packOperand[T]("a", req.A, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		if ir.B, err = packOperand[T]("b", req.B, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		if ir.C, err = packOperand[T]("c", req.C, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		written = ir.C
 	case "trsm", "trmm":
@@ -618,23 +635,23 @@ func run[T float32 | float64](s *Server, ctx context.Context, req *DoRequest, pr
 			ir.Op = iatf.OpTRMM
 		}
 		if ir.A, err = packOperand[T]("a", req.A, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		if ir.B, err = packOperand[T]("b", req.B, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		written = ir.B
 	case "syrk":
 		ir.Op = iatf.OpSYRK
 		if ir.A, err = packOperand[T]("a", req.A, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		if ir.C, err = packOperand[T]("c", req.C, req.Count); err != nil {
-			return nil, err
+			return err
 		}
 		written = ir.C
 	default:
-		return nil, fmt.Errorf("%w: op must be gemm, trsm, trmm or syrk", errBadRequest)
+		return fmt.Errorf("%w: op must be gemm, trsm, trmm or syrk", errBadRequest)
 	}
 
 	opts := make([]iatf.Option, 0, 5)
@@ -653,22 +670,21 @@ func run[T float32 | float64](s *Server, ctx context.Context, req *DoRequest, pr
 			rl.span = *sp
 			rl.haveSpan = true
 		}))
+		rl.decode = time.Since(rl.mark)
 	}
 	s.admitted.Add(1)
 	fut, err := iatf.Submit(ctx, ir, opts...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := fut.Wait(ctx); err != nil {
-		return nil, err
+		return err
 	}
-
-	out := written.Unpack().Data()
-	res := make([]float64, len(out))
-	for i, v := range out {
-		res[i] = float64(v)
+	if rl != nil {
+		rl.mark = time.Now()
 	}
-	return res, nil
+	wb.out, err = appendResponse(wb.out[:0], written.Unpack().Data(), time.Since(start).Microseconds())
+	return err
 }
 
 // parseTrans maps the wire spelling onto the BLAS mode ("" = "N").
@@ -720,7 +736,13 @@ func packOperand[T float32 | float64](name string, o *WireOperand, count int) (*
 	if o.Rows < 1 || o.Cols < 1 {
 		return nil, fmt.Errorf("%w: operand %s: invalid dims %dx%d", errBadRequest, name, o.Rows, o.Cols)
 	}
-	want := count * o.Rows * o.Cols
+	want := count
+	for _, f := range [...]int{o.Rows, o.Cols} {
+		if want > math.MaxInt/f {
+			return nil, fmt.Errorf("%w: operand %s: count*rows*cols overflows", errBadRequest, name)
+		}
+		want *= f
+	}
 	if len(o.Data) != want {
 		return nil, fmt.Errorf("%w: operand %s: %d elements, want count*rows*cols = %d",
 			errBadRequest, name, len(o.Data), want)

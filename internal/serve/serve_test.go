@@ -727,6 +727,25 @@ func TestServeAccessLogTrace(t *testing.T) {
 	if _, ok := phases["compute"]; !ok {
 		t.Fatalf("access log phases %v missing compute", phases)
 	}
+	// The wire phases sit beside the engine's, and together they fit in
+	// the handler's elapsed time.
+	wire, ok := entry["wire_us"].(map[string]any)
+	if _, enc := wire["encode"]; !ok || len(wire) != 2 || !enc {
+		t.Fatalf("access log wire_us = %v, want decode and encode", entry["wire_us"])
+	}
+	var sum float64
+	for _, m := range []map[string]any{phases, wire} {
+		for name, us := range m {
+			v, ok := us.(float64)
+			if !ok || v < 0 {
+				t.Fatalf("access log phase %s = %v", name, us)
+			}
+			sum += v
+		}
+	}
+	if elapsed, _ := entry["elapsed_us"].(float64); sum > elapsed {
+		t.Fatalf("engine phases %v plus wire_us %v = %gµs, more than elapsed_us %g", phases, wire, sum, elapsed)
+	}
 	if _, ok := entry["error"]; ok {
 		t.Fatalf("success line carries error: %v", entry["error"])
 	}
