@@ -22,10 +22,12 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the engine layers and the public-API stress
-# tests (short mode keeps the kernel property tests from dominating).
+# Race-detector pass over the engine layers, the core executors (their
+# workers run on several sched workers at once) and the public-API
+# stress tests (short mode keeps the kernel property tests from
+# dominating).
 race:
-	$(GO) test -race -short ./internal/engine/... ./internal/obs/... ./internal/sched/... ./internal/bufpool/... .
+	$(GO) test -race -short ./internal/core/ ./internal/engine/... ./internal/obs/... ./internal/sched/... ./internal/bufpool/... .
 
 # Engine stress under the race detector, run twice: the concurrent
 # dispatch stress, plan single-flight, pool resize and the observability

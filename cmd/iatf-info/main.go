@@ -245,7 +245,7 @@ func demoWorkload() {
 	}
 	gemm(8, 8, 8, true)
 	gemm(8, 8, 8, true)  // same shape: pure plan- and pack-cache hits
-	gemm(6, 5, 7, false) // pack-per-call: exercises the streaming pipeline
+	gemm(6, 5, 7, false) // pack-per-call: A and B packed on every call
 	tri(true, 8, 4)
 	tri(true, 8, 4)
 	tri(false, 8, 4)
@@ -307,9 +307,6 @@ func printEngine(asJSON bool) {
 	fmt.Printf("  hits %d, builds %d, evictions %d, stale %d, entries %d\n",
 		s.PackCache.Hits, s.PackCache.Builds, s.PackCache.Evictions,
 		s.PackCache.Stale, s.PackCache.Entries)
-	fmt.Println("pack/compute pipeline:")
-	fmt.Printf("  chunks %d, stalls %d, sync fallbacks %d, packers %d\n",
-		s.Pipeline.Chunks, s.Pipeline.Stalls, s.Pipeline.Fallbacks, s.Pipeline.Packers)
 	fmt.Println("chain dispatch:")
 	fmt.Printf("  runs %d, plan hits %d, misses %d, entries %d; scatter elided %d, pack elided %d\n",
 		s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses, s.Chain.PlanEntries,

@@ -78,14 +78,14 @@ func TestAutotunedPlanCorrect(t *testing.T) {
 	b := randCompact[float64](rng, vec.D, p.Count, 7, 7)
 	c := randCompact[float64](rng, vec.D, p.Count, 7, 7)
 	cRef := c.Clone()
-	if err := ExecGEMMNative(pl, a, b, c); err != nil {
+	if err := ExecGEMMNativePrepacked(pl, a, b, c, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	def, err := NewGEMMPlan(p, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExecGEMMNative(def, a, b, cRef); err != nil {
+	if err := ExecGEMMNativePrepacked(def, a, b, cRef, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Different tilings may round differently only if decompositions

@@ -281,10 +281,10 @@ func TestNewGEMMPlanWithKernel(t *testing.T) {
 	c := randCompact[float64](rng, vec.D, p.Count, 16, 16)
 	want := c.Clone()
 	def, _ := NewGEMMPlan(p, tun)
-	if err := ExecGEMMNative(def, a, b, want); err != nil {
+	if err := ExecGEMMNativePrepacked(def, a, b, want, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ExecGEMMNative(pl, a, b, c); err != nil {
+	if err := ExecGEMMNativePrepacked(pl, a, b, c, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range c.Data {
@@ -352,10 +352,10 @@ func TestTRSMParallelMatchesSequentialCore(t *testing.T) {
 	}
 	b := randCompact[float32](rng, vec.S, p.Count, 6, 4)
 	b1, b4 := b.Clone(), b.Clone()
-	if err := ExecTRSMNativeParallel(pl, a, b1, 1); err != nil {
+	if err := ExecTRSMNativePrepacked(pl, a, b1, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ExecTRSMNativeParallel(pl, a, b4, 5); err != nil {
+	if err := ExecTRSMNativePrepacked(pl, a, b4, nil, 5); err != nil {
 		t.Fatal(err)
 	}
 	for i := range b1.Data {

@@ -52,7 +52,7 @@ func compareBackendsGEMM[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProble
 		t.Fatal(err)
 	}
 	cNat := c.Clone()
-	if err := ExecGEMMNative(pl, a, b, cNat); err != nil {
+	if err := ExecGEMMNativePrepacked(pl, a, b, cNat, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range cVM.Data {
@@ -121,7 +121,7 @@ func compareBackendsTRSM[E vec.Float](t *testing.T, rng *rand.Rand, p TRSMProble
 		t.Fatal(err)
 	}
 	bNat := b.Clone()
-	if err := ExecTRSMNative(pl, a, bNat); err != nil {
+	if err := ExecTRSMNativePrepacked(pl, a, bNat, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range bVM.Data {
@@ -146,7 +146,7 @@ func TestNativeLargeKChunking(t *testing.T) {
 		b := randCompact[float32](rng, vec.S, p.Count, 150, 4)
 		c := randCompact[float32](rng, vec.S, p.Count, 5, 4)
 		got := c.Clone()
-		if err := ExecGEMMNative(pl, a, b, got); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, got, nil, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		// Scalar oracle per matrix element.

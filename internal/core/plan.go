@@ -344,131 +344,33 @@ func (p TRSMProblem) FLOPs() float64 {
 	return p.DT.FlopsPerElem() / 2 * dim * dim * other * float64(p.Count)
 }
 
-// trsmStep is one panel's kernel pair within a column tile.
-type trsmStep struct {
-	r0, q   int              // panel rows
-	rectOff int              // element offset of the panel's rectangular part in the packed triangle
-	triOff  int              // element offset of the panel's triangular part
-	rect    map[int]asm.Prog // keyed by column-tile width
-	tri     map[int]asm.Prog
-}
-
 // TRSMPlan is a generated execution plan for a TRSMProblem.
 type TRSMPlan struct {
 	P   TRSMProblem
 	Tun Tuning
 
-	// Canonicalized geometry: the solver always runs Left/Lower/NoTrans.
-	MEff, NEff     int  // triangle dim and B width after side reduction
-	TransposeB     bool // Right side: solve against Bᵀ
-	ReverseB       bool // effective-upper: index-reversed
-	PackB          bool // B copied into a canonical buffer
-	Panels         []int
-	ColTiles       []int
-	GroupsPerBatch int
+	TriGeom
 
 	// Labels: optional pprof label context; see GEMMPlan.Labels.
 	Labels context.Context
 
 	// RT: the dispatching engine's Runtime; see GEMMPlan.RT.
 	RT *Runtime
-
-	steps []trsmStep
 }
 
 // NewTRSMPlan runs the run-time stage for a TRSM problem.
 func NewTRSMPlan(p TRSMProblem, tun Tuning) (*TRSMPlan, error) {
-	if p.M < 1 || p.N < 1 || p.Count < 1 {
-		return nil, fmt.Errorf("core: invalid TRSM problem %dx%d count %d", p.M, p.N, p.Count)
+	geo, err := newTriGeom("TRSM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun,
+		func(spec ktmpl.RectSpec) (asm.Prog, error) {
+			return tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMRect(spec) }, p.DT)
+		},
+		func(spec ktmpl.TriSpec) (asm.Prog, error) {
+			return tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMTri(spec) }, p.DT)
+		})
+	if err != nil {
+		return nil, err
 	}
-	if p.M > maxTriDim || p.N > maxTriDim {
-		return nil, fmt.Errorf("core: TRSM supports dimensions up to %d (got %dx%d); this is a small-matrix library", maxTriDim, p.M, p.N)
-	}
-	pl := &TRSMPlan{P: p, Tun: tun}
-
-	// Side reduction: X·op(A) = αB  ⇔  op(A)ᵀ·Xᵀ = αBᵀ.
-	transA := p.TransA == matrix.Transpose
-	pl.MEff, pl.NEff = p.M, p.N
-	if p.Side == matrix.Right {
-		pl.MEff, pl.NEff = p.N, p.M
-		pl.TransposeB = true
-		transA = !transA
-	}
-	upper := p.Uplo == matrix.Upper
-	pl.ReverseB = upper != transA // effective triangle is upper
-
-	// Pack Selector: B needs the canonical buffer only when its row order
-	// or orientation changes; the plain lower solve runs in place
-	// (§4.4's no-packing strategy for LNLN).
-	pl.PackB = pl.TransposeB || pl.ReverseB
-
-	// Panels: whole triangle in registers when it fits (M ≤ 5 real,
-	// M ≤ 3 complex); otherwise main-kernel-height panels.
-	if pl.MEff <= ktmpl.MaxTriM(p.DT) {
-		pl.Panels = []int{pl.MEff}
-	} else {
-		q := ktmpl.TRSMPanel(p.DT)
-		sizes := make([]int, 0, q)
-		for s := q; s >= 1; s-- {
-			sizes = append(sizes, s)
-		}
-		pl.Panels = ktmpl.SplitDim(pl.MEff, sizes)
-	}
-	ncSizes := make([]int, 0, 4)
-	for s := ktmpl.MainTRSMKernel(p.DT).NC; s >= 1; s-- {
-		ncSizes = append(ncSizes, s)
-	}
-	pl.ColTiles = ktmpl.SplitDim(pl.NEff, ncSizes)
-
-	// Batch Counter: packed triangle + B per group within L1.
-	vl := tun.lanes(p.DT)
-	bl := blockLen(p.DT, vl)
-	triElems := (pl.MEff * (pl.MEff + 1) / 2) * bl
-	perGroup := (triElems + pl.MEff*pl.NEff*bl) * p.DT.ElemBytes()
-	gb := tun.l1() / perGroup
-	if gb < 1 {
-		gb = 1
-	}
-	if tun.ForceGroupsPerBatch > 0 {
-		gb = tun.ForceGroupsPerBatch
-	}
-	pack := p.DT.Pack()
-	if tun.VL > 0 {
-		pack = tun.VL
-	}
-	maxGroups := (p.Count + pack - 1) / pack
-	if gb > maxGroups {
-		gb = maxGroups
-	}
-	pl.GroupsPerBatch = gb
-
-	// Kernels per panel × column-tile width.
-	r0, off := 0, 0
-	for _, q := range pl.Panels {
-		st := trsmStep{r0: r0, q: q, rectOff: off, triOff: off + q*r0*bl,
-			rect: map[int]asm.Prog{}, tri: map[int]asm.Prog{}}
-		for _, ct := range dedupe(pl.ColTiles) {
-			if r0 > 0 {
-				spec := ktmpl.RectSpec{DT: p.DT, MC: q, NC: ct, K: r0,
-					StrideC: pl.MEff, StrideX: pl.MEff, VL: tun.VL}
-				prog, err := tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMRect(spec) }, p.DT)
-				if err != nil {
-					return nil, err
-				}
-				st.rect[ct] = prog
-			}
-			spec := ktmpl.TriSpec{DT: p.DT, M: q, NCols: ct, StrideB: pl.MEff, VL: tun.VL}
-			prog, err := tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMTri(spec) }, p.DT)
-			if err != nil {
-				return nil, err
-			}
-			st.tri[ct] = prog
-		}
-		pl.steps = append(pl.steps, st)
-		off += (q*r0 + q*(q+1)/2) * bl
-		r0 += q
-	}
-	return pl, nil
+	return &TRSMPlan{P: p, Tun: tun, TriGeom: geo}, nil
 }
 
 func dedupe(xs []int) []int {

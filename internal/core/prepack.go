@@ -84,62 +84,34 @@ func PrepackGEMMB[E vec.Float](pl *GEMMPlan, b *layout.Compact[E], dst []E) erro
 
 // PrepackTriLen returns the element length of a full prepacked triangle
 // for `groups` interleave groups.
-func (pl *TRSMPlan) PrepackTriLen(groups int) int {
-	bl := blockLen(pl.P.DT, pl.P.DT.Pack())
-	return groups * pack.TriLen(bl, pl.Panels)
+func (g *TriGeom) PrepackTriLen(groups int) int {
+	return groups * pack.TriLen(blockLen(g.dt, g.dt.Pack()), g.Panels)
 }
 
 // PrepackTRSMTri packs every group of the triangle into dst with the
 // reciprocal diagonal the TRSM solve kernels consume. dst must hold
 // PrepackTriLen(a.Groups()) elements.
 func PrepackTRSMTri[E vec.Float](pl *TRSMPlan, a *layout.Compact[E], dst []E) error {
-	p := pl.P
-	want := pl.PrepackTriLen(a.Groups())
-	if len(dst) < want {
-		return fmt.Errorf("core: prepack tri buffer has %d elements, need %d", len(dst), want)
-	}
-	vl := p.DT.Pack()
-	bl := blockLen(p.DT, vl)
-	lenA := pl.MEff * pl.MEff * bl
-	lenTri := pack.TriLen(bl, pl.Panels)
-	transAEff := p.TransA == matrix.Transpose
-	if p.Side == matrix.Right {
-		transAEff = !transAEff
-	}
-	effUpper := (p.Uplo == matrix.Upper) != transAEff
-	for g := 0; g < a.Groups(); g++ {
-		npackTri(a.Data[g*lenA:(g+1)*lenA], pl.MEff, effUpper, transAEff,
-			p.Diag == matrix.Unit, true, pl.Panels, p.DT.IsComplex(), vl, bl, dst[g*lenTri:])
-	}
-	return nil
-}
-
-// PrepackTriLen is the TRMM twin of TRSMPlan.PrepackTriLen.
-func (pl *TRMMPlan) PrepackTriLen(groups int) int {
-	bl := blockLen(pl.P.DT, pl.P.DT.Pack())
-	return groups * pack.TriLen(bl, pl.Panels)
+	return prepackTri(&pl.TriGeom, pl.P.Diag == matrix.Unit, true, a, dst)
 }
 
 // PrepackTRMMTri packs every group of the triangle into dst with the
 // true diagonal the TRMM multiply kernels consume.
 func PrepackTRMMTri[E vec.Float](pl *TRMMPlan, a *layout.Compact[E], dst []E) error {
-	p := pl.P
-	want := pl.PrepackTriLen(a.Groups())
-	if len(dst) < want {
+	return prepackTri(&pl.TriGeom, pl.P.Diag == matrix.Unit, false, a, dst)
+}
+
+func prepackTri[E vec.Float](g *TriGeom, unit, recip bool, a *layout.Compact[E], dst []E) error {
+	if want := g.PrepackTriLen(a.Groups()); len(dst) < want {
 		return fmt.Errorf("core: prepack tri buffer has %d elements, need %d", len(dst), want)
 	}
-	vl := p.DT.Pack()
-	bl := blockLen(p.DT, vl)
-	lenA := pl.MEff * pl.MEff * bl
-	lenTri := pack.TriLen(bl, pl.Panels)
-	transAEff := p.TransA == matrix.Transpose
-	if p.Side == matrix.Right {
-		transAEff = !transAEff
-	}
-	effUpper := (p.Uplo == matrix.Upper) != transAEff
-	for g := 0; g < a.Groups(); g++ {
-		npackTri(a.Data[g*lenA:(g+1)*lenA], pl.MEff, effUpper, transAEff,
-			p.Diag == matrix.Unit, false, pl.Panels, p.DT.IsComplex(), vl, bl, dst[g*lenTri:])
+	vl := g.dt.Pack()
+	bl := blockLen(g.dt, vl)
+	lenA := g.MEff * g.MEff * bl
+	lenTri := pack.TriLen(bl, g.Panels)
+	for grp := 0; grp < a.Groups(); grp++ {
+		npackTri(a.Data[grp*lenA:(grp+1)*lenA], g.MEff, g.ReverseB, g.transA,
+			unit, recip, g.Panels, g.dt.IsComplex(), vl, bl, dst[grp*lenTri:])
 	}
 	return nil
 }

@@ -8,10 +8,9 @@ import (
 	"iatf/internal/vec"
 )
 
-// Prepacked operands and the streaming pack/compute pipeline are pure
-// reorderings of the same packing kernels: their results must match the
-// always-packing, never-pipelining VM backend bit for bit, for every
-// worker count.
+// Prepacked operands are a pure reordering of the same packing kernels:
+// results with and without them must match the always-packing VM
+// backend bit for bit, for every worker count.
 
 func TestPrepackedGEMMParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
@@ -37,8 +36,8 @@ func TestPrepackedGEMMParity(t *testing.T) {
 
 func prepackedGEMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProblem) {
 	t.Helper()
-	// ForceGroupsPerBatch=1 maximizes the chunk count so every worker
-	// split takes the double-buffered pipeline, not the sync fallback.
+	// ForceGroupsPerBatch=1 maximizes the chunk count, so every worker
+	// split runs several super-batches through its slot buffers.
 	tun := DefaultTuning()
 	tun.ForceGroupsPerBatch = 1
 	pl, err := NewGEMMPlan(p, tun)
@@ -79,12 +78,12 @@ func prepackedGEMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProble
 	}
 
 	for _, workers := range []int{1, 3} {
-		// Pipelined pack-per-call path.
+		// Pack-per-call path.
 		got := c.Clone()
-		if err := ExecGEMMNativeParallel(pl, a, b, got, workers); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, got, nil, nil, workers); err != nil {
 			t.Fatal(err)
 		}
-		diffCompact(t, "pipelined", p.Mode(), workers, want.Data, got.Data)
+		diffCompact(t, "pack-per-call", p.Mode(), workers, want.Data, got.Data)
 
 		// Prepacked path: the pack phase is skipped entirely.
 		got = c.Clone()
@@ -157,10 +156,10 @@ func prepackedTRSMParity[E vec.Float](t *testing.T, rng *rand.Rand, p TRSMProble
 
 	for _, workers := range []int{1, 3} {
 		got := b.Clone()
-		if err := ExecTRSMNativeParallel(pl, a, got, workers); err != nil {
+		if err := ExecTRSMNativePrepacked(pl, a, got, nil, workers); err != nil {
 			t.Fatal(err)
 		}
-		diffCompact(t, "pipelined", p.Mode(), workers, want.Data, got.Data)
+		diffCompact(t, "pack-per-call", p.Mode(), workers, want.Data, got.Data)
 
 		got = b.Clone()
 		if err := ExecTRSMNativePrepacked(pl, a, got, preTri, workers); err != nil {
@@ -215,10 +214,10 @@ func prepackedTRMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p TRMMProble
 
 	for _, workers := range []int{1, 3} {
 		got := b.Clone()
-		if err := ExecTRMMNativeParallel(pl, a, got, workers); err != nil {
+		if err := ExecTRMMNativePrepacked(pl, a, got, nil, workers); err != nil {
 			t.Fatal(err)
 		}
-		diffCompact(t, "pipelined", p.Mode(), workers, want.Data, got.Data)
+		diffCompact(t, "pack-per-call", p.Mode(), workers, want.Data, got.Data)
 
 		got = b.Clone()
 		if err := ExecTRMMNativePrepacked(pl, a, got, preTri, workers); err != nil {
@@ -300,15 +299,15 @@ func TestPrepackReflectsOperandContents(t *testing.T) {
 }
 
 // Every bufpool.Get in the native executors is paired with a Put on all
-// paths (pipelined, prepacked, sync fallback): after a quiescent sweep
-// over the op/mode matrix the in-use gauge must return to its baseline
-// and no double-returns may have been counted.
+// paths (pack-per-call, prepacked, chained): after a quiescent sweep over
+// the op/mode matrix the in-use gauge must return to its baseline and no
+// double-returns may have been counted.
 func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(315))
 	// Plans without a stamped Runtime fall back to the process default pool.
 	before := DefaultRuntime().Bufs.Snapshot()
 
-	for _, force := range []int{0, 1} { // default chunking and max pipelining
+	for _, force := range []int{0, 1} { // default chunking and one group per super-batch
 		tun := DefaultTuning()
 		tun.ForceGroupsPerBatch = force
 		for _, workers := range []int{1, 3} {
@@ -320,7 +319,7 @@ func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
 			a := randCompact[float32](rng, vec.S, p.Count, 8, 8)
 			b := randCompact[float32](rng, vec.S, p.Count, 8, 8)
 			c := randCompact[float32](rng, vec.S, p.Count, 8, 8)
-			if err := ExecGEMMNativeParallel(pl, a, b, c, workers); err != nil {
+			if err := ExecGEMMNativePrepacked(pl, a, b, c, nil, nil, workers); err != nil {
 				t.Fatal(err)
 			}
 			preA := make([]float32, pl.PrepackALen(a.Groups()))
@@ -349,7 +348,7 @@ func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
 				}
 			}
 			tb := randCompact[float32](rng, vec.S, tp.Count, tp.M, tp.N)
-			if err := ExecTRSMNativeParallel(tpl, ta, tb, workers); err != nil {
+			if err := ExecTRSMNativePrepacked(tpl, ta, tb, nil, workers); err != nil {
 				t.Fatal(err)
 			}
 
@@ -359,8 +358,31 @@ func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ExecTRMMNativeParallel(mpl, ta, tb, workers); err != nil {
+			if err := ExecTRMMNativePrepacked(mpl, ta, tb, nil, workers); err != nil {
 				t.Fatal(err)
+			}
+
+			// Upper triangles reverse B: the worker writes a slot
+			// buffer, and in a chain the handed-over image instead.
+			tp.Uplo, mp.Uplo = matrix.Upper, matrix.Upper
+			utpl, err := NewTRSMPlan(tp, tun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			umpl, err := NewTRMMPlan(mp, tun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := make([]float32, len(tb.Data))
+			for _, run := range []func(in, out []float32) error{
+				func(in, out []float32) error { return ExecTRSMNativeChained(utpl, ta, tb, nil, in, out, workers) },
+				func(in, out []float32) error { return ExecTRMMNativeChained(umpl, ta, tb, nil, in, out, workers) },
+			} {
+				for _, io := range [][2][]float32{{nil, nil}, {nil, img}, {img, img}, {img, nil}} {
+					if err := run(io[0], io[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}

@@ -176,12 +176,12 @@ func TestParallelWorkersProperty(t *testing.T) {
 		b := randCompact[float32](rng, vec.S, p.Count, br, p.N)
 		c := randCompact[float32](rng, vec.S, p.Count, p.M, p.N)
 		c1 := c.Clone()
-		if err := ExecGEMMNativeParallel(pl, a, b, c1, 1); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, c1, nil, nil, 1); err != nil {
 			t.Log(err)
 			return false
 		}
 		cw := c.Clone()
-		if err := ExecGEMMNativeParallel(pl, a, b, cw, workers); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, cw, nil, nil, workers); err != nil {
 			t.Log(err)
 			return false
 		}

@@ -89,14 +89,9 @@ func NewSYRKPlan(p SYRKProblem, tun Tuning) (*SYRKPlan, error) {
 	return pl, nil
 }
 
-// ExecSYRKNative runs the plan with the native kernels, updating the
-// requested triangle of C in place.
-func ExecSYRKNative[E vec.Float](pl *SYRKPlan, a, c *layout.Compact[E]) error {
-	return ExecSYRKNativeParallel(pl, a, c, 1)
-}
-
-// ExecSYRKNativeParallel is ExecSYRKNative with worker-parallel groups.
-// workers <= 0 means auto (GOMAXPROCS).
+// ExecSYRKNativeParallel runs the plan with the native kernels,
+// updating the requested triangle of C in place, with worker-parallel
+// groups. workers <= 0 means auto (GOMAXPROCS).
 func ExecSYRKNativeParallel[E vec.Float](pl *SYRKPlan, a, c *layout.Compact[E], workers int) error {
 	p := pl.P
 	if pl.Tun.VL != 0 && pl.Tun.VL != p.DT.Pack() {

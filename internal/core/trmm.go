@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"iatf/internal/asm"
-	"iatf/internal/bufpool"
-	"iatf/internal/kernels"
 	"iatf/internal/ktmpl"
 	"iatf/internal/layout"
 	"iatf/internal/machine"
@@ -51,35 +49,19 @@ func (p TRMMProblem) FLOPs() float64 {
 	return p.DT.FlopsPerElem() / 2 * dim * dim * other * float64(p.Count)
 }
 
-// TRMMPlan is the generated execution plan; the geometry fields have the
-// same meaning as in TRSMPlan.
+// TRMMPlan is the generated execution plan; its geometry is the one
+// TRSMPlan embeds.
 type TRMMPlan struct {
 	P   TRMMProblem
 	Tun Tuning
 
-	MEff, NEff     int
-	TransposeB     bool
-	ReverseB       bool
-	PackB          bool
-	Panels         []int
-	ColTiles       []int
-	GroupsPerBatch int
+	TriGeom
 
 	// Labels: optional pprof label context; see GEMMPlan.Labels.
 	Labels context.Context
 
 	// RT: per-engine execution resources; see GEMMPlan.RT.
 	RT *Runtime
-
-	steps []trmmStep
-}
-
-type trmmStep struct {
-	r0, q   int
-	rectOff int
-	triOff  int
-	rect    map[int]asm.Prog // IR kernels for the VM/cycle backend
-	tri     map[int]asm.Prog
 }
 
 // distinct cache-key wrappers: TriSpec/RectSpec are shared with TRSM but
@@ -89,255 +71,17 @@ type trmmRectKey struct{ s ktmpl.RectSpec }
 
 // NewTRMMPlan runs the run-time stage for a TRMM problem.
 func NewTRMMPlan(p TRMMProblem, tun Tuning) (*TRMMPlan, error) {
-	if p.M < 1 || p.N < 1 || p.Count < 1 {
-		return nil, fmt.Errorf("core: invalid TRMM problem %dx%d count %d", p.M, p.N, p.Count)
+	geo, err := newTriGeom("TRMM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun,
+		func(spec ktmpl.RectSpec) (asm.Prog, error) {
+			return tun.cached(trmmRectKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMRect(spec) }, p.DT)
+		},
+		func(spec ktmpl.TriSpec) (asm.Prog, error) {
+			return tun.cached(trmmTriKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMTri(spec) }, p.DT)
+		})
+	if err != nil {
+		return nil, err
 	}
-	if p.M > maxTriDim || p.N > maxTriDim {
-		return nil, fmt.Errorf("core: TRMM supports dimensions up to %d (got %dx%d)", maxTriDim, p.M, p.N)
-	}
-	pl := &TRMMPlan{P: p, Tun: tun}
-
-	transA := p.TransA == matrix.Transpose
-	pl.MEff, pl.NEff = p.M, p.N
-	if p.Side == matrix.Right {
-		pl.MEff, pl.NEff = p.N, p.M
-		pl.TransposeB = true
-		transA = !transA
-	}
-	upper := p.Uplo == matrix.Upper
-	pl.ReverseB = upper != transA
-	pl.PackB = pl.TransposeB || pl.ReverseB
-
-	if pl.MEff <= ktmpl.MaxTriM(p.DT) {
-		pl.Panels = []int{pl.MEff}
-	} else {
-		q := ktmpl.TRSMPanel(p.DT)
-		pl.Panels = ktmpl.SplitDim(pl.MEff, descending(q))
-	}
-	pl.ColTiles = ktmpl.SplitDim(pl.NEff, descending(ktmpl.MainTRSMKernel(p.DT).NC))
-
-	vl := tun.lanes(p.DT)
-	bl := blockLen(p.DT, vl)
-	triElems := (pl.MEff * (pl.MEff + 1) / 2) * bl
-	perGroup := (triElems + pl.MEff*pl.NEff*bl) * p.DT.ElemBytes()
-	gb := tun.l1() / perGroup
-	if gb < 1 {
-		gb = 1
-	}
-	if tun.ForceGroupsPerBatch > 0 {
-		gb = tun.ForceGroupsPerBatch
-	}
-	maxGroups := (p.Count + p.DT.Pack() - 1) / p.DT.Pack()
-	if gb > maxGroups {
-		gb = maxGroups
-	}
-	pl.GroupsPerBatch = gb
-
-	r0, off := 0, 0
-	for _, q := range pl.Panels {
-		st := trmmStep{r0: r0, q: q, rectOff: off, triOff: off + q*r0*bl,
-			rect: map[int]asm.Prog{}, tri: map[int]asm.Prog{}}
-		for _, ct := range dedupe(pl.ColTiles) {
-			if r0 > 0 {
-				spec := ktmpl.RectSpec{DT: p.DT, MC: q, NC: ct, K: r0,
-					StrideC: pl.MEff, StrideX: pl.MEff, VL: tun.VL}
-				prog, err := tun.cached(trmmRectKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMRect(spec) }, p.DT)
-				if err != nil {
-					return nil, err
-				}
-				st.rect[ct] = prog
-			}
-			spec := ktmpl.TriSpec{DT: p.DT, M: q, NCols: ct, StrideB: pl.MEff, VL: tun.VL}
-			prog, err := tun.cached(trmmTriKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMTri(spec) }, p.DT)
-			if err != nil {
-				return nil, err
-			}
-			st.tri[ct] = prog
-		}
-		pl.steps = append(pl.steps, st)
-		off += (q*r0 + q*(q+1)/2) * bl
-		r0 += q
-	}
-	return pl, nil
-}
-
-// ExecTRMMNative runs the plan with the native kernels, overwriting B.
-func ExecTRMMNative[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E]) error {
-	return ExecTRMMNativeParallel(pl, a, b, 1)
-}
-
-// ExecTRMMNativeParallel is ExecTRMMNative with worker-parallel groups.
-// workers <= 0 means auto (GOMAXPROCS).
-func ExecTRMMNativeParallel[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E], workers int) error {
-	return ExecTRMMNativePrepacked(pl, a, b, nil, workers)
-}
-
-// ExecTRMMNativePrepacked is ExecTRMMNativeParallel consuming a
-// prepacked triangle: preTri, when non-nil, must hold the output of
-// PrepackTRMMTri for this plan (group-indexed, per PrepackTriLen), and
-// the per-call triangle pack is skipped. nil falls back to packing per
-// call.
-func ExecTRMMNativePrepacked[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E], preTri []E, workers int) error {
-	p := pl.P
-	if pl.Tun.VL != 0 && pl.Tun.VL != p.DT.Pack() {
-		return fmt.Errorf("core: native execution requires the native lane count")
-	}
-	if a.Count != p.Count || b.Count != p.Count {
-		return fmt.Errorf("core: batch count mismatch")
-	}
-	if a.Rows != pl.MEff || a.Cols != pl.MEff || b.Rows != p.M || b.Cols != p.N {
-		return fmt.Errorf("core: shape mismatch A=%dx%d B=%dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if preTri != nil && len(preTri) < pl.PrepackTriLen(a.Groups()) {
-		return fmt.Errorf("core: prepacked tri has %d elements, need %d", len(preTri), pl.PrepackTriLen(a.Groups()))
-	}
-	pl.RT.or().Sched.RunLabeled(pl.Labels, a.Groups(), workers, pl.GroupsPerBatch, func(lo, hi int) {
-		trmmWorker(pl, a, b, preTri, lo, hi)
-	})
-	return nil
-}
-
-func trmmWorker[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E], preTri []E, gLo, gHi int) {
-	p := pl.P
-	vl := p.DT.Pack()
-	bl := blockLen(p.DT, vl)
-	cplx := p.DT.IsComplex()
-	lenA := pl.MEff * pl.MEff * bl
-	lenB := p.M * p.N * bl
-	lenTri := pack.TriLen(bl, pl.Panels)
-	transAEff := p.TransA == matrix.Transpose
-	if p.Side == matrix.Right {
-		transAEff = !transAEff
-	}
-	effUpper := (p.Uplo == matrix.Upper) != transAEff
-
-	gb := pl.GroupsPerBatch
-	needTri := preTri == nil
-	needScale := p.Alpha != 1
-	needPack := needTri || pl.PackB || needScale
-
-	pipelined := needPack && gHi-gLo > gb
-	nBuf := 1
-	if pipelined {
-		nBuf = 2
-	}
-	rt := pl.RT.or()
-	var packTri []E
-	if needTri {
-		bufTri := bufpool.Get[E](rt.Bufs, nBuf*gb*lenTri)
-		defer bufpool.Put(rt.Bufs, bufTri)
-		packTri = bufTri.Slice()
-	}
-	var packB []E
-	lenPB := 0
-	if pl.PackB {
-		lenPB = pl.MEff * pl.NEff * bl
-		bufB := bufpool.Get[E](rt.Bufs, nBuf*gb*lenPB)
-		defer bufpool.Put(rt.Bufs, bufB)
-		packB = bufB.Slice()
-	}
-
-	args := triPackArgs[E]{
-		a: a, b: b, panels: pl.Panels, packTri: packTri, packB: packB,
-		mEff: pl.MEff, nEff: pl.NEff,
-		lenA: lenA, lenB: lenB, lenTri: lenTri, lenPB: lenPB,
-		effUpper: effUpper, transAEff: transAEff,
-		unit: p.Diag == matrix.Unit, recip: false,
-		reverseB: pl.ReverseB, transposeB: pl.TransposeB,
-		alphaRe: real(p.Alpha), alphaIm: imag(p.Alpha), scale: needScale,
-		cplx: cplx, vl: vl, bl: bl, gb: gb,
-	}
-
-	var pipe *triPipe[E]
-	if pipelined {
-		pipe = getTriPipe[E]()
-		pipe.args = args
-		pipe.gLo, pipe.gHi = gLo, gHi
-		pipe.free <- 0
-		pipe.free <- 1
-		if !submitPipe(pipe) {
-			<-pipe.free
-			<-pipe.free
-			putTriPipe(pipe)
-			pipe, pipelined = nil, false
-			pipeFallbacks.Add(1)
-		}
-	}
-
-	nChunks := (gHi - gLo + gb - 1) / gb
-	ci := 0
-	for sb := gLo; sb < gHi; sb += gb {
-		end := sb + gb
-		if end > gHi {
-			end = gHi
-		}
-		slotBase := 0
-		if pipelined {
-			var par int
-			select {
-			case par = <-pipe.ready:
-			default:
-				pipeStalls.Add(1)
-				par = <-pipe.ready
-			}
-			slotBase = par * gb
-		} else if needPack {
-			args.packChunk(sb, end, 0)
-		}
-		for g := sb; g < end; g++ {
-			slot := slotBase + (g - sb)
-			var tri []E
-			if needTri {
-				tri = packTri[slot*lenTri:]
-			} else {
-				tri = preTri[g*lenTri:]
-			}
-			var target []E
-			if pl.PackB {
-				target = packB[slot*lenPB:]
-			} else {
-				target = b.Data[g*lenB:]
-			}
-			j0 := 0
-			for _, ct := range pl.ColTiles {
-				colBase := j0 * pl.MEff * bl
-				// Bottom-up: each panel multiplies its own rows before
-				// any panel above it is touched, so the rectangular
-				// accumulation always reads original values.
-				for s := len(pl.steps) - 1; s >= 0; s-- {
-					st := pl.steps[s]
-					if cplx {
-						kernels.TriMulCplx(tri[st.triOff:], target[colBase+st.r0*bl:], st.q, ct, pl.MEff, vl)
-					} else {
-						kernels.TriMul(tri[st.triOff:], target[colBase+st.r0*bl:], st.q, ct, pl.MEff, vl)
-					}
-					if st.r0 > 0 {
-						if cplx {
-							kernels.RectAddCplx(tri[st.rectOff:], target[colBase:],
-								target[colBase+st.r0*bl:], st.q, ct, st.r0, pl.MEff, pl.MEff, vl)
-						} else {
-							kernels.RectAdd(tri[st.rectOff:], target[colBase:],
-								target[colBase+st.r0*bl:], st.q, ct, st.r0, pl.MEff, pl.MEff, vl)
-						}
-					}
-				}
-				j0 += ct
-			}
-		}
-		if pl.PackB {
-			for g := sb; g < end; g++ {
-				slot := slotBase + (g - sb)
-				nBUncopy(b.Data[g*lenB:(g+1)*lenB], p.M, p.N, pl.ReverseB, pl.TransposeB, bl, packB[slot*lenPB:])
-			}
-		}
-		if pipelined && ci+2 < nChunks {
-			pipe.free <- slotBase / gb
-		}
-		ci++
-	}
-	if pipelined {
-		putTriPipe(pipe)
-	}
+	return &TRMMPlan{P: p, Tun: tun, TriGeom: geo}, nil
 }
 
 // trmmLayout lays out the VM arena for the TRMM sim/VM backend (same
@@ -361,7 +105,7 @@ func trmmLayout(pl *TRMMPlan, groups int) trsmOffsets {
 }
 
 // runTRMM executes the plan on the VM backend, optionally feeding the
-// pipeline model — the cycle-model twin of trmmWorker.
+// pipeline model — the cycle-model twin of the native triWorker.
 func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machine.Sim) error {
 	p := pl.P
 	vm := &asm.VM[E]{Mem: ar.mem}

@@ -28,7 +28,7 @@ func checkTRMM[T matrix.Scalar, E vec.Float](t *testing.T, dt vec.DType, p TRMMP
 	if err != nil {
 		t.Fatalf("%v %s M=%d N=%d: %v", dt, p.Mode(), p.M, p.N, err)
 	}
-	if err := ExecTRMMNativeParallel(pl, ca, cb, workers); err != nil {
+	if err := ExecTRMMNativePrepacked(pl, ca, cb, nil, workers); err != nil {
 		t.Fatalf("%v %s M=%d N=%d: %v", dt, p.Mode(), p.M, p.N, err)
 	}
 	got := fromCompact[T, E](cb)
@@ -138,7 +138,7 @@ func compareTRMMBackends[E vec.Float](t *testing.T, rng *rand.Rand, pl *TRMMPlan
 		t.Fatalf("%v %s: %v", p.DT, p.Mode(), err)
 	}
 	bNat := b.Clone()
-	if err := ExecTRMMNative(pl, a, bNat); err != nil {
+	if err := ExecTRMMNativePrepacked(pl, a, bNat, nil, 1); err != nil {
 		t.Fatalf("%v %s: %v", p.DT, p.Mode(), err)
 	}
 	for i := range bVM.Data {
@@ -223,7 +223,7 @@ func TestSYRKPlanAndExec(t *testing.T) {
 	a := randCompact[float64](rng, vec.D, p.Count, 6, 9)
 	c := randCompact[float64](rng, vec.D, p.Count, 6, 6)
 	got := c.Clone()
-	if err := ExecSYRKNative(plan, a, got); err != nil {
+	if err := ExecSYRKNativeParallel(plan, a, got, 1); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < p.Count; v++ {

@@ -187,11 +187,12 @@ type submitQueue struct {
 	// coalescing become deterministic.
 	testHook func(drained int)
 
-	// steal, installed by an EngineSet before the dispatcher starts, lets
-	// this engine's dispatcher pull queued requests from a sibling shard
-	// when its own queue runs dry. It appends the stolen requests to
-	// *batch and returns how many were taken. nil for solo engines —
-	// their dispatcher blocks on the queue with no polling.
+	// steal, installed by an EngineSet of two or more shards before the
+	// dispatcher starts, lets this engine's dispatcher pull queued
+	// requests from a sibling shard when its own queue runs dry. It
+	// appends the stolen requests to *batch and returns how many were
+	// taken. nil for solo engines and one-shard sets — their dispatcher
+	// blocks on the queue with no polling.
 	steal func(batch *[]*asyncReq) int
 
 	stolenBatches atomic.Uint64 // steal attempts that took work (thief side)
@@ -451,7 +452,7 @@ const stealPollInterval = 200 * time.Microsecond
 
 // dispatchLoop is the per-engine dispatcher: block for one request,
 // drain everything else that accumulated, execute the batch. When the
-// engine is an EngineSet shard (q.steal != nil) the wait is a timed poll
+// engine is a shard with siblings (q.steal != nil) the wait is a timed poll
 // instead of a plain block: an idle dispatcher periodically pulls queued
 // requests from the deepest sibling queue and executes them here —
 // bounded work stealing, so one hot shard cannot serialize the set while

@@ -441,15 +441,11 @@ type Stats struct {
 
 	// Persistent worker pool (this engine's Runtime).
 	Sched sched.Stats
-
-	// Streaming pack/compute pipeline (process-wide).
-	Pipeline core.PipelineStats
 }
 
 // Add accumulates another engine's counters into s — the cross-shard
 // aggregate view of an EngineSet. Shapes and Tenants are NOT merged here
-// (the set merges them once via obs.AggregateShapes/AggregateTenants);
-// Pipeline is process-wide state and is kept, not summed.
+// (the set merges them once via obs.AggregateShapes/AggregateTenants).
 func (s *Stats) Add(o Stats) {
 	s.PlanHits += o.PlanHits
 	s.PlanMisses += o.PlanMisses
@@ -525,7 +521,6 @@ func (e *Engine) Stats() Stats {
 		Tenants:       e.obs.TenantSnapshots(),
 		Buffers:       e.rt.Bufs.Snapshot(),
 		Sched:         e.rt.Sched.Snapshot(),
-		Pipeline:      core.PipelineSnapshot(),
 	}
 }
 

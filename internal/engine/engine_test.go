@@ -290,7 +290,7 @@ func TestEngineMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cRef := c0.Clone()
-	if err := core.ExecGEMMNative(pl, a, b, cRef); err != nil {
+	if err := core.ExecGEMMNativePrepacked(pl, a, b, cRef, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 

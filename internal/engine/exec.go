@@ -234,15 +234,6 @@ func prepacked[E vec.Float](e *Engine, r *stageRun, c *layout.Compact[E], s int,
 	return data, ent, nil
 }
 
-// triView is the geometry TRSM and TRMM plans share field for field;
-// reading it from either plan type lets both ops run one executor path
-// and render through one triTrace.
-type triView struct {
-	packB, reverse, transpose bool
-	panels, colTiles          []int
-	gpb                       int
-}
-
 // execStage runs one stage on the native kernels: it splices the call's
 // scalars and count into a stack copy of the cached plan, resolves
 // prepacked operands, executes, and retires packed images of the
@@ -321,16 +312,14 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 	// TRSM and TRMM: the kind picks the plan type's calls, nothing else.
 	bC := compactOf[E](st.Ops[1])
 	var (
-		tv      triView
-		triLen  int
+		geo     *core.TriGeom
 		packTri func(dst []E) error
 		run     func(pre, inB, outB []E) error
 	)
 	if r.key.kind == OpTRSM {
 		pl := *r.pv.(*core.TRSMPlan)
 		pl.P.Alpha, pl.P.Count, pl.RT, pl.Labels = op.Alpha, r.count, e.rt, labels
-		tv = triView{pl.PackB, pl.ReverseB, pl.TransposeB, pl.Panels, pl.ColTiles, pl.GroupsPerBatch}
-		triLen = pl.PrepackTriLen(aC.Groups())
+		geo = &pl.TriGeom
 		packTri = func(dst []E) error { return core.PrepackTRSMTri(&pl, aC, dst) }
 		run = func(pre, inB, outB []E) error {
 			return core.ExecTRSMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
@@ -338,17 +327,16 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 	} else {
 		pl := *r.pv.(*core.TRMMPlan)
 		pl.P.Alpha, pl.P.Count, pl.RT, pl.Labels = op.Alpha, r.count, e.rt, labels
-		tv = triView{pl.PackB, pl.ReverseB, pl.TransposeB, pl.Panels, pl.ColTiles, pl.GroupsPerBatch}
-		triLen = pl.PrepackTriLen(aC.Groups())
+		geo = &pl.TriGeom
 		packTri = func(dst []E) error { return core.PrepackTRMMTri(&pl, aC, dst) }
 		run = func(pre, inB, outB []E) error {
 			return core.ExecTRMMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
 		}
 	}
 	if r.trace != nil {
-		r.trace(triTrace(op, r.key, r.count, &tv, bC.Groups(), r.outcome))
+		r.trace(triTrace(op, r.key, r.count, geo, bC.Groups(), r.outcome))
 	}
-	pre, ent, err := prepacked(e, r, aC, 0, roleTri, triLen, packTri)
+	pre, ent, err := prepacked(e, r, aC, 0, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
 	r.sp.Mark(obs.PhasePack, t0)
 	if err == nil {
 		handoff := r.donated || r.elideOut
@@ -371,7 +359,7 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		}
 		if err == nil && r.elideOut {
 			e.scatterElided.Add(1)
-			cb.live, cb.b, cb.rev, cb.trans = true, bC, tv.reverse, tv.transpose
+			cb.live, cb.b, cb.rev, cb.trans = true, bC, geo.ReverseB, geo.TransposeB
 		} else if err == nil || !handoff {
 			cb.drop(e)
 			bC.Invalidate()

@@ -4,7 +4,7 @@
 // the process linking a metrics library. One scrape = one Stats snapshot
 // rendered as families: engine-level counters and gauges (plan cache,
 // pack cache, submission queue incl. the depth high-water mark and the
-// queue-wait histogram, buffer pools, worker pool, pipeline) plus
+// queue-wait histogram, buffer pools, worker pool) plus
 // per-shape series labeled {op, dtype, mode, shape} with achieved-vs-
 // ceiling GFLOPS — the paper's predicted-vs-achieved methodology as a
 // live surface.
@@ -81,18 +81,6 @@ func (o *omWriter) counter(name, labels string, v uint64) {
 
 func (o *omWriter) gauge(name, labels string, v float64) {
 	o.printf("%s%s %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// counters emits a family of single-sample counter metrics under a
-// shared prefix.
-func (o *omWriter) counters(prefix string, samples []struct {
-	name string
-	v    uint64
-}) {
-	for _, s := range samples {
-		o.family(prefix+s.name, "counter")
-		o.counter(prefix+s.name, "", s.v)
-	}
 }
 
 // metricsEntry is one stats source of a multi-engine scrape: shard is
@@ -286,19 +274,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 	for i := range entries {
 		o.histogram("iatf_queue_wait_seconds", entries[i].frag(), entries[i].st.Queue.Wait)
 	}
-
-	// The streaming pipeline is process-wide state, identical in every
-	// entry: one unlabeled sample from the first.
-	pipe := entries[0].st.Pipeline
-	o.counters("iatf_pipeline_", []struct {
-		name string
-		v    uint64
-	}{
-		{"chunks", pipe.Chunks}, {"stalls", pipe.Stalls},
-		{"fallbacks", pipe.Fallbacks},
-	})
-	o.family("iatf_pipeline_packers", "gauge")
-	o.gauge("iatf_pipeline_packers", "", float64(pipe.Packers))
 
 	if set != nil {
 		o.family("iatf_set_shards", "gauge")

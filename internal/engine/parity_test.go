@@ -82,7 +82,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		if err != nil {
 			t.Fatalf("GEMM direct plan count=%d: %v", count, err)
 		}
-		if err := core.ExecGEMMNative(pl, a, b, c); err != nil {
+		if err := core.ExecGEMMNativePrepacked(pl, a, b, c, nil, nil, 1); err != nil {
 			t.Fatalf("GEMM direct exec count=%d: %v", count, err)
 		}
 		requireBitExact(t, "GEMM", count, c, cEng)
@@ -102,7 +102,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		if err != nil {
 			t.Fatalf("TRSM direct plan count=%d: %v", count, err)
 		}
-		if err := core.ExecTRSMNative(spl, at, bt); err != nil {
+		if err := core.ExecTRSMNativePrepacked(spl, at, bt, nil, 1); err != nil {
 			t.Fatalf("TRSM direct exec count=%d: %v", count, err)
 		}
 		requireBitExact(t, "TRSM", count, bt, btEng)
@@ -120,7 +120,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		if err != nil {
 			t.Fatalf("TRMM direct plan count=%d: %v", count, err)
 		}
-		if err := core.ExecTRMMNative(mpl, at, bm); err != nil {
+		if err := core.ExecTRMMNativePrepacked(mpl, at, bm, nil, 1); err != nil {
 			t.Fatalf("TRMM direct exec count=%d: %v", count, err)
 		}
 		requireBitExact(t, "TRMM", count, bm, bmEng)
@@ -139,7 +139,7 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 		if err != nil {
 			t.Fatalf("SYRK direct plan count=%d: %v", count, err)
 		}
-		if err := core.ExecSYRKNative(ypl, as, cs); err != nil {
+		if err := core.ExecSYRKNativeParallel(ypl, as, cs, 1); err != nil {
 			t.Fatalf("SYRK direct exec count=%d: %v", count, err)
 		}
 		requireBitExact(t, "SYRK", count, cs, csEng)

@@ -106,11 +106,15 @@ func NewSet(tun core.Tuning, n int) *Set {
 	}
 	// Install the steal hooks after every shard exists (a hook scans all
 	// sibling queues) but before any dispatcher can start: dispatchLoop
-	// reads its steal hook once at entry.
-	for i := range s.engines {
-		self := i
-		s.engines[i].queue.steal = func(batch *[]*asyncReq) int {
-			return s.stealInto(self, batch)
+	// reads its steal hook once at entry. A lone shard has no sibling to
+	// steal from, so it gets no hook and its dispatcher blocks on its own
+	// queue like a solo engine's instead of polling.
+	if n > 1 {
+		for i := range s.engines {
+			self := i
+			s.engines[i].queue.steal = func(batch *[]*asyncReq) int {
+				return s.stealInto(self, batch)
+			}
 		}
 	}
 	return s

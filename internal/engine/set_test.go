@@ -504,3 +504,20 @@ func TestSetLeastLoadedPicksShallowest(t *testing.T) {
 		t.Fatalf("leastLoaded(0) = %d, want 2 (depth 1)", got)
 	}
 }
+
+// TestSetStealHookOnlyWithSiblings: a steal hook turns a shard's idle
+// wait into a timed poll of its siblings, so only a set that has
+// siblings installs one. A one-shard set's dispatcher must wait on its
+// own queue exactly like a solo engine's.
+func TestSetStealHookOnlyWithSiblings(t *testing.T) {
+	one := NewSet(core.DefaultTuning(), 1)
+	if one.engines[0].queue.steal != nil {
+		t.Error("1-shard set installed a steal hook with no sibling to steal from")
+	}
+	two := NewSet(core.DefaultTuning(), 2)
+	for i, e := range two.engines {
+		if e.queue.steal == nil {
+			t.Errorf("2-shard set: shard %d has no steal hook", i)
+		}
+	}
+}

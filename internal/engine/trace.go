@@ -81,18 +81,18 @@ func gemmTrace(op *OpDesc, pl *core.GEMMPlan, groups int, outcome obs.CacheOutco
 // top-down against the reciprocal diagonal (rectangle update first),
 // TRMM multiplies them bottom-up with the true diagonal (rectangle
 // update last).
-func triTrace(op *OpDesc, key planKey, count int, tv *triView, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
+func triTrace(op *OpDesc, key planKey, count int, geo *core.TriGeom, groups int, outcome obs.CacheOutcome) obs.TraceEvent {
 	solve := key.kind == OpTRSM
-	ev := traceBase(op, key.dt.String(), shapeOf(key).Mode, key.m, key.n, 0, count, groups, tv.gpb, outcome)
+	ev := traceBase(op, key.dt.String(), shapeOf(key).Mode, key.m, key.n, 0, count, groups, geo.GroupsPerBatch, outcome)
 	diag := "true diagonal"
 	if solve {
 		diag = "reciprocal diagonal"
 	}
 	ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "npackTri",
-		Detail: fmt.Sprintf("packed triangle, panels %v, %s", tv.panels, diag)})
-	if tv.packB {
+		Detail: fmt.Sprintf("packed triangle, panels %v, %s", geo.Panels, diag)})
+	if geo.PackB {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "nBCopy",
-			Detail: fmt.Sprintf("canonicalize B (reverse=%v, transpose=%v)", tv.reverse, tv.transpose)})
+			Detail: fmt.Sprintf("canonicalize B (reverse=%v, transpose=%v)", geo.ReverseB, geo.TransposeB)})
 	} else {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "pack", Kernel: "none",
 			Detail: "B in place: canonical lower solve order (§4.4)"})
@@ -102,14 +102,14 @@ func triTrace(op *OpDesc, key planKey, count int, tv *triView, groups int, outco
 			Detail: fmt.Sprintf("B *= alpha (%v)", op.Alpha)})
 	}
 	dt := key.dt
-	for _, ct := range tv.colTiles {
-		for j := range tv.panels {
+	for _, ct := range geo.ColTiles {
+		for j := range geo.Panels {
 			i := j
 			if !solve {
-				i = len(tv.panels) - 1 - j
+				i = len(geo.Panels) - 1 - j
 			}
-			q, r0 := tv.panels[i], 0
-			for _, p := range tv.panels[:i] {
+			q, r0 := geo.Panels[i], 0
+			for _, p := range geo.Panels[:i] {
 				r0 += p
 			}
 			rect := obs.Command{Stage: "compute",
@@ -134,7 +134,7 @@ func triTrace(op *OpDesc, key planKey, count int, tv *triView, groups int, outco
 			}
 		}
 	}
-	if tv.packB {
+	if geo.PackB {
 		ev.Queue = append(ev.Queue, obs.Command{Stage: "writeback", Kernel: "nBUncopy",
 			Detail: "restore B from the canonical buffer"})
 	}
