@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
+.PHONY: all build vet lint test purego crossvet race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
 
 all: ci
 
@@ -21,6 +21,16 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The pure-Go kernel fallback: the packages that run GEMM, with the
+# generated amd64 machine code compiled out.
+purego:
+	$(GO) test -tags purego ./internal/kernels/ ./internal/core/ ./internal/engine/
+
+# The ARMv8 build type-checks (and the generated amd64 assembly stays
+# out of it) without an arm64 machine.
+crossvet:
+	GOARCH=arm64 $(GO) vet ./...
 
 # Race-detector pass over the engine layers, the core executors (their
 # workers run on several sched workers at once) and the public-API
@@ -145,4 +155,4 @@ loc:
 # benchdiff gates ci: the diff tool's 15% tolerance absorbs ordinary
 # run-to-run noise, so a failure means a real regression (or a baseline
 # that needs a deliberate `make bench` refresh alongside the change).
-ci: lint build test race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke benchsmoke benchdiff
+ci: lint build test purego crossvet race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke benchsmoke benchdiff

@@ -7,6 +7,11 @@
 //	iatf-asm -op gemm -type d -mc 4 -nc 4 -k 4 [-template I] [-stages]
 //	iatf-asm -op trsm-tri -type s -m 4 -ncols 4
 //	iatf-asm -op trsm-rect -type d -mc 4 -nc 4 -k 8
+//	iatf-asm -op gemm-amd64 > internal/kernels/gemm_amd64.s
+//
+// -op gemm-amd64 prints the Go assembly of the native amd64 s/d GEMM
+// main kernels, lowered from the same templates; `go generate
+// ./internal/kernels` writes it.
 package main
 
 import (
@@ -26,7 +31,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("iatf-asm: ")
 	var (
-		op     = flag.String("op", "gemm", "kernel kind: gemm, trsm-tri, trsm-rect")
+		op     = flag.String("op", "gemm", "kernel kind: gemm, trsm-tri, trsm-rect, gemm-amd64")
 		dtype  = flag.String("type", "d", "data type: s, d, c, z")
 		mc     = flag.Int("mc", 4, "kernel rows")
 		nc     = flag.Int("nc", 4, "kernel columns")
@@ -37,6 +42,15 @@ func main() {
 		stages = flag.Bool("stages", false, "show raw and optimized stages side by side info")
 	)
 	flag.Parse()
+
+	if *op == "gemm-amd64" {
+		src, err := ktmpl.GenGEMMAMD64()
+		if err != nil {
+			log.Fatal(err)
+		}
+		os.Stdout.Write(src)
+		return
+	}
 
 	dt, err := vec.ParseDType(*dtype)
 	if err != nil {

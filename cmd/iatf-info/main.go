@@ -280,6 +280,7 @@ func printEngine(asJSON bool) {
 		return
 	}
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
+	fmt.Printf("native GEMM kernel: %s\n", iatf.Build().GEMMKernel)
 	fmt.Println("plan cache:")
 	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d, hydrated %d\n",
 		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries, s.PlanHydrated)
@@ -289,9 +290,9 @@ func printEngine(asJSON bool) {
 		path = "(not attached)"
 	}
 	fmt.Printf("  path %s\n  fingerprint %s\n", path, s.Store.Fingerprint)
-	fmt.Printf("  loads %d (mismatches %d, errors %d), saves %d (errors %d), kernels imported %d\n",
+	fmt.Printf("  loads %d (mismatches %d, errors %d), saves %d (errors %d), kernels imported %d, plans rejected %d\n",
 		s.Store.Loads, s.Store.LoadMismatches, s.Store.LoadErrors,
-		s.Store.Saves, s.Store.SaveErrors, s.Store.KernelsImported)
+		s.Store.Saves, s.Store.SaveErrors, s.Store.KernelsImported, s.Store.PlansRejected)
 	fmt.Println("packing-buffer pools:")
 	fmt.Printf("  gets %d (reused %d, allocated %d, oversize %d), puts %d\n",
 		s.Buffers.Gets, s.Buffers.Reuses, s.Buffers.Allocs, s.Buffers.Oversize, s.Buffers.Puts)
@@ -619,6 +620,7 @@ func printEngineSet(n int, asJSON bool) {
 	}
 
 	fmt.Printf("# EngineSet of %d shards after a mixed sharded demo workload\n", len(st.Shards))
+	fmt.Printf("native GEMM kernel: %s\n", iatf.Build().GEMMKernel)
 	fmt.Printf("routing: fallbacks %d (rejected %d)\n", st.Fallbacks, st.FallbackRejects)
 	fmt.Printf("%-5s %8s %8s %8s %8s %8s %8s %8s %8s %6s\n",
 		"shard", "routed", "planHit", "planMiss", "submit", "inline", "dispatch", "stolenB", "stolenR", "shapes")

@@ -403,6 +403,25 @@ func TestTRSMDimGuard(t *testing.T) {
 	}
 }
 
+// GEMM and SYRK plans are bounded by their kernel calls per group, not
+// by a dimension cap: 256³ still plans, while a 2^20 × 2^20 GEMM and a
+// 2^60-long SYRK reduction are refused before anything is allocated.
+func TestPlanCallsGuard(t *testing.T) {
+	tun := DefaultTuning()
+	if _, err := NewGEMMPlan(GEMMProblem{DT: vec.D, M: 256, N: 256, K: 256, Alpha: 1, Count: 1}, tun); err != nil {
+		t.Errorf("256³ GEMM refused: %v", err)
+	}
+	if _, err := NewSYRKPlan(SYRKProblem{DT: vec.D, N: 256, K: 256, Alpha: 1, Count: 1}, tun); err != nil {
+		t.Errorf("256² SYRK refused: %v", err)
+	}
+	if _, err := NewGEMMPlan(GEMMProblem{DT: vec.S, M: 1 << 20, N: 1 << 20, K: 4, Alpha: 1, Count: 1}, tun); err == nil {
+		t.Error("2^20 × 2^20 GEMM accepted")
+	}
+	if _, err := NewSYRKPlan(SYRKProblem{DT: vec.Z, N: 4, K: 1 << 60, Alpha: 1, Count: 1}, tun); err == nil {
+		t.Error("K = 2^60 SYRK accepted")
+	}
+}
+
 func TestPreinstall(t *testing.T) {
 	n, err := Preinstall(DefaultTuning(), 2)
 	if err != nil {

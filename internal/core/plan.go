@@ -162,6 +162,27 @@ const maxKernelK = 48
 // The paper's domain is small matrices (1–33); 128 leaves generous room.
 const maxTriDim = 128
 
+// maxPlanCalls bounds the kernel calls one interleave group of a GEMM or
+// SYRK plan makes (tiles × K chunks), for live calls and stored plans
+// alike. A GEMM plan holds one entry per call, so its memory and build
+// time grow with the count: a 1024³ GEMM, 1.4 million calls, takes 4 s
+// and 0.5 GB to plan. The bound admits every shape up to 256³, and it is
+// checked before anything is allocated.
+const maxPlanCalls = 1 << 16
+
+// checkPlanCalls refuses a plan of more than maxPlanCalls kernel calls
+// per group; calls is a float64 product, so no shape overflows it.
+func checkPlanCalls(op string, calls float64, dims ...int) error {
+	if calls > maxPlanCalls {
+		return fmt.Errorf("core: %s %v needs %.3g kernel calls per group, over the %d a plan may hold; this is a small-matrix library", op, dims, calls, maxPlanCalls)
+	}
+	return nil
+}
+
+// tiles is the tile count of a dimension of n split into tiles of at
+// most size (ktmpl.SplitDim's count when every smaller size exists).
+func tiles(n, size int) float64 { return float64((n-1)/size + 1) }
+
 // splitK returns the K-chunk lengths.
 func splitK(k int) []int {
 	var out []int
@@ -232,6 +253,10 @@ func descending(n int) []int {
 func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, error) {
 	if p.M < 1 || p.N < 1 || p.K < 1 || p.Count < 1 {
 		return nil, fmt.Errorf("core: invalid GEMM problem %dx%dx%d count %d", p.M, p.N, p.K, p.Count)
+	}
+	calls := tiles(p.M, msizes[0]) * tiles(p.N, nsizes[0]) * tiles(p.K, maxKernelK)
+	if err := checkPlanCalls("GEMM", calls, p.M, p.N, p.K); err != nil {
+		return nil, err
 	}
 	pl := &GEMMPlan{P: p, Tun: tun}
 	pl.MTiles = ktmpl.SplitDim(p.M, msizes)

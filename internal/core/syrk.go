@@ -68,8 +68,13 @@ func NewSYRKPlan(p SYRKProblem, tun Tuning) (*SYRKPlan, error) {
 	if p.N < 1 || p.K < 1 || p.Count < 1 {
 		return nil, fmt.Errorf("core: invalid SYRK problem N=%d K=%d count %d", p.N, p.K, p.Count)
 	}
+	grid := syrkTileGrid(p.DT)
+	t := tiles(p.N, grid[0])
+	if err := checkPlanCalls("SYRK", t*(t+1)/2*tiles(p.K, maxKernelK), p.N, p.K); err != nil {
+		return nil, err
+	}
 	pl := &SYRKPlan{P: p, Tun: tun}
-	pl.Tiles = ktmpl.SplitDim(p.N, syrkTileGrid(p.DT))
+	pl.Tiles = ktmpl.SplitDim(p.N, grid)
 	pl.KChunks = splitK(p.K)
 
 	bl := blockLen(p.DT, tun.lanes(p.DT))

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 
+	"iatf/internal/kernels"
 	"iatf/internal/obs"
 	"iatf/internal/vec"
 )
@@ -34,6 +35,9 @@ type BuildInfo struct {
 	// SIMDBackend names the vector model the kernels execute on
 	// (the portable 128-bit NEON emulation in this reproduction).
 	SIMDBackend string `json:"simd_backend"`
+	// GEMMKernel names the native GEMM main kernel compiled in
+	// (kernels.Backend): "amd64-sse2" or "purego".
+	GEMMKernel string `json:"gemm_kernel"`
 }
 
 // Build returns the running build's identity.
@@ -44,6 +48,7 @@ func Build() BuildInfo {
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		SIMDBackend: fmt.Sprintf("portable-neon%d", vec.Width*8),
+		GEMMKernel:  kernels.Backend,
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {
 		if info.Main.Path != "" {
@@ -186,7 +191,7 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 	o.family("iatf_build_info", "gauge")
 	o.gauge("iatf_build_info", labelSet(
 		"module", bi.Module, "version", bi.Version,
-		"go_version", bi.GoVersion, "simd", bi.SIMDBackend), 1)
+		"go_version", bi.GoVersion, "simd", bi.SIMDBackend, "gemm_kernel", bi.GEMMKernel), 1)
 	o.family("iatf_gomaxprocs", "gauge")
 	o.gauge("iatf_gomaxprocs", "", float64(bi.GOMAXPROCS))
 
@@ -205,6 +210,7 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_store_saves", func(st *Stats) uint64 { return st.Store.Saves }},
 		{"iatf_store_save_errors", func(st *Stats) uint64 { return st.Store.SaveErrors }},
 		{"iatf_store_kernels_imported", func(st *Stats) uint64 { return st.Store.KernelsImported }},
+		{"iatf_store_plans_rejected", func(st *Stats) uint64 { return st.Store.PlansRejected }},
 		{"iatf_pack_cache_hits", func(st *Stats) uint64 { return st.PackCache.Hits }},
 		{"iatf_pack_cache_builds", func(st *Stats) uint64 { return st.PackCache.Builds }},
 		{"iatf_pack_cache_evictions", func(st *Stats) uint64 { return st.PackCache.Evictions }},

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -155,3 +156,42 @@ func parityForDType[E vec.Float](t *testing.T, dt vec.DType) {
 
 func TestBucketedPlanParityF32(t *testing.T) { parityForDType[float32](t, vec.S) }
 func TestBucketedPlanParityF64(t *testing.T) { parityForDType[float64](t, vec.D) }
+
+// A GEMM whose C is its own A or B must equal the same call on separate
+// copies, bit for bit, for β = 1 and the β = 0 overwrite. At 4×4×4 a
+// NoTrans A and a Trans B reach the main kernel unpacked, so C shares
+// memory with the kernel's input.
+func TestGEMMAliasedParity(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { aliasedGEMMParity[float32](t, vec.S) })
+	t.Run("f64", func(t *testing.T) { aliasedGEMMParity[float64](t, vec.D) })
+}
+
+func aliasedGEMMParity[E vec.Float](t *testing.T, dt vec.DType) {
+	e := New(core.DefaultTuning())
+	rng := rand.New(rand.NewSource(170))
+	const n, count = 4, 9
+	for _, beta := range []complex128{1, 0} {
+		for _, cIsB := range []bool{false, true} {
+			op := OpDesc{Kind: OpGEMM, Alpha: 1.5, Beta: beta, Workers: 1}
+			a := randCompactT[E](rng, dt, count, n, n)
+			b := randCompactT[E](rng, dt, count, n, n)
+			c := a
+			if cIsB {
+				op.TransB = matrix.Transpose
+				c = b
+			}
+			want := c.Clone()
+			if err := e.Run(context.Background(), one(op, opOf(dt, a.Clone()), opOf(dt, b.Clone()), opOf(dt, want)), Call{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(context.Background(), one(op, opOf(dt, a), opOf(dt, b), opOf(dt, c)), Call{}); err != nil {
+				t.Fatal(err)
+			}
+			label := "GEMM C=A"
+			if cIsB {
+				label = "GEMM C=B"
+			}
+			requireBitExact(t, label+" beta="+fmt.Sprint(real(beta)), count, want, c)
+		}
+	}
+}

@@ -31,6 +31,7 @@ type storeCounters struct {
 	saves           uint64
 	saveErrors      uint64
 	kernelsImported uint64
+	plansRejected   uint64
 }
 
 // StoreStats is the persistent-store slice of Stats.
@@ -44,6 +45,11 @@ type StoreStats struct {
 	Saves           uint64 // successful store writes
 	SaveErrors      uint64 // failed store writes
 	KernelsImported uint64 // kernel schedules imported from loaded stores
+	// PlansRejected counts stored plan descriptors no live call could
+	// have saved, which hydration skips: an unknown kind, dtype or mode,
+	// a negative dimension, a count bucket that is not a power of two,
+	// or a shape the plan constructors refuse.
+	PlansRejected uint64
 }
 
 // Add accumulates another engine's store counters (EngineSet aggregate).
@@ -62,6 +68,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.Saves += o.Saves
 	s.SaveErrors += o.SaveErrors
 	s.KernelsImported += o.KernelsImported
+	s.PlansRejected += o.PlansRejected
 }
 
 func (e *Engine) storeStats() StoreStats {
@@ -76,6 +83,7 @@ func (e *Engine) storeStats() StoreStats {
 		Saves:           e.storeState.saves,
 		SaveErrors:      e.storeState.saveErrors,
 		KernelsImported: e.storeState.kernelsImported,
+		PlansRejected:   e.storeState.plansRejected,
 	}
 }
 
@@ -136,44 +144,57 @@ func (e *Engine) LoadStore() error {
 // Hydrate installs a decoded store file into the engine. The caller has
 // already validated the fingerprint (store.Load does).
 func (e *Engine) Hydrate(f *store.File) (plans, kernels int) {
+	return e.hydrate(f, func(planKey) *Engine { return e })
+}
+
+// hydrate imports f's kernel schedules, installs each stored plan in the
+// engine home picks for its key, and counts the load on e. A descriptor
+// keyOfDesc or the plan constructors reject is skipped and counted: the
+// file may be corrupt, hostile or from a newer writer.
+func (e *Engine) hydrate(f *store.File, home func(planKey) *Engine) (plans, kernels int) {
 	kernels = core.ImportKernels(f.Kernels)
+	rejected := 0
 	for _, d := range f.Plans {
 		key, err := keyOfDesc(d)
-		if err != nil {
-			continue // unknown kind from a future writer: skip, don't fail
+		if err == nil {
+			var installed bool
+			installed, err = home(key).hydratePlan(key)
+			if installed {
+				plans++
+			}
 		}
-		if e.hydratePlan(key) {
-			plans++
+		if err != nil {
+			rejected++
 		}
 	}
 	e.storeMu.Lock()
 	e.storeState.loads++
 	e.storeState.kernelsImported += uint64(kernels)
+	e.storeState.plansRejected += uint64(rejected)
 	e.storeMu.Unlock()
 	return plans, kernels
 }
 
 // hydratePlan builds key's plan through the live constructor and
 // installs it marked hydrated, without touching the hit/miss counters.
-// Returns false when the entry already exists or the build fails (a
-// stored descriptor this tuning rejects — e.g. a dimension over the
-// triangular cap — is skipped).
-func (e *Engine) hydratePlan(key planKey) bool {
+// It installs nothing when the entry already exists, and returns the
+// build error of a stored descriptor this tuning rejects.
+func (e *Engine) hydratePlan(key planKey) (bool, error) {
 	sh := &e.shards[key.shard()]
 	sh.mu.Lock()
 	_, exists := sh.m[key]
 	sh.mu.Unlock()
 	if exists {
-		return false
+		return false, nil
 	}
 	v, err := e.buildForKey(key)
 	if err != nil {
-		return false
+		return false, err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.m[key]; ok {
-		return false // raced with a live build; the live plan wins
+		return false, nil // raced with a live build; the live plan wins
 	}
 	if len(sh.m) >= planShardCap {
 		sh.evictOne(e)
@@ -181,7 +202,7 @@ func (e *Engine) hydratePlan(key planKey) bool {
 	sh.m[key] = v
 	sh.hydrated[key] = true
 	e.planHydrated.Add(1)
-	return true
+	return true, nil
 }
 
 // Warm resolves the plan for one problem descriptor through the regular
@@ -243,18 +264,39 @@ func descOfKey(k planKey) store.PlanDesc {
 	}
 }
 
-// keyOfDesc converts a stored descriptor back to a cache key, rejecting
-// kinds this build does not know (a store written by a newer version).
+// keyOfDesc converts a stored descriptor back to a cache key. It rejects
+// what no live call produces: kinds this build does not know (a store
+// written by a newer version), unknown dtypes and modes, negative
+// dimensions, and count buckets that are not powers of two. Dimension
+// limits are the plan constructors' own, which live calls meet too: a
+// shape too large to plan is refused there before anything is built.
 func keyOfDesc(d store.PlanDesc) (planKey, error) {
+	kind := OpKind(d.Kind)
 	if d.Kind < int(OpGEMM) || d.Kind > int(OpLUPiv) {
-		return planKey{}, opErr(OpKind(d.Kind), "", ErrOperand, "unknown op kind %d in store", d.Kind)
+		return planKey{}, opErr(kind, "", ErrOperand, "unknown op kind %d in store", d.Kind)
+	}
+	if d.DType < int(vec.S) || d.DType > int(vec.Z) {
+		return planKey{}, opErr(kind, "", ErrDType, "unknown dtype %d in store", d.DType)
+	}
+	for _, m := range [...]int{d.TransA, d.TransB, d.Side, d.Uplo, d.Diag} {
+		if m != 0 && m != 1 {
+			return planKey{}, opErr(kind, "", ErrOperand, "unknown mode %d in store", m)
+		}
+	}
+	for _, n := range [...]int{d.M, d.N, d.K} {
+		if n < 0 {
+			return planKey{}, opErr(kind, "", ErrShape, "negative dimension %d in store", n)
+		}
 	}
 	cb := d.CountBucket
 	if cb < 1 {
 		cb = 1
 	}
+	if cb&(cb-1) != 0 {
+		return planKey{}, opErr(kind, "", ErrCount, "stored count bucket %d is not a power of two", cb)
+	}
 	return planKey{
-		kind: OpKind(d.Kind), dt: vec.DType(d.DType), m: d.M, n: d.N, k: d.K,
+		kind: kind, dt: vec.DType(d.DType), m: d.M, n: d.N, k: d.K,
 		transA: matrix.Trans(d.TransA), transB: matrix.Trans(d.TransB),
 		side: matrix.Side(d.Side), uplo: matrix.Uplo(d.Uplo), diag: matrix.Diag(d.Diag),
 		countBucket: cb,
@@ -350,19 +392,9 @@ func (s *Set) LoadStore() error {
 		}
 		return err
 	}
-	kernels := core.ImportKernels(f.Kernels)
-	for _, d := range f.Plans {
-		key, err := keyOfDesc(d)
-		if err != nil {
-			continue
-		}
-		sh := jumpHash(routeHashKey(key), len(s.engines))
-		s.engines[sh].hydratePlan(key)
-	}
-	e0.storeMu.Lock()
-	e0.storeState.loads++
-	e0.storeState.kernelsImported += uint64(kernels)
-	e0.storeMu.Unlock()
+	e0.hydrate(f, func(key planKey) *Engine {
+		return s.engines[jumpHash(routeHashKey(key), len(s.engines))]
+	})
 	return nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -394,5 +395,73 @@ func TestWarmRejectsNonsense(t *testing.T) {
 	}
 	if err := e.Warm(store.PlanDesc{Kind: int(OpGEMM), DType: int(vec.S), M: 0, N: 4, K: 4, CountBucket: 1}); err == nil {
 		t.Fatal("zero dimension accepted")
+	}
+}
+
+// TestStoreHostileDescriptorsFailSoft: a store file is user-writable
+// and its fingerprint is a name, not a MAC. A GEMM descriptor of
+// 1048576² (which once ran Hydrate out of memory) and one of dtype 99
+// install no plan and are counted as rejected, on a solo engine and on a
+// set, while valid neighbours still hydrate: a 4³ GEMM and a 200³ one,
+// which a live call plans too.
+func TestStoreHostileDescriptorsFailSoft(t *testing.T) {
+	tun := core.DefaultTuning()
+	fp := New(tun).Fingerprint()
+	body := fmt.Sprintf(`{"version":%d,"fingerprint":%q,"plans":[`+
+		`{"kind":0,"m":1048576,"n":1048576,"k":4},`+
+		`{"kind":0,"dtype":99,"m":4,"n":4,"k":4,"count_bucket":1},`+
+		`{"kind":0,"dtype":1,"m":4,"n":4,"k":4,"count_bucket":1},`+
+		`{"kind":0,"dtype":0,"m":200,"n":200,"k":200,"count_bucket":2}]}`, store.FormatVersion, fp)
+	path := store.PathFor(t.TempDir(), fp)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	valid := planKey{kind: OpGEMM, dt: vec.D, m: 4, n: 4, k: 4, countBucket: 1}
+	large := planKey{kind: OpGEMM, dt: vec.S, m: 200, n: 200, k: 200, countBucket: 2}
+
+	e := New(tun)
+	e.SetStorePath(path)
+	if err := e.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	if got := plansOf(e); len(got) != 2 || got[valid] == nil || got[large] == nil {
+		t.Fatalf("engine installed %d plans, want only the two valid ones", len(got))
+	}
+	if s := e.Stats(); s.Store.PlansRejected != 2 || s.PlanHydrated != 2 {
+		t.Fatalf("engine: rejected %d, hydrated %d; want 2, 2", s.Store.PlansRejected, s.PlanHydrated)
+	}
+
+	set := NewSet(tun, 2)
+	set.SetStorePath(path)
+	if err := set.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	if s := set.Stats().Aggregate; s.Store.PlansRejected != 2 || s.PlanHydrated != 2 || s.PlanEntries != 2 {
+		t.Fatalf("set: rejected %d, hydrated %d, entries %d; want 2, 2, 2", s.Store.PlansRejected, s.PlanHydrated, s.PlanEntries)
+	}
+}
+
+// keyOfDesc accepts only what a live call can key.
+func TestKeyOfDescRejectsWhatNoLiveCallKeys(t *testing.T) {
+	ok := store.PlanDesc{Kind: int(OpTRSM), DType: int(vec.Z), M: 16, N: 3, Side: 1, Uplo: 1, Diag: 1, TransA: 1, CountBucket: 8}
+	if _, err := keyOfDesc(ok); err != nil {
+		t.Fatalf("valid descriptor rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*store.PlanDesc){
+		"kind":         func(d *store.PlanDesc) { d.Kind = int(OpLUPiv) + 1 },
+		"dtype":        func(d *store.PlanDesc) { d.DType = 99 },
+		"negative dt":  func(d *store.PlanDesc) { d.DType = -1 },
+		"trans":        func(d *store.PlanDesc) { d.TransB = 2 },
+		"side":         func(d *store.PlanDesc) { d.Side = -1 },
+		"uplo":         func(d *store.PlanDesc) { d.Uplo = 7 },
+		"diag":         func(d *store.PlanDesc) { d.Diag = 2 },
+		"negative dim": func(d *store.PlanDesc) { d.K = -4 },
+		"count bucket": func(d *store.PlanDesc) { d.CountBucket = 6 },
+	} {
+		d := ok
+		mut(&d)
+		if _, err := keyOfDesc(d); err == nil {
+			t.Errorf("%s: %+v accepted", name, d)
+		}
 	}
 }

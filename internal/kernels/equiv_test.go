@@ -1,8 +1,12 @@
 package kernels
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"iatf/internal/vec"
 )
 
 // The width-specialized fast paths and the portable vec-based reference
@@ -24,23 +28,60 @@ func fill32(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
+// gemmAlphas covers the unit scale, a non-trivial scale, the zero scale
+// (0·Inf = NaN) and the sign flip (−1·+0 = −0).
+var gemmAlphas = []float64{1, 1.5, 0, -1}
+
+// GEMM must equal the portable reference on ordinary inputs for every
+// tile, and the 4×4 main kernel it runs (generated machine code on
+// amd64) must match the pure-Go kernel it replaces bit for bit on
+// hostile inputs: signed zeros agree and a NaN stays a NaN.
 func TestGEMMFastMatchesGeneric(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill32) })
+	t.Run("f64", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill64) })
+}
+
+func testGEMMFastMatchesGeneric[E vec.Float](t *testing.T, fill func(*rand.Rand, int) []E) {
 	rng := rand.New(rand.NewSource(1))
 	for _, vl := range []int{2, 4} {
+		pure := gemm44x2[E]
+		if vl == 4 {
+			pure = gemm44x4[E]
+		}
 		for mc := 1; mc <= 4; mc++ {
 			for nc := 1; nc <= 4; nc++ {
-				for _, k := range []int{1, 3, 8} {
-					for _, ovw := range []bool{false, true} {
-						strideC := mc + 1
-						pa := fill64(rng, k*mc*vl)
-						pb := fill64(rng, k*nc*vl)
-						c := fill64(rng, nc*strideC*vl)
-						cGen := append([]float64(nil), c...)
-						GEMM(pa, pb, c, mc, nc, k, strideC, vl, 1.5, ovw)
-						gemmGeneric(pa, pb, cGen, mc, nc, k, strideC, vl, 1.5, ovw)
-						for i := range c {
-							if c[i] != cGen[i] {
-								t.Fatalf("vl=%d %dx%d k=%d ovw=%v: fast/generic diverge at %d", vl, mc, nc, k, ovw, i)
+				for _, k := range []int{1, 2, 3, 8, 17} {
+					for _, strideC := range []int{mc, mc + 1} {
+						for _, ovw := range []bool{false, true} {
+							for _, alpha := range gemmAlphas {
+								name := fmt.Sprintf("vl=%d %dx%d k=%d strideC=%d ovw=%v alpha=%v", vl, mc, nc, k, strideC, ovw, alpha)
+								pa := fill(rng, k*mc*vl)
+								pb := fill(rng, k*nc*vl)
+								c := fill(rng, nc*strideC*vl)
+								cGen := append([]E(nil), c...)
+								GEMM(pa, pb, c, mc, nc, k, strideC, vl, E(alpha), ovw)
+								gemmGeneric(pa, pb, cGen, mc, nc, k, strideC, vl, E(alpha), ovw)
+								for i := range c {
+									if c[i] != cGen[i] {
+										t.Fatalf("%s: fast/generic diverge at %d", name, i)
+									}
+								}
+								if mc != 4 || nc != 4 {
+									continue
+								}
+								for _, p := range []float64{0.05, 0.5, 1} {
+									pa := hostile[E](rng, k*mc*vl, p)
+									pb := hostile[E](rng, k*nc*vl, p)
+									c := hostile[E](rng, nc*strideC*vl, p)
+									cPure := append([]E(nil), c...)
+									GEMM(pa, pb, c, mc, nc, k, strideC, vl, E(alpha), ovw)
+									pure(pa, pb, cPure, k, strideC, E(alpha), ovw)
+									for i := range c {
+										if !sameBits(c[i], cPure[i]) {
+											t.Fatalf("%s hostile p=%v: C[%d] = %v, pure Go %v", name, p, i, c[i], cPure[i])
+										}
+									}
+								}
 							}
 						}
 					}
@@ -48,6 +89,35 @@ func TestGEMMFastMatchesGeneric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hostile fills n values of which about a fraction p come from the
+// special set (signed zeros, subnormals, infinities, NaN, extremes); the
+// rest are ordinary values of either sign.
+func hostile[E vec.Float](rng *rand.Rand, n int, p float64) []E {
+	tiny, big := math.SmallestNonzeroFloat64, math.MaxFloat64
+	var e E
+	if _, f32 := any(e).(float32); f32 {
+		tiny, big = math.SmallestNonzeroFloat32, math.MaxFloat32
+	}
+	special := []float64{0, math.Copysign(0, -1), tiny, -tiny, 1000 * tiny, math.Inf(1), math.Inf(-1), math.NaN(), big, -big, 1, -1}
+	s := make([]E, n)
+	for i := range s {
+		if rng.Float64() < p {
+			s[i] = E(special[rng.Intn(len(special))])
+		} else {
+			s[i] = E(4*rng.Float64() - 2)
+		}
+	}
+	return s
+}
+
+// sameBits is bit equality, except that any NaN matches any NaN.
+func sameBits[E vec.Float](x, y E) bool {
+	if x != x || y != y {
+		return x != x && y != y
+	}
+	return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
 }
 
 func TestGEMMCplxFastMatchesGeneric(t *testing.T) {

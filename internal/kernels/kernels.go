@@ -4,7 +4,9 @@
 // buffers with the vec SIMD substrate. This is the wall-clock execution
 // backend of the public API; the IR + VM path in internal/asm exists to
 // validate the install-time generator/optimizer and to drive the cycle
-// model.
+// model. One kernel is the generator's own output: on amd64 the s/d GEMM
+// main kernel runs as SSE2 assembly lowered from the templates
+// (gemm_amd64.s, Backend), bit-identical to its Go form.
 //
 // All kernels operate on slices of the real component type; complex data
 // uses the split-plane block format of the compact layout.
@@ -18,7 +20,12 @@ import "iatf/internal/vec"
 // mc and nc are at most 4 (the Table 1 main kernel).
 // ovw selects the overwrite save (C = alpha·A·B, the beta = 0 case) so the
 // caller can skip both the beta pre-scale pass and the C read.
+// On amd64 the float32/float64 main kernel at native width runs as
+// generated SSE2 code (Backend); every other case runs pure Go.
 func GEMM[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw bool) {
+	if mc == 4 && nc == 4 && gemm44asm(pa, pb, c, k, strideC, vl, alpha, ovw) {
+		return
+	}
 	switch {
 	case vl == 4 && mc == 4 && nc == 4:
 		gemm44x4(pa, pb, c, k, strideC, alpha, ovw)

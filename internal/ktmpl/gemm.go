@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iatf/internal/asm"
+	"iatf/internal/vec"
 )
 
 // Register allocation of the GEMM templates (paper §4.2.1/§4.2.2).
@@ -175,7 +176,7 @@ func (g *gemmGen) template(t TemplateID, mode accMode) {
 		g.loadB(0, "For SUB")
 		g.compute(0, false, mode)
 	case TplSAVE:
-		g.save()
+		g.save(false)
 	}
 }
 
@@ -216,16 +217,25 @@ func (g *gemmGen) loadSeqAt(p asm.PReg, reg, nregs, elemOff int, cmt string) {
 // save emits TEMPLATE_SAVE: originC ← originC + alpha·acc, column by
 // column, reusing the (now dead) A/B registers for alpha and the loaded C
 // values. Alpha lives at [pAl] (real) or [pAl], [pAl,#1] (complex re, im).
-func (g *gemmGen) save() {
+// ovw emits the beta = 0 overwrite form instead, originC ← alpha·acc: C is
+// never loaded and each output's first multiply-accumulate becomes FMUL,
+// the rounding sequence of the native kernels' overwrite save.
+func (g *gemmGen) save(ovw bool) {
 	mc, nc := g.s.MC, g.s.NC
+	first := asm.FMLA
+	if ovw {
+		first = asm.FMUL
+	}
 	if !g.s.DT.IsComplex() {
 		const valpha = 0
 		g.emit(asm.Instr{Op: asm.LD1R, D: valpha, P: asm.PAlpha, Comment: "For SAVE: alpha"})
 		for c := 0; c < nc; c++ {
 			off := c * g.s.StrideC * g.s.blockLen()
-			g.loadSeqAt(asm.PC, 1, mc, off, "originC")
+			if !ovw {
+				g.loadSeqAt(asm.PC, 1, mc, off, "originC")
+			}
 			for r := 0; r < mc; r++ {
-				g.emit(asm.Instr{Op: asm.FMLA, D: uint8(1 + r), A: g.cReg(r, c, 0), B: valpha})
+				g.emit(asm.Instr{Op: first, D: uint8(1 + r), A: g.cReg(r, c, 0), B: valpha})
 			}
 			g.storeSeq(asm.PC, 1, mc, off)
 		}
@@ -236,13 +246,15 @@ func (g *gemmGen) save() {
 	g.emit(asm.Instr{Op: asm.LD1R, D: valI, P: asm.PAlpha, Off: 1, Comment: "For SAVE: alpha.im"})
 	for c := 0; c < nc; c++ {
 		off := c * g.s.StrideC * g.s.blockLen()
-		g.loadSeqAt(asm.PC, 2, 2*mc, off, "originC")
+		if !ovw {
+			g.loadSeqAt(asm.PC, 2, 2*mc, off, "originC")
+		}
 		for r := 0; r < mc; r++ {
 			or, oi := uint8(2+2*r), uint8(2+2*r+1)
 			cr, ci := g.cReg(r, c, 0), g.cReg(r, c, 1)
-			g.emit(asm.Instr{Op: asm.FMLA, D: or, A: cr, B: valR})
+			g.emit(asm.Instr{Op: first, D: or, A: cr, B: valR})
 			g.emit(asm.Instr{Op: asm.FMLS, D: or, A: ci, B: valI})
-			g.emit(asm.Instr{Op: asm.FMLA, D: oi, A: ci, B: valR})
+			g.emit(asm.Instr{Op: first, D: oi, A: ci, B: valR})
 			g.emit(asm.Instr{Op: asm.FMLA, D: oi, A: cr, B: valI})
 		}
 		g.storeSeq(asm.PC, 2, 2*mc, off)
@@ -303,6 +315,34 @@ func GenGEMM(s GEMMSpec) (asm.Prog, error) {
 	return g.prog, nil
 }
 
+// GEMMLoop is a GEMM kernel cut into the pieces a machine-code backend
+// wraps around a run-time K loop instead of unrolling K: Zero clears the
+// accumulators (MOVI), Step is one TEMPLATE_SUB K step, Save is
+// TEMPLATE_SAVE (C += alpha·acc) and SaveOvw its beta = 0 overwrite form
+// (C = alpha·acc). Every Step advances pA and pB by one K step.
+type GEMMLoop struct {
+	Zero, Step, Save, SaveOvw asm.Prog
+}
+
+// GenGEMMLoop generates the GEMMLoop pieces of a spec; s.K is ignored.
+func GenGEMMLoop(s GEMMSpec) (GEMMLoop, error) {
+	s.K = 1
+	if err := s.Validate(); err != nil {
+		return GEMMLoop{}, err
+	}
+	part := func(emit func(g *gemmGen)) asm.Prog {
+		g := &gemmGen{s: s}
+		emit(g)
+		return g.prog
+	}
+	return GEMMLoop{
+		Zero:    part(func(g *gemmGen) { g.zeroC() }),
+		Step:    part(func(g *gemmGen) { g.template(TplSUB, modeNormal) }),
+		Save:    part(func(g *gemmGen) { g.save(false) }),
+		SaveOvw: part(func(g *gemmGen) { g.save(true) }),
+	}, nil
+}
+
 // GenGEMMNoPingPong generates the kernel without the ping-pong double
 // buffering: every K step is a TEMPLATE_SUB (load what you need, compute).
 // This is the ablation baseline for the paper's pipeline-bubble argument —
@@ -311,13 +351,15 @@ func GenGEMMNoPingPong(s GEMMSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{s: s}
-	g.zeroC()
-	for l := 0; l < s.K; l++ {
-		g.template(TplSUB, modeNormal)
+	l, err := GenGEMMLoop(s)
+	if err != nil {
+		return nil, err
 	}
-	g.template(TplSAVE, modeNormal)
-	return g.prog, nil
+	prog := append(asm.Prog(nil), l.Zero...)
+	for k := 0; k < s.K; k++ {
+		prog = append(prog, l.Step...)
+	}
+	return append(prog, l.Save...), nil
 }
 
 // GenGEMMTemplate generates a single template in isolation — the form the
@@ -348,4 +390,26 @@ func GEMMFirstIsFirstK(s GEMMSpec, p asm.Prog) error {
 		return fmt.Errorf("ktmpl: kernel loads %d A registers, want %d", got, wantA)
 	}
 	return nil
+}
+
+// GenGEMMAMD64 generates internal/kernels/gemm_amd64.s: the Table 1 s/d
+// main kernel (4×4) lowered to SSE2 Go assembly as gemm4x4s and
+// gemm4x4d, one TEMPLATE_SUB per iteration of a run-time K loop.
+func GenGEMMAMD64() ([]byte, error) {
+	var ks []asm.AMD64GEMM
+	for _, dt := range []vec.DType{vec.S, vec.D} {
+		sz := MainGEMMKernel(dt)
+		s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC}
+		l, err := GenGEMMLoop(s)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, asm.AMD64GEMM{
+			Name:      fmt.Sprintf("gemm%dx%d%v", sz.MC, sz.NC, dt),
+			ElemBytes: dt.ElemBytes(),
+			StrideC:   s.StrideC,
+			Zero:      l.Zero, Step: l.Step, Save: l.Save, SaveOvw: l.SaveOvw,
+		})
+	}
+	return asm.LowerAMD64(ks...)
 }

@@ -110,10 +110,19 @@ func (d *packedGEMMData[E]) got(s GEMMSpec, lane, r, c int) complex128 {
 	return complex(re, im)
 }
 
-func runGEMMKernel[E vec.Float](t *testing.T, s GEMMSpec, prog asm.Prog) {
+// runGEMMKernel runs prog in the VM and checks C + alpha·A·B, or with
+// ovw the overwrite result alpha·A·B (C's stale contents must be ignored).
+func runGEMMKernel[E vec.Float](t *testing.T, s GEMMSpec, prog asm.Prog, ovw bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(1000*s.MC + 100*s.NC + s.K)))
 	d := buildGEMM[E](rng, s)
+	if ovw {
+		for _, lane := range d.c {
+			for _, row := range lane {
+				clear(row)
+			}
+		}
+	}
 	vm := &asm.VM[E]{Mem: d.mem}
 	vm.P[asm.PA] = d.pa
 	vm.P[asm.PB] = d.pb
@@ -164,9 +173,41 @@ func TestGenGEMMCorrectAllSizes(t *testing.T) {
 				}
 				switch dt.Real() {
 				case vec.S:
-					runGEMMKernel[float32](t, s, prog)
+					runGEMMKernel[float32](t, s, prog, false)
 				default:
-					runGEMMKernel[float64](t, s, prog)
+					runGEMMKernel[float64](t, s, prog, false)
+				}
+			}
+		}
+	}
+}
+
+// The loop pieces a machine-code backend runs — Zero, then Step K
+// times, then Save or SaveOvw — compute C + alpha·A·B and alpha·A·B.
+func TestGenGEMMLoopCorrect(t *testing.T) {
+	for _, dt := range vec.DTypes {
+		sz := MainGEMMKernel(dt)
+		for _, k := range []int{1, 2, 7} {
+			s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, K: k, StrideC: sz.MC + 1}
+			l, err := GenGEMMLoop(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ovw := range []bool{false, true} {
+				prog := append(asm.Prog(nil), l.Zero...)
+				for i := 0; i < k; i++ {
+					prog = append(prog, l.Step...)
+				}
+				save := l.Save
+				if ovw {
+					save = l.SaveOvw
+				}
+				prog = append(prog, save...)
+				switch dt.Real() {
+				case vec.S:
+					runGEMMKernel[float32](t, s, prog, ovw)
+				default:
+					runGEMMKernel[float64](t, s, prog, ovw)
 				}
 			}
 		}
