@@ -78,9 +78,13 @@ servestress:
 # propagation (sync, fused dispatch, serve header echo on every status),
 # per-tenant SLO accounting across all resolution paths, burn-window
 # epoch eviction, shard aggregation, tenant OpenMetrics validity and the
-# tagged warm-path allocation budget.
+# tagged warm-path allocation budget — then one demo round of the
+# iatf-monitor binary on the default engine and on a two-shard set,
+# which fails when a demo tenant records no request.
 obsstress:
 	$(GO) test -race -run 'Tenant|Trace|Span' -count=2 . ./internal/engine/ ./internal/obs/ ./internal/serve/
+	$(GO) run ./cmd/iatf-monitor -demo -once
+	$(GO) run ./cmd/iatf-monitor -demo -once -shards 2
 
 # Persistent autotune store under the race detector, run twice: the
 # atomic-rename/merge writer race (concurrent iatf-tune), disk round-trip
@@ -92,12 +96,15 @@ tunestress:
 	$(GO) test -race -count=2 ./internal/store/
 	IATF_STORE_DIR=$$(mktemp -d) $(GO) run ./cmd/iatf-tune -counts 1 -shapes gemm:f32:8x8x8,cholesky:f64:8
 
-# Ten seconds of coverage-guided fuzzing of the /v1/do codec against
-# encoding/json (same accept/reject, equal decoded request) and of the
-# handler (no panic, no 500). The committed corpus under
-# internal/serve/testdata/fuzz replays in every plain `go test`.
+# Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
+# against encoding/json (same accept/reject, equal decoded request) and
+# the handler (no panic, no 500); and store files through the set loader
+# on one and two shards (no panic, fail soft, same plan keys). The
+# committed corpora under internal/serve/testdata/fuzz and
+# internal/engine/testdata/fuzz replay in every plain `go test`.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzDoRequest -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/engine/
 
 # Wall-clock benchmark of the native path — pack-per-call vs prepacked
 # operand reuse — writing the rows to BENCH_wallclock.json.

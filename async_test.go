@@ -43,7 +43,7 @@ func TestAsyncDoParity(t *testing.T) {
 		b := Pack(randBatch[float32](rng, count, n, n))
 		c := Pack(randBatch[float32](rng, count, n, n))
 		want := c.Clone()
-		if err := GEMMOn(NewEngine(), 1, NoTrans, NoTrans, float32(1), a, b, float32(0), want); err != nil {
+		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, float32(1), a, b, float32(0), want), WithEngine(NewEngine())); err != nil {
 			t.Fatal(err)
 		}
 		lanes[i] = lane{a: a, b: b, c: c, want: want}
@@ -146,7 +146,7 @@ func TestAsyncSubmitFuture(t *testing.T) {
 	b := Pack(randBatch[float64](rng, 64, 5, 5))
 	c := Pack(randBatch[float64](rng, 64, 5, 5))
 	want := c.Clone()
-	if err := GEMMOn(NewEngine(), 1, NoTrans, NoTrans, 2.0, a, b, 1.0, want); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 2.0, a, b, 1.0, want), WithEngine(NewEngine())); err != nil {
 		t.Fatal(err)
 	}
 

@@ -131,8 +131,8 @@ func lowerStages[T Scalar](buf []engine.ChainStage, stages []Stage[T], workers i
 // the stage (for any stage count). ctx is checked before every stage —
 // cancellation also re-materializes before returning.
 //
-// Options work as in Do: WithWorkers applies to every stage, WithEngine/
-// WithEngineSet select the target, WithSpanSink traces the chain as one
+// Options work as in Do: WithWorkers applies to every stage, WithEngine
+// selects the target, WithSpanSink traces the chain as one
 // parent span with per-stage children, WithTrace/WithTenant tag it, and
 // WithAsync routes through the submission queue where identical
 // concurrent chains coalesce into one fused execution.

@@ -83,10 +83,10 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, _ *iatf.Compact[T]) error {
-				if err := iatf.TRMMParallel(w, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 2, a, b); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRMM, Side: iatf.Left, Uplo: iatf.Upper, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 2, A: a, B: b}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.TRSMParallel(w, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Upper, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w))
 			},
 		},
 		{
@@ -99,10 +99,10 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, _ *iatf.Compact[T]) error {
-				if err := iatf.TRSMParallel(w, iatf.Right, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Right, Uplo: iatf.Lower, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.TRMMParallel(w, iatf.Right, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRMM, Side: iatf.Right, Uplo: iatf.Lower, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w))
 			},
 			square: true,
 		},
@@ -118,13 +118,13 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, c *iatf.Compact[T]) error {
-				if err := iatf.TRMMParallel(w, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRMM, Side: iatf.Left, Uplo: iatf.Upper, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				if err := iatf.GEMMParallel(w, iatf.NoTrans, iatf.NoTrans, 1, a, b, 1, c); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpGEMM, TransA: iatf.NoTrans, TransB: iatf.NoTrans, Alpha: 1, Beta: 1, A: a, B: b, C: c}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.TRSMParallel(w, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Upper, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w))
 			},
 		},
 		{
@@ -138,13 +138,13 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, _ *iatf.Compact[T]) error {
-				if _, err := iatf.LUParallel(w, a); err != nil {
+				if _, err := iatf.LU(a, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				if err := iatf.TRSMParallel(w, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.Unit, 1, a, b); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Lower, TransA: iatf.NoTrans, Diag: iatf.Unit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.TRSMParallel(w, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Upper, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w))
 			},
 		},
 		{
@@ -158,13 +158,13 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, _ *iatf.Compact[T]) error {
-				if _, err := iatf.CholeskyParallel(w, a); err != nil {
+				if _, err := iatf.Cholesky(a, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				if err := iatf.TRSMParallel(w, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Lower, TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.TRSMParallel(w, iatf.Left, iatf.Lower, iatf.Transpose, iatf.NonUnit, 1, a, b)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpTRSM, Side: iatf.Left, Uplo: iatf.Lower, TransA: iatf.Transpose, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}, iatf.WithWorkers(w))
 			},
 			needsSPD: true,
 		},
@@ -179,10 +179,10 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 				}
 			},
 			serial: func(w int, a, b, c *iatf.Compact[T]) error {
-				if err := iatf.GEMMParallel(w, iatf.NoTrans, iatf.NoTrans, 1, a, b, 0, c); err != nil {
+				if err := iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpGEMM, TransA: iatf.NoTrans, TransB: iatf.NoTrans, Alpha: 1, Beta: 0, A: a, B: b, C: c}, iatf.WithWorkers(w)); err != nil {
 					return err
 				}
-				return iatf.SYRKParallel(w, iatf.Lower, iatf.NoTrans, 1, c, 1, a)
+				return iatf.Do(context.Background(), iatf.Request[T]{Op: iatf.OpSYRK, Uplo: iatf.Lower, TransA: iatf.NoTrans, Alpha: 1, Beta: 1, A: c, C: a}, iatf.WithWorkers(w))
 			},
 			square: true,
 		},

@@ -115,20 +115,30 @@ func wcTime(calls int, call func() error) (float64, error) {
 	return best, nil
 }
 
+// wcOn is the call options of a timed row: eng, auto workers.
+func wcOn(eng *iatf.Engine) []iatf.Option {
+	return []iatf.Option{iatf.WithEngine(eng), iatf.WithWorkers(0)}
+}
+
+// wcTri is a Left, NonUnit, alpha = 1 triangular request: TRSM or TRMM
+// of B by the uplo triangle of A, op(A) per ta.
+func wcTri[T iatf.Scalar](op iatf.Op, uplo iatf.Uplo, ta iatf.Trans, a, b *iatf.Compact[T]) iatf.Request[T] {
+	return iatf.Request[T]{Op: op, Side: iatf.Left, Uplo: uplo, TransA: ta, Diag: iatf.NonUnit, Alpha: 1, A: a, B: b}
+}
+
 func wcGEMM[T iatf.Scalar](dt vec.DType, n, count, calls int, prepack bool) (float64, float64, error) {
 	ab := iatf.NewBatch[T](count, n, n)
 	bb := iatf.NewBatch[T](count, n, n)
 	wcFill(ab.Data(), 1)
 	wcFill(bb.Data(), 2)
 	a, b, c := iatf.Pack(ab), iatf.Pack(bb), iatf.Pack(iatf.NewBatch[T](count, n, n))
-	eng := iatf.NewEngine()
+	opts := wcOn(iatf.NewEngine())
 	if prepack {
 		a.Prepack()
 		b.Prepack()
 	}
-	nsOp, err := wcTime(calls, func() error {
-		return iatf.GEMMOn(eng, 0, iatf.NoTrans, iatf.NoTrans, T(1), a, b, T(0), c)
-	})
+	req := iatf.Request[T]{Op: iatf.OpGEMM, Alpha: 1, A: a, B: b, C: c}
+	nsOp, err := wcTime(calls, func() error { return iatf.Do(context.Background(), req, opts...) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -141,13 +151,12 @@ func wcTRSM[T iatf.Scalar](dt vec.DType, n, count, calls int, prepack bool) (flo
 	bb := iatf.NewBatch[T](count, n, n)
 	wcFill(bb.Data(), 3)
 	b := iatf.Pack(bb)
-	eng := iatf.NewEngine()
+	opts := wcOn(iatf.NewEngine())
 	if prepack {
 		a.Prepack()
 	}
-	nsOp, err := wcTime(calls, func() error {
-		return iatf.TRSMOn(eng, 0, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, T(1), a, b)
-	})
+	req := wcTri[T](iatf.OpTRSM, iatf.Lower, iatf.NoTrans, a, b)
+	nsOp, err := wcTime(calls, func() error { return iatf.Do(context.Background(), req, opts...) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -160,13 +169,12 @@ func wcTRMM[T iatf.Scalar](dt vec.DType, n, count, calls int, prepack bool) (flo
 	bb := iatf.NewBatch[T](count, n, n)
 	wcFill(bb.Data(), 4)
 	b := iatf.Pack(bb)
-	eng := iatf.NewEngine()
+	opts := wcOn(iatf.NewEngine())
 	if prepack {
 		a.Prepack()
 	}
-	nsOp, err := wcTime(calls, func() error {
-		return iatf.TRMMOn(eng, 0, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, T(1), a, b)
-	})
+	req := wcTri[T](iatf.OpTRMM, iatf.Lower, iatf.NoTrans, a, b)
+	nsOp, err := wcTime(calls, func() error { return iatf.Do(context.Background(), req, opts...) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -207,14 +215,16 @@ func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 	wcFill(bb.Data(), 5)
 	b := iatf.Pack(bb)
 	eng := iatf.NewEngine()
+	ctx, opts := context.Background(), wcOn(eng)
+	mul := wcTri[float64](iatf.OpTRMM, iatf.Upper, iatf.NoTrans, a, b)
+	solve := wcTri[float64](iatf.OpTRSM, iatf.Upper, iatf.NoTrans, a, b)
 	call := func() error {
-		if err := iatf.TRMMOn(eng, 0, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b); err != nil {
+		if err := iatf.Do(ctx, mul, opts...); err != nil {
 			return err
 		}
-		return iatf.TRSMOn(eng, 0, iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b)
+		return iatf.Do(ctx, solve, opts...)
 	}
 	if chained {
-		ctx := context.Background()
 		stages := []iatf.Stage[float64]{
 			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
@@ -241,14 +251,16 @@ func wcChainSolve(n, count, calls int, chained bool) (float64, float64, error) {
 	wcFill(bb.Data(), 6)
 	b := iatf.Pack(bb)
 	eng := iatf.NewEngine()
+	ctx, opts := context.Background(), wcOn(eng)
+	fwd := wcTri[float64](iatf.OpTRSM, iatf.Lower, iatf.NoTrans, a, b)
+	bwd := wcTri[float64](iatf.OpTRSM, iatf.Lower, iatf.Transpose, a, b)
 	call := func() error {
-		if err := iatf.TRSMOn(eng, 0, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1.0, a, b); err != nil {
+		if err := iatf.Do(ctx, fwd, opts...); err != nil {
 			return err
 		}
-		return iatf.TRSMOn(eng, 0, iatf.Left, iatf.Lower, iatf.Transpose, iatf.NonUnit, 1.0, a, b)
+		return iatf.Do(ctx, bwd, opts...)
 	}
 	if chained {
-		ctx := context.Background()
 		stages := []iatf.Stage[float64]{
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.Transpose, iatf.NonUnit, 1, a, b),
@@ -401,7 +413,8 @@ func wcColdFirstCall(n int, warm bool, dir string) (float64, error) {
 	} else {
 		eng = iatf.NewEngine()
 	}
-	if err := iatf.GEMMOn(eng, 0, iatf.NoTrans, iatf.NoTrans, 1.0, a, b, 0.0, c); err != nil {
+	req := iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, A: a, B: b, C: c}
+	if err := iatf.Do(context.Background(), req, wcOn(eng)...); err != nil {
 		return 0, err
 	}
 	return float64(time.Since(start).Nanoseconds()), nil
@@ -432,7 +445,8 @@ func runWallclockColdStart(sizes []int) []wcResult {
 		wcFill(ab.Data(), 7)
 		wcFill(bb.Data(), 8)
 		a, b, c := iatf.Pack(ab), iatf.Pack(bb), iatf.Pack(iatf.NewBatch[float64](wcColdCount, n, n))
-		check(iatf.GEMMOn(bake, 0, iatf.NoTrans, iatf.NoTrans, 1.0, a, b, 0.0, c))
+		req := iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, A: a, B: b, C: c}
+		check(iatf.Do(context.Background(), req, wcOn(bake)...))
 		check(bake.SaveStore())
 		return dir
 	}
@@ -541,7 +555,7 @@ func wcMixed(shards, count, callsPerSubmitter int) (float64, float64, error) {
 			go func(j job) {
 				defer wg.Done()
 				for i := 0; i < calls; i++ {
-					if err := iatf.Do(ctx, j.req, iatf.WithEngineSet(set), iatf.WithAsync()); err != nil {
+					if err := iatf.Do(ctx, j.req, iatf.WithEngine(set.Engine), iatf.WithAsync()); err != nil {
 						errs <- err
 						return
 					}

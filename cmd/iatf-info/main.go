@@ -85,26 +85,28 @@ func main() {
 		}
 		any = true
 	}
+	// The -engine and -metrics demos run on one engine: the default one,
+	// or a set of -shards shards, whose per-shard table -engine prints.
+	eng := iatf.DefaultEngine()
+	var set *iatf.EngineSet
+	if *shardsF > 0 {
+		set = iatf.NewEngineSet(*shardsF)
+		eng = set.Engine
+	}
+	if *engineF || *metricsF {
+		demoWorkload(eng)
+	}
 	if *engineF {
-		if *shardsF > 0 {
-			printEngineSet(*shardsF, *jsonF)
+		if set != nil {
+			printEngineSet(set.Stats(), *jsonF)
 		} else {
-			printEngine(*jsonF)
+			printEngine(eng, *jsonF)
 		}
 		any = true
 	}
 	if *metricsF {
-		if *shardsF > 0 {
-			set := iatf.NewEngineSet(*shardsF)
-			demoSetWorkload(set)
-			if err := set.WriteMetrics(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			demoWorkload()
-			if err := iatf.DefaultEngine().WriteMetrics(os.Stdout); err != nil {
-				log.Fatal(err)
-			}
+		if err := eng.WriteMetrics(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
 		any = true
 	}
@@ -119,13 +121,20 @@ func main() {
 	}
 }
 
-// demoWorkload drives the default engine with a mixed workload covering
-// all four engine ops — repeated GEMM, TRSM, TRMM and SYRK on a handful
-// of shapes — plus a batched factorization and an async coalescing
-// burst, so every counter surface has traffic. Shared by -engine and
-// -metrics.
-func demoWorkload() {
+// demoWorkload drives eng with a mixed workload covering all four
+// engine ops — repeated GEMM, TRSM, TRMM and SYRK on a handful of
+// shapes — plus a batched factorization, a chain and an async
+// coalescing burst, so every counter surface has traffic (and, on a
+// set, several identities spread over the shards). Shared by -engine
+// and -metrics.
+func demoWorkload(eng *iatf.Engine) {
 	const count = 16384
+	ctx := context.Background()
+	do := func(req iatf.Request[float32], workers int) {
+		if err := iatf.Do(ctx, req, iatf.WithEngine(eng), iatf.WithWorkers(workers)); err != nil {
+			log.Fatal(err)
+		}
+	}
 	gemm := func(m, n, k int, prepack bool) {
 		a := iatf.NewBatch[float32](count, m, k)
 		b := iatf.NewBatch[float32](count, k, n)
@@ -146,10 +155,9 @@ func demoWorkload() {
 		}
 		// Auto workers (GOMAXPROCS), then an explicit 2-worker pass so the
 		// persistent pool shows up in the counters even on one CPU.
+		req := iatf.Request[float32]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: ca, B: cb, C: cc}
 		for _, w := range []int{0, 0, 0, 0, 0, 0, 0, 2} {
-			if err := iatf.GEMMParallel(w, iatf.NoTrans, iatf.NoTrans, 1, ca, cb, 1, cc); err != nil {
-				log.Fatal(err)
-			}
+			do(req, w)
 		}
 	}
 	diagBatch := func(m int) *iatf.Compact[float32] {
@@ -165,25 +173,21 @@ func demoWorkload() {
 		ca := diagBatch(m)
 		ca.Prepack() // the triangle is reused across calls
 		cb := iatf.Pack(iatf.NewBatch[float32](count, m, n))
+		req := iatf.Request[float32]{Op: iatf.OpTRMM, Side: iatf.Left, Uplo: iatf.Lower,
+			TransA: iatf.NoTrans, Diag: iatf.NonUnit, Alpha: 1, A: ca, B: cb}
+		if solve {
+			req.Op = iatf.OpTRSM
+		}
 		for _, w := range []int{0, 0, 0, 0, 0, 0, 0, 2} {
-			var err error
-			if solve {
-				err = iatf.TRSMParallel(w, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, ca, cb)
-			} else {
-				err = iatf.TRMMParallel(w, iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, ca, cb)
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
+			do(req, w)
 		}
 	}
 	syrk := func(n, k int) {
 		ca := iatf.Pack(iatf.NewBatch[float32](count, n, k))
 		cc := iatf.Pack(iatf.NewBatch[float32](count, n, n))
+		req := iatf.Request[float32]{Op: iatf.OpSYRK, Uplo: iatf.Lower, Alpha: 1, Beta: 1, A: ca, C: cc}
 		for _, w := range []int{0, 0, 0, 2} {
-			if err := iatf.SYRKParallel(w, iatf.Lower, iatf.NoTrans, 1, ca, 1, cc); err != nil {
-				log.Fatal(err)
-			}
+			do(req, w)
 		}
 	}
 	// Batched factorization through the factor dispatch path: LU shows up
@@ -200,7 +204,7 @@ func demoWorkload() {
 		}
 		ca := iatf.Pack(a)
 		for i := 0; i < 4; i++ {
-			if _, err := iatf.LU(ca); err != nil {
+			if _, err := iatf.LU(ca, iatf.WithEngine(eng)); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -220,7 +224,7 @@ func demoWorkload() {
 				defer wg.Done()
 				req := iatf.Request[float32]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: a, B: b, C: c}
 				for i := 0; i < 16; i++ {
-					if err := iatf.Do(context.Background(), req, iatf.WithAsync()); err != nil {
+					if err := iatf.Do(ctx, req, iatf.WithEngine(eng), iatf.WithAsync()); err != nil {
 						log.Fatal(err)
 					}
 				}
@@ -234,10 +238,10 @@ func demoWorkload() {
 		ca := diagBatch(m)
 		cb := iatf.Pack(iatf.NewBatch[float32](count, m, n))
 		for i := 0; i < 4; i++ {
-			err := iatf.Chain(context.Background(), []iatf.Stage[float32]{
+			err := iatf.Chain(ctx, []iatf.Stage[float32]{
 				iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, ca, cb),
 				iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, ca, cb),
-			})
+			}, iatf.WithEngine(eng))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -255,17 +259,13 @@ func demoWorkload() {
 	burst(8)
 }
 
-// printEngine runs the demo workload and prints the engine counters plus
+// printEngine prints the engine counters after the demo workload plus
 // the per-shape observability table. The snapshot is also published as
 // the expvar "iatf.engine", so a process embedding the library can
 // expose the same view over /debug/vars.
-func printEngine(asJSON bool) {
-	expvar.Publish("iatf.engine", expvar.Func(func() any {
-		return iatf.DefaultEngine().Stats()
-	}))
-	demoWorkload()
-
-	s := iatf.DefaultEngine().Stats()
+func printEngine(eng *iatf.Engine, asJSON bool) {
+	expvar.Publish("iatf.engine", expvar.Func(func() any { return eng.Stats() }))
+	s := eng.Stats()
 	if asJSON {
 		// The JSON form leads with the build identity so exported dumps
 		// are self-describing.
@@ -557,55 +557,10 @@ func printTRSMPlan(dt vec.DType, m, n, count int) {
 	fmt.Printf("  super-batch: %d interleave groups\n", pl.GroupsPerBatch)
 }
 
-// demoSetWorkload drives a sharded EngineSet with mixed traffic: several
-// distinct problem identities (each consistently routed to its home
-// shard) run synchronously and through an async burst, so routing,
-// stealing and per-shard counters all carry traffic.
-func demoSetWorkload(set *iatf.EngineSet) {
-	const count = 4096
-	ctx := context.Background()
-	shapes := [][3]int{{8, 8, 8}, {6, 5, 7}, {12, 12, 4}, {4, 16, 8}, {16, 4, 4}, {8, 12, 12}}
-	for _, sh := range shapes {
-		m, n, k := sh[0], sh[1], sh[2]
-		a := iatf.Pack(iatf.NewBatch[float32](count, m, k))
-		b := iatf.Pack(iatf.NewBatch[float32](count, k, n))
-		c := iatf.Pack(iatf.NewBatch[float32](count, m, n))
-		req := iatf.Request[float32]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: a, B: b, C: c}
-		for i := 0; i < 8; i++ {
-			if err := iatf.Do(ctx, req, iatf.WithEngineSet(set), iatf.WithWorkers(0)); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	// Async burst: concurrent submitters across identities, so queues
-	// deepen unevenly and the steal/fallback paths see traffic.
-	var wg sync.WaitGroup
-	for g := 0; g < 2*set.Shards(); g++ {
-		m := 4 + 2*(g%len(shapes))
-		a := iatf.Pack(iatf.NewBatch[float32](count/8, m, m))
-		b := iatf.Pack(iatf.NewBatch[float32](count/8, m, m))
-		c := iatf.Pack(iatf.NewBatch[float32](count/8, m, m))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := iatf.Request[float32]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: a, B: b, C: c}
-			for i := 0; i < 16; i++ {
-				if err := iatf.Do(ctx, req, iatf.WithEngineSet(set), iatf.WithAsync()); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// printEngineSet runs the sharded demo and prints a per-shard table plus
-// the cross-shard aggregate. The JSON form nests the full SetStats: a
-// shards array and an aggregate block, led by the build identity.
-func printEngineSet(n int, asJSON bool) {
-	set := iatf.NewEngineSet(n)
-	demoSetWorkload(set)
-	st := set.Stats()
+// printEngineSet prints a set's per-shard table after the demo workload
+// plus the cross-shard aggregate. The JSON form nests the full SetStats:
+// a shards array and an aggregate block, led by the build identity.
+func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -619,7 +574,7 @@ func printEngineSet(n int, asJSON bool) {
 		return
 	}
 
-	fmt.Printf("# EngineSet of %d shards after a mixed sharded demo workload\n", len(st.Shards))
+	fmt.Printf("# EngineSet of %d shards after the mixed demo workload\n", len(st.Shards))
 	fmt.Printf("native GEMM kernel: %s\n", iatf.Build().GEMMKernel)
 	fmt.Printf("routing: fallbacks %d (rejected %d)\n", st.Fallbacks, st.FallbackRejects)
 	fmt.Printf("%-5s %8s %8s %8s %8s %8s %8s %8s %8s %6s\n",

@@ -13,7 +13,7 @@
 //	              deadline hits/misses, latency quantiles, burn rate)
 //
 // With -demo the process drives a continuous mixed workload through the
-// default engine so every surface has live traffic — the demo requests
+// monitored engine so every surface has live traffic — the demo requests
 // are tagged with rt/batch tenants and carry trace ids, so /tenants and
 // /trace?id= have data out of the box; without it, the server monitors
 // whatever workload the embedding process runs (this command is then
@@ -70,40 +70,28 @@ func main() {
 		setOpts = append(setOpts, iatf.WithPlanStore(dir))
 	}
 
+	// Sharded mode covers the whole set on every surface: spans from
+	// every shard land in one ring, /metrics carries per-shard +
+	// aggregate families, and expvar publishes the aggregate stats.
 	eng := iatf.DefaultEngine()
-	spans := iatf.NewSpanRing(*ring)
-	var set *iatf.EngineSet
-	metrics := eng.MetricsHandler()
-	tenantStats := eng.TenantStats
 	if *shards > 0 {
-		// Sharded mode: every surface covers the whole set — spans from
-		// every shard land in one ring, /metrics carries per-shard +
-		// aggregate families, expvar publishes the SetStats.
-		set = iatf.NewEngineSet(*shards, setOpts...)
-		for i := 0; i < set.Shards(); i++ {
-			set.Shard(i).SetSpanSink(spans.Add)
-		}
-		set.SetProfileLabels(*labels)
-		set.SetTenants(tenants)
-		metrics = set.MetricsHandler()
-		tenantStats = set.TenantStats
-		expvar.Publish("iatf.engineset", expvar.Func(func() any { return set.Stats() }))
-	} else {
-		eng.SetSpanSink(spans.Add)
-		eng.SetProfileLabels(*labels)
-		eng.SetTenants(tenants)
-		expvar.Publish("iatf.engine", expvar.Func(func() any { return eng.Stats() }))
+		eng = iatf.NewEngineSet(*shards, setOpts...).Engine
 	}
+	spans := iatf.NewSpanRing(*ring)
+	eng.SetSpanSink(spans.Add)
+	eng.SetProfileLabels(*labels)
+	eng.SetTenants(tenants)
+	expvar.Publish("iatf.engine", expvar.Func(func() any { return eng.Stats() }))
 
 	if *demo {
 		if *once {
-			demoRound(set)
-			smoke(eng, set, spans, tenantStats)
+			demoRound(eng)
+			smoke(eng, spans)
 			return
 		}
 		go func() {
 			for {
-				demoRound(set)
+				demoRound(eng)
 				time.Sleep(200 * time.Millisecond)
 			}
 		}()
@@ -123,7 +111,7 @@ func main() {
 		fmt.Fprintln(w, "/spans?n=K    recent spans as JSON (?id=X filters one trace)")
 		fmt.Fprintln(w, "/tenants      per-tenant SLO series as JSON")
 	})
-	mux.Handle("/metrics", metrics)
+	mux.Handle("/metrics", eng.MetricsHandler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -146,7 +134,7 @@ func main() {
 	})
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		ts := tenantStats()
+		ts := eng.TenantStats()
 		if ts == nil {
 			ts = []iatf.TenantStats{}
 		}
@@ -216,16 +204,10 @@ func nextTrace() string {
 // prepacked operands and a triangular solve as tenant "rt" (with a
 // 50 ms deadline so deadline accounting is live), and a concurrent
 // async burst as tenant "batch" that exercises queueing and coalescing.
-// Every request carries a trace id. A non-nil set routes the burst
-// through the sharded path instead of the default engine.
-func demoRound(set *iatf.EngineSet) {
-	var opts []iatf.Option
-	if set != nil {
-		opts = []iatf.Option{iatf.WithEngineSet(set)}
-	}
+// Every request runs on eng and carries a trace id.
+func demoRound(eng *iatf.Engine) {
 	rt := func() []iatf.Option {
-		return append(append([]iatf.Option{}, opts...),
-			iatf.WithTenant("rt"), iatf.WithTrace(nextTrace()))
+		return []iatf.Option{iatf.WithEngine(eng), iatf.WithTenant("rt"), iatf.WithTrace(nextTrace())}
 	}
 	rtCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -266,7 +248,7 @@ func demoRound(set *iatf.EngineSet) {
 			defer wg.Done()
 			req := iatf.Request[float32]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: ga, B: gb, C: gc}
 			for i := 0; i < 8; i++ {
-				if err := iatf.Do(context.Background(), req, iatf.WithAsync(),
+				if err := iatf.Do(context.Background(), req, iatf.WithEngine(eng), iatf.WithAsync(),
 					iatf.WithTenant("batch"), iatf.WithTrace(nextTrace())); err != nil {
 					log.Fatal(err)
 				}
@@ -277,26 +259,28 @@ func demoRound(set *iatf.EngineSet) {
 }
 
 // smoke prints each surface once to stdout — the -demo -once form used
-// as a no-network sanity check.
-func smoke(eng *iatf.Engine, set *iatf.EngineSet, spans *iatf.SpanRing, tenantStats func() []iatf.TenantStats) {
+// as a no-network sanity check. It fails when a demo tenant saw no
+// request or the first demo trace left no span.
+func smoke(eng *iatf.Engine, spans *iatf.SpanRing) {
 	fmt.Printf("# build: %+v\n", iatf.Build())
-	var err error
-	if set != nil {
-		err = set.WriteMetrics(log.Writer())
-	} else {
-		err = eng.WriteMetrics(log.Writer())
-	}
-	if err != nil {
+	if err := eng.WriteMetrics(log.Writer()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("# spans captured: %d (ring %d)\n", spans.Total(), len(spans.Spans(0)))
 	if err := iatf.WriteChromeTrace(log.Writer(), spans.Spans(8)); err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tenantStats() {
+	requests := map[string]uint64{}
+	for _, t := range eng.TenantStats() {
 		fmt.Printf("# tenant %s: requests=%d sheds=%d hits=%d misses=%d p99=%v burn=%.3f\n",
 			t.Name, t.Requests, t.Sheds, t.DeadlineHits, t.DeadlineMisses,
 			time.Duration(t.Latency.P99), t.BurnRate)
+		requests[t.Name] = t.Requests
+	}
+	for _, name := range []string{"rt", "batch"} {
+		if requests[name] == 0 {
+			log.Fatalf("demo tenant %s: no requests recorded", name)
+		}
 	}
 	if id := fmt.Sprintf("%032x", uint64(1)); len(spans.Trace(id)) == 0 {
 		log.Fatalf("trace lookup: no spans for demo trace %s", id)

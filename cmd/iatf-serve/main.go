@@ -101,19 +101,10 @@ func main() {
 		defer f.Close()
 		cfg.AccessLog = f
 	}
-	if *shards > 0 {
-		set := iatf.NewEngineSet(*shards, opts...)
-		if *planStore != "" {
-			st := set.Stats().Aggregate
-			log.Printf("plan store %s: %d plans hydrated", set.StorePath(), st.PlanHydrated)
-		}
-		cfg.Set = set
-	} else {
-		eng := iatf.NewEngine(opts...)
-		if *planStore != "" {
-			log.Printf("plan store %s: %d plans hydrated", eng.StorePath(), eng.Stats().PlanHydrated)
-		}
-		cfg.Engine = eng
+	// -shards 0 and 1 both serve one engine: a set of one shard.
+	cfg.Engine = iatf.NewEngineSet(max(*shards, 1), opts...).Engine
+	if *planStore != "" {
+		log.Printf("plan store %s: %d plans hydrated", cfg.Engine.StorePath(), cfg.Engine.Stats().PlanHydrated)
 	}
 	srv := serve.New(cfg)
 

@@ -51,7 +51,6 @@ type Request[T Scalar] struct {
 type callCfg struct {
 	workers int
 	eng     *Engine
-	set     *EngineSet
 	async   bool
 	call    engine.Call
 }
@@ -65,7 +64,6 @@ type Option struct {
 	priority   int
 	hasPrio    bool
 	eng        *Engine
-	set        *EngineSet
 	async      bool
 	sink       func(*Span)
 	trace      string
@@ -78,6 +76,8 @@ func WithWorkers(n int) Option { return Option{workers: n, hasWorkers: true} }
 
 // WithEngine routes the call through a specific engine (its plan cache,
 // submission queue and counters) instead of the process-wide default.
+// An EngineSet's Engine routes each call to its identity's home shard.
+// When several engines are given the last one wins.
 func WithEngine(e *Engine) Option { return Option{eng: e} }
 
 // WithPriority sets the request's dispatch class for the async queue's
@@ -133,9 +133,6 @@ func resolveOpts(opts []Option) callCfg {
 		if o.eng != nil {
 			cfg.eng = o.eng
 		}
-		if o.set != nil {
-			cfg.set = o.set
-		}
 		if o.async {
 			cfg.async = true
 		}
@@ -186,10 +183,10 @@ func stageOf[T Scalar](req Request[T], workers int) ([1]engine.ChainStage, error
 }
 
 // Do executes one request. By default it runs synchronously through the
-// engine's dispatch path — the warm path costs the same two allocations
-// as the classic entry points. With WithAsync it submits to the engine's
-// queue and waits, so concurrent callers of the same problem are
-// coalesced into one fused dispatch. ctx is honored in both forms: a
+// engine's dispatch path — a warm call costs at most two allocations.
+// With WithAsync it submits to the engine's queue and waits, so
+// concurrent callers of the same problem are coalesced into one fused
+// dispatch. ctx is honored in both forms: a
 // context already done returns ctx.Err() without executing.
 //
 //	err := iatf.Do(ctx, iatf.Request[float32]{
@@ -202,17 +199,6 @@ func Do[T Scalar](ctx context.Context, req Request[T], opts ...Option) error {
 		return err
 	}
 	return cfg.run(ctx, st[:])
-}
-
-// doSync is the synchronous path behind the compatibility wrappers
-// (GEMM/TRSM/... and their Parallel/On variants), kept free of option
-// handling so the warm call stays allocation-minimal.
-func doSync[T Scalar](e *Engine, workers int, req Request[T]) error {
-	st, err := stageOf(req, workers)
-	if err != nil {
-		return err
-	}
-	return e.inner.Run(context.Background(), st[:], engine.Call{})
 }
 
 // Submit enqueues one request on the engine's submission queue and
@@ -238,9 +224,6 @@ func (c *callCfg) run(ctx context.Context, st []engine.ChainStage) error {
 		ctx = context.Background()
 	}
 	if !c.async {
-		if c.set != nil {
-			return c.set.inner.Run(ctx, st, c.call)
-		}
 		return c.eng.inner.Run(ctx, st, c.call)
 	}
 	fut, err := c.submit(ctx, st)
@@ -251,11 +234,9 @@ func (c *callCfg) run(ctx context.Context, st []engine.ChainStage) error {
 }
 
 // submit enqueues a lowered stage list on the configured target (a set
-// falls back to a sibling shard when the home queue is full).
+// of several shards falls back to a sibling when the home queue is
+// full).
 func (c *callCfg) submit(ctx context.Context, st []engine.ChainStage) (*Future, error) {
-	if c.set != nil {
-		return c.set.inner.Submit(ctx, st, c.call)
-	}
 	return c.eng.inner.Submit(ctx, st, c.call)
 }
 

@@ -34,19 +34,22 @@ type TraceCommand = obs.Command
 
 // Engine is the run-time execution engine every public op routes through:
 // a sharded plan cache (so repeated shapes skip the run-time planning
-// stage entirely), size-class pools for packing buffers, and a persistent
-// worker pool for the *Parallel entry points. The package-level functions
-// (GEMM, TRSM, ...) use the process-wide default engine; NewEngine builds
-// a private one with its own plan cache and counters, which the *On
-// variants (GEMMOn, TRSMOn, ...) accept.
+// stage entirely), size-class pools for packing buffers, a persistent
+// worker pool for calls with WithWorkers, and the async submission
+// queue. The package-level functions (GEMM, TRSM, Do, ...) use the
+// process-wide default engine; NewEngine builds a private one with its
+// own plan cache and counters, which WithEngine selects per call.
+//
+// An Engine is a set of one shard: an EngineSet is an Engine of n
+// shards, and every method below acts on all of its shards.
 type Engine struct {
-	inner *engine.Engine
+	inner *engine.Set
 }
 
 // EngineStats is a snapshot of engine counters: plan-cache hits/misses/
-// entries (per engine), packing-buffer pool reuse, worker-pool activity
-// (the latter two are process-wide), and the submission queue's
-// coalescing counters in EngineStats.Queue.
+// entries, packing-buffer pool reuse, worker-pool activity, and the
+// submission queue's coalescing counters in EngineStats.Queue. On an
+// EngineSet it is the cross-shard aggregate.
 type EngineStats = engine.Stats
 
 // QueueStats is the submission-queue slice of EngineStats: submissions,
@@ -55,7 +58,7 @@ type EngineStats = engine.Stats
 // current depth and capacity.
 type QueueStats = engine.QueueStats
 
-var defaultEng = &Engine{inner: engine.Default()}
+var defaultEng = NewEngine()
 
 // DefaultEngine returns the process-wide engine used by the package-level
 // operations. Its Stats expose the serving counters:
@@ -74,16 +77,19 @@ func DefaultEngine() *Engine { return defaultEng }
 //
 // With no options the engine uses the default tuning (Kunpeng 920
 // profile) and no persistent store.
-func NewEngine(opts ...EngineOption) *Engine {
+func NewEngine(opts ...EngineOption) *Engine { return newEngine(1, opts) }
+
+// newEngine builds and configures a set of n shards.
+func newEngine(n int, opts []EngineOption) *Engine {
 	cfg := resolveConfig(opts)
-	e := engine.New(cfg.tun)
-	cfg.apply(e)
-	return &Engine{inner: e}
+	s := engine.NewSet(cfg.tun, n)
+	cfg.apply(s)
+	return &Engine{inner: s}
 }
 
 // Stats returns the engine's current counters, including the per-shape
 // series in Stats.Shapes (ordered by call count).
-func (e *Engine) Stats() EngineStats { return e.inner.Stats() }
+func (e *Engine) Stats() EngineStats { return e.inner.Stats().Aggregate }
 
 // SetEDF toggles deadline-ordered dispatch on the engine's async queue.
 // When on (the default) each drained batch's bundles execute in earliest-
@@ -107,24 +113,31 @@ func (e *Engine) SetEDF(on bool) { e.inner.SetEDF(on) }
 func (e *Engine) SetBatchWindow(d time.Duration) { e.inner.SetBatchWindow(d) }
 
 // SetTrace installs a trace hook on the engine: fn receives the
-// assembled command queue of sampled calls (every nth; every == 1 traces
-// every call, every == 0 only calls marked by ForceTrace). fn runs
-// synchronously on the dispatching goroutine before execution — keep it
-// cheap or hand off. fn == nil removes the hook.
+// assembled command queue of sampled calls (every nth per shard;
+// every == 1 traces every call, every == 0 only calls marked by
+// ForceTrace). fn runs synchronously on the dispatching goroutine before
+// execution — keep it cheap or hand off. fn == nil removes the hook.
 //
 //	eng.SetTrace(func(ev iatf.TraceEvent) { log.Printf("%+v", ev) }, 0)
 //	eng.ForceTrace(1) // trace exactly the next call
 func (e *Engine) SetTrace(fn func(TraceEvent), every uint64) {
-	if fn == nil {
-		e.inner.Obs().SetTrace(nil, every)
-		return
+	var hook obs.TraceFunc
+	if fn != nil {
+		hook = obs.TraceFunc(fn)
 	}
-	e.inner.Obs().SetTrace(obs.TraceFunc(fn), every)
+	e.eachShard(func(r *obs.Registry) { r.SetTrace(hook, every) })
 }
 
-// ForceTrace marks the next n calls on this engine for tracing
+// ForceTrace marks the next n calls of each shard for tracing
 // regardless of the sampling interval (a hook must be installed).
-func (e *Engine) ForceTrace(n int) { e.inner.Obs().ForceTrace(n) }
+func (e *Engine) ForceTrace(n int) { e.eachShard(func(r *obs.Registry) { r.ForceTrace(n) }) }
+
+// eachShard applies fn to every shard's observability registry.
+func (e *Engine) eachShard(fn func(*obs.Registry)) {
+	for i := 0; i < e.inner.Shards(); i++ {
+		fn(e.inner.Obs(i))
+	}
+}
 
 // operandOf type-erases a compact batch for the engine dispatch path.
 // A nil batch maps to the zero Operand, which the engine rejects with a

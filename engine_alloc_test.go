@@ -72,13 +72,16 @@ func BenchmarkSteadyStateAllocsAuto(bm *testing.B) {
 	a := Pack(randBatch[float32](rng, count, 8, 8))
 	b := Pack(randBatch[float32](rng, count, 8, 8))
 	c := Pack(randBatch[float32](rng, count, 8, 8))
-	if err := GEMMParallel(0, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+	ctx := context.Background()
+	req := gemmReq(NoTrans, NoTrans, float32(1), a, b, float32(1), c)
+	opts := []Option{WithWorkers(0)}
+	if err := Do(ctx, req, opts...); err != nil {
 		bm.Fatal(err)
 	}
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		if err := GEMMParallel(0, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+		if err := Do(ctx, req, opts...); err != nil {
 			bm.Fatal(err)
 		}
 	}
@@ -99,8 +102,13 @@ func TestPrepackedSteadyStateAllocs(t *testing.T) {
 	b.Prepack()
 	eng := NewEngine()
 
+	ctx := context.Background()
+	req := gemmReq(NoTrans, NoTrans, float32(1), a, b, float32(1), c)
+	// A held options slice: spreading it does not allocate, so the
+	// measurement sees only the call's own cost.
+	opts := []Option{WithEngine(eng)}
 	call := func() {
-		if err := GEMMOn(eng, 1, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+		if err := Do(ctx, req, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,14 +188,16 @@ func BenchmarkPrepackedSteadyState(bm *testing.B) {
 	c := Pack(randBatch[float32](rng, count, 8, 8))
 	a.Prepack()
 	b.Prepack()
-	eng := NewEngine()
-	if err := GEMMOn(eng, 1, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+	ctx := context.Background()
+	req := gemmReq(NoTrans, NoTrans, float32(1), a, b, float32(1), c)
+	opts := []Option{WithEngine(NewEngine())}
+	if err := Do(ctx, req, opts...); err != nil {
 		bm.Fatal(err)
 	}
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		if err := GEMMOn(eng, 1, NoTrans, NoTrans, float32(1), a, b, float32(1), c); err != nil {
+		if err := Do(ctx, req, opts...); err != nil {
 			bm.Fatal(err)
 		}
 	}

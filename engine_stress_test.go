@@ -1,6 +1,7 @@
 package iatf
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,7 +34,7 @@ func gemmScenario[T Scalar](t *testing.T, seed int64, count, m, n, k int) scenar
 	name := fmt.Sprintf("gemm-%T-%dx%dx%d", alpha, m, n, k)
 	return scenario{name: name, run: func(workers int) error {
 		c := c0.Clone()
-		if err := GEMMParallel(workers, NoTrans, NoTrans, alpha, a, b, beta, c); err != nil {
+		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, alpha, a, b, beta, c), WithWorkers(workers)); err != nil {
 			return err
 		}
 		return compactEqual(c, exp)
@@ -51,7 +52,7 @@ func trsmScenario[T Scalar](t *testing.T, seed int64, count, m, n int) scenario 
 	}
 	return scenario{name: fmt.Sprintf("trsm-%dx%d", m, n), run: func(workers int) error {
 		b := b0.Clone()
-		if err := TRSMParallel(workers, Left, Lower, NoTrans, NonUnit, T(1), a, b); err != nil {
+		if err := Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, T(1), a, b), WithWorkers(workers)); err != nil {
 			return err
 		}
 		return compactEqual(b, exp)
@@ -77,7 +78,7 @@ func luScenario[T Scalar](t *testing.T, seed int64, count, n int) scenario {
 	}
 	return scenario{name: fmt.Sprintf("lu-%dx%d", n, n), run: func(workers int) error {
 		a := a0.Clone()
-		info, err := LUParallel(workers, a)
+		info, err := LU(a, WithWorkers(workers))
 		if err != nil {
 			return err
 		}
@@ -156,10 +157,10 @@ func TestWorkersAutoConvention(t *testing.T) {
 	b := Pack(randBatch[float64](rng, count, 5, 5))
 	cSerial := Pack(randBatch[float64](rng, count, 5, 5))
 	cAuto := cSerial.Clone()
-	if err := GEMMParallel(1, NoTrans, NoTrans, 1.0, a, b, 1.0, cSerial); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, a, b, 1.0, cSerial), WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := GEMMParallel(0, NoTrans, NoTrans, 1.0, a, b, 1.0, cAuto); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, a, b, 1.0, cAuto), WithWorkers(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := compactEqual(cAuto, cSerial); err != nil {
@@ -169,10 +170,10 @@ func TestWorkersAutoConvention(t *testing.T) {
 	tri := Pack(randTriBatch[float64](rng, count, 6))
 	rhsS := Pack(randBatch[float64](rng, count, 6, 3))
 	rhsA := rhsS.Clone()
-	if err := TRSMParallel(1, Left, Lower, NoTrans, NonUnit, 1.0, tri, rhsS); err != nil {
+	if err := Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, 1.0, tri, rhsS), WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := TRSMParallel(-2, Left, Lower, NoTrans, NonUnit, 1.0, tri, rhsA); err != nil {
+	if err := Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, 1.0, tri, rhsA), WithWorkers(-2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := compactEqual(rhsA, rhsS); err != nil {
@@ -180,17 +181,17 @@ func TestWorkersAutoConvention(t *testing.T) {
 	}
 
 	mm := tri.Clone()
-	if err := TRMMParallel(0, Left, Lower, NoTrans, NonUnit, 1.0, tri, mm); err != nil {
+	if err := Do(context.Background(), trmmReq(Left, Lower, NoTrans, NonUnit, 1.0, tri, mm), WithWorkers(0)); err != nil {
 		t.Fatal(err)
 	}
 	sk := Pack(randBatch[float64](rng, count, 5, 5))
-	if err := SYRKParallel(0, Lower, NoTrans, 1.0, a, 1.0, sk); err != nil {
+	if err := Do(context.Background(), syrkReq(Lower, NoTrans, 1.0, a, 1.0, sk), WithWorkers(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LUParallel(0, mm); err != nil {
+	if _, err := LU(mm, WithWorkers(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CholeskyParallel(-1, skSPD(rng, count, 4)); err != nil {
+	if _, err := Cholesky(skSPD(rng, count, 4), WithWorkers(-1)); err != nil {
 		t.Fatal(err)
 	}
 }

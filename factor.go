@@ -22,16 +22,14 @@ import (
 // Together with LUSolve this extends the framework with LAPACK-style
 // compact kernels (cf. the compact BLAS/LAPACK design the paper builds
 // on).
-func LU[T Scalar](a *Compact[T]) ([]int, error) {
-	return LUParallel(1, a)
-}
-
-// LUParallel is LU with `workers` participants from the persistent worker
-// pool splitting the batch. workers <= 0 means auto (GOMAXPROCS);
-// workers == 1 runs serially.
-func LUParallel[T Scalar](workers int, a *Compact[T]) ([]int, error) {
-	return DefaultEngine().inner.RunFactor(
-		engine.OpDesc{Kind: engine.OpLU, Workers: workers}, operandOf(a))
+//
+// Options work as in Do: WithWorkers splits the batch across the
+// persistent worker pool and WithEngine selects the engine; the other
+// options are ignored.
+func LU[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
+	cfg := resolveOpts(opts)
+	return cfg.eng.inner.RunFactor(
+		engine.OpDesc{Kind: engine.OpLU, Workers: cfg.workers}, operandOf(a))
 }
 
 // LUSolve solves A·X = B for every matrix of the batch, where a holds
@@ -50,17 +48,11 @@ func LUSolve[T Scalar](a, b *Compact[T]) error {
 // lower Cholesky factor L (A = L·Lᵀ; the strict upper triangle is left
 // untouched). Real element types only (errors.Is(err, ErrDType)
 // otherwise). info codes are per matrix: 0 on success, k+1 at the first
-// non-positive pivot.
-func Cholesky[T Scalar](a *Compact[T]) ([]int, error) {
-	return CholeskyParallel(1, a)
-}
-
-// CholeskyParallel is Cholesky with `workers` participants from the
-// persistent worker pool splitting the batch. workers <= 0 means auto
-// (GOMAXPROCS); workers == 1 runs serially.
-func CholeskyParallel[T Scalar](workers int, a *Compact[T]) ([]int, error) {
-	return DefaultEngine().inner.RunFactor(
-		engine.OpDesc{Kind: engine.OpCholesky, Workers: workers}, operandOf(a))
+// non-positive pivot. Options work as in LU.
+func Cholesky[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
+	cfg := resolveOpts(opts)
+	return cfg.eng.inner.RunFactor(
+		engine.OpDesc{Kind: engine.OpCholesky, Workers: cfg.workers}, operandOf(a))
 }
 
 // CholeskySolve solves A·X = B for every matrix of the batch, where a
@@ -83,16 +75,11 @@ type Pivots struct {
 // LUPivoted factors every matrix in place with partial pivoting
 // (P·A = L·U) — the robust form for matrices that are not diagonally
 // dominant. The returned Pivots must be passed to LUSolvePivoted.
-func LUPivoted[T Scalar](a *Compact[T]) (*Pivots, []int, error) {
-	return LUPivotedParallel(1, a)
-}
-
-// LUPivotedParallel is LUPivoted with `workers` participants from the
-// persistent worker pool. workers <= 0 means auto (GOMAXPROCS);
-// workers == 1 runs serially.
-func LUPivotedParallel[T Scalar](workers int, a *Compact[T]) (*Pivots, []int, error) {
-	p, info, err := DefaultEngine().inner.RunLUPiv(
-		engine.OpDesc{Kind: engine.OpLUPiv, Workers: workers}, operandOf(a))
+// Options work as in LU.
+func LUPivoted[T Scalar](a *Compact[T], opts ...Option) (*Pivots, []int, error) {
+	cfg := resolveOpts(opts)
+	p, info, err := cfg.eng.inner.RunLUPiv(
+		engine.OpDesc{Kind: engine.OpLUPiv, Workers: cfg.workers}, operandOf(a))
 	if err != nil {
 		return nil, nil, err
 	}

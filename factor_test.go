@@ -214,7 +214,7 @@ func TestFactorParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i4, err := LUParallel(4, c4)
+	i4, err := LU(c4, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

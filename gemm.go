@@ -1,12 +1,14 @@
 package iatf
 
+import "context"
+
 // The classic per-op entry points are compatibility wrappers over the
-// request API: each builds a Request and runs it through the same
-// synchronous dispatch path as Do. The engine does all shape checking,
+// request API: each builds a Request and runs it through Do on the
+// process-wide default engine. The engine does all shape checking,
 // resolves the cached execution plan (planning runs once per shape, not
-// once per call), and executes with pooled packing buffers on the
-// persistent worker pool. New code should prefer Do/Submit, which add
-// context support and async coalescing.
+// once per call), and executes with pooled packing buffers. Do/Submit
+// add context support, async coalescing, a private engine (WithEngine)
+// and a worker split (WithWorkers).
 
 // GEMM computes C = alpha·op(A)·op(B) + beta·C over every matrix of the
 // compact batches. op(A) must be M×K, op(B) K×N and C M×N, with equal
@@ -18,23 +20,7 @@ package iatf
 // super-batch); the plan and its schedule-optimized kernels are memoized
 // process-wide, so repeated calls only pay for execution.
 func GEMM[T Scalar](ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Compact[T]) error {
-	return GEMMOn(DefaultEngine(), 1, ta, tb, alpha, a, b, beta, c)
-}
-
-// GEMMParallel is GEMM with `workers` participants from the persistent
-// worker pool splitting the batch into super-batch chunks. workers <= 0
-// means auto (one worker per GOMAXPROCS); workers == 1 runs serially on
-// the caller. Interleave groups are independent, so the speedup is
-// near-linear until memory bandwidth saturates — the multi-core extension
-// the paper lists as future work.
-func GEMMParallel[T Scalar](workers int, ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Compact[T]) error {
-	return GEMMOn(DefaultEngine(), workers, ta, tb, alpha, a, b, beta, c)
-}
-
-// GEMMOn is GEMMParallel against a specific engine (its plan cache and
-// counters) instead of the process-wide default.
-func GEMMOn[T Scalar](e *Engine, workers int, ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Compact[T]) error {
-	return doSync(e, workers, Request[T]{
+	return Do(context.Background(), Request[T]{
 		Op: OpGEMM, TransA: ta, TransB: tb, Alpha: alpha, Beta: beta, A: a, B: b, C: c,
 	})
 }
@@ -44,19 +30,7 @@ func GEMMOn[T Scalar](e *Engine, workers int, ta, tb Trans, alpha T, a, b *Compa
 // square (M×M for Left, N×N for Right) and triangular per uplo/diag; the
 // other triangle is never read.
 func TRSM[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return TRSMOn(DefaultEngine(), 1, side, uplo, ta, diag, alpha, a, b)
-}
-
-// TRSMParallel is TRSM with `workers` participants from the persistent
-// worker pool splitting the batch. workers <= 0 means auto (GOMAXPROCS);
-// workers == 1 runs serially.
-func TRSMParallel[T Scalar](workers int, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return TRSMOn(DefaultEngine(), workers, side, uplo, ta, diag, alpha, a, b)
-}
-
-// TRSMOn is TRSMParallel against a specific engine.
-func TRSMOn[T Scalar](e *Engine, workers int, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return doSync(e, workers, Request[T]{
+	return Do(context.Background(), Request[T]{
 		Op: OpTRSM, Side: side, Uplo: uplo, TransA: ta, Diag: diag, Alpha: alpha, A: a, B: b,
 	})
 }
@@ -67,19 +41,7 @@ func TRSMOn[T Scalar](e *Engine, workers int, side Side, uplo Uplo, ta Trans, di
 // extension of the framework beyond the paper's GEMM/TRSM (its stated
 // future work). B is overwritten.
 func TRMM[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return TRMMOn(DefaultEngine(), 1, side, uplo, ta, diag, alpha, a, b)
-}
-
-// TRMMParallel is TRMM with `workers` participants from the persistent
-// worker pool splitting the batch. workers <= 0 means auto (GOMAXPROCS);
-// workers == 1 runs serially.
-func TRMMParallel[T Scalar](workers int, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return TRMMOn(DefaultEngine(), workers, side, uplo, ta, diag, alpha, a, b)
-}
-
-// TRMMOn is TRMMParallel against a specific engine.
-func TRMMOn[T Scalar](e *Engine, workers int, side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) error {
-	return doSync(e, workers, Request[T]{
+	return Do(context.Background(), Request[T]{
 		Op: OpTRMM, Side: side, Uplo: uplo, TransA: ta, Diag: diag, Alpha: alpha, A: a, B: b,
 	})
 }
@@ -90,19 +52,7 @@ func TRMMOn[T Scalar](e *Engine, workers int, side Side, uplo Uplo, ta Trans, di
 // Transpose the update is alpha·op(A)ᵀ·op(A) on a K×N input. Part of the
 // framework's level-3 extension set.
 func SYRK[T Scalar](uplo Uplo, trans Trans, alpha T, a *Compact[T], beta T, c *Compact[T]) error {
-	return SYRKOn(DefaultEngine(), 1, uplo, trans, alpha, a, beta, c)
-}
-
-// SYRKParallel is SYRK with `workers` participants from the persistent
-// worker pool splitting the batch. workers <= 0 means auto (GOMAXPROCS);
-// workers == 1 runs serially.
-func SYRKParallel[T Scalar](workers int, uplo Uplo, trans Trans, alpha T, a *Compact[T], beta T, c *Compact[T]) error {
-	return SYRKOn(DefaultEngine(), workers, uplo, trans, alpha, a, beta, c)
-}
-
-// SYRKOn is SYRKParallel against a specific engine.
-func SYRKOn[T Scalar](e *Engine, workers int, uplo Uplo, trans Trans, alpha T, a *Compact[T], beta T, c *Compact[T]) error {
-	return doSync(e, workers, Request[T]{
+	return Do(context.Background(), Request[T]{
 		Op: OpSYRK, Uplo: uplo, TransA: trans, Alpha: alpha, Beta: beta, A: a, C: c,
 	})
 }

@@ -48,18 +48,17 @@ type GEMMGroup[T Scalar] struct {
 	A, B, C        *Compact[T]
 }
 
-// GEMMGrouped executes every group as one engine submission through the
-// request path, splitting `workers` worker-pool participants within each
-// group's batch (workers <= 0 means auto, GOMAXPROCS). It stops at the
-// first error, reporting the group index via *GroupError. Groups sharing
-// a shape reuse one cached execution plan.
-func GEMMGrouped[T Scalar](workers int, groups []GEMMGroup[T]) error {
+// GEMMGrouped executes every group as one Do call with opts (WithWorkers
+// splits each group's batch, WithEngine selects the engine). It stops at
+// the first error, reporting the group index via *GroupError. Groups
+// sharing a shape reuse one cached execution plan.
+func GEMMGrouped[T Scalar](groups []GEMMGroup[T], opts ...Option) error {
 	ctx := context.Background()
 	for i, g := range groups {
 		err := Do(ctx, Request[T]{
 			Op: OpGEMM, TransA: g.TransA, TransB: g.TransB,
 			Alpha: g.Alpha, Beta: g.Beta, A: g.A, B: g.B, C: g.C,
-		}, WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return groupErr("GEMM", i, err)
 		}
@@ -77,15 +76,15 @@ type TRSMGroup[T Scalar] struct {
 	A, B   *Compact[T]
 }
 
-// TRSMGrouped executes every group of triangular solves (workers <= 0
-// means auto, GOMAXPROCS), reporting a failing group via *GroupError.
-func TRSMGrouped[T Scalar](workers int, groups []TRSMGroup[T]) error {
+// TRSMGrouped executes every group of triangular solves as one Do call
+// with opts, reporting a failing group via *GroupError.
+func TRSMGrouped[T Scalar](groups []TRSMGroup[T], opts ...Option) error {
 	ctx := context.Background()
 	for i, g := range groups {
 		err := Do(ctx, Request[T]{
 			Op: OpTRSM, Side: g.Side, Uplo: g.Uplo, TransA: g.TransA,
 			Diag: g.Diag, Alpha: g.Alpha, A: g.A, B: g.B,
-		}, WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return groupErr("TRSM", i, err)
 		}
@@ -103,16 +102,15 @@ type TRMMGroup[T Scalar] struct {
 	A, B   *Compact[T]
 }
 
-// TRMMGrouped executes every group of triangular multiplies (workers
-// <= 0 means auto, GOMAXPROCS), reporting a failing group via
-// *GroupError.
-func TRMMGrouped[T Scalar](workers int, groups []TRMMGroup[T]) error {
+// TRMMGrouped executes every group of triangular multiplies as one Do
+// call with opts, reporting a failing group via *GroupError.
+func TRMMGrouped[T Scalar](groups []TRMMGroup[T], opts ...Option) error {
 	ctx := context.Background()
 	for i, g := range groups {
 		err := Do(ctx, Request[T]{
 			Op: OpTRMM, Side: g.Side, Uplo: g.Uplo, TransA: g.TransA,
 			Diag: g.Diag, Alpha: g.Alpha, A: g.A, B: g.B,
-		}, WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return groupErr("TRMM", i, err)
 		}
@@ -129,16 +127,15 @@ type SYRKGroup[T Scalar] struct {
 	A, C        *Compact[T]
 }
 
-// SYRKGrouped executes every group of symmetric rank-k updates (workers
-// <= 0 means auto, GOMAXPROCS), reporting a failing group via
-// *GroupError.
-func SYRKGrouped[T Scalar](workers int, groups []SYRKGroup[T]) error {
+// SYRKGrouped executes every group of symmetric rank-k updates as one Do
+// call with opts, reporting a failing group via *GroupError.
+func SYRKGrouped[T Scalar](groups []SYRKGroup[T], opts ...Option) error {
 	ctx := context.Background()
 	for i, g := range groups {
 		err := Do(ctx, Request[T]{
 			Op: OpSYRK, Uplo: g.Uplo, TransA: g.Trans,
 			Alpha: g.Alpha, Beta: g.Beta, A: g.A, C: g.C,
-		}, WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return groupErr("SYRK", i, err)
 		}

@@ -27,7 +27,7 @@ func TestGEMMGrouped(t *testing.T) {
 			A: Pack(a), B: Pack(b), C: Pack(c),
 		})
 	}
-	if err := GEMMGrouped(2, groups); err != nil {
+	if err := GEMMGrouped(groups, WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -55,7 +55,7 @@ func TestTRSMGrouped(t *testing.T) {
 			A: Pack(a), B: Pack(b),
 		})
 	}
-	if err := TRSMGrouped(1, groups); err != nil {
+	if err := TRSMGrouped(groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -78,7 +78,7 @@ func TestGroupedErrorReportsIndex(t *testing.T) {
 	}
 	bad := good
 	bad.B = Pack(randBatch[float64](rng, 2, 5, 2)) // shape mismatch
-	err := GEMMGrouped(1, []GEMMGroup[float64]{good, bad})
+	err := GEMMGrouped([]GEMMGroup[float64]{good, bad})
 	if err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
@@ -115,7 +115,7 @@ func TestTRMMGrouped(t *testing.T) {
 			A: Pack(a), B: Pack(b),
 		})
 	}
-	if err := TRMMGrouped(1, groups); err != nil {
+	if err := TRMMGrouped(groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -145,7 +145,7 @@ func TestSYRKGrouped(t *testing.T) {
 			A: Pack(a), C: Pack(c),
 		})
 	}
-	if err := SYRKGrouped(1, groups); err != nil {
+	if err := SYRKGrouped(groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -157,13 +157,34 @@ func TestSYRKGrouped(t *testing.T) {
 
 	bad := groups[0]
 	bad.C = Pack(randBatch[float64](rng, 6, 4, 4)) // C rows disagree with op(A)
-	err := SYRKGrouped(1, []SYRKGroup[float64]{groups[0], bad})
+	err := SYRKGrouped([]SYRKGroup[float64]{groups[0], bad})
 	var ge *GroupError
 	if !errors.As(err, &ge) || ge.Index != 1 || ge.Op != "SYRK" {
 		t.Errorf("bad SYRK group: err = %v, want *GroupError{SYRK, 1}", err)
 	}
 	if !errors.Is(err, ErrShape) {
 		t.Errorf("bad SYRK group does not unwrap to ErrShape: %v", err)
+	}
+}
+
+// A grouped call runs where its options say: WithEngine(e) plans every
+// group on e and leaves the default engine's plan cache untouched.
+func TestGroupedHonorsWithEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	e := NewEngine()
+	mk := func(n int) SYRKGroup[float32] {
+		return SYRKGroup[float32]{Uplo: Upper, Trans: Transpose, Alpha: 1, Beta: 0,
+			A: Pack(randBatch[float32](rng, 3, 5, n)), C: Pack(randBatch[float32](rng, 3, n, n))}
+	}
+	before := DefaultEngine().Stats().PlanMisses
+	if err := SYRKGrouped([]SYRKGroup[float32]{mk(11), mk(13)}, WithEngine(e)); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().PlanMisses; got != 2 {
+		t.Errorf("private engine plan misses = %d, want 2 (one per group shape)", got)
+	}
+	if got := DefaultEngine().Stats().PlanMisses - before; got != 0 {
+		t.Errorf("default engine recorded %d plan misses for a WithEngine grouped call", got)
 	}
 }
 

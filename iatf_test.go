@@ -1,11 +1,32 @@
 package iatf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"iatf/internal/matrix"
 )
+
+// gemmReq, trsmReq, trmmReq and syrkReq build a Do request from the
+// classic argument list of GEMM, TRSM, TRMM and SYRK.
+func gemmReq[T Scalar](ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Compact[T]) Request[T] {
+	return Request[T]{Op: OpGEMM, TransA: ta, TransB: tb, Alpha: alpha, Beta: beta, A: a, B: b, C: c}
+}
+
+func trsmReq[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) Request[T] {
+	return Request[T]{Op: OpTRSM, Side: side, Uplo: uplo, TransA: ta, Diag: diag, Alpha: alpha, A: a, B: b}
+}
+
+func trmmReq[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) Request[T] {
+	r := trsmReq(side, uplo, ta, diag, alpha, a, b)
+	r.Op = OpTRMM
+	return r
+}
+
+func syrkReq[T Scalar](uplo Uplo, trans Trans, alpha T, a *Compact[T], beta T, c *Compact[T]) Request[T] {
+	return Request[T]{Op: OpSYRK, Uplo: uplo, TransA: trans, Alpha: alpha, Beta: beta, A: a, C: c}
+}
 
 func randBatch[T Scalar](rng *rand.Rand, count, rows, cols int) *Batch[T] {
 	b := NewBatch[T](count, rows, cols)
@@ -289,7 +310,7 @@ func TestParallelAPIsMatchSequential(t *testing.T) {
 	if err := GEMM(NoTrans, NoTrans, float32(1), ca, cb, float32(1), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := GEMMParallel(4, NoTrans, NoTrans, float32(1), ca, cb, float32(1), c4); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, float32(1), ca, cb, float32(1), c4), WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	if matrix.MaxAbsDiff(c1.Unpack().Data(), c4.Unpack().Data()) != 0 {
@@ -302,7 +323,7 @@ func TestParallelAPIsMatchSequential(t *testing.T) {
 	if err := TRSM(Left, Lower, NoTrans, NonUnit, float32(1), cta, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := TRSMParallel(4, Left, Lower, NoTrans, NonUnit, float32(1), cta, b4); err != nil {
+	if err := Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, float32(1), cta, b4), WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	if matrix.MaxAbsDiff(b1.Unpack().Data(), b4.Unpack().Data()) != 0 {
@@ -313,7 +334,7 @@ func TestParallelAPIsMatchSequential(t *testing.T) {
 	if err := TRMM(Left, Lower, NoTrans, NonUnit, float32(1), cta, m1); err != nil {
 		t.Fatal(err)
 	}
-	if err := TRMMParallel(4, Left, Lower, NoTrans, NonUnit, float32(1), cta, m4); err != nil {
+	if err := Do(context.Background(), trmmReq(Left, Lower, NoTrans, NonUnit, float32(1), cta, m4), WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	if matrix.MaxAbsDiff(m1.Unpack().Data(), m4.Unpack().Data()) != 0 {

@@ -191,8 +191,8 @@ type submitQueue struct {
 	// dispatcher starts, lets this engine's dispatcher pull queued
 	// requests from a sibling shard when its own queue runs dry. It
 	// appends the stolen requests to *batch and returns how many were
-	// taken. nil for solo engines and one-shard sets — their dispatcher
-	// blocks on the queue with no polling.
+	// taken. nil on a one-shard set — its dispatcher blocks on the queue
+	// with no polling.
 	steal func(batch *[]*asyncReq) int
 
 	stolenBatches atomic.Uint64 // steal attempts that took work (thief side)
@@ -213,7 +213,8 @@ type QueueStats struct {
 
 	// StolenBatches/StolenReqs count work-stealing on the thief side: how
 	// often this shard's dispatcher ran dry and pulled from a sibling, and
-	// how many sibling-queued requests it executed. Zero for solo engines.
+	// how many sibling-queued requests it executed. Zero on a one-shard
+	// set.
 	StolenBatches uint64
 	StolenReqs    uint64
 

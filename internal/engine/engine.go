@@ -236,10 +236,9 @@ type planShard struct {
 }
 
 // Engine owns a tuning configuration, the plan cache for it and the
-// per-shape observability registry. All public API calls route through
-// the process-wide Default engine; New builds private engines (isolated
-// cache and counters) for tests, ablation tunings, or multi-tenant
-// serving.
+// per-shape observability registry. It is one shard of a Set: the
+// public API reaches engines only through sets (a solo engine is a set
+// of one), while New alone serves tests and iatf-tune's Warm/Export.
 type Engine struct {
 	tun    core.Tuning
 	rt     *core.Runtime // per-engine worker pool + buffer pools
@@ -295,11 +294,6 @@ func New(tun core.Tuning) *Engine {
 	e.chainPlans = make(map[uint64][]*chainPlan)
 	return e
 }
-
-var defaultEngine = New(core.DefaultTuning())
-
-// Default returns the process-wide engine.
-func Default() *Engine { return defaultEngine }
 
 // Tuning returns the engine's tuning configuration.
 func (e *Engine) Tuning() core.Tuning { return e.tun }

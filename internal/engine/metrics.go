@@ -88,9 +88,9 @@ func (o *omWriter) gauge(name, labels string, v float64) {
 	o.printf("%s%s %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// metricsEntry is one stats source of a multi-engine scrape: shard is
-// the shard label value ("" = unlabeled — a solo engine, or the
-// aggregate samples of an EngineSet scrape).
+// metricsEntry is one stats source of a scrape: shard is the shard
+// label value ("" = unlabeled — a set of one, or the aggregate samples
+// of a larger set's scrape).
 type metricsEntry struct {
 	shard string
 	st    Stats
@@ -160,19 +160,19 @@ func (o *omWriter) histogram(name, extra string, h obs.HistSnapshot) {
 	o.printf("%s_count%s %d\n", name, extra, h.Count)
 }
 
-// WriteOpenMetrics renders one scrape of the engine's state as
-// OpenMetrics text (terminated by the mandatory # EOF).
-func (e *Engine) WriteOpenMetrics(w io.Writer) error {
-	return writeOpenMetrics(w, []metricsEntry{{st: e.Stats()}}, nil)
-}
-
-// WriteOpenMetrics renders one scrape of the whole set: every family
-// carries the aggregate as unlabeled samples plus one shard="k" sample
-// per shard, so dashboards graph either view from the same scrape
-// without client-side summing. TYPE lines are emitted once per family
-// (a valid exposition — concatenating per-engine dumps would not be).
+// WriteOpenMetrics renders one scrape of the set as OpenMetrics text
+// (terminated by the mandatory # EOF). A set of one renders its shard's
+// state unlabeled. A larger set's families carry the aggregate as
+// unlabeled samples plus one shard="k" sample per shard, and the
+// iatf_set_* routing families join them, so dashboards graph either
+// view from the same scrape without client-side summing. TYPE lines are
+// emitted once per family (a valid exposition — concatenating
+// per-engine dumps would not be).
 func (s *Set) WriteOpenMetrics(w io.Writer) error {
 	st := s.Stats()
+	if len(st.Shards) == 1 {
+		return writeOpenMetrics(w, []metricsEntry{{st: st.Aggregate}}, nil)
+	}
 	entries := make([]metricsEntry, 0, len(st.Shards)+1)
 	entries = append(entries, metricsEntry{st: st.Aggregate})
 	for i := range st.Shards {
@@ -421,23 +421,10 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 
 // MetricsHandler returns an http.Handler serving WriteOpenMetrics with
 // the OpenMetrics content type — mountable at /metrics.
-func (e *Engine) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		if err := e.WriteOpenMetrics(w); err != nil {
-			// Headers are already out; nothing recoverable mid-stream.
-			return
-		}
-	})
-}
-
-// MetricsHandler returns an http.Handler serving the set's per-shard +
-// aggregate WriteOpenMetrics — mountable at /metrics.
 func (s *Set) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		if err := s.WriteOpenMetrics(w); err != nil {
-			return
-		}
+		// Headers are already out on error; nothing recoverable mid-stream.
+		_ = s.WriteOpenMetrics(w)
 	})
 }

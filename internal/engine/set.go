@@ -69,8 +69,7 @@ func DefaultShards() int {
 
 // Set is a sharded group of engines behind one dispatch surface. All
 // methods are safe for concurrent use. A Set's dispatchers run for the
-// life of the process (like a solo engine's); create Sets once and
-// reuse them.
+// life of the process; create Sets once and reuse them.
 type Set struct {
 	engines []*Engine
 	routed  []atomic.Uint64 // per-shard: calls routed here (sync + async)
@@ -81,11 +80,17 @@ type Set struct {
 }
 
 // NewSet builds a set of n isolated engines sharing one tuning
-// configuration (n <= 0 uses DefaultShards). Every shard's worker fleet
-// is capped at its core share, max(1, NumCPU/n). Dispatchers start
-// together on the set's first Submit — work stealing needs every
-// sibling's drain loop alive, and deferring the start keeps
-// SetQueueCapacity usable after construction.
+// configuration (n <= 0 uses DefaultShards). Dispatchers start together
+// on the set's first Submit — work stealing needs every sibling's drain
+// loop alive, and deferring the start keeps SetQueueCapacity usable
+// after construction.
+//
+// A set of one is the solo engine: its shard carries no shard label,
+// no worker cap and no steal hook, calls reach it without hashing, and
+// its stats and scrape are the shard's own. Only with siblings is every
+// shard's worker fleet capped at its core share, max(1, NumCPU/n), its
+// series labeled with its index, and its idle dispatcher polling the
+// siblings' queues.
 func NewSet(tun core.Tuning, n int) *Set {
 	if n <= 0 {
 		n = DefaultShards()
@@ -94,27 +99,21 @@ func NewSet(tun core.Tuning, n int) *Set {
 		engines: make([]*Engine, n),
 		routed:  make([]atomic.Uint64, n),
 	}
-	budget := runtime.NumCPU() / n
-	if budget < 1 {
-		budget = 1
-	}
 	for i := range s.engines {
-		e := New(tun)
-		e.rt.Sched.SetMaxWorkers(budget)
-		e.obs.SetShard(i)
-		s.engines[i] = e
+		s.engines[i] = New(tun)
 	}
+	if n == 1 {
+		return s
+	}
+	budget := max(1, runtime.NumCPU()/n)
 	// Install the steal hooks after every shard exists (a hook scans all
 	// sibling queues) but before any dispatcher can start: dispatchLoop
-	// reads its steal hook once at entry. A lone shard has no sibling to
-	// steal from, so it gets no hook and its dispatcher blocks on its own
-	// queue like a solo engine's instead of polling.
-	if n > 1 {
-		for i := range s.engines {
-			self := i
-			s.engines[i].queue.steal = func(batch *[]*asyncReq) int {
-				return s.stealInto(self, batch)
-			}
+	// reads its steal hook once at entry.
+	for i, e := range s.engines {
+		e.rt.Sched.SetMaxWorkers(budget)
+		e.obs.SetShard(i)
+		e.queue.steal = func(batch *[]*asyncReq) int {
+			return s.stealInto(i, batch)
 		}
 	}
 	return s
@@ -132,10 +131,9 @@ func (s *Set) startAll() {
 // Shards returns the shard count.
 func (s *Set) Shards() int { return len(s.engines) }
 
-// Shard returns shard i's engine — per-shard introspection (stats,
-// metrics, traces) and explicit shard targeting. The returned engine is
-// live; routing invariants are the caller's problem if it submits work
-// directly.
+// Shard returns shard i's engine — per-shard configuration and
+// introspection. The returned engine is live; routing invariants are
+// the caller's problem if it submits work directly.
 func (s *Set) Shard(i int) *Engine { return s.engines[i] }
 
 // mix64 folds v into the running FNV-1a style hash h.
@@ -209,8 +207,22 @@ func (s *Set) route(op OpDesc, operands []Operand) int {
 }
 
 // home picks the home shard of a stage list and counts the call there.
+// A set of one has nothing to choose.
 func (s *Set) home(stages []ChainStage) int {
+	if len(s.engines) == 1 {
+		return 0
+	}
 	sh := jumpHash(stagesRouteHash(stages), len(s.engines))
+	s.routed[sh].Add(1)
+	return sh
+}
+
+// homeOf is home for a factorization's single operand.
+func (s *Set) homeOf(op OpDesc, a Operand) int {
+	if len(s.engines) == 1 {
+		return 0
+	}
+	sh := s.route(op, []Operand{a})
 	s.routed[sh].Add(1)
 	return sh
 }
@@ -248,16 +260,12 @@ func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Futu
 // RunFactor routes a factorization to its home shard; see
 // Engine.RunFactor.
 func (s *Set) RunFactor(op OpDesc, a Operand) ([]int, error) {
-	sh := s.route(op, []Operand{a})
-	s.routed[sh].Add(1)
-	return s.engines[sh].RunFactor(op, a)
+	return s.engines[s.homeOf(op, a)].RunFactor(op, a)
 }
 
 // RunLUPiv routes a pivoted LU to its home shard; see Engine.RunLUPiv.
 func (s *Set) RunLUPiv(op OpDesc, a Operand) (*core.Pivots, []int, error) {
-	sh := s.route(op, []Operand{a})
-	s.routed[sh].Add(1)
-	return s.engines[sh].RunLUPiv(op, a)
+	return s.engines[s.homeOf(op, a)].RunLUPiv(op, a)
 }
 
 // leastLoaded returns the shard with the shallowest queue, excluding
@@ -350,6 +358,7 @@ type ShardStats struct {
 // SetStats is a point-in-time view of the whole set: per-shard stats
 // plus the cross-shard aggregate (counters summed, shapes merged by
 // identity) so dashboards don't re-aggregate label sets client-side.
+// A set of one routes nothing, and its aggregate is its shard's stats.
 type SetStats struct {
 	Shards          []ShardStats `json:"shards"`
 	Fallbacks       uint64       `json:"fallbacks"`        // queue-full submissions redirected to a sibling
@@ -377,8 +386,10 @@ func (s *Set) Stats() SetStats {
 			out.Aggregate.Add(st)
 		}
 	}
-	out.Aggregate.Shapes = obs.AggregateShapes(perShape...)
-	out.Aggregate.Tenants = obs.AggregateTenants(perTenant...)
+	if len(s.engines) > 1 {
+		out.Aggregate.Shapes = obs.AggregateShapes(perShape...)
+		out.Aggregate.Tenants = obs.AggregateTenants(perTenant...)
+	}
 	return out
 }
 
@@ -434,6 +445,9 @@ func (s *Set) SetTenants(cfg map[string]obs.TenantObjective) {
 // TenantStats returns the cross-shard aggregate of every shard's
 // per-tenant SLO series (nil when accounting is disabled).
 func (s *Set) TenantStats() []obs.TenantSnapshot {
+	if len(s.engines) == 1 {
+		return s.engines[0].TenantStats()
+	}
 	perTenant := make([][]obs.TenantSnapshot, len(s.engines))
 	any := false
 	for i, e := range s.engines {
@@ -452,9 +466,6 @@ func (s *Set) TenantStats() []obs.TenantSnapshot {
 // the tenant's name-affine shard, so repeated sheds for one tenant stay
 // on one series instead of smearing across the set.
 func (s *Set) RecordTenantShed(name string) {
-	if len(s.engines) == 0 {
-		return
-	}
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])

@@ -521,3 +521,35 @@ func TestSetStealHookOnlyWithSiblings(t *testing.T) {
 		}
 	}
 }
+
+// TestSetOfOneIsSoloShard: besides the steal hook, a one-shard set skips
+// everything that only siblings need — the worker cap and the shard
+// label — and routes nothing.
+func TestSetOfOneIsSoloShard(t *testing.T) {
+	solo := NewSet(core.DefaultTuning(), 1)
+	e := solo.engines[0]
+	if e.rt.Sched.MaxWorkers() != 0 || e.obs.Shard() != -1 {
+		t.Errorf("1-shard set: worker cap %d, shard label %d; want 0, -1", e.rt.Sched.MaxWorkers(), e.obs.Shard())
+	}
+	if got := solo.home(one(OpDesc{Kind: OpGEMM})); got != 0 || solo.routed[0].Load() != 0 {
+		t.Errorf("1-shard set: home %d, routed %d; want 0, 0", got, solo.routed[0].Load())
+	}
+	two := NewSet(core.DefaultTuning(), 2)
+	for i, e := range two.engines {
+		if e.rt.Sched.MaxWorkers() < 1 || e.obs.Shard() != i {
+			t.Errorf("2-shard set: shard %d has worker cap %d, label %d", i, e.rt.Sched.MaxWorkers(), e.obs.Shard())
+		}
+	}
+}
+
+// TestSetBroadcastsProfileLabels: one SetProfileLabels call on a set
+// reaches every shard.
+func TestSetBroadcastsProfileLabels(t *testing.T) {
+	s := NewSet(core.DefaultTuning(), 3)
+	s.SetProfileLabels(true)
+	for i, e := range s.engines {
+		if !e.profLabels.Load() {
+			t.Errorf("shard %d: profile labels off after Set.SetProfileLabels(true)", i)
+		}
+	}
+}

@@ -316,7 +316,8 @@ func TestAsyncSpanCancelled(t *testing.T) {
 // samples use the _total suffix, histogram buckets are cumulative, and
 // the exposition ends with # EOF.
 func TestOpenMetricsValidity(t *testing.T) {
-	e := New(core.DefaultTuning())
+	set := NewSet(core.DefaultTuning(), 1)
+	e := set.Shard(0)
 	rng := rand.New(rand.NewSource(96))
 	a, b, c := gemmReqOperands(rng, 16, 8, 8, 8)
 	a.EnablePrepack()
@@ -338,7 +339,7 @@ func TestOpenMetricsValidity(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.WriteOpenMetrics(&buf); err != nil {
+	if err := set.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -90,9 +90,8 @@ func (e *Engine) storeStats() StoreStats {
 // Fingerprint returns the engine tuning's store fingerprint.
 func (e *Engine) Fingerprint() string { return e.fp }
 
-// SetStorePath attaches a store file path to the engine. It does not
-// load or save by itself — pair with LoadStore/SaveStore. An empty path
-// detaches.
+// SetStorePath attaches a store file path to the engine (Set.LoadStore
+// and Set.SaveStore read it from shard 0).
 func (e *Engine) SetStorePath(path string) {
 	e.storeMu.Lock()
 	e.storePath = path
@@ -104,47 +103,6 @@ func (e *Engine) StorePath() string {
 	e.storeMu.Lock()
 	defer e.storeMu.Unlock()
 	return e.storePath
-}
-
-// LoadStore reads the attached store file and hydrates the engine:
-// stored kernel schedules join the process kernel memo, and every stored
-// plan descriptor is replayed through the exact plan constructors into
-// the plan cache (counted in Stats.PlanHydrated, never as misses).
-//
-// Staleness is not an error: an absent file, a fingerprint or format
-// mismatch, and a corrupt file all leave the engine cold (counted in
-// Stats.Store) and return nil. Only unexpected I/O failures are
-// returned.
-func (e *Engine) LoadStore() error {
-	path := e.StorePath()
-	if path == "" {
-		return nil
-	}
-	f, err := store.Load(path, e.fp)
-	if err != nil {
-		e.storeMu.Lock()
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Cold start: nothing to load, nothing to count.
-		case errors.Is(err, store.ErrMismatch):
-			e.storeState.loadMismatches++
-		default:
-			e.storeState.loadErrors++
-		}
-		e.storeMu.Unlock()
-		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, store.ErrMismatch) || errors.Is(err, store.ErrCorrupt) {
-			return nil
-		}
-		return err
-	}
-	e.Hydrate(f)
-	return nil
-}
-
-// Hydrate installs a decoded store file into the engine. The caller has
-// already validated the fingerprint (store.Load does).
-func (e *Engine) Hydrate(f *store.File) (plans, kernels int) {
-	return e.hydrate(f, func(planKey) *Engine { return e })
 }
 
 // hydrate imports f's kernel schedules, installs each stored plan in the
@@ -233,25 +191,6 @@ func (e *Engine) Export(tool string) *store.File {
 		sh.mu.Unlock()
 	}
 	return f
-}
-
-// SaveStore serializes the engine's tuned state to the attached store
-// path (atomically, merge-free: the engine's current view wins). No-op
-// without an attached path.
-func (e *Engine) SaveStore() error {
-	path := e.StorePath()
-	if path == "" {
-		return nil
-	}
-	err := e.Export("engine-flush").WriteAtomic(path)
-	e.storeMu.Lock()
-	if err != nil {
-		e.storeState.saveErrors++
-	} else {
-		e.storeState.saves++
-	}
-	e.storeMu.Unlock()
-	return err
 }
 
 // descOfKey converts a plan-cache key to its serializable form.
@@ -356,20 +295,28 @@ func routeHashKey(k planKey) uint64 {
 }
 
 // SetStorePath attaches a store path to the whole set. Shard 0 carries
-// the path for stats; loading and saving are set-level operations.
+// the path for stats; loading and saving are set-level operations. It
+// does not load or save by itself — pair with LoadStore/SaveStore. An
+// empty path detaches.
 func (s *Set) SetStorePath(path string) { s.engines[0].SetStorePath(path) }
 
-// StorePath returns the set's attached store path.
+// StorePath returns the set's attached store path ("" = none).
 func (s *Set) StorePath() string { return s.engines[0].StorePath() }
 
 // Fingerprint returns the set's tuning fingerprint (all shards share
 // one tuning).
 func (s *Set) Fingerprint() string { return s.engines[0].fp }
 
-// LoadStore reads the set's attached store and hydrates every stored
-// plan into its identity's home shard — the same shard live traffic
-// routes to. Kernel schedules are imported into the process memo once.
-// Staleness semantics match Engine.LoadStore.
+// LoadStore reads the set's attached store and hydrates it: stored
+// kernel schedules join the process kernel memo once, and every stored
+// plan descriptor is replayed through the exact plan constructors into
+// its identity's home shard — the shard live traffic routes to —
+// counted in Stats.PlanHydrated, never as misses.
+//
+// Staleness is not an error: an absent file, a fingerprint or format
+// mismatch, and a corrupt file all leave the set cold (counted in
+// Stats.Store) and return nil. Only unexpected I/O failures are
+// returned.
 func (s *Set) LoadStore() error {
 	e0 := s.engines[0]
 	path := e0.StorePath()
@@ -381,6 +328,7 @@ func (s *Set) LoadStore() error {
 		e0.storeMu.Lock()
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
+			// Cold start: nothing to load, nothing to count.
 		case errors.Is(err, store.ErrMismatch):
 			e0.storeState.loadMismatches++
 		default:
@@ -398,18 +346,18 @@ func (s *Set) LoadStore() error {
 	return nil
 }
 
-// SaveStore writes the union of every shard's plan cache (plus the
-// kernel memo) to the set's attached store path. No-op without a path.
+// SaveStore atomically writes the set's tuned state — the union of
+// every shard's plan cache plus the kernel memo — to the attached store
+// path (merge-free: the set's current view wins). No-op without a path.
 func (s *Set) SaveStore() error {
 	e0 := s.engines[0]
 	path := e0.StorePath()
 	if path == "" {
 		return nil
 	}
-	f := e0.Export("engineset-flush")
+	f := e0.Export("engine-flush")
 	for _, e := range s.engines[1:] {
-		other := e.Export("")
-		f.Merge(other)
+		f.Merge(e.Export(""))
 	}
 	err := f.WriteAtomic(path)
 	e0.storeMu.Lock()

@@ -31,6 +31,13 @@ func plansOf(e *Engine) map[planKey]any {
 	return out
 }
 
+// solo builds a one-shard set and returns it with its engine: store
+// loads and saves are set operations.
+func solo(tun core.Tuning) (*Set, *Engine) {
+	s := NewSet(tun, 1)
+	return s, s.engines[0]
+}
+
 // coldKernelMemo swaps in an empty process kernel memo for the test's
 // duration, simulating a process that never generated any kernels.
 func coldKernelMemo(t *testing.T) {
@@ -44,7 +51,7 @@ func coldKernelMemo(t *testing.T) {
 // the original process tuned live.
 func TestStoreRoundTripBitExact(t *testing.T) {
 	tun := core.DefaultTuning()
-	e1 := New(tun)
+	se1, e1 := solo(tun)
 	path := store.PathFor(t.TempDir(), e1.Fingerprint())
 
 	// Tune live: one real dispatch plus a Warm sweep over every op family.
@@ -67,8 +74,8 @@ func TestStoreRoundTripBitExact(t *testing.T) {
 			t.Fatalf("warm %+v: %v", d, err)
 		}
 	}
-	e1.SetStorePath(path)
-	if err := e1.SaveStore(); err != nil {
+	se1.SetStorePath(path)
+	if err := se1.SaveStore(); err != nil {
 		t.Fatal(err)
 	}
 	if st := e1.Stats().Store; st.Saves != 1 || st.Path != path {
@@ -77,9 +84,9 @@ func TestStoreRoundTripBitExact(t *testing.T) {
 
 	// Cold process: fresh kernel memo, fresh engine, same tuning.
 	coldKernelMemo(t)
-	e2 := New(tun)
-	e2.SetStorePath(path)
-	if err := e2.LoadStore(); err != nil {
+	se2, e2 := solo(tun)
+	se2.SetStorePath(path)
+	if err := se2.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e2.Stats()
@@ -104,7 +111,7 @@ func TestStoreRoundTripBitExact(t *testing.T) {
 // result matches the tuning process's.
 func TestStoreHydrationIsNotAMiss(t *testing.T) {
 	tun := core.DefaultTuning()
-	e1 := New(tun)
+	se1, e1 := solo(tun)
 	path := store.PathFor(t.TempDir(), e1.Fingerprint())
 
 	run := func(e *Engine) *layout.Compact[float32] {
@@ -118,15 +125,15 @@ func TestStoreHydrationIsNotAMiss(t *testing.T) {
 		return c
 	}
 	want := run(e1)
-	e1.SetStorePath(path)
-	if err := e1.SaveStore(); err != nil {
+	se1.SetStorePath(path)
+	if err := se1.SaveStore(); err != nil {
 		t.Fatal(err)
 	}
 
 	coldKernelMemo(t)
-	e2 := New(tun)
-	e2.SetStorePath(path)
-	if err := e2.LoadStore(); err != nil {
+	se2, e2 := solo(tun)
+	se2.SetStorePath(path)
+	if err := se2.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	got := run(e2)
@@ -164,15 +171,15 @@ func TestStoreHydrationIsNotAMiss(t *testing.T) {
 // ignored without error and the engine tunes live.
 func TestStoreFingerprintMismatchFallsBack(t *testing.T) {
 	tun := core.DefaultTuning()
-	e := New(tun)
+	se, e := solo(tun)
 	path := store.PathFor(t.TempDir(), e.Fingerprint())
 	other := store.New("some-other-machine-t0123", "test")
 	other.Plans = []store.PlanDesc{{Kind: int(OpGEMM), DType: int(vec.S), M: 4, N: 4, K: 4, CountBucket: 1}}
 	if err := other.WriteAtomic(path); err != nil {
 		t.Fatal(err)
 	}
-	e.SetStorePath(path)
-	if err := e.LoadStore(); err != nil {
+	se.SetStorePath(path)
+	if err := se.LoadStore(); err != nil {
 		t.Fatalf("mismatch must not be an error, got %v", err)
 	}
 	s := e.Stats()
@@ -196,12 +203,12 @@ func TestStoreFingerprintMismatchFallsBack(t *testing.T) {
 // ignored; absent stores are silent.
 func TestStoreCorruptFallsBack(t *testing.T) {
 	tun := core.DefaultTuning()
-	e := New(tun)
+	se, e := solo(tun)
 	path := store.PathFor(t.TempDir(), e.Fingerprint())
-	e.SetStorePath(path)
+	se.SetStorePath(path)
 
 	// Absent: no error, no counters.
-	if err := e.LoadStore(); err != nil {
+	if err := se.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats().Store; s.Loads != 0 || s.LoadErrors != 0 {
@@ -211,7 +218,7 @@ func TestStoreCorruptFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1,"fing`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadStore(); err != nil {
+	if err := se.LoadStore(); err != nil {
 		t.Fatalf("corrupt must not be an error, got %v", err)
 	}
 	if s := e.Stats().Store; s.LoadErrors != 1 || s.Loads != 0 {
@@ -222,10 +229,10 @@ func TestStoreCorruptFallsBack(t *testing.T) {
 	if err := e.Warm(store.PlanDesc{Kind: int(OpGEMM), DType: int(vec.S), M: 4, N: 4, K: 4, CountBucket: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SaveStore(); err != nil {
+	if err := se.SaveStore(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadStore(); err != nil {
+	if err := se.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	if s := e.Stats().Store; s.Loads != 1 {
@@ -238,7 +245,7 @@ func TestStoreCorruptFallsBack(t *testing.T) {
 // routes to, so warm-start calls through the set are hits, not misses.
 func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	tun := core.DefaultTuning()
-	e1 := New(tun)
+	se1, e1 := solo(tun)
 	path := store.PathFor(t.TempDir(), e1.Fingerprint())
 
 	// A spread of identities across op kinds, transposes, sides and
@@ -285,8 +292,8 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	}
 	total := len(calls) + 1
 
-	e1.SetStorePath(path)
-	if err := e1.SaveStore(); err != nil {
+	se1.SetStorePath(path)
+	if err := se1.SaveStore(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -370,9 +377,9 @@ func TestConcurrentTuners(t *testing.T) {
 	wg.Wait()
 
 	coldKernelMemo(t)
-	e := New(tun)
-	e.SetStorePath(path)
-	if err := e.LoadStore(); err != nil {
+	se, e := solo(tun)
+	se.SetStorePath(path)
+	if err := se.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -419,9 +426,9 @@ func TestStoreHostileDescriptorsFailSoft(t *testing.T) {
 	valid := planKey{kind: OpGEMM, dt: vec.D, m: 4, n: 4, k: 4, countBucket: 1}
 	large := planKey{kind: OpGEMM, dt: vec.S, m: 200, n: 200, k: 200, countBucket: 2}
 
-	e := New(tun)
-	e.SetStorePath(path)
-	if err := e.LoadStore(); err != nil {
+	se, e := solo(tun)
+	se.SetStorePath(path)
+	if err := se.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	if got := plansOf(e); len(got) != 2 || got[valid] == nil || got[large] == nil {

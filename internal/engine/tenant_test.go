@@ -320,7 +320,8 @@ func TestTenantSetAggregation(t *testing.T) {
 // # EOF. A tenant name with quotes and backslashes must round-trip
 // escaped.
 func TestTenantOpenMetricsFamilies(t *testing.T) {
-	e := New(core.DefaultTuning())
+	set := NewSet(core.DefaultTuning(), 1)
+	e := set.Shard(0)
 	weird := `ten"ant\x`
 	e.SetTenants(map[string]obs.TenantObjective{
 		"rt":  {Class: 5, Objective: 10 * time.Second, Target: 0.99},
@@ -335,7 +336,7 @@ func TestTenantOpenMetricsFamilies(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.WriteOpenMetrics(&buf); err != nil {
+	if err := set.WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -363,7 +364,7 @@ func TestTenantOpenMetricsFamilies(t *testing.T) {
 	}
 
 	// Disabled accounting emits no tenant families.
-	e2 := New(core.DefaultTuning())
+	e2 := NewSet(core.DefaultTuning(), 1)
 	if err := e2.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // with fresh workers or retires the surplus — the pool never stays
 // permanently mis-sized for the machine it is running on.
 //
-// The workers convention, shared by every public *Parallel function:
+// The workers convention, shared by every public WithWorkers option:
 // workers <= 0 means "auto", i.e. one worker per GOMAXPROCS; workers == 1
 // runs inline on the caller with zero goroutine traffic.
 package sched

@@ -46,11 +46,10 @@ import (
 	"iatf"
 )
 
-// Config configures a Server. Exactly one backend is used: Set when
-// non-nil, else Engine, else the process-wide default engine.
+// Config configures a Server. Engine is the backend — a private
+// engine, an EngineSet's Engine, or nil for the process-wide default.
 type Config struct {
 	Engine *iatf.Engine
-	Set    *iatf.EngineSet
 
 	// DefaultDeadline is applied to requests that carry no deadline_ms.
 	// 0 means such requests run without a deadline (and are always
@@ -62,7 +61,7 @@ type Config struct {
 	// overriding the body's priority field), the per-request latency
 	// objective and the SLO attainment target the burn-rate gauge runs
 	// against. A non-nil map — even an empty one — enables per-tenant
-	// accounting on the backend (Engine/EngineSet.SetTenants): every
+	// accounting on the backend (Engine.SetTenants): every
 	// tagged request, shed, and deadline miss lands in the tenant's
 	// rolling series, surfaced at /tenants and as iatf_tenant_* metrics.
 	// Unknown tenants are tracked with a zero objective.
@@ -121,7 +120,7 @@ type Server struct {
 // New builds a Server over cfg's backend. A non-nil Tenants map is
 // installed on the backend, enabling per-tenant SLO accounting.
 func New(cfg Config) *Server {
-	if cfg.Set == nil && cfg.Engine == nil {
+	if cfg.Engine == nil {
 		cfg.Engine = iatf.DefaultEngine()
 	}
 	if cfg.AdmitRefresh <= 0 {
@@ -131,24 +130,15 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 64 << 20
 	}
 	if cfg.Tenants != nil {
-		if cfg.Set != nil {
-			cfg.Set.SetTenants(cfg.Tenants)
-		} else {
-			cfg.Engine.SetTenants(cfg.Tenants)
-		}
+		cfg.Engine.SetTenants(cfg.Tenants)
 	}
 	return &Server{cfg: cfg}
 }
 
 // TenantStats returns the backend's per-tenant SLO series (aggregated
-// across shards on a Set backend); empty when accounting is disabled.
+// across shards on an EngineSet); empty when accounting is disabled.
 func (s *Server) TenantStats() []iatf.TenantStats {
-	var ts []iatf.TenantStats
-	if s.cfg.Set != nil {
-		ts = s.cfg.Set.TenantStats()
-	} else {
-		ts = s.cfg.Engine.TenantStats()
-	}
+	ts := s.cfg.Engine.TenantStats()
 	if ts == nil {
 		ts = []iatf.TenantStats{}
 	}
@@ -162,19 +152,7 @@ func (s *Server) recordShed(tenant string) {
 	if tenant == "" {
 		return
 	}
-	if s.cfg.Set != nil {
-		s.cfg.Set.RecordTenantShed(tenant)
-		return
-	}
 	s.cfg.Engine.RecordTenantShed(tenant)
-}
-
-// queueStats returns the backend's submission-queue aggregate.
-func (s *Server) queueStats() iatf.QueueStats {
-	if s.cfg.Set != nil {
-		return s.cfg.Set.QueueStats()
-	}
-	return s.cfg.Engine.QueueStats()
 }
 
 // Stats snapshots the server's outcome counters.
@@ -186,7 +164,7 @@ func (s *Server) Stats() Stats {
 		QueueFull: s.queueFull.Load(),
 		Expired:   s.expired.Load(),
 		Errors:    s.errors.Load(),
-		Queue:     s.queueStats(),
+		Queue:     s.cfg.Engine.QueueStats(),
 	}
 }
 
@@ -203,7 +181,7 @@ func (s *Server) PredictWait() time.Duration {
 	if sig := s.sig.Load(); sig != nil && time.Since(sig.at) < s.cfg.AdmitRefresh {
 		return sig.predicted
 	}
-	p := predictWait(s.queueStats())
+	p := predictWait(s.cfg.Engine.QueueStats())
 	s.sig.Store(&admitSignal{at: time.Now(), predicted: p})
 	return p
 }
@@ -255,11 +233,7 @@ func (s *Server) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.Stats())
 	})
-	if s.cfg.Set != nil {
-		mux.Handle("/metrics", s.cfg.Set.MetricsHandler())
-	} else {
-		mux.Handle("/metrics", s.cfg.Engine.MetricsHandler())
-	}
+	mux.Handle("/metrics", s.cfg.Engine.MetricsHandler())
 	return mux
 }
 
@@ -655,13 +629,7 @@ func run[T float32 | float64](s *Server, ctx context.Context, wb *wireBuf, req *
 	}
 
 	opts := make([]iatf.Option, 0, 5)
-	opts = append(opts, iatf.WithPriority(priority))
-	if s.cfg.Set != nil {
-		opts = append(opts, iatf.WithEngineSet(s.cfg.Set))
-	} else {
-		opts = append(opts, iatf.WithEngine(s.cfg.Engine))
-	}
-	opts = append(opts, iatf.WithTrace(trace))
+	opts = append(opts, iatf.WithPriority(priority), iatf.WithEngine(s.cfg.Engine), iatf.WithTrace(trace))
 	if tenant != "" {
 		opts = append(opts, iatf.WithTenant(tenant))
 	}

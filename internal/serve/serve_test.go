@@ -22,7 +22,7 @@ import (
 // small batch window — the production-shaped configuration.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Engine == nil && cfg.Set == nil {
+	if cfg.Engine == nil {
 		cfg.Engine = iatf.NewEngine()
 		cfg.Engine.SetBatchWindow(500 * time.Microsecond)
 	}
@@ -412,7 +412,7 @@ func TestClassify(t *testing.T) {
 // (with the queue aggregate present), and an OpenMetrics scrape.
 func TestServeEndpoints(t *testing.T) {
 	set := iatf.NewEngineSet(2)
-	s, ts := newTestServer(t, Config{Set: set})
+	s, ts := newTestServer(t, Config{Engine: set.Engine})
 
 	n4 := &WireOperand{Rows: 4, Cols: 4, Data: make([]float64, 16)}
 	if resp, body := post(t, ts, DoRequest{Op: "gemm", Count: 1, A: n4, B: n4, C: n4}, nil); resp.StatusCode != http.StatusOK {

@@ -70,11 +70,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // fn == nil removes the sink and restores the one-atomic-load disabled
 // cost.
 func (e *Engine) SetSpanSink(fn func(*Span)) {
-	if fn == nil {
-		e.inner.Obs().SetSpanSink(nil)
-		return
+	var sink obs.SpanFunc
+	if fn != nil {
+		sink = obs.SpanFunc(fn)
 	}
-	e.inner.Obs().SetSpanSink(obs.SpanFunc(fn))
+	e.eachShard(func(r *obs.Registry) { r.SetSpanSink(sink) })
 }
 
 // QueueStats returns only the submission-queue slice of the engine's
@@ -82,13 +82,16 @@ func (e *Engine) SetSpanSink(fn func(*Span)) {
 // histogram, and the EDF/window configuration. Unlike Stats it snapshots
 // no shape series or cache maps, so a serving tier can afford to consult
 // it on every admission decision (internal/serve predicts a new request's
-// queue wait from exactly this view).
+// queue wait from exactly this view). An EngineSet sums its shards.
 func (e *Engine) QueueStats() QueueStats { return e.inner.QueueStats() }
 
 // WriteMetrics renders one scrape of the engine's state — build info,
 // plan/pack-cache and queue counters (incl. the depth high-water mark
 // and the queue-wait histogram), buffer/worker-pool activity, and the
-// per-shape achieved-vs-ceiling series — as OpenMetrics text.
+// per-shape achieved-vs-ceiling series — as OpenMetrics text. On an
+// EngineSet every family carries unlabeled aggregate samples plus one
+// shard="k" sample per shard, and the iatf_set_* routing families join
+// them.
 func (e *Engine) WriteMetrics(w io.Writer) error { return e.inner.WriteOpenMetrics(w) }
 
 // MetricsHandler returns an http.Handler serving WriteMetrics with the
@@ -112,8 +115,15 @@ func (e *Engine) ResetShapeStats() { e.inner.ResetShapeStats() }
 // ShapeStatsDelta call (or since engine start): counters are windowed
 // differences and quantiles cover only the window, so scrape-rate
 // computation needs no external state. Shapes with no activity in the
-// window are omitted.
-func (e *Engine) ShapeStatsDelta() []ShapeStats { return e.inner.Obs().SnapshotDelta() }
+// window are omitted. An EngineSet merges its shards' windows by shape.
+func (e *Engine) ShapeStatsDelta() []ShapeStats {
+	if e.inner.Shards() == 1 {
+		return e.inner.Obs(0).SnapshotDelta()
+	}
+	var per [][]ShapeStats
+	e.eachShard(func(r *obs.Registry) { per = append(per, r.SnapshotDelta()) })
+	return obs.AggregateShapes(per...)
+}
 
 // TenantObjective is one tenant's serving contract: the EDF dispatch
 // class, the per-request latency objective (the deadline-miss bar when a
@@ -138,25 +148,14 @@ type TenantStats = obs.TenantSnapshot
 func (e *Engine) SetTenants(cfg map[string]TenantObjective) { e.inner.SetTenants(cfg) }
 
 // TenantStats returns the engine's per-tenant SLO series, ordered by
-// request count (nil when accounting is disabled).
+// request count (nil when accounting is disabled). An EngineSet merges
+// its shards' series by tenant.
 func (e *Engine) TenantStats() []TenantStats { return e.inner.TenantStats() }
 
 // RecordTenantShed accounts one admission-control shed for a tenant — a
-// request a serving tier rejected before submitting it. No-op when
-// accounting is disabled.
+// request a serving tier rejected before submitting it — on the
+// tenant's name-affine shard. No-op when accounting is disabled.
 func (e *Engine) RecordTenantShed(name string) { e.inner.RecordTenantShed(name) }
-
-// SetTenants installs per-tenant SLO objectives on every shard; see
-// Engine.SetTenants.
-func (s *EngineSet) SetTenants(cfg map[string]TenantObjective) { s.inner.SetTenants(cfg) }
-
-// TenantStats returns the cross-shard aggregate of every shard's
-// per-tenant series; see Engine.TenantStats.
-func (s *EngineSet) TenantStats() []TenantStats { return s.inner.TenantStats() }
-
-// RecordTenantShed accounts one admission-control shed on the tenant's
-// name-affine shard; see Engine.RecordTenantShed.
-func (s *EngineSet) RecordTenantShed(name string) { s.inner.RecordTenantShed(name) }
 
 // BuildInfo identifies the running module build (module path, version,
 // Go toolchain, GOMAXPROCS, SIMD backend) — metrics dumps carry it so

@@ -148,33 +148,14 @@ func (c *engineConfig) storePathFor(fp string) string {
 	return store.PathFor(dir, fp)
 }
 
-// apply configures a freshly constructed engine. The queue cannot have
-// started yet, so SetQueueCapacity cannot fail; store loading is
-// fail-soft by design.
-func (c *engineConfig) apply(e *engine.Engine) {
+// apply configures a freshly constructed set: per-shard queue options,
+// then one store load that hydrates each stored plan into its
+// identity's home shard. No dispatcher has started yet, so
+// SetQueueCapacity cannot fail; store loading is fail-soft by design.
+func (c *engineConfig) apply(s *engine.Set) {
 	if c.queueCap > 0 {
-		_ = e.SetQueueCapacity(c.queueCap)
-	}
-	if c.edfSet {
-		e.SetEDF(c.edf)
-	}
-	if c.windowSet {
-		e.SetBatchWindow(c.window)
-	}
-	if c.storeSet {
-		e.SetStorePath(c.storePathFor(e.Fingerprint()))
-		_ = e.LoadStore()
-	}
-}
-
-// applySet configures a freshly constructed set: per-shard queue
-// options, then one set-level store load that hydrates each stored plan
-// into its identity's home shard.
-func (c *engineConfig) applySet(s *engine.Set) {
-	for i := 0; i < s.Shards(); i++ {
-		sh := s.Shard(i)
-		if c.queueCap > 0 {
-			_ = sh.SetQueueCapacity(c.queueCap)
+		for i := 0; i < s.Shards(); i++ {
+			_ = s.Shard(i).SetQueueCapacity(c.queueCap)
 		}
 	}
 	if c.edfSet {
@@ -191,28 +172,18 @@ func (c *engineConfig) applySet(s *engine.Set) {
 
 // Fingerprint returns the engine's tuning fingerprint: the stable,
 // filesystem-safe hash of its machine profile, tuning knobs and data-
-// layout version that keys the persistent autotune store.
+// layout version that keys the persistent autotune store. All shards
+// share one tuning.
 func (e *Engine) Fingerprint() string { return e.inner.Fingerprint() }
 
 // StorePath returns the engine's attached store file ("" = no store).
 func (e *Engine) StorePath() string { return e.inner.StorePath() }
 
-// SaveStore atomically writes the engine's tuned state — every cached
-// plan descriptor plus its profile's kernel schedules — to the attached
-// store file, so the next process constructed with WithPlanStore starts
-// warm. No-op without an attached store.
+// SaveStore atomically writes the engine's tuned state — every shard's
+// cached plan descriptors plus its profile's kernel schedules — to the
+// attached store file, so the next process constructed with
+// WithPlanStore starts warm. No-op without an attached store.
 func (e *Engine) SaveStore() error { return e.inner.SaveStore() }
-
-// Fingerprint returns the set's tuning fingerprint (all shards share
-// one tuning); see Engine.Fingerprint.
-func (s *EngineSet) Fingerprint() string { return s.inner.Fingerprint() }
-
-// StorePath returns the set's attached store file ("" = no store).
-func (s *EngineSet) StorePath() string { return s.inner.StorePath() }
-
-// SaveStore writes the union of every shard's tuned state to the set's
-// attached store file; see Engine.SaveStore.
-func (s *EngineSet) SaveStore() error { return s.inner.SaveStore() }
 
 // ParseTenantSpec parses one tenant CLI spec — the shared syntax of the
 // iatf-serve/iatf-monitor -tenant flags:

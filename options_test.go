@@ -1,6 +1,7 @@
 package iatf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -26,8 +27,7 @@ func TestEngineOptionsApply(t *testing.T) {
 
 func TestEngineSetOptionsApply(t *testing.T) {
 	s := NewEngineSet(2, WithQueueCapacity(9), WithBatchWindow(time.Millisecond))
-	for i := 0; i < s.Shards(); i++ {
-		st := s.Shard(i).Stats()
+	for i, st := range s.Stats().Shards {
 		if st.Queue.Capacity != 9 || st.Queue.Window != time.Millisecond {
 			t.Errorf("shard %d: capacity %d window %v", i, st.Queue.Capacity, st.Queue.Window)
 		}
@@ -67,7 +67,7 @@ func TestWithPlanStoreWarmStart(t *testing.T) {
 		a := Pack(randBatch[float64](rng, 16, 6, 6))
 		b := Pack(randBatch[float64](rng, 16, 6, 6))
 		c := Pack(randBatch[float64](rng, 16, 6, 6))
-		if err := GEMMOn(e, 1, NoTrans, NoTrans, 1.0, a, b, 0.0, c); err != nil {
+		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, a, b, 0.0, c), WithEngine(e)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package iatf
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -60,7 +61,7 @@ func testPrepackParityOps[T Scalar](t *testing.T, dtype string) {
 					return []*Compact[T]{a, b}, c
 				},
 				func(e *Engine, ins []*Compact[T], out *Compact[T]) error {
-					return GEMMOn(e, workers, NoTrans, NoTrans, T(2), ins[0], ins[1], T(1), out)
+					return Do(context.Background(), gemmReq(NoTrans, NoTrans, T(2), ins[0], ins[1], T(1), out), WithEngine(e), WithWorkers(workers))
 				})
 
 			// TRSM/TRMM write B, so B is both input and output; only the
@@ -73,7 +74,7 @@ func testPrepackParityOps[T Scalar](t *testing.T, dtype string) {
 					return []*Compact[T]{Pack(tri)}, b
 				},
 				func(e *Engine, ins []*Compact[T], out *Compact[T]) error {
-					return TRSMOn(e, workers, Left, Lower, NoTrans, NonUnit, T(1), ins[0], out)
+					return Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, T(1), ins[0], out), WithEngine(e), WithWorkers(workers))
 				})
 			prepackParity(t, "TRMM "+label,
 				func() ([]*Compact[T], *Compact[T]) {
@@ -82,7 +83,7 @@ func testPrepackParityOps[T Scalar](t *testing.T, dtype string) {
 					return []*Compact[T]{Pack(tri)}, b
 				},
 				func(e *Engine, ins []*Compact[T], out *Compact[T]) error {
-					return TRMMOn(e, workers, Left, Lower, NoTrans, NonUnit, T(1), ins[0], out)
+					return Do(context.Background(), trmmReq(Left, Lower, NoTrans, NonUnit, T(1), ins[0], out), WithEngine(e), WithWorkers(workers))
 				})
 
 			prepackParity(t, "SYRK "+label,
@@ -93,7 +94,7 @@ func testPrepackParityOps[T Scalar](t *testing.T, dtype string) {
 					return []*Compact[T]{a}, c
 				},
 				func(e *Engine, ins []*Compact[T], out *Compact[T]) error {
-					return SYRKOn(e, workers, Lower, NoTrans, T(1), ins[0], T(1), out)
+					return Do(context.Background(), syrkReq(Lower, NoTrans, T(1), ins[0], T(1), out), WithEngine(e), WithWorkers(workers))
 				})
 		}
 	}
@@ -118,7 +119,7 @@ func TestPrepackInvalidatedByWritingOp(t *testing.T) {
 	c := Pack(NewBatch[float64](count, 6, 6))
 
 	run := func() []float64 {
-		if err := GEMMOn(eng, 1, NoTrans, NoTrans, 1.0, b, b, 0.0, c); err != nil {
+		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, b, b, 0.0, c), WithEngine(eng)); err != nil {
 			t.Fatal(err)
 		}
 		return c.Unpack().Data()
@@ -126,7 +127,7 @@ func TestPrepackInvalidatedByWritingOp(t *testing.T) {
 	before := run()
 
 	// TRSM writes B in place — its cached GEMM images are now stale.
-	if err := TRSMOn(eng, 1, Left, Lower, NoTrans, NonUnit, 1.0, tri, b); err != nil {
+	if err := Do(context.Background(), trsmReq(Left, Lower, NoTrans, NonUnit, 1.0, tri, b), WithEngine(eng)); err != nil {
 		t.Fatal(err)
 	}
 	after := run()
@@ -134,7 +135,7 @@ func TestPrepackInvalidatedByWritingOp(t *testing.T) {
 	// Reference: a fresh, never-prepacked copy of the post-solve B.
 	fresh := Pack(b.Unpack())
 	cRef := Pack(NewBatch[float64](count, 6, 6))
-	if err := GEMMOn(eng, 1, NoTrans, NoTrans, 1.0, fresh, fresh, 0.0, cRef); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, fresh, fresh, 0.0, cRef), WithEngine(eng)); err != nil {
 		t.Fatal(err)
 	}
 	want := cRef.Unpack().Data()
@@ -183,7 +184,7 @@ func TestPrepackConcurrentShared(t *testing.T) {
 
 	// Reference from a plain engine without reuse.
 	cRef := Pack(NewBatch[float32](count, 8, 8))
-	if err := GEMMOn(NewEngine(), 1, NoTrans, NoTrans, 1.5, a, b, 0.0, cRef); err != nil {
+	if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.5, a, b, 0.0, cRef), WithEngine(NewEngine())); err != nil {
 		t.Fatal(err)
 	}
 	want := cRef.Unpack().Data()
@@ -196,7 +197,7 @@ func TestPrepackConcurrentShared(t *testing.T) {
 			defer wg.Done()
 			c := Pack(NewBatch[float32](count, 8, 8))
 			for n := 0; n < calls; n++ {
-				if err := GEMMOn(eng, 2, NoTrans, NoTrans, 1.5, a, b, 0.0, c); err != nil {
+				if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.5, a, b, 0.0, c), WithEngine(eng), WithWorkers(2)); err != nil {
 					errs <- fmt.Errorf("goroutine %d call %d: %w", g, n, err)
 					return
 				}

@@ -1,6 +1,7 @@
 package iatf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestSYRKParallel(t *testing.T) {
 	if err := SYRK(Lower, NoTrans, float32(1), ca, float32(1), c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := SYRKParallel(4, Lower, NoTrans, float32(1), ca, float32(1), c4); err != nil {
+	if err := Do(context.Background(), syrkReq(Lower, NoTrans, float32(1), ca, float32(1), c4), WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	if matrix.MaxAbsDiff(c1.Unpack().Data(), c4.Unpack().Data()) != 0 {
