@@ -80,11 +80,13 @@ servestress:
 # epoch eviction, shard aggregation, tenant OpenMetrics validity and the
 # tagged warm-path allocation budget — then one demo round of the
 # iatf-monitor binary on the default engine and on a two-shard set,
-# which fails when a demo tenant records no request.
+# which fails when a demo tenant records no request, and one iatf-trace
+# engine dispatch, which fails when its span sink does not fire.
 obsstress:
 	$(GO) test -race -run 'Tenant|Trace|Span' -count=2 . ./internal/engine/ ./internal/obs/ ./internal/serve/
 	$(GO) run ./cmd/iatf-monitor -demo -once
 	$(GO) run ./cmd/iatf-monitor -demo -once -shards 2
+	$(GO) run ./cmd/iatf-trace -engine -count 64
 
 # Persistent autotune store under the race detector, run twice: the
 # atomic-rename/merge writer race (concurrent iatf-tune), disk round-trip
@@ -98,13 +100,18 @@ tunestress:
 
 # Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
 # against encoding/json (same accept/reject, equal decoded request) and
-# the handler (no panic, no 500); and store files through the set loader
-# on one and two shards (no panic, fail soft, same plan keys). The
-# committed corpora under internal/serve/testdata/fuzz and
+# the handler (no panic, no 500); the traceparent resolver (always a
+# non-zero 32-hex id, the header's trace-id exactly when it is valid);
+# store files through the set loader on one and two shards (no panic,
+# fail soft, same plan keys); and the -tenant spec parser (no panic,
+# accepted specs hold a usable objective). The committed corpora under
+# testdata/fuzz, internal/serve/testdata/fuzz and
 # internal/engine/testdata/fuzz replay in every plain `go test`.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzDoRequest -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzParseTenantSpec -fuzztime 10s .
 
 # Wall-clock benchmark of the native path — pack-per-call vs prepacked
 # operand reuse — writing the rows to BENCH_wallclock.json.
@@ -140,7 +147,8 @@ benchdiff:
 info:
 	$(GO) run ./cmd/iatf-info -engine
 
-# Print the command queue the engine assembles for one batched GEMM.
+# Print the command queue of one batched GEMM's plan, then the call's
+# lifecycle span.
 trace:
 	$(GO) run ./cmd/iatf-trace -engine
 

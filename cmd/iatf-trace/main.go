@@ -5,13 +5,13 @@
 // kernel shows one memory and one calculation instruction retiring per
 // cycle.
 //
-// With -engine it instead traces one dispatch through the run-time
-// engine: the trace hook receives the assembled command queue — packing
+// With -engine it instead traces one batched GEMM through the run-time
+// engine. It prints the command queue of the call's plan — packing
 // kernels chosen by the Pack Selector, the tile/kernel sequence, the
-// Batch Counter's super-batch size and the worker split — and prints it,
-// followed by the request's lifecycle span (where the dispatch's time
-// went, phase by phase). -chrome FILE additionally writes the span as
-// Chrome trace-event JSON for chrome://tracing.
+// Batch Counter's super-batch size and the worker split — followed by
+// the request's lifecycle span (where the dispatch's time went, phase by
+// phase). -chrome FILE additionally writes the span as Chrome
+// trace-event JSON for chrome://tracing.
 //
 // Usage:
 //
@@ -32,6 +32,7 @@ import (
 
 	"iatf"
 	"iatf/internal/asm"
+	"iatf/internal/core"
 	"iatf/internal/kopt"
 	"iatf/internal/ktmpl"
 	"iatf/internal/machine"
@@ -178,11 +179,13 @@ func main() {
 	}
 }
 
-// traceEngine installs a trace hook on a private engine, forces the next
-// call to be traced, runs one batched GEMM and pretty-prints the command
-// queue the dispatcher assembled for it, then the request's lifecycle
-// span. chromeFile != "" additionally writes the span as Chrome
-// trace-event JSON.
+// traceEngine runs one batched GEMM on a private engine and prints the
+// command queue of its plan, then the request's lifecycle span. The
+// queue is a pure function of the plan, which is built here the way the
+// engine builds it: for the count's power-of-two bucket, with unit
+// scalars. The plan outcome comes from the call's per-shape row.
+// chromeFile != "" additionally writes the span as Chrome trace-event
+// JSON.
 func traceEngine(m, n, k, count int, chromeFile string) {
 	a := iatf.NewBatch[float32](count, m, k)
 	b := iatf.NewBatch[float32](count, k, n)
@@ -197,28 +200,43 @@ func traceEngine(m, n, k, count int, chromeFile string) {
 	ca, cb, cc := iatf.Pack(a), iatf.Pack(b), iatf.Pack(c)
 
 	eng := iatf.NewEngine()
-	var ev iatf.TraceEvent
-	got := false
-	eng.SetTrace(func(e iatf.TraceEvent) { ev, got = e, true }, 0)
-	eng.ForceTrace(1)
 	var sp iatf.Span
+	got := false
 	err := iatf.Do(context.Background(), iatf.Request[float32]{
 		Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: ca, B: cb, C: cc,
-	}, iatf.WithEngine(eng), iatf.WithSpanSink(func(s *iatf.Span) { sp = *s }))
+	}, iatf.WithEngine(eng), iatf.WithSpanSink(func(s *iatf.Span) { sp, got = *s, true }))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !got {
-		log.Fatal("trace hook did not fire")
+		log.Fatal("span sink did not fire")
 	}
+	shapes := eng.Stats().Shapes
+	if len(shapes) != 1 {
+		log.Fatalf("%d per-shape rows after one call, want 1", len(shapes))
+	}
+	row := shapes[0]
+
+	bucket := 1
+	for bucket < count {
+		bucket <<= 1
+	}
+	pl, err := core.NewGEMMPlan(core.GEMMProblem{
+		DT: vec.S, M: m, N: n, K: k, Alpha: 1, Beta: 1, Count: bucket,
+	}, core.DefaultTuning())
+	if err != nil {
+		log.Fatal(err)
+	}
+	groups := (count + vec.S.Pack() - 1) / vec.S.Pack()
+	chunks := (groups + pl.GroupsPerBatch - 1) / pl.GroupsPerBatch
 
 	fmt.Printf("# Engine dispatch: %s %s %s, %dx%dx%d, batch %d (plan %s)\n",
-		ev.DType, ev.Op, ev.Mode, ev.M, ev.N, ev.K, ev.Count, ev.CacheOutcome)
+		row.DType, row.Op, row.Mode, row.M, row.N, row.K, count, planOutcome(row))
 	fmt.Printf("# worker split: %d interleave groups in %d super-batch chunks of %d, %d workers\n",
-		ev.Groups, ev.Chunks, ev.GroupsPerBatch, ev.Workers)
+		groups, chunks, pl.GroupsPerBatch, min(row.Workers, chunks))
 	fmt.Printf("%4s  %-10s %-14s %s\n", "#", "stage", "kernel", "detail")
-	for i, cmd := range ev.Queue {
-		fmt.Printf("%4d  %-10s %-14s %s\n", i, cmd.Stage, cmd.Kernel, cmd.Detail)
+	for i, cmd := range gemmQueue(pl) {
+		fmt.Printf("%4d  %-10s %-14s %s\n", i, cmd.stage, cmd.kernel, cmd.detail)
 	}
 
 	fmt.Printf("\n# Lifecycle span %d: end-to-end %v (prepack %d hit / %d built)\n",
@@ -245,4 +263,53 @@ func traceEngine(m, n, k, count int, chromeFile string) {
 		}
 		fmt.Printf("# wrote %s — open in chrome://tracing or ui.perfetto.dev\n", chromeFile)
 	}
+}
+
+// planOutcome names how the call got its plan: the one plan counter its
+// shape row moved on a fresh engine.
+func planOutcome(row iatf.ShapeStats) string {
+	switch {
+	case row.PlanMisses > 0:
+		return "miss"
+	case row.PlanShared > 0:
+		return "shared"
+	case row.PlanHydrated > 0:
+		return "hydrated"
+	}
+	return "hit"
+}
+
+// command is one entry of a rendered command queue.
+type command struct{ stage, kernel, detail string }
+
+// gemmQueue renders the command queue of one interleave group in the
+// native executor's order: how A and B are packed (or the no-packing
+// fast paths of §4.4), then one kernel call per M tile, N tile and K
+// chunk. The plan carries unit scalars, so no beta scaling appears.
+func gemmQueue(pl *core.GEMMPlan) []command {
+	p := pl.P
+	q := []command{{"pack", "none", "A no-packing fast path (§4.4): native order already is the row panel"}}
+	if pl.PackA {
+		q[0] = command{"pack", "npackA", fmt.Sprintf("A row panels (N-shape), M tiles %v, K=%d", pl.MTiles, p.K)}
+	}
+	if pl.PackB {
+		q = append(q, command{"pack", "npackB", fmt.Sprintf("B column panels (Z-shape), N tiles %v, K=%d", pl.NTiles, p.K)})
+	} else {
+		q = append(q, command{"pack", "none", "B no-packing fast path (§4.4): Bᵀ storage already is the single column panel"})
+	}
+	i0 := 0
+	for _, mc := range pl.MTiles {
+		j0 := 0
+		for _, nc := range pl.NTiles {
+			kOff := 0
+			for _, kc := range pl.KChunks {
+				q = append(q, command{"compute", fmt.Sprintf("%sgemm_%dx%d", p.DT, mc, nc),
+					fmt.Sprintf("C[%d:%d,%d:%d] += op(A)·op(B), k=%d:%d", i0, i0+mc, j0, j0+nc, kOff, kOff+kc)})
+				kOff += kc
+			}
+			j0 += nc
+		}
+		i0 += mc
+	}
+	return q
 }

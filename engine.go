@@ -24,14 +24,6 @@ var (
 // the plan's input-aware decisions.
 type ShapeStats = obs.ShapeSnapshot
 
-// TraceEvent is one traced dispatch: the problem descriptor, plan-cache
-// outcome, worker split and the assembled command queue (packing kernels,
-// tile/kernel sequence, super-batch size) of one interleave group.
-type TraceEvent = obs.TraceEvent
-
-// TraceCommand is one command-queue entry of a TraceEvent.
-type TraceCommand = obs.Command
-
 // Engine is the run-time execution engine every public op routes through:
 // a sharded plan cache (so repeated shapes skip the run-time planning
 // stage entirely), size-class pools for packing buffers, a persistent
@@ -111,33 +103,6 @@ func (e *Engine) SetEDF(on bool) { e.inner.SetEDF(on) }
 // Deprecated: prefer WithBatchWindow at construction; SetBatchWindow
 // remains for runtime adjustment.
 func (e *Engine) SetBatchWindow(d time.Duration) { e.inner.SetBatchWindow(d) }
-
-// SetTrace installs a trace hook on the engine: fn receives the
-// assembled command queue of sampled calls (every nth per shard;
-// every == 1 traces every call, every == 0 only calls marked by
-// ForceTrace). fn runs synchronously on the dispatching goroutine before
-// execution — keep it cheap or hand off. fn == nil removes the hook.
-//
-//	eng.SetTrace(func(ev iatf.TraceEvent) { log.Printf("%+v", ev) }, 0)
-//	eng.ForceTrace(1) // trace exactly the next call
-func (e *Engine) SetTrace(fn func(TraceEvent), every uint64) {
-	var hook obs.TraceFunc
-	if fn != nil {
-		hook = obs.TraceFunc(fn)
-	}
-	e.eachShard(func(r *obs.Registry) { r.SetTrace(hook, every) })
-}
-
-// ForceTrace marks the next n calls of each shard for tracing
-// regardless of the sampling interval (a hook must be installed).
-func (e *Engine) ForceTrace(n int) { e.eachShard(func(r *obs.Registry) { r.ForceTrace(n) }) }
-
-// eachShard applies fn to every shard's observability registry.
-func (e *Engine) eachShard(fn func(*obs.Registry)) {
-	for i := 0; i < e.inner.Shards(); i++ {
-		fn(e.inner.Obs(i))
-	}
-}
 
 // operandOf type-erases a compact batch for the engine dispatch path.
 // A nil batch maps to the zero Operand, which the engine rejects with a

@@ -1,17 +1,21 @@
 package iatf
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"iatf/internal/core"
 	"iatf/internal/engine"
 )
 
-// The compact batched factorizations route through the engine's factor
-// dispatch path like every level-3 op: calls are validated with the
-// typed taxonomy (ErrShape/ErrDType/ErrOperand), counted in the
-// plan cache, and observed in the per-shape series ("LU", "CHOL",
-// "LUPIV" ops in iatf-info -engine).
+// The compact batched factorizations route through the engine like
+// every level-3 op: calls are validated with the typed taxonomy
+// (ErrShape/ErrDType/ErrOperand), counted in the plan cache, and
+// observed in the per-shape series ("LU", "CHOL", "LUPIV" ops in
+// iatf-info -engine). LU and Cholesky are one-stage lists of the same
+// Run/Submit path Do takes, so their spans, trace ids and tenant
+// accounting work as Do's do.
 
 // LU factors every matrix of the compact batch in place into L\U
 // (Doolittle: unit lower triangle below the diagonal, upper triangle with
@@ -24,12 +28,31 @@ import (
 // on).
 //
 // Options work as in Do: WithWorkers splits the batch across the
-// persistent worker pool and WithEngine selects the engine; the other
-// options are ignored.
+// persistent worker pool, WithEngine selects the engine,
+// WithSpanSink/WithTrace/WithTenant trace and attribute the call, and
+// WithAsync routes it through the submission queue. A batch holding a
+// singular matrix still returns its info codes with a nil error, while
+// its span, per-shape series and tenant ledger count the call as failed,
+// as a one-stage Chain of LUStage does.
 func LU[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
+	return factor(engine.OpLU, a, opts)
+}
+
+// factor runs an in-place factorization as a one-stage list on the
+// call's target and turns a singular batch back into its info codes.
+func factor[T Scalar](kind engine.OpKind, a *Compact[T], opts []Option) ([]int, error) {
 	cfg := resolveOpts(opts)
-	return cfg.eng.inner.RunFactor(
-		engine.OpDesc{Kind: engine.OpLU, Workers: cfg.workers}, operandOf(a))
+	st := [1]engine.ChainStage{{Op: engine.OpDesc{Kind: kind, Workers: cfg.workers},
+		Ops: [3]engine.Operand{operandOf(a)}, NOps: 1}}
+	err := cfg.run(context.Background(), st[:])
+	var ce *ChainError
+	if errors.As(err, &ce) && errors.Is(err, ErrSingular) {
+		return ce.Info, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return make([]int, a.Count()), nil
 }
 
 // LUSolve solves A·X = B for every matrix of the batch, where a holds
@@ -50,9 +73,7 @@ func LUSolve[T Scalar](a, b *Compact[T]) error {
 // otherwise). info codes are per matrix: 0 on success, k+1 at the first
 // non-positive pivot. Options work as in LU.
 func Cholesky[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
-	cfg := resolveOpts(opts)
-	return cfg.eng.inner.RunFactor(
-		engine.OpDesc{Kind: engine.OpCholesky, Workers: cfg.workers}, operandOf(a))
+	return factor(engine.OpCholesky, a, opts)
 }
 
 // CholeskySolve solves A·X = B for every matrix of the batch, where a
@@ -75,7 +96,8 @@ type Pivots struct {
 // LUPivoted factors every matrix in place with partial pivoting
 // (P·A = L·U) — the robust form for matrices that are not diagonally
 // dominant. The returned Pivots must be passed to LUSolvePivoted.
-// Options work as in LU.
+// WithWorkers and WithEngine work as in Do; the other options are
+// ignored, because the pivot record does not ride the Run/Submit path.
 func LUPivoted[T Scalar](a *Compact[T], opts ...Option) (*Pivots, []int, error) {
 	cfg := resolveOpts(opts)
 	p, info, err := cfg.eng.inner.RunLUPiv(

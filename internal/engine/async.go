@@ -341,9 +341,9 @@ func (q *submitQueue) resetWindow() {
 }
 
 // ResetShapeStats zeroes the engine's windowed observability state: the
-// per-shape series, the SnapshotDelta baseline, the queue-depth
-// high-water mark and the queue-wait histogram — so windowed monitoring
-// after a reset reports only post-reset maxima.
+// per-shape series, the queue-depth high-water mark and the queue-wait
+// histogram — so windowed monitoring after a reset reports only
+// post-reset maxima.
 func (e *Engine) ResetShapeStats() {
 	e.obs.Reset()
 	e.queue.resetWindow()

@@ -364,24 +364,25 @@ func TestAsyncFutureWaitHonorsContext(t *testing.T) {
 	}
 }
 
-// TestAsyncFactorValidation: the factor dispatch path speaks the same
+// TestAsyncFactorValidation: factorization stages speak the same
 // taxonomy as the level-3 ops.
 func TestAsyncFactorValidation(t *testing.T) {
 	e := New(core.DefaultTuning())
 	rng := rand.New(rand.NewSource(59))
+	ctx := context.Background()
 
-	if _, err := e.RunFactor(OpDesc{Kind: OpLU}, Operand{}); !errors.Is(err, ErrOperand) {
+	if err := e.Run(ctx, one(OpDesc{Kind: OpLU}, Operand{}), Call{}); !errors.Is(err, ErrOperand) {
 		t.Errorf("nil operand: err = %v, want ErrOperand", err)
 	}
 	rect := randCompact(rng, 4, 3, 5)
-	if _, err := e.RunFactor(OpDesc{Kind: OpLU}, op32(rect)); !errors.Is(err, ErrShape) {
+	if err := e.Run(ctx, one(OpDesc{Kind: OpLU}, op32(rect)), Call{}); !errors.Is(err, ErrShape) {
 		t.Errorf("non-square: err = %v, want ErrShape", err)
 	}
 	if _, _, err := e.RunLUPiv(OpDesc{Kind: OpLUPiv}, op32(rect)); !errors.Is(err, ErrShape) {
 		t.Errorf("pivoted non-square: err = %v, want ErrShape", err)
 	}
-	if _, err := e.RunFactor(OpDesc{Kind: OpGEMM}, op32(rect)); !errors.Is(err, ErrOperand) {
-		t.Errorf("non-factor kind: err = %v, want ErrOperand", err)
+	if err := e.Run(ctx, one(OpDesc{Kind: OpGEMM}, op32(rect)), Call{}); !errors.Is(err, ErrOperand) {
+		t.Errorf("GEMM with one operand: err = %v, want ErrOperand", err)
 	}
 
 	// A well-formed factor call moves the plan-cache and obs counters.
@@ -394,11 +395,10 @@ func TestAsyncFactorValidation(t *testing.T) {
 		}
 	}
 	before := e.Stats()
-	if _, err := e.RunFactor(OpDesc{Kind: OpLU, Workers: 1}, op32(sq)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunFactor(OpDesc{Kind: OpLU, Workers: 1}, op32(sq)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := e.Run(ctx, one(OpDesc{Kind: OpLU, Workers: 1}, op32(sq)), Call{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	after := e.Stats()
 	if after.PlanMisses != before.PlanMisses+1 || after.PlanHits != before.PlanHits+1 {

@@ -20,8 +20,8 @@
 //     and the offending operand;
 //   - every call feeds the per-shape observability layer (internal/obs):
 //     rolling latency histograms, achieved GFLOPS vs the plan's
-//     CMAR-predicted ceiling, plan-cache outcomes, and an optional trace
-//     hook that emits the assembled command queue of a sampled call.
+//     CMAR-predicted ceiling and plan-cache outcomes, plus the call's
+//     lifecycle span when a sink, trace id or tenant asks for one.
 //
 // Scalars (alpha, beta) and the exact batch count are excluded from the
 // cache key — plan geometry does not depend on them — and are spliced
@@ -51,8 +51,8 @@ import (
 type OpKind int
 
 // The batched routines the engine dispatches: the level-3 ops and the
-// in-place factorizations as stages of Run/Submit, the factorizations
-// with info codes through RunFactor/RunLUPiv.
+// in-place LU and Cholesky as stages of Run/Submit, the pivoted LU with
+// its pivot record through RunLUPiv.
 const (
 	OpGEMM OpKind = iota
 	OpTRSM
@@ -298,8 +298,8 @@ func New(tun core.Tuning) *Engine {
 // Tuning returns the engine's tuning configuration.
 func (e *Engine) Tuning() core.Tuning { return e.tun }
 
-// Obs returns the engine's per-shape observability registry (trace hook
-// installation, shape snapshots).
+// Obs returns the engine's per-shape observability registry (span sink,
+// shape snapshots).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
 // plan returns the cached plan for key, building and inserting it on
@@ -726,10 +726,10 @@ func (e *Engine) planFacts(pv any, count int, summary bool) (ceiling float64, pa
 // plan outcome, the worker split and — on a miss or a hydrated plan's
 // first use — the plan's static decisions. flops is the work of count
 // matrices.
-func (e *Engine) resolve(key planKey, shape obs.ShapeKey, count, workers int) (pv any, outcome obs.CacheOutcome, s *obs.Series, flops float64, err error) {
-	pv, outcome, err = e.plan(key, nil)
+func (e *Engine) resolve(key planKey, shape obs.ShapeKey, count, workers int) (pv any, s *obs.Series, flops float64, err error) {
+	pv, outcome, err := e.plan(key, nil)
 	if err != nil {
-		return nil, outcome, nil, 0, err
+		return nil, nil, 0, err
 	}
 	s = e.obs.Series(shape)
 	s.Plan(outcome)
@@ -739,7 +739,7 @@ func (e *Engine) resolve(key planKey, shape obs.ShapeKey, count, workers int) (p
 	if summary {
 		s.SetPlan(ceiling, pack, gpb)
 	}
-	return pv, outcome, s, flops, nil
+	return pv, s, flops, nil
 }
 
 // gemmPackDesc names the GEMM packing decision for the per-shape series.

@@ -1,6 +1,6 @@
 // The stage executor: the one synchronous execution path. Every level-3
 // call is a stage list. A one-stage list is the op itself — its own
-// per-shape series, plan counters, trace hook and span descriptor, with
+// per-shape series, plan counters and span descriptor, with
 // no chain state touched; two or more stages run as one planned chain
 // (chain.go) over the same per-stage executor, which adds only the
 // canonical-B handoff between fusable triangular stages.
@@ -61,12 +61,11 @@ func (e *Engine) execOne(ctx context.Context, st *ChainStage, sp *obs.Span) erro
 	describe(sp, shape, r.count, st.Op.Workers)
 	t0 := clock(sp)
 	var flops float64
-	r.pv, r.outcome, r.series, flops, err = e.resolve(key, shape, r.count, st.Op.Workers)
+	r.pv, r.series, flops, err = e.resolve(key, shape, r.count, st.Op.Workers)
 	sp.Mark(obs.PhasePlan, t0)
 	if err != nil {
 		return err
 	}
-	r.trace = e.obs.TraceSink()
 	start := time.Now()
 	if st.Ops[0].F32 != nil {
 		err = execStage[float32](e, &r, nil)
@@ -156,19 +155,17 @@ func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage,
 
 // stageRun is one stage's resolved execution state.
 type stageRun struct {
-	st      *ChainStage
-	key     planKey
-	pv      any // cached core plan; a *factorPlan for factorizations
-	outcome obs.CacheOutcome
-	count   int
-	stage   int // index in the stage list (singular-factor attribution)
+	st    *ChainStage
+	key   planKey
+	pv    any // cached core plan; a *factorPlan for factorizations
+	count int
+	stage int // index in the stage list (singular-factor attribution)
 
 	auto              [3]bool // operand slots to auto-prepack (pure chain inputs)
 	donated, elideOut bool    // canonical-B handoff in / out
 
-	series *obs.Series   // receives the prepack outcomes
-	sp     *obs.Span     // receives phases and prepack outcomes; nil = untraced
-	trace  obs.TraceFunc // command-queue hook of a sampled one-stage call
+	series *obs.Series // receives the prepack outcomes
+	sp     *obs.Span   // receives phases and prepack outcomes; nil = untraced
 }
 
 // clock returns the phase start time when sp records phases (Mark is a
@@ -270,9 +267,6 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		pl := *r.pv.(*core.SYRKPlan)
 		pl.P.Alpha, pl.P.Beta, pl.P.Count, pl.RT, pl.Labels = op.Alpha, op.Beta, r.count, e.rt, labels
 		cC := compactOf[E](st.Ops[1])
-		if r.trace != nil {
-			r.trace(syrkTrace(op, &pl, cC.Groups(), r.outcome))
-		}
 		err := core.ExecSYRKNativeParallel(&pl, aC, cC, op.Workers)
 		r.sp.Mark(obs.PhaseCompute, t0)
 		cC.Invalidate()
@@ -281,9 +275,6 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		pl := *r.pv.(*core.GEMMPlan)
 		pl.P.Alpha, pl.P.Beta, pl.P.Count, pl.RT, pl.Labels = op.Alpha, op.Beta, r.count, e.rt, labels
 		bC, cC := compactOf[E](st.Ops[1]), compactOf[E](st.Ops[2])
-		if r.trace != nil {
-			r.trace(gemmTrace(op, &pl, cC.Groups(), r.outcome))
-		}
 		var preA, preB []E
 		var entA, entB *packEntry
 		var err error
@@ -332,9 +323,6 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		run = func(pre, inB, outB []E) error {
 			return core.ExecTRMMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
 		}
-	}
-	if r.trace != nil {
-		r.trace(triTrace(op, r.key, r.count, geo, bC.Groups(), r.outcome))
 	}
 	pre, ent, err := prepacked(e, r, aC, 0, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
 	r.sp.Mark(obs.PhasePack, t0)

@@ -217,7 +217,7 @@ func (s *Set) home(stages []ChainStage) int {
 	return sh
 }
 
-// homeOf is home for a factorization's single operand.
+// homeOf is home for a pivoted LU's single operand.
 func (s *Set) homeOf(op OpDesc, a Operand) int {
 	if len(s.engines) == 1 {
 		return 0
@@ -255,12 +255,6 @@ func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Futu
 		return nil, err // surface the home shard's error
 	}
 	return fut2, err2
-}
-
-// RunFactor routes a factorization to its home shard; see
-// Engine.RunFactor.
-func (s *Set) RunFactor(op OpDesc, a Operand) ([]int, error) {
-	return s.engines[s.homeOf(op, a)].RunFactor(op, a)
 }
 
 // RunLUPiv routes a pivoted LU to its home shard; see Engine.RunLUPiv.
@@ -481,5 +475,5 @@ func (s *Set) SetProfileLabels(on bool) {
 	}
 }
 
-// Obs returns shard i's observability registry (trace hooks, spans).
+// Obs returns shard i's observability registry (span sink, shapes).
 func (s *Set) Obs(i int) *obs.Registry { return s.engines[i].Obs() }

@@ -279,6 +279,10 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 		{OpDesc{Kind: OpSYRK, Uplo: matrix.Upper, TransA: matrix.Transpose, Alpha: 1, Beta: 0, Workers: 1}, func(rng *rand.Rand) []Operand {
 			return []Operand{op32(randCompact(rng, 16, 4, 6)), op32(randCompact(rng, 16, 6, 6))}
 		}},
+		// One factorization (single-operand route arity).
+		{OpDesc{Kind: OpLU, Workers: 1}, func(rng *rand.Rand) []Operand {
+			return []Operand{op32(randCompact(rng, 16, 5, 5))}
+		}},
 	}
 	rng := rand.New(rand.NewSource(21))
 	for _, cl := range calls {
@@ -286,11 +290,7 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One factorization (single-operand route arity).
-	if _, err := e1.RunFactor(OpDesc{Kind: OpLU, Workers: 1}, op32(randCompact(rng, 16, 5, 5))); err != nil {
-		t.Fatal(err)
-	}
-	total := len(calls) + 1
+	total := len(calls)
 
 	se1.SetStorePath(path)
 	if err := se1.SaveStore(); err != nil {
@@ -315,9 +315,6 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 		if err := set.Run(context.Background(), one(cl.op, cl.operands(rng)...), Call{}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := set.RunFactor(OpDesc{Kind: OpLU, Workers: 1}, op32(randCompact(rng, 16, 5, 5))); err != nil {
-		t.Fatal(err)
 	}
 	agg = set.Stats().Aggregate
 	if agg.PlanMisses != 0 {

@@ -41,19 +41,6 @@ const (
 	CacheHydrated
 )
 
-// String returns "miss", "hit", "shared" or "hydrated".
-func (c CacheOutcome) String() string {
-	switch c {
-	case CacheHit:
-		return "hit"
-	case CacheShared:
-		return "shared"
-	case CacheHydrated:
-		return "hydrated"
-	}
-	return "miss"
-}
-
 // ShapeKey identifies one observed series: the routine, element type,
 // mode string (trans/side/uplo/diag, e.g. "NN" or "LNLN") and problem
 // dimensions. The batch count is deliberately excluded — it is the axis
@@ -275,8 +262,8 @@ func (s *Series) snapshot(key ShapeKey) ShapeSnapshot {
 	return snap
 }
 
-// Registry holds the per-shape series of one engine plus its trace-hook
-// and span-sink configuration.
+// Registry holds the per-shape series of one engine plus its span-sink
+// and tenant-accounting configuration.
 type Registry struct {
 	mu sync.RWMutex
 	m  map[ShapeKey]*Series
@@ -285,19 +272,11 @@ type Registry struct {
 	// (-1 = not shard-attached).
 	shard atomic.Int64
 
-	trace      atomic.Pointer[traceCfg]
-	traceCalls atomic.Uint64
-	forced     atomic.Int64
-
 	spans atomic.Pointer[spanCfg]
 
 	// tenants is the per-tenant SLO accounting table (tenant.go);
 	// nil = accounting disabled.
 	tenants atomic.Pointer[tenantTable]
-
-	// deltaMu guards the SnapshotDelta baseline (scrape-window state).
-	deltaMu sync.Mutex
-	delta   map[ShapeKey]seriesCounters
 }
 
 // NewRegistry constructs an empty registry.
@@ -315,18 +294,15 @@ func (r *Registry) SetShard(k int) { r.shard.Store(int64(k)) }
 // Shard returns the registry's shard label (-1 = not shard-attached).
 func (r *Registry) Shard() int { return int(r.shard.Load()) }
 
-// Reset drops every per-shape series and the SnapshotDelta baseline, so
-// a long-running process can bound the registry's footprint (e.g. after
-// exporting a final snapshot, or when shape churn would otherwise grow
-// the map unboundedly). In-flight calls holding a *Series keep recording
+// Reset drops every per-shape series, so a long-running process can
+// bound the registry's footprint (e.g. after exporting a final
+// snapshot, or when shape churn would otherwise grow the map
+// unboundedly). In-flight calls holding a *Series keep recording
 // into the dropped series harmlessly; new calls start fresh.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.m = make(map[ShapeKey]*Series)
 	r.mu.Unlock()
-	r.deltaMu.Lock()
-	r.delta = nil
-	r.deltaMu.Unlock()
 }
 
 // Series returns the rolling series for a shape, creating it on first
@@ -384,99 +360,6 @@ func sortSnapshots(out []ShapeSnapshot) {
 		}
 		return a.K < b.K
 	})
-}
-
-// seriesCounters is the monotonic-counter slice of one Series — the
-// baseline SnapshotDelta subtracts to produce a scrape window.
-type seriesCounters struct {
-	calls, errors                  uint64
-	hits, misses, shared, hydrated uint64
-	ns, flops                      uint64
-	prepackHits, prepackBuilds     uint64
-	hist                           [histBuckets]uint64
-}
-
-func (s *Series) counters() seriesCounters {
-	c := seriesCounters{
-		calls: s.calls.Load(), errors: s.errors.Load(),
-		hits: s.hits.Load(), misses: s.misses.Load(), shared: s.shared.Load(),
-		hydrated: s.hydrated.Load(),
-		ns:       s.ns.Load(), flops: s.flops.Load(),
-		prepackHits: s.prepackHits.Load(), prepackBuilds: s.prepackBuilds.Load(),
-	}
-	for i := range s.hist {
-		c.hist[i] = s.hist[i].Load()
-	}
-	return c
-}
-
-// SnapshotDelta returns a per-shape view of everything observed since
-// the previous SnapshotDelta (or since the registry was created/Reset):
-// counter fields (calls, errors, plan outcomes, prepack outcomes) are
-// window deltas, P50/P99/AvgGFLOPS are computed over the window's
-// observations only, and gauge-like fields (Best/Ceiling GFLOPS, pack
-// decision, groups, workers) carry the current value. Rate computation
-// over a scrape interval therefore needs no external state: each scrape
-// calls SnapshotDelta and divides by the scrape period. Shapes with no
-// activity in the window are omitted.
-func (r *Registry) SnapshotDelta() []ShapeSnapshot {
-	r.mu.RLock()
-	type pair struct {
-		key ShapeKey
-		s   *Series
-	}
-	series := make([]pair, 0, len(r.m))
-	for key, s := range r.m {
-		series = append(series, pair{key, s})
-	}
-	r.mu.RUnlock()
-
-	r.deltaMu.Lock()
-	defer r.deltaMu.Unlock()
-	if r.delta == nil {
-		r.delta = make(map[ShapeKey]seriesCounters, len(series))
-	}
-	out := make([]ShapeSnapshot, 0, len(series))
-	for _, p := range series {
-		cur := p.s.counters()
-		prev := r.delta[p.key]
-		r.delta[p.key] = cur
-		if cur.calls == prev.calls {
-			continue // no activity in the window
-		}
-		var hist [histBuckets]uint64
-		for i := range hist {
-			hist[i] = cur.hist[i] - prev.hist[i]
-		}
-		snap := ShapeSnapshot{
-			ShapeKey:     p.key,
-			Shard:        int(r.shard.Load()),
-			Calls:        cur.calls - prev.calls,
-			Errors:       cur.errors - prev.errors,
-			PlanHits:     cur.hits - prev.hits,
-			PlanMisses:   cur.misses - prev.misses,
-			PlanShared:   cur.shared - prev.shared,
-			PlanHydrated: cur.hydrated - prev.hydrated,
-			P50:          histQuantile(&hist, 0.50),
-			P99:          histQuantile(&hist, 0.99),
-
-			BestGFLOPS:     math.Float64frombits(p.s.bestGF.Load()),
-			CeilingGFLOPS:  math.Float64frombits(p.s.ceiling.Load()),
-			GroupsPerBatch: int(p.s.groups.Load()),
-			Workers:        int(p.s.workers.Load()),
-			PrepackHits:    cur.prepackHits - prev.prepackHits,
-			PrepackBuilds:  cur.prepackBuilds - prev.prepackBuilds,
-		}
-		if pk := p.s.pack.Load(); pk != nil {
-			snap.Pack = *pk
-		}
-		if ns := cur.ns - prev.ns; ns > 0 {
-			snap.AvgGFLOPS = float64(cur.flops-prev.flops) / (float64(ns) / 1e9) / 1e9
-		}
-		out = append(out, snap)
-	}
-	sortSnapshots(out)
-	return out
 }
 
 // AggregateShapes merges per-shard snapshot lists into one cross-shard

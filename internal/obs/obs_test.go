@@ -92,50 +92,6 @@ func TestSnapshotOrdering(t *testing.T) {
 	}
 }
 
-func TestTraceSampling(t *testing.T) {
-	r := NewRegistry()
-	if r.TraceSink() != nil {
-		t.Fatal("no sink installed, TraceSink must be nil")
-	}
-	fired := 0
-	r.SetTrace(func(TraceEvent) { fired++ }, 3)
-	for i := 0; i < 9; i++ {
-		if fn := r.TraceSink(); fn != nil {
-			fn(TraceEvent{})
-		}
-	}
-	if fired != 3 {
-		t.Errorf("every=3 over 9 calls fired %d times, want 3", fired)
-	}
-
-	// every == 0: only forced calls trace.
-	fired = 0
-	r.SetTrace(func(TraceEvent) { fired++ }, 0)
-	for i := 0; i < 5; i++ {
-		if fn := r.TraceSink(); fn != nil {
-			fn(TraceEvent{})
-		}
-	}
-	if fired != 0 {
-		t.Errorf("every=0 with no force fired %d times, want 0", fired)
-	}
-	r.ForceTrace(2)
-	for i := 0; i < 5; i++ {
-		if fn := r.TraceSink(); fn != nil {
-			fn(TraceEvent{})
-		}
-	}
-	if fired != 2 {
-		t.Errorf("ForceTrace(2) fired %d times, want exactly 2", fired)
-	}
-
-	r.SetTrace(nil, 0)
-	r.ForceTrace(1)
-	if r.TraceSink() != nil {
-		t.Error("removed sink must disable tracing even when forced")
-	}
-}
-
 func TestSeriesConcurrent(t *testing.T) {
 	r := NewRegistry()
 	key := ShapeKey{Op: "GEMM", DType: "s", Mode: "NN", M: 2, N: 2, K: 2}

@@ -1,6 +1,6 @@
-// Request-lifecycle spans: where the trace hook (trace.go) answers "what
-// command queue did the dispatcher assemble", a span answers "where did
-// this request's time go". Every request — sync or async — can carry a
+// Request-lifecycle spans: with the per-shape series, a span is the one
+// per-call record, answering "where did this request's time go". Every
+// request — sync or async — can carry a
 // Span recording monotonic phase durations from submission to
 // completion: queue wait, coalesce/fuse, plan lookup, prepacked-operand
 // resolution, native compute, and the fused writeback scatter. Fused

@@ -227,54 +227,27 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestRegistryResetAndDelta: SnapshotDelta windows counters between
-// calls, omits idle shapes, and Reset clears both the series and the
-// delta baseline.
-func TestRegistryResetAndDelta(t *testing.T) {
+// TestRegistryReset: Reset drops every series, and a shape recorded
+// after it starts from zero.
+func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	key := ShapeKey{Op: "GEMM", DType: "s", Mode: "NN", M: 4, N: 4, K: 4}
 	s := r.Series(key)
 	s.Plan(CacheMiss)
 	s.Record(time.Millisecond, 1e9, false)
 	s.Record(time.Millisecond, 1e9, false)
-
-	d1 := r.SnapshotDelta()
-	if len(d1) != 1 || d1[0].Calls != 2 || d1[0].PlanMisses != 1 {
-		t.Fatalf("first delta = %+v, want 2 calls / 1 miss", d1)
-	}
-
-	// No activity: the shape disappears from the window.
-	if d := r.SnapshotDelta(); len(d) != 0 {
-		t.Fatalf("idle delta = %+v, want empty", d)
-	}
-
-	s.Plan(CacheHit)
-	s.Record(2*time.Millisecond, 1e9, false)
-	d2 := r.SnapshotDelta()
-	if len(d2) != 1 || d2[0].Calls != 1 || d2[0].PlanHits != 1 || d2[0].PlanMisses != 0 {
-		t.Fatalf("windowed delta = %+v, want 1 call / 1 hit / 0 misses", d2)
-	}
-	// The window's quantiles cover only the window's observations.
-	if d2[0].P50 < 2*time.Millisecond {
-		t.Fatalf("window P50 = %v, want >= 2ms (only the 2ms sample is in the window)", d2[0].P50)
-	}
-
-	// Cumulative snapshot still sees everything.
-	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Calls != 3 {
-		t.Fatalf("cumulative snapshot = %+v, want 3 calls", snap)
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Calls != 2 || snap[0].PlanMisses != 1 {
+		t.Fatalf("snapshot = %+v, want 2 calls / 1 miss", snap)
 	}
 
 	r.Reset()
 	if snap := r.Snapshot(); len(snap) != 0 {
 		t.Fatalf("snapshot after Reset = %+v, want empty", snap)
 	}
-	// Fresh series after Reset: the delta baseline must also be fresh,
-	// so the first post-Reset window reports full counts (no negative
-	// wraparound from the stale baseline).
 	s = r.Series(key)
 	s.Record(time.Millisecond, 1e9, false)
-	if d := r.SnapshotDelta(); len(d) != 1 || d[0].Calls != 1 {
-		t.Fatalf("post-Reset delta = %+v, want 1 call", d)
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Calls != 1 || snap[0].PlanMisses != 0 {
+		t.Fatalf("post-Reset snapshot = %+v, want 1 call / 0 misses", snap)
 	}
 }
 

@@ -325,14 +325,15 @@ func (s *Server) priorityOf(tenant string, body *DoRequest) int {
 const zeroTraceID = "00000000000000000000000000000000"
 
 // traceOf resolves the request's correlation id: the trace-id field of
-// a well-formed W3C traceparent header ("00-<32 hex>-<16 hex>-<2 hex>")
-// when present, else a fresh random 32-hex id. The id is echoed on
+// a W3C traceparent header ("00-<32 hex>-<16 hex>-<2 hex>") — its second
+// dash-separated field, lower-cased — when that field is 32 hex digits
+// and not all zeros, else a fresh random 32-hex id. The id is echoed on
 // every response as X-IATF-Trace and stamped onto the engine span.
 func traceOf(r *http.Request) string {
-	if tp := r.Header.Get("traceparent"); tp != "" {
-		parts := strings.SplitN(tp, "-", 4)
-		if len(parts) >= 3 && len(parts[1]) == 32 {
-			id := strings.ToLower(parts[1])
+	if _, rest, ok := strings.Cut(r.Header.Get("traceparent"), "-"); ok {
+		id, _, _ := strings.Cut(rest, "-")
+		if len(id) == 32 {
+			id = strings.ToLower(id)
 			if id != zeroTraceID && isHex(id) {
 				return id
 			}
@@ -342,7 +343,7 @@ func traceOf(r *http.Request) string {
 	if _, err := rand.Read(b[:]); err == nil {
 		return hex.EncodeToString(b[:])
 	}
-	return strconv.FormatUint(uint64(time.Now().UnixNano()), 16)
+	return fmt.Sprintf("%032x", uint64(time.Now().UnixNano()))
 }
 
 func isHex(s string) bool {

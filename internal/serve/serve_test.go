@@ -557,6 +557,47 @@ func TestServeTraceHeaderAllPaths(t *testing.T) {
 	checkErr("504", resp, http.StatusGatewayTimeout)
 }
 
+// FuzzTraceparent: traceOf always returns an id safe to echo in the
+// X-IATF-Trace header — 32 lowercase hex digits, never all zeros. It is
+// the header's lower-cased second dash-separated field exactly when
+// that field is 32 hex digits and not all zeros; otherwise it is fresh,
+// so two resolutions of the same request differ.
+func FuzzTraceparent(f *testing.F) {
+	lowerHex32 := func(s string) bool {
+		if len(s) != 32 || s == zeroTraceID {
+			return false
+		}
+		for _, c := range []byte(s) {
+			if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+				return false
+			}
+		}
+		return true
+	}
+	f.Fuzz(func(t *testing.T, tp string) {
+		r := &http.Request{Header: http.Header{}}
+		if tp != "" {
+			r.Header["Traceparent"] = []string{tp}
+		}
+		id := traceOf(r)
+		if !lowerHex32(id) {
+			t.Fatalf("traceparent %q: id %q is not 32 lowercase hex digits, non-zero", tp, id)
+		}
+		want := ""
+		if fields := strings.Split(tp, "-"); len(fields) >= 2 && len(fields[1]) == 32 {
+			if low := strings.ToLower(fields[1]); lowerHex32(low) {
+				want = low
+			}
+		}
+		switch {
+		case want != "" && id != want:
+			t.Fatalf("traceparent %q: id %q, want the header's trace-id %q", tp, id, want)
+		case want == "" && traceOf(r) == id:
+			t.Fatalf("traceparent %q: id %q repeats, want a fresh id per resolution", tp, id)
+		}
+	})
+}
+
 // TestServeTraceparentSpanPropagation: the wire trace id and tenant land
 // on the engine span of the dispatched request — the join point between
 // the HTTP access log and engine-level tracing.

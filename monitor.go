@@ -1,11 +1,10 @@
 // Public monitoring surface: request-lifecycle spans, the OpenMetrics
-// exporter and the Chrome trace-event exporter. Where SetTrace answers
-// "what command queue did the engine assemble", a span answers "where did
-// this request's time go" — queue wait, coalesce/fuse, plan lookup,
-// prepack resolution, compute, scatter — for every request, sync or
-// async, with fused dispatches linking rider spans to the parent via
-// ParentID. With no sink installed the whole subsystem costs one atomic
-// load per call.
+// exporter and the Chrome trace-event exporter. A span is the one
+// per-call record: it answers "where did this request's time go" —
+// queue wait, coalesce/fuse, plan lookup, prepack resolution, compute,
+// scatter — for every request, sync or async, with fused dispatches
+// linking rider spans to the parent via ParentID. With no sink
+// installed the whole subsystem costs one atomic load per call.
 
 package iatf
 
@@ -74,7 +73,9 @@ func (e *Engine) SetSpanSink(fn func(*Span)) {
 	if fn != nil {
 		sink = obs.SpanFunc(fn)
 	}
-	e.eachShard(func(r *obs.Registry) { r.SetSpanSink(sink) })
+	for i := 0; i < e.inner.Shards(); i++ {
+		e.inner.Obs(i).SetSpanSink(sink)
+	}
 }
 
 // QueueStats returns only the submission-queue slice of the engine's
@@ -105,25 +106,11 @@ func (e *Engine) MetricsHandler() http.Handler { return e.inner.MetricsHandler()
 // allocates per dispatch.
 func (e *Engine) SetProfileLabels(on bool) { e.inner.SetProfileLabels(on) }
 
-// ResetShapeStats zeroes the engine's per-shape series, the windowed
-// delta baseline, and the submission queue's rolling window (the depth
-// high-water mark and the queue-wait histogram) — the counters otherwise
-// grow unboundedly in a long-running process.
+// ResetShapeStats zeroes the engine's per-shape series and the
+// submission queue's rolling window (the depth high-water mark and the
+// queue-wait histogram) — the counters otherwise grow unboundedly in a
+// long-running process.
 func (e *Engine) ResetShapeStats() { e.inner.ResetShapeStats() }
-
-// ShapeStatsDelta returns each shape's activity since the previous
-// ShapeStatsDelta call (or since engine start): counters are windowed
-// differences and quantiles cover only the window, so scrape-rate
-// computation needs no external state. Shapes with no activity in the
-// window are omitted. An EngineSet merges its shards' windows by shape.
-func (e *Engine) ShapeStatsDelta() []ShapeStats {
-	if e.inner.Shards() == 1 {
-		return e.inner.Obs(0).SnapshotDelta()
-	}
-	var per [][]ShapeStats
-	e.eachShard(func(r *obs.Registry) { per = append(per, r.SnapshotDelta()) })
-	return obs.AggregateShapes(per...)
-}
 
 // TenantObjective is one tenant's serving contract: the EDF dispatch
 // class, the per-request latency objective (the deadline-miss bar when a

@@ -2,10 +2,12 @@ package iatf_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,7 +65,6 @@ func oneStageCases[T float32 | float64]() []oneStageCase[T] {
 type oneStageRun[T float32 | float64] struct {
 	out    *iatf.Compact[T]
 	spans  []iatf.Span
-	traces []iatf.TraceEvent
 	plan   [3]uint64 // PlanHits, PlanMisses, PlanShared deltas
 	shapes []iatf.ShapeStats
 	chain  bool // Stats.Chain moved
@@ -78,8 +79,6 @@ func runOneStagePath[T float32 | float64](t *testing.T, c oneStageCase[T], path 
 	cc := chainRand[T](rng, 13, 8, 8, 0)
 	eng := iatf.NewEngine()
 	var res oneStageRun[T]
-	eng.SetTrace(func(ev iatf.TraceEvent) { res.traces = append(res.traces, ev) }, 0)
-	eng.ForceTrace(2)
 	opts := []iatf.Option{iatf.WithEngine(eng), iatf.WithSpanSink(func(sp *iatf.Span) { res.spans = append(res.spans, *sp) })}
 	ctx := context.Background()
 	before := eng.Stats()
@@ -141,9 +140,6 @@ func oneStageIsOp[T float32 | float64](t *testing.T) {
 					t.Errorf("%s: span %d\n got %s\nwant %s", label, i, g, w)
 				}
 			}
-			if !reflect.DeepEqual(got.traces, do.traces) || len(got.traces) != 2 {
-				t.Errorf("%s: command queues differ from Do:\n got %+v\nwant %+v", label, got.traces, do.traces)
-			}
 			if got.plan != do.plan {
 				t.Errorf("%s: plan hits/misses/shared %v, Do %v", label, got.plan, do.plan)
 			}
@@ -161,8 +157,8 @@ func oneStageIsOp[T float32 | float64](t *testing.T) {
 }
 
 // TestChainOneStageIsOp: a one-stage chain and an idle-queue Submit are
-// observably the op — the same results, span descriptors, command
-// queues, plan counters and per-shape rows as Do, with no chain state.
+// observably the op — the same results, span descriptors, plan counters
+// and per-shape rows as Do, with no chain state.
 func TestChainOneStageIsOp(t *testing.T) {
 	t.Run("f32", oneStageIsOp[float32])
 	t.Run("f64", oneStageIsOp[float64])
@@ -223,22 +219,29 @@ func TestChainTenantTrace(t *testing.T) {
 	})
 	run("inline", submit(tagged(iatf.WithEngine(eng), "inline")))
 
-	// Queued: hold an idle-path GEMM inside the trace hook (which runs on
-	// the executing goroutine before compute, while the queue counts as
-	// busy), so the chain cannot run inline and goes to the dispatcher.
+	// Queued: hold an inline two-stage chain in an engine-level span sink
+	// on its first stage span (FinishSpan delivers it on the executing
+	// goroutine while the queue counts as busy), so the tagged chain
+	// cannot run inline and goes to the dispatcher.
 	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	eng.SetTrace(func(iatf.TraceEvent) {
-		once.Do(func() {
+	var holding atomic.Bool
+	eng.SetSpanSink(func(sp *iatf.Span) {
+		if sp.ParentID != 0 && holding.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
-		})
-	}, 1)
-	ga, gb, gc := chainRand[float64](rng, 4, 4, 4, 0), chainRand[float64](rng, 4, 4, 4, 0), chainRand[float64](rng, 4, 4, 4, 0)
+		}
+	})
+	ha, hb := chainRand[float64](rng, 4, 4, 4, 4), chainRand[float64](rng, 4, 4, 4, 0)
 	held := make(chan error, 1)
 	go func() {
-		held <- iatf.Do(ctx, iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: ga, B: gb, C: gc},
-			iatf.WithEngine(eng), iatf.WithAsync())
+		f, err := iatf.SubmitChain(ctx, []iatf.Stage[float64]{
+			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, ha, hb),
+			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, ha, hb),
+		}, iatf.WithEngine(eng))
+		if err == nil {
+			err = f.Err()
+		}
+		held <- err
 	}()
 	<-entered
 	q0 := eng.QueueStats()
@@ -248,7 +251,7 @@ func TestChainTenantTrace(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	eng.SetTrace(nil, 0)
+	eng.SetSpanSink(nil)
 	if q1.Submitted-q0.Submitted != 1 || q1.Inline != q0.Inline {
 		t.Fatalf("queued chain ran inline: submitted %d→%d inline %d→%d", q0.Submitted, q1.Submitted, q0.Inline, q1.Inline)
 	}
@@ -340,5 +343,135 @@ func TestAsyncChainAllocCeilings(t *testing.T) {
 				t.Errorf("count %d: warm %s allocates %.0f objects/call, ceiling %.0f", count, c.name, allocs, c.ceiling)
 			}
 		}
+	}
+}
+
+// factorRun is everything one path observably produced for a tagged
+// well-conditioned factorization and a tagged batch holding one singular
+// matrix, on a fresh target.
+type factorRun struct {
+	outs    [2]*iatf.Compact[float64]
+	infos   [2][]int
+	spans   []iatf.Span
+	shapes  []iatf.ShapeStats
+	tenants []string // name, requests, errors
+}
+
+// TestFactorReportsThroughOnePath: LU and Cholesky run as one-stage
+// lists of the Do path, sync and WithAsync, on an engine and on a
+// two-shard set. A tagged call delivers exactly one span (its op, trace
+// id, plan and compute phases) and one tenant request, and its results,
+// info codes, span shape and per-shape rows equal the one-stage
+// Chain's. A batch with a singular matrix still returns its info codes
+// with a nil error.
+func TestFactorReportsThroughOnePath(t *testing.T) {
+	const count, n, bad = 13, 6, 5
+	ctx := context.Background()
+	for _, c := range []struct {
+		op     string
+		factor func(*iatf.Compact[float64], ...iatf.Option) ([]int, error)
+		stage  func(*iatf.Compact[float64]) iatf.Stage[float64]
+	}{
+		{"LU", iatf.LU[float64], iatf.LUStage[float64]},
+		{"CHOL", iatf.Cholesky[float64], iatf.CholeskyStage[float64]},
+	} {
+		for _, shards := range []int{1, 2} {
+			label := fmt.Sprintf("%s on %d shard(s)", c.op, shards)
+			run := func(chain bool, extra ...iatf.Option) factorRun {
+				eng := iatf.NewEngine()
+				if shards > 1 {
+					eng = iatf.NewEngineSet(shards).Engine
+				}
+				eng.SetTenants(map[string]iatf.TenantObjective{"rt": {}})
+				rng := rand.New(rand.NewSource(14))
+				good := spdRand[float64](rng, count, n)
+				singular := good.Unpack()
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						singular.Set(bad, i, j, 0) // zero first pivot: info 1
+					}
+				}
+				var res factorRun
+				res.outs = [2]*iatf.Compact[float64]{good, iatf.Pack(singular)}
+				for i, a := range res.outs {
+					opts := append([]iatf.Option{iatf.WithEngine(eng), iatf.WithTenant("rt"),
+						iatf.WithTrace(fmt.Sprintf("call-%d", i)),
+						iatf.WithSpanSink(func(sp *iatf.Span) { res.spans = append(res.spans, *sp) })}, extra...)
+					if !chain {
+						info, err := c.factor(a, opts...)
+						if err != nil {
+							t.Fatalf("%s: call %d: %v", label, i, err)
+						}
+						res.infos[i] = info
+						continue
+					}
+					err := iatf.Chain(ctx, []iatf.Stage[float64]{c.stage(a)}, opts...)
+					var ce *iatf.ChainError
+					switch {
+					case err == nil:
+						res.infos[i] = make([]int, count)
+					case errors.As(err, &ce) && errors.Is(err, iatf.ErrSingular):
+						res.infos[i] = ce.Info
+					default:
+						t.Fatalf("%s: chain call %d: %v", label, i, err)
+					}
+				}
+				st := eng.Stats()
+				for _, s := range st.Shapes {
+					s.P50, s.P99, s.AvgGFLOPS, s.BestGFLOPS = 0, 0, 0, 0 // timing-dependent
+					res.shapes = append(res.shapes, s)
+				}
+				for _, ts := range eng.TenantStats() {
+					res.tenants = append(res.tenants, fmt.Sprintf("%s requests=%d errors=%d", ts.Name, ts.Requests, ts.Errors))
+				}
+				return res
+			}
+			want := run(true)
+			for path, extra := range map[string][]iatf.Option{"sync": nil, "async": {iatf.WithAsync()}} {
+				checkFactorRun(t, label+" "+path, c.op, bad, run(false, extra...), want)
+			}
+		}
+	}
+}
+
+// checkFactorRun compares a factorization path's record with the
+// one-stage Chain's (want).
+func checkFactorRun(t *testing.T, label, op string, bad int, got, want factorRun) {
+	t.Helper()
+	if len(got.spans) != 2 {
+		t.Fatalf("%s: %d spans for two calls, want one each", label, len(got.spans))
+	}
+	for i, sp := range got.spans {
+		if sp.Op != op || sp.TraceID != fmt.Sprintf("call-%d", i) ||
+			sp.Phases[iatf.PhasePlan] <= 0 || sp.Phases[iatf.PhaseCompute] <= 0 {
+			t.Errorf("%s: span %d = %s trace %q phases %v", label, i, sp.Op, sp.TraceID, sp.Phases)
+		}
+		if g, w := spanShape(sp), spanShape(want.spans[i]); g != w {
+			t.Errorf("%s: span %d\n got %s\nwant %s", label, i, g, w)
+		}
+	}
+	if wantLedger := []string{"rt requests=2 errors=1"}; !reflect.DeepEqual(got.tenants, wantLedger) {
+		t.Errorf("%s: tenant ledger %q, want %q (the singular batch is the error)", label, got.tenants, wantLedger)
+	}
+	for i := range got.outs {
+		expectEqual(t, fmt.Sprintf("%s: call %d", label, i), got.outs[i], want.outs[i])
+	}
+	for m, code := range got.infos[1] {
+		wantCode := 0
+		if m == bad {
+			wantCode = 1
+		}
+		if code != wantCode {
+			t.Errorf("%s: singular batch info[%d] = %d, want %d", label, m, code, wantCode)
+		}
+	}
+	if !reflect.DeepEqual(got.infos, want.infos) {
+		t.Errorf("%s: info codes %v, chain %v", label, got.infos, want.infos)
+	}
+	if !reflect.DeepEqual(got.shapes, want.shapes) {
+		t.Errorf("%s: per-shape rows\n got %+v\nwant %+v", label, got.shapes, want.shapes)
+	}
+	if !reflect.DeepEqual(got.tenants, want.tenants) {
+		t.Errorf("%s: tenant ledger\n got %+v\nwant %+v", label, got.tenants, want.tenants)
 	}
 }

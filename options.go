@@ -15,6 +15,7 @@ package iatf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -193,7 +194,8 @@ func (e *Engine) SaveStore() error { return e.inner.SaveStore() }
 // class is the EDF dispatch class (higher drains first on deadline
 // ties), objective_ms the per-request latency objective in milliseconds,
 // and target the SLO attainment fraction in (0,1) — defaulting to 0.99
-// when an objective is given without one. "rt=5:10:0.999" reads as
+// when an objective is given without one. The objective must be finite,
+// non-negative and fit a time.Duration. "rt=5:10:0.999" reads as
 // "tenant rt, class 5, 10ms objective, 99.9% target".
 func ParseTenantSpec(s string) (name string, obj TenantObjective, err error) {
 	name, spec, ok := strings.Cut(s, "=")
@@ -209,17 +211,19 @@ func ParseTenantSpec(s string) (name string, obj TenantObjective, err error) {
 	}
 	if len(parts) >= 2 {
 		ms, ferr := strconv.ParseFloat(parts[1], 64)
-		if ferr != nil || ms < 0 {
+		ns := ms * float64(time.Millisecond)
+		// The negated bound also rejects NaN and +Inf.
+		if ferr != nil || ms < 0 || !(ns < math.MaxInt64) {
 			return "", obj, fmt.Errorf("iatf: tenant spec %q: bad objective_ms %q", s, parts[1])
 		}
-		obj.Objective = time.Duration(ms * float64(time.Millisecond))
+		obj.Objective = time.Duration(ns)
 		if obj.Objective > 0 {
 			obj.Target = 0.99
 		}
 	}
 	if len(parts) == 3 {
 		t, ferr := strconv.ParseFloat(parts[2], 64)
-		if ferr != nil || t <= 0 || t >= 1 {
+		if ferr != nil || !(t > 0 && t < 1) {
 			return "", obj, fmt.Errorf("iatf: tenant spec %q: target %q must be in (0,1)", s, parts[2])
 		}
 		obj.Target = t

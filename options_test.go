@@ -140,3 +140,35 @@ func TestParseTenantSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestParseTenantSpecNonFinite: NaN, infinite and overflowing
+// objectives and a NaN target are rejected. Accepted, they would turn
+// the objective into a negative duration and export a target that
+// encoding/json cannot encode.
+func TestParseTenantSpecNonFinite(t *testing.T) {
+	for _, in := range []string{
+		"x=1:NaN",   // NaN objective
+		"x=1:Inf",   // infinite objective
+		"x=1:1e300", // objective overflows time.Duration
+		"x=1:2:NaN", // NaN target
+	} {
+		if name, obj, err := ParseTenantSpec(in); err == nil {
+			t.Errorf("ParseTenantSpec(%q) = %q %+v, want error", in, name, obj)
+		}
+	}
+}
+
+// FuzzParseTenantSpec: any input parses or fails without panicking, and
+// an accepted spec names its tenant and holds a usable objective: a
+// non-negative duration and a target of 0 (no SLO) or inside (0,1).
+func FuzzParseTenantSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		name, obj, err := ParseTenantSpec(in)
+		if err != nil {
+			return
+		}
+		if name == "" || obj.Objective < 0 || !(obj.Target == 0 || obj.Target > 0 && obj.Target < 1) {
+			t.Fatalf("ParseTenantSpec(%q) accepted %q %+v", in, name, obj)
+		}
+	})
+}
