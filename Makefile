@@ -96,7 +96,7 @@ obsstress:
 tunestress:
 	$(GO) test -race -count=2 -run 'Store|Tuner|Warm' . ./internal/engine/
 	$(GO) test -race -count=2 ./internal/store/
-	IATF_STORE_DIR=$$(mktemp -d) $(GO) run ./cmd/iatf-tune -counts 1 -shapes gemm:f32:8x8x8,cholesky:f64:8
+	IATF_STORE_DIR=$$(mktemp -d) $(GO) run ./cmd/iatf-tune -counts 1 -shapes gemm:f32:8x8x8,cholesky:f64:8,lupiv:f64:8
 
 # Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
 # against encoding/json (same accept/reject, equal decoded request) and

@@ -152,34 +152,27 @@ func resolveOpts(opts []Option) callCfg {
 	return cfg
 }
 
-// stageOf lowers a Request onto the engine's one-stage list. The array
-// lives on the caller's stack: the warm synchronous path must not
-// allocate.
+// stageOf lowers a Request onto the engine's one-stage list through its
+// op's Stage constructor, so a request carries only the fields its op
+// reads: a field the op ignores can split neither routing nor
+// coalescing. The array lives on the caller's stack: the warm
+// synchronous path must not allocate.
 func stageOf[T Scalar](req Request[T], workers int) ([1]engine.ChainStage, error) {
-	st := [1]engine.ChainStage{{Op: engine.OpDesc{
-		TransA: req.TransA, TransB: req.TransB,
-		Side: req.Side, Uplo: req.Uplo, Diag: req.Diag,
-		Alpha: scalarToComplex(req.Alpha), Beta: scalarToComplex(req.Beta),
-		Workers: workers,
-	}}}
-	s := &st[0]
+	var s Stage[T]
 	switch req.Op {
 	case OpGEMM:
-		s.Op.Kind = engine.OpGEMM
-		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.B), operandOf(req.C)}, 3
-	case OpTRSM, OpTRMM:
-		s.Op.Kind = engine.OpTRSM
-		if req.Op == OpTRMM {
-			s.Op.Kind = engine.OpTRMM
-		}
-		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.B)}, 2
+		s = GEMMStage(req.TransA, req.TransB, req.Alpha, req.A, req.B, req.Beta, req.C)
+	case OpTRSM:
+		s = TRSMStage(req.Side, req.Uplo, req.TransA, req.Diag, req.Alpha, req.A, req.B)
+	case OpTRMM:
+		s = TRMMStage(req.Side, req.Uplo, req.TransA, req.Diag, req.Alpha, req.A, req.B)
 	case OpSYRK:
-		s.Op.Kind = engine.OpSYRK
-		s.Ops, s.NOps = [3]engine.Operand{operandOf(req.A), operandOf(req.C)}, 2
+		s = SYRKStage(req.Uplo, req.TransA, req.Alpha, req.A, req.Beta, req.C)
 	default:
-		return st, fmt.Errorf("iatf: unknown request op %d: %w", int(req.Op), ErrOperand)
+		return [1]engine.ChainStage{}, fmt.Errorf("iatf: unknown request op %d: %w", int(req.Op), ErrOperand)
 	}
-	return st, nil
+	s.inner.Op.Workers = workers
+	return [1]engine.ChainStage{s.inner}, nil
 }
 
 // Do executes one request. By default it runs synchronously through the

@@ -1,8 +1,6 @@
 package iatf
 
 import (
-	"time"
-
 	"iatf/internal/engine"
 	"iatf/internal/obs"
 )
@@ -71,38 +69,21 @@ func DefaultEngine() *Engine { return defaultEng }
 // profile) and no persistent store.
 func NewEngine(opts ...EngineOption) *Engine { return newEngine(1, opts) }
 
-// newEngine builds and configures a set of n shards.
+// newEngine builds a set of n shards with the options' tuning and
+// queue policy, then loads the plan store when one is attached.
 func newEngine(n int, opts []EngineOption) *Engine {
 	cfg := resolveConfig(opts)
-	s := engine.NewSet(cfg.tun, n)
-	cfg.apply(s)
+	s := engine.NewSet(cfg.tun, n, cfg.queue)
+	if cfg.storeSet {
+		s.SetStorePath(cfg.storePathFor(s.Fingerprint()))
+		_ = s.LoadStore() // fail-soft by design
+	}
 	return &Engine{inner: s}
 }
 
 // Stats returns the engine's current counters, including the per-shape
 // series in Stats.Shapes (ordered by call count).
 func (e *Engine) Stats() EngineStats { return e.inner.Stats().Aggregate }
-
-// SetEDF toggles deadline-ordered dispatch on the engine's async queue.
-// When on (the default) each drained batch's bundles execute in earliest-
-// context-deadline order, with WithPriority classes breaking ties, so a
-// tight-deadline request never waits behind a loose bundle that merely
-// arrived earlier. Off restores the FIFO drain. Safe to flip at any time.
-//
-// Deprecated: prefer WithEDF at construction; SetEDF remains for
-// runtime flips.
-func (e *Engine) SetEDF(on bool) { e.inner.SetEDF(on) }
-
-// SetBatchWindow sets the dispatcher's max-batch-window: after a batch's
-// first request is received, the drain stays open for d so a burst — and
-// any tight-deadline request inside it — lands in one EDF-ordered batch.
-// Larger windows trade queue latency for larger fused bundles; 0 (the
-// default) drains only what already accumulated. Safe to change at any
-// time.
-//
-// Deprecated: prefer WithBatchWindow at construction; SetBatchWindow
-// remains for runtime adjustment.
-func (e *Engine) SetBatchWindow(d time.Duration) { e.inner.SetBatchWindow(d) }
 
 // operandOf type-erases a compact batch for the engine dispatch path.
 // A nil batch maps to the zero Operand, which the engine rejects with a

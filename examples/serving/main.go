@@ -112,13 +112,11 @@ func quantile(ds []time.Duration, q float64) time.Duration {
 // burstTrial runs `rounds` bursts through one engine configuration and
 // returns the tight- and loose-class latencies (submit → resolved).
 func burstTrial(rng *rand.Rand, edf bool, heavyCount int, tightDL time.Duration) (tight, loose []time.Duration, misses int) {
-	eng := iatf.NewEngine()
-	eng.SetEDF(edf)
+	w := time.Duration(0)
 	if edf {
-		eng.SetBatchWindow(window)
-	} else {
-		eng.SetBatchWindow(0)
+		w = window
 	}
+	eng := iatf.NewEngine(iatf.WithEDF(edf), iatf.WithBatchWindow(w))
 
 	const n = 8
 	// Distinct alpha per heavy client: same shape, different scalar — each
@@ -245,8 +243,7 @@ func phase1(rng *rand.Rand) {
 
 func phase2(rng *rand.Rand) {
 	heavyCount, th := calibrate(rng)
-	eng := iatf.NewEngine()
-	eng.SetBatchWindow(window)
+	eng := iatf.NewEngine(iatf.WithBatchWindow(window))
 	srv := serve.New(serve.Config{Engine: eng})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -345,8 +342,7 @@ func phase2(rng *rand.Rand) {
 // per-tenant SLO ledger plus the trace/access-log join.
 func phase3(rng *rand.Rand) {
 	heavyCount, th := calibrate(rng)
-	eng := iatf.NewEngine()
-	eng.SetBatchWindow(window)
+	eng := iatf.NewEngine(iatf.WithBatchWindow(window))
 	var accessLog bytes.Buffer
 	srv := serve.New(serve.Config{
 		Engine: eng,

@@ -13,9 +13,9 @@ import (
 // every level-3 op: calls are validated with the typed taxonomy
 // (ErrShape/ErrDType/ErrOperand), counted in the plan cache, and
 // observed in the per-shape series ("LU", "CHOL", "LUPIV" ops in
-// iatf-info -engine). LU and Cholesky are one-stage lists of the same
-// Run/Submit path Do takes, so their spans, trace ids and tenant
-// accounting work as Do's do.
+// iatf-info -engine). LU, Cholesky and the pivoted LU are one-stage
+// lists of the same Run/Submit path Do takes, so their spans, trace ids
+// and tenant accounting work as Do's do.
 
 // LU factors every matrix of the compact batch in place into L\U
 // (Doolittle: unit lower triangle below the diagonal, upper triangle with
@@ -35,15 +35,16 @@ import (
 // its span, per-shape series and tenant ledger count the call as failed,
 // as a one-stage Chain of LUStage does.
 func LU[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
-	return factor(engine.OpLU, a, opts)
+	return factor(engine.OpLU, a, nil, opts)
 }
 
 // factor runs an in-place factorization as a one-stage list on the
 // call's target and turns a singular batch back into its info codes.
-func factor[T Scalar](kind engine.OpKind, a *Compact[T], opts []Option) ([]int, error) {
+// piv receives the pivoted LU's pivot record.
+func factor[T Scalar](kind engine.OpKind, a *Compact[T], piv *core.Pivots, opts []Option) ([]int, error) {
 	cfg := resolveOpts(opts)
 	st := [1]engine.ChainStage{{Op: engine.OpDesc{Kind: kind, Workers: cfg.workers},
-		Ops: [3]engine.Operand{operandOf(a)}, NOps: 1}}
+		Ops: [3]engine.Operand{operandOf(a)}, NOps: 1, Piv: piv}}
 	err := cfg.run(context.Background(), st[:])
 	var ce *ChainError
 	if errors.As(err, &ce) && errors.Is(err, ErrSingular) {
@@ -73,7 +74,7 @@ func LUSolve[T Scalar](a, b *Compact[T]) error {
 // otherwise). info codes are per matrix: 0 on success, k+1 at the first
 // non-positive pivot. Options work as in LU.
 func Cholesky[T Scalar](a *Compact[T], opts ...Option) ([]int, error) {
-	return factor(engine.OpCholesky, a, opts)
+	return factor(engine.OpCholesky, a, nil, opts)
 }
 
 // CholeskySolve solves A·X = B for every matrix of the batch, where a
@@ -95,17 +96,16 @@ type Pivots struct {
 
 // LUPivoted factors every matrix in place with partial pivoting
 // (P·A = L·U) — the robust form for matrices that are not diagonally
-// dominant. The returned Pivots must be passed to LUSolvePivoted.
-// WithWorkers and WithEngine work as in Do; the other options are
-// ignored, because the pivot record does not ride the Run/Submit path.
+// dominant. The returned Pivots must be passed to LUSolvePivoted. info
+// codes are per matrix: 0 on success, k+1 at the first zero pivot
+// column. Options and singular batches work as in LU.
 func LUPivoted[T Scalar](a *Compact[T], opts ...Option) (*Pivots, []int, error) {
-	cfg := resolveOpts(opts)
-	p, info, err := cfg.eng.inner.RunLUPiv(
-		engine.OpDesc{Kind: engine.OpLUPiv, Workers: cfg.workers}, operandOf(a))
+	piv := new(core.Pivots)
+	info, err := factor(engine.OpLUPiv, a, piv, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Pivots{inner: p}, info, nil
+	return &Pivots{inner: piv}, info, nil
 }
 
 // LUSolvePivoted solves A·X = B for every matrix of the batch using the

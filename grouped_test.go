@@ -1,6 +1,7 @@
 package iatf
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -8,12 +9,12 @@ import (
 	"iatf/internal/matrix"
 )
 
-// Grouped GEMM over heterogeneous shapes must match per-group oracles.
+// A grouped GEMM over heterogeneous shapes must match per-group oracles.
 func TestGEMMGrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	type shape struct{ count, n int }
 	shapes := []shape{{10, 3}, {6, 8}, {4, 15}}
-	var groups []GEMMGroup[float64]
+	var groups []Request[float64]
 	var wants []*Batch[float64]
 	for _, s := range shapes {
 		a := randBatch[float64](rng, s.count, s.n, s.n)
@@ -22,12 +23,12 @@ func TestGEMMGrouped(t *testing.T) {
 		want := &Batch[float64]{inner: c.inner.Clone()}
 		matrix.RefGEMMBatch(NoTrans, NoTrans, 2.0, a.inner, b.inner, 1.0, want.inner)
 		wants = append(wants, want)
-		groups = append(groups, GEMMGroup[float64]{
-			TransA: NoTrans, TransB: NoTrans, Alpha: 2, Beta: 1,
+		groups = append(groups, Request[float64]{
+			Op: OpGEMM, TransA: NoTrans, TransB: NoTrans, Alpha: 2, Beta: 1,
 			A: Pack(a), B: Pack(b), C: Pack(c),
 		})
 	}
-	if err := GEMMGrouped(groups, WithWorkers(2)); err != nil {
+	if err := DoGrouped(context.Background(), groups, WithWorkers(2)); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -42,7 +43,7 @@ func TestTRSMGrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	type shape struct{ count, m, n int }
 	shapes := []shape{{8, 4, 4}, {5, 9, 3}}
-	var groups []TRSMGroup[float32]
+	var groups []Request[float32]
 	var wants []*Batch[float32]
 	for _, s := range shapes {
 		a := randTriBatch[float32](rng, s.count, s.m)
@@ -50,12 +51,12 @@ func TestTRSMGrouped(t *testing.T) {
 		want := &Batch[float32]{inner: b.inner.Clone()}
 		matrix.RefTRSMBatch(Left, Lower, NoTrans, NonUnit, float32(1), a.inner, want.inner)
 		wants = append(wants, want)
-		groups = append(groups, TRSMGroup[float32]{
-			Side: Left, Uplo: Lower, TransA: NoTrans, Diag: NonUnit, Alpha: 1,
+		groups = append(groups, Request[float32]{
+			Op: OpTRSM, Side: Left, Uplo: Lower, TransA: NoTrans, Diag: NonUnit, Alpha: 1,
 			A: Pack(a), B: Pack(b),
 		})
 	}
-	if err := TRSMGrouped(groups); err != nil {
+	if err := DoGrouped(context.Background(), groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -70,15 +71,15 @@ func TestTRSMGrouped(t *testing.T) {
 // wrapping the engine-taxonomy cause.
 func TestGroupedErrorReportsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	good := GEMMGroup[float64]{
-		TransA: NoTrans, TransB: NoTrans, Alpha: 1, Beta: 1,
+	good := Request[float64]{
+		Op: OpGEMM, TransA: NoTrans, TransB: NoTrans, Alpha: 1, Beta: 1,
 		A: Pack(randBatch[float64](rng, 2, 2, 2)),
 		B: Pack(randBatch[float64](rng, 2, 2, 2)),
 		C: Pack(randBatch[float64](rng, 2, 2, 2)),
 	}
 	bad := good
 	bad.B = Pack(randBatch[float64](rng, 2, 5, 2)) // shape mismatch
-	err := GEMMGrouped([]GEMMGroup[float64]{good, bad})
+	err := DoGrouped(context.Background(), []Request[float64]{good, bad})
 	if err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
@@ -102,7 +103,7 @@ func TestTRMMGrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	type shape struct{ count, m, n int }
 	shapes := []shape{{7, 4, 6}, {3, 9, 2}}
-	var groups []TRMMGroup[float64]
+	var groups []Request[float64]
 	var wants []*Batch[float64]
 	for _, s := range shapes {
 		a := randTriBatch[float64](rng, s.count, s.m)
@@ -110,12 +111,12 @@ func TestTRMMGrouped(t *testing.T) {
 		want := &Batch[float64]{inner: b.inner.Clone()}
 		matrix.RefTRMMBatch(Left, Lower, NoTrans, NonUnit, 1.5, a.inner, want.inner)
 		wants = append(wants, want)
-		groups = append(groups, TRMMGroup[float64]{
-			Side: Left, Uplo: Lower, TransA: NoTrans, Diag: NonUnit, Alpha: 1.5,
+		groups = append(groups, Request[float64]{
+			Op: OpTRMM, Side: Left, Uplo: Lower, TransA: NoTrans, Diag: NonUnit, Alpha: 1.5,
 			A: Pack(a), B: Pack(b),
 		})
 	}
-	if err := TRMMGrouped(groups); err != nil {
+	if err := DoGrouped(context.Background(), groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -132,7 +133,7 @@ func TestSYRKGrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	type shape struct{ count, n, k int }
 	shapes := []shape{{6, 5, 3}, {4, 7, 7}}
-	var groups []SYRKGroup[float64]
+	var groups []Request[float64]
 	var wants []*Batch[float64]
 	for _, s := range shapes {
 		a := randBatch[float64](rng, s.count, s.n, s.k)
@@ -140,12 +141,12 @@ func TestSYRKGrouped(t *testing.T) {
 		want := &Batch[float64]{inner: c.inner.Clone()}
 		matrix.RefSYRKBatch(Lower, NoTrans, 2.0, a.inner, 1.0, want.inner)
 		wants = append(wants, want)
-		groups = append(groups, SYRKGroup[float64]{
-			Uplo: Lower, Trans: NoTrans, Alpha: 2, Beta: 1,
+		groups = append(groups, Request[float64]{
+			Op: OpSYRK, Uplo: Lower, TransA: NoTrans, Alpha: 2, Beta: 1,
 			A: Pack(a), C: Pack(c),
 		})
 	}
-	if err := SYRKGrouped(groups); err != nil {
+	if err := DoGrouped(context.Background(), groups); err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range groups {
@@ -157,7 +158,7 @@ func TestSYRKGrouped(t *testing.T) {
 
 	bad := groups[0]
 	bad.C = Pack(randBatch[float64](rng, 6, 4, 4)) // C rows disagree with op(A)
-	err := SYRKGrouped([]SYRKGroup[float64]{groups[0], bad})
+	err := DoGrouped(context.Background(), []Request[float64]{groups[0], bad})
 	var ge *GroupError
 	if !errors.As(err, &ge) || ge.Index != 1 || ge.Op != "SYRK" {
 		t.Errorf("bad SYRK group: err = %v, want *GroupError{SYRK, 1}", err)
@@ -172,12 +173,12 @@ func TestSYRKGrouped(t *testing.T) {
 func TestGroupedHonorsWithEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	e := NewEngine()
-	mk := func(n int) SYRKGroup[float32] {
-		return SYRKGroup[float32]{Uplo: Upper, Trans: Transpose, Alpha: 1, Beta: 0,
+	mk := func(n int) Request[float32] {
+		return Request[float32]{Op: OpSYRK, Uplo: Upper, TransA: Transpose, Alpha: 1, Beta: 0,
 			A: Pack(randBatch[float32](rng, 3, 5, n)), C: Pack(randBatch[float32](rng, 3, n, n))}
 	}
 	before := DefaultEngine().Stats().PlanMisses
-	if err := SYRKGrouped([]SYRKGroup[float32]{mk(11), mk(13)}, WithEngine(e)); err != nil {
+	if err := DoGrouped(context.Background(), []Request[float32]{mk(11), mk(13)}, WithEngine(e)); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().PlanMisses; got != 2 {

@@ -431,3 +431,37 @@ func TestGEMMSize33Native(t *testing.T) {
 		t.Errorf("33×33 TRSM mismatch: %g", matrix.MaxAbsDiff(ctb.Unpack().Data(), wantB.Data()))
 	}
 }
+
+// TestStageOfReadsOnlyItsOpsFields: Do lowers a request through its
+// op's Stage constructor, so a field the op ignores — a TRSM's Beta or
+// TransB, a GEMM's Side — never reaches the engine stage, where it would
+// split routing and coalescing from the request's twin.
+func TestStageOfReadsOnlyItsOpsFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	a := Pack(randBatch[float64](rng, 3, 4, 4))
+	b := Pack(randBatch[float64](rng, 3, 4, 4))
+	c := Pack(randBatch[float64](rng, 3, 4, 4))
+	ignored := Request[float64]{TransA: Transpose, TransB: Transpose, Side: Right, Uplo: Upper,
+		Diag: Unit, Alpha: 2, Beta: 3, A: a, B: b, C: c}
+	for _, tc := range []struct {
+		op    Op
+		stage Stage[float64]
+	}{
+		{OpGEMM, GEMMStage(Transpose, Transpose, 2.0, a, b, 3.0, c)},
+		{OpTRSM, TRSMStage(Right, Upper, Transpose, Unit, 2.0, a, b)},
+		{OpTRMM, TRMMStage(Right, Upper, Transpose, Unit, 2.0, a, b)},
+		{OpSYRK, SYRKStage(Upper, Transpose, 2.0, a, 3.0, c)},
+	} {
+		req := ignored
+		req.Op = tc.op
+		got, err := stageOf(req, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.stage.inner
+		want.Op.Workers = 3
+		if got[0] != want {
+			t.Errorf("%s: stageOf = %+v\nconstructor = %+v", tc.op.name(), got[0].Op, want.Op)
+		}
+	}
+}

@@ -307,11 +307,11 @@ func TestExecFactorNativeDirect(t *testing.T) {
 			a.Set(v, i, i, re+6, im)
 		}
 	}
-	infoSeq, err := ExecFactorNative(nil, LUKind, a.Clone(), 1)
+	infoSeq, err := ExecFactorNative(nil, LUKind, a.Clone(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infoPar, err := ExecFactorNative(nil, LUKind, a.Clone(), 3)
+	infoPar, err := ExecFactorNative(nil, LUKind, a.Clone(), nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +325,23 @@ func TestExecFactorNativeDirect(t *testing.T) {
 	}
 	// Rectangular and complex-Cholesky rejections.
 	rect := layout.NewCompact[float64](vec.D, 2, 3, 4)
-	if _, err := ExecFactorNative(nil, LUKind, rect, 1); err == nil {
+	if _, err := ExecFactorNative(nil, LUKind, rect, nil, 1); err == nil {
 		t.Error("rectangular factorization accepted")
 	}
 	cplx := layout.NewCompact[float64](vec.Z, 2, 3, 3)
-	if _, err := ExecFactorNative(nil, CholeskyKind, cplx, 1); err == nil {
+	if _, err := ExecFactorNative(nil, CholeskyKind, cplx, nil, 1); err == nil {
 		t.Error("complex Cholesky accepted")
+	}
+	// The pivoted kind fills the record it is given and needs one.
+	if _, err := ExecFactorNative(nil, LUPivKind, a.Clone(), nil, 1); err == nil {
+		t.Error("pivoted LU without a pivot record accepted")
+	}
+	var piv Pivots
+	if _, err := ExecFactorNative(nil, LUPivKind, a.Clone(), &piv, 3); err != nil {
+		t.Fatal(err)
+	}
+	if piv.N != 5 || piv.Groups != a.Groups() || len(piv.Data) != a.Groups()*5*piv.VL {
+		t.Errorf("pivot record %d/%d/%d for a %d-group batch of order 5", piv.N, piv.Groups, len(piv.Data), a.Groups())
 	}
 }
 

@@ -20,51 +20,15 @@ type factorKind int
 const (
 	factorLU factorKind = iota
 	factorCholesky
+	factorLUPiv
 )
 
-// ExecFactorNative factors every matrix of the compact batch in place
-// and returns per-matrix info codes (0 = success; k+1 = first failing
-// pivot column, as in LAPACK). Cholesky is real-only and uses the lower
-// triangle. workers <= 0 means auto (GOMAXPROCS). rt selects the worker
-// pool the split fans out on; nil uses the process default — the factor
-// executors take no plan, so the Runtime rides as a parameter instead of
-// a stamped field.
-func ExecFactorNative[E vec.Float](rt *Runtime, kind factorKind, a *layout.Compact[E], workers int) ([]int, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("core: factorization requires square matrices, got %dx%d", a.Rows, a.Cols)
-	}
-	if kind == factorCholesky && a.Type.IsComplex() {
-		return nil, fmt.Errorf("core: compact Cholesky supports real types only")
-	}
-	n := a.Rows
-	vl := a.Type.Pack()
-	groups := a.Groups()
-	groupLen := a.GroupLen()
-	cplx := a.Type.IsComplex()
-	info := make([]int, groups*vl)
-
-	worker := func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			grp := a.Data[g*groupLen : (g+1)*groupLen]
-			gi := info[g*vl : (g+1)*vl]
-			switch {
-			case kind == factorCholesky:
-				kernels.Cholesky(grp, n, vl, gi)
-			case cplx:
-				kernels.LUCplx(grp, n, vl, gi)
-			default:
-				kernels.LU(grp, n, vl, gi)
-			}
-		}
-	}
-	rt.or().Sched.Run(groups, workers, 0, worker)
-	return info[:a.Count], nil
-}
-
-// LUKind and CholeskyKind expose the factor kinds to the public API.
+// LUKind, CholeskyKind and LUPivKind expose the factor kinds to the
+// engine.
 const (
 	LUKind       = factorLU
 	CholeskyKind = factorCholesky
+	LUPivKind    = factorLUPiv
 )
 
 // Pivots holds the partial-pivoting record of a pivoted LU factorization:
@@ -77,11 +41,23 @@ type Pivots struct {
 	Data   []int32
 }
 
-// ExecLUPivNative factors every matrix with partial pivoting, returning
-// the pivot record and per-matrix info codes. rt: see ExecFactorNative.
-func ExecLUPivNative[E vec.Float](rt *Runtime, a *layout.Compact[E], workers int) (*Pivots, []int, error) {
+// ExecFactorNative factors every matrix of the compact batch in place
+// and returns per-matrix info codes (0 = success; k+1 = first failing
+// pivot column, as in LAPACK). Cholesky is real-only and uses the lower
+// triangle. The pivoted LU fills piv with its pivot record; the other
+// kinds ignore piv. workers <= 0 means auto (GOMAXPROCS). rt selects
+// the worker pool the split fans out on; nil uses the process default —
+// the factor executors take no plan, so the Runtime rides as a
+// parameter instead of a stamped field.
+func ExecFactorNative[E vec.Float](rt *Runtime, kind factorKind, a *layout.Compact[E], piv *Pivots, workers int) ([]int, error) {
 	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("core: LU requires square matrices, got %dx%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("core: factorization requires square matrices, got %dx%d", a.Rows, a.Cols)
+	}
+	if kind == factorCholesky && a.Type.IsComplex() {
+		return nil, fmt.Errorf("core: compact Cholesky supports real types only")
+	}
+	if kind == factorLUPiv && piv == nil {
+		return nil, fmt.Errorf("core: pivoted LU needs a pivot record to fill")
 	}
 	n := a.Rows
 	vl := a.Type.Pack()
@@ -89,16 +65,28 @@ func ExecLUPivNative[E vec.Float](rt *Runtime, a *layout.Compact[E], workers int
 	groupLen := a.GroupLen()
 	cplx := a.Type.IsComplex()
 	info := make([]int, groups*vl)
-	piv := &Pivots{N: n, VL: vl, Groups: groups, Data: make([]int32, groups*n*vl)}
+	if kind == factorLUPiv {
+		*piv = Pivots{N: n, VL: vl, Groups: groups, Data: make([]int32, groups*n*vl)}
+	}
 
 	worker := func(lo, hi int) {
 		for g := lo; g < hi; g++ {
-			kernels.LUPiv(a.Data[g*groupLen:(g+1)*groupLen], n, vl, cplx,
-				piv.Data[g*n*vl:(g+1)*n*vl], info[g*vl:(g+1)*vl])
+			grp := a.Data[g*groupLen : (g+1)*groupLen]
+			gi := info[g*vl : (g+1)*vl]
+			switch {
+			case kind == factorLUPiv:
+				kernels.LUPiv(grp, n, vl, cplx, piv.Data[g*n*vl:(g+1)*n*vl], gi)
+			case kind == factorCholesky:
+				kernels.Cholesky(grp, n, vl, gi)
+			case cplx:
+				kernels.LUCplx(grp, n, vl, gi)
+			default:
+				kernels.LU(grp, n, vl, gi)
+			}
 		}
 	}
 	rt.or().Sched.Run(groups, workers, 0, worker)
-	return piv, info[:a.Count], nil
+	return info[:a.Count], nil
 }
 
 // ExecLUPivSolveNative applies the pivot permutation to B and solves

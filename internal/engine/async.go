@@ -57,15 +57,28 @@ var ErrQueueFull = errors.New("submission queue full")
 // control rejection does.
 func init() { obs.RegisterShedError(ErrQueueFull) }
 
-// ErrQueueStarted is returned by SetQueueCapacity once the dispatcher has
-// started (i.e. after the engine's first Submit): the live queue channel
-// cannot be resized, so a late call is rejected instead of silently
-// ignored or racing the running dispatcher.
-var ErrQueueStarted = errors.New("submission queue already started")
-
 // DefaultQueueCapacity bounds the per-engine submission queue unless
-// SetQueueCapacity overrides it before the first Submit.
+// QueueConfig.Capacity sets another bound.
 const DefaultQueueCapacity = 1024
+
+// QueueConfig is an engine's async queue policy, fixed when the engine
+// is built. The zero value is the default: a DefaultQueueCapacity
+// bound, deadline-ordered drain and no batch window.
+type QueueConfig struct {
+	// Capacity bounds the queued requests (values below 1 mean
+	// DefaultQueueCapacity); a Submit beyond it fails with ErrQueueFull.
+	Capacity int
+	// FIFO executes each drained batch's bundles in arrival order. By
+	// default they run earliest context deadline first, Call.Priority
+	// breaking ties, so a tight-deadline request never waits behind a
+	// loose bundle that merely arrived earlier.
+	FIFO bool
+	// Window is the max-batch-window: how long the dispatcher holds a
+	// drain open after the batch's first request, trading queue latency
+	// for larger fused bundles (and bursts landing in one ordered batch).
+	// Zero or less drains only what already accumulated.
+	Window time.Duration
+}
 
 // Future is the completion handle of one submitted request. It resolves
 // exactly once: with the dispatch error (nil on success), the request's
@@ -139,23 +152,15 @@ func opName(stages []ChainStage) string {
 }
 
 // submitQueue is the per-engine async state: the bounded request channel,
-// the dispatcher bootstrap and the serving counters.
+// the queue policy, the dispatcher bootstrap and the serving counters.
 type submitQueue struct {
 	startOnce sync.Once
-	mu        sync.Mutex // guards ch/capacity before the dispatcher starts
-	ch        chan *asyncReq
-	capacity  int
-	busy      atomic.Bool // a dispatch (inline or dispatcher) is in flight
+	ch        chan *asyncReq // sized at construction
+	busy      atomic.Bool    // a dispatch (inline or dispatcher) is in flight
 
-	// fifo disables the EDF pass (SetEDF(false)): drained bundles execute
-	// in arrival order, the pre-PR-7 behavior. Default false = EDF on.
-	fifo atomic.Bool
-	// windowNs is the max-batch-window: after receiving the first request
-	// of a batch the dispatcher holds the drain open for this long, so a
-	// burst — and any tight-deadline request inside it — lands in one
-	// drained batch for the EDF pass to order. 0 (default) drains only
-	// what already accumulated.
-	windowNs atomic.Int64
+	// fifo and window are the QueueConfig policy (window clamped at 0).
+	fifo   bool
+	window time.Duration
 
 	submitted  atomic.Uint64
 	inline     atomic.Uint64
@@ -255,18 +260,12 @@ func (s *QueueStats) Add(o QueueStats) {
 		s.Window = o.Window
 	}
 	// The aggregate claims EDF only when every merged shard orders by
-	// deadline (shards are configured uniformly through Set.SetEDF).
+	// deadline (a Set builds its shards with one QueueConfig).
 	s.EDF = s.EDF && o.EDF
 	s.Wait.Add(o.Wait)
 }
 
 func (q *submitQueue) snapshot() QueueStats {
-	q.mu.Lock()
-	depth, capacity := 0, q.capacity
-	if q.ch != nil {
-		depth, capacity = len(q.ch)+int(q.inflight.Load()), cap(q.ch)
-	}
-	q.mu.Unlock()
 	return QueueStats{
 		Submitted:      q.submitted.Load(),
 		StolenBatches:  q.stolenBatches.Load(),
@@ -277,12 +276,12 @@ func (q *submitQueue) snapshot() QueueStats {
 		Cancelled:      q.cancelled.Load(),
 		Rejected:       q.rejected.Load(),
 		MaxFused:       int(q.maxFused.Load()),
-		Depth:          depth,
-		Capacity:       capacity,
+		Depth:          len(q.ch) + int(q.inflight.Load()),
+		Capacity:       cap(q.ch),
 		DepthHighWater: int(q.depthHW.Load()),
 		Wait:           q.waitHist.Snapshot(),
-		EDF:            !q.fifo.Load(),
-		Window:         time.Duration(q.windowNs.Load()),
+		EDF:            !q.fifo,
+		Window:         q.window,
 	}
 }
 
@@ -291,45 +290,14 @@ func (q *submitQueue) snapshot() QueueStats {
 // can consult it per admission decision.
 func (e *Engine) QueueStats() QueueStats { return e.queue.snapshot() }
 
-// SetEDF toggles deadline-ordered dispatch. When on (the default) the
-// dispatcher executes each drained batch's bundles in earliest-context-
-// deadline order, with Call.Priority breaking ties, so a tight-deadline
-// request never waits behind a loose bundle that merely arrived earlier.
-// When off, bundles execute in arrival order (FIFO). Safe to flip at any
-// time; it affects batches drained after the call.
-func (e *Engine) SetEDF(on bool) { e.queue.fifo.Store(!on) }
-
-// SetBatchWindow sets the max-batch-window: how long the dispatcher holds
-// a drain open after the batch's first request, trading latency (every
-// queued request waits up to d longer) for throughput (larger fused
-// bundles, and bursts land in one EDF-ordered batch). 0 — the default —
-// restores drain-what-accumulated dispatch. Safe to change at any time.
-func (e *Engine) SetBatchWindow(d time.Duration) {
-	if d < 0 {
-		d = 0
+// init sizes the queue and fixes its policy before the engine is
+// shared.
+func (q *submitQueue) init(qc QueueConfig) {
+	if qc.Capacity < 1 {
+		qc.Capacity = DefaultQueueCapacity
 	}
-	e.queue.windowNs.Store(int64(d))
-}
-
-// SetQueueCapacity bounds the engine's submission queue. The bound can
-// only be set before the dispatcher starts — i.e. before the engine's
-// first Submit (for Set shards: before the set's first Submit, which
-// starts every shard's dispatcher together). A later call returns
-// ErrQueueStarted and leaves the live queue untouched: the channel is
-// already sized and handed to the dispatcher, so re-applying would race
-// in-flight submissions.
-func (e *Engine) SetQueueCapacity(n int) error {
-	if n < 1 {
-		n = 1
-	}
-	q := &e.queue
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.ch != nil {
-		return fmt.Errorf("iatf: SetQueueCapacity(%d): %w (capacity %d)", n, ErrQueueStarted, cap(q.ch))
-	}
-	q.capacity = n
-	return nil
+	q.ch = make(chan *asyncReq, qc.Capacity)
+	q.fifo, q.window = qc.FIFO, max(qc.Window, 0)
 }
 
 // resetWindow clears the windowed monitoring state: the queue-depth
@@ -349,17 +317,9 @@ func (e *Engine) ResetShapeStats() {
 	e.queue.resetWindow()
 }
 
-// start lazily creates the queue channel and dispatcher goroutine.
+// start lazily launches the dispatcher goroutine.
 func (q *submitQueue) start(e *Engine) {
-	q.startOnce.Do(func() {
-		q.mu.Lock()
-		if q.capacity <= 0 {
-			q.capacity = DefaultQueueCapacity
-		}
-		q.ch = make(chan *asyncReq, q.capacity)
-		q.mu.Unlock()
-		go e.dispatchLoop()
-	})
+	q.startOnce.Do(func() { go e.dispatchLoop() })
 }
 
 // Submit enqueues a stage list and returns its Future; the operands must
@@ -406,7 +366,7 @@ func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*F
 		return r.fut, nil
 	}
 	r.hash = fuseHash(r.stages)
-	r.enq = time.Now()
+	r.enq = e.obs.Now()
 	select {
 	case q.ch <- r:
 		q.submitted.Add(1)
@@ -514,8 +474,8 @@ func (e *Engine) dispatchLoop() {
 		// tight-deadline request inside it — lands in ONE drained batch for
 		// the EDF pass to order. busy is already set, so submissions during
 		// the window skip the inline fast path and join this batch.
-		if w := time.Duration(q.windowNs.Load()); w > 0 {
-			wt := time.NewTimer(w)
+		if q.window > 0 {
+			wt := time.NewTimer(q.window)
 		window:
 			for {
 				select {
@@ -621,7 +581,7 @@ func fusable(stages []ChainStage) bool {
 		return false
 	}
 	for i := range stages {
-		if k := stages[i].Op.Kind; k == OpLU || k == OpCholesky {
+		if isFactor(stages[i].Op.Kind) {
 			return false
 		}
 		if _, err := checkChainStage(stages, i); err != nil {
@@ -648,7 +608,7 @@ func (e *Engine) runBatch(batch []*asyncReq) {
 		}
 		buckets[r.hash] = append(buckets[r.hash], r)
 	}
-	if !e.queue.fifo.Load() && len(order) > 1 {
+	if !e.queue.fifo && len(order) > 1 {
 		orderByDeadline(order, buckets)
 	}
 	for _, k := range order {
@@ -662,7 +622,7 @@ func (e *Engine) cancel(r *asyncReq, err error) {
 	e.queue.cancelled.Add(1)
 	if r.sp != nil {
 		r.sp.Op = opName(r.stages)
-		r.sp.Phases[obs.PhaseQueueWait] = time.Since(r.enq)
+		r.sp.Phases[obs.PhaseQueueWait] = e.obs.Now().Sub(r.enq)
 	}
 	e.obs.FinishSpan(r.sp, err, r.call.Sink)
 	r.fut.resolve(err)
@@ -733,7 +693,7 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 	}
 	reqs = live
 	q.dispatches.Add(1)
-	now := time.Now()
+	now := e.obs.Now()
 	for _, r := range reqs {
 		wait := now.Sub(r.enq)
 		q.waitHist.Observe(wait)
@@ -803,7 +763,7 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 			}
 		}
 	}
-	t0 := clock(parent)
+	t0 := e.clock(parent)
 	// Each distinct compact is concatenated once, at its first slot
 	// (aliasOf); every slot sharing it gets the same fused operand.
 	fused := make([]Operand, 3*len(lead.stages))
@@ -822,13 +782,13 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 			fstages[i].Ops[s] = fused[a]
 		}
 	}
-	parent.Mark(obs.PhaseFuse, t0)
+	e.obs.Mark(parent, obs.PhaseFuse, t0)
 	// The fused list resolves (and caches) its own plan at the fused count
 	// bucket. Auto-prepack is off: the fused compacts are throwaways, and
 	// packing them would churn the cache.
 	err := e.exec(context.Background(), fstages, parent, false)
 	if err == nil {
-		t0 = clock(parent)
+		t0 = e.clock(parent)
 		for a, w := range writtenAliases(lead.stages) {
 			if !w {
 				continue
@@ -839,7 +799,7 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 				scatterCompacts(f.F64, parts[float64](reqs, a/3, a%3))
 			}
 		}
-		parent.Mark(obs.PhaseScatter, t0)
+		e.obs.Mark(parent, obs.PhaseScatter, t0)
 	}
 	if parent != nil {
 		parent.Fused = len(reqs)

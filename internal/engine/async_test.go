@@ -63,8 +63,7 @@ func TestAsyncIdleFastPath(t *testing.T) {
 // TestAsyncQueueFullBackpressure: with the dispatcher held and the
 // bounded queue filled, the next Submit is rejected with ErrQueueFull.
 func TestAsyncQueueFullBackpressure(t *testing.T) {
-	e := New(core.DefaultTuning())
-	e.SetQueueCapacity(2)
+	e := newEngine(core.DefaultTuning(), QueueConfig{Capacity: 2})
 	entered, gate := holdDispatcher(e)
 	rng := rand.New(rand.NewSource(51))
 	ctx := context.Background()
@@ -378,7 +377,9 @@ func TestAsyncFactorValidation(t *testing.T) {
 	if err := e.Run(ctx, one(OpDesc{Kind: OpLU}, op32(rect)), Call{}); !errors.Is(err, ErrShape) {
 		t.Errorf("non-square: err = %v, want ErrShape", err)
 	}
-	if _, _, err := e.RunLUPiv(OpDesc{Kind: OpLUPiv}, op32(rect)); !errors.Is(err, ErrShape) {
+	lupiv := one(OpDesc{Kind: OpLUPiv}, op32(rect))
+	lupiv[0].Piv = new(core.Pivots)
+	if err := e.Run(ctx, lupiv, Call{}); !errors.Is(err, ErrShape) {
 		t.Errorf("pivoted non-square: err = %v, want ErrShape", err)
 	}
 	if err := e.Run(ctx, one(OpDesc{Kind: OpGEMM}, op32(rect)), Call{}); !errors.Is(err, ErrOperand) {
@@ -425,8 +426,7 @@ func TestAsyncFactorValidation(t *testing.T) {
 // reference engine regardless of ordering mode.
 func edfOrderTrial(t *testing.T, edf bool) []string {
 	t.Helper()
-	e := New(core.DefaultTuning())
-	e.SetEDF(edf)
+	e := newEngine(core.DefaultTuning(), QueueConfig{FIFO: !edf})
 	ref := New(core.DefaultTuning())
 	entered, gate := holdDispatcher(e)
 	rng := rand.New(rand.NewSource(90))
@@ -615,8 +615,7 @@ func TestAsyncFuseTimeExpiry(t *testing.T) {
 // for bursts. Verified through the fused/dispatch counters rather than
 // timing: all N same-problem submissions ride one window.
 func TestAsyncWindowBatching(t *testing.T) {
-	e := New(core.DefaultTuning())
-	e.SetBatchWindow(50 * time.Millisecond)
+	e := newEngine(core.DefaultTuning(), QueueConfig{Window: 50 * time.Millisecond})
 	rng := rand.New(rand.NewSource(92))
 	ctx := context.Background()
 

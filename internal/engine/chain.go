@@ -62,12 +62,15 @@ var ErrSingular = errors.New("singular matrix")
 
 // ChainStage is one op of a chain: the descriptor plus its operands in
 // BLAS argument order (GEMM A,B,C — TRSM/TRMM A,B — SYRK A,C — LU/
-// Cholesky A). Build stages through the public constructors; the engine
-// validates shapes, dtypes and counts chain-wide.
+// Cholesky/pivoted LU A). Build stages through the public constructors;
+// the engine validates shapes, dtypes and counts chain-wide.
 type ChainStage struct {
 	Op   OpDesc
 	Ops  [3]Operand
 	NOps int
+	// Piv receives an OpLUPiv stage's pivot record; other kinds ignore
+	// it. Like the operands, it is the caller's until the call resolves.
+	Piv *core.Pivots
 }
 
 // count returns the stage's batch count (operands of one chain share it
@@ -99,16 +102,14 @@ func (e *ChainError) Error() string {
 
 func (e *ChainError) Unwrap() error { return e.Err }
 
-// chainArity returns the operand count of a chain-eligible op kind.
-// OpLUPiv is excluded: its pivot record cannot ride the error-only
-// chain surface.
-func chainArity(k OpKind) (int, bool) {
+// stageArity returns the operand count of a stage's op kind.
+func stageArity(k OpKind) (int, bool) {
 	switch k {
 	case OpGEMM:
 		return 3, true
 	case OpTRSM, OpTRMM, OpSYRK:
 		return 2, true
-	case OpLU, OpCholesky:
+	case OpLU, OpCholesky, OpLUPiv:
 		return 1, true
 	}
 	return 0, false
@@ -198,10 +199,10 @@ func (cp *chainPlan) is(desc []chainStageDesc, bucket int) bool {
 
 // chainWrites returns the operand slot a stage writes.
 func chainWrites(k OpKind) int {
-	switch k {
-	case OpGEMM:
+	switch {
+	case k == OpGEMM:
 		return 2
-	case OpLU, OpCholesky:
+	case isFactor(k):
 		return 0
 	}
 	return 1 // TRSM/TRMM's B, SYRK's C
@@ -281,10 +282,9 @@ func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome
 	h = mix64(h, uint64(bucket))
 	for i := range desc {
 		d := &desc[i]
-		k := &d.key
-		for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
-			int(k.side), int(k.uplo), int(k.diag), int(d.alias[0]), int(d.alias[1]), int(d.alias[2])} {
-			h = mix64(h, uint64(v))
+		h = mix64(h, d.key.identity())
+		for _, a := range d.alias {
+			h = mix64(h, uint64(a))
 		}
 	}
 
@@ -342,7 +342,7 @@ func (e *Engine) buildChainPlan(cp *chainPlan, written []bool) error {
 		key := cp.desc[i].key
 		kinds[i] = key.kind.String()
 		cp.stages[i].key = key
-		if key.kind == OpLU || key.kind == OpCholesky {
+		if isFactor(key.kind) {
 			cp.flopsPerMatrix += factorFLOPs(key.kind, key.m)
 			continue
 		}

@@ -266,8 +266,7 @@ func TestChainFactorNeverFuses(t *testing.T) {
 // ErrQueueFull, and the future-less error path leaves no goroutines or
 // counters wedged.
 func TestChainQueueFull(t *testing.T) {
-	e := New(core.DefaultTuning())
-	e.SetQueueCapacity(1)
+	e := newEngine(core.DefaultTuning(), QueueConfig{Capacity: 1})
 	entered, gate := holdDispatcher(e)
 	defer close(gate)
 	rng := rand.New(rand.NewSource(94))
@@ -295,7 +294,7 @@ func TestChainQueueFull(t *testing.T) {
 // TestChainSetRouting: one chain identity always lands on one shard,
 // sync and async, and the routed counters agree.
 func TestChainSetRouting(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	rng := rand.New(rand.NewSource(95))
 	a, b := chainTriOperands(rng, 7, 8, 4)
 	ctx := context.Background()
@@ -307,7 +306,7 @@ func TestChainSetRouting(t *testing.T) {
 	}
 	var runs, shards int
 	for i := 0; i < s.Shards(); i++ {
-		if r := int(s.Shard(i).Stats().Chain.Runs); r > 0 {
+		if r := int(s.engines[i].Stats().Chain.Runs); r > 0 {
 			runs += r
 			shards++
 		}

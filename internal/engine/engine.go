@@ -50,9 +50,9 @@ import (
 // OpKind selects the routine an OpDesc describes.
 type OpKind int
 
-// The batched routines the engine dispatches: the level-3 ops and the
-// in-place LU and Cholesky as stages of Run/Submit, the pivoted LU with
-// its pivot record through RunLUPiv.
+// The batched routines the engine dispatches, each a stage of
+// Run/Submit: the level-3 ops and the in-place LU, Cholesky and pivoted
+// LU (whose stage carries the pivot record it fills).
 const (
 	OpGEMM OpKind = iota
 	OpTRSM
@@ -190,13 +190,35 @@ type planKey struct {
 	countBucket    int
 }
 
-func (k planKey) shard() int {
-	h := uint64(k.kind)
-	for _, v := range [...]int{int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
-		int(k.side), int(k.uplo), int(k.diag), k.countBucket} {
-		h = h*0x100000001b3 + uint64(v) // FNV-style mix
+// identity hashes the problem a plan key names — every field but the
+// count bucket — and ends in SplitMix64's finalizer, so nearby orders
+// and modes spread evenly. It is the engine's one problem identity: it
+// picks the plan cache's mutex shard, a call's home shard in a Set,
+// the shard store hydration installs a plan on, and each stage's share
+// of a chain plan's hash.
+func (k planKey) identity() uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
+		int(k.side), int(k.uplo), int(k.diag)} {
+		h = mix64(h, uint64(v))
 	}
-	return int(h % planShards)
+	return avalanche(h)
+}
+
+// mix64 folds v into the running FNV-1a style hash h.
+func mix64(h, v uint64) uint64 {
+	h ^= v
+	return h * 0x100000001b3
+}
+
+// avalanche is SplitMix64's finalizer: each input bit flips every output
+// bit with probability about one half.
+func avalanche(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // countBucket rounds a batch count up to the next power of two. Plans
@@ -279,12 +301,16 @@ type Engine struct {
 	profLabels atomic.Bool
 }
 
-// New constructs an engine for a tuning configuration. Every engine owns
-// an isolated core.Runtime (worker pool + buffer pools), so engines —
-// and in particular EngineSet shards — never contend on shared execution
-// state.
-func New(tun core.Tuning) *Engine {
+// New constructs an engine for a tuning configuration with the default
+// queue policy. Every engine owns an isolated core.Runtime (worker pool
+// + buffer pools), so engines — and in particular EngineSet shards —
+// never contend on shared execution state.
+func New(tun core.Tuning) *Engine { return newEngine(tun, QueueConfig{}) }
+
+// newEngine constructs an engine whose async queue follows qc.
+func newEngine(tun core.Tuning, qc QueueConfig) *Engine {
 	e := &Engine{tun: tun, rt: core.NewRuntime(), obs: obs.NewRegistry(), fp: tun.Fingerprint()}
+	e.queue.init(qc)
 	for i := range e.shards {
 		e.shards[i].m = make(map[planKey]any)
 		e.shards[i].building = make(map[planKey]*planCall)
@@ -308,7 +334,7 @@ func (e *Engine) Obs() *obs.Registry { return e.obs }
 // for its result (counted as shared). Failed builds are not cached. The
 // build is buildForKey unless build overrides it.
 func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOutcome, error) {
-	sh := &e.shards[key.shard()]
+	sh := e.planShard(key)
 	sh.mu.Lock()
 	if p, ok := sh.m[key]; ok {
 		if len(sh.hydrated) > 0 && sh.hydrated[key] {
@@ -348,6 +374,11 @@ func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOut
 	sh.mu.Unlock()
 	close(c.done)
 	return c.val, obs.CacheMiss, c.err
+}
+
+// planShard returns the plan-cache shard that guards key.
+func (e *Engine) planShard(key planKey) *planShard {
+	return &e.shards[key.identity()%planShards]
 }
 
 // evictOne drops an arbitrary entry to make room. Callers hold sh.mu.
@@ -572,6 +603,7 @@ var operandNames = map[OpKind][]string{
 	OpSYRK:     {"A", "C"},
 	OpLU:       {"A"},
 	OpCholesky: {"A"},
+	OpLUPiv:    {"A"},
 }
 
 func checkOperands(kind OpKind, ops []Operand, want int) error {
@@ -595,9 +627,9 @@ func checkOperands(kind OpKind, ops []Operand, want int) error {
 // order alone: its plan is a per-matrix flop model.
 func stageKey(st *ChainStage) (planKey, error) {
 	op := &st.Op
-	arity, ok := chainArity(op.Kind)
+	arity, ok := stageArity(op.Kind)
 	if !ok {
-		return planKey{}, opErr(op.Kind, "", ErrOperand, "op kind not chainable")
+		return planKey{}, opErr(op.Kind, "", ErrOperand, "unknown op kind")
 	}
 	if st.NOps != arity {
 		return planKey{}, opErr(op.Kind, "", ErrOperand, "takes %d operands, got %d", arity, st.NOps)
@@ -619,7 +651,7 @@ func stageKey(st *ChainStage) (planKey, error) {
 		key.m, key.k, err = syrkDims(op, ops[0], ops[1])
 		key.transA, key.uplo = op.TransA, op.Uplo
 	default:
-		err = checkFactor(op.Kind, ops[0])
+		err = checkFactor(st)
 		key.m, key.countBucket = ops[0].rows(), 1
 	}
 	return key, err
@@ -836,7 +868,3 @@ func syrkDims(op *OpDesc, a, c Operand) (n, k int, err error) {
 	}
 	return n, k, nil
 }
-
-// Resolve re-exports the workers convention for API documentation and the
-// info tool: workers <= 0 means auto (GOMAXPROCS).
-func Resolve(workers int) int { return sched.Resolve(workers) }

@@ -59,10 +59,10 @@ func (e *Engine) execOne(ctx context.Context, st *ChainStage, sp *obs.Span) erro
 	r := stageRun{st: st, key: key, count: st.Ops[0].count(), sp: sp}
 	shape := shapeOf(key)
 	describe(sp, shape, r.count, st.Op.Workers)
-	t0 := clock(sp)
+	t0 := e.clock(sp)
 	var flops float64
 	r.pv, r.series, flops, err = e.resolve(key, shape, r.count, st.Op.Workers)
-	sp.Mark(obs.PhasePlan, t0)
+	e.obs.Mark(sp, obs.PhasePlan, t0)
 	if err != nil {
 		return err
 	}
@@ -170,11 +170,11 @@ type stageRun struct {
 
 // clock returns the phase start time when sp records phases (Mark is a
 // no-op on a nil span, so untraced calls skip the clock read).
-func clock(sp *obs.Span) time.Time {
+func (e *Engine) clock(sp *obs.Span) time.Time {
 	if sp == nil {
 		return time.Time{}
 	}
-	return time.Now()
+	return e.obs.Now()
 }
 
 // canonB is the canonical image of a chain's B operand held between
@@ -243,17 +243,20 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		pprof.SetGoroutineLabels(labels)
 		defer pprof.SetGoroutineLabels(context.Background())
 	}
-	t0 := clock(r.sp)
+	t0 := e.clock(r.sp)
 	aC := compactOf[E](st.Ops[0])
 	switch r.key.kind {
-	case OpLU, OpCholesky:
+	case OpLU, OpCholesky, OpLUPiv:
 		kind := core.LUKind
-		if r.key.kind == OpCholesky {
+		switch r.key.kind {
+		case OpCholesky:
 			kind = core.CholeskyKind
+		case OpLUPiv:
+			kind = core.LUPivKind
 		}
-		info, err := core.ExecFactorNative(e.rt, kind, aC, op.Workers)
+		info, err := core.ExecFactorNative(e.rt, kind, aC, st.Piv, op.Workers)
 		aC.Invalidate()
-		r.sp.Mark(obs.PhaseCompute, t0)
+		e.obs.Mark(r.sp, obs.PhaseCompute, t0)
 		if err != nil {
 			return err
 		}
@@ -268,7 +271,7 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		pl.P.Alpha, pl.P.Beta, pl.P.Count, pl.RT, pl.Labels = op.Alpha, op.Beta, r.count, e.rt, labels
 		cC := compactOf[E](st.Ops[1])
 		err := core.ExecSYRKNativeParallel(&pl, aC, cC, op.Workers)
-		r.sp.Mark(obs.PhaseCompute, t0)
+		e.obs.Mark(r.sp, obs.PhaseCompute, t0)
 		cC.Invalidate()
 		return err
 	case OpGEMM:
@@ -288,11 +291,11 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 				return core.PrepackGEMMB(&pl, bC, dst)
 			})
 		}
-		r.sp.Mark(obs.PhasePack, t0)
+		e.obs.Mark(r.sp, obs.PhasePack, t0)
 		if err == nil {
-			t0 = clock(r.sp)
+			t0 = e.clock(r.sp)
 			err = core.ExecGEMMNativePrepacked(&pl, aC, bC, cC, preA, preB, op.Workers)
-			r.sp.Mark(obs.PhaseCompute, t0)
+			e.obs.Mark(r.sp, obs.PhaseCompute, t0)
 			cC.Invalidate()
 		}
 		e.packs.release(entA)
@@ -325,7 +328,7 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		}
 	}
 	pre, ent, err := prepacked(e, r, aC, 0, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
-	r.sp.Mark(obs.PhasePack, t0)
+	e.obs.Mark(r.sp, obs.PhasePack, t0)
 	if err == nil {
 		handoff := r.donated || r.elideOut
 		var inB, outB []E
@@ -339,9 +342,9 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		if r.elideOut {
 			outB = cb.data
 		}
-		t0 = clock(r.sp)
+		t0 = e.clock(r.sp)
 		err = run(pre, inB, outB)
-		r.sp.Mark(obs.PhaseCompute, t0)
+		e.obs.Mark(r.sp, obs.PhaseCompute, t0)
 		if err == nil && r.donated {
 			e.packElided.Add(1)
 		}

@@ -10,11 +10,13 @@
 // pools) stay hot per problem identity, because the router sends every
 // occurrence of one identity to the same shard.
 //
-//   - Routing is identity-affine: the route key hashes the op kind, mode
-//     flags, dtype and operand dimensions — the same fields the async
-//     coalescer partitions on, minus scalars, worker count and operand
-//     aliasing (plan geometry ignores those); a chain folds its stages'
-//     keys. Jump consistent hashing maps the key onto a shard, so the
+//   - Routing is identity-affine: a call homes on the identity of its
+//     validated plan key (planKey.identity — op kind, dtype, the mode
+//     flags the op reads and its dimensions; never scalars, workers,
+//     the batch count or a mode field the op ignores), and a chain folds
+//     its stages' identities. Store hydration places each stored plan by
+//     the same identity, so a warm start lands where live traffic goes.
+//     Jump consistent hashing maps the identity onto a shard, so the
 //     mapping is stable for a given shard count and minimally disturbed
 //     when the count changes.
 //   - Every shard is a full Engine with its own core.Runtime: plan cache,
@@ -42,7 +44,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"iatf/internal/core"
 	"iatf/internal/obs"
@@ -80,10 +81,9 @@ type Set struct {
 }
 
 // NewSet builds a set of n isolated engines sharing one tuning
-// configuration (n <= 0 uses DefaultShards). Dispatchers start together
-// on the set's first Submit — work stealing needs every sibling's drain
-// loop alive, and deferring the start keeps SetQueueCapacity usable
-// after construction.
+// configuration and one queue policy (n <= 0 uses DefaultShards).
+// Dispatchers start together on the set's first Submit — work stealing
+// needs every sibling's drain loop alive.
 //
 // A set of one is the solo engine: its shard carries no shard label,
 // no worker cap and no steal hook, calls reach it without hashing, and
@@ -91,7 +91,7 @@ type Set struct {
 // shard's worker fleet capped at its core share, max(1, NumCPU/n), its
 // series labeled with its index, and its idle dispatcher polling the
 // siblings' queues.
-func NewSet(tun core.Tuning, n int) *Set {
+func NewSet(tun core.Tuning, n int, qc QueueConfig) *Set {
 	if n <= 0 {
 		n = DefaultShards()
 	}
@@ -100,7 +100,7 @@ func NewSet(tun core.Tuning, n int) *Set {
 		routed:  make([]atomic.Uint64, n),
 	}
 	for i := range s.engines {
-		s.engines[i] = New(tun)
+		s.engines[i] = newEngine(tun, qc)
 	}
 	if n == 1 {
 		return s
@@ -131,47 +131,6 @@ func (s *Set) startAll() {
 // Shards returns the shard count.
 func (s *Set) Shards() int { return len(s.engines) }
 
-// Shard returns shard i's engine — per-shard configuration and
-// introspection. The returned engine is live; routing invariants are
-// the caller's problem if it submits work directly.
-func (s *Set) Shard(i int) *Engine { return s.engines[i] }
-
-// mix64 folds v into the running FNV-1a style hash h.
-func mix64(h, v uint64) uint64 {
-	h ^= v
-	return h * 0x100000001b3
-}
-
-// routeHash condenses the problem identity — op kind, mode flags, dtype,
-// operand dimensions and arity — into the routing key. Scalars and the
-// worker request are deliberately excluded (the coalescer separates
-// them into distinct bundles, but plan and pack geometry ignore them,
-// so keeping such calls on one shard preserves cache affinity).
-// Allocation-free: the warm sync path routes through here.
-func routeHash(op OpDesc, operands []Operand) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	h = mix64(h, uint64(op.Kind))
-	h = mix64(h, uint64(op.TransA))
-	h = mix64(h, uint64(op.TransB))
-	h = mix64(h, uint64(op.Side))
-	h = mix64(h, uint64(op.Uplo))
-	h = mix64(h, uint64(op.Diag))
-	h = mix64(h, uint64(len(operands)))
-	for i := range operands {
-		o := &operands[i]
-		if !o.valid() {
-			// Malformed operands keep a zero signature; the call fails
-			// validation identically on any shard.
-			h = mix64(h, 0)
-			continue
-		}
-		h = mix64(h, uint64(o.DT))
-		h = mix64(h, uint64(o.rows()))
-		h = mix64(h, uint64(o.cols()))
-	}
-	return h
-}
-
 // jumpHash is Lamping–Veach jump consistent hashing: maps key onto
 // [0, n) such that changing n relocates only ~1/n of the keys.
 func jumpHash(key uint64, n int) int {
@@ -184,26 +143,30 @@ func jumpHash(key uint64, n int) int {
 	return int(b)
 }
 
-// stagesRouteHash is the routing key of a stage list. A one-stage list
-// routes exactly like its op (routeHash, which routeHashKey mirrors for
-// store hydration); a chain folds every stage's identity, so it always
-// lands on the shard whose caches have seen it before.
-func stagesRouteHash(stages []ChainStage) uint64 {
+// homeKey is a stage list's routing identity: a one-stage list's plan
+// key identity, or for a chain the fold of its stages' identities. A
+// list that fails validation keys 0: it homes on a fixed shard and
+// fails there with the typed error it would get anywhere.
+func homeKey(stages []ChainStage) uint64 {
 	if len(stages) == 1 {
-		return routeHash(stages[0].Op, stages[0].Ops[:min(stages[0].NOps, 3)])
+		key, err := stageKey(&stages[0])
+		if err != nil {
+			return 0
+		}
+		return key.identity()
 	}
-	h := uint64(0x9e3779b97f4a7c15)
-	h = mix64(h, uint64(len(stages)))
+	if checkChainLen(len(stages)) != nil {
+		return 0
+	}
+	h := uint64(len(stages))
 	for i := range stages {
-		st := &stages[i]
-		h = mix64(h, routeHash(st.Op, st.Ops[:min(st.NOps, 3)]))
+		key, err := stageKey(&stages[i])
+		if err != nil {
+			return 0
+		}
+		h = mix64(h, key.identity())
 	}
-	return h
-}
-
-// route picks the home shard of a problem identity.
-func (s *Set) route(op OpDesc, operands []Operand) int {
-	return jumpHash(routeHash(op, operands), len(s.engines))
+	return avalanche(h)
 }
 
 // home picks the home shard of a stage list and counts the call there.
@@ -212,17 +175,7 @@ func (s *Set) home(stages []ChainStage) int {
 	if len(s.engines) == 1 {
 		return 0
 	}
-	sh := jumpHash(stagesRouteHash(stages), len(s.engines))
-	s.routed[sh].Add(1)
-	return sh
-}
-
-// homeOf is home for a pivoted LU's single operand.
-func (s *Set) homeOf(op OpDesc, a Operand) int {
-	if len(s.engines) == 1 {
-		return 0
-	}
-	sh := s.route(op, []Operand{a})
+	sh := jumpHash(homeKey(stages), len(s.engines))
 	s.routed[sh].Add(1)
 	return sh
 }
@@ -255,11 +208,6 @@ func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Futu
 		return nil, err // surface the home shard's error
 	}
 	return fut2, err2
-}
-
-// RunLUPiv routes a pivoted LU to its home shard; see Engine.RunLUPiv.
-func (s *Set) RunLUPiv(op OpDesc, a Operand) (*core.Pivots, []int, error) {
-	return s.engines[s.homeOf(op, a)].RunLUPiv(op, a)
 }
 
 // leastLoaded returns the shard with the shallowest queue, excluding
@@ -401,22 +349,6 @@ func (s *Set) QueueStats() QueueStats {
 		agg.Add(st)
 	}
 	return agg
-}
-
-// SetEDF toggles deadline-ordered dispatch on every shard; see
-// Engine.SetEDF.
-func (s *Set) SetEDF(on bool) {
-	for _, e := range s.engines {
-		e.SetEDF(on)
-	}
-}
-
-// SetBatchWindow sets every shard's max-batch-window; see
-// Engine.SetBatchWindow.
-func (s *Set) SetBatchWindow(d time.Duration) {
-	for _, e := range s.engines {
-		e.SetBatchWindow(d)
-	}
 }
 
 // ResetShapeStats resets every shard's windowed observability state; see

@@ -11,6 +11,7 @@ import (
 	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/matrix"
+	"iatf/internal/vec"
 )
 
 // setOperands builds a small pool of compact batches keyed by shape so
@@ -35,14 +36,22 @@ func (so *setOperands) get(rows, cols int) Operand {
 	return op32(c)
 }
 
-// TestSetRoutingStability drives 10k pseudo-random problem identities
-// through the router and asserts (a) routing is deterministic, (b) it
-// ignores scalars and the worker request (plan and pack geometry ignore
-// them, so they must not split an identity across shards), (c) every
-// shard of a 4-way set receives a reasonable share, and (d) growing the
-// set relocates only a minority of keys (jump consistent hashing).
+// shaped returns an operand that is r×c after the trans flag applies.
+func (so *setOperands) shaped(r, c int, trans matrix.Trans) Operand {
+	if trans == matrix.Transpose {
+		return so.get(c, r)
+	}
+	return so.get(r, c)
+}
+
+// TestSetRoutingStability drives 10k pseudo-random valid calls through
+// the router and asserts (a) routing is deterministic, (b) it ignores
+// scalars and the worker request (plan and pack geometry ignore them,
+// so they must not split an identity across shards), (c) every shard of
+// a 4-way set receives a reasonable share, and (d) growing the set
+// relocates only a minority of keys (jump consistent hashing).
 func TestSetRoutingStability(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 4)
+	s := NewSet(core.DefaultTuning(), 4, QueueConfig{})
 	so := newSetOperands(70)
 	rng := rand.New(rand.NewSource(71))
 
@@ -62,25 +71,33 @@ func TestSetRoutingStability(t *testing.T) {
 		var ops []Operand
 		switch kind {
 		case OpGEMM:
-			ops = []Operand{so.get(m, k), so.get(k, n), so.get(m, n)}
+			ops = []Operand{so.shaped(m, k, op.TransA), so.shaped(k, n, op.TransB), so.get(m, n)}
 		case OpTRSM, OpTRMM:
-			ops = []Operand{so.get(m, m), so.get(m, n)}
+			d := m
+			if op.Side == matrix.Right {
+				d = n
+			}
+			ops = []Operand{so.get(d, d), so.get(m, n)}
 		case OpSYRK:
-			ops = []Operand{so.get(n, k), so.get(n, n)}
+			ops = []Operand{so.shaped(n, k, op.TransA), so.get(n, n)}
+		}
+		st := one(op, ops...)
+		if _, err := stageKey(&st[0]); err != nil {
+			t.Fatalf("key %d: %v", i, err)
 		}
 
-		sh := s.route(op, ops)
-		if again := s.route(op, ops); again != sh {
+		sh := s.home(st)
+		if again := s.home(st); again != sh {
 			t.Fatalf("key %d: route not deterministic: %d then %d", i, sh, again)
 		}
 		// Scalars and workers must not move the key.
 		op2 := op
 		op2.Alpha, op2.Beta, op2.Workers = complex(9, 0), complex(-3, 0), 99
-		if s.route(op2, ops) != sh {
+		if s.home(one(op2, ops...)) != sh {
 			t.Fatalf("key %d: scalars/workers changed the route", i)
 		}
 		counts[sh]++
-		if jumpHash(routeHash(op, ops), 5) != sh {
+		if jumpHash(homeKey(st), 5) != sh {
 			moved++
 		}
 	}
@@ -103,7 +120,7 @@ func setHomeGEMM(t *testing.T, s *Set, rng *rand.Rand, want, count int) (OpDesc,
 	desc := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}
 	for n := 3; n < 64; n++ {
 		a, b, c := gemmReqOperands(rng, count, n, n, n)
-		if s.route(desc, []Operand{op32(a), op32(b), op32(c)}) == want {
+		if jumpHash(homeKey(one(desc, op32(a), op32(b), op32(c))), len(s.engines)) == want {
 			size := n
 			return desc, func() (a, b, c *layout.Compact[float32]) {
 				return gemmReqOperands(rng, count, size, size, size)
@@ -149,7 +166,7 @@ func parkOccupier(t *testing.T, s *Set, desc OpDesc, mk func() (a, b, c *layout.
 // direct runs on a reference engine, and the theft visible in the
 // thief's stolen counters.
 func TestSetStealParity(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	ref := New(core.DefaultTuning())
 	rng := rand.New(rand.NewSource(72))
 
@@ -227,13 +244,11 @@ func TestSetStealParity(t *testing.T) {
 // the sibling (counted, no error) and the one after that — with both
 // queues full — surfaces ErrQueueFull with the reject counted.
 func TestSetQueueFullFallback(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{Capacity: 1})
 	rng := rand.New(rand.NewSource(73))
-
-	// Capacity must be settable after NewSet (dispatchers are lazy)...
-	for i := range s.engines {
-		if err := s.engines[i].SetQueueCapacity(1); err != nil {
-			t.Fatalf("SetQueueCapacity before first Submit: %v", err)
+	for i, e := range s.engines {
+		if got := e.Stats().Queue.Capacity; got != 1 {
+			t.Fatalf("shard %d capacity %d before the first Submit, want 1", i, got)
 		}
 	}
 
@@ -252,11 +267,6 @@ func TestSetQueueFullFallback(t *testing.T) {
 	// occupiers the other shard's poller steals first).
 	occ0, _ := parkOccupier(t, s, desc0, mk0, entered0)
 	occ1, _ := parkOccupier(t, s, desc1, mk1, entered1)
-
-	// ...and must be rejected once the dispatchers are live.
-	if err := s.engines[0].SetQueueCapacity(64); !errors.Is(err, ErrQueueStarted) {
-		t.Fatalf("SetQueueCapacity after start: err = %v, want ErrQueueStarted", err)
-	}
 
 	// Fill home (shard 0): one slot.
 	q1, err := submit(desc0, mk0)
@@ -292,7 +302,7 @@ func TestSetQueueFullFallback(t *testing.T) {
 // TestSetShardIsolation: traffic on one shard must not move a sibling
 // shard's caches or counters — each shard owns its runtime wholesale.
 func TestSetShardIsolation(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	rng := rand.New(rand.NewSource(74))
 	desc, mk := setHomeGEMM(t, s, rng, 0, 8)
 
@@ -324,7 +334,7 @@ func TestSetShardIsolation(t *testing.T) {
 // the aggregate merges same-identity series across shards, and a solo
 // engine stays unlabeled (-1).
 func TestSetShapeShardLabels(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	rng := rand.New(rand.NewSource(75))
 	desc, mk := setHomeGEMM(t, s, rng, 1, 8)
 	a, b, c := mk()
@@ -369,7 +379,7 @@ func TestSetShapeShardLabels(t *testing.T) {
 // through the set surface: calls sum, AvgGFLOPS stays call-weighted and
 // quantiles take the per-shard max (documented conservative).
 func TestSetAggregateShapesMath(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 2)
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	rng := rand.New(rand.NewSource(76))
 	desc, mk := setHomeGEMM(t, s, rng, 0, 8)
 	const calls = 3
@@ -399,7 +409,7 @@ func TestSetAggregateShapesMath(t *testing.T) {
 // through a Set and through a solo engine (identity-affine routing must
 // not change numerics), for every dtype.
 func TestSetRunParity(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 3)
+	s := NewSet(core.DefaultTuning(), 3, QueueConfig{})
 	solo := New(core.DefaultTuning())
 	rng := rand.New(rand.NewSource(77))
 	desc := OpDesc{Kind: OpGEMM, Alpha: complex(1.25, 0), Beta: complex(0.5, 0), Workers: 1}
@@ -429,7 +439,7 @@ func TestSetRunParity(t *testing.T) {
 // interleaved live len(ch) reads, which could crown the skipped shard
 // when depths moved mid-scan.
 func TestSetLeastLoadedSnapshotCoherence(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 4)
+	s := NewSet(core.DefaultTuning(), 4, QueueConfig{})
 	// Materialize the queue channels without starting dispatchers: the
 	// test drives depth churn directly and nothing may drain it.
 	for i := range s.engines {
@@ -477,7 +487,7 @@ func TestSetLeastLoadedSnapshotCoherence(t *testing.T) {
 
 	// Degenerate single-shard set: with no sibling to fall back to the
 	// skipped shard is the only possible answer.
-	solo := NewSet(core.DefaultTuning(), 1)
+	solo := NewSet(core.DefaultTuning(), 1, QueueConfig{})
 	solo.engines[0].queue.ch = make(chan *asyncReq, 2)
 	if got := solo.leastLoaded(0); got != 0 {
 		t.Fatalf("single-shard leastLoaded(0) = %d, want 0", got)
@@ -488,7 +498,7 @@ func TestSetLeastLoadedSnapshotCoherence(t *testing.T) {
 // snapshot argmin must find the true minimum among the non-skipped
 // shards — including when the skipped shard itself is the shallowest.
 func TestSetLeastLoadedPicksShallowest(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 4)
+	s := NewSet(core.DefaultTuning(), 4, QueueConfig{})
 	depths := []int{0, 3, 1, 2}
 	for i := range s.engines {
 		s.engines[i].queue.ch = make(chan *asyncReq, 8)
@@ -510,11 +520,11 @@ func TestSetLeastLoadedPicksShallowest(t *testing.T) {
 // siblings installs one. A one-shard set's dispatcher must wait on its
 // own queue exactly like a solo engine's.
 func TestSetStealHookOnlyWithSiblings(t *testing.T) {
-	one := NewSet(core.DefaultTuning(), 1)
+	one := NewSet(core.DefaultTuning(), 1, QueueConfig{})
 	if one.engines[0].queue.steal != nil {
 		t.Error("1-shard set installed a steal hook with no sibling to steal from")
 	}
-	two := NewSet(core.DefaultTuning(), 2)
+	two := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	for i, e := range two.engines {
 		if e.queue.steal == nil {
 			t.Errorf("2-shard set: shard %d has no steal hook", i)
@@ -526,7 +536,7 @@ func TestSetStealHookOnlyWithSiblings(t *testing.T) {
 // everything that only siblings need — the worker cap and the shard
 // label — and routes nothing.
 func TestSetOfOneIsSoloShard(t *testing.T) {
-	solo := NewSet(core.DefaultTuning(), 1)
+	solo := NewSet(core.DefaultTuning(), 1, QueueConfig{})
 	e := solo.engines[0]
 	if e.rt.Sched.MaxWorkers() != 0 || e.obs.Shard() != -1 {
 		t.Errorf("1-shard set: worker cap %d, shard label %d; want 0, -1", e.rt.Sched.MaxWorkers(), e.obs.Shard())
@@ -534,7 +544,7 @@ func TestSetOfOneIsSoloShard(t *testing.T) {
 	if got := solo.home(one(OpDesc{Kind: OpGEMM})); got != 0 || solo.routed[0].Load() != 0 {
 		t.Errorf("1-shard set: home %d, routed %d; want 0, 0", got, solo.routed[0].Load())
 	}
-	two := NewSet(core.DefaultTuning(), 2)
+	two := NewSet(core.DefaultTuning(), 2, QueueConfig{})
 	for i, e := range two.engines {
 		if e.rt.Sched.MaxWorkers() < 1 || e.obs.Shard() != i {
 			t.Errorf("2-shard set: shard %d has worker cap %d, label %d", i, e.rt.Sched.MaxWorkers(), e.obs.Shard())
@@ -545,11 +555,33 @@ func TestSetOfOneIsSoloShard(t *testing.T) {
 // TestSetBroadcastsProfileLabels: one SetProfileLabels call on a set
 // reaches every shard.
 func TestSetBroadcastsProfileLabels(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 3)
+	s := NewSet(core.DefaultTuning(), 3, QueueConfig{})
 	s.SetProfileLabels(true)
 	for i, e := range s.engines {
 		if !e.profLabels.Load() {
 			t.Errorf("shard %d: profile labels off after Set.SetProfileLabels(true)", i)
+		}
+	}
+}
+
+// TestSetSquareGEMMSpread: the identity hash ends in an avalanche step,
+// so the small square GEMMs a serving mix is full of spread over two
+// shards instead of piling onto one.
+func TestSetSquareGEMMSpread(t *testing.T) {
+	s := NewSet(core.DefaultTuning(), 2, QueueConfig{})
+	for _, dt := range []vec.DType{vec.S, vec.D} {
+		var homes [2]int
+		for n := 2; n <= 16; n++ {
+			var o Operand
+			if dt == vec.S {
+				o = Operand{DT: dt, F32: layout.NewCompact[float32](dt, 1, n, n)}
+			} else {
+				o = Operand{DT: dt, F64: layout.NewCompact[float64](dt, 1, n, n)}
+			}
+			homes[s.home(one(OpDesc{Kind: OpGEMM}, o, o, o))]++
+		}
+		if homes[0] > 10 || homes[1] > 10 {
+			t.Errorf("%v square GEMMs of order 2-16 home %v over two shards, want at most 10 of 15 on either", dt, homes)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"iatf/internal/core"
 	"iatf/internal/obs"
@@ -111,8 +113,14 @@ func TestSpanPerRequestSink(t *testing.T) {
 // spans linked via ParentID, each carrying its own queue wait and the
 // dispatch's shared fuse/plan/pack/compute/scatter phases — and the
 // recorded phases account for (almost all of) each child's E2E latency.
+// The span clock is a fake that advances one step per read, so the
+// accounting counts clock reads, not how the host scheduled the
+// dispatcher.
 func TestAsyncSpanFusedParentChildren(t *testing.T) {
 	e := New(core.DefaultTuning())
+	var reads atomic.Int64
+	epoch := time.Now()
+	e.obs.SetClock(func() time.Time { return epoch.Add(time.Duration(reads.Add(1)) * time.Microsecond) })
 	var mu sync.Mutex
 	var all []obs.Span
 	e.obs.SetSpanSink(func(sp *obs.Span) {
@@ -194,8 +202,9 @@ func TestAsyncSpanFusedParentChildren(t *testing.T) {
 			}
 		}
 		// The phases must account for the child's E2E latency: whatever
-		// is unattributed (submit bookkeeping, scheduling gaps) stays a
-		// small absolute slice, far below the dispatcher-held queue wait.
+		// is unattributed (clock reads outside any phase: submit
+		// bookkeeping, span starts and finishes) stays a small slice,
+		// below the dispatcher-held queue wait.
 		gap := ch.Duration() - ch.PhaseTotal()
 		if gap < 0 || gap > ch.Duration()/2 {
 			t.Fatalf("child %d phases %v cover too little of duration %v (gap %v)",
@@ -316,8 +325,8 @@ func TestAsyncSpanCancelled(t *testing.T) {
 // samples use the _total suffix, histogram buckets are cumulative, and
 // the exposition ends with # EOF.
 func TestOpenMetricsValidity(t *testing.T) {
-	set := NewSet(core.DefaultTuning(), 1)
-	e := set.Shard(0)
+	set := NewSet(core.DefaultTuning(), 1, QueueConfig{})
+	e := set.engines[0]
 	rng := rand.New(rand.NewSource(96))
 	a, b, c := gemmReqOperands(rng, 16, 8, 8, 8)
 	a.EnablePrepack()

@@ -138,7 +138,7 @@ func (e *Engine) hydrate(f *store.File, home func(planKey) *Engine) (plans, kern
 // It installs nothing when the entry already exists, and returns the
 // build error of a stored descriptor this tuning rejects.
 func (e *Engine) hydratePlan(key planKey) (bool, error) {
-	sh := &e.shards[key.shard()]
+	sh := e.planShard(key)
 	sh.mu.Lock()
 	_, exists := sh.m[key]
 	sh.mu.Unlock()
@@ -242,58 +242,6 @@ func keyOfDesc(d store.PlanDesc) (planKey, error) {
 	}, nil
 }
 
-// routeHashKey reconstructs the identity-affine routing hash of a plan
-// key — the same fold routeHash performs over a live call's descriptor
-// and operands, with the stored operand dimensions derived from the
-// key's problem dimensions. Set.LoadStore uses it to hydrate each plan
-// into the shard that live traffic for that identity routes to, keeping
-// the store's cache-affinity benefit intact under sharding.
-func routeHashKey(k planKey) uint64 {
-	type dim struct{ r, c int }
-	var dims [3]dim
-	n := 0
-	switch k.kind {
-	case OpGEMM:
-		a := dim{k.m, k.k}
-		if k.transA == matrix.Transpose {
-			a = dim{k.k, k.m}
-		}
-		b := dim{k.k, k.n}
-		if k.transB == matrix.Transpose {
-			b = dim{k.n, k.k}
-		}
-		dims, n = [3]dim{a, b, {k.m, k.n}}, 3
-	case OpTRSM, OpTRMM:
-		d := k.m
-		if k.side == matrix.Right {
-			d = k.n
-		}
-		dims, n = [3]dim{{d, d}, {k.m, k.n}}, 2
-	case OpSYRK:
-		a := dim{k.m, k.k}
-		if k.transA == matrix.Transpose {
-			a = dim{k.k, k.m}
-		}
-		dims, n = [3]dim{a, {k.m, k.m}}, 2
-	default: // factorizations: one square operand
-		dims, n = [3]dim{{k.m, k.m}}, 1
-	}
-	h := uint64(0xcbf29ce484222325)
-	h = mix64(h, uint64(k.kind))
-	h = mix64(h, uint64(k.transA))
-	h = mix64(h, uint64(k.transB))
-	h = mix64(h, uint64(k.side))
-	h = mix64(h, uint64(k.uplo))
-	h = mix64(h, uint64(k.diag))
-	h = mix64(h, uint64(n))
-	for i := 0; i < n; i++ {
-		h = mix64(h, uint64(k.dt))
-		h = mix64(h, uint64(dims[i].r))
-		h = mix64(h, uint64(dims[i].c))
-	}
-	return h
-}
-
 // SetStorePath attaches a store path to the whole set. Shard 0 carries
 // the path for stats; loading and saving are set-level operations. It
 // does not load or save by itself — pair with LoadStore/SaveStore. An
@@ -341,7 +289,7 @@ func (s *Set) LoadStore() error {
 		return err
 	}
 	e0.hydrate(f, func(key planKey) *Engine {
-		return s.engines[jumpHash(routeHashKey(key), len(s.engines))]
+		return s.engines[jumpHash(key.identity(), len(s.engines))]
 	})
 	return nil
 }

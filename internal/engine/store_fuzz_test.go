@@ -42,7 +42,7 @@ func FuzzStoreLoad(f *testing.F) {
 		var keys [2]map[planKey]bool
 		var evicted uint64
 		for i, n := range []int{1, 2} {
-			s := NewSet(tun, n)
+			s := NewSet(tun, n, QueueConfig{})
 			s.SetStorePath(path)
 			if err := s.LoadStore(); err != nil {
 				t.Fatalf("%d-shard LoadStore: %v", n, err)

@@ -34,7 +34,7 @@ func plansOf(e *Engine) map[planKey]any {
 // solo builds a one-shard set and returns it with its engine: store
 // loads and saves are set operations.
 func solo(tun core.Tuning) (*Set, *Engine) {
-	s := NewSet(tun, 1)
+	s := NewSet(tun, 1, QueueConfig{})
 	return s, s.engines[0]
 }
 
@@ -279,14 +279,25 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 		{OpDesc{Kind: OpSYRK, Uplo: matrix.Upper, TransA: matrix.Transpose, Alpha: 1, Beta: 0, Workers: 1}, func(rng *rand.Rand) []Operand {
 			return []Operand{op32(randCompact(rng, 16, 4, 6)), op32(randCompact(rng, 16, 6, 6))}
 		}},
-		// One factorization (single-operand route arity).
+		// Factorizations (single-operand keys), the pivoted one filling
+		// its pivot record.
 		{OpDesc{Kind: OpLU, Workers: 1}, func(rng *rand.Rand) []Operand {
 			return []Operand{op32(randCompact(rng, 16, 5, 5))}
 		}},
+		{OpDesc{Kind: OpLUPiv, Workers: 1}, func(rng *rand.Rand) []Operand {
+			return []Operand{op32(randCompact(rng, 16, 7, 7))}
+		}},
+	}
+	stages := func(cl call, rng *rand.Rand) []ChainStage {
+		st := one(cl.op, cl.operands(rng)...)
+		if cl.op.Kind == OpLUPiv {
+			st[0].Piv = new(core.Pivots)
+		}
+		return st
 	}
 	rng := rand.New(rand.NewSource(21))
 	for _, cl := range calls {
-		if err := e1.Run(context.Background(), one(cl.op, cl.operands(rng)...), Call{}); err != nil {
+		if err := e1.Run(context.Background(), stages(cl, rng), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +309,7 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	}
 
 	coldKernelMemo(t)
-	set := NewSet(tun, 3)
+	set := NewSet(tun, 3, QueueConfig{})
 	set.SetStorePath(path)
 	if err := set.LoadStore(); err != nil {
 		t.Fatal(err)
@@ -312,16 +323,58 @@ func TestSetStoreRoutesHydrationToHomeShard(t *testing.T) {
 	// find its plan on its home shard — zero misses anywhere.
 	rng = rand.New(rand.NewSource(21))
 	for _, cl := range calls {
-		if err := set.Run(context.Background(), one(cl.op, cl.operands(rng)...), Call{}); err != nil {
+		if err := set.Run(context.Background(), stages(cl, rng), Call{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	agg = set.Stats().Aggregate
 	if agg.PlanMisses != 0 {
-		t.Fatalf("routed warm-start missed: home-shard hydration diverged from routeHash (%+v)", agg)
+		t.Fatalf("routed warm-start missed: home-shard hydration diverged from live routing (%+v)", agg)
 	}
 	if agg.PlanHits != uint64(total) {
 		t.Fatalf("hits = %d, want %d", agg.PlanHits, total)
+	}
+}
+
+// TestSetStoreWarmStartIgnoresUnreadModes: a call homes on its plan
+// key, so a mode field its op never reads — a TRSM's TransB, a GEMM's
+// Side — cannot send it away from the shard its stored plan was
+// hydrated on. Every replayed call of a warm-started two-shard set hits.
+func TestSetStoreWarmStartIgnoresUnreadModes(t *testing.T) {
+	tun := core.DefaultTuning()
+	se1, e1 := solo(tun)
+	path := store.PathFor(t.TempDir(), e1.Fingerprint())
+	trsm := OpDesc{Kind: OpTRSM, Uplo: matrix.Lower, TransB: matrix.Transpose, Alpha: 1, Workers: 1}
+	gemm := OpDesc{Kind: OpGEMM, Side: matrix.Right, Alpha: 1, Workers: 1}
+	replay := func(run func([]ChainStage) error) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(22))
+		for n := 2; n <= 24; n++ {
+			a, b := triCompact(rng, 4, n), randCompact(rng, 4, n, 3)
+			if err := run(one(trsm, op32(a), op32(b))); err != nil {
+				t.Fatal(err)
+			}
+			ga, gb, gc := gemmReqOperands(rng, 4, n, n, n)
+			if err := run(one(gemm, op32(ga), op32(gb), op32(gc))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay(func(st []ChainStage) error { return e1.Run(context.Background(), st, Call{}) })
+	se1.SetStorePath(path)
+	if err := se1.SaveStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	set := NewSet(tun, 2, QueueConfig{})
+	set.SetStorePath(path)
+	if err := set.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	replay(func(st []ChainStage) error { return set.Run(context.Background(), st, Call{}) })
+	agg := set.Stats().Aggregate
+	if agg.PlanMisses != 0 || agg.PlanHits != 2*23 {
+		t.Fatalf("warm start: %d plan misses and %d hits for 46 stored calls, want 0 and 46", agg.PlanMisses, agg.PlanHits)
 	}
 }
 
@@ -435,7 +488,7 @@ func TestStoreHostileDescriptorsFailSoft(t *testing.T) {
 		t.Fatalf("engine: rejected %d, hydrated %d; want 2, 2", s.Store.PlansRejected, s.PlanHydrated)
 	}
 
-	set := NewSet(tun, 2)
+	set := NewSet(tun, 2, QueueConfig{})
 	set.SetStorePath(path)
 	if err := set.LoadStore(); err != nil {
 		t.Fatal(err)

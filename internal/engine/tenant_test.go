@@ -209,10 +209,7 @@ func TestTenantAccountingPaths(t *testing.T) {
 // queue lands in the ledger as a shed even with no sink installed —
 // accounting forces the span.
 func TestTenantQueueFullShed(t *testing.T) {
-	e := New(core.DefaultTuning())
-	if err := e.SetQueueCapacity(1); err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(core.DefaultTuning(), QueueConfig{Capacity: 1})
 	e.SetTenants(map[string]obs.TenantObjective{"rt": {Class: 5, Objective: time.Second, Target: 0.99}})
 	rng := rand.New(rand.NewSource(133))
 	a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
@@ -254,7 +251,7 @@ func TestTenantQueueFullShed(t *testing.T) {
 // view — counters sum, histograms merge bucket-wise, burn recomputes
 // from the summed window, and shard-affine sheds land somewhere.
 func TestTenantSetAggregation(t *testing.T) {
-	s := NewSet(core.DefaultTuning(), 3)
+	s := NewSet(core.DefaultTuning(), 3, QueueConfig{})
 	s.SetTenants(map[string]obs.TenantObjective{"rt": {Class: 5, Objective: 10 * time.Second, Target: 0.9}})
 	rng := rand.New(rand.NewSource(134))
 
@@ -320,8 +317,8 @@ func TestTenantSetAggregation(t *testing.T) {
 // # EOF. A tenant name with quotes and backslashes must round-trip
 // escaped.
 func TestTenantOpenMetricsFamilies(t *testing.T) {
-	set := NewSet(core.DefaultTuning(), 1)
-	e := set.Shard(0)
+	set := NewSet(core.DefaultTuning(), 1, QueueConfig{})
+	e := set.engines[0]
 	weird := `ten"ant\x`
 	e.SetTenants(map[string]obs.TenantObjective{
 		"rt":  {Class: 5, Objective: 10 * time.Second, Target: 0.99},
@@ -364,7 +361,7 @@ func TestTenantOpenMetricsFamilies(t *testing.T) {
 	}
 
 	// Disabled accounting emits no tenant families.
-	e2 := NewSet(core.DefaultTuning(), 1)
+	e2 := NewSet(core.DefaultTuning(), 1, QueueConfig{})
 	if err := e2.Run(context.Background(), one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
 		t.Fatal(err)
 	}

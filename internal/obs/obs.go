@@ -277,11 +277,14 @@ type Registry struct {
 	// tenants is the per-tenant SLO accounting table (tenant.go);
 	// nil = accounting disabled.
 	tenants atomic.Pointer[tenantTable]
+
+	// now is the clock every span timestamp reads (span.go).
+	now func() time.Time
 }
 
 // NewRegistry constructs an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{m: make(map[ShapeKey]*Series)}
+	r := &Registry{m: make(map[ShapeKey]*Series), now: time.Now}
 	r.shard.Store(-1)
 	return r
 }

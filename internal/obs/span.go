@@ -113,13 +113,21 @@ type Span struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Mark adds the time elapsed since `since` to phase p. Nil-safe, so call
-// sites can thread an optional span without branching.
-func (sp *Span) Mark(p Phase, since time.Time) {
+// SetClock replaces the clock span timestamps read — Start, End, every
+// Mark and the engine's queue stamps — so a test can make phases
+// deterministic. Call it before the registry records anything.
+func (r *Registry) SetClock(now func() time.Time) { r.now = now }
+
+// Now reads the span clock.
+func (r *Registry) Now() time.Time { return r.now() }
+
+// Mark adds the time elapsed since `since` to sp's phase p. Nil-safe, so
+// call sites can thread an optional span without branching.
+func (r *Registry) Mark(sp *Span, p Phase, since time.Time) {
 	if sp == nil {
 		return
 	}
-	sp.Phases[p] += time.Since(since)
+	sp.Phases[p] += r.now().Sub(since)
 }
 
 // Prepack records one prepacked-operand cache interaction: a hit on the
@@ -183,7 +191,7 @@ func (r *Registry) StartSpan(force bool) *Span {
 		return nil
 	}
 	sp := spanPool.Get().(*Span)
-	*sp = Span{ID: spanIDs.Add(1), Start: time.Now()}
+	*sp = Span{ID: spanIDs.Add(1), Start: r.now()}
 	return sp
 }
 
@@ -194,7 +202,7 @@ func (r *Registry) FinishSpan(sp *Span, err error, extra SpanFunc) {
 	if sp == nil {
 		return
 	}
-	sp.End = time.Now()
+	sp.End = r.now()
 	if err != nil {
 		sp.Error = err.Error()
 	}

@@ -20,7 +20,7 @@ func TestSpanDisabledFastPath(t *testing.T) {
 	if sp != nil {
 		t.Fatalf("StartSpan(false) with no sink = %+v, want nil", sp)
 	}
-	sp.Mark(PhaseCompute, time.Now()) // nil-safe
+	r.Mark(sp, PhaseCompute, time.Now()) // nil-safe
 	sp.Prepack(true)
 	r.FinishSpan(sp, errors.New("ignored"), nil)
 }

@@ -23,8 +23,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Engine == nil {
-		cfg.Engine = iatf.NewEngine()
-		cfg.Engine.SetBatchWindow(500 * time.Microsecond)
+		cfg.Engine = iatf.NewEngine(iatf.WithBatchWindow(500 * time.Microsecond))
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -801,8 +800,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // one server and requires every admitted request to complete correctly —
 // the serving tier's race check (run under -race in make servestress).
 func TestServeConcurrentLoad(t *testing.T) {
-	eng := iatf.NewEngine()
-	eng.SetBatchWindow(200 * time.Microsecond)
+	eng := iatf.NewEngine(iatf.WithBatchWindow(200 * time.Microsecond))
 	_, ts := newTestServer(t, Config{Engine: eng, Tenants: map[string]iatf.TenantObjective{"rt": {Class: 5}}})
 
 	const goroutines, per = 8, 12

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -429,6 +430,107 @@ func TestFactorReportsThroughOnePath(t *testing.T) {
 			want := run(true)
 			for path, extra := range map[string][]iatf.Option{"sync": nil, "async": {iatf.WithAsync()}} {
 				checkFactorRun(t, label+" "+path, c.op, bad, run(false, extra...), want)
+			}
+		}
+	}
+}
+
+// TestLUPivotedReportsThroughOnePath: the pivoted LU is a one-stage
+// list of the Do path as well, sync and WithAsync, on an engine and on a
+// two-shard set. A tagged call delivers one span (Op LUPIV, its trace
+// id, plan and compute phases) and one tenant request; its factors,
+// pivots and info codes equal the core executor's on a clone, and
+// LUSolvePivoted solves with them. A batch with a singular matrix still
+// returns its pivots and info codes with a nil error, and counts as one
+// error in its span, its shape row and the tenant ledger.
+func TestLUPivotedReportsThroughOnePath(t *testing.T) {
+	const count, n, bad = 13, 6, 5
+	ctx := context.Background()
+	for _, shards := range []int{1, 2} {
+		for path, extra := range map[string][]iatf.Option{"sync": nil, "async": {iatf.WithAsync()}} {
+			label := fmt.Sprintf("LUPIV on %d shard(s) %s", shards, path)
+			eng := iatf.NewEngine()
+			if shards > 1 {
+				eng = iatf.NewEngineSet(shards).Engine
+			}
+			eng.SetTenants(map[string]iatf.TenantObjective{"rt": {}})
+			rng := rand.New(rand.NewSource(15))
+			good := chainRand[float64](rng, count, n, n, 0) // general, not dominant
+			singular := good.Unpack()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					singular.Set(bad, i, j, 0) // a zero first column: info 1
+				}
+			}
+			var spans []iatf.Span
+			for i, a := range []*iatf.Compact[float64]{good, iatf.Pack(singular)} {
+				orig := a.Clone()
+				wantF, wantPiv, wantInfo, err := iatf.LUPivotedDirect(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := append([]iatf.Option{iatf.WithEngine(eng), iatf.WithTenant("rt"),
+					iatf.WithTrace(fmt.Sprintf("call-%d", i)),
+					iatf.WithSpanSink(func(sp *iatf.Span) { spans = append(spans, *sp) })}, extra...)
+				piv, info, err := iatf.LUPivoted(a, opts...)
+				if err != nil {
+					t.Fatalf("%s: call %d: %v", label, i, err)
+				}
+				expectEqual(t, fmt.Sprintf("%s: call %d factors", label, i), a, wantF)
+				if !iatf.SamePivots(piv, wantPiv) || !reflect.DeepEqual(info, wantInfo) {
+					t.Errorf("%s: call %d: pivots or info %v differ from the core executor's %v", label, i, info, wantInfo)
+				}
+				for m, code := range info {
+					wantCode := 0
+					if i == 1 && m == bad {
+						wantCode = 1
+					}
+					if code != wantCode {
+						t.Errorf("%s: call %d info[%d] = %d, want %d", label, i, m, code, wantCode)
+					}
+				}
+				if i == 1 {
+					continue
+				}
+				// A·X = B through the returned factors and pivots.
+				b := chainRand[float64](rng, count, n, 2, 0)
+				x := b.Clone()
+				if err := iatf.LUSolvePivoted(a, piv, x); err != nil {
+					t.Fatal(err)
+				}
+				ax := iatf.Pack(iatf.NewBatch[float64](count, n, 2))
+				if err := iatf.Do(ctx, iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, A: orig, B: x, C: ax}); err != nil {
+					t.Fatal(err)
+				}
+				got, want := ax.Unpack().Data(), b.Unpack().Data()
+				for j := range got {
+					if math.Abs(got[j]-want[j]) > 1e-9 {
+						t.Fatalf("%s: A·X differs from B at %d: %g vs %g", label, j, got[j], want[j])
+					}
+				}
+			}
+			if len(spans) != 2 {
+				t.Fatalf("%s: %d spans for two calls, want one each", label, len(spans))
+			}
+			for i, sp := range spans {
+				if sp.Op != "LUPIV" || sp.TraceID != fmt.Sprintf("call-%d", i) || (sp.Error != "") != (i == 1) ||
+					sp.Phases[iatf.PhasePlan] <= 0 || sp.Phases[iatf.PhaseCompute] <= 0 {
+					t.Errorf("%s: span %d = %s trace %q error %q phases %v", label, i, sp.Op, sp.TraceID, sp.Error, sp.Phases)
+				}
+			}
+			var rows []string
+			for _, s := range eng.Stats().Shapes {
+				rows = append(rows, fmt.Sprintf("%s %s n=%d calls=%d errors=%d", s.Op, s.DType, s.N, s.Calls, s.Errors))
+			}
+			if want := []string{"LUPIV d n=6 calls=2 errors=1"}; !reflect.DeepEqual(rows, want) {
+				t.Errorf("%s: shape rows %q, want %q", label, rows, want)
+			}
+			var ledger []string
+			for _, ts := range eng.TenantStats() {
+				ledger = append(ledger, fmt.Sprintf("%s requests=%d errors=%d", ts.Name, ts.Requests, ts.Errors))
+			}
+			if want := []string{"rt requests=2 errors=1"}; !reflect.DeepEqual(ledger, want) {
+				t.Errorf("%s: tenant ledger %q, want %q", label, ledger, want)
 			}
 		}
 	}

@@ -64,14 +64,10 @@ func ProfileNames() []string { return []string{"kunpeng920", "graviton2", "xeon6
 // engineConfig is the resolved option set NewEngine/NewEngineSet build
 // from.
 type engineConfig struct {
-	tun       core.Tuning
-	queueCap  int  // 0 = keep default
-	edf       bool // applied only when edfSet
-	edfSet    bool
-	window    time.Duration // applied only when windowSet
-	windowSet bool
-	storeDir  string // applied only when storeSet; "" = store.DefaultDir()
-	storeSet  bool
+	tun      core.Tuning
+	queue    engine.QueueConfig // every shard's queue policy
+	storeDir string             // applied only when storeSet; "" = store.DefaultDir()
+	storeSet bool
 }
 
 // EngineOption configures NewEngine and NewEngineSet at construction
@@ -87,26 +83,28 @@ func WithMachineProfile(p MachineProfile) EngineOption {
 }
 
 // WithQueueCapacity bounds the async submission queue (default 1024
-// requests; values below 1 clamp to 1). Submissions beyond the bound
-// fail fast with ErrQueueFull. The bound is in place before the
-// dispatcher can start, so it cannot race with the first Submit.
+// requests; values below 1 keep the default). Submissions beyond the
+// bound fail fast with ErrQueueFull. The queue is sized when the engine
+// is built, so the bound cannot race with the first Submit.
 func WithQueueCapacity(n int) EngineOption {
-	return func(c *engineConfig) { c.queueCap = n }
+	return func(c *engineConfig) { c.queue.Capacity = n }
 }
 
 // WithEDF sets the async queue's drain order: true (the default)
-// executes each drained batch in earliest-deadline-first order, false
+// executes each drained batch in earliest-deadline-first order, with
+// WithPriority classes breaking ties, so a tight-deadline request never
+// waits behind a loose bundle that merely arrived earlier; false
 // restores FIFO.
 func WithEDF(on bool) EngineOption {
-	return func(c *engineConfig) { c.edf, c.edfSet = on, true }
+	return func(c *engineConfig) { c.queue.FIFO = !on }
 }
 
 // WithBatchWindow sets the dispatcher's max-batch-window: after a
-// batch's first request arrives the drain stays open for d, trading
-// queue latency for larger fused bundles. 0 (the default) drains only
-// what already accumulated.
+// batch's first request arrives the drain stays open for d, so a burst
+// lands in one EDF-ordered batch, trading queue latency for larger
+// fused bundles. 0 (the default) drains only what already accumulated.
 func WithBatchWindow(d time.Duration) EngineOption {
-	return func(c *engineConfig) { c.window, c.windowSet = d, true }
+	return func(c *engineConfig) { c.queue.Window = d }
 }
 
 // WithPlanStore attaches the persistent autotune store under dir and
@@ -147,28 +145,6 @@ func (c *engineConfig) storePathFor(fp string) string {
 		dir = store.DefaultDir()
 	}
 	return store.PathFor(dir, fp)
-}
-
-// apply configures a freshly constructed set: per-shard queue options,
-// then one store load that hydrates each stored plan into its
-// identity's home shard. No dispatcher has started yet, so
-// SetQueueCapacity cannot fail; store loading is fail-soft by design.
-func (c *engineConfig) apply(s *engine.Set) {
-	if c.queueCap > 0 {
-		for i := 0; i < s.Shards(); i++ {
-			_ = s.Shard(i).SetQueueCapacity(c.queueCap)
-		}
-	}
-	if c.edfSet {
-		s.SetEDF(c.edf)
-	}
-	if c.windowSet {
-		s.SetBatchWindow(c.window)
-	}
-	if c.storeSet {
-		s.SetStorePath(c.storePathFor(s.Fingerprint()))
-		_ = s.LoadStore()
-	}
 }
 
 // Fingerprint returns the engine's tuning fingerprint: the stable,
