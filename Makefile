@@ -103,14 +103,17 @@ tunestress:
 # the handler (no panic, no 500); the traceparent resolver (always a
 # non-zero 32-hex id, the header's trace-id exactly when it is valid);
 # store files through the set loader on one and two shards (no panic,
-# fail soft, same plan keys); and the -tenant spec parser (no panic,
-# accepted specs hold a usable objective). The committed corpora under
-# testdata/fuzz, internal/serve/testdata/fuzz and
+# fail soft, same plan keys); one drawn stage list run on one shard, on
+# two shards, as a chain call and as two fused Submits (bit-identical
+# outputs, one coalesced request); and the -tenant spec parser (no
+# panic, accepted specs hold a usable objective). The committed corpora
+# under testdata/fuzz, internal/serve/testdata/fuzz and
 # internal/engine/testdata/fuzz replay in every plain `go test`.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzDoRequest -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzPathParity -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzParseTenantSpec -fuzztime 10s .
 
 # Wall-clock benchmark of the native path — pack-per-call vs prepacked

@@ -209,6 +209,8 @@ func wcTriBatchU[T iatf.Scalar](count, n int) *iatf.Batch[T] {
 // ("unchained") or as one iatf.Chain ("chained"): the chain plan keeps
 // B packed across the stage boundary, eliding stage 0's scatter and
 // stage 1's repack. U⁻¹(U·B) = B exactly, so the timed loop is stable.
+// Both variants take the same options (wcOn), so the row compares the
+// handoff at one worker count.
 func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 	a := iatf.Pack(wcTriBatchU[float64](count, n))
 	bb := iatf.NewBatch[float64](count, n, n)
@@ -229,7 +231,7 @@ func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 		}
-		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng)) }
+		call = func() error { return iatf.Chain(ctx, stages, opts...) }
 	}
 	nsOp, err := wcTime(calls, call)
 	if err != nil {
@@ -244,7 +246,8 @@ func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 // TRSM with Lᵀ, the CholeskySolve shape. The two stages want B in
 // different packed forms, so the handoff is NOT elided; the chain's win
 // here is recognizing L as chain-invariant (read by both stages, written
-// by neither) and auto-prepacking its triangle image.
+// by neither) and auto-prepacking its triangle image. Like
+// wcChainFused, both variants take the same options.
 func wcChainSolve(n, count, calls int, chained bool) (float64, float64, error) {
 	a := iatf.Pack(wcTriBatch[float64](count, n))
 	bb := iatf.NewBatch[float64](count, n, n)
@@ -265,7 +268,7 @@ func wcChainSolve(n, count, calls int, chained bool) (float64, float64, error) {
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b),
 			iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.Transpose, iatf.NonUnit, 1, a, b),
 		}
-		call = func() error { return iatf.Chain(ctx, stages, iatf.WithEngine(eng)) }
+		call = func() error { return iatf.Chain(ctx, stages, opts...) }
 	}
 	nsOp, err := wcTime(calls, call)
 	if err != nil {

@@ -8,13 +8,14 @@
 //   - Submit enqueues a request on a bounded per-engine queue and
 //     returns a Future. A lazily started dispatcher goroutine drains
 //     whatever accumulated while the previous dispatch ran, partitions
-//     the drained batch by problem identity (per stage: op, dtype,
-//     modes, scalars, workers, dims and the operand alias pattern —
-//     never the batch count) and executes each bundle as ONE fused
-//     dispatch over the concatenated super-batches — one validation, one
-//     plan resolution, one worker-pool round-trip for N requests. A
-//     request is a stage list like a Run call: single ops and chains
-//     share the queue, the coalescer, the fuser and the span finisher.
+//     the drained batch by the identity record each request was
+//     validated into (per stage: the plan key without its count bucket,
+//     the operand alias pattern, the scalars the op reads and the worker
+//     request) and executes each bundle as ONE fused dispatch over the
+//     concatenated super-batches — one plan resolution, one worker-pool
+//     round-trip for N requests. A request is a stage list like a Run
+//     call: single ops and chains share the queue, the coalescer, the
+//     fuser and the span finisher.
 //   - When the queue is idle the submitting goroutine executes
 //     synchronously instead (the idle fast path), so single-caller
 //     latency is identical to a direct Run call.
@@ -37,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,18 +122,18 @@ func (f *Future) Wait(ctx context.Context) error {
 	}
 }
 
-// asyncReq is one queued submission: a stage list with its call
-// envelope. One-stage lists live inline in one, so a single-op
-// submission costs no stage-slice allocation.
+// asyncReq is one queued submission: a stage list with its identity
+// record and call envelope. One-stage lists live inline in one, so a
+// single-op submission costs no stage-slice allocation.
 type asyncReq struct {
 	ctx    context.Context
 	stages []ChainStage
 	one    [1]ChainStage
+	id     listID
 	call   Call
 	fut    *Future
 
-	// hash is the coalescing identity (see fuseHash); requests bucket by
-	// it and fuse only after sameIdentity confirms the match.
+	// hash buckets the request (bucketHash); coalescesWith confirms.
 	hash uint64
 
 	// deadline/hasDL cache ctx.Deadline() at submission time so the EDF
@@ -333,6 +335,13 @@ func (q *submitQueue) start(e *Engine) {
 // full queue returns ErrQueueFull and a context already done returns
 // ctx.Err(), both with a nil Future.
 func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
+	var id listID
+	keyOf(&id, stages)
+	return e.submit(ctx, stages, &id, call)
+}
+
+// submit enqueues a stage list under the record the caller built.
+func (e *Engine) submit(ctx context.Context, stages []ChainStage, id *listID, call Call) (*Future, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -341,7 +350,7 @@ func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*F
 	}
 	q := &e.queue
 	q.start(e)
-	r := &asyncReq{ctx: ctx, call: call, fut: newFuture()}
+	r := &asyncReq{ctx: ctx, id: *id, call: call, fut: newFuture()}
 	if len(stages) == 1 {
 		r.one[0] = stages[0]
 		r.stages = r.one[:]
@@ -360,12 +369,12 @@ func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*F
 	if len(q.ch) == 0 && q.busy.CompareAndSwap(false, true) {
 		q.submitted.Add(1)
 		q.inline.Add(1)
-		err := e.exec(ctx, r.stages, r.sp, true)
+		err := e.exec(ctx, r.stages, &r.id, r.sp, true)
 		q.busy.Store(false)
 		e.finish(r, err)
 		return r.fut, nil
 	}
-	r.hash = fuseHash(r.stages)
+	r.hash = r.bucketHash()
 	r.enq = e.obs.Now()
 	select {
 	case q.ch <- r:
@@ -515,80 +524,47 @@ func (e *Engine) dispatchLoop() {
 	}
 }
 
-// fuseHash condenses the coalescing identity of a stage list: per stage
-// the op descriptor (kind, modes, scalars, workers), the arity and every
-// operand's dtype, dimensions and alias pattern. Batch counts are
-// excluded — fusing concatenates them, and the fused run resolves its
-// plan at the fused count bucket. Allocation-free.
-func fuseHash(stages []ChainStage) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	h = mix64(h, uint64(len(stages)))
-	for i := range stages {
-		st := &stages[i]
-		op := &st.Op
-		for _, v := range [...]uint64{uint64(op.Kind), uint64(op.TransA), uint64(op.TransB),
-			uint64(op.Side), uint64(op.Uplo), uint64(op.Diag),
-			math.Float64bits(real(op.Alpha)), math.Float64bits(imag(op.Alpha)),
-			math.Float64bits(real(op.Beta)), math.Float64bits(imag(op.Beta)),
-			uint64(int64(op.Workers)), uint64(st.NOps)} {
+// bucketHash folds a request's record (whose key identities leave out
+// the count bucket) and each stage's fuseArgs.
+func (r *asyncReq) bucketHash() uint64 {
+	h := r.id.fold(mix64(0xcbf29ce484222325, uint64(len(r.stages))))
+	for i := range r.id.entries() {
+		for _, v := range fuseArgs(&r.stages[i].Op) {
 			h = mix64(h, v)
-		}
-		for s := 0; s < min(st.NOps, 3); s++ {
-			// Malformed operands keep a zero dim signature; they fail
-			// validation identically fused or alone.
-			if o := st.Ops[s]; o.valid() {
-				h = mix64(h, uint64(o.DT))
-				h = mix64(h, uint64(o.rows()))
-				h = mix64(h, uint64(o.cols()))
-			}
-			h = mix64(h, uint64(aliasOf(stages, i, s)))
 		}
 	}
 	return h
 }
 
-// sameIdentity verifies (not just by hash) that two stage lists share
-// the coalescing identity of fuseHash.
-func sameIdentity(a, b []ChainStage) bool {
-	if len(a) != len(b) {
+// coalescesWith reports whether r may ride lead's fused dispatch: both
+// records are valid and factor nowhere (fused padding lanes would fail
+// an info scan), they match but for the count bucket, and so do the
+// fuseArgs.
+func (r *asyncReq) coalescesWith(lead *asyncReq) bool {
+	a, b := r.id.entries(), lead.id.entries()
+	if r.id.err != nil || lead.id.err != nil || len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Op != b[i].Op || a[i].NOps != b[i].NOps {
+		ka, kb := a[i].key, b[i].key
+		ka.countBucket = kb.countBucket
+		if isFactor(ka.kind) || ka != kb || a[i].alias != b[i].alias ||
+			fuseArgs(&r.stages[i].Op) != fuseArgs(&lead.stages[i].Op) {
 			return false
-		}
-		for s := 0; s < min(a[i].NOps, 3); s++ {
-			oa, ob := a[i].Ops[s], b[i].Ops[s]
-			if oa.valid() != ob.valid() || aliasOf(a, i, s) != aliasOf(b, i, s) {
-				return false
-			}
-			if oa.valid() && (oa.DT != ob.DT || (oa.F32 == nil) != (ob.F32 == nil) ||
-				oa.rows() != ob.rows() || oa.cols() != ob.cols()) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// fusable reports whether a stage list may ride a fused dispatch: it
-// validates, and no stage factors — concatenation promotes each part's
-// padding lanes to real matrices of the fused batch, and a factor
-// stage's per-matrix info scan would abort the whole bundle on that
-// garbage.
-func fusable(stages []ChainStage) bool {
-	if checkChainLen(len(stages)) != nil {
-		return false
+// fuseArgs is what a fused dispatch applies from its lead's op to every
+// rider: the worker request and the bits (+0 ≠ −0) of the scalars the op
+// reads — Alpha, and Beta for GEMM and SYRK.
+func fuseArgs(op *OpDesc) [5]uint64 {
+	a := [5]uint64{math.Float64bits(real(op.Alpha)), math.Float64bits(imag(op.Alpha)), 0, 0, uint64(int64(op.Workers))}
+	if op.Kind == OpGEMM || op.Kind == OpSYRK {
+		a[2], a[3] = math.Float64bits(real(op.Beta)), math.Float64bits(imag(op.Beta))
 	}
-	for i := range stages {
-		if isFactor(stages[i].Op.Kind) {
-			return false
-		}
-		if _, err := checkChainStage(stages, i); err != nil {
-			return false
-		}
-	}
-	return true
+	return a
 }
 
 // runBatch resolves cancelled requests, partitions the rest by
@@ -701,14 +677,12 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 			r.sp.Phases[obs.PhaseQueueWait] += wait
 		}
 	}
-	// Partition in place: the lead's fusable same-identity riders first.
+	// Partition in place: the riders that coalesce with the lead first.
 	n := 1
-	if len(reqs) > 1 && fusable(reqs[0].stages) {
-		for i := 1; i < len(reqs); i++ {
-			if sameIdentity(reqs[0].stages, reqs[i].stages) && fusable(reqs[i].stages) {
-				reqs[n], reqs[i] = reqs[i], reqs[n]
-				n++
-			}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].coalescesWith(reqs[0]) {
+			reqs[n], reqs[i] = reqs[i], reqs[n]
+			n++
 		}
 	}
 	solo := reqs
@@ -728,7 +702,7 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 		}
 	}
 	for _, r := range solo {
-		e.finish(r, e.exec(r.ctx, r.stages, r.sp, true))
+		e.finish(r, e.exec(r.ctx, r.stages, &r.id, r.sp, true))
 	}
 }
 
@@ -764,14 +738,14 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 		}
 	}
 	t0 := e.clock(parent)
-	// Each distinct compact is concatenated once, at its first slot
-	// (aliasOf); every slot sharing it gets the same fused operand.
+	// Each distinct compact is concatenated once, at its first slot (the
+	// record's alias); every slot sharing it gets the same fused operand.
 	fused := make([]Operand, 3*len(lead.stages))
 	fstages := make([]ChainStage, len(lead.stages))
 	for i := range fstages {
 		fstages[i] = lead.stages[i]
 		for s := 0; s < fstages[i].NOps; s++ {
-			a := aliasOf(lead.stages, i, s)
+			a := int(lead.id.entries()[i].alias[s])
 			if a == 3*i+s {
 				if lead.stages[i].Ops[s].F32 != nil {
 					fused[a] = fuseAlias[float32](reqs, i, s)
@@ -783,13 +757,20 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 		}
 	}
 	e.obs.Mark(parent, obs.PhaseFuse, t0)
-	// The fused list resolves (and caches) its own plan at the fused count
-	// bucket. Auto-prepack is off: the fused compacts are throwaways, and
-	// packing them would churn the cache.
-	err := e.exec(context.Background(), fstages, parent, false)
+	// The fused list's record is the lead's at the fused count bucket, so
+	// it resolves (and caches) its own plan there. Auto-prepack is off:
+	// the fused compacts are throwaways, and packing them would churn the
+	// cache.
+	fid, bucket := lead.id, countBucket(fstages[0].Ops[0].count())
+	fid.more = slices.Clone(fid.more)
+	ids := fid.entries()
+	for i := range ids {
+		ids[i].key.countBucket = bucket
+	}
+	err := e.exec(context.Background(), fstages, &fid, parent, false)
 	if err == nil {
 		t0 = e.clock(parent)
-		for a, w := range writtenAliases(lead.stages) {
+		for a, w := range writtenAliases(lead.id.entries()) {
 			if !w {
 				continue
 			}
@@ -824,7 +805,7 @@ func (e *Engine) finishRiders(parent *obs.Span, reqs []*asyncReq, err error) {
 		sp.M, sp.N, sp.K = parent.M, parent.N, parent.K
 		sp.Workers = parent.Workers
 		sp.PrepackHits, sp.PrepackBuilds = parent.PrepackHits, parent.PrepackBuilds
-		sp.Count = r.stages[0].count()
+		sp.Count = r.stages[0].Ops[0].count()
 		for p := obs.PhaseFuse; p < obs.PhaseCount; p++ {
 			sp.Phases[p] = parent.Phases[p]
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"iatf/internal/core"
 	"iatf/internal/layout"
+	"iatf/internal/matrix"
 	"iatf/internal/obs"
 )
 
@@ -551,6 +553,7 @@ func TestAsyncFuseTimeExpiry(t *testing.T) {
 			rctx = cctx
 		}
 		r := &asyncReq{ctx: rctx, stages: one(asyncGEMMDesc, op32(a), op32(b), op32(c)), fut: newFuture(), enq: time.Now()}
+		keyOf(&r.id, r.stages)
 		reqs[i] = r
 	}
 
@@ -676,9 +679,12 @@ func TestAsyncWindowBatching(t *testing.T) {
 
 // TestAsyncFuseIdentity pins the coalescing identity: it excludes the
 // batch count (one problem, or one chain, with counts in three buckets
-// fuses into one dispatch) and includes the operand alias pattern (a
-// GEMM whose C is its A never fuses with an unaliased one). Every result
-// stays bit-identical to a serial reference.
+// fuses into one dispatch) and the fields an op does not read (TRSMs
+// that differ only in TransB and Beta fuse, and so do GEMMs that differ
+// only in Side and Diag), and includes the operand alias pattern (a
+// GEMM whose C is its A never fuses with an unaliased one) and the bits
+// of the scalars the op reads (Alpha −0 never fuses with +0). Every
+// result stays bit-identical to a serial reference.
 func TestAsyncFuseIdentity(t *testing.T) {
 	e := New(core.DefaultTuning())
 	ref := New(core.DefaultTuning())
@@ -695,7 +701,7 @@ func TestAsyncFuseIdentity(t *testing.T) {
 
 	var futs []*Future
 	var got, want []*layout.Compact[float32]
-	submit := func(n, count int, alias bool) {
+	submitGEMM := func(desc OpDesc, n, count int, alias bool) {
 		a, b, c := gemmReqOperands(rng, count, n, n, n)
 		if alias {
 			c = a
@@ -705,15 +711,16 @@ func TestAsyncFuseIdentity(t *testing.T) {
 		if !alias {
 			rc = c.Clone()
 		}
-		if err := ref.Run(ctx, one(asyncGEMMDesc, op32(ra), op32(rb), op32(rc)), Call{}); err != nil {
+		if err := ref.Run(ctx, one(desc, op32(ra), op32(rb), op32(rc)), Call{}); err != nil {
 			t.Fatal(err)
 		}
-		f, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
+		f, err := e.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs, got, want = append(futs, f), append(got, c), append(want, rc)
 	}
+	submit := func(n, count int, alias bool) { submitGEMM(asyncGEMMDesc, n, count, alias) }
 	// One problem, counts in buckets 4, 16 and 64: one bundle.
 	for _, count := range []int{3, 13, 40} {
 		submit(8, count, false)
@@ -722,6 +729,27 @@ func TestAsyncFuseIdentity(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		submit(6, 5+i, i%2 == 0)
 	}
+	// TRSM twins that differ only in the unread TransB and Beta: one
+	// bundle.
+	for i, beta := range []complex128{0, 7, complex(math.NaN(), 0)} {
+		desc := OpDesc{Kind: OpTRSM, Uplo: matrix.Upper, TransB: matrix.Trans(i % 2), Alpha: 2, Beta: beta, Workers: 1}
+		a, b := chainTriOperands(rng, 5+i, 5, 3)
+		rb := b.Clone()
+		if err := ref.Run(ctx, one(desc, op32(a), op32(rb)), Call{}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := e.Submit(ctx, one(desc, op32(a), op32(b)), Call{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs, got, want = append(futs, f), append(got, b), append(want, rb)
+	}
+	// GEMM twins that differ only in the unread Side and Diag: one
+	// bundle. Their Alpha is +0; the same GEMM with Alpha −0 runs apart.
+	for _, sd := range [][2]int{{0, 0}, {1, 0}, {1, 1}} {
+		submitGEMM(OpDesc{Kind: OpGEMM, Side: matrix.Side(sd[0]), Diag: matrix.Diag(sd[1]), Beta: 1, Workers: 1}, 7, 6, false)
+	}
+	submitGEMM(OpDesc{Kind: OpGEMM, Alpha: complex(math.Copysign(0, -1), 0), Beta: 1, Workers: 1}, 7, 6, false)
 	// Chains follow the same count-free rule: one fused chain.
 	for _, count := range []int{3, 13, 40} {
 		a, b := chainTriOperands(rng, count, 8, 4)
@@ -745,8 +773,8 @@ func TestAsyncFuseIdentity(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if s := st.Queue; s.Dispatches != 5 || s.Coalesced != 8 || s.MaxFused != 3 {
-		t.Fatalf("dispatches %d coalesced %d max fused %d; want the occupier plus four fused bundles of 3",
+	if s := st.Queue; s.Dispatches != 8 || s.Coalesced != 12 || s.MaxFused != 3 {
+		t.Fatalf("dispatches %d coalesced %d max fused %d; want the occupier, six fused bundles of 3 and the −0 GEMM",
 			s.Dispatches, s.Coalesced, s.MaxFused)
 	}
 	if st.Chain.Runs != 1 {

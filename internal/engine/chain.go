@@ -42,6 +42,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"iatf/internal/core"
@@ -73,17 +74,6 @@ type ChainStage struct {
 	Piv *core.Pivots
 }
 
-// count returns the stage's batch count (operands of one chain share it
-// post-validation).
-func (s *ChainStage) count() int {
-	for i := 0; i < s.NOps; i++ {
-		if s.Ops[i].valid() {
-			return s.Ops[i].count()
-		}
-	}
-	return 0
-}
-
 // ChainError attributes a chain failure to the stage that caused it.
 // Stage indexes the stage list; Info carries the per-matrix codes of a
 // failed factorization stage (then Err is ErrSingular). Unwrap exposes
@@ -101,28 +91,6 @@ func (e *ChainError) Error() string {
 }
 
 func (e *ChainError) Unwrap() error { return e.Err }
-
-// stageArity returns the operand count of a stage's op kind.
-func stageArity(k OpKind) (int, bool) {
-	switch k {
-	case OpGEMM:
-		return 3, true
-	case OpTRSM, OpTRMM, OpSYRK:
-		return 2, true
-	case OpLU, OpCholesky, OpLUPiv:
-		return 1, true
-	}
-	return 0, false
-}
-
-// chainStageDesc is one stage's slice of the chain identity: its
-// validated plan key (kind, dtype, modes, dims; scalars, workers and the
-// exact count excluded, like the plan cache) and its operand-sharing
-// pattern (aliasOf per slot).
-type chainStageDesc struct {
-	key   planKey
-	alias [3]int16
-}
 
 func sameCompact(a, b Operand) bool { return a.F32 == b.F32 && a.F64 == b.F64 }
 
@@ -142,19 +110,19 @@ func aliasOf(stages []ChainStage, i, s int) int {
 	return 3*i + s
 }
 
-// writtenAliases marks, by aliasOf slot, the operands some stage writes.
-func writtenAliases(stages []ChainStage) []bool {
-	w := make([]bool, 3*len(stages))
-	for i := range stages {
-		w[aliasOf(stages, i, chainWrites(stages[i].Op.Kind))] = true
+// writtenAliases marks, by aliasOf slot, the operands some stage of a
+// validated list writes.
+func writtenAliases(ids []stageID) []bool {
+	w := make([]bool, 3*len(ids))
+	for i := range ids {
+		w[ids[i].alias[chainWrites(ids[i].key.kind)]] = true
 	}
 	return w
 }
 
 // chainStagePlan is the cached per-stage execution state.
 type chainStagePlan struct {
-	key planKey
-	pv  any // cached core plan; nil for factor stages
+	pv any // cached core plan; nil for factor stages
 
 	// donated: this stage consumes its predecessor's canonical B image
 	// (pack elided). elideOut: the successor consumes this stage's
@@ -172,7 +140,7 @@ type chainStagePlan struct {
 // chainPlan is one cached chain analysis.
 type chainPlan struct {
 	hash   uint64
-	desc   []chainStageDesc
+	desc   []stageID
 	bucket int
 
 	label    string // stage kinds joined: "LU+TRSM+TRSM" (series mode, span)
@@ -185,16 +153,8 @@ type chainPlan struct {
 
 // is reports whether the plan analyzes exactly this chain identity — the
 // collision-safe comparison behind the hashed cache lookup.
-func (cp *chainPlan) is(desc []chainStageDesc, bucket int) bool {
-	if cp.bucket != bucket || len(cp.desc) != len(desc) {
-		return false
-	}
-	for i := range desc {
-		if cp.desc[i] != desc[i] {
-			return false
-		}
-	}
-	return true
+func (cp *chainPlan) is(desc []stageID, bucket int) bool {
+	return cp.bucket == bucket && slices.Equal(cp.desc, desc)
 }
 
 // chainWrites returns the operand slot a stage writes.
@@ -223,70 +183,18 @@ func triCanon(pv any) (packB, reverse, transpose bool) {
 	return false, false, false
 }
 
-// checkChainLen bounds a stage list's length.
-func checkChainLen(n int) error {
-	if n == 0 {
-		return fmt.Errorf("iatf: chain: %w: no stages", ErrOperand)
-	}
-	if n > maxChainStages {
-		return fmt.Errorf("iatf: chain: %w: %d stages exceeds the %d-stage bound", ErrOperand, n, maxChainStages)
-	}
-	return nil
-}
-
-// checkChainStage validates stage i of a chain — the stage itself, then
-// the chain-wide rules: one dtype and one batch count for every stage —
-// and attributes a failure to the stage. Stages before i must be valid.
-func checkChainStage(stages []ChainStage, i int) (planKey, error) {
-	st := &stages[i]
-	key, err := stageKey(st)
-	if first, a := stages[0].Ops[0], st.Ops[0]; err == nil && i > 0 {
-		switch {
-		case a.DT != first.DT:
-			err = opErr(st.Op.Kind, "", ErrDType, "stage dtype %s differs from chain dtype %s", a.DT, first.DT)
-		case a.count() != first.count():
-			err = opErr(st.Op.Kind, "A", ErrCount,
-				"has %d, chain has %d (chain stages share one batch count)", a.count(), first.count())
-		}
-	}
-	if err != nil {
-		return key, &ChainError{Stage: i, Kind: st.Op.Kind, Err: err}
-	}
-	return key, nil
-}
-
 // chainPlanFor resolves (building and caching on miss) the chain plan
-// of a stage list. Validation errors are attributed to their stage via
-// ChainError. A hit allocates nothing: the identity is assembled on the
-// stack and copied only when a new plan is built.
-func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome, error) {
-	if err := checkChainLen(len(stages)); err != nil {
-		return nil, obs.CacheMiss, err
+// of a stage list from its record: the record's entries are the chain
+// identity, and its validation error (a *ChainError naming the stage)
+// is returned as is. A hit allocates nothing: the entries are copied
+// only when a new plan is built.
+func (e *Engine) chainPlanFor(stages []ChainStage, id *listID) (*chainPlan, obs.CacheOutcome, error) {
+	if id.err != nil {
+		return nil, obs.CacheMiss, id.err
 	}
-	var buf [8]chainStageDesc
-	desc := buf[:0]
-	for i := range stages {
-		key, err := checkChainStage(stages, i)
-		if err != nil {
-			return nil, obs.CacheMiss, err
-		}
-		d := chainStageDesc{key: key}
-		for s := 0; s < stages[i].NOps; s++ {
-			d.alias[s] = int16(aliasOf(stages, i, s))
-		}
-		desc = append(desc, d)
-	}
+	desc := id.entries()
 	bucket := countBucket(stages[0].Ops[0].count())
-	h := uint64(0xcbf29ce484222325)
-	h = mix64(h, uint64(len(desc)))
-	h = mix64(h, uint64(bucket))
-	for i := range desc {
-		d := &desc[i]
-		h = mix64(h, d.key.identity())
-		for _, a := range d.alias {
-			h = mix64(h, uint64(a))
-		}
-	}
+	h := id.fold(mix64(mix64(0xcbf29ce484222325, uint64(len(desc))), uint64(bucket)))
 
 	e.chainMu.Lock()
 	for _, cand := range e.chainPlans[h] {
@@ -299,8 +207,8 @@ func (e *Engine) chainPlanFor(stages []ChainStage) (*chainPlan, obs.CacheOutcome
 	e.chainMu.Unlock()
 	e.chainMisses.Add(1)
 
-	cp := &chainPlan{hash: h, desc: append([]chainStageDesc(nil), desc...), bucket: bucket}
-	if err := e.buildChainPlan(cp, writtenAliases(stages)); err != nil {
+	cp := &chainPlan{hash: h, desc: append([]stageID(nil), desc...), bucket: bucket}
+	if err := e.buildChainPlan(cp, writtenAliases(desc)); err != nil {
 		return nil, obs.CacheMiss, err
 	}
 
@@ -341,7 +249,6 @@ func (e *Engine) buildChainPlan(cp *chainPlan, written []bool) error {
 	for i := range cp.desc {
 		key := cp.desc[i].key
 		kinds[i] = key.kind.String()
-		cp.stages[i].key = key
 		if isFactor(key.kind) {
 			cp.flopsPerMatrix += factorFLOPs(key.kind, key.m)
 			continue

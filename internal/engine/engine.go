@@ -195,7 +195,7 @@ type planKey struct {
 // and modes spread evenly. It is the engine's one problem identity: it
 // picks the plan cache's mutex shard, a call's home shard in a Set,
 // the shard store hydration installs a plan on, and each stage's share
-// of a chain plan's hash.
+// of a chain plan's hash and of the coalescer's bucket hash.
 func (k planKey) identity() uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
@@ -277,11 +277,11 @@ type Engine struct {
 
 	// Persistent autotune store attachment (SetStorePath/LoadStore/
 	// SaveStore in store.go). fp is the engine tuning's fingerprint,
-	// computed once at construction.
+	// computed once at construction; storeState counts store activity.
 	fp         string
 	storeMu    sync.Mutex
 	storePath  string
-	storeState storeCounters
+	storeState StoreStats
 
 	// Chain-plan cache (multi-stage runs): whole-chain analyses keyed by
 	// the hashed chain identity, with full-descriptor equality on lookup.
@@ -595,8 +595,9 @@ func (e *Engine) profileLabels(key planKey) context.Context {
 		"op", s.Op, "dtype", s.DType, "shape", fmt.Sprintf("%dx%dx%d", s.M, s.N, s.K)))
 }
 
-// operandNames maps BLAS argument positions to names per op kind.
-var operandNames = map[OpKind][]string{
+// operandNames names each op kind's operands in BLAS argument order;
+// their count is the kind's arity.
+var operandNames = [...][]string{
 	OpGEMM:     {"A", "B", "C"},
 	OpTRSM:     {"A", "B"},
 	OpTRMM:     {"A", "B"},
@@ -606,10 +607,7 @@ var operandNames = map[OpKind][]string{
 	OpLUPiv:    {"A"},
 }
 
-func checkOperands(kind OpKind, ops []Operand, want int) error {
-	if len(ops) != want {
-		return opErr(kind, "", ErrOperand, "takes %d operands, got %d", want, len(ops))
-	}
+func checkOperands(kind OpKind, ops []Operand) error {
 	for i, o := range ops {
 		if !o.valid() {
 			return opErr(kind, operandNames[kind][i], ErrOperand, "nil or empty")
@@ -617,44 +615,157 @@ func checkOperands(kind OpKind, ops []Operand, want int) error {
 		if (o.F32 != nil) != (ops[0].F32 != nil) || o.DT != ops[0].DT {
 			return opErr(kind, operandNames[kind][i], ErrDType, "mismatched element type")
 		}
+		// The dtype alone then names the storage, so the key does too.
+		if (o.F32 != nil && o.F64 != nil) || (o.F32 != nil) != (o.DT.Real() == vec.S) {
+			return opErr(kind, operandNames[kind][i], ErrDType, "storage does not hold dtype %s", o.DT)
+		}
 	}
 	return nil
 }
 
 // stageKey validates one stage — arity, operand presence and dtype,
-// shapes, counts — and returns its plan-cache key, so every entry
-// rejects with identical taxonomy errors. A factorization keys on its
-// order alone: its plan is a per-matrix flop model.
-func stageKey(st *ChainStage) (planKey, error) {
+// shapes, counts — and writes its plan-cache key, so every entry
+// rejects with identical taxonomy errors. keyOf is its one caller.
+func stageKey(st *ChainStage, key *planKey) error {
 	op := &st.Op
-	arity, ok := stageArity(op.Kind)
-	if !ok {
-		return planKey{}, opErr(op.Kind, "", ErrOperand, "unknown op kind")
+	if op.Kind < 0 || int(op.Kind) >= len(operandNames) {
+		return opErr(op.Kind, "", ErrOperand, "unknown op kind")
 	}
-	if st.NOps != arity {
-		return planKey{}, opErr(op.Kind, "", ErrOperand, "takes %d operands, got %d", arity, st.NOps)
+	if arity := len(operandNames[op.Kind]); st.NOps != arity {
+		return opErr(op.Kind, "", ErrOperand, "takes %d operands, got %d", arity, st.NOps)
 	}
-	ops := st.Ops[:arity]
-	if err := checkOperands(op.Kind, ops, arity); err != nil {
-		return planKey{}, err
+	ops := st.Ops[:st.NOps]
+	if err := checkOperands(op.Kind, ops); err != nil {
+		return err
 	}
-	key := planKey{kind: op.Kind, dt: ops[0].DT, countBucket: countBucket(ops[0].count())}
+	*key = planKey{kind: op.Kind, dt: ops[0].DT, countBucket: countBucket(ops[0].count()),
+		transA: op.TransA, transB: op.TransB, side: op.Side, uplo: op.Uplo, diag: op.Diag}
 	var err error
 	switch op.Kind {
 	case OpGEMM:
 		key.m, key.n, key.k, err = gemmDims(op, ops[0], ops[1], ops[2])
-		key.transA, key.transB = op.TransA, op.TransB
 	case OpTRSM, OpTRMM:
 		key.m, key.n, err = triDims(op, ops[0], ops[1])
-		key.transA, key.side, key.uplo, key.diag = op.TransA, op.Side, op.Uplo, op.Diag
 	case OpSYRK:
 		key.m, key.k, err = syrkDims(op, ops[0], ops[1])
-		key.transA, key.uplo = op.TransA, op.Uplo
 	default:
 		err = checkFactor(st)
-		key.m, key.countBucket = ops[0].rows(), 1
+		key.m = ops[0].rows()
 	}
-	return key, err
+	key.read()
+	return err
+}
+
+// read zeroes the fields of k its op does not read, for live keys
+// (stageKey) and stored ones (keyOfDesc) alike: TRSM and TRMM skip
+// TransB and K, GEMM Side, Uplo and Diag, SYRK TransB, Side, Diag and N,
+// and a factorization's plan, a per-matrix flop model, keys on its order.
+func (k *planKey) read() {
+	switch k.kind {
+	case OpGEMM:
+		k.side, k.uplo, k.diag = 0, 0, 0
+	case OpTRSM, OpTRMM:
+		k.transB, k.k = 0, 0
+	case OpSYRK:
+		k.transB, k.side, k.diag, k.n = 0, 0, 0, 0
+	default:
+		*k = planKey{kind: k.kind, dt: k.dt, m: k.m, countBucket: 1}
+	}
+}
+
+// stageID is one stage's plan key and operand-sharing pattern (aliasOf).
+type stageID struct {
+	key   planKey
+	alias [3]int16
+}
+
+// listID is a stage list's identity record, built once where the list
+// enters the engine and read by routing, the coalescer, the chain-plan
+// cache and the executor: an entry per stage that validated and the
+// typed validation error. A one-stage list's entry lives inline.
+type listID struct {
+	n    int
+	buf  [1]stageID
+	more []stageID // a chain's entries
+	err  error
+}
+
+func (id *listID) entries() []stageID {
+	if id.more != nil {
+		return id.more[:id.n]
+	}
+	return id.buf[:id.n]
+}
+
+// keyOf validates a stage list into the zero record id; a chain also
+// needs one dtype and one batch count. The error is a plain one for a
+// bad length or one-stage list, else a *ChainError naming where the
+// entries stop.
+func keyOf(id *listID, stages []ChainStage) {
+	switch n := len(stages); {
+	case n == 0:
+		id.err = fmt.Errorf("iatf: chain: %w: no stages", ErrOperand)
+		return
+	case n > maxChainStages:
+		id.err = fmt.Errorf("iatf: chain: %w: %d stages exceeds the %d-stage bound", ErrOperand, n, maxChainStages)
+		return
+	}
+	ids := id.buf[:]
+	if len(stages) > len(ids) {
+		id.more = make([]stageID, len(stages))
+		ids = id.more
+	}
+	for i := range stages {
+		st := &stages[i]
+		err := stageKey(st, &ids[i].key)
+		if first, a := stages[0].Ops[0], st.Ops[0]; err == nil && i > 0 {
+			switch {
+			case a.DT != first.DT:
+				err = opErr(st.Op.Kind, "", ErrDType, "stage dtype %s differs from chain dtype %s", a.DT, first.DT)
+			case a.count() != first.count():
+				err = opErr(st.Op.Kind, "A", ErrCount,
+					"has %d, chain has %d (chain stages share one batch count)", a.count(), first.count())
+			}
+		}
+		if err != nil && len(stages) > 1 {
+			err = &ChainError{Stage: i, Kind: st.Op.Kind, Err: err}
+		}
+		if id.err = err; err != nil {
+			return
+		}
+		for s := 0; s < st.NOps; s++ {
+			ids[i].alias[s] = int16(aliasOf(stages, i, s))
+		}
+		id.n++
+	}
+}
+
+// route is the list's home-shard identity: a one-stage list's key
+// identity, a chain's fold of its stages' identities, or 0 if invalid.
+func (id *listID) route() uint64 {
+	ids := id.entries()
+	switch {
+	case id.err != nil:
+		return 0
+	case len(ids) == 1:
+		return ids[0].key.identity()
+	}
+	h := uint64(len(ids))
+	for _, d := range ids {
+		h = mix64(h, d.key.identity())
+	}
+	return avalanche(h)
+}
+
+// fold mixes each entry's key identity and alias pattern into h.
+func (id *listID) fold(h uint64) uint64 {
+	for _, d := range id.entries() {
+		h = mix64(h, d.key.identity())
+		for _, a := range d.alias {
+			h = mix64(h, uint64(a))
+		}
+	}
+	return h
 }
 
 // shapeOf names a plan key's per-shape series; copied onto a span it is

@@ -25,11 +25,18 @@ import (
 // leaves every operand exactly as the serial prefix would have. Failures
 // are reported per call.Chain. ctx is checked before every stage.
 func (e *Engine) Run(ctx context.Context, stages []ChainStage, call Call) error {
+	var id listID
+	keyOf(&id, stages)
+	return e.run(ctx, stages, &id, call)
+}
+
+// run executes a stage list under the record the caller built.
+func (e *Engine) run(ctx context.Context, stages []ChainStage, id *listID, call Call) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sp := e.startSpan(&call)
-	err := call.result(stages, e.exec(ctx, stages, sp, true))
+	err := call.result(stages, e.exec(ctx, stages, id, sp, true))
 	e.obs.FinishSpan(sp, err, call.Sink)
 	return err
 }
@@ -37,35 +44,36 @@ func (e *Engine) Run(ctx context.Context, stages []ChainStage, call Call) error 
 // exec runs a stage list under the caller's span (nil = untraced).
 // autoPre gates the chain auto-prepack of pure chain inputs (off for
 // fused throwaway operands).
-func (e *Engine) exec(ctx context.Context, stages []ChainStage, sp *obs.Span, autoPre bool) error {
+func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span, autoPre bool) error {
 	if len(stages) == 1 {
-		return e.execOne(ctx, &stages[0], sp)
+		return e.execOne(ctx, &stages[0], id, sp)
 	}
-	return e.execChain(ctx, stages, sp, autoPre)
+	return e.execChain(ctx, stages, id, sp, autoPre)
 }
 
-// execOne runs a one-stage list: the op.
-func (e *Engine) execOne(ctx context.Context, st *ChainStage, sp *obs.Span) error {
+// execOne runs a one-stage list: the op. A cancelled context is
+// reported before the record's validation error.
+func (e *Engine) execOne(ctx context.Context, st *ChainStage, id *listID, sp *obs.Span) error {
 	if sp != nil {
 		sp.Op = st.Op.Kind.String()
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	key, err := stageKey(st)
-	if err != nil {
-		return err
+	if id.err != nil {
+		return id.err
 	}
+	key := id.entries()[0].key
 	r := stageRun{st: st, key: key, count: st.Ops[0].count(), sp: sp}
 	shape := shapeOf(key)
 	describe(sp, shape, r.count, st.Op.Workers)
 	t0 := e.clock(sp)
-	var flops float64
-	r.pv, r.series, flops, err = e.resolve(key, shape, r.count, st.Op.Workers)
+	pv, series, flops, err := e.resolve(key, shape, r.count, st.Op.Workers)
 	e.obs.Mark(sp, obs.PhasePlan, t0)
 	if err != nil {
 		return err
 	}
+	r.pv, r.series = pv, series
 	start := time.Now()
 	if st.Ops[0].F32 != nil {
 		err = execStage[float32](e, &r, nil)
@@ -79,11 +87,11 @@ func (e *Engine) execOne(ctx context.Context, st *ChainStage, sp *obs.Span) erro
 // execChain runs a multi-stage list as one planned chain: one parent
 // span (Op "CHAIN", Mode the stage-kind list) with per-stage children,
 // and the CHAIN per-shape series.
-func (e *Engine) execChain(ctx context.Context, stages []ChainStage, sp *obs.Span, autoPre bool) error {
+func (e *Engine) execChain(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span, autoPre bool) error {
 	if sp != nil {
 		sp.Op = "CHAIN"
 	}
-	cp, outcome, err := e.chainPlanFor(stages)
+	cp, outcome, err := e.chainPlanFor(stages, id)
 	if err != nil {
 		return err
 	}
@@ -114,14 +122,14 @@ func (e *Engine) execChain(ctx context.Context, stages []ChainStage, sp *obs.Spa
 func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage, cp *chainPlan, parent *obs.Span, series *obs.Series, autoPre bool) error {
 	var cb canonB[E]
 	defer cb.close(e)
-	count := stages[0].count()
+	count := stages[0].Ops[0].count()
 	for i := range stages {
 		kind := stages[i].Op.Kind
 		if err := ctx.Err(); err != nil {
 			return &ChainError{Stage: i, Kind: kind, Err: err}
 		}
-		spl := &cp.stages[i]
-		r := stageRun{st: &stages[i], key: spl.key, pv: spl.pv, count: count, stage: i,
+		spl, key := &cp.stages[i], cp.desc[i].key
+		r := stageRun{st: &stages[i], key: key, pv: spl.pv, count: count, stage: i,
 			donated: spl.donated, elideOut: spl.elideOut, series: series}
 		if autoPre {
 			r.auto = spl.autoPre
@@ -134,7 +142,7 @@ func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage,
 			child = e.obs.StartSpan(true)
 			child.ParentID = parent.ID
 			child.Op = kind.String()
-			describe(child, shapeOf(spl.key), count, stages[i].Op.Workers)
+			describe(child, shapeOf(key), count, stages[i].Op.Workers)
 		}
 		r.sp = child
 		err := execStage(e, &r, &cb)

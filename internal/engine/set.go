@@ -143,39 +143,13 @@ func jumpHash(key uint64, n int) int {
 	return int(b)
 }
 
-// homeKey is a stage list's routing identity: a one-stage list's plan
-// key identity, or for a chain the fold of its stages' identities. A
-// list that fails validation keys 0: it homes on a fixed shard and
-// fails there with the typed error it would get anywhere.
-func homeKey(stages []ChainStage) uint64 {
-	if len(stages) == 1 {
-		key, err := stageKey(&stages[0])
-		if err != nil {
-			return 0
-		}
-		return key.identity()
-	}
-	if checkChainLen(len(stages)) != nil {
-		return 0
-	}
-	h := uint64(len(stages))
-	for i := range stages {
-		key, err := stageKey(&stages[i])
-		if err != nil {
-			return 0
-		}
-		h = mix64(h, key.identity())
-	}
-	return avalanche(h)
-}
-
-// home picks the home shard of a stage list and counts the call there.
-// A set of one has nothing to choose.
-func (s *Set) home(stages []ChainStage) int {
+// home picks a list's home shard from its record and counts the call
+// there. A set of one has nothing to choose.
+func (s *Set) home(id *listID) int {
 	if len(s.engines) == 1 {
 		return 0
 	}
-	sh := jumpHash(homeKey(stages), len(s.engines))
+	sh := jumpHash(id.route(), len(s.engines))
 	s.routed[sh].Add(1)
 	return sh
 }
@@ -183,7 +157,9 @@ func (s *Set) home(stages []ChainStage) int {
 // Run executes a stage list synchronously on its home shard. Same
 // contract (and allocation budget) as Engine.Run.
 func (s *Set) Run(ctx context.Context, stages []ChainStage, call Call) error {
-	return s.engines[s.home(stages)].Run(ctx, stages, call)
+	var id listID
+	keyOf(&id, stages)
+	return s.engines[s.home(&id)].run(ctx, stages, &id, call)
 }
 
 // Submit enqueues a stage list on its home shard. If the home queue is
@@ -192,8 +168,10 @@ func (s *Set) Run(ctx context.Context, stages []ChainStage, call Call) error {
 // surfacing ErrQueueFull.
 func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	s.started.Do(s.startAll)
-	sh := s.home(stages)
-	fut, err := s.engines[sh].Submit(ctx, stages, call)
+	var id listID
+	keyOf(&id, stages)
+	sh := s.home(&id)
+	fut, err := s.engines[sh].submit(ctx, stages, &id, call)
 	if err == nil || !errors.Is(err, ErrQueueFull) || len(s.engines) == 1 {
 		return fut, err
 	}
@@ -202,7 +180,7 @@ func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Futu
 		return fut, err
 	}
 	s.fallbacks.Add(1)
-	fut2, err2 := s.engines[alt].Submit(ctx, stages, call)
+	fut2, err2 := s.engines[alt].submit(ctx, stages, &id, call)
 	if err2 != nil && errors.Is(err2, ErrQueueFull) {
 		s.fallbackRejects.Add(1)
 		return nil, err // surface the home shard's error

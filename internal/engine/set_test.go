@@ -36,6 +36,13 @@ func (so *setOperands) get(rows, cols int) Operand {
 	return op32(c)
 }
 
+// recordOf validates a stage list into a fresh identity record.
+func recordOf(stages []ChainStage) *listID {
+	id := new(listID)
+	keyOf(id, stages)
+	return id
+}
+
 // shaped returns an operand that is r×c after the trans flag applies.
 func (so *setOperands) shaped(r, c int, trans matrix.Trans) Operand {
 	if trans == matrix.Transpose {
@@ -81,23 +88,23 @@ func TestSetRoutingStability(t *testing.T) {
 		case OpSYRK:
 			ops = []Operand{so.shaped(n, k, op.TransA), so.get(n, n)}
 		}
-		st := one(op, ops...)
-		if _, err := stageKey(&st[0]); err != nil {
-			t.Fatalf("key %d: %v", i, err)
+		id := recordOf(one(op, ops...))
+		if id.err != nil {
+			t.Fatalf("key %d: %v", i, id.err)
 		}
 
-		sh := s.home(st)
-		if again := s.home(st); again != sh {
+		sh := s.home(id)
+		if again := s.home(recordOf(one(op, ops...))); again != sh {
 			t.Fatalf("key %d: route not deterministic: %d then %d", i, sh, again)
 		}
 		// Scalars and workers must not move the key.
 		op2 := op
 		op2.Alpha, op2.Beta, op2.Workers = complex(9, 0), complex(-3, 0), 99
-		if s.home(one(op2, ops...)) != sh {
+		if s.home(recordOf(one(op2, ops...))) != sh {
 			t.Fatalf("key %d: scalars/workers changed the route", i)
 		}
 		counts[sh]++
-		if jumpHash(homeKey(st), 5) != sh {
+		if jumpHash(id.route(), 5) != sh {
 			moved++
 		}
 	}
@@ -120,7 +127,7 @@ func setHomeGEMM(t *testing.T, s *Set, rng *rand.Rand, want, count int) (OpDesc,
 	desc := OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1, Workers: 1}
 	for n := 3; n < 64; n++ {
 		a, b, c := gemmReqOperands(rng, count, n, n, n)
-		if jumpHash(homeKey(one(desc, op32(a), op32(b), op32(c))), len(s.engines)) == want {
+		if jumpHash(recordOf(one(desc, op32(a), op32(b), op32(c))).route(), len(s.engines)) == want {
 			size := n
 			return desc, func() (a, b, c *layout.Compact[float32]) {
 				return gemmReqOperands(rng, count, size, size, size)
@@ -541,7 +548,7 @@ func TestSetOfOneIsSoloShard(t *testing.T) {
 	if e.rt.Sched.MaxWorkers() != 0 || e.obs.Shard() != -1 {
 		t.Errorf("1-shard set: worker cap %d, shard label %d; want 0, -1", e.rt.Sched.MaxWorkers(), e.obs.Shard())
 	}
-	if got := solo.home(one(OpDesc{Kind: OpGEMM})); got != 0 || solo.routed[0].Load() != 0 {
+	if got := solo.home(recordOf(one(OpDesc{Kind: OpGEMM}))); got != 0 || solo.routed[0].Load() != 0 {
 		t.Errorf("1-shard set: home %d, routed %d; want 0, 0", got, solo.routed[0].Load())
 	}
 	two := NewSet(core.DefaultTuning(), 2, QueueConfig{})
@@ -578,10 +585,95 @@ func TestSetSquareGEMMSpread(t *testing.T) {
 			} else {
 				o = Operand{DT: dt, F64: layout.NewCompact[float64](dt, 1, n, n)}
 			}
-			homes[s.home(one(OpDesc{Kind: OpGEMM}, o, o, o))]++
+			homes[s.home(recordOf(one(OpDesc{Kind: OpGEMM}, o, o, o)))]++
 		}
 		if homes[0] > 10 || homes[1] > 10 {
 			t.Errorf("%v square GEMMs of order 2-16 home %v over two shards, want at most 10 of 15 on either", dt, homes)
+		}
+	}
+}
+
+// TestSetHomeTable pins where valid stage lists home on two and five
+// shards: one-stage lists of every op (a TRSM with its unread TransB
+// set homes with its plain twin), the queue-fused GEMM→TRSM→TRSM chain,
+// LU→TRSM→TRSM and an aliased GEMM. Each list runs through Set.Run, and
+// its home is the shard whose Routed count rose. A change to how a
+// list's identity is derived must leave this table as it is.
+func TestSetHomeTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(230))
+	f32 := func(rows, cols int) Operand { return op32(randCompact(rng, 6, rows, cols)) }
+	f64 := func(rows, cols int) Operand { return opOf(vec.D, randCompactT[float64](rng, vec.D, 6, rows, cols)) }
+	// dom returns an order-n operand with a dominant diagonal, which
+	// every factorization and triangular solve here takes cleanly.
+	dom := func(dt vec.DType, n int) Operand {
+		if dt == vec.S {
+			return op32(triCompact(rng, 6, n))
+		}
+		c := randCompactT[float64](rng, vec.D, 6, n, n)
+		for v := 0; v < c.Count; v++ {
+			for i := 0; i < n; i++ {
+				c.Set(v, i, i, float64(n)+4, 0)
+			}
+		}
+		return opOf(vec.D, c)
+	}
+	stage := func(op OpDesc, ops ...Operand) ChainStage { return one(op, ops...)[0] }
+	lupiv := func(a Operand) []ChainStage {
+		st := one(OpDesc{Kind: OpLUPiv, Workers: 1}, a)
+		st[0].Piv = new(core.Pivots)
+		return st
+	}
+	sq := f32(6, 6)
+	l, u, c := dom(vec.D, 8), dom(vec.D, 8), f64(8, 8)
+	fa := dom(vec.D, 6)
+	fb := f64(6, 3)
+	lists := []struct {
+		name   string
+		stages []ChainStage
+		home   [2]int // on 2 and 5 shards
+	}{
+		{"gemm s NN 8", one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1}, f32(8, 8), f32(8, 8), f32(8, 8)), [2]int{0, 0}},
+		{"gemm s TN 5x7x3", one(OpDesc{Kind: OpGEMM, TransA: matrix.Transpose, Alpha: 1}, f32(3, 5), f32(3, 7), f32(5, 7)), [2]int{0, 3}},
+		{"gemm d NT 4x6x9", one(OpDesc{Kind: OpGEMM, TransB: matrix.Transpose, Alpha: 1}, f64(4, 9), f64(6, 9), f64(4, 6)), [2]int{1, 1}},
+		{"gemm d TT 16", one(OpDesc{Kind: OpGEMM, TransA: matrix.Transpose, TransB: matrix.Transpose, Alpha: 1}, f64(16, 16), f64(16, 16), f64(16, 16)), [2]int{0, 3}},
+		{"trsm s LLNN 6x4", one(OpDesc{Kind: OpTRSM, Uplo: matrix.Lower, Alpha: 1}, dom(vec.S, 6), f32(6, 4)), [2]int{0, 4}},
+		{"trsm s LLNN 6x4 TransB", one(OpDesc{Kind: OpTRSM, Uplo: matrix.Lower, TransB: matrix.Transpose, Alpha: 1}, dom(vec.S, 6), f32(6, 4)), [2]int{0, 4}},
+		{"trsm d RUTU 5x7", one(OpDesc{Kind: OpTRSM, Side: matrix.Right, Uplo: matrix.Upper, TransA: matrix.Transpose, Diag: matrix.Unit, Alpha: 1}, dom(vec.D, 7), f64(5, 7)), [2]int{1, 1}},
+		{"trmm s LU 8x3", one(OpDesc{Kind: OpTRMM, Uplo: matrix.Upper, Alpha: 1}, dom(vec.S, 8), f32(8, 3)), [2]int{0, 2}},
+		{"trmm d RLT 4", one(OpDesc{Kind: OpTRMM, Side: matrix.Right, Uplo: matrix.Lower, TransA: matrix.Transpose, Alpha: 1}, dom(vec.D, 4), f64(4, 4)), [2]int{1, 1}},
+		{"syrk s LN 6x4", one(OpDesc{Kind: OpSYRK, Uplo: matrix.Lower, Alpha: 1}, f32(6, 4), f32(6, 6)), [2]int{0, 4}},
+		{"syrk d UT 5x8", one(OpDesc{Kind: OpSYRK, Uplo: matrix.Upper, TransA: matrix.Transpose, Alpha: 1}, f64(8, 5), f64(5, 5)), [2]int{0, 2}},
+		{"lu s 5", one(OpDesc{Kind: OpLU, Workers: 1}, dom(vec.S, 5)), [2]int{1, 1}},
+		{"cholesky d 6", one(OpDesc{Kind: OpCholesky, Workers: 1}, dom(vec.D, 6)), [2]int{1, 2}},
+		{"lupiv s 7", lupiv(dom(vec.S, 7)), [2]int{1, 1}},
+		{"chain gemm+trsm+trsm d 8", []ChainStage{
+			stage(OpDesc{Kind: OpGEMM, Alpha: 1}, f64(8, 8), f64(8, 8), c),
+			stage(OpDesc{Kind: OpTRSM, Uplo: matrix.Lower, Diag: matrix.Unit, Alpha: 1}, l, c),
+			stage(OpDesc{Kind: OpTRSM, Uplo: matrix.Upper, Alpha: 1}, u, c),
+		}, [2]int{0, 0}},
+		{"chain lu+trsm+trsm d 6", []ChainStage{
+			stage(OpDesc{Kind: OpLU, Workers: 1}, fa),
+			stage(OpDesc{Kind: OpTRSM, Uplo: matrix.Lower, Diag: matrix.Unit, Alpha: 1}, fa, fb),
+			stage(OpDesc{Kind: OpTRSM, Uplo: matrix.Upper, Alpha: 1}, fa, fb),
+		}, [2]int{1, 2}},
+		{"gemm s 6 C=A", one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1}, sq, f32(6, 6), sq), [2]int{1, 2}},
+	}
+	sets := [2]*Set{NewSet(core.DefaultTuning(), 2, QueueConfig{}), NewSet(core.DefaultTuning(), 5, QueueConfig{})}
+	for _, l := range lists {
+		for j, s := range sets {
+			before := s.Stats().Shards
+			if err := s.Run(context.Background(), l.stages, Call{}); err != nil {
+				t.Fatalf("%s: %v", l.name, err)
+			}
+			home := -1
+			for i, sh := range s.Stats().Shards {
+				if sh.Routed == before[i].Routed+1 {
+					home = i
+				}
+			}
+			if home != l.home[j] {
+				t.Errorf("%s on %d shards homes on shard %d, want %d", l.name, s.Shards(), home, l.home[j])
+			}
 		}
 	}
 }

@@ -23,17 +23,6 @@ import (
 	"iatf/internal/vec"
 )
 
-// storeCounters is the engine's store-activity tally, guarded by storeMu.
-type storeCounters struct {
-	loads           uint64
-	loadMismatches  uint64
-	loadErrors      uint64
-	saves           uint64
-	saveErrors      uint64
-	kernelsImported uint64
-	plansRejected   uint64
-}
-
 // StoreStats is the persistent-store slice of Stats.
 type StoreStats struct {
 	Path        string // attached store file ("" = no store)
@@ -74,85 +63,57 @@ func (s *StoreStats) Add(o StoreStats) {
 func (e *Engine) storeStats() StoreStats {
 	e.storeMu.Lock()
 	defer e.storeMu.Unlock()
-	return StoreStats{
-		Path:            e.storePath,
-		Fingerprint:     e.fp,
-		Loads:           e.storeState.loads,
-		LoadMismatches:  e.storeState.loadMismatches,
-		LoadErrors:      e.storeState.loadErrors,
-		Saves:           e.storeState.saves,
-		SaveErrors:      e.storeState.saveErrors,
-		KernelsImported: e.storeState.kernelsImported,
-		PlansRejected:   e.storeState.plansRejected,
-	}
+	st := e.storeState
+	st.Path, st.Fingerprint = e.storePath, e.fp
+	return st
 }
 
 // Fingerprint returns the engine tuning's store fingerprint.
 func (e *Engine) Fingerprint() string { return e.fp }
 
-// SetStorePath attaches a store file path to the engine (Set.LoadStore
-// and Set.SaveStore read it from shard 0).
-func (e *Engine) SetStorePath(path string) {
-	e.storeMu.Lock()
-	e.storePath = path
-	e.storeMu.Unlock()
-}
-
-// StorePath returns the attached store file path ("" = none).
-func (e *Engine) StorePath() string {
-	e.storeMu.Lock()
-	defer e.storeMu.Unlock()
-	return e.storePath
-}
-
-// hydrate imports f's kernel schedules, installs each stored plan in the
-// engine home picks for its key, and counts the load on e. A descriptor
-// keyOfDesc or the plan constructors reject is skipped and counted: the
-// file may be corrupt, hostile or from a newer writer.
-func (e *Engine) hydrate(f *store.File, home func(planKey) *Engine) (plans, kernels int) {
-	kernels = core.ImportKernels(f.Kernels)
-	rejected := 0
+// hydrate imports f's kernel schedules, installs each stored plan on the
+// shard its key's identity homes on, and counts the load on shard 0. A
+// descriptor keyOfDesc or the plan constructors reject is skipped and
+// counted: the file may be corrupt, hostile or from a newer writer.
+func (s *Set) hydrate(f *store.File) {
+	kernels, rejected := core.ImportKernels(f.Kernels), 0
 	for _, d := range f.Plans {
 		key, err := keyOfDesc(d)
 		if err == nil {
-			var installed bool
-			installed, err = home(key).hydratePlan(key)
-			if installed {
-				plans++
-			}
+			err = s.engines[jumpHash(key.identity(), len(s.engines))].hydratePlan(key)
 		}
 		if err != nil {
 			rejected++
 		}
 	}
-	e.storeMu.Lock()
-	e.storeState.loads++
-	e.storeState.kernelsImported += uint64(kernels)
-	e.storeState.plansRejected += uint64(rejected)
-	e.storeMu.Unlock()
-	return plans, kernels
+	e0 := s.engines[0]
+	e0.storeMu.Lock()
+	e0.storeState.Loads++
+	e0.storeState.KernelsImported += uint64(kernels)
+	e0.storeState.PlansRejected += uint64(rejected)
+	e0.storeMu.Unlock()
 }
 
 // hydratePlan builds key's plan through the live constructor and
 // installs it marked hydrated, without touching the hit/miss counters.
 // It installs nothing when the entry already exists, and returns the
 // build error of a stored descriptor this tuning rejects.
-func (e *Engine) hydratePlan(key planKey) (bool, error) {
+func (e *Engine) hydratePlan(key planKey) error {
 	sh := e.planShard(key)
 	sh.mu.Lock()
 	_, exists := sh.m[key]
 	sh.mu.Unlock()
 	if exists {
-		return false, nil
+		return nil
 	}
 	v, err := e.buildForKey(key)
 	if err != nil {
-		return false, err
+		return err
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.m[key]; ok {
-		return false, nil // raced with a live build; the live plan wins
+		return nil // raced with a live build; the live plan wins
 	}
 	if len(sh.m) >= planShardCap {
 		sh.evictOne(e)
@@ -160,7 +121,7 @@ func (e *Engine) hydratePlan(key planKey) (bool, error) {
 	sh.m[key] = v
 	sh.hydrated[key] = true
 	e.planHydrated.Add(1)
-	return true, nil
+	return nil
 }
 
 // Warm resolves the plan for one problem descriptor through the regular
@@ -206,9 +167,11 @@ func descOfKey(k planKey) store.PlanDesc {
 // keyOfDesc converts a stored descriptor back to a cache key. It rejects
 // what no live call produces: kinds this build does not know (a store
 // written by a newer version), unknown dtypes and modes, negative
-// dimensions, and count buckets that are not powers of two. Dimension
-// limits are the plan constructors' own, which live calls meet too: a
-// shape too large to plan is refused there before anything is built.
+// dimensions, and count buckets that are not powers of two, in every
+// field; the key then keeps what its op reads (planKey.read), as a live
+// key does. Dimension limits are the plan constructors' own, which live
+// calls meet too: a shape too large to plan is refused there before
+// anything is built.
 func keyOfDesc(d store.PlanDesc) (planKey, error) {
 	kind := OpKind(d.Kind)
 	if d.Kind < int(OpGEMM) || d.Kind > int(OpLUPiv) {
@@ -234,22 +197,34 @@ func keyOfDesc(d store.PlanDesc) (planKey, error) {
 	if cb&(cb-1) != 0 {
 		return planKey{}, opErr(kind, "", ErrCount, "stored count bucket %d is not a power of two", cb)
 	}
-	return planKey{
+	key := planKey{
 		kind: kind, dt: vec.DType(d.DType), m: d.M, n: d.N, k: d.K,
 		transA: matrix.Trans(d.TransA), transB: matrix.Trans(d.TransB),
 		side: matrix.Side(d.Side), uplo: matrix.Uplo(d.Uplo), diag: matrix.Diag(d.Diag),
 		countBucket: cb,
-	}, nil
+	}
+	key.read()
+	return key, nil
 }
 
 // SetStorePath attaches a store path to the whole set. Shard 0 carries
 // the path for stats; loading and saving are set-level operations. It
 // does not load or save by itself — pair with LoadStore/SaveStore. An
 // empty path detaches.
-func (s *Set) SetStorePath(path string) { s.engines[0].SetStorePath(path) }
+func (s *Set) SetStorePath(path string) {
+	e0 := s.engines[0]
+	e0.storeMu.Lock()
+	e0.storePath = path
+	e0.storeMu.Unlock()
+}
 
 // StorePath returns the set's attached store path ("" = none).
-func (s *Set) StorePath() string { return s.engines[0].StorePath() }
+func (s *Set) StorePath() string {
+	e0 := s.engines[0]
+	e0.storeMu.Lock()
+	defer e0.storeMu.Unlock()
+	return e0.storePath
+}
 
 // Fingerprint returns the set's tuning fingerprint (all shards share
 // one tuning).
@@ -267,7 +242,7 @@ func (s *Set) Fingerprint() string { return s.engines[0].fp }
 // returned.
 func (s *Set) LoadStore() error {
 	e0 := s.engines[0]
-	path := e0.StorePath()
+	path := s.StorePath()
 	if path == "" {
 		return nil
 	}
@@ -278,9 +253,9 @@ func (s *Set) LoadStore() error {
 		case errors.Is(err, fs.ErrNotExist):
 			// Cold start: nothing to load, nothing to count.
 		case errors.Is(err, store.ErrMismatch):
-			e0.storeState.loadMismatches++
+			e0.storeState.LoadMismatches++
 		default:
-			e0.storeState.loadErrors++
+			e0.storeState.LoadErrors++
 		}
 		e0.storeMu.Unlock()
 		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, store.ErrMismatch) || errors.Is(err, store.ErrCorrupt) {
@@ -288,9 +263,7 @@ func (s *Set) LoadStore() error {
 		}
 		return err
 	}
-	e0.hydrate(f, func(key planKey) *Engine {
-		return s.engines[jumpHash(key.identity(), len(s.engines))]
-	})
+	s.hydrate(f)
 	return nil
 }
 
@@ -299,7 +272,7 @@ func (s *Set) LoadStore() error {
 // path (merge-free: the set's current view wins). No-op without a path.
 func (s *Set) SaveStore() error {
 	e0 := s.engines[0]
-	path := e0.StorePath()
+	path := s.StorePath()
 	if path == "" {
 		return nil
 	}
@@ -310,9 +283,9 @@ func (s *Set) SaveStore() error {
 	err := f.WriteAtomic(path)
 	e0.storeMu.Lock()
 	if err != nil {
-		e0.storeState.saveErrors++
+		e0.storeState.SaveErrors++
 	} else {
-		e0.storeState.saves++
+		e0.storeState.Saves++
 	}
 	e0.storeMu.Unlock()
 	return err

@@ -498,6 +498,65 @@ func TestStoreHostileDescriptorsFailSoft(t *testing.T) {
 	}
 }
 
+// TestWarmedKeysAreLiveKeys: Warm installs a stored descriptor under the
+// key its live call looks up, whatever unread fields the descriptor
+// sets — a factorization at count bucket 64 (its key ignores the
+// count), a TRSM with TransB or K, a GEMM with Side and Diag, a SYRK
+// with N and Side. The live call hits the warmed plan: no miss, one
+// entry.
+func TestWarmedKeysAreLiveKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(231))
+	sq := func(n int) Operand { return op32(triCompact(rng, 64, n)) }
+	cases := []struct {
+		name string
+		desc store.PlanDesc
+		live func() []ChainStage
+	}{
+		{"lu", store.PlanDesc{Kind: int(OpLU), M: 4, CountBucket: 64},
+			func() []ChainStage { return one(OpDesc{Kind: OpLU, Workers: 1}, sq(4)) }},
+		{"cholesky", store.PlanDesc{Kind: int(OpCholesky), M: 4, CountBucket: 64},
+			func() []ChainStage { return one(OpDesc{Kind: OpCholesky, Workers: 1}, sq(4)) }},
+		{"lupiv", store.PlanDesc{Kind: int(OpLUPiv), M: 4, CountBucket: 64},
+			func() []ChainStage {
+				st := one(OpDesc{Kind: OpLUPiv, Workers: 1}, sq(4))
+				st[0].Piv = new(core.Pivots)
+				return st
+			}},
+		{"trsm TransB", store.PlanDesc{Kind: int(OpTRSM), M: 4, N: 3, TransB: 1, CountBucket: 8},
+			func() []ChainStage {
+				return one(OpDesc{Kind: OpTRSM, TransB: matrix.Transpose, Alpha: 1, Workers: 1},
+					op32(triCompact(rng, 8, 4)), op32(randCompact(rng, 8, 4, 3)))
+			}},
+		{"trsm K", store.PlanDesc{Kind: int(OpTRSM), M: 4, N: 3, K: 5, CountBucket: 8},
+			func() []ChainStage {
+				return one(OpDesc{Kind: OpTRSM, Alpha: 1, Workers: 1}, op32(triCompact(rng, 8, 4)), op32(randCompact(rng, 8, 4, 3)))
+			}},
+		{"gemm Side Diag", store.PlanDesc{Kind: int(OpGEMM), M: 4, N: 5, K: 3, Side: 1, Diag: 1, CountBucket: 8},
+			func() []ChainStage {
+				a, b, c := gemmReqOperands(rng, 8, 4, 5, 3)
+				return one(OpDesc{Kind: OpGEMM, Side: matrix.Right, Diag: matrix.Unit, Alpha: 1, Workers: 1}, op32(a), op32(b), op32(c))
+			}},
+		{"syrk N Side", store.PlanDesc{Kind: int(OpSYRK), M: 4, N: 3, K: 3, Side: 1, CountBucket: 8},
+			func() []ChainStage {
+				return one(OpDesc{Kind: OpSYRK, Alpha: 1, Workers: 1}, op32(randCompact(rng, 8, 4, 3)), op32(randCompact(rng, 8, 4, 4)))
+			}},
+	}
+	for _, c := range cases {
+		e := New(core.DefaultTuning())
+		if err := e.Warm(c.desc); err != nil {
+			t.Fatalf("%s: warm: %v", c.name, err)
+		}
+		warmed := e.Stats()
+		if err := e.Run(context.Background(), c.live(), Call{}); err != nil {
+			t.Fatalf("%s: live call: %v", c.name, err)
+		}
+		s := e.Stats()
+		if misses, hits := s.PlanMisses-warmed.PlanMisses, s.PlanHits-warmed.PlanHits; misses != 0 || hits != 1 || s.PlanEntries != 1 {
+			t.Errorf("%s: the live call missed %d and hit %d times, %d entries; want 0, 1, 1", c.name, misses, hits, s.PlanEntries)
+		}
+	}
+}
+
 // keyOfDesc accepts only what a live call can key.
 func TestKeyOfDescRejectsWhatNoLiveCallKeys(t *testing.T) {
 	ok := store.PlanDesc{Kind: int(OpTRSM), DType: int(vec.Z), M: 16, N: 3, Side: 1, Uplo: 1, Diag: 1, TransA: 1, CountBucket: 8}
