@@ -1,13 +1,13 @@
 package iatf
 
 // Cross-op fusion: Chain executes a sequence of batched operations as
-// one planned unit. The chain planner analyzes which stage produces the
-// operand the next stage consumes and, where the packed layouts line
-// up (adjacent triangular stages over the same B), elides the
-// producer's scatter and the consumer's re-pack: the intermediate stays
-// in packed interleaved form between stages and results are bit-exact
-// with running the stages one by one. The analysis is cached per chain
-// shape, so iterative solvers pay for it once.
+// one call. Each stage plans through the plan cache and reports as its
+// op; where the packed layouts of adjacent triangular stages over the
+// same B line up, the call elides the producer's scatter and the
+// consumer's re-pack: the intermediate stays in packed interleaved form
+// between stages and results are bit-exact with running the stages one
+// by one. Operands the chain only reads are prepacked once, so
+// iterative solvers pack them on the first iteration only.
 
 import (
 	"context"
@@ -29,7 +29,7 @@ type ChainError = engine.ChainError
 
 // Stage is one operation of a Chain. Build stages with the
 // constructors below; a Stage is a value and may be rebuilt every
-// iteration (the chain plan is cached by shape, not by stage identity).
+// iteration (plans are cached by shape, not by stage identity).
 type Stage[T Scalar] struct {
 	inner engine.ChainStage
 }

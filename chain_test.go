@@ -238,7 +238,7 @@ func TestChainParityAsync(t *testing.T) {
 }
 
 // TestChainElision asserts the fusable pair actually skips the scatter
-// and re-pack, and that the chain plan replays from cache.
+// and re-pack, and that only the first run builds stage plans.
 func TestChainElision(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := iatf.NewEngine()

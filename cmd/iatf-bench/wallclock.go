@@ -206,7 +206,7 @@ func wcTriBatchU[T iatf.Scalar](count, n int) *iatf.Batch[T] {
 
 // wcChainFused times the canonical fusable pair — TRMM(Left,Upper) then
 // TRSM(Left,Upper) over the same B — as two separate engine calls
-// ("unchained") or as one iatf.Chain ("chained"): the chain plan keeps
+// ("unchained") or as one iatf.Chain ("chained"): the chain keeps
 // B packed across the stage boundary, eliding stage 0's scatter and
 // stage 1's repack. U⁻¹(U·B) = B exactly, so the timed loop is stable.
 // Both variants take the same options (wcOn), so the row compares the

@@ -233,7 +233,7 @@ func demoWorkload(eng *iatf.Engine) {
 		wg.Wait()
 	}
 	// Chained dispatch: a fusable TRMM→TRSM pair over one B, iterated so
-	// the chain-plan cache and the scatter/pack elision counters move.
+	// the chain counters and the scatter/pack elision counters move.
 	chain := func(m, n int) {
 		ca := diagBatch(m)
 		cb := iatf.Pack(iatf.NewBatch[float32](count, m, n))
@@ -309,8 +309,8 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		s.PackCache.Hits, s.PackCache.Builds, s.PackCache.Evictions,
 		s.PackCache.Stale, s.PackCache.Entries)
 	fmt.Println("chain dispatch:")
-	fmt.Printf("  runs %d, plan hits %d, misses %d, entries %d; scatter elided %d, pack elided %d\n",
-		s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses, s.Chain.PlanEntries,
+	fmt.Printf("  runs %d, plan hits %d, misses %d; scatter elided %d, pack elided %d\n",
+		s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses,
 		s.Chain.ScatterElided, s.Chain.PackElided)
 	fmt.Println("async submission queue:")
 	fmt.Printf("  submitted %d (inline %d), dispatches %d, coalesced %d (max fused %d)\n",

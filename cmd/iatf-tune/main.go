@@ -45,7 +45,8 @@ func main() {
 		"comma-separated shape list op:dtype:MxNxK[:flags] (default: built-in sweep);\n"+
 			"ops gemm, trsm, trmm, syrk, cholesky, lu, lupiv; dtypes f32, f64;\n"+
 			"flags tA tB (transpose), R (right side), U (upper), u (unit diagonal)")
-	counts := flag.String("counts", "1,64", "comma-separated batch counts to bake (bucketed to powers of two)")
+	counts := flag.String("counts", "1,64", "comma-separated batch counts to bake (bucketed to powers of two;\n"+
+		"factorizations bake once, at count bucket 1)")
 	dry := flag.Bool("dry", false, "resolve and report, but do not write the store")
 	flag.Parse()
 
@@ -75,16 +76,15 @@ func main() {
 	path := store.PathFor(dir, eng.Fingerprint())
 
 	start := time.Now()
-	baked, failed := 0, 0
+	failed := 0
 	for _, d := range descs {
 		if err := eng.Warm(d); err != nil {
 			failed++
 			fmt.Fprintf(os.Stderr, "iatf-tune: skip %+v: %v\n", d, err)
-			continue
 		}
-		baked++
 	}
 	f := eng.Export("iatf-tune")
+	baked := len(f.Plans) // descriptors whose counts share a bucket bake one plan
 	if prev, err := store.Load(path, eng.Fingerprint()); err == nil {
 		f.Merge(prev)
 	} else if !errors.Is(err, fs.ErrNotExist) {
@@ -138,7 +138,8 @@ var opKinds = map[string]engine.OpKind{
 var dtypes = map[string]vec.DType{"f32": vec.S, "f64": vec.D, "s": vec.S, "d": vec.D}
 
 // parseShapes decodes the -shapes syntax into one descriptor per
-// (shape, count): op:dtype:MxNxK[:flags].
+// (shape, count), op:dtype:MxNxK[:flags]; a factorization, whose plan
+// keys no count, gets one descriptor.
 func parseShapes(s string, countList []int) ([]store.PlanDesc, error) {
 	var out []store.PlanDesc
 	for _, spec := range strings.Split(s, ",") {
@@ -205,13 +206,23 @@ func parseShapes(s string, countList []int) ([]store.PlanDesc, error) {
 				return nil, fmt.Errorf("bad shape %q: unknown flag %q", spec, fl)
 			}
 		}
-		for _, c := range countList {
-			dc := d
-			dc.CountBucket = bucket(c)
-			out = append(out, dc)
-		}
+		out = appendCounts(out, d, countList)
 	}
 	return out, nil
+}
+
+// appendCounts appends d once per batch count (Engine.Warm buckets it),
+// or once for a factorization.
+func appendCounts(out []store.PlanDesc, d store.PlanDesc, countList []int) []store.PlanDesc {
+	switch engine.OpKind(d.Kind) {
+	case engine.OpLU, engine.OpCholesky, engine.OpLUPiv:
+		return append(out, d)
+	}
+	for _, c := range countList {
+		d.CountBucket = c
+		out = append(out, d)
+	}
+	return out
 }
 
 // defaultSweep covers the compact-BLAS working set: small square-ish
@@ -221,27 +232,17 @@ func defaultSweep(countList []int) []store.PlanDesc {
 	var out []store.PlanDesc
 	for _, dt := range []vec.DType{vec.S, vec.D} {
 		for _, n := range dims {
-			for _, c := range countList {
-				cb := bucket(c)
-				out = append(out,
-					store.PlanDesc{Kind: int(engine.OpGEMM), DType: int(dt), M: n, N: n, K: n, CountBucket: cb},
-					store.PlanDesc{Kind: int(engine.OpTRSM), DType: int(dt), M: n, N: n, CountBucket: cb},
-					store.PlanDesc{Kind: int(engine.OpTRMM), DType: int(dt), M: n, N: n, CountBucket: cb},
-					store.PlanDesc{Kind: int(engine.OpSYRK), DType: int(dt), M: n, K: n, CountBucket: cb},
-					store.PlanDesc{Kind: int(engine.OpCholesky), DType: int(dt), M: n, CountBucket: cb},
-					store.PlanDesc{Kind: int(engine.OpLU), DType: int(dt), M: n, CountBucket: cb},
-				)
+			for _, d := range []store.PlanDesc{
+				{Kind: int(engine.OpGEMM), DType: int(dt), M: n, N: n, K: n},
+				{Kind: int(engine.OpTRSM), DType: int(dt), M: n, N: n},
+				{Kind: int(engine.OpTRMM), DType: int(dt), M: n, N: n},
+				{Kind: int(engine.OpSYRK), DType: int(dt), M: n, K: n},
+				{Kind: int(engine.OpCholesky), DType: int(dt), M: n},
+				{Kind: int(engine.OpLU), DType: int(dt), M: n},
+			} {
+				out = appendCounts(out, d, countList)
 			}
 		}
 	}
 	return out
-}
-
-// bucket mirrors the engine's batch-count bucketing (next power of two).
-func bucket(c int) int {
-	b := 1
-	for b < c {
-		b <<= 1
-	}
-	return b
 }

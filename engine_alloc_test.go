@@ -129,6 +129,37 @@ func TestPrepackedSteadyStateAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("warm prepacked GEMM allocates %.0f objects/call, want <= 2", allocs)
 	}
+
+	// TRSM, TRMM and SYRK keep the same budget on the warm f64 8×8 path
+	// (the triangle prepacked, B solved in place): their span and series
+	// mode strings come from static tables, never a concatenation.
+	tri := Pack(randTriBatch[float64](rng, count, 8))
+	tri.Prepack()
+	a64 := Pack(randBatch[float64](rng, count, 8, 8))
+	b64 := Pack(randBatch[float64](rng, count, 8, 8))
+	c64 := Pack(randBatch[float64](rng, count, 8, 8))
+	for _, c := range []struct {
+		op     string
+		req    Request[float64]
+		pooled bool // packs into pooled buffers on every call
+	}{
+		{"TRSM", Request[float64]{Op: OpTRSM, Side: Left, Uplo: Lower, Alpha: 1, A: tri, B: b64}, false},
+		{"TRMM", Request[float64]{Op: OpTRMM, Side: Left, Uplo: Upper, TransA: Transpose, Diag: Unit, Alpha: 1, A: tri, B: b64}, false},
+		{"SYRK", Request[float64]{Op: OpSYRK, Uplo: Upper, TransA: Transpose, Alpha: 1, Beta: 0, A: a64, C: c64}, true},
+	} {
+		if c.pooled && raceEnabled {
+			continue
+		}
+		call := func() {
+			if err := Do(ctx, c.req, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		if allocs := testing.AllocsPerRun(50, call); allocs > 2 {
+			t.Errorf("warm %s allocates %.0f objects/call, want <= 2", c.op, allocs)
+		}
+	}
 }
 
 // TestTenantTracedSteadyStateAllocs proves tenant accounting and trace

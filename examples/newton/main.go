@@ -80,10 +80,9 @@ func main() {
 		cj, cr := iatf.Pack(jac), iatf.Pack(rhs)
 		tSolve := time.Now()
 		if *useChain {
-			// The whole iteration as one chain: the chain plan (stage
-			// analysis, per-stage execution plans, handoff decisions) is
-			// resolved on the first iteration and replayed from cache on
-			// every later one.
+			// The whole iteration as one call: each stage's execution
+			// plan is built on the first iteration and hit in the plan
+			// cache on every later one.
 			err := iatf.Chain(context.Background(), []iatf.Stage[float64]{
 				iatf.LUStage(cj),
 				iatf.TRSMStage(iatf.Left, iatf.Lower, iatf.NoTrans, iatf.Unit, 1, cj, cr),

@@ -68,6 +68,24 @@ func (t Tuning) lanes(dt vec.DType) int {
 	return t.Prof.Lanes(dt.ElemBytes())
 }
 
+// groupsPerBatch is the Batch Counter: the interleave groups one
+// super-batch packs so their working set fits the L1 budget. matElems
+// is one matrix's share of that working set in elements, so a group
+// holds matElems blocks. The result is at least one, ForceGroupsPerBatch
+// when set, and at most the groups of a count-matrix batch under the
+// tuned lane count.
+func (t Tuning) groupsPerBatch(dt vec.DType, matElems, count int) int {
+	gb := max(t.l1()/(matElems*blockLen(dt, t.lanes(dt))*dt.ElemBytes()), 1)
+	if t.ForceGroupsPerBatch > 0 {
+		gb = t.ForceGroupsPerBatch
+	}
+	lanes := dt.Pack()
+	if t.VL > 0 {
+		lanes = t.VL
+	}
+	return min(gb, (count+lanes-1)/lanes)
+}
+
 func (t Tuning) optimize(p asm.Prog, dt vec.DType) asm.Prog {
 	if t.DisableOptimizer {
 		return p
@@ -278,23 +296,7 @@ func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, er
 
 	// Batch Counter: packed A + packed B + the C tile per group must fit
 	// the L1 budget.
-	bl := blockLen(p.DT, tun.lanes(p.DT))
-	perGroup := (p.M*p.K + p.K*p.N + p.M*p.N) * bl * p.DT.ElemBytes()
-	gb := tun.l1() / perGroup
-	if gb < 1 {
-		gb = 1
-	}
-	if tun.ForceGroupsPerBatch > 0 {
-		gb = tun.ForceGroupsPerBatch
-	}
-	maxGroups := (p.Count + p.DT.Pack() - 1) / p.DT.Pack()
-	if tun.VL > 0 {
-		maxGroups = (p.Count + tun.VL - 1) / tun.VL
-	}
-	if gb > maxGroups {
-		gb = maxGroups
-	}
-	pl.GroupsPerBatch = gb
+	pl.GroupsPerBatch = tun.groupsPerBatch(p.DT, p.M*p.K+p.K*p.N+p.M*p.N, p.Count)
 
 	// Execution Plan Generator: one optimized kernel per tile and K chunk.
 	pl.KChunks = splitK(p.K)

@@ -77,20 +77,8 @@ func NewSYRKPlan(p SYRKProblem, tun Tuning) (*SYRKPlan, error) {
 	pl.Tiles = ktmpl.SplitDim(p.N, grid)
 	pl.KChunks = splitK(p.K)
 
-	bl := blockLen(p.DT, tun.lanes(p.DT))
-	perGroup := (2*p.N*p.K + p.N*p.N) * bl * p.DT.ElemBytes()
-	gb := tun.l1() / perGroup
-	if gb < 1 {
-		gb = 1
-	}
-	if tun.ForceGroupsPerBatch > 0 {
-		gb = tun.ForceGroupsPerBatch
-	}
-	maxGroups := (p.Count + p.DT.Pack() - 1) / p.DT.Pack()
-	if gb > maxGroups {
-		gb = maxGroups
-	}
-	pl.GroupsPerBatch = gb
+	// Batch Counter: op(A)'s two packed copies + C per group.
+	pl.GroupsPerBatch = tun.groupsPerBatch(p.DT, 2*p.N*p.K+p.N*p.N, p.Count)
 	return pl, nil
 }
 
@@ -151,16 +139,8 @@ func syrkWorker[E vec.Float](pl *SYRKPlan, a, c *layout.Compact[E], gLo, gHi int
 			// op(A) row panels (N-shape) and op(A)ᵀ column panels
 			// (Z-shape): for op(A)ᵀ the packed "B" operand reads op(A)
 			// with the opposite transposition.
-			dstA := packA[slot*lenA:]
-			dstT := packAT[slot*lenA:]
-			i0, offA, offT := 0, 0, 0
-			for _, q := range pl.Tiles {
-				npackAPanel(src, aRows, trans, i0, q, p.K, bl, dstA[offA:])
-				offA += q * p.K * bl
-				npackBPanel(src, aRows, !trans, i0, q, p.K, bl, dstT[offT:])
-				offT += q * p.K * bl
-				i0 += q
-			}
+			npackA(src, aRows, trans, pl.Tiles, p.K, bl, packA[slot*lenA:])
+			npackB(src, aRows, !trans, pl.Tiles, p.K, bl, packAT[slot*lenA:])
 		}
 		for g := sb; g < end; g++ {
 			slot := g - sb
@@ -211,56 +191,6 @@ func syrkWorker[E vec.Float](pl *SYRKPlan, a, c *layout.Compact[E], gLo, gHi int
 				i0 += mc
 			}
 		}
-	}
-}
-
-// npackAPanel packs a single N-shape panel at row offset i0.
-func npackAPanel[E vec.Float](src []E, rows int, trans bool, i0, mc, k, bl int, dst []E) {
-	cur := 0
-	if !trans {
-		run := mc * bl
-		s := i0 * bl
-		for l := 0; l < k; l++ {
-			copy(dst[cur:cur+run], src[s:s+run])
-			s += rows * bl
-			cur += run
-		}
-		return
-	}
-	colStride := rows * bl
-	base := i0 * colStride
-	for l := 0; l < k; l++ {
-		s := base + l*bl
-		for r := 0; r < mc; r++ {
-			copy(dst[cur:cur+bl], src[s:s+bl])
-			s += colStride
-			cur += bl
-		}
-	}
-}
-
-// npackBPanel packs a single Z-shape panel at column offset j0.
-func npackBPanel[E vec.Float](src []E, rows int, trans bool, j0, nc, k, bl int, dst []E) {
-	cur := 0
-	if !trans {
-		colStride := rows * bl
-		base := j0 * colStride
-		for l := 0; l < k; l++ {
-			s := base + l*bl
-			for cc := 0; cc < nc; cc++ {
-				copy(dst[cur:cur+bl], src[s:s+bl])
-				s += colStride
-				cur += bl
-			}
-		}
-		return
-	}
-	run := nc * bl
-	s := j0 * bl
-	for l := 0; l < k; l++ {
-		copy(dst[cur:cur+run], src[s:s+run])
-		s += rows * bl
-		cur += run
 	}
 }
 

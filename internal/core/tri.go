@@ -89,25 +89,11 @@ func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix
 	}
 	g.ColTiles = ktmpl.SplitDim(g.NEff, descending(ktmpl.MainTRSMKernel(dt).NC))
 
-	// Batch Counter: packed triangle + B per group within L1, capped at
-	// the batch's group count under the tuned lane count.
-	bl := blockLen(dt, tun.lanes(dt))
-	triElems := (g.MEff * (g.MEff + 1) / 2) * bl
-	perGroup := (triElems + g.MEff*g.NEff*bl) * dt.ElemBytes()
-	gb := tun.l1() / perGroup
-	if gb < 1 {
-		gb = 1
-	}
-	if tun.ForceGroupsPerBatch > 0 {
-		gb = tun.ForceGroupsPerBatch
-	}
-	lanes := dt.Pack()
-	if tun.VL > 0 {
-		lanes = tun.VL
-	}
-	g.GroupsPerBatch = min(gb, (count+lanes-1)/lanes)
+	// Batch Counter: packed triangle + B per group within L1.
+	g.GroupsPerBatch = tun.groupsPerBatch(dt, g.MEff*(g.MEff+1)/2+g.MEff*g.NEff, count)
 
 	// Kernels per panel × column-tile width.
+	bl := blockLen(dt, tun.lanes(dt))
 	r0, off := 0, 0
 	for _, q := range g.Panels {
 		st := triStep{r0: r0, q: q, rectOff: off, triOff: off + q*r0*bl,

@@ -337,19 +337,26 @@ func (q *submitQueue) start(e *Engine) {
 func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	var id listID
 	keyOf(&id, stages)
-	return e.submit(ctx, stages, &id, call)
+	r, err := e.request(ctx, stages, &id, call)
+	if err != nil {
+		return nil, err
+	}
+	if !e.admit(r) {
+		return nil, e.reject(r)
+	}
+	return r.fut, nil
 }
 
-// submit enqueues a stage list under the record the caller built.
-func (e *Engine) submit(ctx context.Context, stages []ChainStage, id *listID, call Call) (*Future, error) {
+// request builds a submission and opens its span (start = submission
+// time, so queued requests attribute the gap to PhaseQueueWait). A
+// context already done returns its error and no request.
+func (e *Engine) request(ctx context.Context, stages []ChainStage, id *listID, call Call) (*asyncReq, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	q := &e.queue
-	q.start(e)
 	r := &asyncReq{ctx: ctx, id: *id, call: call, fut: newFuture()}
 	if len(stages) == 1 {
 		r.one[0] = stages[0]
@@ -358,21 +365,28 @@ func (e *Engine) submit(ctx context.Context, stages []ChainStage, id *listID, ca
 		r.stages = append([]ChainStage(nil), stages...)
 	}
 	r.deadline, r.hasDL = ctx.Deadline()
-	// Span start = submission time, so queued requests attribute the gap
-	// to PhaseQueueWait.
 	r.sp = e.startSpan(&call)
 	if r.sp != nil && r.hasDL {
 		r.sp.Deadline = r.deadline.Sub(r.sp.Start)
 	}
+	return r, nil
+}
+
+// admit runs r on the calling goroutine when the queue is idle, else
+// queues it for the dispatcher. It reports false, leaving r untouched
+// and its span open, when the queue is full.
+func (e *Engine) admit(r *asyncReq) bool {
+	q := &e.queue
+	q.start(e)
 	// Idle fast path: nothing queued and no dispatch in flight — run on
 	// the submitting goroutine so a lone caller pays no queue round-trip.
 	if len(q.ch) == 0 && q.busy.CompareAndSwap(false, true) {
 		q.submitted.Add(1)
 		q.inline.Add(1)
-		err := e.exec(ctx, r.stages, &r.id, r.sp, true)
+		err := e.exec(r.ctx, r.stages, &r.id, r.sp, true)
 		q.busy.Store(false)
 		e.finish(r, err)
-		return r.fut, nil
+		return true
 	}
 	r.hash = r.bucketHash()
 	r.enq = e.obs.Now()
@@ -383,17 +397,24 @@ func (e *Engine) submit(ctx context.Context, stages []ChainStage, id *listID, ca
 		// just sent may already be in the dispatcher's hands (direct
 		// handoff empties the buffer before inflight is stamped), so the
 		// floor is 1: at this instant at least our own request is pending.
-		q.noteDepth(max(len(q.ch)+int(q.inflight.Load()), 1))
-		return r.fut, nil
+		storeMax(&q.depthHW, max(len(q.ch)+int(q.inflight.Load()), 1))
+		return true
 	default:
-		q.rejected.Add(1)
-		err := fmt.Errorf("iatf: %s: %w (capacity %d)", opName(stages), ErrQueueFull, cap(q.ch))
-		if r.sp != nil {
-			r.sp.Op = opName(stages)
-		}
-		e.obs.FinishSpan(r.sp, err, call.Sink)
-		return nil, err
+		return false
 	}
+}
+
+// reject refuses r for a full queue: the one Rejected count, and its
+// span finished with the typed ErrQueueFull.
+func (e *Engine) reject(r *asyncReq) error {
+	q := &e.queue
+	q.rejected.Add(1)
+	err := fmt.Errorf("iatf: %s: %w (capacity %d)", opName(r.stages), ErrQueueFull, cap(q.ch))
+	if r.sp != nil {
+		r.sp.Op = opName(r.stages)
+	}
+	e.obs.FinishSpan(r.sp, err, r.call.Sink)
+	return err
 }
 
 // finish completes a request that executed on its own: its span, then
@@ -404,11 +425,11 @@ func (e *Engine) finish(r *asyncReq, err error) {
 	r.fut.resolve(err)
 }
 
-// noteDepth raises the queue-depth high-water mark to depth (CAS-max).
-func (q *submitQueue) noteDepth(depth int) {
+// storeMax raises v to n (CAS-max).
+func storeMax(v *atomic.Int64, n int) {
 	for {
-		old := q.depthHW.Load()
-		if int64(depth) <= old || q.depthHW.CompareAndSwap(old, int64(depth)) {
+		old := v.Load()
+		if int64(n) <= old || v.CompareAndSwap(old, int64(n)) {
 			return
 		}
 	}
@@ -690,12 +711,7 @@ func (e *Engine) runBundle(reqs []*asyncReq) {
 		fused := reqs[:n]
 		solo = reqs[n:]
 		q.coalesced.Add(uint64(n - 1))
-		for {
-			old := q.maxFused.Load()
-			if int64(n) <= old || q.maxFused.CompareAndSwap(old, int64(n)) {
-				break
-			}
-		}
+		storeMax(&q.maxFused, n)
 		err := e.execFused(fused)
 		for _, r := range fused {
 			r.fut.resolve(r.call.result(r.stages, err))
@@ -770,8 +786,9 @@ func (e *Engine) execFused(reqs []*asyncReq) error {
 	err := e.exec(context.Background(), fstages, &fid, parent, false)
 	if err == nil {
 		t0 = e.clock(parent)
-		for a, w := range writtenAliases(lead.id.entries()) {
-			if !w {
+		w := written(lead.id.entries())
+		for a := range 3 * len(lead.stages) {
+			if !w.has(int16(a)) {
 				continue
 			}
 			if f := fused[a]; f.F32 != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/matrix"
+	"iatf/internal/obs"
+	"iatf/internal/vec"
 )
 
 // triDiagBoost makes a random square batch well conditioned for
@@ -320,5 +323,103 @@ func TestChainSetRouting(t *testing.T) {
 	}
 	if err := fut.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChainStagesReportAsOps: a chain's stages plan and report as their
+// ops. The queue-fused chain (f64 GEMM→TRSM→TRSM, 8×8), run cold and
+// then warm on a fresh engine, leaves the per-shape rows and plan-cache
+// deltas its stages leave as one-stage lists on another fresh engine —
+// no CHAIN row — and counts one chain run that built plans and one that
+// built none. A chain whose context dies before its second stage leaves
+// a row only for the stage that ran.
+func TestChainStagesReportAsOps(t *testing.T) {
+	const count, n = 13, 8
+	rng := rand.New(rand.NewSource(98))
+	base := make([]*layout.Compact[float64], 5) // A, B, C, L, U
+	for i := range base {
+		base[i] = randCompactT[float64](rng, vec.D, count, n, n)
+		if i >= 3 {
+			boostDiag(base[i])
+		}
+	}
+	stages := func() ([]ChainStage, *layout.Compact[float64]) {
+		o := make([]Operand, len(base))
+		for i, b := range base {
+			o[i] = opOf(vec.D, b.Clone())
+		}
+		lo := OpDesc{Kind: OpTRSM, Side: matrix.Left, Uplo: matrix.Lower, Diag: matrix.Unit, Alpha: 1, Workers: 1}
+		up := OpDesc{Kind: OpTRSM, Side: matrix.Left, Uplo: matrix.Upper, Alpha: 1, Workers: 1}
+		return []ChainStage{
+			one(OpDesc{Kind: OpGEMM, Alpha: 1, Workers: 1}, o[0], o[1], o[2])[0],
+			one(lo, o[3], o[2])[0],
+			one(up, o[4], o[2])[0],
+		}, o[2].F64
+	}
+	type record struct {
+		shapes []obs.ShapeSnapshot
+		plan   [3]uint64 // PlanHits, PlanMisses, PlanShared
+	}
+	observe := func(e *Engine) record {
+		st := e.Stats()
+		var r record
+		for _, s := range st.Shapes {
+			s.P50, s.P99, s.AvgGFLOPS, s.BestGFLOPS = 0, 0, 0, 0 // timing-dependent
+			s.PrepackHits, s.PrepackBuilds = 0, 0                // the chain auto-prepacks its inputs
+			r.shapes = append(r.shapes, s)
+		}
+		r.plan = [3]uint64{st.PlanHits, st.PlanMisses, st.PlanShared}
+		return r
+	}
+	ctx := context.Background()
+	tun := core.DefaultTuning()
+	chained, serial := New(tun), New(tun)
+	var outs [2]*layout.Compact[float64]
+	for i := 0; i < 2; i++ {
+		st, c := stages()
+		if err := chained.Run(ctx, st, Call{}); err != nil {
+			t.Fatal(err)
+		}
+		outs[0] = c
+		st, c = stages()
+		for j := range st {
+			if err := serial.Run(ctx, st[j:j+1], Call{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outs[1] = c
+	}
+	if !sameBits(outs[0].Data, outs[1].Data) {
+		t.Error("the chain's C is not bit-identical to its stages run one by one")
+	}
+	got, want := observe(chained), observe(serial)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chain record differs from its stages run as ops\n got %+v\nwant %+v", got, want)
+	}
+	for _, s := range got.shapes {
+		if s.Op == "CHAIN" {
+			t.Errorf("a chain left a CHAIN row: %+v", s)
+		}
+	}
+	if cs := chained.Stats().Chain; cs.Runs != 2 || cs.PlanMisses != 1 || cs.PlanHits != 1 {
+		t.Errorf("chain stats = %+v, want 2 runs, 1 plan miss, 1 plan hit", cs)
+	}
+	if cs := serial.Stats().Chain; cs != (ChainStats{}) {
+		t.Errorf("one-stage lists moved the chain stats: %+v", cs)
+	}
+
+	// One Err pass admits stage 0; the stage-1 check sees the cancel.
+	cut := New(tun)
+	st, _ := stages()
+	var ce *ChainError
+	if err := cut.Run(&countdownCtx{left: 1}, st, Call{}); !errors.As(err, &ce) || ce.Stage != 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want a cancelled ChainError at stage 1, got %v", err)
+	}
+	var rows []string
+	for _, s := range cut.Stats().Shapes {
+		rows = append(rows, s.Op+" "+s.Mode)
+	}
+	if want := []string{"GEMM NN"}; !reflect.DeepEqual(rows, want) {
+		t.Errorf("cancelled chain left rows %q, want %q", rows, want)
 	}
 }

@@ -283,15 +283,9 @@ type Engine struct {
 	storePath  string
 	storeState StoreStats
 
-	// Chain-plan cache (multi-stage runs): whole-chain analyses keyed by
-	// the hashed chain identity, with full-descriptor equality on lookup.
-	chainMu    sync.Mutex
-	chainPlans map[uint64][]*chainPlan
-	chainOrder []uint64
-
-	chainHits     atomic.Uint64
-	chainMisses   atomic.Uint64
+	// Chain dispatch counters (multi-stage runs only).
 	chainRuns     atomic.Uint64
+	chainMisses   atomic.Uint64 // runs that built a stage plan; the rest hit
 	scatterElided atomic.Uint64
 	packElided    atomic.Uint64
 
@@ -317,7 +311,6 @@ func newEngine(tun core.Tuning, qc QueueConfig) *Engine {
 		e.shards[i].hydrated = make(map[planKey]bool)
 	}
 	e.packs.m = make(map[packKey]*packEntry)
-	e.chainPlans = make(map[uint64][]*chainPlan)
 	return e
 }
 
@@ -486,12 +479,13 @@ func (s *Stats) Add(o Stats) {
 	s.Sched.Add(o.Sched)
 }
 
-// ChainStats is a snapshot of the chain dispatch counters.
+// ChainStats is a snapshot of the chain dispatch counters. A chain's
+// stages plan through the plan cache like any op; PlanHits and
+// PlanMisses split the chain runs by whether they built a plan.
 type ChainStats struct {
 	Runs          uint64 // multi-stage chains executed (sync, async and fused)
-	PlanHits      uint64 // chain-plan cache hits
-	PlanMisses    uint64 // chain-plan cache misses (analyses built)
-	PlanEntries   int    // cached chain plans
+	PlanHits      uint64 // chain runs that built no stage plan
+	PlanMisses    uint64 // chain runs that built at least one stage plan
 	ScatterElided uint64 // producer stages that skipped the B scatter
 	PackElided    uint64 // consumer stages that started from a donated image
 }
@@ -501,23 +495,19 @@ func (s *ChainStats) Add(o ChainStats) {
 	s.Runs += o.Runs
 	s.PlanHits += o.PlanHits
 	s.PlanMisses += o.PlanMisses
-	s.PlanEntries += o.PlanEntries
 	s.ScatterElided += o.ScatterElided
 	s.PackElided += o.PackElided
 }
 
+// chainStats loads misses before runs: a run is counted before its miss,
+// so the hits it derives never go negative.
 func (e *Engine) chainStats() ChainStats {
-	e.chainMu.Lock()
-	entries := 0
-	for _, bucket := range e.chainPlans {
-		entries += len(bucket)
-	}
-	e.chainMu.Unlock()
+	misses := e.chainMisses.Load()
+	runs := e.chainRuns.Load()
 	return ChainStats{
-		Runs:          e.chainRuns.Load(),
-		PlanHits:      e.chainHits.Load(),
-		PlanMisses:    e.chainMisses.Load(),
-		PlanEntries:   entries,
+		Runs:          runs,
+		PlanHits:      runs - misses,
+		PlanMisses:    misses,
 		ScatterElided: e.scatterElided.Load(),
 		PackElided:    e.packElided.Load(),
 	}
@@ -772,13 +762,14 @@ func (id *listID) fold(h uint64) uint64 {
 // also the request's problem descriptor.
 func shapeOf(key planKey) obs.ShapeKey {
 	s := obs.ShapeKey{Op: key.kind.String(), DType: key.dt.String(), M: key.m, N: key.n, K: key.k}
+	ta, up := bit(key.transA == matrix.Transpose), bit(key.uplo == matrix.Upper)
 	switch key.kind {
 	case OpGEMM:
-		s.Mode = gemmMode(key.transA, key.transB)
+		s.Mode = gemmModes[ta<<1|bit(key.transB == matrix.Transpose)]
 	case OpTRSM, OpTRMM:
-		s.Mode = key.side.String() + key.transA.String() + key.uplo.String() + key.diag.String()
+		s.Mode = triModes[bit(key.side == matrix.Right)<<3|ta<<2|up<<1|bit(key.diag == matrix.Unit)]
 	case OpSYRK:
-		s.Mode = key.transA.String() + key.uplo.String()
+		s.Mode = syrkModes[ta<<1|up]
 		s.N = key.m
 	default:
 		s.N = key.m
@@ -795,19 +786,22 @@ func describe(sp *obs.Span, s obs.ShapeKey, count, workers int) {
 	}
 }
 
-// gemmModes holds the four static GEMM mode strings so the warm path
-// never allocates building one.
-var gemmModes = [2][2]string{{"NN", "NT"}, {"TN", "TT"}}
+// The static mode strings of the per-shape series, indexed by the op's
+// flag bits in mode-string order, so the warm path never allocates one:
+// GEMM TransA·TransB, TRSM/TRMM Side·TransA·Uplo·Diag, SYRK Trans·Uplo.
+var (
+	gemmModes = [4]string{"NN", "NT", "TN", "TT"}
+	triModes  = [16]string{"LNLN", "LNLU", "LNUN", "LNUU", "LTLN", "LTLU", "LTUN", "LTUU",
+		"RNLN", "RNLU", "RNUN", "RNUU", "RTLN", "RTLU", "RTUN", "RTUU"}
+	syrkModes = [4]string{"NL", "NU", "TL", "TU"}
+)
 
-func gemmMode(ta, tb matrix.Trans) string {
-	i, j := 0, 0
-	if ta == matrix.Transpose {
-		i = 1
+// bit is 1 for a set mode flag.
+func bit(set bool) int {
+	if set {
+		return 1
 	}
-	if tb == matrix.Transpose {
-		j = 1
-	}
-	return gemmModes[i][j]
+	return 0
 }
 
 // cmarCeiling computes the plan's predicted GFLOPS ceiling from its main
@@ -864,25 +858,21 @@ func (e *Engine) planFacts(pv any, count int, summary bool) (ceiling float64, pa
 	return 0, "", 0, 0
 }
 
-// resolve looks up key's plan and the per-shape series it records into
-// (shape is shapeOf(key), built once by the caller): the series gets the
-// plan outcome, the worker split and — on a miss or a hydrated plan's
-// first use — the plan's static decisions. flops is the work of count
-// matrices.
-func (e *Engine) resolve(key planKey, shape obs.ShapeKey, count, workers int) (pv any, s *obs.Series, flops float64, err error) {
-	pv, outcome, err := e.plan(key, nil)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	s = e.obs.Series(shape)
-	s.Plan(outcome)
-	s.SetWorkers(sched.Resolve(workers))
-	summary := outcome == obs.CacheMiss || outcome == obs.CacheHydrated
-	ceiling, pack, gpb, flops := e.planFacts(pv, count, summary)
+// report opens a resolved stage's per-shape series for the call: the
+// series gets the plan outcome, the worker split and — on a miss or a
+// hydrated plan's first use — the plan's static decisions. It returns
+// the work of the stage's count matrices.
+func (e *Engine) report(r *stageRun) (flops float64) {
+	s := e.obs.Series(shapeOf(r.key))
+	s.Plan(r.outcome)
+	s.SetWorkers(sched.Resolve(r.st.Op.Workers))
+	summary := r.outcome == obs.CacheMiss || r.outcome == obs.CacheHydrated
+	ceiling, pack, gpb, flops := e.planFacts(r.pv, r.count, summary)
 	if summary {
 		s.SetPlan(ceiling, pack, gpb)
 	}
-	return pv, s, flops, nil
+	r.series = s
+	return flops
 }
 
 // gemmPackDesc names the GEMM packing decision for the per-shape series.

@@ -1,21 +1,21 @@
 // The stage executor: the one synchronous execution path. Every level-3
-// call is a stage list. A one-stage list is the op itself — its own
-// per-shape series, plan counters and span descriptor, with
-// no chain state touched; two or more stages run as one planned chain
-// (chain.go) over the same per-stage executor, which adds only the
-// canonical-B handoff between fusable triangular stages.
+// call is a stage list, and every list runs through one two-pass stage
+// loop: pass one resolves each stage's plan, pass two runs the stages,
+// each reporting into its own op's per-shape series. A one-stage list is
+// therefore exactly the op; a chain adds only its parent span and the
+// canonical-B handoff between fusable triangular stages (chain.go).
 package engine
 
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"iatf/internal/bufpool"
 	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/obs"
-	"iatf/internal/sched"
 	"iatf/internal/vec"
 )
 
@@ -42,117 +42,117 @@ func (e *Engine) run(ctx context.Context, stages []ChainStage, id *listID, call 
 }
 
 // exec runs a stage list under the caller's span (nil = untraced).
-// autoPre gates the chain auto-prepack of pure chain inputs (off for
-// fused throwaway operands).
+// Pass one resolves every stage's plan through the plan cache, so a plan
+// error returns before any stage runs, and for a chain decides the
+// canonical-B handoffs and auto-prepack marks from those plans; autoPre
+// gates the auto-prepack of pure chain inputs (off for fused throwaway
+// operands). Pass two (runStages) runs the stages.
 func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span, autoPre bool) error {
-	if len(stages) == 1 {
-		return e.execOne(ctx, &stages[0], id, sp)
-	}
-	return e.execChain(ctx, stages, id, sp, autoPre)
-}
-
-// execOne runs a one-stage list: the op. A cancelled context is
-// reported before the record's validation error.
-func (e *Engine) execOne(ctx context.Context, st *ChainStage, id *listID, sp *obs.Span) error {
+	chain := len(stages) > 1
 	if sp != nil {
-		sp.Op = st.Op.Kind.String()
+		sp.Op = opName(stages)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	// A one-stage list reports a dead context before its validation
+	// error; a chain checks the context before each stage instead.
+	if len(stages) == 1 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	if id.err != nil {
 		return id.err
 	}
-	key := id.entries()[0].key
-	r := stageRun{st: st, key: key, count: st.Ops[0].count(), sp: sp}
-	shape := shapeOf(key)
-	describe(sp, shape, r.count, st.Op.Workers)
-	t0 := e.clock(sp)
-	pv, series, flops, err := e.resolve(key, shape, r.count, st.Op.Workers)
-	e.obs.Mark(sp, obs.PhasePlan, t0)
-	if err != nil {
-		return err
-	}
-	r.pv, r.series = pv, series
-	start := time.Now()
-	if st.Ops[0].F32 != nil {
-		err = execStage[float32](e, &r, nil)
-	} else {
-		err = execStage[float64](e, &r, nil)
-	}
-	r.series.Record(time.Since(start), flops, err != nil)
-	return err
-}
-
-// execChain runs a multi-stage list as one planned chain: one parent
-// span (Op "CHAIN", Mode the stage-kind list) with per-stage children,
-// and the CHAIN per-shape series.
-func (e *Engine) execChain(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span, autoPre bool) error {
+	ids, count := id.entries(), stages[0].Ops[0].count()
 	if sp != nil {
-		sp.Op = "CHAIN"
+		// The call's descriptor: its op's, or for a chain the first
+		// operand's with the stage kinds joined ("LU+TRSM+TRSM").
+		shape := shapeOf(ids[0].key)
+		if chain {
+			a0 := stages[0].Ops[0]
+			shape = obs.ShapeKey{DType: a0.DT.String(), Mode: stages[0].Op.Kind.String(), M: a0.rows(), N: a0.cols()}
+			for _, st := range stages[1:] {
+				shape.Mode += "+" + st.Op.Kind.String()
+			}
+		}
+		describe(sp, shape, count, stages[0].Op.Workers)
 	}
-	cp, outcome, err := e.chainPlanFor(stages, id)
-	if err != nil {
-		return err
+	var buf [4]stagePlan // short lists plan on the stack
+	plans := slices.Grow(buf[:0], len(ids))[:len(ids)]
+	built := false
+	t0 := e.clock(sp)
+	for i := range ids {
+		p, key := &plans[i], ids[i].key
+		var err error
+		if p.pv, p.outcome, err = e.plan(key, nil); err != nil {
+			e.obs.Mark(sp, obs.PhasePlan, t0)
+			if chain {
+				return &ChainError{Stage: i, Kind: key.kind, Err: err}
+			}
+			return err
+		}
+		built = built || p.outcome == obs.CacheMiss
 	}
-	e.chainRuns.Add(1)
-	a0 := stages[0].Ops[0]
-	shape := obs.ShapeKey{Op: "CHAIN", DType: a0.DT.String(), Mode: cp.label, M: a0.rows(), N: a0.cols()}
-	count := a0.count()
-	describe(sp, shape, count, stages[0].Op.Workers)
-	series := e.obs.Series(shape)
-	series.Plan(outcome)
-	series.SetWorkers(sched.Resolve(stages[0].Op.Workers))
-	if outcome == obs.CacheMiss {
-		series.SetPlan(0, cp.fuseDesc, 1)
+	e.obs.Mark(sp, obs.PhasePlan, t0)
+	if chain {
+		e.chainRuns.Add(1)
+		if built {
+			e.chainMisses.Add(1)
+		}
+		planHandoffs(plans, ids, autoPre)
 	}
-	start := time.Now()
-	if a0.F32 != nil {
-		err = runStages[float32](e, ctx, stages, cp, sp, series, autoPre)
-	} else {
-		err = runStages[float64](e, ctx, stages, cp, sp, series, autoPre)
+	if stages[0].Ops[0].F32 != nil {
+		return runStages[float32](e, ctx, stages, ids, plans, sp)
 	}
-	series.Record(time.Since(start), cp.flopsPerMatrix*float64(count), err != nil)
-	return err
+	return runStages[float64](e, ctx, stages, ids, plans, sp)
 }
 
-// runStages is the typed chain loop. The canonical-B handoff threads
-// between stages, and every exit re-materializes a live image, so
-// callers always observe serial-prefix semantics.
-func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage, cp *chainPlan, parent *obs.Span, series *obs.Series, autoPre bool) error {
+// runStages is pass two, typed by the element type: each stage checks
+// the context (in a chain), reports into its op's per-shape series and
+// span — the call's own for a one-stage list, a child of it in a chain —
+// and executes. The canonical-B handoff threads between stages, and
+// every exit re-materializes a live image, so callers always observe
+// serial-prefix semantics.
+func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage, ids []stageID, plans []stagePlan, sp *obs.Span) error {
 	var cb canonB[E]
 	defer cb.close(e)
+	chain := len(stages) > 1
 	count := stages[0].Ops[0].count()
-	for i := range stages {
-		kind := stages[i].Op.Kind
-		if err := ctx.Err(); err != nil {
-			return &ChainError{Stage: i, Kind: kind, Err: err}
-		}
-		spl, key := &cp.stages[i], cp.desc[i].key
-		r := stageRun{st: &stages[i], key: key, pv: spl.pv, count: count, stage: i,
-			donated: spl.donated, elideOut: spl.elideOut, series: series}
-		if autoPre {
-			r.auto = spl.autoPre
-		}
-		// child stays a local of its own: finishing it through a field of
-		// r would let escape analysis move the caller's stage array to
-		// the heap.
-		var child *obs.Span
-		if parent != nil {
-			child = e.obs.StartSpan(true)
-			child.ParentID = parent.ID
-			child.Op = kind.String()
-			describe(child, shapeOf(key), count, stages[i].Op.Workers)
+	for i := range plans {
+		// r and child stay locals of their own: storing the stage pointer
+		// into the caller's plan array, or finishing child through a field
+		// of r, would let escape analysis move the caller's stage array
+		// to the heap.
+		r := stageRun{stagePlan: plans[i], st: &stages[i], key: ids[i].key, count: count, stage: i}
+		kind := r.key.kind
+		child := sp
+		if chain {
+			if err := ctx.Err(); err != nil {
+				return &ChainError{Stage: i, Kind: kind, Err: err}
+			}
+			child = nil
+			if sp != nil {
+				child = e.obs.StartSpan(true)
+				child.ParentID = sp.ID
+				child.Op = kind.String()
+				describe(child, shapeOf(r.key), r.count, r.st.Op.Workers)
+			}
 		}
 		r.sp = child
+		t0 := e.clock(child)
+		flops := e.report(&r)
+		e.obs.Mark(child, obs.PhasePlan, t0)
+		start := time.Now()
 		err := execStage(e, &r, &cb)
-		if parent != nil {
-			parent.PrepackHits += child.PrepackHits
-			parent.PrepackBuilds += child.PrepackBuilds
+		r.series.Record(time.Since(start), flops, err != nil)
+		if chain {
+			if sp != nil {
+				sp.PrepackHits += child.PrepackHits
+				sp.PrepackBuilds += child.PrepackBuilds
+			}
+			e.obs.FinishSpan(child, err, nil)
 		}
-		e.obs.FinishSpan(child, err, nil)
 		if err != nil {
-			if _, ok := err.(*ChainError); ok {
+			if _, ok := err.(*ChainError); ok || !chain {
 				return err
 			}
 			return &ChainError{Stage: i, Kind: kind, Err: err}
@@ -161,18 +161,24 @@ func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage,
 	return nil
 }
 
-// stageRun is one stage's resolved execution state.
-type stageRun struct {
-	st    *ChainStage
-	key   planKey
-	pv    any // cached core plan; a *factorPlan for factorizations
-	count int
-	stage int // index in the stage list (singular-factor attribution)
+// stagePlan is what pass one resolves for one stage of a call.
+type stagePlan struct {
+	pv      any // cached core plan; a *factorPlan for factorizations
+	outcome obs.CacheOutcome
 
 	auto              [3]bool // operand slots to auto-prepack (pure chain inputs)
 	donated, elideOut bool    // canonical-B handoff in / out
+}
 
-	series *obs.Series // receives the prepack outcomes
+// stageRun is one stage's resolved execution state.
+type stageRun struct {
+	stagePlan
+	st    *ChainStage
+	key   planKey
+	count int
+	stage int // index in the stage list (singular-factor attribution)
+
+	series *obs.Series // the op's per-shape series: the call and its prepack outcomes
 	sp     *obs.Span   // receives phases and prepack outcomes; nil = untraced
 }
 
@@ -242,8 +248,8 @@ func prepacked[E vec.Float](e *Engine, r *stageRun, c *layout.Compact[E], s int,
 // execStage runs one stage on the native kernels: it splices the call's
 // scalars and count into a stack copy of the cached plan, resolves
 // prepacked operands, executes, and retires packed images of the
-// operand the stage wrote. cb carries a chain's canonical-B handoff
-// (nil for a one-stage run, which never hands off).
+// operand the stage wrote. cb carries a chain's canonical-B handoff (a
+// one-stage run never hands off).
 func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 	st, op := r.st, &r.st.Op
 	labels := e.profileLabels(r.key)

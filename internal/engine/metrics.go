@@ -254,7 +254,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 	}{
 		{"iatf_plan_cache_entries", func(st *Stats) float64 { return float64(st.PlanEntries) }},
 		{"iatf_pack_cache_entries", func(st *Stats) float64 { return float64(st.PackCache.Entries) }},
-		{"iatf_chain_plan_entries", func(st *Stats) float64 { return float64(st.Chain.PlanEntries) }},
 		{"iatf_queue_depth", func(st *Stats) float64 { return float64(st.Queue.Depth) }},
 		{"iatf_queue_capacity", func(st *Stats) float64 { return float64(st.Queue.Capacity) }},
 		{"iatf_queue_depth_high_water", func(st *Stats) float64 { return float64(st.Queue.DepthHighWater) }},

@@ -107,27 +107,19 @@ func (pc *packCache) removeLocked(k packKey, ent *packEntry) {
 	pc.release(ent)
 }
 
-// lookupPacked is the warm fast path: it takes a reference on a cached
-// image without evaluating any build closure, so a hit costs one mutex
-// round and zero allocations. ok is false on miss — the caller then
-// goes through buildPacked.
-func lookupPacked[E vec.Float](e *Engine, key packKey) (ent *packEntry, data []E, ok bool, err error) {
-	pc := &e.packs
-	pc.mu.Lock()
-	ent, ok = pc.m[key]
-	if !ok {
-		pc.mu.Unlock()
-		return nil, nil, false, nil
-	}
+// awaitPacked takes a reference on an entry found under pc.mu, unlocks
+// and waits for its build: a hit costs one mutex round and zero
+// allocations.
+func awaitPacked[E vec.Float](pc *packCache, ent *packEntry) (*packEntry, []E, error) {
 	ent.refs.Add(1)
 	pc.hits++
 	pc.mu.Unlock()
 	<-ent.done
 	if ent.err != nil {
 		pc.release(ent)
-		return nil, nil, true, ent.err
+		return nil, nil, ent.err
 	}
-	return ent, ent.data.([]E), true, nil
+	return ent, ent.data.([]E), nil
 }
 
 // buildPacked resolves a miss: it purges stale generations of the same
@@ -138,16 +130,7 @@ func buildPacked[E vec.Float](e *Engine, key packKey, length int, build func([]E
 	pc := &e.packs
 	pc.mu.Lock()
 	if ent, ok := pc.m[key]; ok {
-		// Lost the race to another builder: behave like a hit.
-		ent.refs.Add(1)
-		pc.hits++
-		pc.mu.Unlock()
-		<-ent.done
-		if ent.err != nil {
-			pc.release(ent)
-			return nil, nil, ent.err
-		}
-		return ent, ent.data.([]E), nil
+		return awaitPacked[E](pc, ent) // lost the race to another builder
 	}
 	for k, old := range pc.m {
 		if k.id == key.id && k.role == key.role && k.plan == key.plan && k.gen != key.gen {
@@ -213,12 +196,18 @@ func buildPacked[E vec.Float](e *Engine, key packKey, length int, build func([]E
 	return ent, data, nil
 }
 
-// acquirePacked combines the fast and slow paths. hit reports whether
-// the image came from cache (for the per-shape prepack counters).
+// acquirePacked takes a reference on key's packed image — the warm fast
+// path evaluates no build closure — and builds it on a miss. hit
+// reports whether the image came from cache (for the per-shape prepack
+// counters).
 func acquirePacked[E vec.Float](e *Engine, key packKey, length int, build func([]E) error) (ent *packEntry, data []E, hit bool, err error) {
-	if ent, data, ok, err := lookupPacked[E](e, key); ok {
+	pc := &e.packs
+	pc.mu.Lock()
+	if ent, ok := pc.m[key]; ok {
+		ent, data, err := awaitPacked[E](pc, ent)
 		return ent, data, true, err
 	}
+	pc.mu.Unlock()
 	ent, data, err = buildPacked(e, key, length, build)
 	return ent, data, false, err
 }

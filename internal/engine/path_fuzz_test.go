@@ -40,8 +40,9 @@ func (l *pathList) operand(rows, cols int, tri bool) int {
 }
 
 // drawPath builds a valid list from a draw: a GEMM, TRSM, TRMM or SYRK,
-// or the GEMM→TRSM→TRSM chain, with modes' bits as TransA, TransB,
-// Side, Uplo and Diag on every stage, read by its op or not.
+// the GEMM→TRSM→TRSM chain, or TRMM then TRSM over one triangle and one
+// B, with modes' bits as TransA, TransB, Side, Uplo and Diag on every
+// stage, read by its op or not.
 func drawPath(kind, modes uint8, m, n, k int, alpha, beta complex128) pathList {
 	bit := func(i int) int { return int(modes>>i) & 1 }
 	op := OpDesc{TransA: matrix.Trans(bit(0)), TransB: matrix.Trans(bit(1)), Side: matrix.Side(bit(2)),
@@ -62,28 +63,32 @@ func drawPath(kind, modes uint8, m, n, k int, alpha, beta complex128) pathList {
 		l.stages = append(l.stages, pathStage{g, []int{a, b, c}})
 		return c
 	}
-	switch kind % 5 {
-	case 0:
-		gemm()
-	case 1, 2:
-		t := op
-		t.Kind = OpTRSM
-		if kind%5 == 2 {
-			t.Kind = OpTRMM
-		}
+	tri := func(kinds ...OpKind) {
 		d := m
-		if t.Side == matrix.Right {
+		if op.Side == matrix.Right {
 			d = n
 		}
 		a, b := l.operand(d, d, true), l.operand(m, n, false)
-		l.stages = append(l.stages, pathStage{t, []int{a, b}})
+		for _, k := range kinds {
+			t := op
+			t.Kind = k
+			l.stages = append(l.stages, pathStage{t, []int{a, b}})
+		}
+	}
+	switch kind % 6 {
+	case 0:
+		gemm()
+	case 1:
+		tri(OpTRSM)
+	case 2:
+		tri(OpTRMM)
 	case 3:
 		s := op
 		s.Kind = OpSYRK
 		ar, ac := shaped(m, k, s.TransA)
 		a, c := l.operand(ar, ac, false), l.operand(m, m, false)
 		l.stages = append(l.stages, pathStage{s, []int{a, c}})
-	default:
+	case 4:
 		// The queue-fused chain: C = U⁻¹·L⁻¹·op(A)·op(B).
 		c := gemm()
 		lo, up := op, op
@@ -92,6 +97,11 @@ func drawPath(kind, modes uint8, m, n, k int, alpha, beta complex128) pathList {
 		l.stages = append(l.stages,
 			pathStage{lo, []int{l.operand(m, m, true), c}},
 			pathStage{up, []int{l.operand(m, m, true), c}})
+	default:
+		// The fusable pair: B stays packed between the stages when both
+		// plans canonicalize it alike (Left, Upper, NoTrans does), else
+		// each stage solves it in place.
+		tri(OpTRMM, OpTRSM)
 	}
 	return l
 }
@@ -121,15 +131,16 @@ type pathRig struct {
 }
 
 // FuzzPathParity draws one valid stage list — a GEMM, TRSM, TRMM or
-// SYRK, or the GEMM→TRSM→TRSM chain — over f32 or f64, every mode flag
-// (those its ops do not read included), dims 1–17, a count that is not
-// a multiple of P, and Alpha and Beta from 0, −0, 1, −2.5, NaN, ±Inf and
-// the smallest subnormal. It runs the list four ways on clones of its
-// operands: Run on a one-shard set, Run on a two-shard set, Run with
-// Call{Chain: true}, and two Submits fused behind a held dispatcher, the
-// second with every unread field flipped. Every operand must end
-// bit-identical to the first way's, and the two Submits must coalesce
-// exactly once.
+// SYRK, the GEMM→TRSM→TRSM chain, or TRMM then TRSM over one triangle
+// and one B — over f32 or f64, every mode flag (those its ops do not
+// read included), dims 1–17, a count that is not a multiple of P, and
+// Alpha and Beta from 0, −0, 1, −2.5, NaN, ±Inf and the smallest
+// subnormal. It runs the list five ways on clones of its operands: Run
+// on a one-shard set, each stage as its own one-stage Run in order (the
+// serial reference), Run on a two-shard set, Run with Call{Chain: true},
+// and two Submits fused behind a held dispatcher, the second with every
+// unread field flipped. Every operand must end bit-identical to the
+// first way's, and the two Submits must coalesce exactly once.
 func FuzzPathParity(f *testing.F) {
 	tun := core.DefaultTuning()
 	rig := &pathRig{
@@ -211,6 +222,14 @@ func pathParity[E vec.Float](t *testing.T, rig *pathRig, l pathList, dt vec.DTyp
 			}
 		}
 	}
+	serial := clones()
+	st := stages(serial, false)
+	for i := range st {
+		if err := rig.solo.Run(ctx, st[i:i+1], Call{}); err != nil {
+			t.Fatalf("stage %d run alone: %v", i, err)
+		}
+	}
+	check("stages run one by one", serial)
 	for _, way := range []struct {
 		name string
 		s    *Set

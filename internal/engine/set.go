@@ -40,7 +40,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -165,27 +164,29 @@ func (s *Set) Run(ctx context.Context, stages []ChainStage, call Call) error {
 // Submit enqueues a stage list on its home shard. If the home queue is
 // full the request falls back to the least-loaded sibling once (losing
 // cache affinity for that one call but keeping it alive) before
-// surfacing ErrQueueFull.
+// surfacing ErrQueueFull. Either way the call is one request with one
+// span: a refusal is recorded once, on its home shard.
 func (s *Set) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	s.started.Do(s.startAll)
 	var id listID
 	keyOf(&id, stages)
 	sh := s.home(&id)
-	fut, err := s.engines[sh].submit(ctx, stages, &id, call)
-	if err == nil || !errors.Is(err, ErrQueueFull) || len(s.engines) == 1 {
-		return fut, err
+	home := s.engines[sh]
+	r, err := home.request(ctx, stages, &id, call)
+	if err != nil {
+		return nil, err
 	}
-	alt := s.leastLoaded(sh)
-	if alt == sh {
-		return fut, err
+	if home.admit(r) {
+		return r.fut, nil
 	}
-	s.fallbacks.Add(1)
-	fut2, err2 := s.engines[alt].submit(ctx, stages, &id, call)
-	if err2 != nil && errors.Is(err2, ErrQueueFull) {
+	if alt := s.leastLoaded(sh); alt != sh {
+		s.fallbacks.Add(1)
+		if s.engines[alt].admit(r) {
+			return r.fut, nil
+		}
 		s.fallbackRejects.Add(1)
-		return nil, err // surface the home shard's error
 	}
-	return fut2, err2
+	return nil, home.reject(r)
 }
 
 // leastLoaded returns the shard with the shallowest queue, excluding
@@ -317,14 +318,9 @@ func (s *Set) Stats() SetStats {
 // submission-queue counters — the cheap admission-control view of the
 // whole set (no shape series or cache snapshots; see Engine.QueueStats).
 func (s *Set) QueueStats() QueueStats {
-	var agg QueueStats
-	for i, e := range s.engines {
-		if i == 0 {
-			agg = e.queue.snapshot()
-			continue
-		}
-		st := e.queue.snapshot()
-		agg.Add(st)
+	agg := s.engines[0].queue.snapshot()
+	for _, e := range s.engines[1:] {
+		agg.Add(e.queue.snapshot())
 	}
 	return agg
 }

@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/matrix"
+	"iatf/internal/obs"
 	"iatf/internal/vec"
 )
 
@@ -258,6 +262,14 @@ func TestSetQueueFullFallback(t *testing.T) {
 			t.Fatalf("shard %d capacity %d before the first Submit, want 1", i, got)
 		}
 	}
+	s.SetTenants(map[string]obs.TenantObjective{})
+	var mu sync.Mutex
+	spans := map[string][]obs.Span{} // by origin
+	sink := func(sp *obs.Span) {
+		mu.Lock()
+		spans[sp.Origin] = append(spans[sp.Origin], *sp)
+		mu.Unlock()
+	}
 
 	desc0, mk0 := setHomeGEMM(t, s, rng, 0, 8)
 	desc1, mk1 := setHomeGEMM(t, s, rng, 1, 8)
@@ -265,9 +277,15 @@ func TestSetQueueFullFallback(t *testing.T) {
 	entered1, gate1 := holdDispatcher(s.engines[1])
 
 	ctx := context.Background()
-	submit := func(desc OpDesc, mk func() (a, b, c *layout.Compact[float32])) (*Future, error) {
+	submit := func(desc OpDesc, mk func() (a, b, c *layout.Compact[float32]), origin string) (*Future, error) {
 		a, b, c := mk()
-		return s.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{})
+		return s.Submit(ctx, one(desc, op32(a), op32(b), op32(c)), Call{Origin: origin, Sink: sink})
+	}
+	rejected := func() (n [2]uint64) {
+		for i, e := range s.engines {
+			n[i] = e.QueueStats().Rejected
+		}
+		return n
 	}
 
 	// Park both dispatchers, each on an occupier routed to it (retrying
@@ -276,25 +294,31 @@ func TestSetQueueFullFallback(t *testing.T) {
 	occ1, _ := parkOccupier(t, s, desc1, mk1, entered1)
 
 	// Fill home (shard 0): one slot.
-	q1, err := submit(desc0, mk0)
+	q1, err := submit(desc0, mk0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Home full -> sibling fallback, no error.
-	q2, err := submit(desc0, mk0)
+	// Home full -> sibling fallback, no error and no rejection.
+	q2, err := submit(desc0, mk0, "fallback")
 	if err != nil {
 		t.Fatalf("fallback submission failed: %v", err)
 	}
 	if got := s.Stats().Fallbacks; got != 1 {
 		t.Errorf("fallbacks = %d, want 1", got)
 	}
-	// Both full -> typed backpressure.
-	if _, err := submit(desc0, mk0); !errors.Is(err, ErrQueueFull) {
+	if got := rejected(); got != [2]uint64{} {
+		t.Errorf("a call the sibling took counted rejections %v", got)
+	}
+	// Both full -> typed backpressure, refused once, on the home shard.
+	if _, err := submit(desc0, mk0, "refused"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("both-full submission: err = %v, want ErrQueueFull", err)
 	}
 	st := s.Stats()
 	if st.FallbackRejects != 1 {
 		t.Errorf("fallback rejects = %d, want 1", st.FallbackRejects)
+	}
+	if got := rejected(); got != [2]uint64{1, 0} {
+		t.Errorf("rejections per shard %v, want [1 0]", got)
 	}
 
 	close(gate0)
@@ -303,6 +327,24 @@ func TestSetQueueFullFallback(t *testing.T) {
 		if err := f.Err(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// One record per call: one span and one tenant request each.
+	mu.Lock()
+	defer mu.Unlock()
+	if sp := spans["fallback"]; len(sp) != 1 || sp[0].Error != "" {
+		t.Errorf("fallback call left spans %+v, want one successful span", sp)
+	}
+	if sp := spans["refused"]; len(sp) != 1 || !strings.Contains(sp[0].Error, ErrQueueFull.Error()) {
+		t.Errorf("refused call left spans %+v, want one ErrQueueFull span", sp)
+	}
+	ledger := map[string]string{}
+	for _, ts := range s.TenantStats() {
+		ledger[ts.Name] = fmt.Sprintf("requests=%d errors=%d sheds=%d", ts.Requests, ts.Errors, ts.Sheds)
+	}
+	want := map[string]string{"fallback": "requests=1 errors=0 sheds=0", "refused": "requests=1 errors=0 sheds=1"}
+	if !reflect.DeepEqual(ledger, want) {
+		t.Errorf("tenant ledger %v, want %v", ledger, want)
 	}
 }
 

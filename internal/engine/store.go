@@ -126,9 +126,11 @@ func (e *Engine) hydratePlan(key planKey) error {
 
 // Warm resolves the plan for one problem descriptor through the regular
 // cache path (building it on miss) — the pre-baking primitive behind
-// iatf-tune. The build error, if any, is returned so tuners can report
-// shapes the tuning rejects.
+// iatf-tune. d.CountBucket may be any batch count: Warm buckets it as a
+// live call buckets its count. The build error, if any, is returned so
+// tuners can report shapes the tuning rejects.
 func (e *Engine) Warm(d store.PlanDesc) error {
+	d.CountBucket = countBucket(d.CountBucket)
 	key, err := keyOfDesc(d)
 	if err != nil {
 		return err

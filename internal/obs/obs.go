@@ -355,6 +355,9 @@ func sortSnapshots(out []ShapeSnapshot) {
 		if a.DType != b.DType {
 			return a.DType < b.DType
 		}
+		if a.Mode != b.Mode {
+			return a.Mode < b.Mode
+		}
 		if a.M != b.M {
 			return a.M < b.M
 		}
