@@ -8,10 +8,12 @@
 //	iatf-asm -op trsm-tri -type s -m 4 -ncols 4
 //	iatf-asm -op trsm-rect -type d -mc 4 -nc 4 -k 8
 //	iatf-asm -op gemm-amd64 > internal/kernels/gemm_amd64.s
+//	iatf-asm -op trmm-amd64 > internal/kernels/trmm_amd64.s
 //
 // -op gemm-amd64 prints the Go assembly of the native amd64 s/d GEMM
-// main kernels, lowered from the same templates; `go generate
-// ./internal/kernels` writes it.
+// main kernels, and -op trmm-amd64 that of the s/d TRMM triangles
+// (M ≤ 4) and 4×4 rectangles, lowered from the same templates;
+// `go generate ./internal/kernels` writes both files.
 package main
 
 import (
@@ -31,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("iatf-asm: ")
 	var (
-		op     = flag.String("op", "gemm", "kernel kind: gemm, trsm-tri, trsm-rect, gemm-amd64")
+		op     = flag.String("op", "gemm", "kernel kind: gemm, trsm-tri, trsm-rect, gemm-amd64, trmm-amd64")
 		dtype  = flag.String("type", "d", "data type: s, d, c, z")
 		mc     = flag.Int("mc", 4, "kernel rows")
 		nc     = flag.Int("nc", 4, "kernel columns")
@@ -43,8 +45,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *op == "gemm-amd64" {
-		src, err := ktmpl.GenGEMMAMD64()
+	if gen, ok := map[string]func() ([]byte, error){
+		"gemm-amd64": ktmpl.GenGEMMAMD64,
+		"trmm-amd64": ktmpl.GenTRMMAMD64,
+	}[*op]; ok {
+		src, err := gen()
 		if err != nil {
 			log.Fatal(err)
 		}

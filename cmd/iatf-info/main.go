@@ -280,7 +280,7 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		return
 	}
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
-	fmt.Printf("native GEMM kernel: %s\n", iatf.Build().GEMMKernel)
+	fmt.Printf("generated kernels (GEMM 4×4, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Println("plan cache:")
 	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d, hydrated %d\n",
 		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries, s.PlanHydrated)
@@ -575,7 +575,7 @@ func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 	}
 
 	fmt.Printf("# EngineSet of %d shards after the mixed demo workload\n", len(st.Shards))
-	fmt.Printf("native GEMM kernel: %s\n", iatf.Build().GEMMKernel)
+	fmt.Printf("generated kernels (GEMM 4×4, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Printf("routing: fallbacks %d (rejected %d)\n", st.Fallbacks, st.FallbackRejects)
 	fmt.Printf("%-5s %8s %8s %8s %8s %8s %8s %8s %8s %6s\n",
 		"shard", "routed", "planHit", "planMiss", "submit", "inline", "dispatch", "stolenB", "stolenR", "shapes")

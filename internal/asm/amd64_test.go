@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -73,7 +74,7 @@ func kernelIR(rows, cols int) AMD64GEMM {
 // nothing else: in the overwrite save, stores of registers another
 // group computes must be dropped as well.
 func TestLowerAMD64GroupsStoreOwnColumns(t *testing.T) {
-	src, err := LowerAMD64(kernelIR(4, 4))
+	src, err := LowerAMD64("gemm", kernelIR(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestLowerAMD64GroupsStoreOwnColumns(t *testing.T) {
 // Every FMLA lowers to a separate multiply and add (never a fused
 // VFMADD), and the overwrite save never loads C.
 func TestLowerAMD64SplitsFMLA(t *testing.T) {
-	src, err := LowerAMD64(lowerable())
+	src, err := LowerAMD64("gemm", lowerable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,162 @@ func TestLowerAMD64Rejects(t *testing.T) {
 		k := lowerable()
 		k.Step, k.Save, k.SaveOvw = append(Prog(nil), k.Step...), append(Prog(nil), k.Save...), append(Prog(nil), k.SaveOvw...)
 		mut(&k)
-		if _, err := LowerAMD64(k); err == nil {
+		if _, err := LowerAMD64("gemm", k); err == nil {
+			t.Errorf("%s: lowered without error", name)
+		}
+	}
+}
+
+// rectIR is a 4×4 float64 TRMM rectangle in ktmpl's register layout,
+// one block per LDR/STR: A in V0–V3, the X block of column c in V8+c
+// read strideX blocks apart from pX, and the accumulator of (r, c) in
+// V16+4c+r, preloaded from and stored back to C columns 4 blocks apart.
+func rectIR(strideX int) AMD64RectAdd {
+	k := AMD64RectAdd{Name: "r", ElemBytes: 8, StrideC: 4, StrideX: strideX}
+	acc := func(r, c int) uint8 { return uint8(16 + 4*c + r) }
+	for c := 0; c < 4; c++ {
+		for r := 0; r < 4; r++ {
+			off := int32(2 * (4*c + r))
+			k.Preload = append(k.Preload, Instr{Op: LDR, D: acc(r, c), P: PC, Off: off})
+			k.Store = append(k.Store, Instr{Op: STR, D: acc(r, c), P: PC, Off: off})
+		}
+	}
+	for r := 0; r < 4; r++ {
+		k.Step = append(k.Step, Instr{Op: LDR, D: uint8(r), P: PA, Off: int32(2 * r)})
+	}
+	k.Step = append(k.Step, Instr{Op: ADDI, P: PA, Off: 8})
+	for c := 0; c < 4; c++ {
+		k.Step = append(k.Step, Instr{Op: LDR, D: uint8(8 + c), P: PX, Off: int32(2 * c * strideX)})
+	}
+	k.Step = append(k.Step, Instr{Op: ADDI, P: PX, Off: 2})
+	for c := 0; c < 4; c++ {
+		for r := 0; r < 4; r++ {
+			k.Step = append(k.Step, Instr{Op: FMLA, D: acc(r, c), A: uint8(r), B: uint8(8 + c)})
+		}
+	}
+	return k
+}
+
+// triIR is an m×m float64 TRMM triangle in ktmpl's register layout, one
+// block per LDR/STR: the B column in V0…, block (i, j) of the packed
+// triangle in V2m+i(i+1)/2+j, rows multiplied bottom-up.
+func triIR(m int) AMD64TriMul {
+	k := AMD64TriMul{Name: "t", ElemBytes: 8}
+	a := func(i, j int) uint8 { return uint8(2*m + i*(i+1)/2 + j) }
+	for i := 0; i < m*(m+1)/2; i++ {
+		k.Load = append(k.Load, Instr{Op: LDR, D: uint8(2*m + i), P: PA, Off: int32(2 * i)})
+	}
+	for i := 0; i < m; i++ {
+		k.Col = append(k.Col, Instr{Op: LDR, D: uint8(i), P: PB, Off: int32(2 * i)})
+	}
+	for i := m - 1; i >= 0; i-- {
+		k.Col = append(k.Col, Instr{Op: FMUL, D: uint8(i), A: uint8(i), B: a(i, i)})
+		for j := 0; j < i; j++ {
+			k.Col = append(k.Col, Instr{Op: FMLA, D: uint8(i), A: a(i, j), B: uint8(j)})
+		}
+	}
+	for i := 0; i < m; i++ {
+		k.Col = append(k.Col, Instr{Op: STR, D: uint8(i), P: PB, Off: int32(2 * i)})
+	}
+	return k
+}
+
+// The rectangle's accumulators are loaded from C before each group's K
+// loop, never zeroed: group 0 fills X8–X15 from C columns 0–1, group 1
+// from columns 2–3.
+func TestLowerAMD64PreloadsAccumulators(t *testing.T) {
+	src, err := LowerAMD64("trmm", rectIR(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	if strings.Contains(text, "XORPD") {
+		t.Fatalf("rectangle zeroes an accumulator:\n%s", text)
+	}
+	for g, sec := range []string{
+		text[strings.Index(text, "MOVQ pa+0(FP)"):strings.Index(text, "loop0:")],
+		text[strings.Index(text, "save0:"):strings.Index(text, "loop1:")],
+	} {
+		cols := [2][]string{{"(DX)", "(DX)(R8*1)"}, {"(DX)(R8*2)", "(DX)(R9*1)"}}[g]
+		for x := 8; x < 16; x++ {
+			col, row := cols[(x-8)/4], (x-8)%4
+			want := fmt.Sprintf("\tMOVUPD %s, X%d\n", col, x)
+			if row > 0 {
+				want = fmt.Sprintf("\tMOVUPD %d%s, X%d\n", 16*row, col, x)
+			}
+			if !strings.Contains(sec, want) {
+				t.Errorf("group %d does not preload X%d with %q:\n%s", g, x, want, sec)
+			}
+		}
+	}
+}
+
+// X is read through the run-time column stride: ldx blocks in R10 (3·ldx
+// in R11), column c at DI + c·R10, and DI advances one block per K step.
+func TestLowerAMD64StridesX(t *testing.T) {
+	src, err := LowerAMD64("trmm", rectIR(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	for _, want := range []string{
+		"\tMOVQ ldx+32(FP), R10\n\tSHLQ $4, R10\n\tLEAQ (R10)(R10*2), R11\n",
+		"\tMOVUPD (DI), X6\n", "\tMOVUPD (DI)(R10*1), X6\n",
+		"\tMOVUPD (DI)(R10*2), X6\n", "\tMOVUPD (DI)(R11*1), X6\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "\tADDQ $16, DI\n"); n != 2 {
+		t.Errorf("DI advances by one block %d times, want once per group's K step (2)", n)
+	}
+	if strings.Contains(text, "112(DI)") || strings.Contains(text, "224(DI)") {
+		t.Errorf("an X column is addressed by its generated stride, not ldx:\n%s", text)
+	}
+}
+
+// The diagonal multiply FMUL r, r, d is one MULPD into r's register;
+// only the FMLA's product goes through the temporary (X15 in a
+// triangle). The column loop steps DI by ldb.
+func TestLowerAMD64InPlaceFMUL(t *testing.T) {
+	src, err := LowerAMD64("trmm", triIR(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	if strings.Count(text, "MULPD") != 3 || strings.Count(text, "MOVAPD") != 1 || strings.Count(text, "ADDPD") != 1 {
+		t.Fatalf("want 3 MULPD (2 FMUL, 1 FMLA), 1 MOVAPD and 1 ADDPD:\n%s", text)
+	}
+	if !strings.Contains(text, "\tMOVAPD X1, X15\n") || !strings.Contains(text, "\tADDQ R8, DI\n\tDECQ CX\n\tJNE loop\n") {
+		t.Fatalf("want the product in X15 and a column loop over ldb:\n%s", text)
+	}
+	fmul := text[strings.Index(text, "// fmul v1.2d, v1.2d, v6.2d"):]
+	if lines := strings.SplitN(fmul, "\n", 4); lines[1] != "\tMOVUPD 16(DI), X4" || lines[2] != "\tMULPD X2, X4" {
+		t.Fatalf("in-place FMUL lowers to %q, want a load of V1 then MULPD X2, X4", lines[1:3])
+	}
+}
+
+// The TRMM forms refuse what they cannot run exactly: FMLS (the TRSM
+// forms), a triangle too large for X0–X15 (M = 5 needs 21), and a column
+// that overwrites the triangle the loop keeps in registers.
+func TestLowerAMD64RejectsTRMM(t *testing.T) {
+	if _, err := LowerAMD64("trmm", triIR(4)); err != nil {
+		t.Fatalf("M = 4 triangle: %v", err)
+	}
+	fmlsRect := rectIR(5)
+	fmlsRect.Step = append(Prog(nil), fmlsRect.Step...)
+	fmlsRect.Step[len(fmlsRect.Step)-1].Op = FMLS
+	fmlsTri, keep := triIR(3), triIR(3)
+	fmlsTri.Col[len(fmlsTri.Col)-4].Op = FMLS
+	keep.Col[3].D = keep.Col[3].B
+	for name, k := range map[string]AMD64Kernel{
+		"rectangle FMLS":      fmlsRect,
+		"triangle FMLS":       fmlsTri,
+		"M = 5":               triIR(5),
+		"overwrites triangle": keep,
+	} {
+		if _, err := LowerAMD64("trmm", k); err == nil {
 			t.Errorf("%s: lowered without error", name)
 		}
 	}

@@ -278,60 +278,53 @@ func rect2[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
 	}
 }
 
-// tri4 is Tri for 4-lane blocks.
+// span returns s[lo:lo+n] after checking lo+n against len(s): a slice
+// expression alone checks only against cap(s).
+func span[E any](s []E, lo, n int) []E {
+	_ = s[lo+n-1]
+	return s[lo : lo+n]
+}
+
+// tri4 is Tri for 4-lane blocks. Like the other width-specialized
+// triangle kernels it reads the packed triangle in order and the B
+// column in place, keeping the row being solved in scalar locals, so a
+// call zero-fills no block table or column copy. Row i reads rows j < i,
+// which it has already solved and stored.
 func tri4[E vec.Float](pa, b []E, m, ncols, strideB int) {
-	var a [15]*[4]E
-	n := m * (m + 1) / 2
-	for i := 0; i < n; i++ {
-		a[i] = (*[4]E)(pa[i*4:])
-	}
-	var x [5][4]E
+	pa = span(pa, 0, 2*m*(m+1))
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * 4
+		x := span(b, l*strideB*4, 4*m)
+		k := 0
 		for i := 0; i < m; i++ {
-			x[i] = *(*[4]E)(b[off+i*4:])
-		}
-		for i := 0; i < m; i++ {
-			row := i * (i + 1) / 2
+			x0, x1, x2, x3 := x[4*i], x[4*i+1], x[4*i+2], x[4*i+3]
 			for j := 0; j < i; j++ {
-				fms4(&x[i], a[row+j], &x[j])
+				x0 -= pa[k] * x[4*j]
+				x1 -= pa[k+1] * x[4*j+1]
+				x2 -= pa[k+2] * x[4*j+2]
+				x3 -= pa[k+3] * x[4*j+3]
+				k += 4
 			}
-			d := a[row+i]
-			x[i][0] *= d[0]
-			x[i][1] *= d[1]
-			x[i][2] *= d[2]
-			x[i][3] *= d[3]
-		}
-		for i := 0; i < m; i++ {
-			*(*[4]E)(b[off+i*4:]) = x[i]
+			x[4*i], x[4*i+1], x[4*i+2], x[4*i+3] = x0*pa[k], x1*pa[k+1], x2*pa[k+2], x3*pa[k+3]
+			k += 4
 		}
 	}
 }
 
 // tri2 is Tri for 2-lane blocks.
 func tri2[E vec.Float](pa, b []E, m, ncols, strideB int) {
-	var a [15]*[2]E
-	n := m * (m + 1) / 2
-	for i := 0; i < n; i++ {
-		a[i] = (*[2]E)(pa[i*2:])
-	}
-	var x [5][2]E
+	pa = span(pa, 0, m*(m+1))
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * 2
+		x := span(b, l*strideB*2, 2*m)
+		k := 0
 		for i := 0; i < m; i++ {
-			x[i] = *(*[2]E)(b[off+i*2:])
-		}
-		for i := 0; i < m; i++ {
-			row := i * (i + 1) / 2
+			x0, x1 := x[2*i], x[2*i+1]
 			for j := 0; j < i; j++ {
-				fms2(&x[i], a[row+j], &x[j])
+				x0 -= pa[k] * x[2*j]
+				x1 -= pa[k+1] * x[2*j+1]
+				k += 2
 			}
-			d := a[row+i]
-			x[i][0] *= d[0]
-			x[i][1] *= d[1]
-		}
-		for i := 0; i < m; i++ {
-			*(*[2]E)(b[off+i*2:]) = x[i]
+			x[2*i], x[2*i+1] = x0*pa[k], x1*pa[k+1]
+			k += 2
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 
 //go:generate sh -c "go run iatf/cmd/iatf-asm -op gemm-amd64 > gemm_amd64.s"
 
-// Backend names the native GEMM main kernel this build runs.
+// Backend names the generated machine code this build runs: SSE2 forms
+// of the s/d GEMM 4×4 main kernel, the TRMM triangle for M ≤ 4 and the
+// TRMM 4×4 rectangle (gemm_amd64.s, trmm_amd64.s).
 const Backend = "amd64-sse2"
 
 // gemm4x4s and gemm4x4d are the Table 1 s/d main kernels (mc = nc = 4)

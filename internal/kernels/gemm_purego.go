@@ -4,7 +4,8 @@ package kernels
 
 import "iatf/internal/vec"
 
-// Backend names the native GEMM main kernel this build runs.
+// Backend names the generated machine code this build runs: none, so
+// GEMM and TRMM run their pure-Go kernels.
 const Backend = "purego"
 
 // gemm44asm reports false: this build has no generated machine code, so

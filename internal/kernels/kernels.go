@@ -4,9 +4,10 @@
 // buffers with the vec SIMD substrate. This is the wall-clock execution
 // backend of the public API; the IR + VM path in internal/asm exists to
 // validate the install-time generator/optimizer and to drive the cycle
-// model. One kernel is the generator's own output: on amd64 the s/d GEMM
-// main kernel runs as SSE2 assembly lowered from the templates
-// (gemm_amd64.s, Backend), bit-identical to its Go form.
+// model. Some kernels are the generator's own output: on amd64 the s/d
+// GEMM main kernel and the s/d TRMM triangle (M ≤ 4) and 4×4 rectangle
+// run as SSE2 assembly lowered from the templates (gemm_amd64.s,
+// trmm_amd64.s, Backend), bit-identical to their Go forms.
 //
 // All kernels operate on slices of the real component type; complex data
 // uses the split-plane block format of the compact layout.

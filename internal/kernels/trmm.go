@@ -17,7 +17,12 @@ import "iatf/internal/vec"
 // TriMul multiplies ncols columns of B in place by the register-resident
 // lower triangle (m ≤ 5 real). Rows are processed bottom-up so x_j
 // (j < i) is still the original value when row i consumes it.
+// On amd64 float32/float64 at native width with m ≤ 4 run as generated
+// SSE2 code (Backend); every other case runs pure Go.
 func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+	if triMulAsm(pa, b, m, ncols, strideB, vl) {
+		return
+	}
 	if vl == 4 {
 		triMul4(pa, b, m, ncols, strideB)
 		return
@@ -51,62 +56,45 @@ func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 	}
 }
 
+// triMul4 is TriMul's pure-Go kernel for 4-lane blocks. Like tri4 it
+// reads the packed triangle and the B column in place and keeps the row
+// in scalar locals; rows run bottom-up, so the rows j < i that row i
+// reads are still original.
 func triMul4[E vec.Float](pa, b []E, m, ncols, strideB int) {
-	var a [15]*[4]E
-	n := m * (m + 1) / 2
-	for i := 0; i < n; i++ {
-		a[i] = (*[4]E)(pa[i*4:])
-	}
-	var x [5][4]E
+	pa = span(pa, 0, 2*m*(m+1))
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * 4
-		for i := 0; i < m; i++ {
-			x[i] = *(*[4]E)(b[off+i*4:])
-		}
+		x := span(b, l*strideB*4, 4*m)
 		for i := m - 1; i >= 0; i-- {
-			row := i * (i + 1) / 2
-			d := a[row+i]
-			var acc [4]E
-			acc[0] = x[i][0] * d[0]
-			acc[1] = x[i][1] * d[1]
-			acc[2] = x[i][2] * d[2]
-			acc[3] = x[i][3] * d[3]
+			k := 2 * i * (i + 1)
+			d := k + 4*i
+			x0, x1, x2, x3 := x[4*i]*pa[d], x[4*i+1]*pa[d+1], x[4*i+2]*pa[d+2], x[4*i+3]*pa[d+3]
 			for j := 0; j < i; j++ {
-				fma4(&acc, a[row+j], &x[j])
+				x0 += pa[k] * x[4*j]
+				x1 += pa[k+1] * x[4*j+1]
+				x2 += pa[k+2] * x[4*j+2]
+				x3 += pa[k+3] * x[4*j+3]
+				k += 4
 			}
-			x[i] = acc
-		}
-		for i := 0; i < m; i++ {
-			*(*[4]E)(b[off+i*4:]) = x[i]
+			x[4*i], x[4*i+1], x[4*i+2], x[4*i+3] = x0, x1, x2, x3
 		}
 	}
 }
 
+// triMul2 is TriMul's pure-Go kernel for 2-lane blocks.
 func triMul2[E vec.Float](pa, b []E, m, ncols, strideB int) {
-	var a [15]*[2]E
-	n := m * (m + 1) / 2
-	for i := 0; i < n; i++ {
-		a[i] = (*[2]E)(pa[i*2:])
-	}
-	var x [5][2]E
+	pa = span(pa, 0, m*(m+1))
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * 2
-		for i := 0; i < m; i++ {
-			x[i] = *(*[2]E)(b[off+i*2:])
-		}
+		x := span(b, l*strideB*2, 2*m)
 		for i := m - 1; i >= 0; i-- {
-			row := i * (i + 1) / 2
-			d := a[row+i]
-			var acc [2]E
-			acc[0] = x[i][0] * d[0]
-			acc[1] = x[i][1] * d[1]
+			k := i * (i + 1)
+			d := k + 2*i
+			x0, x1 := x[2*i]*pa[d], x[2*i+1]*pa[d+1]
 			for j := 0; j < i; j++ {
-				fma2(&acc, a[row+j], &x[j])
+				x0 += pa[k] * x[2*j]
+				x1 += pa[k+1] * x[2*j+1]
+				k += 2
 			}
-			x[i] = acc
-		}
-		for i := 0; i < m; i++ {
-			*(*[2]E)(b[off+i*2:]) = x[i]
+			x[2*i], x[2*i+1] = x0, x1
 		}
 	}
 }
@@ -148,8 +136,13 @@ func TriMulCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 }
 
 // RectAdd applies B_tile += L·X — the accumulating (FMLA) form of the
-// TRSM rectangular kernel, used by the blocked TRMM.
+// TRSM rectangular kernel, used by the blocked TRMM. On amd64 the
+// float32/float64 4×4 tile at native width runs as generated SSE2 code
+// (Backend); every other case runs pure Go.
 func RectAdd[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+	if rectAddAsm(pa, x, c, mc, nc, k, strideC, strideX, vl) {
+		return
+	}
 	if vl == 4 {
 		rectAdd4(pa, x, c, mc, nc, k, strideC, strideX)
 		return

@@ -396,7 +396,7 @@ func GEMMFirstIsFirstK(s GEMMSpec, p asm.Prog) error {
 // main kernel (4×4) lowered to SSE2 Go assembly as gemm4x4s and
 // gemm4x4d, one TEMPLATE_SUB per iteration of a run-time K loop.
 func GenGEMMAMD64() ([]byte, error) {
-	var ks []asm.AMD64GEMM
+	var ks []asm.AMD64Kernel
 	for _, dt := range []vec.DType{vec.S, vec.D} {
 		sz := MainGEMMKernel(dt)
 		s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC}
@@ -411,5 +411,5 @@ func GenGEMMAMD64() ([]byte, error) {
 			Zero:      l.Zero, Step: l.Step, Save: l.Save, SaveOvw: l.SaveOvw,
 		})
 	}
-	return asm.LowerAMD64(ks...)
+	return asm.LowerAMD64("gemm", ks...)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"iatf/internal/asm"
+	"iatf/internal/vec"
 )
 
 // TRMM kernel generation — the IR twins of the native TRMM kernels, so
@@ -16,27 +17,11 @@ import (
 // still-original values feed each row's accumulation. The TriSpec calling
 // convention matches GenTRSMTri; DivDiag is rejected.
 func GenTRMMTri(s TriSpec) (asm.Prog, error) {
-	if s.DivDiag {
-		return nil, fmt.Errorf("ktmpl: TRMM has no division to ablate")
-	}
-	if err := s.Validate(); err != nil {
+	g, err := newTRMMTri(s)
+	if err != nil {
 		return nil, err
 	}
-	g := &triGen{s: s}
-	// Load the packed triangle.
-	nregs := (s.M * (s.M + 1) / 2) * s.comps()
-	base := int(g.aReg(0, 0, 0))
-	vl := s.vl()
-	cmt := "load triangle of A"
-	i := 0
-	for ; i+1 < nregs; i += 2 {
-		g.emit(asm.Instr{Op: asm.LDP, D: uint8(base + i), D2: uint8(base + i + 1), P: asm.PA, Off: int32(i * vl), Comment: cmt})
-		cmt = ""
-	}
-	if i < nregs {
-		g.emit(asm.Instr{Op: asm.LDR, D: uint8(base + i), P: asm.PA, Off: int32(i * vl), Comment: cmt})
-	}
-
+	g.loadTri()
 	g.loadCol(0, 0, "For column 0")
 	for l := 0; l < s.NCols; l++ {
 		buf := l % 2
@@ -47,6 +32,42 @@ func GenTRMMTri(s TriSpec) (asm.Prog, error) {
 		g.storeCol(buf, l)
 	}
 	return g.prog, nil
+}
+
+func newTRMMTri(s TriSpec) (*triGen, error) {
+	if s.DivDiag {
+		return nil, fmt.Errorf("ktmpl: TRMM has no division to ablate")
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &triGen{s: s}, nil
+}
+
+// TRMMTriLoop is the TRMM triangle kernel cut into the pieces a
+// machine-code backend wraps around a run-time column loop: Load brings
+// the packed triangle into registers once, and Col multiplies the B
+// column at pB in place (load, bottom-up multiply, store). Col leaves pB
+// where it is; the backend steps it by the column stride.
+type TRMMTriLoop struct {
+	Load, Col asm.Prog
+}
+
+// GenTRMMTriLoop generates the TRMMTriLoop pieces of a spec; s.NCols and
+// s.StrideB are ignored.
+func GenTRMMTriLoop(s TriSpec) (TRMMTriLoop, error) {
+	s.NCols, s.StrideB = 1, s.M
+	g, err := newTRMMTri(s)
+	if err != nil {
+		return TRMMTriLoop{}, err
+	}
+	g.loadTri()
+	load := g.prog
+	g.prog = nil
+	g.loadCol(0, 0, "For column 0")
+	g.mulCol(0)
+	g.storeCol(0, 0)
+	return TRMMTriLoop{Load: load, Col: g.prog}, nil
 }
 
 // mulCol emits the bottom-up triangular multiply for the column in
@@ -97,22 +118,69 @@ func GenTRMMRect(s RectSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{s: s.gemm()}
-	g.xStride = s.StrideX
-
-	comps := g.s.comps()
-	for c := 0; c < s.NC; c++ {
-		off := c * s.StrideC * g.s.blockLen()
-		cmt := ""
-		if c == 0 {
-			cmt = "preload B tile"
-		}
-		g.loadSeqAt(asm.PC, int(g.cReg(0, c, 0)), s.MC*comps, off, cmt)
-	}
+	g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+	g.loadTile()
 	g.body(modeAdd)
-	for c := 0; c < s.NC; c++ {
-		off := c * s.StrideC * g.s.blockLen()
-		g.storeSeq(asm.PC, int(g.cReg(0, c, 0)), s.MC*comps, off)
-	}
+	g.storeTile()
 	return g.prog, nil
+}
+
+// TRMMRectLoop is the TRMM rectangle kernel cut around a run-time K loop,
+// as GEMMLoop cuts GEMM: Preload loads the B tile into the accumulators,
+// Step is one TEMPLATE_SUB K step in FMLA form (A from pA, one X block
+// per column from pX at the column stride; both advance) and Store
+// writes the tile back.
+type TRMMRectLoop struct {
+	Preload, Step, Store asm.Prog
+}
+
+// GenTRMMRectLoop generates the TRMMRectLoop pieces of a spec; s.K is
+// ignored.
+func GenTRMMRectLoop(s RectSpec) (TRMMRectLoop, error) {
+	s.K = 1
+	if err := s.Validate(); err != nil {
+		return TRMMRectLoop{}, err
+	}
+	part := func(emit func(g *gemmGen)) asm.Prog {
+		g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+		emit(g)
+		return g.prog
+	}
+	return TRMMRectLoop{
+		Preload: part(func(g *gemmGen) { g.loadTile() }),
+		Step:    part(func(g *gemmGen) { g.template(TplSUB, modeAdd) }),
+		Store:   part(func(g *gemmGen) { g.storeTile() }),
+	}, nil
+}
+
+// GenTRMMAMD64 generates internal/kernels/trmm_amd64.s: the s/d TRMM
+// triangles for M = 1…4 and the 4×4 rectangle, lowered to SSE2 Go
+// assembly as trmmTri<M><t> and trmmRect4x4<t>, each with its column or
+// K loop at run time. M = 5 needs 21 X registers and stays in Go.
+func GenTRMMAMD64() ([]byte, error) {
+	var ks []asm.AMD64Kernel
+	for _, dt := range []vec.DType{vec.S, vec.D} {
+		for m := 1; m <= 4; m++ {
+			l, err := GenTRMMTriLoop(TriSpec{DT: dt, M: m})
+			if err != nil {
+				return nil, err
+			}
+			ks = append(ks, asm.AMD64TriMul{
+				Name: fmt.Sprintf("trmmTri%d%v", m, dt), ElemBytes: dt.ElemBytes(),
+				Load: l.Load, Col: l.Col,
+			})
+		}
+		sz := MainTRSMKernel(dt)
+		s := RectSpec{DT: dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC, StrideX: sz.MC}
+		l, err := GenTRMMRectLoop(s)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, asm.AMD64RectAdd{
+			Name: fmt.Sprintf("trmmRect%dx%d%v", sz.MC, sz.NC, dt), ElemBytes: dt.ElemBytes(),
+			StrideC: s.StrideC, StrideX: s.StrideX,
+			Preload: l.Preload, Step: l.Step, Store: l.Store,
+		})
+	}
+	return asm.LowerAMD64("trmm", ks...)
 }

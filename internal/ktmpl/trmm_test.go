@@ -1,6 +1,8 @@
 package ktmpl
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -243,5 +245,107 @@ func runRectAddKernel[E vec.Float](t *testing.T, s RectSpec, prog asm.Prog) {
 				}
 			}
 		}
+	}
+}
+
+// The loop pieces a machine-code backend runs — the triangle Load once,
+// then Col per B column with pB stepped by the column stride; the
+// rectangle Preload, Step K times, then Store — must leave memory bit
+// for bit as the straight-line GenTRMMTri and GenTRMMRect kernels do.
+func TestGenTRMMLoopsMatchKernels(t *testing.T) {
+	for _, dt := range vec.DTypes {
+		if dt.Real() == vec.S {
+			testTRMMLoops[float32](t, dt)
+		} else {
+			testTRMMLoops[float64](t, dt)
+		}
+	}
+}
+
+func testTRMMLoops[E vec.Float](t *testing.T, dt vec.DType) {
+	rng := rand.New(rand.NewSource(31))
+	// run executes the programs in turn on one VM over a copy of mem;
+	// before program i it sets the pointers ptrs(i) returns.
+	run := func(mem []E, ptrs func(i int) map[asm.PReg]int, progs ...asm.Prog) []E {
+		t.Helper()
+		vm := &asm.VM[E]{Mem: append([]E(nil), mem...)}
+		for i, prog := range progs {
+			for p, off := range ptrs(i) {
+				vm.P[p] = off
+			}
+			if err := vm.Run(prog); err != nil {
+				t.Fatalf("%v: %v", dt, err)
+			}
+		}
+		return vm.Mem
+	}
+	same := func(name string, got, want []E) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("%v %s: element %d = %v, straight-line kernel %v", dt, name, i, got[i], want[i])
+			}
+		}
+	}
+	fill := func(n int) []E {
+		s := make([]E, n)
+		for i := range s {
+			s[i] = E(4*rng.Float64() - 2)
+		}
+		return s
+	}
+
+	for m := 1; m <= MaxTriM(dt); m++ {
+		for _, ncols := range []int{1, 3, 5} {
+			s := TriSpec{DT: dt, M: m, NCols: ncols, StrideB: m + 1}
+			prog, err := GenTRMMTri(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := GenTRMMTriLoop(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lenA, colLen := m*(m+1)/2*s.blockLen(), s.StrideB*s.blockLen()
+			mem := fill(lenA + ncols*colLen)
+			want := run(mem, func(int) map[asm.PReg]int { return map[asm.PReg]int{asm.PB: lenA} }, prog)
+			progs := []asm.Prog{l.Load}
+			for c := 0; c < ncols; c++ {
+				progs = append(progs, l.Col)
+			}
+			got := run(mem, func(i int) map[asm.PReg]int {
+				return map[asm.PReg]int{asm.PB: lenA + max(i-1, 0)*colLen}
+			}, progs...)
+			same(fmt.Sprintf("triangle M=%d ncols=%d", m, ncols), got, want)
+		}
+	}
+
+	sz := MainTRSMKernel(dt)
+	for _, k := range []int{1, 2, 5} {
+		s := RectSpec{DT: dt, MC: sz.MC, NC: sz.NC, K: k, StrideC: sz.MC + 1, StrideX: k + 2}
+		prog, err := GenTRMMRect(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := GenTRMMRectLoop(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl := s.gemm().blockLen()
+		lenA, lenX := k*s.MC*bl, s.NC*s.StrideX*bl
+		mem := fill(lenA + lenX + s.NC*s.StrideC*bl)
+		ptrs := func(i int) map[asm.PReg]int {
+			if i > 0 {
+				return nil // the steps advance pA and pX themselves
+			}
+			return map[asm.PReg]int{asm.PX: lenA, asm.PC: lenA + lenX}
+		}
+		want := run(mem, ptrs, prog)
+		progs := []asm.Prog{l.Preload}
+		for i := 0; i < k; i++ {
+			progs = append(progs, l.Step)
+		}
+		got := run(mem, ptrs, append(progs, l.Store)...)
+		same(fmt.Sprintf("rectangle K=%d", k), got, want)
 	}
 }

@@ -189,20 +189,7 @@ func GenTRSMTri(s TriSpec) (asm.Prog, error) {
 		return nil, err
 	}
 	g := &triGen{s: s}
-	// Load the packed triangle: M(M+1)/2 blocks, contiguous from pA.
-	nregs := (s.M * (s.M + 1) / 2) * s.comps()
-	base := int(g.aReg(0, 0, 0))
-	vl := s.vl()
-	cmt := "load triangle of A"
-	i := 0
-	for ; i+1 < nregs; i += 2 {
-		g.emit(asm.Instr{Op: asm.LDP, D: uint8(base + i), D2: uint8(base + i + 1), P: asm.PA, Off: int32(i * vl), Comment: cmt})
-		cmt = ""
-	}
-	if i < nregs {
-		g.emit(asm.Instr{Op: asm.LDR, D: uint8(base + i), P: asm.PA, Off: int32(i * vl), Comment: cmt})
-	}
-
+	g.loadTri()
 	g.loadCol(0, 0, "For column 0")
 	for l := 0; l < s.NCols; l++ {
 		buf := l % 2
@@ -213,6 +200,23 @@ func GenTRSMTri(s TriSpec) (asm.Prog, error) {
 		g.storeCol(buf, l)
 	}
 	return g.prog, nil
+}
+
+// loadTri loads the packed triangle, M(M+1)/2 blocks contiguous from pA,
+// into its registers.
+func (g *triGen) loadTri() {
+	nregs := (g.s.M * (g.s.M + 1) / 2) * g.s.comps()
+	base := int(g.aReg(0, 0, 0))
+	vl := g.s.vl()
+	cmt := "load triangle of A"
+	i := 0
+	for ; i+1 < nregs; i += 2 {
+		g.emit(asm.Instr{Op: asm.LDP, D: uint8(base + i), D2: uint8(base + i + 1), P: asm.PA, Off: int32(i * vl), Comment: cmt})
+		cmt = ""
+	}
+	if i < nregs {
+		g.emit(asm.Instr{Op: asm.LDR, D: uint8(base + i), P: asm.PA, Off: int32(i * vl), Comment: cmt})
+	}
 }
 
 // RectSpec determines one generated TRSM rectangular kernel — the
@@ -254,23 +258,25 @@ func GenTRSMRect(s RectSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{s: s.gemm()}
-	g.xStride = s.StrideX
-
-	// Preload the B tile into the C accumulators.
-	comps := g.s.comps()
-	for c := 0; c < s.NC; c++ {
-		off := c * s.StrideC * g.s.blockLen()
-		cmt := ""
-		if c == 0 {
-			cmt = "preload B tile"
-		}
-		g.loadSeqAt(asm.PC, int(g.cReg(0, c, 0)), s.MC*comps, off, cmt)
-	}
+	g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+	g.loadTile()
 	g.body(modeSub)
-	for c := 0; c < s.NC; c++ {
-		off := c * s.StrideC * g.s.blockLen()
-		g.storeSeq(asm.PC, int(g.cReg(0, c, 0)), s.MC*comps, off)
-	}
+	g.storeTile()
 	return g.prog, nil
+}
+
+// loadTile preloads the B tile into the C accumulators, column by column.
+func (g *gemmGen) loadTile() {
+	cmt := "preload B tile"
+	for c := 0; c < g.s.NC; c++ {
+		g.loadSeqAt(asm.PC, int(g.cReg(0, c, 0)), g.s.MC*g.s.comps(), c*g.s.StrideC*g.s.blockLen(), cmt)
+		cmt = ""
+	}
+}
+
+// storeTile writes the accumulators back to the B tile.
+func (g *gemmGen) storeTile() {
+	for c := 0; c < g.s.NC; c++ {
+		g.storeSeq(asm.PC, int(g.cReg(0, c, 0)), g.s.MC*g.s.comps(), c*g.s.StrideC*g.s.blockLen())
+	}
 }
