@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test purego crossvet race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
+.PHONY: all build vet lint test purego crossvet race stress asyncstress shardstress chainstress servestress storestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
 
 all: ci
 
@@ -88,15 +88,14 @@ obsstress:
 	$(GO) run ./cmd/iatf-monitor -demo -once -shards 2
 	$(GO) run ./cmd/iatf-trace -engine -count 64
 
-# Persistent autotune store under the race detector, run twice: the
-# atomic-rename/merge writer race (concurrent iatf-tune), disk round-trip
-# bit-exactness, staleness fallbacks, sharded hydration routing and the
-# public warm-start path — then a one-shot run of the iatf-tune binary
-# against a throwaway store directory.
-tunestress:
-	$(GO) test -race -count=2 -run 'Store|Tuner|Warm' . ./internal/engine/
+# The engine's store layer under the race detector, run twice: the
+# atomic-rename/merge writer race, disk round-trip bit-exactness,
+# staleness fallbacks, hostile descriptors and sharded hydration
+# routing. No public option or command reaches the layer; it goes with
+# internal/store (ROADMAP item 2).
+storestress:
+	$(GO) test -race -count=2 -run 'Store|Tuner|Warm' ./internal/engine/
 	$(GO) test -race -count=2 ./internal/store/
-	IATF_STORE_DIR=$$(mktemp -d) $(GO) run ./cmd/iatf-tune -counts 1 -shapes gemm:f32:8x8x8,cholesky:f64:8,lupiv:f64:8
 
 # Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
 # against encoding/json (same accept/reject, equal decoded request) and
@@ -173,4 +172,4 @@ loc:
 # benchdiff gates ci: the diff tool's 15% tolerance absorbs ordinary
 # run-to-run noise, so a failure means a real regression (or a baseline
 # that needs a deliberate `make bench` refresh alongside the change).
-ci: lint build test purego crossvet race stress asyncstress shardstress chainstress servestress tunestress obsstress fuzzsmoke benchsmoke benchdiff
+ci: lint build test purego crossvet race stress asyncstress shardstress chainstress servestress storestress obsstress fuzzsmoke benchsmoke benchdiff

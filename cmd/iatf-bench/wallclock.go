@@ -377,10 +377,9 @@ func runWallclock(writeJSON bool, outFile string, count, calls, maxSize int) {
 	}
 
 	// Cold-start: the very first call of a fresh engine with an empty
-	// process-wide kernel memo — plan construction, kernel generation and
-	// list scheduling all on the critical path — with and without a
-	// pre-baked persistent autotune store. This is the warm-start claim
-	// behind iatf-tune, kept honest by the benchdiff gate.
+	// process-wide kernel memo — plan construction, packing and compute
+	// on the critical path, and no kernel generation, kept honest by the
+	// benchdiff gate.
 	rows = append(rows, runWallclockColdStart(sizes)...)
 
 	if writeJSON {
@@ -389,18 +388,18 @@ func runWallclock(writeJSON bool, outFile string, count, calls, maxSize int) {
 }
 
 // wcColdCount is the batch size of the cold-start rows: deliberately
-// small, so the measurement is dominated by the install-time work on the
-// first call's critical path (kernel generation, list scheduling, plan
-// construction) rather than by executing a large batch — the "first
-// request into a fresh replica" latency the persistent store targets.
+// small, so the measurement is dominated by the first call's fixed
+// costs (engine construction, plan geometry, buffer-pool misses) rather
+// than by executing a large batch — the "first request into a fresh
+// replica" latency.
 const wcColdCount = 16
 
 // wcColdFirstCall times one cold start end to end: construct a fresh
-// engine (loading the store when warm is set) and issue the first dgemm
-// call. The process-wide kernel memo is swapped for an empty one around
-// the measurement — the in-process equivalent of a brand-new process —
-// so repetitions don't inherit schedules from earlier ones.
-func wcColdFirstCall(n int, warm bool, dir string) (float64, error) {
+// engine and issue the first dgemm call. The process-wide kernel memo is
+// swapped for an empty one around the measurement — the in-process
+// equivalent of a brand-new process — so a plan path that generated
+// kernels again would show here.
+func wcColdFirstCall(n int) (float64, error) {
 	ab := iatf.NewBatch[float64](wcColdCount, n, n)
 	bb := iatf.NewBatch[float64](wcColdCount, n, n)
 	wcFill(ab.Data(), 7)
@@ -410,12 +409,7 @@ func wcColdFirstCall(n int, warm bool, dir string) (float64, error) {
 	old := core.SwapKernelMemo(kopt.NewMemo())
 	defer core.SwapKernelMemo(old)
 	start := time.Now()
-	var eng *iatf.Engine
-	if warm {
-		eng = iatf.NewEngine(iatf.WithPlanStore(dir))
-	} else {
-		eng = iatf.NewEngine()
-	}
+	eng := iatf.NewEngine()
 	req := iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, A: a, B: b, C: c}
 	if err := iatf.Do(context.Background(), req, wcOn(eng)...); err != nil {
 		return 0, err
@@ -424,70 +418,32 @@ func wcColdFirstCall(n int, warm bool, dir string) (float64, error) {
 }
 
 // runWallclockColdStart produces the cold-start rows: for each size, the
-// median over several repetitions of the first-call wall time on a fresh
-// engine, as "cold-start" (everything tuned on the critical path) and
-// "warm-store" (engine constructed over a store pre-baked the way
-// iatf-tune would, so construction hydrates the plan and imports kernel
-// schedules). Each size gets its own store, baked on its own empty
-// kernel memo — a tuner process baking exactly the deployment's shape —
-// so one row's store does not carry another row's kernels. Speedup on
-// the warm-store row is cold/warm.
+// best over several repetitions of the first-call wall time on a fresh
+// engine.
 func runWallclockColdStart(sizes []int) []wcResult {
 	const reps = 5
-	root, err := os.MkdirTemp("", "iatf-wc-store-")
-	check(err)
-	defer os.RemoveAll(root)
-
-	bakeFor := func(n int) string {
-		dir := fmt.Sprintf("%s/n%d", root, n)
-		oldMemo := core.SwapKernelMemo(kopt.NewMemo())
-		defer core.SwapKernelMemo(oldMemo)
-		bake := iatf.NewEngine(iatf.WithPlanStore(dir))
-		ab := iatf.NewBatch[float64](wcColdCount, n, n)
-		bb := iatf.NewBatch[float64](wcColdCount, n, n)
-		wcFill(ab.Data(), 7)
-		wcFill(bb.Data(), 8)
-		a, b, c := iatf.Pack(ab), iatf.Pack(bb), iatf.Pack(iatf.NewBatch[float64](wcColdCount, n, n))
-		req := iatf.Request[float64]{Op: iatf.OpGEMM, Alpha: 1, A: a, B: b, C: c}
-		check(iatf.Do(context.Background(), req, wcOn(bake)...))
-		check(bake.SaveStore())
-		return dir
-	}
-
-	// Min over repetitions, not median: the work is deterministic and
-	// every noise source (GC pause, scheduler preemption) is additive,
-	// so the minimum is the stable estimator — one-shot latencies would
-	// otherwise swing run to run and flake the benchdiff gate.
-	best := func(n int, warm bool, dir string) float64 {
-		lo := math.Inf(1)
-		for i := 0; i < reps; i++ {
-			runtime.GC()
-			v, err := wcColdFirstCall(n, warm, dir)
-			check(err)
-			lo = math.Min(lo, v)
-		}
-		return lo
-	}
-
 	fmt.Printf("\n# Cold start: first dgemm call on a fresh engine, empty kernel memo, count=%d (best of %d)\n",
 		wcColdCount, reps)
-	fmt.Printf("%-5s %-3s %-8s %14s %14s %8s\n",
-		"op", "dt", "shape", "cold ns", "warm-store ns", "speedup")
+	fmt.Printf("%-5s %-3s %-8s %14s\n", "op", "dt", "shape", "cold ns")
 	var rows []wcResult
 	for _, n := range sizes {
+		// Min over repetitions, not median: the work is deterministic
+		// and every noise source (GC pause, scheduler preemption) is
+		// additive, so the minimum is the stable estimator — one-shot
+		// latencies would otherwise swing run to run and flake the
+		// benchdiff gate.
+		ns := math.Inf(1)
+		for i := 0; i < reps; i++ {
+			runtime.GC()
+			v, err := wcColdFirstCall(n)
+			check(err)
+			ns = math.Min(ns, v)
+		}
 		shape := fmt.Sprintf("%dx%d", n, n)
 		flops := core.GEMMProblem{DT: vec.D, M: n, N: n, K: n, Count: wcColdCount}.FLOPs()
-		dir := bakeFor(n)
-		nsCold := best(n, false, dir)
-		nsWarm := best(n, true, dir)
-		speedup := nsCold / nsWarm
-		fmt.Printf("%-5s %-3s %-8s %14.0f %14.0f %7.2fx\n", "GEMM", "d", shape, nsCold, nsWarm, speedup)
-		rows = append(rows,
-			wcResult{Op: "GEMM", DType: "d", Shape: shape, Count: wcColdCount,
-				Variant: "cold-start", Calls: reps, NsOp: math.Round(nsCold), GFLOPS: flops / nsCold},
-			wcResult{Op: "GEMM", DType: "d", Shape: shape, Count: wcColdCount,
-				Variant: "warm-store", Calls: reps, NsOp: math.Round(nsWarm), GFLOPS: flops / nsWarm,
-				Speedup: math.Round(speedup*100) / 100})
+		fmt.Printf("%-5s %-3s %-8s %14.0f\n", "GEMM", "d", shape, ns)
+		rows = append(rows, wcResult{Op: "GEMM", DType: "d", Shape: shape, Count: wcColdCount,
+			Variant: "cold-start", Calls: reps, NsOp: math.Round(ns), GFLOPS: flops / ns})
 	}
 	return rows
 }

@@ -282,17 +282,8 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
 	fmt.Printf("generated kernels (GEMM 4×4, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Println("plan cache:")
-	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d, hydrated %d\n",
-		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries, s.PlanHydrated)
-	fmt.Println("persistent autotune store:")
-	path := s.Store.Path
-	if path == "" {
-		path = "(not attached)"
-	}
-	fmt.Printf("  path %s\n  fingerprint %s\n", path, s.Store.Fingerprint)
-	fmt.Printf("  loads %d (mismatches %d, errors %d), saves %d (errors %d), kernels imported %d, plans rejected %d\n",
-		s.Store.Loads, s.Store.LoadMismatches, s.Store.LoadErrors,
-		s.Store.Saves, s.Store.SaveErrors, s.Store.KernelsImported, s.Store.PlansRejected)
+	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d\n",
+		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries)
 	fmt.Println("packing-buffer pools:")
 	fmt.Printf("  gets %d (reused %d, allocated %d, oversize %d), puts %d\n",
 		s.Buffers.Gets, s.Buffers.Reuses, s.Buffers.Allocs, s.Buffers.Oversize, s.Buffers.Puts)
@@ -502,7 +493,11 @@ func printGEMMPlan(dt vec.DType, m, n, k, count int) {
 	fmt.Printf("  pack A: %v (no-packing fast path when false)\n", pl.PackA)
 	fmt.Printf("  super-batch: %d interleave groups (%d matrices)\n",
 		pl.GroupsPerBatch, pl.GroupsPerBatch*dt.Pack())
-	fmt.Printf("  kernel instructions per group: %d\n", pl.Instructions())
+	ins, err := pl.Instructions()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  kernel instructions per group: %d\n", ins)
 }
 
 func printTRMMPlan(dt vec.DType, m, n, count int) {

@@ -42,14 +42,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("iatf-monitor: ")
 	var (
-		addr      = flag.String("addr", "localhost:9090", "listen address")
-		demo      = flag.Bool("demo", false, "drive a continuous demo workload so every surface has traffic")
-		ring      = flag.Int("ring", 512, "spans retained for /trace and /spans")
-		labels    = flag.Bool("labels", false, "apply pprof labels (op/dtype/shape) around compute")
-		once      = flag.Bool("once", false, "with -demo: run one workload round, print the surfaces, exit (smoke test)")
-		shards    = flag.Int("shards", 0, "serve a sharded EngineSet of N shards instead of the default engine")
-		planStore = flag.String("plan-store", "", "sharded mode: warm-start from a persistent autotune store directory (\"default\" = the default dir)")
-		tenants   = tenantFlag{}
+		addr    = flag.String("addr", "localhost:9090", "listen address")
+		demo    = flag.Bool("demo", false, "drive a continuous demo workload so every surface has traffic")
+		ring    = flag.Int("ring", 512, "spans retained for /trace and /spans")
+		labels  = flag.Bool("labels", false, "apply pprof labels (op/dtype/shape) around compute")
+		once    = flag.Bool("once", false, "with -demo: run one workload round, print the surfaces, exit (smoke test)")
+		shards  = flag.Int("shards", 0, "serve a sharded EngineSet of N shards instead of the default engine")
+		tenants = tenantFlag{}
 	)
 	flag.Var(tenants, "tenant", "tenant SLO spec name=class[:objective_ms[:target]] (repeatable; default rt/batch demo objectives)")
 	flag.Parse()
@@ -61,21 +60,12 @@ func main() {
 		tenants["batch"] = iatf.TenantObjective{Class: -1}
 	}
 
-	var setOpts []iatf.EngineOption
-	if *planStore != "" {
-		dir := *planStore
-		if dir == "default" {
-			dir = ""
-		}
-		setOpts = append(setOpts, iatf.WithPlanStore(dir))
-	}
-
 	// Sharded mode covers the whole set on every surface: spans from
 	// every shard land in one ring, /metrics carries per-shard +
 	// aggregate families, and expvar publishes the aggregate stats.
 	eng := iatf.DefaultEngine()
 	if *shards > 0 {
-		eng = iatf.NewEngineSet(*shards, setOpts...).Engine
+		eng = iatf.NewEngineSet(*shards).Engine
 	}
 	spans := iatf.NewSpanRing(*ring)
 	eng.SetSpanSink(spans.Add)

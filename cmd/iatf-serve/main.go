@@ -62,7 +62,6 @@ func main() {
 		edf       = flag.Bool("edf", true, "deadline-ordered dispatch (false = FIFO drain)")
 		queueCap  = flag.Int("queue-cap", 0, "submission-queue capacity per shard (0 = engine default)")
 		deadline  = flag.Duration("deadline", 0, "default request deadline when the body carries none (0 = none)")
-		planStore = flag.String("plan-store", "", "warm-start from a persistent autotune store directory (\"default\" = the default dir; pre-bake with iatf-tune)")
 		accessLog = flag.String("access-log", "", "structured JSON access log destination (\"-\" = stdout, else a file path; empty = off)")
 		once      = flag.Bool("once", false, "serve on an ephemeral port, run one GEMM through it, exit")
 		tenants   = tenantFlag{}
@@ -76,13 +75,6 @@ func main() {
 	}
 	if *queueCap > 0 {
 		opts = append(opts, iatf.WithQueueCapacity(*queueCap))
-	}
-	if *planStore != "" {
-		dir := *planStore
-		if dir == "default" {
-			dir = ""
-		}
-		opts = append(opts, iatf.WithPlanStore(dir))
 	}
 
 	// Tenants is always non-nil here (the zero tenantFlag is an empty
@@ -103,9 +95,6 @@ func main() {
 	}
 	// -shards 0 and 1 both serve one engine: a set of one shard.
 	cfg.Engine = iatf.NewEngineSet(max(*shards, 1), opts...).Engine
-	if *planStore != "" {
-		log.Printf("plan store %s: %d plans hydrated", cfg.Engine.StorePath(), cfg.Engine.Stats().PlanHydrated)
-	}
 	srv := serve.New(cfg)
 
 	if *once {

@@ -273,8 +273,6 @@ func planOutcome(row iatf.ShapeStats) string {
 		return "miss"
 	case row.PlanShared > 0:
 		return "shared"
-	case row.PlanHydrated > 0:
-		return "hydrated"
 	}
 	return "hit"
 }

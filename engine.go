@@ -62,23 +62,18 @@ func DefaultEngine() *Engine { return defaultEng }
 //
 //	eng := iatf.NewEngine(
 //	    iatf.WithQueueCapacity(4096),
-//	    iatf.WithPlanStore(""), // warm-start from the default store dir
+//	    iatf.WithBatchWindow(time.Millisecond),
 //	)
 //
 // With no options the engine uses the default tuning (Kunpeng 920
-// profile) and no persistent store.
+// profile).
 func NewEngine(opts ...EngineOption) *Engine { return newEngine(1, opts) }
 
 // newEngine builds a set of n shards with the options' tuning and
-// queue policy, then loads the plan store when one is attached.
+// queue policy.
 func newEngine(n int, opts []EngineOption) *Engine {
 	cfg := resolveConfig(opts)
-	s := engine.NewSet(cfg.tun, n, cfg.queue)
-	if cfg.storeSet {
-		s.SetStorePath(cfg.storePathFor(s.Fingerprint()))
-		_ = s.LoadStore() // fail-soft by design
-	}
-	return &Engine{inner: s}
+	return &Engine{inner: engine.NewSet(cfg.tun, n, cfg.queue)}
 }
 
 // Stats returns the engine's current counters, including the per-shape

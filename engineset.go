@@ -37,10 +37,8 @@ func DefaultShardCount() int { return engine.DefaultShards() }
 // DefaultShardCount), configured by the same options as NewEngine.
 // Each shard has its own plan cache, prepack cache, buffer pools,
 // worker fleet (capped at its core share when n > 1) and submission
-// queue; WithQueueCapacity/WithEDF/WithBatchWindow apply to every
-// shard, and WithPlanStore hydrates each stored plan into its
-// identity's home shard so the warm start lands exactly where live
-// traffic routes. A set of one is exactly NewEngine.
+// queue; every option applies to every shard. A set of one is exactly
+// NewEngine.
 func NewEngineSet(n int, opts ...EngineOption) *EngineSet {
 	return &EngineSet{newEngine(n, opts)}
 }

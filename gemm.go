@@ -17,8 +17,8 @@ import "context"
 // The first call on a shape generates an input-aware execution plan
 // (kernel sizes from the Table 1 registry for the concrete M, N, K,
 // packing kernels or the no-packing fast path, and an L1-sized
-// super-batch); the plan and its schedule-optimized kernels are memoized
-// process-wide, so repeated calls only pay for execution.
+// super-batch); the engine caches the plan, so repeated calls only pay
+// for execution.
 func GEMM[T Scalar](ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Compact[T]) error {
 	return Do(context.Background(), Request[T]{
 		Op: OpGEMM, TransA: ta, TransB: tb, Alpha: alpha, Beta: beta, A: a, B: b, C: c,

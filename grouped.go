@@ -10,8 +10,7 @@ import (
 // (the group_count style of MKL's gemm_batch and the Batched BLAS
 // proposal). IATF's framework is per-fixed-size by design; a grouped
 // call is one Request per group run through Do in order, reusing the
-// memoized install-time kernels and cached plans across groups that
-// share shapes. A failing group is reported with a typed *GroupError
+// cached plans across groups that share shapes. A failing group is reported with a typed *GroupError
 // wrapping the engine-taxonomy cause, so both errors.As (for the index)
 // and errors.Is (for ErrShape etc.) work.
 

@@ -17,16 +17,15 @@
 //	result := c.Unpack()
 //
 // Every call runs the paper's two-stage framework: the install-time stage
-// (kernel templates, CMAR-optimal kernel sizes, instruction scheduling) is
-// evaluated once per shape and memoized; the run-time stage picks packing
-// kernels, L1-sized super-batches and an execution plan from the input
-// matrix properties.
+// (kernel templates, CMAR-optimal kernel sizes, instruction scheduling)
+// produced the compiled kernels before the program ran; the run-time
+// stage picks packing kernels, L1-sized super-batches and an execution
+// plan from the input matrix properties, once per shape.
 package iatf
 
 import (
 	"fmt"
 
-	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/matrix"
 	"iatf/internal/vec"
@@ -263,13 +262,4 @@ func PackReplicated[T Scalar](data []T, rows, cols, count int) (*Compact[T], err
 		c.f64 = layout.ReplicateComplex[complex128, float64](dt, src, rows, cols, count)
 	}
 	return c, nil
-}
-
-// Preinstall runs the install-time stage ahead of time: every Table 1
-// computing kernel is generated and schedule-optimized for reductions up
-// to maxK and cached process-wide, so the first call on each shape pays
-// no kernel-generation latency. Returns the cached kernel count.
-// Entirely optional — kernels are otherwise generated lazily per shape.
-func Preinstall(maxK int) (int, error) {
-	return core.Preinstall(core.DefaultTuning(), maxK)
 }

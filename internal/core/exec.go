@@ -103,6 +103,11 @@ func gemmLayout(pl *GEMMPlan, groups int) gemmOffsets {
 // optionally feeding every instruction to the pipeline model.
 func runGEMM[E vec.Float](pl *GEMMPlan, ar *arena[E], o gemmOffsets, sim *machine.Sim) error {
 	p := pl.P
+	progs, err := pl.programs()
+	if err != nil {
+		return err
+	}
+	nk := len(pl.KChunks)
 	vm := &asm.VM[E]{Mem: ar.mem}
 	if sim != nil {
 		vm.Trace = func(in asm.Instr, addr int) { sim.Exec(in, addr) }
@@ -164,7 +169,7 @@ func runGEMM[E vec.Float](pl *GEMMPlan, ar *arena[E], o gemmOffsets, sim *machin
 				pack.Scale(ctx, geomC, real(p.Beta), imag(p.Beta))
 				replayPacking(sim, rec, ar.vl)
 			}
-			for _, t := range pl.tiles {
+			for ti, t := range pl.tiles {
 				kOff := 0
 				for ci, kc := range pl.KChunks {
 					if sim != nil {
@@ -178,7 +183,7 @@ func runGEMM[E vec.Float](pl *GEMMPlan, ar *arena[E], o gemmOffsets, sim *machin
 					vm.P[asm.PB] = o.packB + slot*o.lenB + (t.j0*p.K+kOff*t.nc)*ar.bl
 					vm.P[asm.PC] = o.c + g*o.lenC + (t.j0*p.M+t.i0)*ar.bl
 					vm.P[asm.PAlpha] = o.alpha
-					if err := vm.Run(t.progs[ci]); err != nil {
+					if err := vm.Run(progs[ti*nk+ci]); err != nil {
 						return fmt.Errorf("core: tile (%d,%d) chunk %d: %w", t.i0, t.j0, ci, err)
 					}
 					kOff += kc

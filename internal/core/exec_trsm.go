@@ -59,6 +59,11 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 		transAEff = !transAEff
 	}
 	tm := pack.NewTriMap(pl.MEff, p.Uplo == matrix.Upper, transAEff, p.Diag == matrix.Unit)
+	progs, err := pl.programs(pl.Tun, true)
+	if err != nil {
+		return err
+	}
+	nct := len(pl.ColTiles)
 
 	bl := ar.bl
 	gb := pl.GroupsPerBatch
@@ -95,9 +100,10 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 				targetOff = o.packB + slot*o.lenPB
 			}
 			j0 := 0
-			for _, ct := range pl.ColTiles {
+			for j, ct := range pl.ColTiles {
 				colBase := targetOff + j0*pl.MEff*bl
-				for _, st := range pl.steps {
+				for s, st := range pl.steps {
+					pr := progs[s*nct+j]
 					if sim != nil {
 						sim.AddCycles(kernelDispatchCycles)
 					}
@@ -105,13 +111,13 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 						vm.P[asm.PA] = triBase + st.rectOff
 						vm.P[asm.PX] = colBase
 						vm.P[asm.PC] = colBase + st.r0*bl
-						if err := vm.Run(st.rect[ct]); err != nil {
+						if err := vm.Run(pr.rect); err != nil {
 							return fmt.Errorf("core: trsm rect panel r0=%d: %w", st.r0, err)
 						}
 					}
 					vm.P[asm.PA] = triBase + st.triOff
 					vm.P[asm.PB] = colBase + st.r0*bl
-					if err := vm.Run(st.tri[ct]); err != nil {
+					if err := vm.Run(pr.tri); err != nil {
 						return fmt.Errorf("core: trsm tri panel r0=%d: %w", st.r0, err)
 					}
 				}

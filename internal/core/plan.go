@@ -8,12 +8,14 @@
 //     path when the computing kernel can already walk the operand
 //     sequentially;
 //   - the Execution Plan Generator tiles the problem over the Table 1
-//     kernel sizes, instantiates the install-time kernel templates for the
-//     concrete K, and schedules them through the kernel optimizer.
+//     kernel sizes and splits long reductions into K chunks.
 //
-// Plans are data: the executors in this package run them functionally on
-// the asm VM and, optionally, through the machine pipeline model in the
-// same pass.
+// Plans are geometry only: which kernel runs where, never the kernel's
+// code. The kernels belong to the install-time stage. On the native path
+// they are the compiled kernels of internal/kernels; the VM and
+// cycle-model executors in this package build each kernel's template
+// spec from the plan's geometry when they run, and fetch its generated,
+// scheduled program from the process kernel memo.
 package core
 
 import (
@@ -97,14 +99,13 @@ func (t Tuning) optimize(p asm.Prog, dt vec.DType) asm.Prog {
 	})
 }
 
-// kernelMemo memoizes generated+scheduled kernels across plans. The
-// install-time stage of the paper generates kernels ahead of time; the
-// memo is this reproduction's equivalent, keyed by the full parameter
-// tuple (specs are comparable structs) plus the scheduling machine's
-// fingerprint — list schedules depend on the profile's ports and
-// latencies, so engines tuned for different machines never share them.
-// The memo is exportable/importable (kopt.Memo), which is what the
-// persistent autotune store serializes.
+// kernelMemo memoizes generated and scheduled kernel programs for the VM
+// and cycle-model executors, this reproduction's stand-in for the
+// paper's install-time kernel library. A key is the full parameter tuple
+// (specs are comparable structs), the ablation switches and the
+// scheduling machine's fingerprint: list schedules depend on the
+// profile's ports and latencies, so tunings for different machines never
+// share them.
 type kernelKey struct {
 	spec any
 	opt  bool
@@ -114,34 +115,42 @@ type kernelKey struct {
 
 var kernelMemo = kopt.NewMemo()
 
-func (t Tuning) cached(spec any, gen func() (asm.Prog, error), dt vec.DType) (asm.Prog, error) {
-	prof := machine.Fingerprint(t.Prof)
-	key := kernelKey{spec: spec, opt: !t.DisableOptimizer, pf: !t.DisablePrefetch, prof: prof}
-	mk := func() kopt.MemoKey {
-		return kopt.MemoKey{Spec: fmt.Sprintf("%T%+v", spec, spec), Opt: key.opt, Pf: key.pf, Prof: prof}
-	}
-	if p, ok := kernelMemo.Get(key, mk); ok {
+// kernelSource fetches programs from the kernel memo for one executor
+// call; the memo key's tuning half is computed once per call, since
+// fingerprinting formats and hashes the whole machine profile.
+type kernelSource struct {
+	tun  Tuning
+	dt   vec.DType
+	prof string // machine.Fingerprint(tun.Prof)
+}
+
+func (t Tuning) kernels(dt vec.DType) kernelSource {
+	return kernelSource{tun: t, dt: dt, prof: machine.Fingerprint(t.Prof)}
+}
+
+// get returns the scheduled program for spec, generating it with gen and
+// running the kernel optimizer on a miss.
+func (k kernelSource) get(spec any, gen func() (asm.Prog, error)) (asm.Prog, error) {
+	key := kernelKey{spec: spec, opt: !k.tun.DisableOptimizer, pf: !k.tun.DisablePrefetch, prof: k.prof}
+	if p, ok := kernelMemo.Get(key); ok {
 		return p, nil
 	}
 	raw, err := gen()
 	if err != nil {
 		return nil, err
 	}
-	p := t.optimize(raw, dt)
-	kernelMemo.Put(key, mk(), p)
+	p := k.tun.optimize(raw, k.dt)
+	kernelMemo.Put(key, p)
 	return p, nil
 }
 
-// ExportKernels returns the memoized kernel schedules whose key matches
-// the machine-profile fingerprint (empty = all) for store serialization.
-func ExportKernels(prof string) []kopt.MemoEntry { return kernelMemo.Export(prof) }
-
-// ImportKernels merges stored kernel schedules into the process memo and
-// reports how many were new.
-func ImportKernels(entries []kopt.MemoEntry) int { return kernelMemo.Import(entries) }
-
-// KernelMemoStats returns the process kernel memo's lookup counters.
-func KernelMemoStats() (hits, misses, importHits uint64) { return kernelMemo.Stats() }
+// KernelMemoStats returns the process kernel memo's lookup counters. The
+// third result is always zero; it stays for callers written against the
+// three-result form.
+func KernelMemoStats() (hits, misses, imported uint64) {
+	hits, misses = kernelMemo.Stats()
+	return hits, misses, 0
+}
 
 // SwapKernelMemo replaces the process kernel memo and returns the
 // previous one — a test hook for simulating a cold process in-process.
@@ -181,11 +190,12 @@ const maxKernelK = 48
 const maxTriDim = 128
 
 // maxPlanCalls bounds the kernel calls one interleave group of a GEMM or
-// SYRK plan makes (tiles × K chunks), for live calls and stored plans
-// alike. A GEMM plan holds one entry per call, so its memory and build
-// time grow with the count: a 1024³ GEMM, 1.4 million calls, takes 4 s
-// and 0.5 GB to plan. The bound admits every shape up to 256³, and it is
-// checked before anything is allocated.
+// SYRK plan makes (tiles × K chunks). A GEMM plan holds one entry per
+// tile, and the VM executor fetches one program per call: a d GEMM of
+// 1024³ (65,536 tiles, 1.4 million calls) takes 2 ms and 2.2 MB to plan,
+// and its VM run would fetch 1.4 million programs. This is a small-matrix
+// library, so the bound admits every shape up to 256³, and it is checked
+// before anything is allocated.
 const maxPlanCalls = 1 << 16
 
 // checkPlanCalls refuses a plan of more than maxPlanCalls kernel calls
@@ -212,11 +222,10 @@ func splitK(k int) []int {
 }
 
 // tile is one kernel invocation footprint within the M×N tiling. A tile
-// runs one program per K chunk, each consuming the next packed K range.
+// runs one kernel per K chunk, each consuming the next packed K range.
 type tile struct {
 	i0, mc int
 	j0, nc int
-	progs  []asm.Prog // one per K chunk
 }
 
 // GEMMPlan is a generated execution plan for a GEMMProblem.
@@ -298,27 +307,39 @@ func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, er
 	// the L1 budget.
 	pl.GroupsPerBatch = tun.groupsPerBatch(p.DT, p.M*p.K+p.K*p.N+p.M*p.N, p.Count)
 
-	// Execution Plan Generator: one optimized kernel per tile and K chunk.
+	// Execution Plan Generator: the tiles, each running one kernel per K
+	// chunk.
 	pl.KChunks = splitK(p.K)
+	pl.tiles = make([]tile, 0, len(pl.MTiles)*len(pl.NTiles))
 	i0 := 0
 	for _, mc := range pl.MTiles {
 		j0 := 0
 		for _, nc := range pl.NTiles {
-			t := tile{i0: i0, mc: mc, j0: j0, nc: nc}
-			for _, kc := range pl.KChunks {
-				spec := ktmpl.GEMMSpec{DT: p.DT, MC: mc, NC: nc, K: kc, StrideC: p.M, VL: tun.VL}
-				prog, err := tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenGEMM(spec) }, p.DT)
-				if err != nil {
-					return nil, err
-				}
-				t.progs = append(t.progs, prog)
-			}
-			pl.tiles = append(pl.tiles, t)
+			pl.tiles = append(pl.tiles, tile{i0: i0, mc: mc, j0: j0, nc: nc})
 			j0 += nc
 		}
 		i0 += mc
 	}
 	return pl, nil
+}
+
+// programs fetches the VM program of every tile and K chunk, indexed
+// tile-major (tile i, chunk c at i·len(KChunks)+c).
+func (pl *GEMMPlan) programs() ([]asm.Prog, error) {
+	p := pl.P
+	src := pl.Tun.kernels(p.DT)
+	progs := make([]asm.Prog, 0, len(pl.tiles)*len(pl.KChunks))
+	for _, t := range pl.tiles {
+		for _, kc := range pl.KChunks {
+			spec := ktmpl.GEMMSpec{DT: p.DT, MC: t.mc, NC: t.nc, K: kc, StrideC: p.M, VL: pl.Tun.VL}
+			prog, err := src.get(spec, func() (asm.Prog, error) { return ktmpl.GenGEMM(spec) })
+			if err != nil {
+				return nil, err
+			}
+			progs = append(progs, prog)
+		}
+	}
+	return progs, nil
 }
 
 // blockLen returns the element footprint of one compact block.
@@ -329,16 +350,15 @@ func blockLen(dt vec.DType, vl int) int {
 	return vl
 }
 
-// Instructions returns the total instruction count of all tile kernels —
-// a cheap proxy used by tests and the info tool.
-func (pl *GEMMPlan) Instructions() int {
+// Instructions returns the total instruction count of the generated
+// programs one interleave group runs — a size proxy for the info tool.
+func (pl *GEMMPlan) Instructions() (int, error) {
+	progs, err := pl.programs()
 	n := 0
-	for _, t := range pl.tiles {
-		for _, p := range t.progs {
-			n += len(p)
-		}
+	for _, p := range progs {
+		n += len(p)
 	}
-	return n
+	return n, err
 }
 
 // TRSMProblem describes a compact batched TRSM: solve
@@ -387,49 +407,9 @@ type TRSMPlan struct {
 
 // NewTRSMPlan runs the run-time stage for a TRSM problem.
 func NewTRSMPlan(p TRSMProblem, tun Tuning) (*TRSMPlan, error) {
-	geo, err := newTriGeom("TRSM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun,
-		func(spec ktmpl.RectSpec) (asm.Prog, error) {
-			return tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMRect(spec) }, p.DT)
-		},
-		func(spec ktmpl.TriSpec) (asm.Prog, error) {
-			return tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenTRSMTri(spec) }, p.DT)
-		})
+	geo, err := newTriGeom("TRSM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun)
 	if err != nil {
 		return nil, err
 	}
 	return &TRSMPlan{P: p, Tun: tun, TriGeom: geo}, nil
-}
-
-func dedupe(xs []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Preinstall runs the install-time stage eagerly: it generates and
-// schedule-optimizes every Table 1 computing kernel for reductions up to
-// maxK, populating the process-wide kernel cache so later plans pay no
-// generation latency — the paper's ahead-of-time install-time stage made
-// explicit. It returns the number of kernels now cached.
-func Preinstall(tun Tuning, maxK int) (int, error) {
-	if maxK < 1 {
-		maxK = 1
-	}
-	for _, dt := range vec.DTypes {
-		for _, sz := range ktmpl.GEMMKernelSizes(dt) {
-			for k := 1; k <= maxK && k <= maxKernelK; k++ {
-				spec := ktmpl.GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, K: k, StrideC: sz.MC, VL: tun.VL}
-				if _, err := tun.cached(spec, func() (asm.Prog, error) { return ktmpl.GenGEMM(spec) }, dt); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	return kernelMemo.Len(), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"iatf/internal/asm"
@@ -25,8 +26,8 @@ import (
 //   - the panel sweep: TRSM solves top-down (rectangle update, then the
 //     triangle), TRMM multiplies bottom-up (triangle, then rectangle
 //     accumulation) so every panel still reads original rows;
-//   - the kernels: Rect/Tri against RectAdd/TriMul, generated and
-//     cached per op.
+//   - the kernels: Rect/Tri against RectAdd/TriMul, natively and as
+//     the VM programs the model path fetches per op.
 
 // TriGeom is the canonical geometry of a triangular plan.
 type TriGeom struct {
@@ -44,21 +45,19 @@ type TriGeom struct {
 	steps  []triStep
 }
 
-// triStep is one panel's kernel pair within a column tile.
+// triStep is one panel: its rows and where its two kernels read the
+// packed triangle.
 type triStep struct {
-	r0, q   int              // panel rows
-	rectOff int              // element offset of the panel's rectangular part in the packed triangle
-	triOff  int              // element offset of the panel's triangular part
-	rect    map[int]asm.Prog // VM/cycle-backend kernels, keyed by column-tile width
-	tri     map[int]asm.Prog
+	r0, q   int // panel rows
+	rectOff int // element offset of the panel's rectangular part in the packed triangle
+	triOff  int // element offset of the panel's triangular part
 }
 
 // newTriGeom runs the run-time stage of a triangular problem: side
 // reduction, the Pack Selector's B decision, panels and column tiles,
-// the Batch Counter and each panel's packed-triangle offsets. rect and
-// tri instantiate the op's kernels for one panel and tile width.
+// the Batch Counter and each panel's packed-triangle offsets.
 func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix.Uplo, transA matrix.Trans, count int,
-	tun Tuning, rect func(ktmpl.RectSpec) (asm.Prog, error), tri func(ktmpl.TriSpec) (asm.Prog, error)) (TriGeom, error) {
+	tun Tuning) (TriGeom, error) {
 	if m < 1 || n < 1 || count < 1 {
 		return TriGeom{}, fmt.Errorf("core: invalid %s problem %dx%d count %d", op, m, n, count)
 	}
@@ -92,32 +91,51 @@ func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix
 	// Batch Counter: packed triangle + B per group within L1.
 	g.GroupsPerBatch = tun.groupsPerBatch(dt, g.MEff*(g.MEff+1)/2+g.MEff*g.NEff, count)
 
-	// Kernels per panel × column-tile width.
+	// Each panel's packed-triangle offsets.
 	bl := blockLen(dt, tun.lanes(dt))
+	g.steps = make([]triStep, 0, len(g.Panels))
 	r0, off := 0, 0
 	for _, q := range g.Panels {
-		st := triStep{r0: r0, q: q, rectOff: off, triOff: off + q*r0*bl,
-			rect: map[int]asm.Prog{}, tri: map[int]asm.Prog{}}
-		for _, ct := range dedupe(g.ColTiles) {
-			if r0 > 0 {
-				prog, err := rect(ktmpl.RectSpec{DT: dt, MC: q, NC: ct, K: r0,
-					StrideC: g.MEff, StrideX: g.MEff, VL: tun.VL})
-				if err != nil {
-					return TriGeom{}, err
-				}
-				st.rect[ct] = prog
-			}
-			prog, err := tri(ktmpl.TriSpec{DT: dt, M: q, NCols: ct, StrideB: g.MEff, VL: tun.VL})
-			if err != nil {
-				return TriGeom{}, err
-			}
-			st.tri[ct] = prog
-		}
-		g.steps = append(g.steps, st)
+		g.steps = append(g.steps, triStep{r0: r0, q: q, rectOff: off, triOff: off + q*r0*bl})
 		off += (q*r0 + q*(q+1)/2) * bl
 		r0 += q
 	}
 	return g, nil
+}
+
+// triProgs is one panel's VM programs for one column tile: the
+// rectangle (nil for the first panel, which has none) and the triangle.
+type triProgs struct{ rect, tri asm.Prog }
+
+// programs fetches the VM programs of every panel and column tile,
+// indexed panel-major (panel s, tile j at s·len(ColTiles)+j). solve picks
+// TRSM's kernels, else TRMM's, which the memo keys apart.
+func (g *TriGeom) programs(tun Tuning, solve bool) ([]triProgs, error) {
+	src := tun.kernels(g.dt)
+	progs := make([]triProgs, len(g.steps)*len(g.ColTiles))
+	for s, st := range g.steps {
+		for j, ct := range g.ColTiles {
+			rs := ktmpl.RectSpec{DT: g.dt, MC: st.q, NC: ct, K: st.r0, StrideC: g.MEff, StrideX: g.MEff, VL: tun.VL}
+			ts := ktmpl.TriSpec{DT: g.dt, M: st.q, NCols: ct, StrideB: g.MEff, VL: tun.VL}
+			pr := &progs[s*len(g.ColTiles)+j]
+			var rectErr, triErr error
+			if solve {
+				if st.r0 > 0 {
+					pr.rect, rectErr = src.get(rs, func() (asm.Prog, error) { return ktmpl.GenTRSMRect(rs) })
+				}
+				pr.tri, triErr = src.get(ts, func() (asm.Prog, error) { return ktmpl.GenTRSMTri(ts) })
+			} else {
+				if st.r0 > 0 {
+					pr.rect, rectErr = src.get(trmmRectKey{rs}, func() (asm.Prog, error) { return ktmpl.GenTRMMRect(rs) })
+				}
+				pr.tri, triErr = src.get(trmmTriKey{ts}, func() (asm.Prog, error) { return ktmpl.GenTRMMTri(ts) })
+			}
+			if err := errors.Join(rectErr, triErr); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return progs, nil
 }
 
 // ExecTRSMNativePrepacked runs the TRSM plan with the native kernels,

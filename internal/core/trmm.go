@@ -64,20 +64,14 @@ type TRMMPlan struct {
 	RT *Runtime
 }
 
-// distinct cache-key wrappers: TriSpec/RectSpec are shared with TRSM but
-// generate different programs here.
+// distinct kernel-memo key wrappers: TriSpec/RectSpec are shared with
+// TRSM but generate different programs here.
 type trmmTriKey struct{ s ktmpl.TriSpec }
 type trmmRectKey struct{ s ktmpl.RectSpec }
 
 // NewTRMMPlan runs the run-time stage for a TRMM problem.
 func NewTRMMPlan(p TRMMProblem, tun Tuning) (*TRMMPlan, error) {
-	geo, err := newTriGeom("TRMM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun,
-		func(spec ktmpl.RectSpec) (asm.Prog, error) {
-			return tun.cached(trmmRectKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMRect(spec) }, p.DT)
-		},
-		func(spec ktmpl.TriSpec) (asm.Prog, error) {
-			return tun.cached(trmmTriKey{spec}, func() (asm.Prog, error) { return ktmpl.GenTRMMTri(spec) }, p.DT)
-		})
+	geo, err := newTriGeom("TRMM", p.DT, p.M, p.N, p.Side, p.Uplo, p.TransA, p.Count, tun)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +119,11 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 	tm := pack.NewTriMap(pl.MEff, p.Uplo == matrix.Upper, transAEff, p.Diag == matrix.Unit)
 	tm.Recip = false
 
+	progs, err := pl.programs(pl.Tun, false)
+	if err != nil {
+		return err
+	}
+	nct := len(pl.ColTiles)
 	bl := ar.bl
 	gb := pl.GroupsPerBatch
 	for sb := 0; sb < ar.groups; sb += gb {
@@ -156,23 +155,24 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 				targetOff = o.packB + slot*o.lenPB
 			}
 			j0 := 0
-			for _, ct := range pl.ColTiles {
+			for j, ct := range pl.ColTiles {
 				colBase := targetOff + j0*pl.MEff*bl
 				for s := len(pl.steps) - 1; s >= 0; s-- {
 					st := pl.steps[s]
+					pr := progs[s*nct+j]
 					if sim != nil {
 						sim.AddCycles(kernelDispatchCycles)
 					}
 					vm.P[asm.PA] = triBase + st.triOff
 					vm.P[asm.PB] = colBase + st.r0*bl
-					if err := vm.Run(st.tri[ct]); err != nil {
+					if err := vm.Run(pr.tri); err != nil {
 						return fmt.Errorf("core: trmm tri panel r0=%d: %w", st.r0, err)
 					}
 					if st.r0 > 0 {
 						vm.P[asm.PA] = triBase + st.rectOff
 						vm.P[asm.PX] = colBase
 						vm.P[asm.PC] = colBase + st.r0*bl
-						if err := vm.Run(st.rect[ct]); err != nil {
+						if err := vm.Run(pr.rect); err != nil {
 							return fmt.Errorf("core: trmm rect panel r0=%d: %w", st.r0, err)
 						}
 					}

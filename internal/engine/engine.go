@@ -249,18 +249,19 @@ type planShard struct {
 	mu       sync.Mutex
 	m        map[planKey]any
 	building map[planKey]*planCall
-	// hydrated marks entries installed from the persistent autotune
-	// store whose first use is still pending: that first call reports
-	// obs.CacheHydrated so the per-shape series records the plan's
-	// static decisions (ceiling, packing, batch size) the way a miss
-	// would — without ever counting as a miss.
+	// hydrated marks entries installed from a store whose first use is
+	// still pending: that first call reports obs.CacheHydrated so the
+	// per-shape series records the plan's static decisions (ceiling,
+	// packing, batch size) the way a miss would — without ever counting
+	// as a miss. Hydration allocates it; it stays nil otherwise.
 	hydrated map[planKey]bool
 }
 
 // Engine owns a tuning configuration, the plan cache for it and the
 // per-shape observability registry. It is one shard of a Set: the
 // public API reaches engines only through sets (a solo engine is a set
-// of one), while New alone serves tests and iatf-tune's Warm/Export.
+// of one), while New alone serves tests and the store layer's
+// Warm/Export.
 type Engine struct {
 	tun    core.Tuning
 	rt     *core.Runtime // per-engine worker pool + buffer pools
@@ -273,12 +274,10 @@ type Engine struct {
 	planMisses    atomic.Uint64
 	planShared    atomic.Uint64
 	planEvictions atomic.Uint64
-	planHydrated  atomic.Uint64 // plan-cache entries installed from the store
+	planHydrated  atomic.Uint64 // plan-cache entries installed from a store
 
-	// Persistent autotune store attachment (SetStorePath/LoadStore/
-	// SaveStore in store.go). fp is the engine tuning's fingerprint,
-	// computed once at construction; storeState counts store activity.
-	fp         string
+	// Store attachment (SetStorePath/LoadStore/SaveStore in store.go);
+	// storeState counts store activity.
 	storeMu    sync.Mutex
 	storePath  string
 	storeState StoreStats
@@ -303,12 +302,11 @@ func New(tun core.Tuning) *Engine { return newEngine(tun, QueueConfig{}) }
 
 // newEngine constructs an engine whose async queue follows qc.
 func newEngine(tun core.Tuning, qc QueueConfig) *Engine {
-	e := &Engine{tun: tun, rt: core.NewRuntime(), obs: obs.NewRegistry(), fp: tun.Fingerprint()}
+	e := &Engine{tun: tun, rt: core.NewRuntime(), obs: obs.NewRegistry()}
 	e.queue.init(qc)
 	for i := range e.shards {
 		e.shards[i].m = make(map[planKey]any)
 		e.shards[i].building = make(map[planKey]*planCall)
-		e.shards[i].hydrated = make(map[planKey]bool)
 	}
 	e.packs.m = make(map[packKey]*packEntry)
 	return e
@@ -385,8 +383,8 @@ func (sh *planShard) evictOne(e *Engine) {
 }
 
 // buildForKey constructs the plan a cache key describes — the one plan
-// constructor behind live misses, chain planning, store hydration and
-// Warm, so a hydrated or pre-baked plan is bit-equal to a freshly tuned
+// constructor behind every miss, one-stage or chained, and behind store
+// hydration and Warm, so a hydrated plan is bit-equal to a freshly tuned
 // one. Plans are built for the key's count bucket with unit scalars
 // (both are spliced per call).
 func (e *Engine) buildForKey(key planKey) (any, error) {
@@ -428,13 +426,14 @@ type Stats struct {
 	PlanShared    uint64 // calls that waited on another call's in-flight build
 	PlanEvictions uint64
 	PlanEntries   int
-	// PlanHydrated counts plan-cache entries installed from the
-	// persistent autotune store — kept distinct from PlanMisses so the
-	// achieved-vs-CMAR-ceiling reporting stays honest: a hydrated plan
-	// was tuned once, in some earlier process, not by this call.
+	// PlanHydrated counts plan-cache entries installed from a store —
+	// kept distinct from PlanMisses so the achieved-vs-CMAR-ceiling
+	// reporting stays honest: a hydrated plan was tuned once, in some
+	// earlier process, not by this call. No public option attaches a
+	// store, so it reads 0 outside the store layer's tests.
 	PlanHydrated uint64
 
-	// Persistent autotune store (this engine).
+	// Store layer (this engine; see store.go).
 	Store StoreStats
 
 	// Packed-operand cache (this engine).

@@ -205,14 +205,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_plan_cache_misses", func(st *Stats) uint64 { return st.PlanMisses }},
 		{"iatf_plan_cache_shared", func(st *Stats) uint64 { return st.PlanShared }},
 		{"iatf_plan_cache_evictions", func(st *Stats) uint64 { return st.PlanEvictions }},
-		{"iatf_plan_hydrated", func(st *Stats) uint64 { return st.PlanHydrated }},
-		{"iatf_store_loads", func(st *Stats) uint64 { return st.Store.Loads }},
-		{"iatf_store_load_mismatches", func(st *Stats) uint64 { return st.Store.LoadMismatches }},
-		{"iatf_store_load_errors", func(st *Stats) uint64 { return st.Store.LoadErrors }},
-		{"iatf_store_saves", func(st *Stats) uint64 { return st.Store.Saves }},
-		{"iatf_store_save_errors", func(st *Stats) uint64 { return st.Store.SaveErrors }},
-		{"iatf_store_kernels_imported", func(st *Stats) uint64 { return st.Store.KernelsImported }},
-		{"iatf_store_plans_rejected", func(st *Stats) uint64 { return st.Store.PlansRejected }},
 		{"iatf_pack_cache_hits", func(st *Stats) uint64 { return st.PackCache.Hits }},
 		{"iatf_pack_cache_builds", func(st *Stats) uint64 { return st.PackCache.Builds }},
 		{"iatf_pack_cache_evictions", func(st *Stats) uint64 { return st.PackCache.Evictions }},

@@ -14,11 +14,9 @@
 //     validated plan key (planKey.identity — op kind, dtype, the mode
 //     flags the op reads and its dimensions; never scalars, workers,
 //     the batch count or a mode field the op ignores), and a chain folds
-//     its stages' identities. Store hydration places each stored plan by
-//     the same identity, so a warm start lands where live traffic goes.
-//     Jump consistent hashing maps the identity onto a shard, so the
-//     mapping is stable for a given shard count and minimally disturbed
-//     when the count changes.
+//     its stages' identities. Jump consistent hashing maps the identity
+//     onto a shard, so the mapping is stable for a given shard count and
+//     minimally disturbed when the count changes.
 //   - Every shard is a full Engine with its own core.Runtime: plan cache,
 //     pack cache, buffer pools, worker pool, obs registry and submission
 //     queue are strictly per-shard. A shard's packing churn cannot evict

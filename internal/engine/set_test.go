@@ -719,3 +719,17 @@ func TestSetHomeTable(t *testing.T) {
 		}
 	}
 }
+
+// triCompact builds a batch of well-conditioned lower/upper-usable
+// triangular operands: random with a dominant diagonal.
+func triCompact(rng *rand.Rand, count, n int) *layout.Compact[float32] {
+	b := matrix.NewBatch[float32](count, n, n)
+	matrix.Fill(rng, b.Data)
+	for m := 0; m < count; m++ {
+		mat := b.Mat(m)
+		for i := 0; i < n; i++ {
+			mat.Set(i, i, 4+rng.Float32())
+		}
+	}
+	return layout.FromBatch(vec.S, b)
+}

@@ -1,19 +1,22 @@
-// Persistent autotune store attachment: the engine's plan cache and the
-// process kernel memo serialized to disk (internal/store) and reloaded
-// at construction, so a cold process starts with the install-time and
-// run-time stages already paid for every stored shape.
+// The engine's store layer: the plan cache serialized to disk
+// (internal/store) and replayed into a set's shards. Plans are geometry,
+// so a stored plan saves only a microsecond build, and loading a store
+// measured slower than building its plans cold (EXPERIMENTS.md). No
+// public option or command attaches a store any more; this layer and
+// internal/store go together (ROADMAP item 2).
 //
 // The store is keyed by the tuning fingerprint (machine profile +
-// tuning knobs + layout/dtype version). Loading is forgiving by design:
-// an absent file is a cold start, a fingerprint/version mismatch or a
+// tuning knobs + dtype interleave). Loading is forgiving by design: an
+// absent file is a cold start, a fingerprint/version mismatch or a
 // corrupt file is counted and ignored, and the engine falls back to
 // live tuning — the store can never make a correct call incorrect,
-// because hydration replays the exact plan constructors against kernel
-// schedules that are bit-equal to what this process would build.
+// because hydration replays the exact plan constructors.
 package engine
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io/fs"
 
 	"iatf/internal/core"
@@ -25,15 +28,13 @@ import (
 
 // StoreStats is the persistent-store slice of Stats.
 type StoreStats struct {
-	Path        string // attached store file ("" = no store)
-	Fingerprint string // this engine's tuning fingerprint
+	Path string // attached store file ("" = no store)
 
-	Loads           uint64 // successful store loads
-	LoadMismatches  uint64 // files ignored for fingerprint/version skew
-	LoadErrors      uint64 // corrupt or unreadable files (absent files are not errors)
-	Saves           uint64 // successful store writes
-	SaveErrors      uint64 // failed store writes
-	KernelsImported uint64 // kernel schedules imported from loaded stores
+	Loads          uint64 // successful store loads
+	LoadMismatches uint64 // files ignored for fingerprint/version skew
+	LoadErrors     uint64 // corrupt or unreadable files (absent files are not errors)
+	Saves          uint64 // successful store writes
+	SaveErrors     uint64 // failed store writes
 	// PlansRejected counts stored plan descriptors no live call could
 	// have saved, which hydration skips: an unknown kind, dtype or mode,
 	// a negative dimension, a count bucket that is not a power of two,
@@ -42,21 +43,16 @@ type StoreStats struct {
 }
 
 // Add accumulates another engine's store counters (EngineSet aggregate).
-// Path and Fingerprint are shared set-wide, so the first non-empty value
-// wins.
+// Path is shared set-wide, so the first non-empty value wins.
 func (s *StoreStats) Add(o StoreStats) {
 	if s.Path == "" {
 		s.Path = o.Path
-	}
-	if s.Fingerprint == "" {
-		s.Fingerprint = o.Fingerprint
 	}
 	s.Loads += o.Loads
 	s.LoadMismatches += o.LoadMismatches
 	s.LoadErrors += o.LoadErrors
 	s.Saves += o.Saves
 	s.SaveErrors += o.SaveErrors
-	s.KernelsImported += o.KernelsImported
 	s.PlansRejected += o.PlansRejected
 }
 
@@ -64,19 +60,39 @@ func (e *Engine) storeStats() StoreStats {
 	e.storeMu.Lock()
 	defer e.storeMu.Unlock()
 	st := e.storeState
-	st.Path, st.Fingerprint = e.storePath, e.fp
+	st.Path = e.storePath
 	return st
 }
 
-// Fingerprint returns the engine tuning's store fingerprint.
-func (e *Engine) Fingerprint() string { return e.fp }
+// Fingerprint returns the engine tuning's store fingerprint. It is
+// computed on demand, so engines that never touch a store never pay
+// for it.
+func (e *Engine) Fingerprint() string { return storeFingerprint(e.tun) }
 
-// hydrate imports f's kernel schedules, installs each stored plan on the
-// shard its key's identity homes on, and counts the load on shard 0. A
-// descriptor keyOfDesc or the plan constructors reject is skipped and
-// counted: the file may be corrupt, hostile or from a newer writer.
+// storeFingerprint condenses every input that shapes a tuning's plans
+// into one stable, filesystem-safe identifier: the machine profile's
+// fingerprint, the tuning and ablation knobs (L1 budget,
+// optimizer/prefetch switches, forced batch/pack decisions, lane
+// override) and the dtype interleave table. A store written under one
+// fingerprint is only ever replayed by an engine whose tuning hashes to
+// the same value.
+func storeFingerprint(t core.Tuning) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "tun1|%s|l1:%d|opt:%t|pf:%t|fg:%d|fpa:%t|vl:%d",
+		machine.Fingerprint(t.Prof), t.L1Budget, !t.DisableOptimizer, !t.DisablePrefetch,
+		t.ForceGroupsPerBatch, t.ForcePackA, t.VL)
+	for _, dt := range vec.DTypes {
+		fmt.Fprintf(h, "|%s:%d:%d", dt, dt.Pack(), dt.ElemBytes())
+	}
+	return fmt.Sprintf("t%016x", h.Sum64())
+}
+
+// hydrate installs each stored plan on the shard its key's identity
+// homes on and counts the load on shard 0. A descriptor keyOfDesc or the
+// plan constructors reject is skipped and counted: the file may be
+// corrupt, hostile or from a newer writer.
 func (s *Set) hydrate(f *store.File) {
-	kernels, rejected := core.ImportKernels(f.Kernels), 0
+	rejected := 0
 	for _, d := range f.Plans {
 		key, err := keyOfDesc(d)
 		if err == nil {
@@ -89,7 +105,6 @@ func (s *Set) hydrate(f *store.File) {
 	e0 := s.engines[0]
 	e0.storeMu.Lock()
 	e0.storeState.Loads++
-	e0.storeState.KernelsImported += uint64(kernels)
 	e0.storeState.PlansRejected += uint64(rejected)
 	e0.storeMu.Unlock()
 }
@@ -119,16 +134,19 @@ func (e *Engine) hydratePlan(key planKey) error {
 		sh.evictOne(e)
 	}
 	sh.m[key] = v
+	if sh.hydrated == nil {
+		sh.hydrated = make(map[planKey]bool)
+	}
 	sh.hydrated[key] = true
 	e.planHydrated.Add(1)
 	return nil
 }
 
 // Warm resolves the plan for one problem descriptor through the regular
-// cache path (building it on miss) — the pre-baking primitive behind
-// iatf-tune. d.CountBucket may be any batch count: Warm buckets it as a
-// live call buckets its count. The build error, if any, is returned so
-// tuners can report shapes the tuning rejects.
+// cache path (building it on miss): the pre-baking primitive. d.CountBucket
+// may be any batch count: Warm buckets it as a live call buckets its
+// count. The build error, if any, is returned so a caller can report
+// shapes the tuning rejects.
 func (e *Engine) Warm(d store.PlanDesc) error {
 	d.CountBucket = countBucket(d.CountBucket)
 	key, err := keyOfDesc(d)
@@ -140,11 +158,9 @@ func (e *Engine) Warm(d store.PlanDesc) error {
 }
 
 // Export snapshots the engine's tuned state as a store file: every plan
-// key in the cache plus the process kernel memo's entries for this
-// engine's machine profile.
+// key in the cache.
 func (e *Engine) Export(tool string) *store.File {
-	f := store.New(e.fp, tool)
-	f.Kernels = core.ExportKernels(machine.Fingerprint(e.tun.Prof))
+	f := store.New(e.Fingerprint(), tool)
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
@@ -230,10 +246,9 @@ func (s *Set) StorePath() string {
 
 // Fingerprint returns the set's tuning fingerprint (all shards share
 // one tuning).
-func (s *Set) Fingerprint() string { return s.engines[0].fp }
+func (s *Set) Fingerprint() string { return s.engines[0].Fingerprint() }
 
-// LoadStore reads the set's attached store and hydrates it: stored
-// kernel schedules join the process kernel memo once, and every stored
+// LoadStore reads the set's attached store and hydrates it: every stored
 // plan descriptor is replayed through the exact plan constructors into
 // its identity's home shard — the shard live traffic routes to —
 // counted in Stats.PlanHydrated, never as misses.
@@ -248,7 +263,7 @@ func (s *Set) LoadStore() error {
 	if path == "" {
 		return nil
 	}
-	f, err := store.Load(path, e0.fp)
+	f, err := store.Load(path, e0.Fingerprint())
 	if err != nil {
 		e0.storeMu.Lock()
 		switch {
@@ -270,8 +285,8 @@ func (s *Set) LoadStore() error {
 }
 
 // SaveStore atomically writes the set's tuned state — the union of
-// every shard's plan cache plus the kernel memo — to the attached store
-// path (merge-free: the set's current view wins). No-op without a path.
+// every shard's plan cache — to the attached store path (merge-free:
+// the set's current view wins). No-op without a path.
 func (s *Set) SaveStore() error {
 	e0 := s.engines[0]
 	path := s.StorePath()

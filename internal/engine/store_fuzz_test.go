@@ -18,11 +18,11 @@ import (
 // are and exercise the corrupt-file path. Loading must not panic, must
 // fail soft (return nil), must install or reject each stored descriptor
 // at most once, and must install the same plan keys however many shards
-// share them. Each input runs on a fresh kernel memo, so imported
-// schedules cannot leak between inputs or into other tests.
+// share them. Each input runs on a fresh kernel memo, so nothing a load
+// does to the memo can leak between inputs or into other tests.
 func FuzzStoreLoad(f *testing.F) {
 	tun := core.DefaultTuning()
-	fp := tun.Fingerprint()
+	fp := storeFingerprint(tun)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		old := core.SwapKernelMemo(kopt.NewMemo())
 		defer core.SwapKernelMemo(old)

@@ -90,8 +90,12 @@ func TestStoreRoundTripBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := e2.Stats()
-	if s2.Store.Loads != 1 || s2.Store.KernelsImported == 0 {
+	if s2.Store.Loads != 1 {
 		t.Fatalf("load counters: %+v", s2.Store)
+	}
+	// Plans are geometry: hydrating them looks up no kernel.
+	if hits, misses, _ := core.KernelMemoStats(); hits != 0 || misses != 0 {
+		t.Fatalf("hydration read the kernel memo: %d hits, %d misses", hits, misses)
 	}
 	want := plansOf(e1)
 	got := plansOf(e2)
@@ -378,22 +382,8 @@ func TestSetStoreWarmStartIgnoresUnreadModes(t *testing.T) {
 	}
 }
 
-// triCompact builds a batch of well-conditioned lower/upper-usable
-// triangular operands: random with a dominant diagonal.
-func triCompact(rng *rand.Rand, count, n int) *layout.Compact[float32] {
-	b := matrix.NewBatch[float32](count, n, n)
-	matrix.Fill(rng, b.Data)
-	for m := 0; m < count; m++ {
-		mat := b.Mat(m)
-		for i := 0; i < n; i++ {
-			mat.Set(i, i, 4+rng.Float32())
-		}
-	}
-	return layout.FromBatch(vec.S, b)
-}
-
-// TestConcurrentTuners runs the concurrent-iatf-tune scenario in-process
-// under the race detector: several tuners warm disjoint shape sets and
+// TestConcurrentTuners runs concurrent pre-baking in-process under the
+// race detector: several tuners warm disjoint shape sets and
 // load-merge-write one store path; a warm engine must then load the file
 // cleanly and see at least the last writer's shapes.
 func TestConcurrentTuners(t *testing.T) {
@@ -443,7 +433,7 @@ func TestConcurrentTuners(t *testing.T) {
 }
 
 // TestWarmRejectsNonsense: unknown kinds and undersized dims surface as
-// errors from Warm (the iatf-tune reporting path) instead of poisoning
+// errors from Warm (the pre-baking reporting path) instead of poisoning
 // the store.
 func TestWarmRejectsNonsense(t *testing.T) {
 	e := New(core.DefaultTuning())

@@ -1,8 +1,8 @@
-// Kernel-schedule memoization with export/import: the install-time
-// stage's product — generated, list-scheduled kernel programs — is pure
-// data, so a Memo keyed by the generator spec and the scheduling machine
-// can be serialized and reloaded by a later process. The paper's
-// install-time stage then runs once per machine, not once per process.
+// Kernel-schedule memoization: the install-time stage's product —
+// generated, list-scheduled kernel programs — is pure data, so one
+// process-wide Memo keyed by the generator spec and the scheduling
+// machine lets every VM and cycle-model execution of a kernel share one
+// schedule.
 package kopt
 
 import (
@@ -11,134 +11,43 @@ import (
 	"iatf/internal/asm"
 )
 
-// MemoKey is the serializable identity of one scheduled kernel: the
-// stable string rendering of the generator spec, the optimizer/prefetch
-// flags, and the fingerprint of the machine profile the schedule was
-// built against (schedules are profile-specific — latencies and issue
-// ports shape the instruction order).
-type MemoKey struct {
-	Spec string `json:"spec"`
-	Opt  bool   `json:"opt"`
-	Pf   bool   `json:"pf"`
-	Prof string `json:"prof"`
-}
-
-// MemoEntry is one exported kernel: its key and the scheduled program.
-type MemoEntry struct {
-	Key  MemoKey  `json:"key"`
-	Prog asm.Prog `json:"prog"`
-}
-
-// memoVal pairs a cached program with the serializable key it exports
-// under.
-type memoVal struct {
-	key  MemoKey
-	prog asm.Prog
-}
-
-// Memo is a concurrency-safe kernel-schedule cache. Lookups hit a live
-// map keyed by the caller's comparable spec tuple (no string rendering
-// on the hit path); entries imported from a store sit in a second map
-// keyed by MemoKey and are promoted to the live map on first use.
+// Memo is a concurrency-safe kernel-schedule cache keyed by the caller's
+// comparable spec tuple.
 type Memo struct {
-	mu       sync.Mutex
-	live     map[any]memoVal
-	imported map[MemoKey]asm.Prog
+	mu   sync.Mutex
+	live map[any]asm.Prog
 
-	hits       uint64
-	misses     uint64
-	importHits uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewMemo returns an empty memo.
 func NewMemo() *Memo {
-	return &Memo{live: make(map[any]memoVal), imported: make(map[MemoKey]asm.Prog)}
+	return &Memo{live: make(map[any]asm.Prog)}
 }
 
-// Get returns the cached program for liveKey. On a live miss it renders
-// the serializable key via mk and consults the imported set, promoting a
-// hit into the live map so subsequent lookups never re-render.
-func (m *Memo) Get(liveKey any, mk func() MemoKey) (asm.Prog, bool) {
+// Get returns the cached program for key, counting a hit or a miss.
+func (m *Memo) Get(key any) (asm.Prog, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if v, ok := m.live[liveKey]; ok {
+	if p, ok := m.live[key]; ok {
 		m.hits++
-		return v.prog, true
-	}
-	key := mk()
-	if p, ok := m.imported[key]; ok {
-		m.importHits++
-		m.live[liveKey] = memoVal{key: key, prog: p}
-		delete(m.imported, key)
 		return p, true
 	}
 	m.misses++
 	return nil, false
 }
 
-// Put inserts a freshly built schedule under both key forms.
-func (m *Memo) Put(liveKey any, key MemoKey, p asm.Prog) {
+// Put inserts a freshly built schedule.
+func (m *Memo) Put(key any, p asm.Prog) {
 	m.mu.Lock()
-	m.live[liveKey] = memoVal{key: key, prog: p}
+	m.live[key] = p
 	m.mu.Unlock()
 }
 
-// Len returns the number of cached kernels (live + imported-not-yet-used).
-func (m *Memo) Len() int {
+// Stats returns the lookup counters: hits, and misses (schedules built).
+func (m *Memo) Stats() (hits, misses uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.live) + len(m.imported)
-}
-
-// Stats returns the lookup counters: live hits, misses (schedules
-// built), and lookups served by imported entries.
-func (m *Memo) Stats() (hits, misses, importHits uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses, m.importHits
-}
-
-// Export returns every cached kernel whose key's profile fingerprint
-// matches prof (empty prof exports everything): the live entries plus
-// any imported entries not yet promoted, so re-saving a store never
-// drops kernels it was loaded from.
-func (m *Memo) Export(prof string) []MemoEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]MemoEntry, 0, len(m.live)+len(m.imported))
-	for _, v := range m.live {
-		if prof == "" || v.key.Prof == prof {
-			out = append(out, MemoEntry{Key: v.key, Prog: v.prog})
-		}
-	}
-	for k, p := range m.imported {
-		if prof == "" || k.Prof == prof {
-			out = append(out, MemoEntry{Key: k, Prog: p})
-		}
-	}
-	return out
-}
-
-// Import merges entries into the imported set and reports how many were
-// new. Entries already present (imported or live under the same key) are
-// skipped: a schedule built in-process wins over a stored copy.
-func (m *Memo) Import(entries []MemoEntry) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	liveKeys := make(map[MemoKey]bool, len(m.live))
-	for _, v := range m.live {
-		liveKeys[v.key] = true
-	}
-	n := 0
-	for _, e := range entries {
-		if len(e.Prog) == 0 || liveKeys[e.Key] {
-			continue
-		}
-		if _, ok := m.imported[e.Key]; ok {
-			continue
-		}
-		m.imported[e.Key] = e.Prog
-		n++
-	}
-	return n
+	return m.hits, m.misses
 }

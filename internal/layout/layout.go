@@ -18,13 +18,6 @@ import (
 	"iatf/internal/vec"
 )
 
-// Version identifies the compact storage layout (interleave order, split
-// complex planes, padding rules). It is folded into the autotune-store
-// fingerprint so a layout change invalidates persisted kernels and
-// plans instead of replaying them against a format they were not built
-// for.
-const Version = 1
-
 // Compact is a batch of Count equally sized matrices in SIMD-friendly
 // layout. E is the real component type (float32 for S/C, float64 for D/Z).
 //

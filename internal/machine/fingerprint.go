@@ -1,59 +1,27 @@
-// Profile fingerprinting for the persistent autotune store: a stable,
-// human-prefixed hash of every field that influences install-time kernel
-// selection and instruction scheduling. Two processes agree on a
-// fingerprint if and only if they model the same machine, so on-disk
-// kernel schedules and plan sets keyed by it are safe to reuse across
-// processes (and meaningless to any other machine model, which simply
-// ignores them).
+// Profile fingerprinting: a stable hash of every field that influences
+// install-time kernel selection and instruction scheduling. The kernel
+// memo keys each list schedule by it, so tunings for different machine
+// models never share a schedule.
 package machine
 
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 )
 
-// fingerprintVersion is folded into every fingerprint so a change to the
-// hashed field set invalidates all previously written stores instead of
-// silently colliding with them.
-const fingerprintVersion = 1
-
-// Fingerprint returns a stable identifier of the profile: a slug of the
-// profile name followed by a 64-bit FNV-1a hash over every modeled
-// field — issue ports, latencies, vector width, frequency and the full
-// cache configuration. The text form is filesystem-safe.
+// Fingerprint returns a stable identifier of the profile: its name
+// followed by a 64-bit FNV-1a hash over every modeled field — issue
+// ports, latencies, vector width, frequency and the full cache
+// configuration.
 func Fingerprint(p Profile) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "fpv%d|%s|%g|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
-		fingerprintVersion, p.Name, p.FreqGHz, p.VectorBits,
+	fmt.Fprintf(h, "%s|%g|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
+		p.Name, p.FreqGHz, p.VectorBits,
 		p.MemPorts, p.FPPorts32, p.FPPorts64, p.GroupWidth, p.IntPorts,
 		p.LatFMA, p.LatMul, p.LatAdd, p.LatDiv32, p.LatDiv64)
 	for _, lv := range p.Cache.Levels {
 		fmt.Fprintf(h, "|%s:%d:%d:%d:%d", lv.Name, lv.SizeBytes, lv.LineBytes, lv.Ways, lv.HitCycles)
 	}
 	fmt.Fprintf(h, "|mem%d|ss%d", p.Cache.MemoryCycles, p.Cache.StreamSlots)
-	return fmt.Sprintf("%s-%016x", slug(p.Name), h.Sum64())
-}
-
-// slug lowercases the profile name and maps every non-alphanumeric run
-// to one dash, producing a stable filesystem- and label-safe prefix.
-func slug(name string) string {
-	var b strings.Builder
-	dash := false
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			if dash && b.Len() > 0 {
-				b.WriteByte('-')
-			}
-			dash = false
-			b.WriteRune(r)
-		default:
-			dash = true
-		}
-	}
-	if b.Len() == 0 {
-		return "profile"
-	}
-	return b.String()
+	return fmt.Sprintf("%s-%016x", p.Name, h.Sum64())
 }

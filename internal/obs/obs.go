@@ -34,10 +34,9 @@ const (
 	// CacheShared: another in-flight call was building the same plan and
 	// this call waited for it (single-flight).
 	CacheShared
-	// CacheHydrated: first use of a plan loaded from the persistent
-	// autotune store — served from cache, but this call is the one that
-	// records the plan's static decisions (ceiling, packing, batch size)
-	// the way a miss would.
+	// CacheHydrated: first use of a plan loaded from a store — served
+	// from cache, but this call is the one that records the plan's static
+	// decisions (ceiling, packing, batch size) the way a miss would.
 	CacheHydrated
 )
 

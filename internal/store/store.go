@@ -1,11 +1,10 @@
-// Package store is the persistent autotune store: the on-disk form of
-// the install-time stage's products. A store file holds the memoized
-// kernel-schedule set (kopt.MemoEntry: generator spec → list-scheduled
-// program) and the plan descriptors an engine resolved, keyed by a
-// machine-profile/tuning fingerprint. A cold process whose engine hashes
-// to the same fingerprint loads the file and starts warm — no kernel
-// generation, no list scheduling, no run-time planning for stored
-// shapes.
+// Package store is the on-disk plan-descriptor file of the engine's
+// store layer (internal/engine/store.go): the plan descriptors an engine
+// resolved, keyed by a tuning fingerprint. Plans are geometry and carry
+// no kernel programs, so a file holds no kernels either. No public API
+// or command reads or writes a store any more: a cold plan build is
+// faster than loading one (EXPERIMENTS.md), and the package goes with
+// the engine's store layer (ROADMAP item 2).
 //
 // Staleness handling is deliberately forgiving, because the store is a
 // cache, never a source of truth:
@@ -16,9 +15,9 @@
 //   - corrupt or truncated file → ErrCorrupt, caller rebuilds;
 //   - concurrent writers → each writes a private temp file in the target
 //     directory and atomically renames it over the destination, so
-//     readers always observe a complete file (last writer wins;
-//     iatf-tune merges with the existing store before writing, so
-//     concurrent tuners converge on the union).
+//     readers always observe a complete file (last writer wins; a writer
+//     that merges with the existing store before writing converges on
+//     the union).
 package store
 
 import (
@@ -28,8 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"iatf/internal/kopt"
 )
 
 // FormatVersion is the on-disk schema version. Files written under a
@@ -65,12 +62,11 @@ type PlanDesc struct {
 
 // File is one decoded store.
 type File struct {
-	Version     int              `json:"version"`
-	Fingerprint string           `json:"fingerprint"`
-	CreatedUnix int64            `json:"created_unix"`
-	Tool        string           `json:"tool,omitempty"`
-	Kernels     []kopt.MemoEntry `json:"kernels"`
-	Plans       []PlanDesc       `json:"plans"`
+	Version     int        `json:"version"`
+	Fingerprint string     `json:"fingerprint"`
+	CreatedUnix int64      `json:"created_unix"`
+	Tool        string     `json:"tool,omitempty"`
+	Plans       []PlanDesc `json:"plans"`
 }
 
 // New returns an empty store for a fingerprint, stamped now.
@@ -97,7 +93,8 @@ func DefaultDir() string {
 }
 
 // PathFor returns the store file path for a fingerprint under dir. The
-// fingerprint is already filesystem-safe (see core.Tuning.Fingerprint).
+// fingerprint is already filesystem-safe (see the engine's
+// storeFingerprint).
 func PathFor(dir, fingerprint string) string {
 	return filepath.Join(dir, fingerprint+".json")
 }
@@ -162,21 +159,11 @@ func (f *File) WriteAtomic(path string) error {
 	return nil
 }
 
-// Merge folds other's kernels and plans into f, skipping duplicates.
-// Used by iatf-tune to union with an existing store before writing.
+// Merge folds other's plans into f, skipping duplicates: a writer
+// unions with an existing store before writing.
 func (f *File) Merge(other *File) {
 	if other == nil {
 		return
-	}
-	seenK := make(map[kopt.MemoKey]bool, len(f.Kernels))
-	for _, k := range f.Kernels {
-		seenK[k.Key] = true
-	}
-	for _, k := range other.Kernels {
-		if !seenK[k.Key] {
-			seenK[k.Key] = true
-			f.Kernels = append(f.Kernels, k)
-		}
 	}
 	seenP := make(map[PlanDesc]bool, len(f.Plans))
 	for _, p := range f.Plans {

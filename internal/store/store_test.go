@@ -9,17 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"iatf/internal/asm"
-	"iatf/internal/kopt"
 )
 
 func sampleFile(fp string) *File {
 	f := New(fp, "test")
-	f.Kernels = []kopt.MemoEntry{
-		{Key: kopt.MemoKey{Spec: "spec-a", Opt: true, Prof: "p"}, Prog: asm.Prog{{Op: 1, D: 2}}},
-		{Key: kopt.MemoKey{Spec: "spec-b", Pf: true, Prof: "p"}, Prog: asm.Prog{{Op: 3, A: 1, B: 2}}},
-	}
 	f.Plans = []PlanDesc{
 		{Kind: 0, DType: 1, M: 8, N: 8, K: 8, CountBucket: 64},
 		{Kind: 1, DType: 0, M: 4, N: 2, CountBucket: 1},
@@ -137,14 +130,9 @@ func TestMergeDedups(t *testing.T) {
 	a := sampleFile("fp-m")
 	b := sampleFile("fp-m") // identical: merge must add nothing
 	b.Plans = append(b.Plans, PlanDesc{Kind: 2, DType: 1, M: 3, N: 3, CountBucket: 1})
-	b.Kernels = append(b.Kernels, kopt.MemoEntry{
-		Key: kopt.MemoKey{Spec: "spec-c", Prof: "p"}, Prog: asm.Prog{{Op: 9}}})
 	a.Merge(b)
 	if len(a.Plans) != 3 {
 		t.Fatalf("plans after merge = %d, want 3 (2 original + 1 new)", len(a.Plans))
-	}
-	if len(a.Kernels) != 3 {
-		t.Fatalf("kernels after merge = %d, want 3", len(a.Kernels))
 	}
 	a.Merge(nil) // nil other is a no-op
 	if len(a.Plans) != 3 {
@@ -153,7 +141,7 @@ func TestMergeDedups(t *testing.T) {
 }
 
 // TestConcurrentWriters hammers one path with load-merge-write cycles —
-// the concurrent-iatf-tune scenario — while readers continuously load.
+// concurrent pre-baking writers — while readers continuously load.
 // Readers must never observe a torn file: every load is either a fully
 // valid store or fs.ErrNotExist.
 func TestConcurrentWriters(t *testing.T) {

@@ -1,14 +1,12 @@
 // Construction-time configuration for engines and engine sets. Options
 // cover everything that is really a property of how the engine is
-// built — queue capacity, drain order, batch window, machine profile,
-// and the persistent autotune store — so configuration races (a queue
-// resized after the dispatcher started, a store attached after the
-// first cold miss) cannot happen by construction.
+// built — queue capacity, drain order, batch window and machine
+// profile — so configuration races (a queue resized after the
+// dispatcher started) cannot happen by construction.
 //
 //	eng := iatf.NewEngine(
 //	    iatf.WithMachineProfile(iatf.Kunpeng920()),
 //	    iatf.WithQueueCapacity(4096),
-//	    iatf.WithPlanStore(""), // default dir; loads a matching store if present
 //	)
 
 package iatf
@@ -23,7 +21,6 @@ import (
 	"iatf/internal/core"
 	"iatf/internal/engine"
 	"iatf/internal/machine"
-	"iatf/internal/store"
 )
 
 // MachineProfile describes the modeled CPU an engine tunes for:
@@ -64,10 +61,8 @@ func ProfileNames() []string { return []string{"kunpeng920", "graviton2", "xeon6
 // engineConfig is the resolved option set NewEngine/NewEngineSet build
 // from.
 type engineConfig struct {
-	tun      core.Tuning
-	queue    engine.QueueConfig // every shard's queue policy
-	storeDir string             // applied only when storeSet; "" = store.DefaultDir()
-	storeSet bool
+	tun   core.Tuning
+	queue engine.QueueConfig // every shard's queue policy
 }
 
 // EngineOption configures NewEngine and NewEngineSet at construction
@@ -75,9 +70,8 @@ type engineConfig struct {
 type EngineOption func(*engineConfig)
 
 // WithMachineProfile tunes the engine for profile p instead of the
-// default Kunpeng 920 model. The profile is folded into the engine's
-// store fingerprint, so engines built for different profiles never
-// share persisted plans.
+// default Kunpeng 920 model: the Batch Counter sizes super-batches to
+// its L1 cache, and the per-shape series report its CMAR ceiling.
 func WithMachineProfile(p MachineProfile) EngineOption {
 	return func(c *engineConfig) { c.tun.Prof = p }
 }
@@ -107,27 +101,6 @@ func WithBatchWindow(d time.Duration) EngineOption {
 	return func(c *engineConfig) { c.queue.Window = d }
 }
 
-// WithPlanStore attaches the persistent autotune store under dir and
-// loads it during construction: if dir holds a store file whose
-// fingerprint matches this engine's tuning, its kernel schedules and
-// plans are hydrated before the first call, so the cold process starts
-// warm. dir == "" uses DefaultStoreDir(). The store file within dir is
-// always named by the engine's fingerprint, so engines with different
-// profiles or tuning coexist in one directory.
-//
-// Loading is fail-soft: an absent, stale (fingerprint/version
-// mismatch) or corrupt file leaves the engine cold and is counted in
-// Stats().Store — it never fails construction. Pre-bake stores with
-// the iatf-tune command; flush a live engine's state with SaveStore.
-func WithPlanStore(dir string) EngineOption {
-	return func(c *engineConfig) { c.storeDir, c.storeSet = dir, true }
-}
-
-// DefaultStoreDir returns the default persistent-store directory:
-// $IATF_STORE_DIR when set, else the user cache dir ("~/.cache/iatf" on
-// Linux), else a temp-dir fallback.
-func DefaultStoreDir() string { return store.DefaultDir() }
-
 func resolveConfig(opts []EngineOption) engineConfig {
 	cfg := engineConfig{tun: core.DefaultTuning()}
 	for _, opt := range opts {
@@ -137,30 +110,6 @@ func resolveConfig(opts []EngineOption) engineConfig {
 	}
 	return cfg
 }
-
-// storePathFor resolves the config's store file path for a fingerprint.
-func (c *engineConfig) storePathFor(fp string) string {
-	dir := c.storeDir
-	if dir == "" {
-		dir = store.DefaultDir()
-	}
-	return store.PathFor(dir, fp)
-}
-
-// Fingerprint returns the engine's tuning fingerprint: the stable,
-// filesystem-safe hash of its machine profile, tuning knobs and data-
-// layout version that keys the persistent autotune store. All shards
-// share one tuning.
-func (e *Engine) Fingerprint() string { return e.inner.Fingerprint() }
-
-// StorePath returns the engine's attached store file ("" = no store).
-func (e *Engine) StorePath() string { return e.inner.StorePath() }
-
-// SaveStore atomically writes the engine's tuned state — every shard's
-// cached plan descriptors plus its profile's kernel schedules — to the
-// attached store file, so the next process constructed with
-// WithPlanStore starts warm. No-op without an attached store.
-func (e *Engine) SaveStore() error { return e.inner.SaveStore() }
 
 // ParseTenantSpec parses one tenant CLI spec — the shared syntax of the
 // iatf-serve/iatf-monitor -tenant flags:

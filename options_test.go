@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"iatf/internal/machine"
 )
 
 func TestEngineOptionsApply(t *testing.T) {
@@ -34,14 +36,42 @@ func TestEngineSetOptionsApply(t *testing.T) {
 	}
 }
 
+// TestWithMachineProfileChangesFingerprint checks that the profile an
+// engine is built with keys its tuning and is the one it reports
+// against: the machine fingerprint the kernel memo keys schedules by,
+// and one d GEMM's per-shape CMAR ceiling, are equal for the Kunpeng 920
+// default and an explicit Kunpeng920(), and differ for Graviton2.
 func TestWithMachineProfileChangesFingerprint(t *testing.T) {
-	kp := NewEngine() // default profile is Kunpeng 920
-	gv := NewEngine(WithMachineProfile(Graviton2()))
-	if kp.Fingerprint() == gv.Fingerprint() {
-		t.Fatal("different profiles share a fingerprint")
+	fingerprint := func(opts ...EngineOption) string {
+		return machine.Fingerprint(resolveConfig(opts).tun.Prof)
 	}
-	if kp.Fingerprint() != NewEngine(WithMachineProfile(Kunpeng920())).Fingerprint() {
-		t.Fatal("explicit default profile changed the fingerprint")
+	if fingerprint() == fingerprint(WithMachineProfile(Graviton2())) {
+		t.Error("different profiles share a fingerprint")
+	}
+	if fingerprint() != fingerprint(WithMachineProfile(Kunpeng920())) {
+		t.Error("explicit default profile changed the fingerprint")
+	}
+	ceiling := func(e *Engine) float64 {
+		t.Helper()
+		rng := rand.New(rand.NewSource(5))
+		a := Pack(randBatch[float64](rng, 4, 8, 8))
+		b := Pack(randBatch[float64](rng, 4, 8, 8))
+		c := Pack(randBatch[float64](rng, 4, 8, 8))
+		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, a, b, 0.0, c), WithEngine(e)); err != nil {
+			t.Fatal(err)
+		}
+		shapes := e.Stats().Shapes
+		if len(shapes) != 1 || shapes[0].CeilingGFLOPS <= 0 {
+			t.Fatalf("shape rows after one call: %+v", shapes)
+		}
+		return shapes[0].CeilingGFLOPS
+	}
+	kp := ceiling(NewEngine())
+	if got := ceiling(NewEngine(WithMachineProfile(Kunpeng920()))); got != kp {
+		t.Errorf("explicit Kunpeng 920 ceiling %.3g, default %.3g", got, kp)
+	}
+	if gv := ceiling(NewEngine(WithMachineProfile(Graviton2()))); gv == kp {
+		t.Errorf("Graviton2 and Kunpeng 920 report the same ceiling %.3g", gv)
 	}
 }
 
@@ -53,46 +83,6 @@ func TestProfileNamed(t *testing.T) {
 	}
 	if _, ok := ProfileNamed("cray-1"); ok {
 		t.Error("unknown profile resolved")
-	}
-}
-
-// TestWithPlanStoreWarmStart is the public-API warm-start path: tune in
-// one engine, save, construct a second engine over the same store dir,
-// and require its first call to be a hit with zero misses.
-func TestWithPlanStoreWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(5))
-	run := func(e *Engine) {
-		t.Helper()
-		a := Pack(randBatch[float64](rng, 16, 6, 6))
-		b := Pack(randBatch[float64](rng, 16, 6, 6))
-		c := Pack(randBatch[float64](rng, 16, 6, 6))
-		if err := Do(context.Background(), gemmReq(NoTrans, NoTrans, 1.0, a, b, 0.0, c), WithEngine(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	e1 := NewEngine(WithPlanStore(dir))
-	if e1.StorePath() == "" {
-		t.Fatal("store not attached")
-	}
-	run(e1)
-	if err := e1.SaveStore(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := NewEngine(WithPlanStore(dir))
-	if got, want := e2.Fingerprint(), e1.Fingerprint(); got != want {
-		t.Fatalf("fingerprints differ: %q vs %q", got, want)
-	}
-	s := e2.Stats()
-	if s.Store.Loads != 1 || s.PlanHydrated == 0 {
-		t.Fatalf("construction did not hydrate: %+v / hydrated %d", s.Store, s.PlanHydrated)
-	}
-	run(e2)
-	s = e2.Stats()
-	if s.PlanMisses != 0 || s.PlanHits != 1 {
-		t.Fatalf("warm start first call: %+v", s)
 	}
 }
 
