@@ -280,7 +280,7 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		return
 	}
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
-	fmt.Printf("generated kernels (GEMM 4×4, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
+	fmt.Printf("generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Println("plan cache:")
 	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d\n",
 		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries)
@@ -491,6 +491,8 @@ func printGEMMPlan(dt vec.DType, m, n, k, count int) {
 	fmt.Printf("  M tiles: %v\n", pl.MTiles)
 	fmt.Printf("  N tiles: %v\n", pl.NTiles)
 	fmt.Printf("  pack A: %v (no-packing fast path when false)\n", pl.PackA)
+	ldbk, ldbc := pl.BStrides(pl.NTiles[0])
+	fmt.Printf("  pack B: %v (read in place: block (l, j) at l·%d + j·%d blocks)\n", pl.PackB, ldbk, ldbc)
 	fmt.Printf("  super-batch: %d interleave groups (%d matrices)\n",
 		pl.GroupsPerBatch, pl.GroupsPerBatch*dt.Pack())
 	ins, err := pl.Instructions()
@@ -570,7 +572,7 @@ func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 	}
 
 	fmt.Printf("# EngineSet of %d shards after the mixed demo workload\n", len(st.Shards))
-	fmt.Printf("generated kernels (GEMM 4×4, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
+	fmt.Printf("generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Printf("routing: fallbacks %d (rejected %d)\n", st.Fallbacks, st.FallbackRejects)
 	fmt.Printf("%-5s %8s %8s %8s %8s %8s %8s %8s %8s %6s\n",
 		"shard", "routed", "planHit", "planMiss", "submit", "inline", "dispatch", "stolenB", "stolenR", "shapes")

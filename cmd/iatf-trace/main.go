@@ -281,9 +281,10 @@ func planOutcome(row iatf.ShapeStats) string {
 type command struct{ stage, kernel, detail string }
 
 // gemmQueue renders the command queue of one interleave group in the
-// native executor's order: how A and B are packed (or the no-packing
-// fast paths of §4.4), then one kernel call per M tile, N tile and K
-// chunk. The plan carries unit scalars, so no beta scaling appears.
+// native executor's order: how A is packed (or its no-packing fast path
+// of §4.4) and how the kernels read B (in place, through its strides),
+// then one kernel call per M tile, N tile and K chunk. The plan carries
+// unit scalars, so no beta scaling appears.
 func gemmQueue(pl *core.GEMMPlan) []command {
 	p := pl.P
 	q := []command{{"pack", "none", "A no-packing fast path (§4.4): native order already is the row panel"}}
@@ -293,7 +294,8 @@ func gemmQueue(pl *core.GEMMPlan) []command {
 	if pl.PackB {
 		q = append(q, command{"pack", "npackB", fmt.Sprintf("B column panels (Z-shape), N tiles %v, K=%d", pl.NTiles, p.K)})
 	} else {
-		q = append(q, command{"pack", "none", "B no-packing fast path (§4.4): Bᵀ storage already is the single column panel"})
+		ldbk, ldbc := pl.BStrides(pl.NTiles[0])
+		q = append(q, command{"pack", "none", fmt.Sprintf("B read in place (§4.4): block (l, j) at l·%d + j·%d blocks", ldbk, ldbc)})
 	}
 	i0 := 0
 	for _, mc := range pl.MTiles {

@@ -175,9 +175,11 @@ func (c *Compact[T]) Cols() int {
 // caches the packed image this operand takes inside each execution plan,
 // so the packing kernels run once per (operand, shape) instead of once
 // per call — the pack-once pattern for operands reused across calls
-// (fixed weights, a factored triangle). Operations that write an operand
-// (GEMM's C, TRSM/TRMM's B, SYRK's C) invalidate its cached images
-// automatically; results are bit-identical with or without Prepack.
+// (fixed weights, a factored triangle). Only GEMM's A and the TRSM/TRMM
+// triangle have packed images: GEMM reads B in place. Operations that
+// write an operand (GEMM's C, TRSM/TRMM's B, SYRK's C) invalidate its
+// cached images automatically; results are bit-identical with or
+// without Prepack.
 // Idempotent and safe for concurrent use.
 func (c *Compact[T]) Prepack() {
 	if c.f32 != nil {

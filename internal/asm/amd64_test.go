@@ -7,10 +7,12 @@ import (
 )
 
 // lowerable is a 2×1 real kernel in the shape ktmpl emits: A in V0–V1,
-// B in V8, accumulators V16–V17, alpha in V0 and C in V1–V2 at save.
+// B in V8 (pB advancing one block per K step), accumulators V16–V17,
+// alpha in V0 and C in V1–V2 at save. Its one column group puts the
+// accumulators in X14–X15, the temporary in X13 and B in X12.
 func lowerable() AMD64GEMM {
 	return AMD64GEMM{
-		Name: "k", ElemBytes: 8, StrideC: 2,
+		Name: "k", ElemBytes: 8, StrideB: 1, StrideC: 2,
 		Zero: Prog{{Op: MOVI, D: 16}, {Op: MOVI, D: 17}},
 		Step: Prog{
 			{Op: LDP, D: 0, D2: 1, P: PA}, {Op: ADDI, P: PA, Off: 4},
@@ -30,11 +32,13 @@ func lowerable() AMD64GEMM {
 	}
 }
 
-// kernelIR is a rows×cols real float64 kernel in ktmpl's register
-// layout, one block per LDR/STR: A in V0…, B in V8…, the accumulator of
-// (r, c) in V16+c·rows+r, alpha in V0 and C in V1… at save.
+// kernelIR is a rows×cols real float64 kernel in ktmpl's strided-B
+// register layout, one block per LDR/STR: A in V0…, B column c in V8+c
+// (columns one block apart, pB advancing one block per K step), the
+// accumulator of (r, c) in V16+c·rows+r, alpha in V0 and C in V1… at
+// save.
 func kernelIR(rows, cols int) AMD64GEMM {
-	k := AMD64GEMM{Name: "k", ElemBytes: 8, StrideC: rows}
+	k := AMD64GEMM{Name: "k", ElemBytes: 8, StrideB: 1, StrideC: rows}
 	acc := func(r, c int) uint8 { return uint8(16 + c*rows + r) }
 	for i := 0; i < rows*cols; i++ {
 		k.Zero = append(k.Zero, Instr{Op: MOVI, D: uint8(16 + i)})
@@ -46,7 +50,7 @@ func kernelIR(rows, cols int) AMD64GEMM {
 	for c := 0; c < cols; c++ {
 		k.Step = append(k.Step, Instr{Op: LDR, D: uint8(8 + c), P: PB, Off: int32(2 * c)})
 	}
-	k.Step = append(k.Step, Instr{Op: ADDI, P: PB, Off: int32(2 * cols)})
+	k.Step = append(k.Step, Instr{Op: ADDI, P: PB, Off: 2})
 	for c := 0; c < cols; c++ {
 		for r := 0; r < rows; r++ {
 			k.Step = append(k.Step, Instr{Op: FMLA, D: acc(r, c), A: uint8(r), B: uint8(8 + c)})
@@ -120,18 +124,46 @@ func TestLowerAMD64SplitsFMLA(t *testing.T) {
 func TestLowerAMD64Rejects(t *testing.T) {
 	for name, mut := range map[string]func(*AMD64GEMM){
 		"element size":     func(k *AMD64GEMM) { k.ElemBytes = 2 },
-		"fused subtract":   func(k *AMD64GEMM) { k.Step[4].Op = FMLS },
 		"no accumulate":    func(k *AMD64GEMM) { k.Step = k.Step[:4] },
 		"unzeroed":         func(k *AMD64GEMM) { k.Zero = k.Zero[:1] },
 		"alpha offset":     func(k *AMD64GEMM) { k.Save[0].Off = 1 },
 		"read before load": func(k *AMD64GEMM) { k.Save = k.Save[2:] },
 		"store to pA":      func(k *AMD64GEMM) { k.SaveOvw[3].P = PA },
+		"B K step":         func(k *AMD64GEMM) { k.Step[3].Off = 4 },
+		"no B stride":      func(k *AMD64GEMM) { k.StrideB = 0 },
 	} {
 		k := lowerable()
 		k.Step, k.Save, k.SaveOvw = append(Prog(nil), k.Step...), append(Prog(nil), k.Save...), append(Prog(nil), k.SaveOvw...)
 		mut(&k)
 		if _, err := LowerAMD64("gemm", k); err == nil {
 			t.Errorf("%s: lowered without error", name)
+		}
+	}
+	// A fused subtract lowers to two roundings, like vec.FMS: A into the
+	// temporary, times B, subtracted from the accumulator.
+	k := lowerable()
+	k.Step = append(Prog(nil), k.Step...)
+	k.Step[4].Op = FMLS
+	lowersTo(t, k, "fmls v16.2d, v0.2d, v8.2d",
+		"MOVUPD (SI), X0", "MOVUPD (DI), X12", "MOVAPD X0, X13", "MULPD X12, X13", "SUBPD X13, X14")
+}
+
+// lowersTo checks that the instruction commented as ir lowers to want.
+func lowersTo(t *testing.T, k AMD64Kernel, ir string, want ...string) {
+	t.Helper()
+	src, err := LowerAMD64("k", k)
+	if err != nil {
+		t.Fatalf("%s: %v", ir, err)
+	}
+	text := string(src)
+	i := strings.Index(text, "\t// "+ir+"\n")
+	if i < 0 {
+		t.Fatalf("no %q in:\n%s", ir, text)
+	}
+	got := strings.Split(text[i:], "\n")[1 : 1+len(want)]
+	for j := range want {
+		if got[j] != "\t"+want[j] {
+			t.Fatalf("%s lowers to %q, want %q", ir, got, want)
 		}
 	}
 }
@@ -266,9 +298,10 @@ func TestLowerAMD64InPlaceFMUL(t *testing.T) {
 	}
 }
 
-// The TRMM forms refuse what they cannot run exactly: FMLS (the TRSM
-// forms), a triangle too large for X0–X15 (M = 5 needs 21), and a column
-// that overwrites the triangle the loop keeps in registers.
+// The TRMM forms lower FMLS as MOVAPx, MULPx, SUBPx (in the rectangle
+// the temporary is X7, in the triangle X15), and refuse what they cannot
+// run exactly: a triangle too large for X0–X15 (M = 5 needs 21) and a
+// column that overwrites the triangle the loop keeps in registers.
 func TestLowerAMD64RejectsTRMM(t *testing.T) {
 	if _, err := LowerAMD64("trmm", triIR(4)); err != nil {
 		t.Fatalf("M = 4 triangle: %v", err)
@@ -276,12 +309,12 @@ func TestLowerAMD64RejectsTRMM(t *testing.T) {
 	fmlsRect := rectIR(5)
 	fmlsRect.Step = append(Prog(nil), fmlsRect.Step...)
 	fmlsRect.Step[len(fmlsRect.Step)-1].Op = FMLS
+	lowersTo(t, fmlsRect, "fmls v31.2d, v3.2d, v11.2d", "MOVAPD X3, X7", "MULPD X6, X7", "SUBPD X7, X15")
 	fmlsTri, keep := triIR(3), triIR(3)
 	fmlsTri.Col[len(fmlsTri.Col)-4].Op = FMLS
+	lowersTo(t, fmlsTri, "fmls v0.2d, v0.2d, v6.2d", "MOVAPD X6, X15", "MULPD X0, X15", "SUBPD X15, X6")
 	keep.Col[3].D = keep.Col[3].B
 	for name, k := range map[string]AMD64Kernel{
-		"rectangle FMLS":      fmlsRect,
-		"triangle FMLS":       fmlsTri,
 		"M = 5":               triIR(5),
 		"overwrites triangle": keep,
 	} {

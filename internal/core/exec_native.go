@@ -10,11 +10,13 @@ import (
 	"iatf/internal/vec"
 )
 
-// The native backend executes plans with the pure-Go kernels directly on
-// the compact storage — no simulation arena, no copies. Packing is done
-// with the same panel orders as the pack package (the VM/native
-// backend-equivalence tests pin them to each other bit for bit), but
-// reads and writes separate slices so operands stay in place.
+// The native backend executes plans with the native kernels directly on
+// the compact storage, with no simulation arena. GEMM reads B in place:
+// the kernels take B's K-step and column strides, so only A is packed
+// (and not even A when one row panel covers M and A is not transposed).
+// Packing is done with the same panel orders as the pack package (the
+// VM/native backend-equivalence tests pin them to each other bit for
+// bit), but reads and writes separate slices so operands stay in place.
 //
 // Group-level parallelism implements the paper's stated future work
 // (multi-core): interleave groups are fully independent, so the sched
@@ -56,7 +58,8 @@ func npackA[E vec.Float](src []E, rows int, trans bool, mtiles []int, k, bl int,
 	}
 }
 
-// npackB packs the B column panels of one group (Z-shape).
+// npackB packs the B column panels of one group (Z-shape): SYRK's Aᵀ
+// panel, and GEMM's B under the ForcePackA ablation.
 func npackB[E vec.Float](src []E, rows int, trans bool, ntiles []int, k, bl int, dst []E) {
 	cur := 0
 	j0 := 0
@@ -105,13 +108,19 @@ func nscale[E vec.Float](data []E, n int, cplx bool, vl int, re, im float64) {
 	}
 }
 
-// ExecGEMMNativePrepacked runs the plan with the native Go kernels,
+// ExecGEMMNativePrepacked runs the plan with the native kernels,
 // updating C in place, over `workers` participants of the persistent
 // worker pool splitting the interleave groups into super-batch chunks
-// (<= 0 means auto, GOMAXPROCS). preA/preB, when non-nil, must hold the
-// output of PrepackGEMMA/PrepackGEMMB for this plan (group-indexed, per
-// PrepackALen/PrepackBLen), and the corresponding pack pass is skipped.
-// A nil pre-buffer packs that operand per call.
+// (<= 0 means auto, GOMAXPROCS). preA, when non-nil, must hold the
+// output of PrepackGEMMA for this plan (group-indexed, per PrepackALen),
+// and A's pack pass is skipped; a nil preA packs A per call. preB must
+// be nil: B is read in place, or packed per call under the ForcePackA
+// ablation, and never prepacked.
+//
+// An operand the plan reads in place (A on its no-packing fast path, B)
+// that shares memory with C is packed for this call: C is written tile
+// by tile, and a later tile would read an element an earlier one
+// overwrote.
 func ExecGEMMNativePrepacked[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, preB []E, workers int) error {
 	p := pl.P
 	if pl.Tun.VL != 0 && pl.Tun.VL != p.DT.Pack() {
@@ -138,19 +147,31 @@ func ExecGEMMNativePrepacked[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[
 	if preA != nil && len(preA) < pl.PrepackALen(a.Groups()) {
 		return fmt.Errorf("core: prepacked A has %d elements, need %d", len(preA), pl.PrepackALen(a.Groups()))
 	}
-	if preB != nil && len(preB) < pl.PrepackBLen(b.Groups()) {
-		return fmt.Errorf("core: prepacked B has %d elements, need %d", len(preB), pl.PrepackBLen(b.Groups()))
+	if preB != nil {
+		return fmt.Errorf("core: GEMM never prepacks B")
+	}
+	packA := !pl.PackA && kernels.Overlaps(a.Data, c.Data)
+	packB := !pl.PackB && kernels.Overlaps(b.Data, c.Data)
+	if packA || packB {
+		cp := *pl
+		cp.PackA, cp.PackB = cp.PackA || packA, cp.PackB || packB
+		pl = &cp
+		if packA {
+			preA = nil // a plan that reads A in place has no prepacked A
+		}
 	}
 	pl.RT.or().Sched.RunLabeled(pl.Labels, a.Groups(), workers, pl.GroupsPerBatch, func(lo, hi int) {
-		gemmWorker(pl, a, b, c, preA, preB, lo, hi)
+		gemmWorker(pl, a, b, c, preA, lo, hi)
 	})
 	return nil
 }
 
 // gemmWorker runs groups [gLo, gHi) one super-batch at a time on the
-// calling sched worker: pack the chunk's A and B panels into the slot
-// buffers (unless prepacked or on a no-packing fast path), then compute.
-func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, preB []E, gLo, gHi int) {
+// calling sched worker: pack the chunk's A panels into a slot buffer
+// (unless prepacked or on the no-packing fast path) and its B panels
+// under the ForcePackA ablation, then compute. The kernels read B in
+// place otherwise.
+func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA []E, gLo, gHi int) {
 	p := pl.P
 	vl := p.DT.Pack()
 	bl := blockLen(p.DT, vl)
@@ -169,7 +190,7 @@ func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, pre
 		defer bufpool.Put(rt.Bufs, bufA)
 		packA = bufA.Slice()
 	}
-	if pl.PackB && preB == nil {
+	if pl.PackB {
 		bufB := bufpool.Get[E](rt.Bufs, gb*lenB)
 		defer bufpool.Put(rt.Bufs, bufB)
 		packB = bufB.Slice()
@@ -206,25 +227,20 @@ func gemmWorker[E vec.Float](pl *GEMMPlan, a, b, c *layout.Compact[E], preA, pre
 					default:
 						pa = packA[slot*lenA+(t.i0*p.K+kOff*t.mc)*bl:]
 					}
-					switch {
-					case !pl.PackB:
-						// No-packing fast path: B is stored N×K and the
-						// plan has a single N tile, so the trans pack
-						// order coincides with storage order.
-						pb = b.Data[g*lenB+kOff*p.N*bl:]
-					case preB != nil:
-						pb = preB[g*lenB+(t.j0*p.K+kOff*t.nc)*bl:]
-					default:
+					ldbk, ldbc := pl.BStrides(t.nc)
+					if pl.PackB {
 						pb = packB[slot*lenB+(t.j0*p.K+kOff*t.nc)*bl:]
+					} else {
+						pb = b.Data[g*lenB+(kOff*ldbk+t.j0*ldbc)*bl:]
 					}
 					cb := cg[(t.j0*p.M+t.i0)*bl:]
 					// Only the first chunk may overwrite (beta = 0);
 					// later chunks always accumulate.
 					chunkOvw := ovw && kOff == 0
 					if cplx {
-						kernels.GEMMCplx(pa, pb, cb, t.mc, t.nc, kc, p.M, vl, alphaRe, alphaIm, chunkOvw)
+						kernels.GEMMCplxStrided(pa, pb, cb, t.mc, t.nc, kc, ldbk, ldbc, p.M, vl, alphaRe, alphaIm, chunkOvw)
 					} else {
-						kernels.GEMM(pa, pb, cb, t.mc, t.nc, kc, p.M, vl, alphaRe, chunkOvw)
+						kernels.GEMMStrided(pa, pb, cb, t.mc, t.nc, kc, ldbk, ldbc, p.M, vl, alphaRe, chunkOvw)
 					}
 					kOff += kc
 				}

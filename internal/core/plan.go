@@ -5,8 +5,8 @@
 //   - the Batch Counter picks how many interleave groups to pack per
 //     super-batch so the packed working set stays inside the L1 data cache;
 //   - the Pack Selector chooses packing kernels, or the no-packing fast
-//     path when the computing kernel can already walk the operand
-//     sequentially;
+//     path when the computing kernel can already walk the operand where
+//     it is stored;
 //   - the Execution Plan Generator tiles the problem over the Table 1
 //     kernel sizes and splits long reductions into K chunks.
 //
@@ -236,7 +236,7 @@ type GEMMPlan struct {
 	MTiles, NTiles []int
 	KChunks        []int // reduction split into bounded kernel lengths
 	PackA          bool  // false = no-packing fast path for A (§4.4)
-	PackB          bool  // false = no-packing fast path for B (native executor)
+	PackB          bool  // false = the native kernels read B in place (§4.4)
 	GroupsPerBatch int   // Batch Counter decision, in interleave groups
 
 	// Labels is an optional pprof label context adopted by pool workers
@@ -295,16 +295,18 @@ func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, er
 	mainMC := msizes[0]
 	pl.PackA = tun.ForcePackA || !(p.TransA == matrix.NoTrans && p.M <= mainMC)
 
-	// B skips packing in transposed mode when a single column panel covers
-	// N: B is stored N×K, so block (l, cc) sits at (l·N+cc)·bl — exactly
-	// the Z-shaped panel order with j0 = 0 — and the kernels can walk the
-	// operand in place. The cycle-model backend keeps packing B (its arena
-	// layout predates the fast path); the copy is exact, so both backends
-	// stay bit-identical.
-	pl.PackB = tun.ForcePackA || !(p.TransB == matrix.Transpose && len(pl.NTiles) == 1)
+	// B is never packed on the native path: every main and edge kernel
+	// takes B's K-step and column strides, so it reads block (l, j) of a
+	// tile where the compact layout stores it — K steps 1 block and
+	// columns K blocks apart for NoTrans, K steps N blocks and columns 1
+	// block apart for Trans. Only the ForcePackA ablation packs it, into
+	// the Z-shaped panel (K steps nc blocks, columns 1 block apart). The
+	// cycle-model backend keeps packing B (its arena layout predates the
+	// strided kernels); the copy is exact, so both backends stay
+	// bit-identical.
+	pl.PackB = tun.ForcePackA
 
-	// Batch Counter: packed A + packed B + the C tile per group must fit
-	// the L1 budget.
+	// Batch Counter: A + B + the C tile per group must fit the L1 budget.
 	pl.GroupsPerBatch = tun.groupsPerBatch(p.DT, p.M*p.K+p.K*p.N+p.M*p.N, p.Count)
 
 	// Execution Plan Generator: the tiles, each running one kernel per K
@@ -321,6 +323,21 @@ func newGEMMPlan(p GEMMProblem, tun Tuning, msizes, nsizes []int) (*GEMMPlan, er
 		i0 += mc
 	}
 	return pl, nil
+}
+
+// BStrides returns how the native kernels address B in a tile of nc
+// columns: block (l, j), K step l of column j, sits l·ldbk + j·ldbc
+// blocks from the tile's first block. In place that is ldbk = 1,
+// ldbc = K (NoTrans) or ldbk = N, ldbc = 1 (Trans); the ForcePackA
+// ablation's packed Z-shaped panel has ldbk = nc, ldbc = 1.
+func (pl *GEMMPlan) BStrides(nc int) (ldbk, ldbc int) {
+	switch {
+	case pl.PackB:
+		return nc, 1
+	case pl.P.TransB == matrix.Transpose:
+		return pl.P.N, 1
+	}
+	return 1, pl.P.K
 }
 
 // programs fetches the VM program of every tile and K chunk, indexed

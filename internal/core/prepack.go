@@ -11,8 +11,8 @@ import (
 
 // Pack-once operand reuse: the packed image an operand takes inside a
 // super-batch slot is a pure function of (operand contents, plan
-// geometry) — per-group, the slot layouts written by npackA/npackB/
-// npackTri are identical for every slot. A prepacked buffer therefore
+// geometry) — per-group, the slot layouts written by npackA and npackTri
+// are identical for every slot. A prepacked buffer therefore
 // simply stores every group's packed image back to back, indexed by the
 // group number instead of the slot number, and the executors jump
 // straight to the kernel loop. Scalars never enter the packed data
@@ -29,15 +29,6 @@ func (pl *GEMMPlan) PrepackALen(groups int) int {
 	}
 	bl := blockLen(pl.P.DT, pl.P.DT.Pack())
 	return groups * pl.P.M * pl.P.K * bl
-}
-
-// PrepackBLen is PrepackALen for the B operand.
-func (pl *GEMMPlan) PrepackBLen(groups int) int {
-	if !pl.PackB {
-		return 0
-	}
-	bl := blockLen(pl.P.DT, pl.P.DT.Pack())
-	return groups * pl.P.K * pl.P.N * bl
 }
 
 // PrepackGEMMA packs every group of A into dst in the executor's
@@ -57,27 +48,6 @@ func PrepackGEMMA[E vec.Float](pl *GEMMPlan, a *layout.Compact[E], dst []E) erro
 	trans := p.TransA == matrix.Transpose
 	for g := 0; g < a.Groups(); g++ {
 		npackA(a.Data[g*lenA:(g+1)*lenA], a.Rows, trans, pl.MTiles, p.K, bl, dst[g*lenA:])
-	}
-	return nil
-}
-
-// PrepackGEMMB packs every group of B into dst in the executor's
-// Z-shaped column-panel order. dst must hold PrepackBLen(b.Groups())
-// elements.
-func PrepackGEMMB[E vec.Float](pl *GEMMPlan, b *layout.Compact[E], dst []E) error {
-	p := pl.P
-	if !pl.PackB {
-		return fmt.Errorf("core: plan uses the B no-packing fast path; nothing to prepack")
-	}
-	want := pl.PrepackBLen(b.Groups())
-	if len(dst) < want {
-		return fmt.Errorf("core: prepack B buffer has %d elements, need %d", len(dst), want)
-	}
-	bl := blockLen(p.DT, p.DT.Pack())
-	lenB := p.K * p.N * bl
-	trans := p.TransB == matrix.Transpose
-	for g := 0; g < b.Groups(); g++ {
-		npackB(b.Data[g*lenB:(g+1)*lenB], b.Rows, trans, pl.NTiles, p.K, bl, dst[g*lenB:])
 	}
 	return nil
 }

@@ -18,7 +18,6 @@ func TestPrepackedGEMMParity(t *testing.T) {
 		for _, mnk := range [][3]int{{4, 4, 4}, {7, 6, 5}, {15, 15, 15}} {
 			for _, mode := range [][2]matrix.Trans{
 				{matrix.NoTrans, matrix.NoTrans},
-				// NT drives the B no-packing fast path when N fits one tile.
 				{matrix.NoTrans, matrix.Transpose},
 				{matrix.Transpose, matrix.Transpose},
 			} {
@@ -34,16 +33,28 @@ func TestPrepackedGEMMParity(t *testing.T) {
 	}
 }
 
+// prepackedGEMMParity checks A prepacked and packed per call against
+// the VM, with B read in place and, under the ForcePackA ablation, B
+// packed per call.
 func prepackedGEMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProblem) {
 	t.Helper()
-	// ForceGroupsPerBatch=1 maximizes the chunk count, so every worker
-	// split runs several super-batches through its slot buffers.
-	tun := DefaultTuning()
-	tun.ForceGroupsPerBatch = 1
-	pl, err := NewGEMMPlan(p, tun)
-	if err != nil {
-		t.Fatal(err)
+	for _, force := range []bool{false, true} {
+		// ForceGroupsPerBatch=1 maximizes the chunk count, so every worker
+		// split runs several super-batches through its slot buffers.
+		tun := DefaultTuning()
+		tun.ForceGroupsPerBatch = 1
+		tun.ForcePackA = force
+		pl, err := NewGEMMPlan(p, tun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepackedGEMMPlanParity[E](t, rng, pl)
 	}
+}
+
+func prepackedGEMMPlanParity[E vec.Float](t *testing.T, rng *rand.Rand, pl *GEMMPlan) {
+	t.Helper()
+	p := pl.P
 	ar, ac := p.M, p.K
 	if p.TransA == matrix.Transpose {
 		ar, ac = p.K, p.M
@@ -61,20 +72,12 @@ func prepackedGEMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProble
 	}
 
 	preA := make([]E, pl.PrepackALen(a.Groups()))
-	preB := make([]E, pl.PrepackBLen(b.Groups()))
 	if len(preA) > 0 {
 		if err := PrepackGEMMA(pl, a, preA); err != nil {
 			t.Fatal(err)
 		}
 	} else {
 		preA = nil
-	}
-	if len(preB) > 0 {
-		if err := PrepackGEMMB(pl, b, preB); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		preB = nil
 	}
 
 	for _, workers := range []int{1, 3} {
@@ -87,7 +90,7 @@ func prepackedGEMMParity[E vec.Float](t *testing.T, rng *rand.Rand, p GEMMProble
 
 		// Prepacked path: the pack phase is skipped entirely.
 		got = c.Clone()
-		if err := ExecGEMMNativePrepacked(pl, a, b, got, preA, preB, workers); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, got, preA, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		diffCompact(t, "prepacked", p.Mode(), workers, want.Data, got.Data)
@@ -241,29 +244,14 @@ func TestPrepackReflectsOperandContents(t *testing.T) {
 	c := randCompact[float32](rng, vec.S, p.Count, 6, 6)
 
 	preA := make([]float32, pl.PrepackALen(a.Groups()))
-	preB := make([]float32, pl.PrepackBLen(b.Groups()))
 	pack := func() {
-		if len(preA) > 0 {
-			if err := PrepackGEMMA(pl, a, preA); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(preB) > 0 {
-			if err := PrepackGEMMB(pl, b, preB); err != nil {
-				t.Fatal(err)
-			}
+		if err := PrepackGEMMA(pl, a, preA); err != nil {
+			t.Fatal(err)
 		}
 	}
 	run := func() []float32 { // returns a copy of C's data
 		got := c.Clone()
-		pA, pB := preA, preB
-		if len(pA) == 0 {
-			pA = nil
-		}
-		if len(pB) == 0 {
-			pB = nil
-		}
-		if err := ExecGEMMNativePrepacked(pl, a, b, got, pA, pB, 1); err != nil {
+		if err := ExecGEMMNativePrepacked(pl, a, b, got, preA, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		return append([]float32(nil), got.Data...)
@@ -271,7 +259,8 @@ func TestPrepackReflectsOperandContents(t *testing.T) {
 	pack()
 	before := run()
 
-	// Mutate both operands and re-prepack: results must change in step.
+	// Mutate both operands and re-prepack A: results must change in step
+	// (B is read in place).
 	for i := range a.Data {
 		a.Data[i] *= 3
 	}

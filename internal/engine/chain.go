@@ -147,11 +147,9 @@ func planHandoffs(plans []stagePlan, ids []stageID, autoPre bool) {
 		if autoPre {
 			switch d.key.kind {
 			case OpTRSM, OpTRMM:
-				r.auto[0] = !w.has(d.alias[0])
+				r.auto = !w.has(d.alias[0])
 			case OpGEMM:
-				pl := r.pv.(*core.GEMMPlan)
-				r.auto[0] = pl.PackA && !w.has(d.alias[0])
-				r.auto[1] = pl.PackB && !w.has(d.alias[1])
+				r.auto = r.pv.(*core.GEMMPlan).PackA && !w.has(d.alias[0])
 			}
 		}
 		if i+1 == len(plans) {

@@ -874,7 +874,9 @@ func (e *Engine) report(r *stageRun) (flops float64) {
 	return flops
 }
 
-// gemmPackDesc names the GEMM packing decision for the per-shape series.
+// gemmPackDesc names the GEMM packing decision for the per-shape series:
+// "A" or "none" on the native path, whose kernels read B in place; B
+// appears only under the ForcePackA ablation.
 func gemmPackDesc(packA, packB bool) string {
 	switch {
 	case packA && packB:

@@ -166,8 +166,8 @@ type stagePlan struct {
 	pv      any // cached core plan; a *factorPlan for factorizations
 	outcome obs.CacheOutcome
 
-	auto              [3]bool // operand slots to auto-prepack (pure chain inputs)
-	donated, elideOut bool    // canonical-B handoff in / out
+	auto              bool // auto-prepack A, a pure chain input
+	donated, elideOut bool // canonical-B handoff in / out
 }
 
 // stageRun is one stage's resolved execution state.
@@ -222,14 +222,14 @@ func (c *canonB[E]) close(e *Engine) {
 	c.drop(e)
 }
 
-// prepacked resolves the packed image of operand slot s: it enables
-// prepack first when the slot is a pure chain input, then takes the
-// cached image (building it on a miss). nil when the operand has not
+// prepacked resolves the packed image of A, the only operand a native
+// plan packs: it enables prepack first when A is a pure chain input,
+// then takes the cached image (building it on a miss). nil when the operand has not
 // opted in. References are held across the kernel loop and dropped by
 // the caller, so invalidation or eviction mid-call cannot free storage
 // the kernels are reading.
-func prepacked[E vec.Float](e *Engine, r *stageRun, c *layout.Compact[E], s int, role packRole, length int, build func([]E) error) ([]E, *packEntry, error) {
-	if r.auto[s] {
+func prepacked[E vec.Float](e *Engine, r *stageRun, c *layout.Compact[E], role packRole, length int, build func([]E) error) ([]E, *packEntry, error) {
+	if r.auto {
 		c.EnablePrepack()
 	}
 	id, gen := c.PrepackState()
@@ -292,28 +292,22 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 		pl := *r.pv.(*core.GEMMPlan)
 		pl.P.Alpha, pl.P.Beta, pl.P.Count, pl.RT, pl.Labels = op.Alpha, op.Beta, r.count, e.rt, labels
 		bC, cC := compactOf[E](st.Ops[1]), compactOf[E](st.Ops[2])
-		var preA, preB []E
-		var entA, entB *packEntry
+		var preA []E
+		var entA *packEntry
 		var err error
 		if pl.PackA {
-			preA, entA, err = prepacked(e, r, aC, 0, roleA, pl.PrepackALen(aC.Groups()), func(dst []E) error {
+			preA, entA, err = prepacked(e, r, aC, roleA, pl.PrepackALen(aC.Groups()), func(dst []E) error {
 				return core.PrepackGEMMA(&pl, aC, dst)
-			})
-		}
-		if err == nil && pl.PackB {
-			preB, entB, err = prepacked(e, r, bC, 1, roleB, pl.PrepackBLen(bC.Groups()), func(dst []E) error {
-				return core.PrepackGEMMB(&pl, bC, dst)
 			})
 		}
 		e.obs.Mark(r.sp, obs.PhasePack, t0)
 		if err == nil {
 			t0 = e.clock(r.sp)
-			err = core.ExecGEMMNativePrepacked(&pl, aC, bC, cC, preA, preB, op.Workers)
+			err = core.ExecGEMMNativePrepacked(&pl, aC, bC, cC, preA, nil, op.Workers)
 			e.obs.Mark(r.sp, obs.PhaseCompute, t0)
 			cC.Invalidate()
 		}
 		e.packs.release(entA)
-		e.packs.release(entB)
 		return err
 	}
 
@@ -341,7 +335,7 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 			return core.ExecTRMMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
 		}
 	}
-	pre, ent, err := prepacked(e, r, aC, 0, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
+	pre, ent, err := prepacked(e, r, aC, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
 	e.obs.Mark(r.sp, obs.PhasePack, t0)
 	if err == nil {
 		handoff := r.donated || r.elideOut

@@ -36,9 +36,9 @@ type BuildInfo struct {
 	// (the portable 128-bit NEON emulation in this reproduction).
 	SIMDBackend string `json:"simd_backend"`
 	// GEMMKernel names the generated machine code compiled in
-	// (kernels.Backend): "amd64-sse2" runs the s/d GEMM 4×4 main kernel,
-	// the TRMM triangle for M ≤ 4 and the TRMM 4×4 rectangle as SSE2;
-	// "purego" runs every kernel in Go.
+	// (kernels.Backend): "amd64-sse2" runs the GEMM main kernels (s/d
+	// 4×4, c/z 3×2), the TRMM triangle for M ≤ 4 and the TRMM 4×4
+	// rectangle as SSE2; "purego" runs every kernel in Go.
 	GEMMKernel string `json:"gemm_kernel"`
 }
 

@@ -11,8 +11,9 @@ import (
 // Packed-operand cache: operands that opt in via Prepack carry a
 // process-unique (id, generation) pair, and the engine memoizes their
 // packed images per (operand identity + generation, plan key, operand
-// role). npackA/npackB/npackTri then run once per (operand, shape) and
-// every later call jumps straight to the kernel loop.
+// role). npackA/npackTri then run once per (operand, shape) and every
+// later call jumps straight to the kernel loop; GEMM reads B in place
+// and never packs it.
 //
 // Entries are refcounted: the cache holds one reference, every call that
 // is currently executing against the image holds another, so eviction
@@ -27,7 +28,6 @@ type packRole uint8
 
 const (
 	roleA packRole = iota
-	roleB
 	roleTri
 )
 

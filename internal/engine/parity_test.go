@@ -158,40 +158,69 @@ func TestBucketedPlanParityF32(t *testing.T) { parityForDType[float32](t, vec.S)
 func TestBucketedPlanParityF64(t *testing.T) { parityForDType[float64](t, vec.D) }
 
 // A GEMM whose C is its own A or B must equal the same call on separate
-// copies, bit for bit, for β = 1 and the β = 0 overwrite. At 4×4×4 a
-// NoTrans A and a Trans B reach the main kernel unpacked, so C shares
-// memory with the kernel's input.
+// copies, bit for bit, for β = 1 and the β = 0 overwrite, in s, d, c and
+// z. A NoTrans A with M ≤ 4 and B in either mode are read in place, so C
+// shares memory with what the kernels read. With several N tiles
+// (C = A, N = K > 4) or M tiles (C = B, M = K = 8) an early tile would
+// overwrite elements a later tile still reads, unless the executor
+// packs the aliased operand for the call.
 func TestGEMMAliasedParity(t *testing.T) {
 	t.Run("f32", func(t *testing.T) { aliasedGEMMParity[float32](t, vec.S) })
 	t.Run("f64", func(t *testing.T) { aliasedGEMMParity[float64](t, vec.D) })
+	t.Run("c64", func(t *testing.T) { aliasedGEMMParity[float32](t, vec.C) })
+	t.Run("c128", func(t *testing.T) { aliasedGEMMParity[float64](t, vec.Z) })
+}
+
+// rawCompact is a compact batch whose storage, padding lanes included,
+// holds values in [-1, 1).
+func rawCompact[E vec.Float](rng *rand.Rand, dt vec.DType, count, rows, cols int) *layout.Compact[E] {
+	c := layout.NewCompact[E](dt, count, rows, cols)
+	for i := range c.Data {
+		c.Data[i] = E(2*rng.Float64() - 1)
+	}
+	return c
 }
 
 func aliasedGEMMParity[E vec.Float](t *testing.T, dt vec.DType) {
 	e := New(core.DefaultTuning())
 	rng := rand.New(rand.NewSource(170))
-	const n, count = 4, 9
+	const count = 9
+	type aliased struct {
+		m, n, k int
+		transB  matrix.Trans
+		cIsB    bool
+	}
+	cases := []aliased{{4, 4, 4, matrix.NoTrans, false}, {4, 4, 4, matrix.Transpose, true}}
+	for _, n := range []int{5, 8, 12} {
+		cases = append(cases, aliased{4, n, n, matrix.NoTrans, false}, aliased{3, n, n, matrix.Transpose, false})
+	}
+	cases = append(cases, aliased{8, 8, 8, matrix.NoTrans, true}, aliased{8, 8, 8, matrix.Transpose, true})
+	alpha := complex(1.5, 0)
+	if dt.IsComplex() {
+		alpha = complex(1.5, -0.5)
+	}
 	for _, beta := range []complex128{1, 0} {
-		for _, cIsB := range []bool{false, true} {
-			op := OpDesc{Kind: OpGEMM, Alpha: 1.5, Beta: beta, Workers: 1}
-			a := randCompactT[E](rng, dt, count, n, n)
-			b := randCompactT[E](rng, dt, count, n, n)
-			c := a
-			if cIsB {
-				op.TransB = matrix.Transpose
-				c = b
+		for _, tc := range cases {
+			op := OpDesc{Kind: OpGEMM, TransB: tc.transB, Alpha: alpha, Beta: beta, Workers: 1}
+			br, bc := tc.k, tc.n
+			if tc.transB == matrix.Transpose {
+				br, bc = tc.n, tc.k
 			}
+			a := rawCompact[E](rng, dt, count, tc.m, tc.k)
+			b := rawCompact[E](rng, dt, count, br, bc)
+			c, label := a, "C=A"
+			if tc.cIsB {
+				c, label = b, "C=B"
+			}
+			label = fmt.Sprintf("GEMM %s %v %dx%dx%d trans B %v beta=%v", label, dt, tc.m, tc.n, tc.k, tc.transB, real(beta))
 			want := c.Clone()
 			if err := e.Run(context.Background(), one(op, opOf(dt, a.Clone()), opOf(dt, b.Clone()), opOf(dt, want)), Call{}); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
 			if err := e.Run(context.Background(), one(op, opOf(dt, a), opOf(dt, b), opOf(dt, c)), Call{}); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			label := "GEMM C=A"
-			if cIsB {
-				label = "GEMM C=B"
-			}
-			requireBitExact(t, label+" beta="+fmt.Sprint(real(beta)), count, want, c)
+			requireBitExact(t, label, count, want, c)
 		}
 	}
 }

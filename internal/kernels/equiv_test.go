@@ -32,10 +32,30 @@ func fill32(rng *rand.Rand, n int) []float32 {
 // (0·Inf = NaN) and the sign flip (−1·+0 = −0).
 var gemmAlphas = []float64{1, 1.5, 0, -1}
 
+// bMode is one way the native executor addresses a K×nc B tile: block
+// (l, j) at l·ldbk + j·ldbc blocks.
+type bMode struct {
+	name       string
+	ldbk, ldbc int
+}
+
+// bModes are the packed Z-shaped panel, a NoTrans B read in place
+// (columns more than K blocks apart) and a Trans B read in place (K
+// steps more than nc blocks apart).
+func bModes(k, nc int) []bMode {
+	return []bMode{{"packed", nc, 1}, {"NoTrans", 1, k + 1}, {"Trans", nc + 2, 1}}
+}
+
+// bLen is the length of a B whose last block, (k−1)·ldbk + (nc−1)·ldbc,
+// ends at the slice's last element.
+func bLen(m bMode, k, nc, bl int) int {
+	return ((k-1)*m.ldbk + (nc-1)*m.ldbc + 1) * bl
+}
+
 // GEMM must equal the portable reference on ordinary inputs for every
-// tile, and the 4×4 main kernel it runs (generated machine code on
-// amd64) must match the pure-Go kernel it replaces bit for bit on
-// hostile inputs: signed zeros agree and a NaN stays a NaN.
+// tile and B addressing mode, and the 4×4 main kernel it runs (generated
+// machine code on amd64) must match the pure-Go kernel it replaces bit
+// for bit on hostile inputs: signed zeros agree and a NaN stays a NaN.
 func TestGEMMFastMatchesGeneric(t *testing.T) {
 	t.Run("f32", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill32) })
 	t.Run("f64", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill64) })
@@ -51,34 +71,36 @@ func testGEMMFastMatchesGeneric[E vec.Float](t *testing.T, fill func(*rand.Rand,
 		for mc := 1; mc <= 4; mc++ {
 			for nc := 1; nc <= 4; nc++ {
 				for _, k := range []int{1, 2, 3, 8, 17} {
-					for _, strideC := range []int{mc, mc + 1} {
-						for _, ovw := range []bool{false, true} {
-							for _, alpha := range gemmAlphas {
-								name := fmt.Sprintf("vl=%d %dx%d k=%d strideC=%d ovw=%v alpha=%v", vl, mc, nc, k, strideC, ovw, alpha)
-								pa := fill(rng, k*mc*vl)
-								pb := fill(rng, k*nc*vl)
-								c := fill(rng, nc*strideC*vl)
-								cGen := append([]E(nil), c...)
-								GEMM(pa, pb, c, mc, nc, k, strideC, vl, E(alpha), ovw)
-								gemmGeneric(pa, pb, cGen, mc, nc, k, strideC, vl, E(alpha), ovw)
-								for i := range c {
-									if c[i] != cGen[i] {
-										t.Fatalf("%s: fast/generic diverge at %d", name, i)
-									}
-								}
-								if mc != 4 || nc != 4 {
-									continue
-								}
-								for _, p := range []float64{0.05, 0.5, 1} {
-									pa := hostile[E](rng, k*mc*vl, p)
-									pb := hostile[E](rng, k*nc*vl, p)
-									c := hostile[E](rng, nc*strideC*vl, p)
-									cPure := append([]E(nil), c...)
-									GEMM(pa, pb, c, mc, nc, k, strideC, vl, E(alpha), ovw)
-									pure(pa, pb, cPure, k, strideC, E(alpha), ovw)
+					for _, m := range bModes(k, nc) {
+						for _, strideC := range []int{mc, mc + 1} {
+							for _, ovw := range []bool{false, true} {
+								for _, alpha := range gemmAlphas {
+									name := fmt.Sprintf("vl=%d %dx%d k=%d B %s strideC=%d ovw=%v alpha=%v", vl, mc, nc, k, m.name, strideC, ovw, alpha)
+									pa := fill(rng, k*mc*vl)
+									pb := fill(rng, bLen(m, k, nc, vl))
+									c := fill(rng, nc*strideC*vl)
+									cGen := append([]E(nil), c...)
+									GEMMStrided(pa, pb, c, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, E(alpha), ovw)
+									gemmGeneric(pa, pb, cGen, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, E(alpha), ovw)
 									for i := range c {
-										if !sameBits(c[i], cPure[i]) {
-											t.Fatalf("%s hostile p=%v: C[%d] = %v, pure Go %v", name, p, i, c[i], cPure[i])
+										if c[i] != cGen[i] {
+											t.Fatalf("%s: fast/generic diverge at %d", name, i)
+										}
+									}
+									if mc != 4 || nc != 4 {
+										continue
+									}
+									for _, p := range []float64{0.05, 0.5, 1} {
+										pa := hostile[E](rng, k*mc*vl, p)
+										pb := hostile[E](rng, bLen(m, k, nc, vl), p)
+										c := hostile[E](rng, nc*strideC*vl, p)
+										cPure := append([]E(nil), c...)
+										GEMMStrided(pa, pb, c, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, E(alpha), ovw)
+										pure(pa, pb, cPure, k, m.ldbk, m.ldbc, strideC, E(alpha), ovw)
+										for i := range c {
+											if !sameBits(c[i], cPure[i]) {
+												t.Fatalf("%s hostile p=%v: C[%d] = %v, pure Go %v", name, p, i, c[i], cPure[i])
+											}
 										}
 									}
 								}
@@ -120,24 +142,75 @@ func sameBits[E vec.Float](x, y E) bool {
 	return math.Float64bits(float64(x)) == math.Float64bits(float64(y))
 }
 
+// GEMMCplx must equal the portable reference for every tile, B
+// addressing mode and width, with float32 and float64 components: at
+// float64 and 2 lanes the 3×2 tile runs the generated z kernel on amd64.
 func TestGEMMCplxFastMatchesGeneric(t *testing.T) {
+	testGEMMCplxFastMatchesGeneric(t, fill32)
+	testGEMMCplxFastMatchesGeneric(t, fill64)
+}
+
+func testGEMMCplxFastMatchesGeneric[E vec.Float](t *testing.T, fill func(*rand.Rand, int) []E) {
 	rng := rand.New(rand.NewSource(2))
 	for _, vl := range []int{2, 4} {
 		for mc := 1; mc <= 3; mc++ {
 			for nc := 1; nc <= 2; nc++ {
 				for _, k := range []int{1, 5} {
-					for _, ovw := range []bool{false, true} {
-						bl := 2 * vl
-						strideC := mc + 1
-						pa := fill32(rng, k*mc*bl)
-						pb := fill32(rng, k*nc*bl)
-						c := fill32(rng, nc*strideC*bl)
-						cGen := append([]float32(nil), c...)
-						GEMMCplx(pa, pb, c, mc, nc, k, strideC, vl, 1.5, -0.5, ovw)
-						gemmCplxGeneric(pa, pb, cGen, mc, nc, k, strideC, vl, 1.5, -0.5, ovw)
-						for i := range c {
-							if c[i] != cGen[i] {
-								t.Fatalf("vl=%d %dx%d k=%d ovw=%v: complex fast/generic diverge at %d", vl, mc, nc, k, ovw, i)
+					for _, m := range bModes(k, nc) {
+						for _, ovw := range []bool{false, true} {
+							bl := 2 * vl
+							strideC := mc + 1
+							pa := fill(rng, k*mc*bl)
+							pb := fill(rng, bLen(m, k, nc, bl))
+							c := fill(rng, nc*strideC*bl)
+							cGen := append([]E(nil), c...)
+							GEMMCplxStrided(pa, pb, c, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, 1.5, -0.5, ovw)
+							gemmCplxGeneric(pa, pb, cGen, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, 1.5, -0.5, ovw)
+							for i := range c {
+								if c[i] != cGen[i] {
+									t.Fatalf("%T vl=%d %dx%d k=%d B %s ovw=%v: complex fast/generic diverge at %d", c[i], vl, mc, nc, k, m.name, ovw, i)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The complex 3×2 main kernel the dispatch runs (generated machine code
+// for c at 4 lanes and z at 2 on amd64) must match the pure-Go kernel
+// bit for bit on hostile inputs, in every B addressing mode, with C
+// columns further apart than the tile's rows, both saves and alpha 1,
+// 1.5−0.5i, 0 and −1.
+func TestGEMMCplxKernelMatchesGo(t *testing.T) {
+	t.Run("c", func(t *testing.T) { testGEMMCplxKernelMatchesGo(t, 4, gemmCplx4[float32]) })
+	t.Run("z", func(t *testing.T) { testGEMMCplxKernelMatchesGo(t, 2, gemmCplx2[float64]) })
+}
+
+func testGEMMCplxKernelMatchesGo[E vec.Float](t *testing.T, vl int, pure func(pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alphaRe, alphaIm E, ovw bool)) {
+	rng := rand.New(rand.NewSource(6))
+	const mc, nc = 3, 2
+	bl := 2 * vl
+	for k := 1; k <= 9; k++ {
+		for _, m := range bModes(k, nc) {
+			for _, strideC := range []int{mc, mc + 2} {
+				for _, ovw := range []bool{false, true} {
+					for _, alpha := range []complex128{1, complex(1.5, -0.5), 0, -1} {
+						for _, p := range []float64{0.05, 0.5, 1} {
+							pa := hostile[E](rng, k*mc*bl, p)
+							pb := hostile[E](rng, bLen(m, k, nc, bl), p)
+							c := hostile[E](rng, nc*strideC*bl, p)
+							cPure := append([]E(nil), c...)
+							re, im := E(real(alpha)), E(imag(alpha))
+							GEMMCplxStrided(pa, pb, c, mc, nc, k, m.ldbk, m.ldbc, strideC, vl, re, im, ovw)
+							pure(pa, pb, cPure, mc, nc, k, m.ldbk, m.ldbc, strideC, re, im, ovw)
+							for i := range c {
+								if !sameBits(c[i], cPure[i]) {
+									t.Fatalf("k=%d B %s strideC=%d ovw=%v alpha=%v p=%v: C[%d] = %v, pure Go %v",
+										k, m.name, strideC, ovw, alpha, p, i, c[i], cPure[i])
+								}
 							}
 						}
 					}

@@ -32,8 +32,8 @@ func fms2[E vec.Float](acc *[2]E, a, b *[2]E) {
 	acc[1] -= a[1] * b[1]
 }
 
-// gemm4 is GEMM for 4-lane blocks (single-precision types).
-func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool) {
+// gemm4 is GEMMStrided for 4-lane blocks (single-precision types).
+func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
 	var acc [16][4]E
 	ao, bo := 0, 0
 	for l := 0; l < k; l++ {
@@ -43,9 +43,9 @@ func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 			ao += 4
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[4]E)(pb[bo:])
-			bo += 4
+			bv[cc] = (*[4]E)(pb[bo+cc*ldbc*4:])
 		}
+		bo += ldbk * 4
 		for cc := 0; cc < nc; cc++ {
 			b := bv[cc]
 			for r := 0; r < mc; r++ {
@@ -72,8 +72,8 @@ func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 	}
 }
 
-// gemm2 is GEMM for 2-lane blocks (double-precision types).
-func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool) {
+// gemm2 is GEMMStrided for 2-lane blocks (double-precision types).
+func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
 	var acc [16][2]E
 	ao, bo := 0, 0
 	for l := 0; l < k; l++ {
@@ -83,9 +83,9 @@ func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 			ao += 2
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[2]E)(pb[bo:])
-			bo += 2
+			bv[cc] = (*[2]E)(pb[bo+cc*ldbc*2:])
 		}
+		bo += ldbk * 2
 		for cc := 0; cc < nc; cc++ {
 			b := bv[cc]
 			for r := 0; r < mc; r++ {
@@ -108,110 +108,96 @@ func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alpha E, ovw bool
 	}
 }
 
-// gemmCplx4 is GEMMCplx for 4-lane blocks (cgemm).
-func gemmCplx4[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alphaRe, alphaIm E, ovw bool) {
-	var accRe, accIm [6][4]E
-	ao, bo := 0, 0
-	for l := 0; l < k; l++ {
-		var aRe, aIm [3]*[4]E
-		var bRe, bIm [2]*[4]E
-		for r := 0; r < mc; r++ {
-			aRe[r] = (*[4]E)(pa[ao:])
-			aIm[r] = (*[4]E)(pa[ao+4:])
-			ao += 8
-		}
-		for cc := 0; cc < nc; cc++ {
-			bRe[cc] = (*[4]E)(pb[bo:])
-			bIm[cc] = (*[4]E)(pb[bo+4:])
-			bo += 8
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				i := cc*3 + r
-				fma4(&accRe[i], aRe[r], bRe[cc])
-				fms4(&accRe[i], aIm[r], bIm[cc])
-				fma4(&accIm[i], aRe[r], bIm[cc])
-				fma4(&accIm[i], aIm[r], bRe[cc])
-			}
-		}
-	}
+// gemmCplx4 is GEMMCplxStrided for 4-lane blocks (cgemm). Each C block
+// accumulates in scalar locals over the K loop, reading A's packed
+// blocks and B's strided blocks in place; every lane sees the generic
+// kernel's sequence of multiply-accumulates and the save's two roundings
+// per component, so the two agree bit for bit.
+func gemmCplx4[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alphaRe, alphaIm E, ovw bool) {
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			i := cc*3 + r
-			off := (cc*strideC + r) * 8
-			dRe := (*[4]E)(c[off:])
-			dIm := (*[4]E)(c[off+4:])
-			// Two rounding steps per component, matching the generic
-			// (and generated-IR) FMLA/FMLS sequence bit for bit.
-			if ovw {
-				for lane := 0; lane < 4; lane++ {
-					dRe[lane] = alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] = alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
-				}
-			} else {
-				for lane := 0; lane < 4; lane++ {
-					dRe[lane] += alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] += alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
-				}
+			var re0, re1, re2, re3, im0, im1, im2, im3 E
+			ao, bo := r*8, cc*ldbc*8
+			for l := 0; l < k; l++ {
+				a, b := (*[8]E)(pa[ao:]), (*[8]E)(pb[bo:])
+				re0 += a[0] * b[0]
+				re0 -= a[4] * b[4]
+				im0 += a[0] * b[4]
+				im0 += a[4] * b[0]
+				re1 += a[1] * b[1]
+				re1 -= a[5] * b[5]
+				im1 += a[1] * b[5]
+				im1 += a[5] * b[1]
+				re2 += a[2] * b[2]
+				re2 -= a[6] * b[6]
+				im2 += a[2] * b[6]
+				im2 += a[6] * b[2]
+				re3 += a[3] * b[3]
+				re3 -= a[7] * b[7]
+				im3 += a[3] * b[7]
+				im3 += a[7] * b[3]
+				ao += mc * 8
+				bo += ldbk * 8
 			}
+			d := (*[8]E)(c[(cc*strideC+r)*8:])
+			if ovw {
+				d[0], d[1], d[2], d[3] = alphaRe*re0, alphaRe*re1, alphaRe*re2, alphaRe*re3
+				d[4], d[5], d[6], d[7] = alphaRe*im0, alphaRe*im1, alphaRe*im2, alphaRe*im3
+			} else {
+				d[0] += alphaRe * re0
+				d[1] += alphaRe * re1
+				d[2] += alphaRe * re2
+				d[3] += alphaRe * re3
+				d[4] += alphaRe * im0
+				d[5] += alphaRe * im1
+				d[6] += alphaRe * im2
+				d[7] += alphaRe * im3
+			}
+			d[0] -= alphaIm * im0
+			d[1] -= alphaIm * im1
+			d[2] -= alphaIm * im2
+			d[3] -= alphaIm * im3
+			d[4] += alphaIm * re0
+			d[5] += alphaIm * re1
+			d[6] += alphaIm * re2
+			d[7] += alphaIm * re3
 		}
 	}
 }
 
-// gemmCplx2 is GEMMCplx for 2-lane blocks (zgemm).
-func gemmCplx2[E vec.Float](pa, pb, c []E, mc, nc, k, strideC int, alphaRe, alphaIm E, ovw bool) {
-	var accRe, accIm [6][2]E
-	ao, bo := 0, 0
-	for l := 0; l < k; l++ {
-		var aRe, aIm [3]*[2]E
-		var bRe, bIm [2]*[2]E
-		for r := 0; r < mc; r++ {
-			aRe[r] = (*[2]E)(pa[ao:])
-			aIm[r] = (*[2]E)(pa[ao+2:])
-			ao += 4
-		}
-		for cc := 0; cc < nc; cc++ {
-			bRe[cc] = (*[2]E)(pb[bo:])
-			bIm[cc] = (*[2]E)(pb[bo+2:])
-			bo += 4
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				i := cc*3 + r
-				fma2(&accRe[i], aRe[r], bRe[cc])
-				fms2(&accRe[i], aIm[r], bIm[cc])
-				fma2(&accIm[i], aRe[r], bIm[cc])
-				fma2(&accIm[i], aIm[r], bRe[cc])
-			}
-		}
-	}
+// gemmCplx2 is GEMMCplxStrided for 2-lane blocks (zgemm), in the form
+// of gemmCplx4.
+func gemmCplx2[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alphaRe, alphaIm E, ovw bool) {
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			i := cc*3 + r
-			off := (cc*strideC + r) * 4
-			dRe := (*[2]E)(c[off:])
-			dIm := (*[2]E)(c[off+2:])
-			// Two rounding steps per component, matching the generic
-			// (and generated-IR) FMLA/FMLS sequence bit for bit.
-			if ovw {
-				for lane := 0; lane < 2; lane++ {
-					dRe[lane] = alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] = alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
-				}
-			} else {
-				for lane := 0; lane < 2; lane++ {
-					dRe[lane] += alphaRe * accRe[i][lane]
-					dRe[lane] -= alphaIm * accIm[i][lane]
-					dIm[lane] += alphaRe * accIm[i][lane]
-					dIm[lane] += alphaIm * accRe[i][lane]
-				}
+			var re0, re1, im0, im1 E
+			ao, bo := r*4, cc*ldbc*4
+			for l := 0; l < k; l++ {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(pb[bo:])
+				re0 += a[0] * b[0]
+				re0 -= a[2] * b[2]
+				im0 += a[0] * b[2]
+				im0 += a[2] * b[0]
+				re1 += a[1] * b[1]
+				re1 -= a[3] * b[3]
+				im1 += a[1] * b[3]
+				im1 += a[3] * b[1]
+				ao += mc * 4
+				bo += ldbk * 4
 			}
+			d := (*[4]E)(c[(cc*strideC+r)*4:])
+			if ovw {
+				d[0], d[1], d[2], d[3] = alphaRe*re0, alphaRe*re1, alphaRe*im0, alphaRe*im1
+			} else {
+				d[0] += alphaRe * re0
+				d[1] += alphaRe * re1
+				d[2] += alphaRe * im0
+				d[3] += alphaRe * im1
+			}
+			d[0] -= alphaIm * im0
+			d[1] -= alphaIm * im1
+			d[2] += alphaIm * re0
+			d[3] += alphaIm * re1
 		}
 	}
 }
@@ -331,22 +317,23 @@ func tri2[E vec.Float](pa, b []E, m, ncols, strideB int) {
 
 // gemm44x4 is the fully unrolled 4-lane main kernel (mc = nc = 4) — the
 // hottest code path; accumulators live in named locals.
-func gemm44x4[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
+func gemm44x4[E vec.Float](pa, pb, c []E, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
 	var c00, c10, c20, c30 [4]E
 	var c01, c11, c21, c31 [4]E
 	var c02, c12, c22, c32 [4]E
 	var c03, c13, c23, c33 [4]E
-	o := 0
+	ao, bo, sk, sc := 0, 0, ldbk*4, ldbc*4
 	for l := 0; l < k; l++ {
-		a0 := (*[4]E)(pa[o:])
-		a1 := (*[4]E)(pa[o+4:])
-		a2 := (*[4]E)(pa[o+8:])
-		a3 := (*[4]E)(pa[o+12:])
-		b0 := (*[4]E)(pb[o:])
-		b1 := (*[4]E)(pb[o+4:])
-		b2 := (*[4]E)(pb[o+8:])
-		b3 := (*[4]E)(pb[o+12:])
-		o += 16
+		a0 := (*[4]E)(pa[ao:])
+		a1 := (*[4]E)(pa[ao+4:])
+		a2 := (*[4]E)(pa[ao+8:])
+		a3 := (*[4]E)(pa[ao+12:])
+		b0 := (*[4]E)(pb[bo:])
+		b1 := (*[4]E)(pb[bo+sc:])
+		b2 := (*[4]E)(pb[bo+2*sc:])
+		b3 := (*[4]E)(pb[bo+3*sc:])
+		ao += 16
+		bo += sk
 		fma4(&c00, a0, b0)
 		fma4(&c10, a1, b0)
 		fma4(&c20, a2, b0)
@@ -398,22 +385,23 @@ func gemm44x4[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
 }
 
 // gemm44x2 is the fully unrolled 2-lane main kernel (mc = nc = 4).
-func gemm44x2[E vec.Float](pa, pb, c []E, k, strideC int, alpha E, ovw bool) {
+func gemm44x2[E vec.Float](pa, pb, c []E, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
 	var c00, c10, c20, c30 [2]E
 	var c01, c11, c21, c31 [2]E
 	var c02, c12, c22, c32 [2]E
 	var c03, c13, c23, c33 [2]E
-	o := 0
+	ao, bo, sk, sc := 0, 0, ldbk*2, ldbc*2
 	for l := 0; l < k; l++ {
-		a0 := (*[2]E)(pa[o:])
-		a1 := (*[2]E)(pa[o+2:])
-		a2 := (*[2]E)(pa[o+4:])
-		a3 := (*[2]E)(pa[o+6:])
-		b0 := (*[2]E)(pb[o:])
-		b1 := (*[2]E)(pb[o+2:])
-		b2 := (*[2]E)(pb[o+4:])
-		b3 := (*[2]E)(pb[o+6:])
-		o += 8
+		a0 := (*[2]E)(pa[ao:])
+		a1 := (*[2]E)(pa[ao+2:])
+		a2 := (*[2]E)(pa[ao+4:])
+		a3 := (*[2]E)(pa[ao+6:])
+		b0 := (*[2]E)(pb[bo:])
+		b1 := (*[2]E)(pb[bo+sc:])
+		b2 := (*[2]E)(pb[bo+2*sc:])
+		b3 := (*[2]E)(pb[bo+3*sc:])
+		ao += 8
+		bo += sk
 		fma2(&c00, a0, b0)
 		fma2(&c10, a1, b0)
 		fma2(&c20, a2, b0)

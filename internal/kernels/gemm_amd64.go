@@ -11,63 +11,74 @@ import (
 //go:generate sh -c "go run iatf/cmd/iatf-asm -op gemm-amd64 > gemm_amd64.s"
 
 // Backend names the generated machine code this build runs: SSE2 forms
-// of the s/d GEMM 4×4 main kernel, the TRMM triangle for M ≤ 4 and the
-// TRMM 4×4 rectangle (gemm_amd64.s, trmm_amd64.s).
+// of the GEMM main kernels (s/d 4×4, c/z 3×2), the TRMM triangle for
+// M ≤ 4 and the s/d TRMM 4×4 rectangle (gemm_amd64.s, trmm_amd64.s).
 const Backend = "amd64-sse2"
 
-// gemm4x4s and gemm4x4d are the Table 1 s/d main kernels (mc = nc = 4)
-// lowered from the ktmpl templates to SSE2 (gemm_amd64.s): k ≥ 1 packed
-// K steps, C columns ldc blocks apart, ovw selecting the overwrite save.
-// They check no bounds; gemm44asm does.
+// gemm4x4<t> and gemm3x2<t> are the Table 1 main kernels (s/d 4×4, c/z
+// 3×2) lowered from the ktmpl templates to SSE2 (gemm_amd64.s): k ≥ 1
+// K steps over packed A, B block (l, j) at pb + l·ldbk + j·ldbc blocks,
+// C columns ldc blocks apart, ovw selecting the overwrite save. A
+// complex block is 2 vectors, [re|im]. They check no bounds; gemm44asm
+// and gemm32asm do.
 //
 //go:noescape
-func gemm4x4s(pa, pb, c *float32, k, ldc int, alpha float32, ovw bool)
+func gemm4x4s(pa, pb, c *float32, k, ldbk, ldbc, ldc int, alpha float32, ovw bool)
 
 //go:noescape
-func gemm4x4d(pa, pb, c *float64, k, ldc int, alpha float64, ovw bool)
+func gemm4x4d(pa, pb, c *float64, k, ldbk, ldbc, ldc int, alpha float64, ovw bool)
 
-// gemm44asm runs the generated main kernel when E is float32 or float64
-// at its native width (vl·size = one 128-bit block) and reports whether
-// it did. It bounds-checks every block the kernel touches first. The
-// kernel runs the K loop once per 4×2 column half and stores the first
-// half before the second reads pa and pb again, so a C that shares
-// memory with them (a GEMM whose C is its A or B) stays on pure Go,
-// which reads all of A and B before it writes C.
-func gemm44asm[E vec.Float](pa, pb, c []E, k, strideC, vl int, alpha E, ovw bool) bool {
-	if k < 1 || strideC < 4 {
+//go:noescape
+func gemm3x2c(pa, pb, c *float32, k, ldbk, ldbc, ldc int, alphaRe, alphaIm float32, ovw bool)
+
+//go:noescape
+func gemm3x2z(pa, pb, c *float64, k, ldbk, ldbc, ldc int, alphaRe, alphaIm float64, ovw bool)
+
+// gemm44asm runs the generated real main kernel when E is float32 or
+// float64 at its native width (vl·size = one 128-bit block) and reports
+// whether it did. It bounds-checks A, C and B's last block,
+// (k−1)·ldbk + 3·ldbc, first. The kernel runs the K loop once per 4×2
+// column half and stores the first half before the second reads pa and
+// pb again, so a C that shares memory with them stays on pure Go: an
+// overlapping call then gives the same result in every build.
+func gemm44asm[E vec.Float](pa, pb, c []E, k, ldbk, ldbc, strideC, vl int, alpha E, ovw bool) bool {
+	var e E
+	size := int(unsafe.Sizeof(e))
+	if vl*size != 16 || k < 1 || strideC < 4 || ldbk < 0 || ldbc < 0 {
 		return false
 	}
-	switch pa := any(pa).(type) {
-	case []float32:
-		if vl != 4 {
-			return false
-		}
-		pb, c := any(pb).([]float32), any(c).([]float32)
-		nab, nc := 16*k, (3*strideC+4)*4
-		_, _, _ = pa[nab-1], pb[nab-1], c[nc-1]
-		if overlaps(c[:nc], pa[:nab]) || overlaps(c[:nc], pb[:nab]) {
-			return false
-		}
-		gemm4x4s(&pa[0], &pb[0], &c[0], k, strideC, float32(alpha), ovw)
-		return true
-	case []float64:
-		if vl != 2 {
-			return false
-		}
-		pb, c := any(pb).([]float64), any(c).([]float64)
-		nab, nc := 8*k, (3*strideC+4)*2
-		_, _, _ = pa[nab-1], pb[nab-1], c[nc-1]
-		if overlaps(c[:nc], pa[:nab]) || overlaps(c[:nc], pb[:nab]) {
-			return false
-		}
-		gemm4x4d(&pa[0], &pb[0], &c[0], k, strideC, float64(alpha), ovw)
-		return true
+	na, nb, nc := 4*k*vl, ((k-1)*ldbk+3*ldbc+1)*vl, (3*strideC+4)*vl
+	_, _, _ = pa[na-1], pb[nb-1], c[nc-1]
+	if Overlaps(c[:nc], pa[:na]) || Overlaps(c[:nc], pb[:nb]) {
+		return false
 	}
-	return false
+	if size == 4 {
+		gemm4x4s(first[float32](pa), first[float32](pb), first[float32](c), k, ldbk, ldbc, strideC, float32(alpha), ovw)
+	} else {
+		gemm4x4d(first[float64](pa), first[float64](pb), first[float64](c), k, ldbk, ldbc, strideC, float64(alpha), ovw)
+	}
+	return true
 }
 
-// overlaps reports whether x and y share any memory.
-func overlaps[E any](x, y []E) bool {
-	x0, y0 := uintptr(unsafe.Pointer(unsafe.SliceData(x))), uintptr(unsafe.Pointer(unsafe.SliceData(y)))
-	return x0 < y0+uintptr(len(y))*unsafe.Sizeof(y[0]) && y0 < x0+uintptr(len(x))*unsafe.Sizeof(x[0])
+// gemm32asm is gemm44asm for the complex 3×2 main kernel: blocks of
+// 2·vl elements, B's last block (k−1)·ldbk + ldbc, and two 3×1 column
+// halves.
+func gemm32asm[E vec.Float](pa, pb, c []E, k, ldbk, ldbc, strideC, vl int, alphaRe, alphaIm E, ovw bool) bool {
+	var e E
+	size := int(unsafe.Sizeof(e))
+	if vl*size != 16 || k < 1 || strideC < 3 || ldbk < 0 || ldbc < 0 {
+		return false
+	}
+	bl := 2 * vl
+	na, nb, nc := 3*k*bl, ((k-1)*ldbk+ldbc+1)*bl, (strideC+3)*bl
+	_, _, _ = pa[na-1], pb[nb-1], c[nc-1]
+	if Overlaps(c[:nc], pa[:na]) || Overlaps(c[:nc], pb[:nb]) {
+		return false
+	}
+	if size == 4 {
+		gemm3x2c(first[float32](pa), first[float32](pb), first[float32](c), k, ldbk, ldbc, strideC, float32(alphaRe), float32(alphaIm), ovw)
+	} else {
+		gemm3x2z(first[float64](pa), first[float64](pb), first[float64](c), k, ldbk, ldbc, strideC, float64(alphaRe), float64(alphaIm), ovw)
+	}
+	return true
 }

@@ -25,48 +25,141 @@ func TestGEMMAssemblyIsRegenerated(t *testing.T) {
 }
 
 // The generated kernel serves exactly the native-width 4×4 tile of a
-// build that has it (Backend); VL overrides, k = 0, overlapping C
-// columns and a C sharing memory with pa or pb stay on pure Go.
+// build that has it (Backend), in every B addressing mode, also when B's
+// last block is the slice's last element; VL overrides, k = 0, overlapping
+// C columns, negative strides and a C sharing memory with pa or pb stay
+// on pure Go.
 func TestGEMMMainKernelDispatch(t *testing.T) {
 	native := Backend != "purego"
 	s := make([]float32, 3*4*4*8)
 	d := make([]float64, 3*4*4*8)
 	sa, sb, sc := s[:128], s[128:256], s[256:]
 	da, db, dc := d[:64], d[64:128], d[128:]
-	for _, tc := range []struct {
+	const k = 2
+	cases := []struct {
 		name      string
 		run       func() bool
 		generated bool
 	}{
-		{"f32 vl=4", func() bool { return gemm44asm(sa, sb, sc, 2, 4, 4, 1, false) }, native},
-		{"f64 vl=2", func() bool { return gemm44asm(da, db, dc, 2, 5, 2, 1, true) }, native},
-		{"f32 vl=2", func() bool { return gemm44asm(sa, sb, sc, 2, 4, 2, 1, false) }, false},
-		{"f64 vl=4", func() bool { return gemm44asm(da, db, dc, 2, 4, 4, 1, false) }, false},
-		{"k=0", func() bool { return gemm44asm(sa, sb, sc, 0, 4, 4, 1, false) }, false},
-		{"strideC=3", func() bool { return gemm44asm(da, db, dc, 2, 3, 2, 1, false) }, false},
-		{"C is A", func() bool { return gemm44asm(sa, sb, sa, 2, 4, 4, 1, false) }, false},
-		{"C overlaps B", func() bool { return gemm44asm(da, db, d[79:], 2, 4, 2, 1, true) }, false},
-	} {
+		{"f32 vl=4", func() bool { return gemm44asm(sa, sb, sc, k, 4, 1, 4, 4, 1, false) }, native},
+		{"f64 vl=2", func() bool { return gemm44asm(da, db, dc, k, 4, 1, 5, 2, 1, true) }, native},
+		{"f32 vl=2", func() bool { return gemm44asm(sa, sb, sc, k, 4, 1, 4, 2, 1, false) }, false},
+		{"f64 vl=4", func() bool { return gemm44asm(da, db, dc, k, 4, 1, 4, 4, 1, false) }, false},
+		{"k=0", func() bool { return gemm44asm(sa, sb, sc, 0, 4, 1, 4, 4, 1, false) }, false},
+		{"strideC=3", func() bool { return gemm44asm(da, db, dc, k, 4, 1, 3, 2, 1, false) }, false},
+		{"ldbk<0", func() bool { return gemm44asm(da, db[40:], dc, k, -1, 1, 4, 2, 1, false) }, false},
+		{"ldbc<0", func() bool { return gemm44asm(da, db[40:], dc, k, 4, -1, 4, 2, 1, false) }, false},
+		{"C is A", func() bool { return gemm44asm(sa, sb, sa, k, 4, 1, 4, 4, 1, false) }, false},
+		{"C overlaps B", func() bool { return gemm44asm(da, db, d[79:], k, 4, 1, 4, 2, 1, true) }, false},
+		{"C overlaps B's last column", func() bool { return gemm44asm(da, d[64:], d[64+2*(3*9+1):], k, 1, 9, 4, 2, 1, true) }, false},
+	}
+	for _, m := range bModes(k, 4) {
+		n := bLen(m, k, 4, 2)
+		cases = append(cases, struct {
+			name      string
+			run       func() bool
+			generated bool
+		}{"f64 B " + m.name + " ending the slice", func() bool { return gemm44asm(da, db[:n], dc, k, m.ldbk, m.ldbc, 4, 2, 1, false) }, native})
+	}
+	for _, tc := range cases {
 		if got := tc.run(); got != tc.generated {
 			t.Errorf("%s: generated kernel ran = %v, want %v (Backend %q)", tc.name, got, tc.generated, Backend)
 		}
 	}
 }
 
-// An operand one element short panics before any kernel touches memory.
+// The generated complex kernels serve exactly the 3×2 tile, c at 4
+// lanes and z at 2, in every B addressing mode, also when B's last block
+// is the slice's last element; mismatched widths, k = 0, overlapping C
+// columns and a C sharing memory with pa or pb stay on pure Go.
+func TestGEMMCplxMainKernelDispatch(t *testing.T) {
+	native := Backend != "purego"
+	s := make([]float32, 1024)
+	d := make([]float64, 1024)
+	const k = 3
+	sa, sb, sc := s[:3*k*8], s[256:], s[768:]
+	da, db, dc := d[:3*k*4], d[256:], d[768:]
+	cases := []struct {
+		name      string
+		run       func() bool
+		generated bool
+	}{
+		{"c vl=4", func() bool { return gemm32asm(sa, sb, sc, k, 2, 1, 3, 4, 1, 0, false) }, native},
+		{"z vl=2", func() bool { return gemm32asm(da, db, dc, k, 2, 1, 4, 2, 1.5, -0.5, true) }, native},
+		{"c vl=2", func() bool { return gemm32asm(sa, sb, sc, k, 2, 1, 3, 2, 1, 0, false) }, false},
+		{"z vl=4", func() bool { return gemm32asm(da, db, dc, k, 2, 1, 3, 4, 1, 0, false) }, false},
+		{"k=0", func() bool { return gemm32asm(da, db, dc, 0, 2, 1, 3, 2, 1, 0, false) }, false},
+		{"strideC=2", func() bool { return gemm32asm(da, db, dc, k, 2, 1, 2, 2, 1, 0, false) }, false},
+		{"C is A", func() bool { return gemm32asm(da, db, da, k, 2, 1, 3, 2, 1, 0, false) }, false},
+		{"C overlaps B", func() bool { return gemm32asm(sa, sb, s[256+8*5:], k, 2, 1, 3, 4, 1, 0, true) }, false},
+	}
+	for _, m := range bModes(k, 2) {
+		ns, nd := bLen(m, k, 2, 8), bLen(m, k, 2, 4)
+		cases = append(cases, []struct {
+			name      string
+			run       func() bool
+			generated bool
+		}{
+			{"c B " + m.name + " ending the slice", func() bool { return gemm32asm(sa, sb[:ns], sc, k, m.ldbk, m.ldbc, 3, 4, 1, 0, false) }, native},
+			{"z B " + m.name + " ending the slice", func() bool { return gemm32asm(da, db[:nd], dc, k, m.ldbk, m.ldbc, 3, 2, 1, 0, false) }, native},
+		}...)
+	}
+	for _, tc := range cases {
+		if got := tc.run(); got != tc.generated {
+			t.Errorf("%s: generated kernel ran = %v, want %v (Backend %q)", tc.name, got, tc.generated, Backend)
+		}
+	}
+}
+
+// In every B addressing mode, an operand one element short panics
+// before any main kernel, real or complex, writes C; operands of exactly
+// the right length, B's last block ending the slice, run.
 func TestGEMMMainKernelBoundsChecked(t *testing.T) {
 	const k, strideC, vl = 3, 5, 2
-	for i, name := range []string{"pa", "pb", "c"} {
-		ops := [][]float64{make([]float64, k*4*vl), make([]float64, k*4*vl), make([]float64, (3*strideC+4)*vl)}
-		ops[i] = ops[i][:len(ops[i])-1]
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("short %s: no panic", name)
+	for _, tc := range []struct {
+		name   string
+		mc, nc int
+		bl     int
+		run    func(ops [][]float64, m bMode)
+	}{
+		{"real 4x4", 4, 4, vl, func(o [][]float64, m bMode) {
+			GEMMStrided(o[0], o[1], o[2], 4, 4, k, m.ldbk, m.ldbc, strideC, vl, 1, false)
+		}},
+		{"complex 3x2", 3, 2, 2 * vl, func(o [][]float64, m bMode) {
+			GEMMCplxStrided(o[0], o[1], o[2], 3, 2, k, m.ldbk, m.ldbc, strideC, vl, 1, 0.5, false)
+		}},
+	} {
+		for _, m := range bModes(k, tc.nc) {
+			lens := []int{k * tc.mc * tc.bl, bLen(m, k, tc.nc, tc.bl), ((tc.nc-1)*strideC + tc.mc) * tc.bl}
+			for short := -1; short < len(lens); short++ {
+				ops := make([][]float64, len(lens))
+				for j, n := range lens {
+					ops[j] = make([]float64, n)
+					for e := range ops[j] {
+						ops[j][e] = 2
+					}
 				}
-			}()
-			GEMM(ops[0], ops[1], ops[2], 4, 4, k, strideC, vl, 1, false)
-		}()
+				if short >= 0 {
+					ops[short] = ops[short][:len(ops[short])-1]
+				}
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					tc.run(ops, m)
+					return false
+				}()
+				if panicked != (short >= 0) {
+					t.Errorf("%s, B %s, operand %d short: panicked = %v", tc.name, m.name, short, panicked)
+				}
+				if short < 0 || Backend == "purego" {
+					continue // the Go kernels may panic part-way
+				}
+				for e, v := range ops[2] {
+					if v != 2 {
+						t.Fatalf("%s, B %s, operand %d short: C element %d written before the panic", tc.name, m.name, short, e)
+					}
+				}
+			}
+		}
 	}
 }
 

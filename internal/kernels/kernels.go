@@ -4,16 +4,21 @@
 // buffers with the vec SIMD substrate. This is the wall-clock execution
 // backend of the public API; the IR + VM path in internal/asm exists to
 // validate the install-time generator/optimizer and to drive the cycle
-// model. Some kernels are the generator's own output: on amd64 the s/d
-// GEMM main kernel and the s/d TRMM triangle (M ≤ 4) and 4×4 rectangle
-// run as SSE2 assembly lowered from the templates (gemm_amd64.s,
-// trmm_amd64.s, Backend), bit-identical to their Go forms.
+// model. Some kernels are the generator's own output: on amd64 the GEMM
+// main kernels (s/d 4×4, c/z 3×2, reading B in place through run-time
+// strides) and the s/d TRMM triangle (M ≤ 4) and 4×4 rectangle run as
+// SSE2 assembly lowered from the templates (gemm_amd64.s, trmm_amd64.s,
+// Backend), bit-identical to their Go forms.
 //
 // All kernels operate on slices of the real component type; complex data
 // uses the split-plane block format of the compact layout.
 package kernels
 
-import "iatf/internal/vec"
+import (
+	"unsafe"
+
+	"iatf/internal/vec"
+)
 
 // GEMM computes one C tile update: C += alpha·A·B over an interleave
 // group, consuming a packed mc×K A panel (N-shape) and a packed K×nc B
@@ -21,33 +26,46 @@ import "iatf/internal/vec"
 // mc and nc are at most 4 (the Table 1 main kernel).
 // ovw selects the overwrite save (C = alpha·A·B, the beta = 0 case) so the
 // caller can skip both the beta pre-scale pass and the C read.
-// On amd64 the float32/float64 main kernel at native width runs as
-// generated SSE2 code (Backend); every other case runs pure Go.
+// It is GEMMStrided over the packed panel's strides.
 func GEMM[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw bool) {
-	if mc == 4 && nc == 4 && gemm44asm(pa, pb, c, k, strideC, vl, alpha, ovw) {
+	GEMMStrided(pa, pb, c, mc, nc, k, nc, 1, strideC, vl, alpha, ovw)
+}
+
+// GEMMStrided is GEMM with B read through strides: block (l, j) of B, K
+// step l of column j, sits at (l·ldbk + j·ldbc)·vl relative to pb. A
+// packed Z-shaped panel has ldbk = nc and ldbc = 1; a compact B read in
+// place has ldbk = 1 and ldbc = K (NoTrans) or ldbk = N and ldbc = 1
+// (Trans). C must share no memory with pa or pb: the kernels write C
+// blocks while others still read A and B, so an overlapping call's
+// result is unspecified (the native executor packs such an operand).
+// On amd64 the float32/float64 4×4 main kernel at native width runs as
+// generated SSE2 code (Backend); every other case runs pure Go.
+func GEMMStrided[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC, vl int, alpha E, ovw bool) {
+	if mc == 4 && nc == 4 && gemm44asm(pa, pb, c, k, ldbk, ldbc, strideC, vl, alpha, ovw) {
 		return
 	}
 	switch {
 	case vl == 4 && mc == 4 && nc == 4:
-		gemm44x4(pa, pb, c, k, strideC, alpha, ovw)
+		gemm44x4(pa, pb, c, k, ldbk, ldbc, strideC, alpha, ovw)
 		return
 	case vl == 2 && mc == 4 && nc == 4:
-		gemm44x2(pa, pb, c, k, strideC, alpha, ovw)
+		gemm44x2(pa, pb, c, k, ldbk, ldbc, strideC, alpha, ovw)
 		return
 	case vl == 4:
-		gemm4(pa, pb, c, mc, nc, k, strideC, alpha, ovw)
+		gemm4(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, alpha, ovw)
 		return
 	case vl == 2:
-		gemm2(pa, pb, c, mc, nc, k, strideC, alpha, ovw)
+		gemm2(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, alpha, ovw)
 		return
 	}
-	gemmGeneric(pa, pb, c, mc, nc, k, strideC, vl, alpha, ovw)
+	gemmGeneric(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, vl, alpha, ovw)
 }
 
-// gemmGeneric is the portable reference form of GEMM for any lane count.
-func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw bool) {
+// gemmGeneric is the portable reference form of GEMMStrided for any lane
+// count.
+func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC, vl int, alpha E, ovw bool) {
 	var acc [4][4]vec.V[E]
-	ao, bo := 0, 0
+	ao := 0
 	for l := 0; l < k; l++ {
 		var av, bv [4]vec.V[E]
 		for r := 0; r < mc; r++ {
@@ -55,8 +73,7 @@ func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E
 			ao += vl
 		}
 		for cc := 0; cc < nc; cc++ {
-			bv[cc] = vec.Load(pb[bo:], vl)
-			bo += vl
+			bv[cc] = vec.Load(pb[(l*ldbk+cc*ldbc)*vl:], vl)
 		}
 		for cc := 0; cc < nc; cc++ {
 			for r := 0; r < mc; r++ {
@@ -80,24 +97,36 @@ func gemmGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E
 
 // GEMMCplx is the complex form of GEMM: blocks are [re|im] pairs and the
 // multiply-accumulate expands to the four-instruction complex pattern.
-// mc ≤ 3, nc ≤ 2 (Table 1).
+// mc ≤ 3, nc ≤ 2 (Table 1). It is GEMMCplxStrided over the packed
+// panel's strides.
 func GEMMCplx[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alphaRe, alphaIm E, ovw bool) {
-	switch vl {
-	case 4:
-		gemmCplx4(pa, pb, c, mc, nc, k, strideC, alphaRe, alphaIm, ovw)
-		return
-	case 2:
-		gemmCplx2(pa, pb, c, mc, nc, k, strideC, alphaRe, alphaIm, ovw)
-		return
-	}
-	gemmCplxGeneric(pa, pb, c, mc, nc, k, strideC, vl, alphaRe, alphaIm, ovw)
+	GEMMCplxStrided(pa, pb, c, mc, nc, k, nc, 1, strideC, vl, alphaRe, alphaIm, ovw)
 }
 
-// gemmCplxGeneric is the portable reference form of GEMMCplx.
-func gemmCplxGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alphaRe, alphaIm E, ovw bool) {
+// GEMMCplxStrided is GEMMCplx with B read through strides, in blocks of
+// 2·vl elements, as in GEMMStrided. On amd64 the complex64/complex128
+// 3×2 main kernel at native width runs as generated SSE2 code (Backend);
+// every other case runs pure Go.
+func GEMMCplxStrided[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC, vl int, alphaRe, alphaIm E, ovw bool) {
+	if mc == 3 && nc == 2 && gemm32asm(pa, pb, c, k, ldbk, ldbc, strideC, vl, alphaRe, alphaIm, ovw) {
+		return
+	}
+	switch vl {
+	case 4:
+		gemmCplx4(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, alphaRe, alphaIm, ovw)
+		return
+	case 2:
+		gemmCplx2(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, alphaRe, alphaIm, ovw)
+		return
+	}
+	gemmCplxGeneric(pa, pb, c, mc, nc, k, ldbk, ldbc, strideC, vl, alphaRe, alphaIm, ovw)
+}
+
+// gemmCplxGeneric is the portable reference form of GEMMCplxStrided.
+func gemmCplxGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC, vl int, alphaRe, alphaIm E, ovw bool) {
 	var accRe, accIm [3][2]vec.V[E]
 	bl := 2 * vl
-	ao, bo := 0, 0
+	ao := 0
 	for l := 0; l < k; l++ {
 		var aRe, aIm [3]vec.V[E]
 		var bRe, bIm [2]vec.V[E]
@@ -107,9 +136,9 @@ func gemmCplxGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alp
 			ao += bl
 		}
 		for cc := 0; cc < nc; cc++ {
+			bo := (l*ldbk + cc*ldbc) * bl
 			bRe[cc] = vec.Load(pb[bo:], vl)
 			bIm[cc] = vec.Load(pb[bo+vl:], vl)
-			bo += bl
 		}
 		for cc := 0; cc < nc; cc++ {
 			for r := 0; r < mc; r++ {
@@ -137,6 +166,12 @@ func gemmCplxGeneric[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alp
 			vec.Store(c[off+vl:], curIm, vl)
 		}
 	}
+}
+
+// Overlaps reports whether x and y share any memory.
+func Overlaps[E any](x, y []E) bool {
+	x0, y0 := uintptr(unsafe.Pointer(unsafe.SliceData(x))), uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	return x0 < y0+uintptr(len(y))*unsafe.Sizeof(y[0]) && y0 < x0+uintptr(len(x))*unsafe.Sizeof(x[0])
 }
 
 // Tri solves the canonical lower triangular system for ncols columns of B

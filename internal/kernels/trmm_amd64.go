@@ -66,7 +66,7 @@ func triMulAsm[E vec.Float](pa, b []E, m, ncols, strideB, vl int) bool {
 	}
 	na, nb := m*(m+1)/2*vl, ((ncols-1)*strideB+m)*vl
 	_, _ = pa[na-1], b[nb-1]
-	if overlaps(pa[:na], b[:nb]) {
+	if Overlaps(pa[:na], b[:nb]) {
 		return false
 	}
 	if size == 4 {
@@ -93,7 +93,7 @@ func rectAddAsm[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) 
 	}
 	la, lx, lc := 4*k*vl, (3*strideX+k)*vl, (3*strideC+4)*vl
 	_, _, _ = pa[la-1], x[lx-1], c[lc-1]
-	if overlaps(c[:lc], pa[:la]) || overlaps(c[:lc], x[:lx]) && !belowInTile(x, c, k, strideX, strideC) {
+	if Overlaps(c[:lc], pa[:la]) || Overlaps(c[:lc], x[:lx]) && !belowInTile(x, c, k, strideX, strideC) {
 		return false
 	}
 	if size == 4 {

@@ -21,10 +21,12 @@ import (
 type gemmGen struct {
 	s    GEMMSpec
 	prog asm.Prog
-	// xStride, when nonzero, redirects the B-operand loads to the TRSM
-	// rectangular form: X is read in place from pX with a per-column
-	// stride instead of from a packed pB panel.
+	// xStride, when nonzero, reads the B operand by columns instead of
+	// from a packed Z-shaped panel: one block per column, xStride blocks
+	// apart, from xPtr (pX for the TRSM/TRMM rectangles' in-place X, pB
+	// for the strided GEMM step), advancing one block per K step.
 	xStride int
+	xPtr    asm.PReg
 }
 
 func (g *gemmGen) emit(in asm.Instr) { g.prog = append(g.prog, in) }
@@ -72,9 +74,9 @@ func (g *gemmGen) loadA(b int, cmt string) {
 	g.loadSeq(asm.PA, int(g.aReg(b, 0, 0)), g.s.MC*g.s.comps(), cmt)
 }
 
-// loadB loads one K-step of B (nc blocks) into buffer b. In the TRSM
-// rectangular form the operand is the unpacked X panel: one block per
-// column at stride xStride, advancing one block row afterwards.
+// loadB loads one K-step of B (nc blocks) into buffer b: from the packed
+// panel at pB, or, in the strided form, one block per column at stride
+// xStride from xPtr, advancing one block row afterwards.
 func (g *gemmGen) loadB(b int, cmt string) {
 	if g.xStride == 0 {
 		g.loadSeq(asm.PB, int(g.bReg(b, 0, 0)), g.s.NC*g.s.comps(), cmt)
@@ -84,13 +86,13 @@ func (g *gemmGen) loadB(b int, cmt string) {
 	for c := 0; c < g.s.NC; c++ {
 		off := int32(c * g.xStride * bl)
 		if g.s.DT.IsComplex() {
-			g.emit(asm.Instr{Op: asm.LDP, D: g.bReg(b, c, 0), D2: g.bReg(b, c, 1), P: asm.PX, Off: off, Comment: cmt})
+			g.emit(asm.Instr{Op: asm.LDP, D: g.bReg(b, c, 0), D2: g.bReg(b, c, 1), P: g.xPtr, Off: off, Comment: cmt})
 		} else {
-			g.emit(asm.Instr{Op: asm.LDR, D: g.bReg(b, c, 0), P: asm.PX, Off: off, Comment: cmt})
+			g.emit(asm.Instr{Op: asm.LDR, D: g.bReg(b, c, 0), P: g.xPtr, Off: off, Comment: cmt})
 		}
 		cmt = ""
 	}
-	g.emit(asm.Instr{Op: asm.ADDI, P: asm.PX, Off: int32(bl)})
+	g.emit(asm.Instr{Op: asm.ADDI, P: g.xPtr, Off: int32(bl)})
 }
 
 // accMode selects the accumulation flavour of the templates: the normal
@@ -319,19 +321,26 @@ func GenGEMM(s GEMMSpec) (asm.Prog, error) {
 // wraps around a run-time K loop instead of unrolling K: Zero clears the
 // accumulators (MOVI), Step is one TEMPLATE_SUB K step, Save is
 // TEMPLATE_SAVE (C += alpha·acc) and SaveOvw its beta = 0 overwrite form
-// (C = alpha·acc). Every Step advances pA and pB by one K step.
+// (C = alpha·acc). Every Step advances pA past one K step of the packed
+// A panel, and pB past one K step of B.
 type GEMMLoop struct {
 	Zero, Step, Save, SaveOvw asm.Prog
 }
 
 // GenGEMMLoop generates the GEMMLoop pieces of a spec; s.K is ignored.
-func GenGEMMLoop(s GEMMSpec) (GEMMLoop, error) {
+// strideB picks how Step reads B. At 0 it reads the packed Z-shaped
+// panel and advances pB past its nc blocks. At n > 0 it reads one block
+// per column, n blocks apart, and advances pB one block: the strided-B
+// form, which reads a NoTrans B where the compact layout stores it, and
+// in which a machine-code backend replaces the column distance and the
+// one-block K step by run-time strides.
+func GenGEMMLoop(s GEMMSpec, strideB int) (GEMMLoop, error) {
 	s.K = 1
 	if err := s.Validate(); err != nil {
 		return GEMMLoop{}, err
 	}
 	part := func(emit func(g *gemmGen)) asm.Prog {
-		g := &gemmGen{s: s}
+		g := &gemmGen{s: s, xStride: strideB, xPtr: asm.PB}
 		emit(g)
 		return g.prog
 	}
@@ -351,7 +360,7 @@ func GenGEMMNoPingPong(s GEMMSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	l, err := GenGEMMLoop(s)
+	l, err := GenGEMMLoop(s, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -392,23 +401,26 @@ func GEMMFirstIsFirstK(s GEMMSpec, p asm.Prog) error {
 	return nil
 }
 
-// GenGEMMAMD64 generates internal/kernels/gemm_amd64.s: the Table 1 s/d
-// main kernel (4×4) lowered to SSE2 Go assembly as gemm4x4s and
-// gemm4x4d, one TEMPLATE_SUB per iteration of a run-time K loop.
+// GenGEMMAMD64 generates internal/kernels/gemm_amd64.s: the Table 1
+// main kernels, 4×4 for s/d and 3×2 for c/z, lowered to SSE2 Go assembly
+// as gemm4x4s, gemm4x4d, gemm3x2c and gemm3x2z. Each runs one strided-B
+// TEMPLATE_SUB per iteration of a run-time K loop, with B's K-step and
+// column strides and C's column stride as run-time arguments.
 func GenGEMMAMD64() ([]byte, error) {
 	var ks []asm.AMD64Kernel
-	for _, dt := range []vec.DType{vec.S, vec.D} {
+	for _, dt := range []vec.DType{vec.S, vec.D, vec.C, vec.Z} {
 		sz := MainGEMMKernel(dt)
 		s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC}
-		l, err := GenGEMMLoop(s)
+		l, err := GenGEMMLoop(s, sz.MC)
 		if err != nil {
 			return nil, err
 		}
 		ks = append(ks, asm.AMD64GEMM{
 			Name:      fmt.Sprintf("gemm%dx%d%v", sz.MC, sz.NC, dt),
 			ElemBytes: dt.ElemBytes(),
-			StrideC:   s.StrideC,
-			Zero:      l.Zero, Step: l.Step, Save: l.Save, SaveOvw: l.SaveOvw,
+			Complex:   dt.IsComplex(),
+			StrideB:   sz.MC, StrideC: s.StrideC,
+			Zero: l.Zero, Step: l.Step, Save: l.Save, SaveOvw: l.SaveOvw,
 		})
 	}
 	return asm.LowerAMD64("gemm", ks...)

@@ -13,7 +13,8 @@ import (
 // invocation consumes, for one interleave group of P matrices:
 //
 //	pA: K steps × mc blocks (N-shape panel)
-//	pB: K steps × nc blocks (Z-shape panel)
+//	pB: K steps × nc blocks (Z-shape panel), or with strideB > 0 block
+//	    (k, c) at c·strideB + k (a NoTrans B read in place)
 //	pC: C tile, column c at StrideC blocks
 //
 // Complex blocks are [re lanes | im lanes].
@@ -24,7 +25,7 @@ type packedGEMMData[E vec.Float] struct {
 	alpha              complex128
 }
 
-func buildGEMM[E vec.Float](rng *rand.Rand, s GEMMSpec) *packedGEMMData[E] {
+func buildGEMM[E vec.Float](rng *rand.Rand, s GEMMSpec, strideB int) *packedGEMMData[E] {
 	vl := s.vl()
 	comps := s.comps()
 	bl := s.blockLen()
@@ -67,6 +68,11 @@ func buildGEMM[E vec.Float](rng *rand.Rand, s GEMMSpec) *packedGEMMData[E] {
 
 	lenA := s.K * s.MC * bl
 	lenB := s.K * s.NC * bl
+	bOff := func(k, c int) int { return (k*s.NC + c) * bl }
+	if strideB > 0 {
+		lenB = s.NC * strideB * bl
+		bOff = func(k, c int) int { return (c*strideB + k) * bl }
+	}
 	lenC := s.NC * s.StrideC * bl
 	d.pa, d.pb, d.pc = 0, lenA, lenA+lenB
 	d.palpha = d.pc + lenC
@@ -77,7 +83,7 @@ func buildGEMM[E vec.Float](rng *rand.Rand, s GEMMSpec) *packedGEMMData[E] {
 			writeBlock(d.mem, d.pa+(k*s.MC+r)*bl, func(l int) complex128 { return d.a[l][r][k] })
 		}
 		for c := 0; c < s.NC; c++ {
-			writeBlock(d.mem, d.pb+(k*s.NC+c)*bl, func(l int) complex128 { return d.b[l][k][c] })
+			writeBlock(d.mem, d.pb+bOff(k, c), func(l int) complex128 { return d.b[l][k][c] })
 		}
 	}
 	for c := 0; c < s.NC; c++ {
@@ -112,10 +118,11 @@ func (d *packedGEMMData[E]) got(s GEMMSpec, lane, r, c int) complex128 {
 
 // runGEMMKernel runs prog in the VM and checks C + alpha·A·B, or with
 // ovw the overwrite result alpha·A·B (C's stale contents must be ignored).
-func runGEMMKernel[E vec.Float](t *testing.T, s GEMMSpec, prog asm.Prog, ovw bool) {
+// strideB lays B out as buildGEMM does.
+func runGEMMKernel[E vec.Float](t *testing.T, s GEMMSpec, prog asm.Prog, ovw bool, strideB int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(1000*s.MC + 100*s.NC + s.K)))
-	d := buildGEMM[E](rng, s)
+	d := buildGEMM[E](rng, s, strideB)
 	if ovw {
 		for _, lane := range d.c {
 			for _, row := range lane {
@@ -173,9 +180,9 @@ func TestGenGEMMCorrectAllSizes(t *testing.T) {
 				}
 				switch dt.Real() {
 				case vec.S:
-					runGEMMKernel[float32](t, s, prog, false)
+					runGEMMKernel[float32](t, s, prog, false, 0)
 				default:
-					runGEMMKernel[float64](t, s, prog, false)
+					runGEMMKernel[float64](t, s, prog, false, 0)
 				}
 			}
 		}
@@ -183,31 +190,35 @@ func TestGenGEMMCorrectAllSizes(t *testing.T) {
 }
 
 // The loop pieces a machine-code backend runs — Zero, then Step K
-// times, then Save or SaveOvw — compute C + alpha·A·B and alpha·A·B.
+// times, then Save or SaveOvw — compute C + alpha·A·B and alpha·A·B,
+// with B packed or read in place by columns.
 func TestGenGEMMLoopCorrect(t *testing.T) {
 	for _, dt := range vec.DTypes {
 		sz := MainGEMMKernel(dt)
 		for _, k := range []int{1, 2, 7} {
 			s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, K: k, StrideC: sz.MC + 1}
-			l, err := GenGEMMLoop(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ovw := range []bool{false, true} {
-				prog := append(asm.Prog(nil), l.Zero...)
-				for i := 0; i < k; i++ {
-					prog = append(prog, l.Step...)
+			// Packed B, then B read in place: columns k or k+2 blocks apart.
+			for _, strideB := range []int{0, k, k + 2} {
+				l, err := GenGEMMLoop(s, strideB)
+				if err != nil {
+					t.Fatal(err)
 				}
-				save := l.Save
-				if ovw {
-					save = l.SaveOvw
-				}
-				prog = append(prog, save...)
-				switch dt.Real() {
-				case vec.S:
-					runGEMMKernel[float32](t, s, prog, ovw)
-				default:
-					runGEMMKernel[float64](t, s, prog, ovw)
+				for _, ovw := range []bool{false, true} {
+					prog := append(asm.Prog(nil), l.Zero...)
+					for i := 0; i < k; i++ {
+						prog = append(prog, l.Step...)
+					}
+					save := l.Save
+					if ovw {
+						save = l.SaveOvw
+					}
+					prog = append(prog, save...)
+					switch dt.Real() {
+					case vec.S:
+						runGEMMKernel[float32](t, s, prog, ovw, strideB)
+					default:
+						runGEMMKernel[float64](t, s, prog, ovw, strideB)
+					}
 				}
 			}
 		}
@@ -366,6 +377,45 @@ func TestVLOverrideScalesOffsets(t *testing.T) {
 	for i := range p2 {
 		if p2[i].Op == asm.ADDI && p8[i].Off != 4*p2[i].Off {
 			t.Errorf("instr %d: VL=8 offset %d, want %d", i, p8[i].Off, 4*p2[i].Off)
+		}
+	}
+}
+
+// The complex 3×2 main kernel lowers as two 3×1 column halves that each
+// fit X0–X15: 6 A registers in X0–X5, B's re and im in X7–X8, the
+// product in X9 and 6 accumulators in X10–X15; the save broadcasts α.re
+// and α.im from consecutive arguments, and B advances by the run-time
+// K step in R12. The real 4×4 kernel keeps its two 4×2 halves.
+func TestGEMMAMD64Layout(t *testing.T) {
+	src, err := GenGEMMAMD64()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	z := text[strings.Index(text, "TEXT ·gemm3x2z"):]
+	for _, want := range []string{
+		"\tMOVUPD (SI), X0\n\tMOVUPD (DI), X7\n\tMOVAPD X0, X9\n\tMULPD X7, X9\n\tADDPD X9, X10\n",
+		"\tMOVUPD 16(SI), X1\n\tMOVUPD 16(DI), X8\n\tMOVAPD X1, X9\n\tMULPD X8, X9\n\tSUBPD X9, X10\n",
+		"\tMOVUPD (DI)(R10*1), X7\n",
+		"\tMOVSD alphaRe+56(FP), X0\n\tUNPCKLPD X0, X0\n",
+		"\tMOVSD alphaIm+64(FP), X1\n\tUNPCKLPD X1, X1\n",
+		"\tCMPB ovw+72(FP), $0\n",
+		"\tXORPD X15, X15\n",
+	} {
+		if !strings.Contains(z, want) {
+			t.Errorf("gemm3x2z lacks %q", want)
+		}
+	}
+	for name, halves := range map[string]int{"gemm4x4s": 2, "gemm4x4d": 2, "gemm3x2c": 2, "gemm3x2z": 2} {
+		fn := text[strings.Index(text, "TEXT ·"+name):]
+		if next := strings.Index(fn[1:], "TEXT ·"); next > 0 {
+			fn = fn[:next]
+		}
+		if n := strings.Count(fn, "\tADDQ R12, DI\n"); n != halves {
+			t.Errorf("%s advances B by the run-time K step %d times, want once per half (%d)", name, n, halves)
+		}
+		if strings.Contains(fn, "X16") || strings.Contains(fn, "VFMADD") {
+			t.Errorf("%s uses a register or instruction SSE2 lacks", name)
 		}
 	}
 }

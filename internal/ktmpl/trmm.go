@@ -118,7 +118,7 @@ func GenTRMMRect(s RectSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+	g := &gemmGen{s: s.gemm(), xStride: s.StrideX, xPtr: asm.PX}
 	g.loadTile()
 	g.body(modeAdd)
 	g.storeTile()
@@ -142,7 +142,7 @@ func GenTRMMRectLoop(s RectSpec) (TRMMRectLoop, error) {
 		return TRMMRectLoop{}, err
 	}
 	part := func(emit func(g *gemmGen)) asm.Prog {
-		g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+		g := &gemmGen{s: s.gemm(), xStride: s.StrideX, xPtr: asm.PX}
 		emit(g)
 		return g.prog
 	}

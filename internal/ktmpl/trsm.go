@@ -258,7 +258,7 @@ func GenTRSMRect(s RectSpec) (asm.Prog, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{s: s.gemm(), xStride: s.StrideX}
+	g := &gemmGen{s: s.gemm(), xStride: s.StrideX, xPtr: asm.PX}
 	g.loadTile()
 	g.body(modeSub)
 	g.storeTile()
