@@ -40,17 +40,18 @@ race:
 	$(GO) test -race -short ./internal/core/ ./internal/engine/... ./internal/obs/... ./internal/sched/... ./internal/bufpool/... .
 
 # Engine stress under the race detector, run twice: the concurrent
-# dispatch stress, plan single-flight, pool resize and the observability
-# layer's concurrent recording.
+# dispatch stress, concurrent cold plan misses (first insert wins), pool
+# resize and the observability layer's concurrent recording.
 stress:
 	$(GO) test -race -count=2 -run 'TestEngineConcurrentStress|TestWorkersAutoConvention|TestPrepackConcurrentShared' -v .
-	$(GO) test -race -count=2 -run 'TestPlanSingleFlight|TestBucketedPlanParity|TestPackCacheSingleFlight' -v ./internal/engine/
+	$(GO) test -race -count=2 -run 'TestPlanFirstInsertWins|TestBucketedPlanParity|TestPackCacheSingleFlight' -v ./internal/engine/
 	$(GO) test -race -count=2 -run 'TestPoolResize' -v ./internal/sched/
 	$(GO) test -race -count=2 -run 'TestSeriesConcurrent' -v ./internal/obs/
 
 # Async submission stress under the race detector, run twice: queue
-# backpressure, cancellation, coalescing parity and the concurrent
-# Do/Submit front-end — plus the sharded EngineSet front-end.
+# backpressure, cancellation, queued-versus-serial parity, the seeded
+# queue soak and the concurrent Do/Submit front-end — plus the sharded
+# EngineSet front-end.
 asyncstress:
 	$(GO) test -race -run 'Async|EngineSet' -count=2 . ./internal/engine/
 
@@ -62,8 +63,8 @@ shardstress:
 
 # Cross-op chain suite under the race detector, run twice: bit-exact
 # parity against serial execution, packed-handoff elision, mid-chain
-# cancellation re-materialization, async chain coalescing and the
-# shared-engine sync/async stress.
+# cancellation re-materialization, queued chains and the shared-engine
+# sync/async stress.
 chainstress:
 	$(GO) test -race -run 'Chain' -count=2 . ./internal/engine/
 
@@ -75,7 +76,7 @@ servestress:
 	$(GO) run ./cmd/iatf-serve -once
 
 # Observability suite under the race detector, run twice: trace
-# propagation (sync, fused dispatch, serve header echo on every status),
+# propagation (sync, queued dispatch, serve header echo on every status),
 # per-tenant SLO accounting across all resolution paths, burn-window
 # epoch eviction, shard aggregation, tenant OpenMetrics validity and the
 # tagged warm-path allocation budget — then one demo round of the
@@ -103,8 +104,8 @@ storestress:
 # non-zero 32-hex id, the header's trace-id exactly when it is valid);
 # store files through the set loader on one and two shards (no panic,
 # fail soft, same plan keys); one drawn stage list run on one shard, on
-# two shards, as a chain call and as two fused Submits (bit-identical
-# outputs, one coalesced request); and the -tenant spec parser (no
+# two shards, as a chain call and as two queued Submits (bit-identical
+# outputs, each run on its own); and the -tenant spec parser (no
 # panic, accepted specs hold a usable objective). The committed corpora
 # under testdata/fuzz, internal/serve/testdata/fuzz and
 # internal/engine/testdata/fuzz replay in every plain `go test`.

@@ -134,8 +134,7 @@ func lowerStages[T Scalar](buf []engine.ChainStage, stages []Stage[T], workers i
 // Options work as in Do: WithWorkers applies to every stage, WithEngine
 // selects the target, WithSpanSink traces the chain as one
 // parent span with per-stage children, WithTrace/WithTenant tag it, and
-// WithAsync routes through the submission queue where identical
-// concurrent chains coalesce into one fused execution.
+// WithAsync routes it through the submission queue.
 //
 //	err := iatf.Chain(ctx, []iatf.Stage[float64]{
 //	    iatf.LUStage(a),
@@ -151,9 +150,8 @@ func Chain[T Scalar](ctx context.Context, stages []Stage[T], opts ...Option) err
 
 // SubmitChain enqueues the chain on the submission queue and returns a
 // Future resolving when it completes. The whole chain occupies one
-// queue slot and coalesces only with identical chains; its stage
-// operands must not be mutated until the future resolves. A full queue
-// returns ErrQueueFull.
+// queue slot and runs as one request; its stage operands must not be
+// mutated until the future resolves. A full queue returns ErrQueueFull.
 func SubmitChain[T Scalar](ctx context.Context, stages []Stage[T], opts ...Option) (*Future, error) {
 	cfg := resolveOpts(opts)
 	cfg.call.Chain = true

@@ -394,7 +394,7 @@ func TestChainSpans(t *testing.T) {
 
 // TestChainSharedEngineStress hammers one engine with concurrent
 // identical and distinct chains; run under -race it checks the chain
-// path (plan cache, pack cache handoffs, async coalescing) for data
+// path (plan cache, pack cache handoffs, the async queue) for data
 // races, and every caller's result must stay bit-exact.
 func TestChainSharedEngineStress(t *testing.T) {
 	const goroutines = 8

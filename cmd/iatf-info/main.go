@@ -124,7 +124,7 @@ func main() {
 // demoWorkload drives eng with a mixed workload covering all four
 // engine ops — repeated GEMM, TRSM, TRMM and SYRK on a handful of
 // shapes — plus a batched factorization, a chain and an async
-// coalescing burst, so every counter surface has traffic (and, on a
+// submission burst, so every counter surface has traffic (and, on a
 // set, several identities spread over the shards). Shared by -engine
 // and -metrics.
 func demoWorkload(eng *iatf.Engine) {
@@ -210,7 +210,7 @@ func demoWorkload(eng *iatf.Engine) {
 		}
 	}
 	// Async burst: 8 concurrent submitters of one problem through the
-	// request API's queue, so the coalescing counters move under load.
+	// request API's queue, so the queue counters move under load.
 	burst := func(m int) {
 		const submitters = 8
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(submitters))
@@ -282,8 +282,8 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
 	fmt.Printf("generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
 	fmt.Println("plan cache:")
-	fmt.Printf("  hits %d, misses %d (shared %d), evictions %d, entries %d\n",
-		s.PlanHits, s.PlanMisses, s.PlanShared, s.PlanEvictions, s.PlanEntries)
+	fmt.Printf("  hits %d, misses %d, evictions %d, entries %d\n",
+		s.PlanHits, s.PlanMisses, s.PlanEvictions, s.PlanEntries)
 	fmt.Println("packing-buffer pools:")
 	fmt.Printf("  gets %d (reused %d, allocated %d, oversize %d), puts %d\n",
 		s.Buffers.Gets, s.Buffers.Reuses, s.Buffers.Allocs, s.Buffers.Oversize, s.Buffers.Puts)
@@ -304,8 +304,8 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses,
 		s.Chain.ScatterElided, s.Chain.PackElided)
 	fmt.Println("async submission queue:")
-	fmt.Printf("  submitted %d (inline %d), dispatches %d, coalesced %d (max fused %d)\n",
-		s.Queue.Submitted, s.Queue.Inline, s.Queue.Dispatches, s.Queue.Coalesced, s.Queue.MaxFused)
+	fmt.Printf("  submitted %d (inline %d), dispatches %d\n",
+		s.Queue.Submitted, s.Queue.Inline, s.Queue.Dispatches)
 	fmt.Printf("  cancelled %d, rejected %d, depth %d (high-water %d) / capacity %d\n",
 		s.Queue.Cancelled, s.Queue.Rejected, s.Queue.Depth, s.Queue.DepthHighWater, s.Queue.Capacity)
 	order := "fifo"
@@ -584,10 +584,10 @@ func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 	}
 	ag := st.Aggregate
 	fmt.Println("aggregate:")
-	fmt.Printf("  plan cache: hits %d, misses %d (shared %d), entries %d\n",
-		ag.PlanHits, ag.PlanMisses, ag.PlanShared, ag.PlanEntries)
-	fmt.Printf("  queue: submitted %d (inline %d), dispatches %d, coalesced %d, stolen %d/%d, rejected %d\n",
-		ag.Queue.Submitted, ag.Queue.Inline, ag.Queue.Dispatches, ag.Queue.Coalesced,
+	fmt.Printf("  plan cache: hits %d, misses %d, entries %d\n",
+		ag.PlanHits, ag.PlanMisses, ag.PlanEntries)
+	fmt.Printf("  queue: submitted %d (inline %d), dispatches %d, stolen %d/%d, rejected %d\n",
+		ag.Queue.Submitted, ag.Queue.Inline, ag.Queue.Dispatches,
 		ag.Queue.StolenBatches, ag.Queue.StolenReqs, ag.Queue.Rejected)
 	fmt.Printf("  buffers: gets %d (reused %d), sched parallel calls %d\n",
 		ag.Buffers.Gets, ag.Buffers.Reuses, ag.Sched.ParallelCalls)

@@ -151,7 +151,7 @@ func queryN(r *http.Request) int {
 
 // querySpans resolves a /trace or /spans request: ?id=X returns every
 // retained span belonging to that trace (request trace id, span id, or
-// fused-parent id), else the most recent ?n= spans.
+// a chain's parent span id), else the most recent ?n= spans.
 func querySpans(spans *iatf.SpanRing, r *http.Request) []iatf.Span {
 	if id := r.URL.Query().Get("id"); id != "" {
 		return spans.Trace(id)
@@ -193,7 +193,7 @@ func nextTrace() string {
 // demoRound runs one burst of mixed traffic: a few sync GEMMs with
 // prepacked operands and a triangular solve as tenant "rt" (with a
 // 50 ms deadline so deadline accounting is live), and a concurrent
-// async burst as tenant "batch" that exercises queueing and coalescing.
+// async burst as tenant "batch" that exercises the queue.
 // Every request runs on eng and carries a trace id.
 func demoRound(eng *iatf.Engine) {
 	rt := func() []iatf.Option {

@@ -268,11 +268,8 @@ func traceEngine(m, n, k, count int, chromeFile string) {
 // planOutcome names how the call got its plan: the one plan counter its
 // shape row moved on a fresh engine.
 func planOutcome(row iatf.ShapeStats) string {
-	switch {
-	case row.PlanMisses > 0:
+	if row.PlanMisses > 0 {
 		return "miss"
-	case row.PlanShared > 0:
-		return "shared"
 	}
 	return "hit"
 }

@@ -81,18 +81,17 @@ func WithWorkers(n int) Option { return Option{workers: n, hasWorkers: true} }
 func WithEngine(e *Engine) Option { return Option{eng: e} }
 
 // WithPriority sets the request's dispatch class for the async queue's
-// deadline-ordered drain: when two bundles share the earliest context
-// deadline (or neither carries one), the higher class executes first.
-// The default class is 0; negative classes yield to it. Priority never
-// changes results, shard routing or coalescing — only dispatch order —
-// and is ignored on the synchronous path.
+// deadline-ordered drain: when two queued requests share the earliest
+// context deadline (or neither carries one), the higher class executes
+// first. The default class is 0; negative classes yield to it. Priority
+// never changes results or shard routing — only dispatch order — and is
+// ignored on the synchronous path.
 func WithPriority(class int) Option { return Option{priority: class, hasPrio: true} }
 
 // WithAsync routes the call through the engine's async submission queue,
-// where concurrent same-problem requests are coalesced into one fused
-// dispatch. Do still blocks until the request completes (so concurrent
-// Do(..., WithAsync()) callers form the dynamic batch); use Submit for
-// the fire-now-wait-later form.
+// where concurrent requests run one at a time in deadline order. Do
+// still blocks until the request completes; use Submit for the
+// fire-now-wait-later form.
 func WithAsync() Option { return Option{async: true} }
 
 // WithSpanSink traces this one call: the request carries a lifecycle
@@ -108,9 +107,7 @@ func WithSpanSink(fn func(*Span)) Option { return Option{sink: fn} }
 // WithTrace stamps the request's lifecycle span with an end-to-end
 // correlation id (e.g. a W3C traceparent trace-id), so an access-log
 // line at the serving tier and the engine span it caused share one id.
-// A fused dispatch's parent span carries every traced rider's id.
-// Observability-only: the id never affects routing, coalescing or
-// results.
+// Observability-only: the id never affects routing or results.
 func WithTrace(id string) Option { return Option{trace: id} }
 
 // WithTenant attributes the request to a tenant for per-tenant SLO
@@ -154,9 +151,8 @@ func resolveOpts(opts []Option) callCfg {
 
 // stageOf lowers a Request onto the engine's one-stage list through its
 // op's Stage constructor, so a request carries only the fields its op
-// reads: a field the op ignores can split neither routing nor
-// coalescing. The array lives on the caller's stack: the warm
-// synchronous path must not allocate.
+// reads: a field the op ignores cannot split routing. The array lives on
+// the caller's stack: the warm synchronous path must not allocate.
 func stageOf[T Scalar](req Request[T], workers int) ([1]engine.ChainStage, error) {
 	var s Stage[T]
 	switch req.Op {
@@ -177,10 +173,9 @@ func stageOf[T Scalar](req Request[T], workers int) ([1]engine.ChainStage, error
 
 // Do executes one request. By default it runs synchronously through the
 // engine's dispatch path — a warm call costs at most two allocations.
-// With WithAsync it submits to the engine's queue and waits, so
-// concurrent callers of the same problem are coalesced into one fused
-// dispatch. ctx is honored in both forms: a
-// context already done returns ctx.Err() without executing.
+// With WithAsync it submits to the engine's queue and waits. ctx is
+// honored in both forms: a context already done returns ctx.Err()
+// without executing.
 //
 //	err := iatf.Do(ctx, iatf.Request[float32]{
 //	    Op: iatf.OpGEMM, Alpha: 1, Beta: 1, A: a, B: b, C: c,
@@ -197,10 +192,10 @@ func Do[T Scalar](ctx context.Context, req Request[T], opts ...Option) error {
 // Submit enqueues one request on the engine's submission queue and
 // returns a Future resolving when it completes. The operands must not be
 // mutated until then. If the queue is idle the request executes
-// immediately on the caller (single-caller latency is unchanged);
-// under concurrent load the dispatcher coalesces same-problem requests
-// into fused dispatches. A full queue returns ErrQueueFull; a context
-// already done returns ctx.Err().
+// immediately on the caller (single-caller latency is unchanged); under
+// concurrent load it queues, and the dispatcher runs each queued request
+// on its own, earliest deadline first. A full queue returns
+// ErrQueueFull; a context already done returns ctx.Err().
 func Submit[T Scalar](ctx context.Context, req Request[T], opts ...Option) (*Future, error) {
 	cfg := resolveOpts(opts)
 	st, err := stageOf(req, cfg.workers)

@@ -38,14 +38,15 @@ type Engine struct {
 
 // EngineStats is a snapshot of engine counters: plan-cache hits/misses/
 // entries, packing-buffer pool reuse, worker-pool activity, and the
-// submission queue's coalescing counters in EngineStats.Queue. On an
-// EngineSet it is the cross-shard aggregate.
+// submission queue's counters in EngineStats.Queue. On an EngineSet it
+// is the cross-shard aggregate.
 type EngineStats = engine.Stats
 
 // QueueStats is the submission-queue slice of EngineStats: submissions,
-// inline fast-path executions, dispatches, coalesced riders, the largest
-// fused bundle, cancellations, backpressure rejections, and the queue's
-// current depth and capacity.
+// inline fast-path executions, dispatches of queued requests,
+// cancellations, backpressure rejections, and the queue's current depth
+// and capacity. Coalesced and MaxFused always read 0: queued requests
+// run one at a time.
 type QueueStats = engine.QueueStats
 
 var defaultEng = NewEngine()

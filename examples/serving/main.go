@@ -5,7 +5,7 @@
 // LAST in each burst) runs twice through the async queue: once with the
 // FIFO drain (EDF off, no batch window — the pre-serving behavior) and
 // once with EDF + a max-batch-window. Under FIFO the tight request
-// executes after every heavy bundle that merely arrived earlier and
+// executes after every heavy request that merely arrived earlier and
 // blows its deadline; under EDF the dispatcher holds the drain open so
 // the burst lands in one batch, orders it by deadline, and the tight
 // request runs first. The example prints the SLO report — per-class
@@ -52,7 +52,7 @@ import (
 
 const (
 	rounds     = 30 // bursts per mode; tight p99 over 30 samples ≈ max
-	heavyPerRt = 16 // heavy loose-deadline bundles per burst
+	heavyPerRt = 16 // heavy loose-deadline requests per burst
 	smallN     = 4  // tight requests: 64 4×4 matrices — microseconds of work
 	smallCount = 64
 	window     = 2 * time.Millisecond
@@ -119,9 +119,9 @@ func burstTrial(rng *rand.Rand, edf bool, heavyCount int, tightDL time.Duration)
 	eng := iatf.NewEngine(iatf.WithEDF(edf), iatf.WithBatchWindow(w))
 
 	const n = 8
-	// Distinct alpha per heavy client: same shape, different scalar — each
-	// is its own bundle, so a burst queues heavyPerRt independent heavy
-	// dispatches for the EDF pass (or FIFO) to order.
+	// Distinct alpha per heavy client: same shape, different scalar. A
+	// burst queues heavyPerRt independent heavy requests for the EDF pass
+	// (or FIFO) to order.
 	type client struct {
 		req iatf.Request[float32]
 	}
@@ -254,9 +254,8 @@ func phase2(rng *rand.Rand) {
 	defer hs.Close()
 	url := "http://" + ln.Addr().String() + "/v1/do"
 
-	// Wire bodies: distinct alpha per worker defeats coalescing, so every
-	// admitted request is a full heavy dispatch and the queue-wait
-	// histogram sees real backlog.
+	// Wire bodies: every admitted request is a full heavy dispatch, so
+	// the queue-wait histogram sees real backlog.
 	const n = 8
 	data := func() []float64 {
 		d := make([]float64, heavyCount*n*n)
@@ -398,8 +397,8 @@ func phase3(rng *rand.Rand) {
 	}
 
 	// batch floods heavy no-deadline work; rt interleaves small
-	// traceparent-tagged posts with a 25ms deadline. Distinct alphas
-	// defeat coalescing so the batch flood builds real backlog.
+	// traceparent-tagged posts with a 25ms deadline, while the batch
+	// flood builds real backlog.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

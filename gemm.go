@@ -7,7 +7,7 @@ import "context"
 // process-wide default engine. The engine does all shape checking,
 // resolves the cached execution plan (planning runs once per shape, not
 // once per call), and executes with pooled packing buffers. Do/Submit
-// add context support, async coalescing, a private engine (WithEngine)
+// add context support, the async queue, a private engine (WithEngine)
 // and a worker split (WithWorkers).
 
 // GEMM computes C = alpha·op(A)·op(B) + beta·C over every matrix of the

@@ -435,7 +435,7 @@ func TestGEMMSize33Native(t *testing.T) {
 // TestStageOfReadsOnlyItsOpsFields: Do lowers a request through its
 // op's Stage constructor, so a field the op ignores — a TRSM's Beta or
 // TransB, a GEMM's Side — never reaches the engine stage, where it would
-// split routing and coalescing from the request's twin.
+// split routing from the request's twin.
 func TestStageOfReadsOnlyItsOpsFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	a := Pack(randBatch[float64](rng, 3, 4, 4))

@@ -1,52 +1,38 @@
-// Async submission front-end: the dynamic-batching layer between many
-// concurrent callers and the engine's single dispatch path. IATF's
-// run-time stage amortizes best when identical descriptors are batched;
-// under serving traffic the batches arrive one small request at a time
-// from many goroutines, so the engine coalesces them back together at
-// run time the way inference servers do:
+// Async submission front-end: a bounded queue between many concurrent
+// callers and the engine's one stage executor.
 //
 //   - Submit enqueues a request on a bounded per-engine queue and
 //     returns a Future. A lazily started dispatcher goroutine drains
-//     whatever accumulated while the previous dispatch ran, partitions
-//     the drained batch by the identity record each request was
-//     validated into (per stage: the plan key without its count bucket,
-//     the operand alias pattern, the scalars the op reads and the worker
-//     request) and executes each bundle as ONE fused dispatch over the
-//     concatenated super-batches — one plan resolution, one worker-pool
-//     round-trip for N requests. A request is a stage list like a Run
-//     call: single ops and chains share the queue, the coalescer, the
-//     fuser and the span finisher.
+//     whatever accumulated while the previous request ran, orders the
+//     drained batch earliest deadline first and runs each request on its
+//     own through the stage executor, exactly as Run would. A request is
+//     a stage list like a Run call: single ops and chains share the
+//     queue, the executor and the span finisher.
 //   - When the queue is idle the submitting goroutine executes
 //     synchronously instead (the idle fast path), so single-caller
 //     latency is identical to a direct Run call.
 //   - Requests carry a context.Context: a request whose context is
-//     cancelled while queued (or at any point before its bundle
-//     executes) resolves with ctx.Err() without executing. A full queue
-//     rejects the submission with a typed ErrQueueFull — backpressure
-//     instead of unbounded memory growth under overload.
+//     cancelled while queued (or at any point before it executes)
+//     resolves with ctx.Err() without executing. A full queue rejects
+//     the submission with a typed ErrQueueFull — backpressure instead of
+//     unbounded memory growth under overload.
 //
-// Fusing is group-exact: compact storage is a sequence of independent
-// P-matrix interleave groups, so concatenating the group data of N
-// same-shape batches yields one valid larger batch and the kernels
-// process exactly the same groups they would have processed in N serial
-// calls — fused results are bit-identical (the bucketed-plan parity
-// property from the plan cache covers the differing batch count).
+// Requests are never merged. The compact layout already fills every SIMD
+// lane inside one request and the Batch Counter sizes each super-batch
+// to L1, so concatenating requests would add copies, not locality.
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"iatf/internal/layout"
 	"iatf/internal/obs"
-	"iatf/internal/vec"
 )
 
 // ErrQueueFull is returned by Submit when the engine's bounded
@@ -70,22 +56,21 @@ type QueueConfig struct {
 	// Capacity bounds the queued requests (values below 1 mean
 	// DefaultQueueCapacity); a Submit beyond it fails with ErrQueueFull.
 	Capacity int
-	// FIFO executes each drained batch's bundles in arrival order. By
-	// default they run earliest context deadline first, Call.Priority
-	// breaking ties, so a tight-deadline request never waits behind a
-	// loose bundle that merely arrived earlier.
+	// FIFO executes each drained batch in arrival order. By default it
+	// runs earliest context deadline first, Call.Priority breaking ties,
+	// so a tight-deadline request never waits behind a loose one that
+	// merely arrived earlier.
 	FIFO bool
 	// Window is the max-batch-window: how long the dispatcher holds a
 	// drain open after the batch's first request, trading queue latency
-	// for larger fused bundles (and bursts landing in one ordered batch).
-	// Zero or less drains only what already accumulated.
+	// for a burst landing in one deadline-ordered batch. Zero or less
+	// drains only what already accumulated.
 	Window time.Duration
 }
 
 // Future is the completion handle of one submitted request. It resolves
-// exactly once: with the dispatch error (nil on success), the request's
-// ctx.Err() if it was cancelled before executing, or the fused bundle's
-// error.
+// exactly once: with the execution error (nil on success) or the
+// request's ctx.Err() if it was cancelled before executing.
 type Future struct {
 	done chan struct{}
 	err  error
@@ -133,9 +118,6 @@ type asyncReq struct {
 	call   Call
 	fut    *Future
 
-	// hash buckets the request (bucketHash); coalescesWith confirms.
-	hash uint64
-
 	// deadline/hasDL cache ctx.Deadline() at submission time so the EDF
 	// pass never re-walks the context chain on the dispatcher.
 	deadline time.Time
@@ -167,10 +149,8 @@ type submitQueue struct {
 	submitted  atomic.Uint64
 	inline     atomic.Uint64
 	dispatches atomic.Uint64
-	coalesced  atomic.Uint64
 	cancelled  atomic.Uint64
 	rejected   atomic.Uint64
-	maxFused   atomic.Int64
 
 	// inflight is the size of the batch the dispatcher is currently
 	// executing. len(ch) alone goes to zero the instant a batch is drained
@@ -183,15 +163,15 @@ type submitQueue struct {
 	// enqueue time — Depth alone only samples whatever is pending at
 	// snapshot time, which hides bursts that drained before the scrape.
 	depthHW atomic.Int64
-	// waitHist is the queue-wait distribution: enqueue to bundle start,
-	// for every queued request (inline fast-path submissions skip the
-	// queue and are not observed).
+	// waitHist is the queue-wait distribution: enqueue to execution
+	// start, for every queued request that executed (inline fast-path
+	// submissions skip the queue and are not observed).
 	waitHist obs.Hist
 
 	// testHook, when set before the first Submit, runs on the dispatcher
 	// goroutine after a batch is drained and before it executes — tests
 	// use it to hold the dispatcher so queue-full, cancellation and
-	// coalescing become deterministic.
+	// batch ordering become deterministic.
 	testHook func(drained int)
 
 	// steal, installed by an EngineSet of two or more shards before the
@@ -207,16 +187,21 @@ type submitQueue struct {
 }
 
 // QueueStats is a snapshot of the async submission layer's counters.
+//
+// At quiescence Submitted == Inline + Dispatches + Cancelled.
 type QueueStats struct {
 	Submitted  uint64 // requests accepted by Submit
 	Inline     uint64 // idle fast-path submissions executed synchronously
-	Dispatches uint64 // dispatch executions (fused bundles count once)
-	Coalesced  uint64 // requests that rode along in a fused dispatch beyond its first
+	Dispatches uint64 // queued requests the dispatcher executed
 	Cancelled  uint64 // requests resolved with ctx.Err() without executing
 	Rejected   uint64 // submissions refused with ErrQueueFull
-	MaxFused   int    // largest fused bundle observed
 	Depth      int    // requests pending: queued plus the batch being executed
 	Capacity   int    // queue bound
+
+	// Coalesced and MaxFused always read 0: the queue runs every request
+	// on its own. They remain for readers that still report them.
+	Coalesced uint64
+	MaxFused  int
 
 	// StolenBatches/StolenReqs count work-stealing on the thief side: how
 	// often this shard's dispatcher ran dry and pulled from a sibling, and
@@ -228,7 +213,7 @@ type QueueStats struct {
 	// DepthHighWater is the largest queue depth ever observed at enqueue
 	// time (monotonic; survives the burst that caused it).
 	DepthHighWater int
-	// Wait is the queue-wait distribution: enqueue to bundle start.
+	// Wait is the queue-wait distribution: enqueue to execution start.
 	Wait obs.HistSnapshot
 
 	// EDF reports whether deadline-ordered dispatch is enabled (the
@@ -238,23 +223,19 @@ type QueueStats struct {
 }
 
 // Add accumulates another queue's counters into s — the EngineSet
-// aggregate. Depth, capacity and counters sum; the high-water mark and
-// max-fused take the max (a per-shard extremum, not additive); wait
-// histograms merge bucket-wise.
+// aggregate. Depth, capacity and counters sum; the high-water mark takes
+// the max (a per-shard extremum, not additive); wait histograms merge
+// bucket-wise.
 func (s *QueueStats) Add(o QueueStats) {
 	s.Submitted += o.Submitted
 	s.Inline += o.Inline
 	s.Dispatches += o.Dispatches
-	s.Coalesced += o.Coalesced
 	s.Cancelled += o.Cancelled
 	s.Rejected += o.Rejected
 	s.StolenBatches += o.StolenBatches
 	s.StolenReqs += o.StolenReqs
 	s.Depth += o.Depth
 	s.Capacity += o.Capacity
-	if o.MaxFused > s.MaxFused {
-		s.MaxFused = o.MaxFused
-	}
 	if o.DepthHighWater > s.DepthHighWater {
 		s.DepthHighWater = o.DepthHighWater
 	}
@@ -274,10 +255,8 @@ func (q *submitQueue) snapshot() QueueStats {
 		StolenReqs:     q.stolenReqs.Load(),
 		Inline:         q.inline.Load(),
 		Dispatches:     q.dispatches.Load(),
-		Coalesced:      q.coalesced.Load(),
 		Cancelled:      q.cancelled.Load(),
 		Rejected:       q.rejected.Load(),
-		MaxFused:       int(q.maxFused.Load()),
 		Depth:          len(q.ch) + int(q.inflight.Load()),
 		Capacity:       cap(q.ch),
 		DepthHighWater: int(q.depthHW.Load()),
@@ -326,14 +305,13 @@ func (q *submitQueue) start(e *Engine) {
 
 // Submit enqueues a stage list and returns its Future; the operands must
 // not be mutated until it resolves (the list itself is copied). A one-stage
-// list is its op; a longer list is one queue identity that occupies one
-// slot, coalesces only with identical chains and executes atomically.
-// If the queue is idle the request runs synchronously on the caller
-// (same latency as Run); otherwise it joins the queue, where the
-// dispatcher may coalesce it with concurrent same-identity requests
-// into one fused dispatch. Validation failures resolve the future. A
-// full queue returns ErrQueueFull and a context already done returns
-// ctx.Err(), both with a nil Future.
+// list is its op; a longer list occupies one slot and executes
+// atomically. If the queue is idle the request runs synchronously on the
+// caller (same latency as Run); otherwise it joins the queue and the
+// dispatcher runs it on its own, in deadline order within its drained
+// batch. Validation failures resolve the future. A full queue returns
+// ErrQueueFull and a context already done returns ctx.Err(), both with
+// a nil Future.
 func (e *Engine) Submit(ctx context.Context, stages []ChainStage, call Call) (*Future, error) {
 	var id listID
 	keyOf(&id, stages)
@@ -383,12 +361,11 @@ func (e *Engine) admit(r *asyncReq) bool {
 	if len(q.ch) == 0 && q.busy.CompareAndSwap(false, true) {
 		q.submitted.Add(1)
 		q.inline.Add(1)
-		err := e.exec(r.ctx, r.stages, &r.id, r.sp, true)
+		err := e.exec(r.ctx, r.stages, &r.id, r.sp)
 		q.busy.Store(false)
 		e.finish(r, err)
 		return true
 	}
-	r.hash = r.bucketHash()
 	r.enq = e.obs.Now()
 	select {
 	case q.ch <- r:
@@ -417,8 +394,8 @@ func (e *Engine) reject(r *asyncReq) error {
 	return err
 }
 
-// finish completes a request that executed on its own: its span, then
-// its future, with the error shaped for its call.
+// finish completes an executed request: its span, then its future, with
+// the error shaped for its call.
 func (e *Engine) finish(r *asyncReq, err error) {
 	err = r.call.result(r.stages, err)
 	e.obs.FinishSpan(r.sp, err, r.call.Sink)
@@ -545,72 +522,53 @@ func (e *Engine) dispatchLoop() {
 	}
 }
 
-// bucketHash folds a request's record (whose key identities leave out
-// the count bucket) and each stage's fuseArgs.
-func (r *asyncReq) bucketHash() uint64 {
-	h := r.id.fold(mix64(0xcbf29ce484222325, uint64(len(r.stages))))
-	for i := range r.id.entries() {
-		for _, v := range fuseArgs(&r.stages[i].Op) {
-			h = mix64(h, v)
-		}
-	}
-	return h
-}
-
-// coalescesWith reports whether r may ride lead's fused dispatch: both
-// records are valid and factor nowhere (fused padding lanes would fail
-// an info scan), they match but for the count bucket, and so do the
-// fuseArgs.
-func (r *asyncReq) coalescesWith(lead *asyncReq) bool {
-	a, b := r.id.entries(), lead.id.entries()
-	if r.id.err != nil || lead.id.err != nil || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		ka, kb := a[i].key, b[i].key
-		ka.countBucket = kb.countBucket
-		if isFactor(ka.kind) || ka != kb || a[i].alias != b[i].alias ||
-			fuseArgs(&r.stages[i].Op) != fuseArgs(&lead.stages[i].Op) {
-			return false
-		}
-	}
-	return true
-}
-
-// fuseArgs is what a fused dispatch applies from its lead's op to every
-// rider: the worker request and the bits (+0 ≠ −0) of the scalars the op
-// reads — Alpha, and Beta for GEMM and SYRK.
-func fuseArgs(op *OpDesc) [5]uint64 {
-	a := [5]uint64{math.Float64bits(real(op.Alpha)), math.Float64bits(imag(op.Alpha)), 0, 0, uint64(int64(op.Workers))}
-	if op.Kind == OpGEMM || op.Kind == OpSYRK {
-		a[2], a[3] = math.Float64bits(real(op.Beta)), math.Float64bits(imag(op.Beta))
-	}
-	return a
-}
-
-// runBatch resolves cancelled requests, partitions the rest by
-// coalescing identity and executes each bundle — in earliest-deadline-
-// first order unless EDF is disabled (then arrival order, the FIFO
-// drain).
+// runBatch resolves the requests whose context died in the queue, orders
+// the rest earliest deadline first unless the queue is FIFO, and runs
+// each on its own.
 func (e *Engine) runBatch(batch []*asyncReq) {
-	var order []uint64
-	buckets := make(map[uint64][]*asyncReq, len(batch))
+	q := &e.queue
+	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
 			e.cancel(r, err)
 			continue
 		}
-		if _, ok := buckets[r.hash]; !ok {
-			order = append(order, r.hash)
+		live = append(live, r)
+	}
+	if !q.fifo {
+		slices.SortStableFunc(live, byDeadline)
+	}
+	for _, r := range live {
+		// A request late in the batch waited behind every earlier one, so
+		// a deadline that was live at the dequeue check may be dead now.
+		if err := r.ctx.Err(); err != nil {
+			e.cancel(r, err)
+			continue
 		}
-		buckets[r.hash] = append(buckets[r.hash], r)
+		wait := e.obs.Now().Sub(r.enq)
+		q.waitHist.Observe(wait)
+		if r.sp != nil {
+			r.sp.Phases[obs.PhaseQueueWait] += wait
+		}
+		q.dispatches.Add(1)
+		e.finish(r, e.exec(r.ctx, r.stages, &r.id, r.sp))
 	}
-	if !e.queue.fifo && len(order) > 1 {
-		orderByDeadline(order, buckets)
+}
+
+// byDeadline is the EDF order: requests with a context deadline before
+// those without, earlier deadlines first, then higher Call.Priority; the
+// stable sort keeps arrival order among the rest.
+func byDeadline(a, b *asyncReq) int {
+	switch {
+	case a.hasDL != b.hasDL:
+		if a.hasDL {
+			return -1
+		}
+		return 1
+	case a.hasDL && !a.deadline.Equal(b.deadline):
+		return a.deadline.Compare(b.deadline)
 	}
-	for _, k := range order {
-		e.runBundle(buckets[k])
-	}
+	return cmp.Compare(b.call.Priority, a.call.Priority)
 }
 
 // cancel resolves a request whose context died in the queue, without
@@ -623,262 +581,4 @@ func (e *Engine) cancel(r *asyncReq, err error) {
 	}
 	e.obs.FinishSpan(r.sp, err, r.call.Sink)
 	r.fut.resolve(err)
-}
-
-// orderByDeadline sorts the bundle execution order EDF-style: bundles
-// with a context deadline run before bundles without one, earlier
-// deadlines first; the highest Call.Priority in the bundle breaks ties
-// (and orders the no-deadline bundles among themselves), and arrival
-// order breaks what remains (stable sort). Reordering whole bundles is
-// result-neutral: bundles share no operands with each other — only the
-// order of independent fused dispatches changes, never their content.
-func orderByDeadline(order []uint64, buckets map[uint64][]*asyncReq) {
-	type rank struct {
-		hasDL bool
-		dl    time.Time
-		prio  int
-	}
-	ranks := make(map[uint64]rank, len(order))
-	for _, k := range order {
-		var rk rank
-		for i, r := range buckets[k] {
-			if r.hasDL && (!rk.hasDL || r.deadline.Before(rk.dl)) {
-				rk.hasDL, rk.dl = true, r.deadline
-			}
-			if i == 0 || r.call.Priority > rk.prio {
-				rk.prio = r.call.Priority
-			}
-		}
-		ranks[k] = rk
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := ranks[order[i]], ranks[order[j]]
-		if a.hasDL != b.hasDL {
-			return a.hasDL
-		}
-		if a.hasDL && !a.dl.Equal(b.dl) {
-			return a.dl.Before(b.dl)
-		}
-		return a.prio > b.prio
-	})
-}
-
-// runBundle executes one same-identity bundle: the riders that fuse
-// with its lead run as one fused dispatch, everything else (a lone
-// request, an invalid or factor-bearing request, a hash-collision rider)
-// runs on its own. Queue wait is stamped here — at bundle start, not
-// drain time — so a request's recorded phases sum to its observed
-// end-to-end latency even when earlier bundles of the same drained batch
-// ran first.
-func (e *Engine) runBundle(reqs []*asyncReq) {
-	q := &e.queue
-	// Fuse-time expiry check: a bundle late in a drained batch waited
-	// behind every earlier bundle's execution, so a deadline that was live
-	// at the dequeue check may be dead by now. Dead requests resolve with
-	// ctx.Err() here, without consuming fused-batch slots (the fused
-	// super-batch is built only from the survivors).
-	live := reqs[:0]
-	for _, r := range reqs {
-		if err := r.ctx.Err(); err != nil {
-			e.cancel(r, err)
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-	reqs = live
-	q.dispatches.Add(1)
-	now := e.obs.Now()
-	for _, r := range reqs {
-		wait := now.Sub(r.enq)
-		q.waitHist.Observe(wait)
-		if r.sp != nil {
-			r.sp.Phases[obs.PhaseQueueWait] += wait
-		}
-	}
-	// Partition in place: the riders that coalesce with the lead first.
-	n := 1
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].coalescesWith(reqs[0]) {
-			reqs[n], reqs[i] = reqs[i], reqs[n]
-			n++
-		}
-	}
-	solo := reqs
-	if n > 1 {
-		fused := reqs[:n]
-		solo = reqs[n:]
-		q.coalesced.Add(uint64(n - 1))
-		storeMax(&q.maxFused, n)
-		err := e.execFused(fused)
-		for _, r := range fused {
-			r.fut.resolve(r.call.result(r.stages, err))
-		}
-	}
-	for _, r := range solo {
-		e.finish(r, e.exec(r.ctx, r.stages, &r.id, r.sp, true))
-	}
-}
-
-// execFused concatenates the bundle's operands alias-wise — each
-// distinct compact of the lead's stage list becomes one fused compact
-// shared by the same slots — executes the fused list once through the
-// synchronous path, and scatters every written alias back into each
-// request's own storage. Group data is untouched by the concatenation,
-// so results are bit-identical to executing the requests serially. On
-// error nothing is scattered: the riders' operands are left untouched.
-//
-// Span emission: the fused dispatch itself carries a parent span
-// (Fused = N, phases Fuse/Plan/Pack/Compute/Scatter); each rider's child
-// span copies the parent's shared phases alongside its own queue wait
-// and links via ParentID, so a slow request is attributable even when it
-// executed as one rider of a coalesced dispatch.
-func (e *Engine) execFused(reqs []*asyncReq) error {
-	lead := reqs[0]
-	// The parent span is forced whenever any rider carries a span, so
-	// children never lack the dispatch they rode in.
-	force := false
-	for _, r := range reqs {
-		force = force || r.sp != nil
-	}
-	parent := e.obs.StartSpan(force)
-	if parent != nil {
-		// The parent carries every traced rider's id, so a trace lookup
-		// by any rider surfaces the shared dispatch it rode in.
-		for _, r := range reqs {
-			if r.call.Trace != "" {
-				parent.Riders = append(parent.Riders, r.call.Trace)
-			}
-		}
-	}
-	t0 := e.clock(parent)
-	// Each distinct compact is concatenated once, at its first slot (the
-	// record's alias); every slot sharing it gets the same fused operand.
-	fused := make([]Operand, 3*len(lead.stages))
-	fstages := make([]ChainStage, len(lead.stages))
-	for i := range fstages {
-		fstages[i] = lead.stages[i]
-		for s := 0; s < fstages[i].NOps; s++ {
-			a := int(lead.id.entries()[i].alias[s])
-			if a == 3*i+s {
-				if lead.stages[i].Ops[s].F32 != nil {
-					fused[a] = fuseAlias[float32](reqs, i, s)
-				} else {
-					fused[a] = fuseAlias[float64](reqs, i, s)
-				}
-			}
-			fstages[i].Ops[s] = fused[a]
-		}
-	}
-	e.obs.Mark(parent, obs.PhaseFuse, t0)
-	// The fused list's record is the lead's at the fused count bucket, so
-	// it resolves (and caches) its own plan there. Auto-prepack is off:
-	// the fused compacts are throwaways, and packing them would churn the
-	// cache.
-	fid, bucket := lead.id, countBucket(fstages[0].Ops[0].count())
-	fid.more = slices.Clone(fid.more)
-	ids := fid.entries()
-	for i := range ids {
-		ids[i].key.countBucket = bucket
-	}
-	err := e.exec(context.Background(), fstages, &fid, parent, false)
-	if err == nil {
-		t0 = e.clock(parent)
-		w := written(lead.id.entries())
-		for a := range 3 * len(lead.stages) {
-			if !w.has(int16(a)) {
-				continue
-			}
-			if f := fused[a]; f.F32 != nil {
-				scatterCompacts(f.F32, parts[float32](reqs, a/3, a%3))
-			} else {
-				scatterCompacts(f.F64, parts[float64](reqs, a/3, a%3))
-			}
-		}
-		e.obs.Mark(parent, obs.PhaseScatter, t0)
-	}
-	if parent != nil {
-		parent.Fused = len(reqs)
-		e.finishRiders(parent, reqs, err)
-	}
-	e.obs.FinishSpan(parent, err, nil)
-	return err
-}
-
-// finishRiders completes each rider's child span: the parent's
-// descriptor and shared phases (fuse through scatter) plus the rider's
-// own queue wait and batch count, linked by ParentID. Runs before the
-// parent is finished (and recycled), so the copies are safe.
-func (e *Engine) finishRiders(parent *obs.Span, reqs []*asyncReq, err error) {
-	for _, r := range reqs {
-		sp := r.sp
-		if sp == nil {
-			continue
-		}
-		sp.ParentID = parent.ID
-		sp.Op, sp.DType, sp.Mode = parent.Op, parent.DType, parent.Mode
-		sp.M, sp.N, sp.K = parent.M, parent.N, parent.K
-		sp.Workers = parent.Workers
-		sp.PrepackHits, sp.PrepackBuilds = parent.PrepackHits, parent.PrepackBuilds
-		sp.Count = r.stages[0].Ops[0].count()
-		for p := obs.PhaseFuse; p < obs.PhaseCount; p++ {
-			sp.Phases[p] = parent.Phases[p]
-		}
-		e.obs.FinishSpan(sp, r.call.result(r.stages, err), r.call.Sink)
-	}
-}
-
-// parts collects every request's compact at stage i's slot s.
-func parts[E vec.Float](reqs []*asyncReq, i, s int) []*layout.Compact[E] {
-	out := make([]*layout.Compact[E], len(reqs))
-	for j, r := range reqs {
-		out[j] = compactOf[E](r.stages[i].Ops[s])
-	}
-	return out
-}
-
-// fuseAlias concatenates stage i's slot s across the bundle into one
-// fused operand.
-func fuseAlias[E vec.Float](reqs []*asyncReq, i, s int) Operand {
-	src := reqs[0].stages[i].Ops[s]
-	f := fuseCompacts(src.DT, parts[E](reqs, i, s))
-	o := Operand{DT: src.DT}
-	if c, ok := any(f).(*layout.Compact[float32]); ok {
-		o.F32 = c
-	} else {
-		o.F64 = any(f).(*layout.Compact[float64])
-	}
-	return o
-}
-
-// fuseCompacts concatenates same-shape compact batches at interleave-
-// group granularity. The fused count is totalGroups·P: each part's
-// padding lanes stay padding lanes of the fused batch at the same group
-// offsets, so kernels compute exactly what they would have per part.
-func fuseCompacts[E vec.Float](dt vec.DType, parts []*layout.Compact[E]) *layout.Compact[E] {
-	first := parts[0]
-	total := 0
-	for _, p := range parts {
-		total += p.Groups()
-	}
-	out := layout.NewCompact[E](dt, total*first.P(), first.Rows, first.Cols)
-	off := 0
-	for _, p := range parts {
-		off += copy(out.Data[off:], p.Data)
-	}
-	return out
-}
-
-// scatterCompacts copies the written operand's group ranges back into
-// each request's own storage and retires any cached packed images of the
-// previous contents.
-func scatterCompacts[E vec.Float](fused *layout.Compact[E], parts []*layout.Compact[E]) {
-	off := 0
-	for _, p := range parts {
-		copy(p.Data, fused.Data[off:off+len(p.Data)])
-		off += len(p.Data)
-		p.Invalidate()
-	}
 }

@@ -139,18 +139,16 @@ func triGeom(pv any) *core.TriGeom {
 
 // planHandoffs decides a chain's canonical-B handoffs and auto-prepack
 // marks for one call from its resolved plans and its record's alias
-// pattern. autoPre gates the auto-prepack of pure chain inputs.
-func planHandoffs(plans []stagePlan, ids []stageID, autoPre bool) {
+// pattern.
+func planHandoffs(plans []stagePlan, ids []stageID) {
 	w := written(ids)
 	for i := range plans {
 		r, d := &plans[i], &ids[i]
-		if autoPre {
-			switch d.key.kind {
-			case OpTRSM, OpTRMM:
-				r.auto = !w.has(d.alias[0])
-			case OpGEMM:
-				r.auto = r.pv.(*core.GEMMPlan).PackA && !w.has(d.alias[0])
-			}
+		switch d.key.kind {
+		case OpTRSM, OpTRMM:
+			r.auto = !w.has(d.alias[0])
+		case OpGEMM:
+			r.auto = r.pv.(*core.GEMMPlan).PackA && !w.has(d.alias[0])
 		}
 		if i+1 == len(plans) {
 			break

@@ -103,10 +103,10 @@ func TestChainCancelMidChain(t *testing.T) {
 	}
 }
 
-// TestChainAsyncCoalesce holds the dispatcher, enqueues three identical
-// chains, and verifies they fuse into one execution: two coalesced
-// riders, correct results for every caller.
-func TestChainAsyncCoalesce(t *testing.T) {
+// TestChainAsyncQueued holds the dispatcher, enqueues three identical
+// chains and verifies each runs on its own — one dispatch and one chain
+// run apiece, nothing coalesced — and bit-identical to a serial chain.
+func TestChainAsyncQueued(t *testing.T) {
 	e := New(core.DefaultTuning())
 	entered, gate := holdDispatcher(e)
 	rng := rand.New(rand.NewSource(91))
@@ -129,10 +129,10 @@ func TestChainAsyncCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const riders = 3
+	const queued = 3
 	var futs []*Future
 	var bs []*layout.Compact[float32]
-	for i := 0; i < riders; i++ {
+	for i := 0; i < queued; i++ {
 		b := bSeed.Clone()
 		f, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true})
 		if err != nil {
@@ -147,121 +147,18 @@ func TestChainAsyncCoalesce(t *testing.T) {
 	}
 	for i, f := range futs {
 		if err := f.Err(); err != nil {
-			t.Fatalf("rider %d: %v", i, err)
-		}
-		if !slices.Equal(bs[i].Data, ref.Data) {
-			t.Fatalf("rider %d diverged from the serial chain", i)
-		}
-	}
-	s := e.Stats()
-	if s.Queue.Coalesced != riders-1 {
-		t.Errorf("coalesced = %d, want %d", s.Queue.Coalesced, riders-1)
-	}
-	if s.Chain.Runs != 1+1 { // decoy + one fused execution
-		t.Errorf("chain runs = %d, want 2 (decoy + fused)", s.Chain.Runs)
-	}
-}
-
-// TestChainAsyncNoCrossCoalesce verifies chains never fuse with
-// ordinary single-op requests sharing the drained batch, and that
-// chains with different scalars split into separate executions.
-func TestChainAsyncNoCrossCoalesce(t *testing.T) {
-	e := New(core.DefaultTuning())
-	entered, gate := holdDispatcher(e)
-	rng := rand.New(rand.NewSource(92))
-	ctx := context.Background()
-
-	a0, b0 := chainTriOperands(rng, 7, 8, 4)
-	f0, err := e.Submit(ctx, fusableChain(a0, b0), Call{Chain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	// One chain, one plain GEMM over the same-shape operands, and one
-	// chain with a different alpha: three distinct bundles.
-	a, b := chainTriOperands(rng, 7, 8, 4)
-	fChain, err := e.Submit(ctx, fusableChain(a, b), Call{Chain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, gb, gc := gemmReqOperands(rng, 7, 8, 8, 8)
-	fGEMM, err := e.Submit(ctx, one(asyncGEMMDesc, op32(ga), op32(gb), op32(gc)), Call{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, b2 := chainTriOperands(rng, 7, 8, 4)
-	alt := fusableChain(a2, b2)
-	alt[0].Op.Alpha = 2
-	fAlt, err := e.Submit(ctx, alt, Call{Chain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	for _, f := range []*Future{f0, fChain, fGEMM, fAlt} {
-		if err := f.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s.Queue.Coalesced != 0 {
-		t.Errorf("coalesced = %d, want 0 (nothing shares an identity)", s.Queue.Coalesced)
-	}
-}
-
-// TestChainFactorNeverFuses: chains holding a factorization stage must
-// execute individually even when identical — fusing would feed the
-// factor the padding lanes of every part as real (singular) matrices.
-func TestChainFactorNeverFuses(t *testing.T) {
-	e := New(core.DefaultTuning())
-	entered, gate := holdDispatcher(e)
-	rng := rand.New(rand.NewSource(93))
-	ctx := context.Background()
-
-	luChain := func() ([]ChainStage, *layout.Compact[float32]) {
-		a := randCompact(rng, 7, 8, 8)
-		triDiagBoost(a, 8, 8)
-		b := randCompact(rng, 7, 8, 4)
-		lu := OpDesc{Kind: OpLU, Workers: 1}
-		lo := OpDesc{Kind: OpTRSM, Side: matrix.Left, Uplo: matrix.Lower, Diag: matrix.Unit, Alpha: 1, Workers: 1}
-		up := OpDesc{Kind: OpTRSM, Side: matrix.Left, Uplo: matrix.Upper, Alpha: 1, Workers: 1}
-		return []ChainStage{
-			{Op: lu, Ops: [3]Operand{op32(a)}, NOps: 1},
-			{Op: lo, Ops: [3]Operand{op32(a), op32(b)}, NOps: 2},
-			{Op: up, Ops: [3]Operand{op32(a), op32(b)}, NOps: 2},
-		}, b
-	}
-
-	st0, _ := luChain()
-	f0, err := e.Submit(ctx, st0, Call{Chain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	var futs []*Future
-	for i := 0; i < 3; i++ {
-		st, _ := luChain()
-		f, err := e.Submit(ctx, st, Call{Chain: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
-	}
-	close(gate)
-	if err := f0.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		if err := f.Err(); err != nil {
 			t.Fatalf("chain %d: %v", i, err)
 		}
+		if !slices.Equal(bs[i].Data, ref.Data) {
+			t.Fatalf("chain %d diverged from the serial chain", i)
+		}
 	}
 	s := e.Stats()
-	if s.Queue.Coalesced != 0 {
-		t.Errorf("coalesced = %d, want 0 (factor chains run solo)", s.Queue.Coalesced)
+	if s.Queue.Dispatches != 1+queued || s.Queue.Coalesced != 0 {
+		t.Errorf("dispatches = %d, coalesced = %d, want %d and 0", s.Queue.Dispatches, s.Queue.Coalesced, 1+queued)
 	}
-	if s.Chain.Runs != 4 {
-		t.Errorf("chain runs = %d, want 4 individual executions", s.Chain.Runs)
+	if s.Chain.Runs != 1+queued {
+		t.Errorf("chain runs = %d, want %d (decoy + each queued chain)", s.Chain.Runs, 1+queued)
 	}
 }
 
@@ -358,7 +255,7 @@ func TestChainStagesReportAsOps(t *testing.T) {
 	}
 	type record struct {
 		shapes []obs.ShapeSnapshot
-		plan   [3]uint64 // PlanHits, PlanMisses, PlanShared
+		plan   [2]uint64 // PlanHits, PlanMisses
 	}
 	observe := func(e *Engine) record {
 		st := e.Stats()
@@ -368,7 +265,7 @@ func TestChainStagesReportAsOps(t *testing.T) {
 			s.PrepackHits, s.PrepackBuilds = 0, 0                // the chain auto-prepacks its inputs
 			r.shapes = append(r.shapes, s)
 		}
-		r.plan = [3]uint64{st.PlanHits, st.PlanMisses, st.PlanShared}
+		r.plan = [2]uint64{st.PlanHits, st.PlanMisses}
 		return r
 	}
 	ctx := context.Background()

@@ -7,15 +7,15 @@
 //   - a sharded, bounded plan cache keyed by the full problem descriptor
 //     (op kind, dtype, dims, trans/side/uplo/diag, count bucket) memoizes
 //     NewGEMMPlan/NewTRSMPlan/... so planning runs once per shape, not
-//     once per call; concurrent cold-start misses on one key are
-//     single-flighted so each plan is built exactly once;
+//     once per call (a build takes microseconds, so concurrent cold
+//     misses on one key each build, and the first insert wins);
 //   - packing buffers come from size-class pools (internal/bufpool);
 //   - parallel execution runs on the persistent worker pool
 //     (internal/sched) instead of goroutine-per-call;
 //   - one execution path: every level-3 call is a stage list, and a
 //     single op is the one-stage case. Run (sync) and Submit (async) are
-//     the only entries; they share one stage executor, one queue, one
-//     fuser and one span finisher. Validation errors are typed
+//     the only entries; they share one stage executor and one span
+//     finisher, and Submit adds one queue. Validation errors are typed
 //     (ErrShape, ErrCount, ErrDType, ErrOperand) and always name the op
 //     and the offending operand;
 //   - every call feeds the per-shape observability layer (internal/obs):
@@ -101,21 +101,20 @@ type OpDesc struct {
 
 // Call is the per-call envelope of Run and Submit: everything about a
 // request that is not its problem. None of it affects plan identity,
-// shard routing, coalescing or results.
+// shard routing or results.
 type Call struct {
 	// Sink, when set, forces a lifecycle span for the call and receives
 	// it once the call resolves — including rejection and cancellation —
 	// after the engine-level sink. It must copy the span if it retains it.
 	Sink obs.SpanFunc
-	// Trace is the end-to-end correlation id stamped on the span; a fused
-	// dispatch's parent span lists every traced rider's id.
+	// Trace is the end-to-end correlation id stamped on the span.
 	Trace string
 	// Origin is the tenant the call runs for: stamped on the span and
 	// keying per-tenant SLO accounting (which forces a span when on).
 	Origin string
-	// Priority is the async dispatch class: when two drained bundles
-	// share the earliest context deadline (or neither has one), the
-	// bundle holding the higher Priority executes first. Ignored by Run.
+	// Priority is the async dispatch class: when two drained requests
+	// share the earliest context deadline (or neither has one), the one
+	// with the higher Priority executes first. Ignored by Run.
 	Priority int
 	// Chain asks for chain error reporting: every execution failure
 	// arrives as a *ChainError naming its stage, whatever the stage
@@ -195,7 +194,7 @@ type planKey struct {
 // and modes spread evenly. It is the engine's one problem identity: it
 // picks the plan cache's mutex shard, a call's home shard in a Set,
 // the shard store hydration installs a plan on, and each stage's share
-// of a chain plan's hash and of the coalescer's bucket hash.
+// of a chain's home-shard identity.
 func (k planKey) identity() uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
@@ -237,18 +236,9 @@ const (
 	planShardCap = 256 // per-shard bound; oldest-arbitrary eviction past it
 )
 
-// planCall is one in-flight plan build; waiters block on done
-// (single-flight).
-type planCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
 type planShard struct {
-	mu       sync.Mutex
-	m        map[planKey]any
-	building map[planKey]*planCall
+	mu sync.Mutex
+	m  map[planKey]any
 	// hydrated marks entries installed from a store whose first use is
 	// still pending: that first call reports obs.CacheHydrated so the
 	// per-shape series records the plan's static decisions (ceiling,
@@ -272,7 +262,6 @@ type Engine struct {
 
 	planHits      atomic.Uint64
 	planMisses    atomic.Uint64
-	planShared    atomic.Uint64
 	planEvictions atomic.Uint64
 	planHydrated  atomic.Uint64 // plan-cache entries installed from a store
 
@@ -306,7 +295,6 @@ func newEngine(tun core.Tuning, qc QueueConfig) *Engine {
 	e.queue.init(qc)
 	for i := range e.shards {
 		e.shards[i].m = make(map[planKey]any)
-		e.shards[i].building = make(map[planKey]*planCall)
 	}
 	e.packs.m = make(map[packKey]*packEntry)
 	return e
@@ -320,10 +308,10 @@ func (e *Engine) Tuning() core.Tuning { return e.tun }
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
 // plan returns the cached plan for key, building and inserting it on
-// miss. Concurrent misses on the same key are single-flighted: exactly
-// one goroutine runs the build (counted as the one miss), the rest wait
-// for its result (counted as shared). Failed builds are not cached. The
-// build is buildForKey unless build overrides it.
+// miss. A miss builds outside the lock; when concurrent misses on one key
+// race, the first insert wins and every caller returns the cached plan
+// (each still counts its miss). Failed builds are not cached. The build
+// is buildForKey unless build overrides it.
 func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOutcome, error) {
 	sh := e.planShard(key)
 	sh.mu.Lock()
@@ -338,33 +326,29 @@ func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOut
 		e.planHits.Add(1)
 		return p, obs.CacheHit, nil
 	}
-	if c, ok := sh.building[key]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		e.planShared.Add(1)
-		return c.val, obs.CacheShared, c.err
-	}
-	c := &planCall{done: make(chan struct{})}
-	sh.building[key] = c
 	sh.mu.Unlock()
 	e.planMisses.Add(1)
+	var p any
+	var err error
 	if build != nil {
-		c.val, c.err = build()
+		p, err = build()
 	} else {
-		c.val, c.err = e.buildForKey(key)
+		p, err = e.buildForKey(key)
+	}
+	if err != nil {
+		return nil, obs.CacheMiss, err
 	}
 	sh.mu.Lock()
-	delete(sh.building, key)
-	if c.err == nil {
-		if _, ok := sh.m[key]; !ok && len(sh.m) >= planShardCap {
+	if first, ok := sh.m[key]; ok {
+		p = first
+	} else {
+		if len(sh.m) >= planShardCap {
 			sh.evictOne(e)
 		}
-		sh.m[key] = c.val
-		delete(sh.hydrated, key)
+		sh.m[key] = p
 	}
 	sh.mu.Unlock()
-	close(c.done)
-	return c.val, obs.CacheMiss, c.err
+	return p, obs.CacheMiss, nil
 }
 
 // planShard returns the plan-cache shard that guards key.
@@ -423,7 +407,6 @@ type Stats struct {
 	// Plan cache (this engine).
 	PlanHits      uint64
 	PlanMisses    uint64
-	PlanShared    uint64 // calls that waited on another call's in-flight build
 	PlanEvictions uint64
 	PlanEntries   int
 	// PlanHydrated counts plan-cache entries installed from a store —
@@ -466,7 +449,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.PlanHits += o.PlanHits
 	s.PlanMisses += o.PlanMisses
-	s.PlanShared += o.PlanShared
 	s.PlanEvictions += o.PlanEvictions
 	s.PlanEntries += o.PlanEntries
 	s.PlanHydrated += o.PlanHydrated
@@ -482,7 +464,7 @@ func (s *Stats) Add(o Stats) {
 // stages plan through the plan cache like any op; PlanHits and
 // PlanMisses split the chain runs by whether they built a plan.
 type ChainStats struct {
-	Runs          uint64 // multi-stage chains executed (sync, async and fused)
+	Runs          uint64 // multi-stage chains executed (sync and async)
 	PlanHits      uint64 // chain runs that built no stage plan
 	PlanMisses    uint64 // chain runs that built at least one stage plan
 	ScatterElided uint64 // producer stages that skipped the B scatter
@@ -523,7 +505,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		PlanHits:      e.planHits.Load(),
 		PlanMisses:    e.planMisses.Load(),
-		PlanShared:    e.planShared.Load(),
 		PlanEvictions: e.planEvictions.Load(),
 		PlanEntries:   entries,
 		PlanHydrated:  e.planHydrated.Load(),
@@ -669,9 +650,9 @@ type stageID struct {
 }
 
 // listID is a stage list's identity record, built once where the list
-// enters the engine and read by routing, the coalescer, the chain-plan
-// cache and the executor: an entry per stage that validated and the
-// typed validation error. A one-stage list's entry lives inline.
+// enters the engine and read by routing and the executor: an entry per
+// stage that validated and the typed validation error. A one-stage
+// list's entry lives inline.
 type listID struct {
 	n    int
 	buf  [1]stageID
@@ -744,17 +725,6 @@ func (id *listID) route() uint64 {
 		h = mix64(h, d.key.identity())
 	}
 	return avalanche(h)
-}
-
-// fold mixes each entry's key identity and alias pattern into h.
-func (id *listID) fold(h uint64) uint64 {
-	for _, d := range id.entries() {
-		h = mix64(h, d.key.identity())
-		for _, a := range d.alias {
-			h = mix64(h, uint64(a))
-		}
-	}
-	return h
 }
 
 // shapeOf names a plan key's per-shape series; copied onto a span it is

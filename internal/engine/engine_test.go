@@ -214,10 +214,11 @@ func TestTriAndSYRKValidation(t *testing.T) {
 	checkTypedErr(t, e.Run(context.Background(), one(syrk, op32(aT), op32(cRect)), Call{}), ErrShape, "SYRK", "C", "square")
 }
 
-// TestPlanSingleFlight: concurrent cold-start misses on one key build the
-// plan exactly once; the losers wait and share the winner's plan, counted
-// as PlanShared, not as extra misses.
-func TestPlanSingleFlight(t *testing.T) {
+// TestPlanFirstInsertWins: concurrent cold-start misses on one key may
+// each build, but the first insert wins — every caller returns that one
+// cached plan, the cache holds one entry, and every call counts as a hit
+// or a miss.
+func TestPlanFirstInsertWins(t *testing.T) {
 	e := New(core.DefaultTuning())
 	key := planKey{kind: OpGEMM, m: 7, n: 7, k: 7, countBucket: 8}
 	var builds atomic.Int32
@@ -232,7 +233,7 @@ func TestPlanSingleFlight(t *testing.T) {
 			<-start
 			v, _, err := e.plan(key, func() (any, error) {
 				builds.Add(1)
-				time.Sleep(20 * time.Millisecond)
+				time.Sleep(5 * time.Millisecond) // hold the build open so misses overlap
 				return new(int), nil
 			})
 			if err != nil {
@@ -244,9 +245,6 @@ func TestPlanSingleFlight(t *testing.T) {
 	close(start)
 	wg.Wait()
 	close(vals)
-	if b := builds.Load(); b != 1 {
-		t.Errorf("build ran %d times, want 1", b)
-	}
 	var first any
 	for v := range vals {
 		if first == nil {
@@ -256,11 +254,14 @@ func TestPlanSingleFlight(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	if s.PlanMisses != 1 {
-		t.Errorf("misses %d, want exactly 1", s.PlanMisses)
+	if s.PlanEntries != 1 {
+		t.Errorf("plan entries %d, want 1", s.PlanEntries)
 	}
-	if s.PlanHits+s.PlanShared != callers-1 {
-		t.Errorf("hits %d + shared %d, want %d", s.PlanHits, s.PlanShared, callers-1)
+	if s.PlanHits+s.PlanMisses != callers {
+		t.Errorf("hits %d + misses %d, want %d", s.PlanHits, s.PlanMisses, callers)
+	}
+	if b := builds.Load(); s.PlanMisses != uint64(b) {
+		t.Errorf("misses %d, want one per build (%d)", s.PlanMisses, b)
 	}
 
 	// A failed build is not cached and does not poison the key.

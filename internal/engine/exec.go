@@ -36,7 +36,7 @@ func (e *Engine) run(ctx context.Context, stages []ChainStage, id *listID, call 
 		ctx = context.Background()
 	}
 	sp := e.startSpan(&call)
-	err := call.result(stages, e.exec(ctx, stages, id, sp, true))
+	err := call.result(stages, e.exec(ctx, stages, id, sp))
 	e.obs.FinishSpan(sp, err, call.Sink)
 	return err
 }
@@ -44,10 +44,9 @@ func (e *Engine) run(ctx context.Context, stages []ChainStage, id *listID, call 
 // exec runs a stage list under the caller's span (nil = untraced).
 // Pass one resolves every stage's plan through the plan cache, so a plan
 // error returns before any stage runs, and for a chain decides the
-// canonical-B handoffs and auto-prepack marks from those plans; autoPre
-// gates the auto-prepack of pure chain inputs (off for fused throwaway
-// operands). Pass two (runStages) runs the stages.
-func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span, autoPre bool) error {
+// canonical-B handoffs and auto-prepack marks from those plans. Pass two
+// (runStages) runs the stages.
+func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span) error {
 	chain := len(stages) > 1
 	if sp != nil {
 		sp.Op = opName(stages)
@@ -98,7 +97,7 @@ func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *
 		if built {
 			e.chainMisses.Add(1)
 		}
-		planHandoffs(plans, ids, autoPre)
+		planHandoffs(plans, ids)
 	}
 	if stages[0].Ops[0].F32 != nil {
 		return runStages[float32](e, ctx, stages, ids, plans, sp)

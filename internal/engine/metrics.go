@@ -203,7 +203,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 	}{
 		{"iatf_plan_cache_hits", func(st *Stats) uint64 { return st.PlanHits }},
 		{"iatf_plan_cache_misses", func(st *Stats) uint64 { return st.PlanMisses }},
-		{"iatf_plan_cache_shared", func(st *Stats) uint64 { return st.PlanShared }},
 		{"iatf_plan_cache_evictions", func(st *Stats) uint64 { return st.PlanEvictions }},
 		{"iatf_pack_cache_hits", func(st *Stats) uint64 { return st.PackCache.Hits }},
 		{"iatf_pack_cache_builds", func(st *Stats) uint64 { return st.PackCache.Builds }},
@@ -212,7 +211,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_queue_submitted", func(st *Stats) uint64 { return st.Queue.Submitted }},
 		{"iatf_queue_inline", func(st *Stats) uint64 { return st.Queue.Inline }},
 		{"iatf_queue_dispatches", func(st *Stats) uint64 { return st.Queue.Dispatches }},
-		{"iatf_queue_coalesced", func(st *Stats) uint64 { return st.Queue.Coalesced }},
 		{"iatf_queue_cancelled", func(st *Stats) uint64 { return st.Queue.Cancelled }},
 		{"iatf_queue_rejected", func(st *Stats) uint64 { return st.Queue.Rejected }},
 		{"iatf_queue_stolen_batches", func(st *Stats) uint64 { return st.Queue.StolenBatches }},
@@ -251,7 +249,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_queue_depth", func(st *Stats) float64 { return float64(st.Queue.Depth) }},
 		{"iatf_queue_capacity", func(st *Stats) float64 { return float64(st.Queue.Capacity) }},
 		{"iatf_queue_depth_high_water", func(st *Stats) float64 { return float64(st.Queue.DepthHighWater) }},
-		{"iatf_queue_max_fused", func(st *Stats) float64 { return float64(st.Queue.MaxFused) }},
 		{"iatf_queue_edf", func(st *Stats) float64 {
 			if st.Queue.EDF {
 				return 1
@@ -319,7 +316,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_shape_errors", func(s *obs.ShapeSnapshot) uint64 { return s.Errors }},
 		{"iatf_shape_plan_hits", func(s *obs.ShapeSnapshot) uint64 { return s.PlanHits }},
 		{"iatf_shape_plan_misses", func(s *obs.ShapeSnapshot) uint64 { return s.PlanMisses }},
-		{"iatf_shape_plan_shared", func(s *obs.ShapeSnapshot) uint64 { return s.PlanShared }},
 		{"iatf_shape_prepack_hits", func(s *obs.ShapeSnapshot) uint64 { return s.PrepackHits }},
 		{"iatf_shape_prepack_builds", func(s *obs.ShapeSnapshot) uint64 { return s.PrepackBuilds }},
 	}

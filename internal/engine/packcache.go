@@ -21,7 +21,8 @@ import (
 // purged on the next miss) never free storage a kernel is still
 // reading. Backing buffers come from bufpool and return there when the
 // last reference drops. Concurrent cold misses on one key are
-// single-flighted through the entry's done channel, like the plan cache.
+// single-flighted through the entry's done channel: a packed image can
+// be large, so unlike a plan it is worth building only once.
 
 // packRole names which operand of the plan an image packs.
 type packRole uint8

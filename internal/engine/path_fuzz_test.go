@@ -138,9 +138,10 @@ type pathRig struct {
 // subnormal. It runs the list five ways on clones of its operands: Run
 // on a one-shard set, each stage as its own one-stage Run in order (the
 // serial reference), Run on a two-shard set, Run with Call{Chain: true},
-// and two Submits fused behind a held dispatcher, the second with every
+// and two Submits queued behind a held dispatcher, the second with every
 // unread field flipped. Every operand must end bit-identical to the
-// first way's, and the two Submits must coalesce exactly once.
+// first way's, and the two Submits must drain as one batch and each run
+// on its own.
 func FuzzPathParity(f *testing.F) {
 	tun := core.DefaultTuning()
 	rig := &pathRig{
@@ -249,7 +250,7 @@ func pathParity[E vec.Float](t *testing.T, rig *pathRig, l pathList, dt vec.DTyp
 	for q.busy.Load() {
 		runtime.Gosched()
 	}
-	coalesced := q.coalesced.Load()
+	before := q.snapshot()
 	q.busy.Store(true)
 	occ, err := rig.held.Submit(ctx, rig.occupier, Call{})
 	if err != nil {
@@ -273,10 +274,14 @@ func pathParity[E vec.Float](t *testing.T, rig *pathRig, l pathList, dt vec.DTyp
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	check("fused Submit", t1)
-	check("fused Submit with unread fields flipped", t2)
-	if d := q.coalesced.Load() - coalesced; d != 1 {
-		t.Errorf("Coalesced rose by %d, want 1", d)
+	check("queued Submit", t1)
+	check("queued Submit with unread fields flipped", t2)
+	after := q.snapshot()
+	if d := after.Dispatches - before.Dispatches; d != 3 {
+		t.Errorf("Dispatches rose by %d, want 3 (the occupier and both twins)", d)
+	}
+	if d := after.Coalesced - before.Coalesced; d != 0 {
+		t.Errorf("Coalesced rose by %d, want 0", d)
 	}
 }
 

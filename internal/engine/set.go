@@ -222,10 +222,9 @@ func (s *Set) leastLoaded(skip int) int {
 // stealInto is the per-shard steal hook: drain up to half of the deepest
 // sibling queue into batch. Both the victim's dispatcher and the thief
 // receive from the same channel, which is safe — each request is
-// delivered exactly once, to whichever loop wins it. The thief's
-// runBatch partitions the stolen requests into identity bundles exactly
-// as the victim's would have, so coalescing survives the theft and the
-// fused results stay bit-identical to an unstolen run. Allocation-free
+// delivered exactly once, to whichever loop wins it. The thief runs the
+// stolen requests through the same runBatch the victim would have, so
+// their results stay bit-identical to an unstolen run. Allocation-free
 // in steady state (the caller reuses batch across polls).
 func (s *Set) stealInto(self int, batch *[]*asyncReq) int {
 	victim, depth := -1, 0

@@ -44,8 +44,8 @@ func TestSpanSyncLifecycle(t *testing.T) {
 		sp.M != 6 || sp.N != 5 || sp.K != 7 || sp.Count != 16 {
 		t.Fatalf("span descriptor = %+v", sp)
 	}
-	if sp.Workers != 1 || sp.Fused != 0 || sp.ParentID != 0 {
-		t.Fatalf("sync span workers/fused/parent = %d/%d/%d", sp.Workers, sp.Fused, sp.ParentID)
+	if sp.Workers != 1 || sp.ParentID != 0 {
+		t.Fatalf("sync span workers/parent = %d/%d", sp.Workers, sp.ParentID)
 	}
 	if sp.Phases[obs.PhasePlan] <= 0 || sp.Phases[obs.PhaseCompute] <= 0 {
 		t.Fatalf("plan/compute phases not recorded: %v", sp.Phases)
@@ -108,116 +108,18 @@ func TestSpanPerRequestSink(t *testing.T) {
 	}
 }
 
-// TestAsyncSpanFusedParentChildren: a coalesced dispatch of N same-
-// problem requests yields one parent span with Fused = N plus N child
-// spans linked via ParentID, each carrying its own queue wait and the
-// dispatch's shared fuse/plan/pack/compute/scatter phases — and the
-// recorded phases account for (almost all of) each child's E2E latency.
-// The span clock is a fake that advances one step per read, so the
-// accounting counts clock reads, not how the host scheduled the
+// TestAsyncSpanQueueWaitStats: queued requests populate the queue-wait
+// histogram and move the depth high-water mark; the inline fast path
+// does not. Each queued request's span is its own (no parent), carries
+// its queue wait, and its phases account for most of its end-to-end
+// latency. The span clock is a fake that advances one step per read, so
+// the accounting counts clock reads, not how the host scheduled the
 // dispatcher.
-func TestAsyncSpanFusedParentChildren(t *testing.T) {
+func TestAsyncSpanQueueWaitStats(t *testing.T) {
 	e := New(core.DefaultTuning())
 	var reads atomic.Int64
 	epoch := time.Now()
 	e.obs.SetClock(func() time.Time { return epoch.Add(time.Duration(reads.Add(1)) * time.Microsecond) })
-	var mu sync.Mutex
-	var all []obs.Span
-	e.obs.SetSpanSink(func(sp *obs.Span) {
-		mu.Lock()
-		all = append(all, *sp)
-		mu.Unlock()
-	})
-	entered, gate := holdDispatcher(e)
-	rng := rand.New(rand.NewSource(93))
-	ctx := context.Background()
-
-	// Occupy the dispatcher so the riders below coalesce.
-	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	const N = 4
-	const count, m, n, k = 10, 6, 5, 7
-	var futs [N]*Future
-	for i := 0; i < N; i++ {
-		a, b, c := gemmReqOperands(rng, count, m, n, k)
-		if futs[i], err = e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	if err := f0.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < N; i++ {
-		if err := futs[i].Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	var parent *obs.Span
-	var children []obs.Span
-	for i := range all {
-		switch {
-		case all[i].Fused == N:
-			parent = &all[i]
-		case all[i].ParentID != 0:
-			children = append(children, all[i])
-		}
-	}
-	if parent == nil {
-		t.Fatalf("no parent span with Fused=%d among %d spans", N, len(all))
-	}
-	if len(children) != N {
-		t.Fatalf("child spans = %d, want %d", len(children), N)
-	}
-	// The fused batch pads each rider's count to its interleave-group
-	// boundary, so the parent covers at least the sum of the riders.
-	if parent.Count < N*count || parent.M != m || parent.N != n || parent.K != k {
-		t.Fatalf("parent descriptor = %+v", parent)
-	}
-	if parent.Phases[obs.PhaseFuse] <= 0 || parent.Phases[obs.PhaseCompute] <= 0 ||
-		parent.Phases[obs.PhaseScatter] <= 0 {
-		t.Fatalf("parent fuse/compute/scatter not recorded: %v", parent.Phases)
-	}
-	for i, ch := range children {
-		if ch.ParentID != parent.ID {
-			t.Fatalf("child %d parent = %d, want %d", i, ch.ParentID, parent.ID)
-		}
-		if ch.Count != count || ch.M != m || ch.Fused != 0 {
-			t.Fatalf("child %d descriptor = %+v", i, ch)
-		}
-		if ch.Phases[obs.PhaseQueueWait] <= 0 {
-			t.Fatalf("child %d has no queue wait: %v", i, ch.Phases)
-		}
-		for p := obs.PhaseFuse; p < obs.PhaseCount; p++ {
-			if ch.Phases[p] != parent.Phases[p] {
-				t.Fatalf("child %d phase %v = %v, parent has %v", i, p, ch.Phases[p], parent.Phases[p])
-			}
-		}
-		// The phases must account for the child's E2E latency: whatever
-		// is unattributed (clock reads outside any phase: submit
-		// bookkeeping, span starts and finishes) stays a small slice,
-		// below the dispatcher-held queue wait.
-		gap := ch.Duration() - ch.PhaseTotal()
-		if gap < 0 || gap > ch.Duration()/2 {
-			t.Fatalf("child %d phases %v cover too little of duration %v (gap %v)",
-				i, ch.PhaseTotal(), ch.Duration(), gap)
-		}
-	}
-}
-
-// TestAsyncSpanQueueWaitStats: queued requests populate the queue-wait
-// histogram and move the depth high-water mark; the inline fast path
-// does not.
-func TestAsyncSpanQueueWaitStats(t *testing.T) {
-	e := New(core.DefaultTuning())
 	rng := rand.New(rand.NewSource(94))
 	ctx := context.Background()
 
@@ -234,6 +136,13 @@ func TestAsyncSpanQueueWaitStats(t *testing.T) {
 		t.Fatalf("inline submit touched queue stats: %+v", s)
 	}
 
+	var mu sync.Mutex
+	var spans []obs.Span
+	e.obs.SetSpanSink(func(sp *obs.Span) {
+		mu.Lock()
+		spans = append(spans, *sp)
+		mu.Unlock()
+	})
 	entered, gate := holdDispatcher(e)
 	f0s, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{})
 	if err != nil {
@@ -260,16 +169,40 @@ func TestAsyncSpanQueueWaitStats(t *testing.T) {
 
 	s := e.Stats().Queue
 	// Pending depth counts the held request (drained into the
-	// dispatcher's in-flight batch) alongside the queued riders.
+	// dispatcher's in-flight batch) alongside the queued requests.
 	if s.DepthHighWater != queued+1 {
 		t.Fatalf("depth high-water = %d, want %d", s.DepthHighWater, queued+1)
 	}
-	// The held first request and the three queued riders all waited.
+	// The held first request and the three queued requests all waited.
 	if s.Wait.Count != queued+1 {
 		t.Fatalf("wait histogram count = %d, want %d", s.Wait.Count, queued+1)
 	}
 	if s.Wait.SumNs == 0 || s.Wait.P99 <= 0 {
 		t.Fatalf("wait histogram empty: %+v", s.Wait)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(spans) != queued+1 {
+		t.Fatalf("sink received %d spans, want %d", len(spans), queued+1)
+	}
+	for i, sp := range spans {
+		if sp.ParentID != 0 || sp.Op != "GEMM" || sp.Count != 8 {
+			t.Fatalf("span %d = %+v, want its own GEMM span", i, sp)
+		}
+		if sp.Phases[obs.PhaseQueueWait] <= 0 || sp.Phases[obs.PhaseCompute] <= 0 {
+			t.Fatalf("span %d has no queue wait or compute: %v", i, sp.Phases)
+		}
+		if sp.Phases[obs.PhaseFuse] != 0 || sp.Phases[obs.PhaseScatter] != 0 {
+			t.Fatalf("span %d has fuse or scatter time: %v", i, sp.Phases)
+		}
+		// Whatever is unattributed (clock reads outside any phase: submit
+		// bookkeeping, span starts and finishes) stays a small slice.
+		gap := sp.Duration() - sp.PhaseTotal()
+		if gap < 0 || gap > sp.Duration()/2 {
+			t.Fatalf("span %d phases %v cover too little of duration %v (gap %v)",
+				i, sp.PhaseTotal(), sp.Duration(), gap)
+		}
 	}
 }
 

@@ -51,89 +51,6 @@ func TestTraceSyncPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceFusedDispatch: when tagged requests coalesce, the fused
-// parent span collects every rider's trace id in Riders while each
-// child span keeps its own TraceID/Origin — so a single trace id is
-// followable from the rider to the shared dispatch and back.
-func TestTraceFusedDispatch(t *testing.T) {
-	e := New(core.DefaultTuning())
-	var mu sync.Mutex
-	var all []obs.Span
-	e.obs.SetSpanSink(func(sp *obs.Span) {
-		mu.Lock()
-		all = append(all, *sp)
-		mu.Unlock()
-	})
-	entered, gate := holdDispatcher(e)
-	rng := rand.New(rand.NewSource(131))
-	ctx := context.Background()
-
-	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
-	f0, err := e.Submit(ctx, one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-
-	const N = 3
-	traces := [N]string{"trace-a", "trace-b", "trace-c"}
-	var futs [N]*Future
-	for i := 0; i < N; i++ {
-		a, b, c := gemmReqOperands(rng, 10, 6, 5, 7)
-		futs[i], err = e.Submit(ctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Trace: traces[i], Origin: "rt"})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	if err := f0.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < N; i++ {
-		if err := futs[i].Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	var parent *obs.Span
-	children := map[string]*obs.Span{}
-	for i := range all {
-		switch {
-		case all[i].Fused == N:
-			parent = &all[i]
-		case all[i].ParentID != 0:
-			children[all[i].TraceID] = &all[i]
-		}
-	}
-	if parent == nil {
-		t.Fatalf("no fused parent among %d spans", len(all))
-	}
-	if parent.TraceID != "" || parent.Origin != "" {
-		t.Fatalf("parent inherited a rider's tags: trace %q origin %q", parent.TraceID, parent.Origin)
-	}
-	if len(parent.Riders) != N {
-		t.Fatalf("parent riders = %v, want %d ids", parent.Riders, N)
-	}
-	riders := map[string]bool{}
-	for _, id := range parent.Riders {
-		riders[id] = true
-	}
-	for _, tr := range traces {
-		if !riders[tr] {
-			t.Fatalf("rider trace %q missing from parent riders %v", tr, parent.Riders)
-		}
-		ch := children[tr]
-		if ch == nil {
-			t.Fatalf("no child span for trace %q", tr)
-		}
-		if ch.ParentID != parent.ID || ch.Origin != "rt" {
-			t.Fatalf("child %q: parent %d (want %d), origin %q", tr, ch.ParentID, parent.ID, ch.Origin)
-		}
-	}
-}
-
 // TestTenantAccountingPaths drives every resolution class through one
 // engine and checks the ledger: objective hits, objective misses, plain
 // errors, cancellation misses, and queue-full sheds.

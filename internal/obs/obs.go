@@ -31,9 +31,6 @@ const (
 	CacheMiss CacheOutcome = iota
 	// CacheHit: the plan was already cached.
 	CacheHit
-	// CacheShared: another in-flight call was building the same plan and
-	// this call waited for it (single-flight).
-	CacheShared
 	// CacheHydrated: first use of a plan loaded from a store — served
 	// from cache, but this call is the one that records the plan's static
 	// decisions (ceiling, packing, batch size) the way a miss would.
@@ -65,7 +62,6 @@ type Series struct {
 
 	hits     atomic.Uint64
 	misses   atomic.Uint64
-	shared   atomic.Uint64
 	hydrated atomic.Uint64
 
 	ns    atomic.Uint64 // total latency, nanoseconds
@@ -98,8 +94,6 @@ func (s *Series) Plan(o CacheOutcome) {
 	switch o {
 	case CacheHit:
 		s.hits.Add(1)
-	case CacheShared:
-		s.shared.Add(1)
 	case CacheHydrated:
 		s.hydrated.Add(1)
 	default:
@@ -205,7 +199,6 @@ type ShapeSnapshot struct {
 
 	PlanHits     uint64 `json:"plan_hits"`
 	PlanMisses   uint64 `json:"plan_misses"`
-	PlanShared   uint64 `json:"plan_shared,omitempty"`
 	PlanHydrated uint64 `json:"plan_hydrated,omitempty"` // first uses of store-loaded plans
 
 	P50 time.Duration `json:"p50_ns"`
@@ -226,7 +219,7 @@ type ShapeSnapshot struct {
 // HitRatio returns the fraction of calls served from the plan cache
 // (live hits plus first uses of store-hydrated plans).
 func (s ShapeSnapshot) HitRatio() float64 {
-	tot := s.PlanHits + s.PlanMisses + s.PlanShared + s.PlanHydrated
+	tot := s.PlanHits + s.PlanMisses + s.PlanHydrated
 	if tot == 0 {
 		return 0
 	}
@@ -240,7 +233,6 @@ func (s *Series) snapshot(key ShapeKey) ShapeSnapshot {
 		Errors:       s.errors.Load(),
 		PlanHits:     s.hits.Load(),
 		PlanMisses:   s.misses.Load(),
-		PlanShared:   s.shared.Load(),
 		PlanHydrated: s.hydrated.Load(),
 		P50:          s.quantile(0.50),
 		P99:          s.quantile(0.99),
@@ -397,7 +389,6 @@ func AggregateShapes(perShard ...[]ShapeSnapshot) []ShapeSnapshot {
 			t.Errors += s.Errors
 			t.PlanHits += s.PlanHits
 			t.PlanMisses += s.PlanMisses
-			t.PlanShared += s.PlanShared
 			t.PlanHydrated += s.PlanHydrated
 			t.PrepackHits += s.PrepackHits
 			t.PrepackBuilds += s.PrepackBuilds

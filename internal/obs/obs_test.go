@@ -21,7 +21,7 @@ func TestSeriesRecordAndSnapshot(t *testing.T) {
 	s.Record(time.Millisecond, 1e9, false)
 	s.Plan(CacheHit)
 	s.Record(2*time.Millisecond, 1e9, false)
-	s.Plan(CacheShared)
+	s.Plan(CacheMiss)
 	s.Record(time.Millisecond, 0, true) // failed call: no latency sample
 
 	snaps := r.Snapshot()
@@ -35,8 +35,8 @@ func TestSeriesRecordAndSnapshot(t *testing.T) {
 	if snap.Calls != 3 || snap.Errors != 1 {
 		t.Errorf("calls=%d errors=%d, want 3/1", snap.Calls, snap.Errors)
 	}
-	if snap.PlanMisses != 1 || snap.PlanHits != 1 || snap.PlanShared != 1 {
-		t.Errorf("cache outcomes %d/%d/%d, want 1/1/1", snap.PlanMisses, snap.PlanHits, snap.PlanShared)
+	if snap.PlanMisses != 2 || snap.PlanHits != 1 {
+		t.Errorf("cache outcomes %d/%d, want 2/1", snap.PlanMisses, snap.PlanHits)
 	}
 	if got := snap.HitRatio(); got != 1.0/3 {
 		t.Errorf("hit ratio %v, want 1/3", got)

@@ -1,12 +1,9 @@
 // Request-lifecycle spans: with the per-shape series, a span is the one
 // per-call record, answering "where did this request's time go". Every
-// request — sync or async — can carry a
-// Span recording monotonic phase durations from submission to
-// completion: queue wait, coalesce/fuse, plan lookup, prepacked-operand
-// resolution, native compute, and the fused writeback scatter. Fused
-// bundles link the N child request spans to the parent dispatch span via
-// ParentID, so a slow Do is attributable even when it executed as one
-// rider of a coalesced dispatch.
+// request — sync or async — can carry a Span recording monotonic phase
+// durations from submission to completion: queue wait, plan lookup,
+// prepacked-operand resolution and native compute. A chain's stages
+// each get a child span linked to the chain's span via ParentID.
 //
 // Spans are pooled and only materialized when a sink is installed: with
 // no sink the per-request cost is one atomic pointer load. Sinks receive
@@ -31,11 +28,11 @@ type Phase int
 
 // The request lifecycle phases, in submission order.
 const (
-	// PhaseQueueWait: from submission until the request's bundle starts
+	// PhaseQueueWait: from submission until the request starts
 	// executing (zero on the sync and idle-inline paths).
 	PhaseQueueWait Phase = iota
-	// PhaseFuse: concatenating a coalesced bundle's operands into one
-	// fused super-request.
+	// PhaseFuse always reads 0: requests are never merged. It keeps its
+	// index so readers that copy phases by position stay aligned.
 	PhaseFuse
 	// PhasePlan: plan-cache lookup (or build, on a cold shape).
 	PhasePlan
@@ -44,8 +41,8 @@ const (
 	PhasePack
 	// PhaseCompute: the native per-super-batch kernel execution.
 	PhaseCompute
-	// PhaseScatter: copying a fused dispatch's written operand back into
-	// each rider's own storage.
+	// PhaseScatter always reads 0, like PhaseFuse, and for the same
+	// reason keeps its index.
 	PhaseScatter
 
 	// PhaseCount is the number of phases (the length of Span.Phases).
@@ -65,9 +62,8 @@ func (p Phase) String() string {
 }
 
 // Span is the lifecycle record of one request. IDs are unique per
-// process; a fused dispatch yields one parent span (Fused = N) plus N
-// child spans whose ParentID names it. All timestamps come from the
-// monotonic clock.
+// process; a chain's per-stage child spans name the chain's span in
+// ParentID. All timestamps come from the monotonic clock.
 type Span struct {
 	ID       uint64 `json:"id"`
 	ParentID uint64 `json:"parent_id,omitempty"`
@@ -84,10 +80,6 @@ type Span struct {
 	// submission time); 0 = no deadline. Tenant accounting classifies a
 	// completed request as a deadline hit or miss against it.
 	Deadline time.Duration `json:"deadline_ns,omitempty"`
-	// Riders holds the trace ids of every traced request a fused parent
-	// dispatch executed for (nil on ordinary spans), so a trace lookup
-	// by rider id also surfaces the shared dispatch it rode in.
-	Riders []string `json:"riders,omitempty"`
 
 	Op    string `json:"op"`
 	DType string `json:"dtype,omitempty"`
@@ -97,9 +89,6 @@ type Span struct {
 	K     int    `json:"k,omitempty"`
 	Count int    `json:"count,omitempty"`
 
-	// Fused is the number of requests a parent dispatch span executed
-	// for (0 on ordinary spans, >= 2 on fused dispatch spans).
-	Fused   int `json:"fused,omitempty"`
 	Workers int `json:"workers,omitempty"`
 
 	// Prepack cache interactions of this dispatch.
@@ -276,9 +265,9 @@ func (g *SpanRing) Spans(n int) []Span {
 }
 
 // Trace returns every retained span belonging to one request trace,
-// oldest first: spans whose TraceID matches id, fused parent dispatches
-// that carried id as a rider, and — when id parses as a span number —
-// the span with that ID plus its children. Empty when nothing matches.
+// oldest first: spans whose TraceID matches id and — when id parses as a
+// span number — the span with that ID plus its children. Empty when
+// nothing matches.
 func (g *SpanRing) Trace(id string) []Span {
 	if id == "" {
 		return nil
@@ -293,19 +282,7 @@ func (g *SpanRing) Trace(id string) []Span {
 	var out []Span
 	for i := int(g.next) - held; i < int(g.next); i++ {
 		sp := &g.buf[uint64(i)%uint64(len(g.buf))]
-		match := sp.TraceID == id
-		if !match {
-			for _, r := range sp.Riders {
-				if r == id {
-					match = true
-					break
-				}
-			}
-		}
-		if !match && numErr == nil && (sp.ID == num || sp.ParentID == num) {
-			match = true
-		}
-		if match {
+		if sp.TraceID == id || numErr == nil && (sp.ID == num || sp.ParentID == num) {
 			out = append(out, *sp)
 		}
 	}
@@ -344,9 +321,6 @@ func spanLabel(sp *Span) string {
 	if sp.Count > 0 {
 		label += fmt.Sprintf(" ×%d", sp.Count)
 	}
-	if sp.Fused > 1 {
-		label += fmt.Sprintf(" (fused %d)", sp.Fused)
-	}
 	return label
 }
 
@@ -371,9 +345,6 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		}
 		if sp.ParentID != 0 {
 			args["parent"] = sp.ParentID
-		}
-		if sp.Fused > 1 {
-			args["fused"] = sp.Fused
 		}
 		if sp.PrepackHits > 0 || sp.PrepackBuilds > 0 {
 			args["prepack_hits"] = sp.PrepackHits

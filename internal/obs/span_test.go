@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -94,7 +93,7 @@ func TestSpanRecycleResetsState(t *testing.T) {
 	r.SetSpanSink(func(*Span) {})
 	sp := r.StartSpan(false)
 	sp.Op, sp.Error = "GEMM", "stale"
-	sp.ParentID, sp.Fused = 7, 3
+	sp.ParentID = 7
 	sp.Phases[PhasePack] = time.Second
 	r.FinishSpan(sp, nil, nil)
 
@@ -102,8 +101,7 @@ func TestSpanRecycleResetsState(t *testing.T) {
 	// must be zero apart from ID and Start.
 	sp2 := r.StartSpan(false)
 	defer r.FinishSpan(sp2, nil, nil)
-	if sp2.Op != "" || sp2.Error != "" || sp2.ParentID != 0 || sp2.Fused != 0 ||
-		sp2.PhaseTotal() != 0 {
+	if sp2.Op != "" || sp2.Error != "" || sp2.ParentID != 0 || sp2.PhaseTotal() != 0 {
 		t.Fatalf("recycled span carries stale state: %+v", sp2)
 	}
 	if sp2.ID == 0 || !sp2.End.IsZero() {
@@ -146,10 +144,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	base := time.Now()
 	parent := Span{
 		ID: 10, Op: "GEMM", DType: "s", Mode: "NN", M: 8, N: 8, K: 8,
-		Count: 64, Fused: 2, Workers: 1,
+		Count: 64, Workers: 1,
 		Start: base, End: base.Add(10 * time.Millisecond),
 	}
-	parent.Phases[PhaseFuse] = time.Millisecond
+	parent.Phases[PhasePlan] = time.Millisecond
 	parent.Phases[PhaseCompute] = 7 * time.Millisecond
 	child := Span{
 		ID: 11, ParentID: 10, Op: "GEMM", DType: "s", Mode: "NN",
@@ -194,7 +192,7 @@ func TestWriteChromeTrace(t *testing.T) {
 				t.Fatalf("metadata event name = %q", ev.Name)
 			}
 		case "X":
-			if ev.Name == PhaseFuse.String() || ev.Name == PhaseCompute.String() ||
+			if ev.Name == PhasePlan.String() || ev.Name == PhaseCompute.String() ||
 				ev.Name == PhaseQueueWait.String() {
 				phases++
 			} else {
@@ -205,8 +203,8 @@ func TestWriteChromeTrace(t *testing.T) {
 					if ev.TS != 2000 || ev.Dur != 10000 {
 						t.Fatalf("parent event ts/dur = %v/%v, want 2000/10000", ev.TS, ev.Dur)
 					}
-					if !strings.Contains(ev.Name, "(fused 2)") {
-						t.Fatalf("parent label %q missing fused marker", ev.Name)
+					if ev.Name != "GEMM s NN 8x8x8 ×64" {
+						t.Fatalf("parent label = %q, want its descriptor", ev.Name)
 					}
 				}
 				if ev.TID == child.ID {

@@ -4,7 +4,7 @@
 // requests/errors/sheds, deadline hits vs misses, a log2 latency
 // histogram, and a sliding-window burn rate against the tenant's
 // configured objective — fed from FinishSpan, so every resolution path
-// (sync, async, fused riders, fuse-time expiry, queue-full rejection)
+// (sync, async, expiry in the queue, queue-full rejection)
 // lands in the same ledger with zero extra plumbing at the call sites.
 //
 // Everything on the record path is lock-free after a tenant's first

@@ -231,14 +231,13 @@ func TestAggregateTenants(t *testing.T) {
 	}
 }
 
-// TestSpanRingTraceLookup: Trace resolves a request trace id (own span
-// + the fused parent listing it as a rider), a rider id seen only on
-// the parent, and numeric span/parent ids.
+// TestSpanRingTraceLookup: Trace resolves a request trace id (every
+// span carrying it) and numeric span/parent ids.
 func TestSpanRingTraceLookup(t *testing.T) {
 	ring := NewSpanRing(8)
-	parent := &Span{ID: 100, Riders: []string{"tr-a", "tr-b"}}
+	parent := &Span{ID: 100, TraceID: "tr-a"}
 	childA := &Span{ID: 101, ParentID: 100, TraceID: "tr-a", Origin: "rt"}
-	childB := &Span{ID: 102, ParentID: 100, TraceID: "tr-b"}
+	childB := &Span{ID: 102, ParentID: 100}
 	other := &Span{ID: 103, TraceID: "tr-c"}
 	for _, sp := range []*Span{parent, childA, childB, other} {
 		ring.Add(sp)
@@ -253,7 +252,7 @@ func TestSpanRingTraceLookup(t *testing.T) {
 		t.Fatalf("Trace(tr-a) ids = %+v, want {100, 101}", ids)
 	}
 
-	// Numeric parent id pulls the whole fused dispatch.
+	// A numeric parent id pulls the span and its children.
 	if got = ring.Trace("100"); len(got) != 3 {
 		t.Fatalf("Trace(100) = %d spans, want parent + 2 children", len(got))
 	}

@@ -8,7 +8,7 @@
 // probing:
 //
 //   - POST /v1/do accepts one batched compact-BLAS request as JSON,
-//     lowers it onto iatf.Submit (the coalescing, EDF-ordered queue) and
+//     lowers it onto iatf.Submit (the EDF-ordered queue) and
 //     writes the written operand back; a one-pass codec (codec.go) reads
 //     and writes the wire without encoding/json. A context deadline comes
 //     from the request body (deadline_ms) or the server default; a tenant
@@ -388,7 +388,6 @@ type accessEntry struct {
 	ElapsedUs       int64 `json:"elapsed_us"`
 
 	SpanID   uint64           `json:"span_id,omitempty"`
-	FusedOf  uint64           `json:"fused_of,omitempty"` // parent dispatch span id
 	PhasesUs map[string]int64 `json:"phases_us,omitempty"`
 	WireUs   map[string]int64 `json:"wire_us,omitempty"` // set once the request reached the engine
 
@@ -439,7 +438,6 @@ func (s *Server) handleDo(w http.ResponseWriter, r *http.Request) {
 			if rl.haveSpan {
 				sp := &rl.span
 				e.SpanID = sp.ID
-				e.FusedOf = sp.ParentID
 				e.ActualWaitUs = sp.Phases[iatf.PhaseQueueWait].Microseconds()
 				e.Shape = fmt.Sprintf("%dx%d", sp.M, sp.N)
 				if sp.K > 0 {

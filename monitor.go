@@ -1,10 +1,10 @@
 // Public monitoring surface: request-lifecycle spans, the OpenMetrics
 // exporter and the Chrome trace-event exporter. A span is the one
 // per-call record: it answers "where did this request's time go" —
-// queue wait, coalesce/fuse, plan lookup, prepack resolution, compute,
-// scatter — for every request, sync or async, with fused dispatches
-// linking rider spans to the parent via ParentID. With no sink
-// installed the whole subsystem costs one atomic load per call.
+// queue wait, plan lookup, prepack resolution, compute — for every
+// request, sync or async, with a chain's stage spans linked to the
+// chain's span via ParentID. With no sink installed the whole subsystem
+// costs one atomic load per call.
 
 package iatf
 
@@ -28,10 +28,11 @@ type SpanPhase = obs.Phase
 
 // The request lifecycle phases, in submission order.
 const (
-	// PhaseQueueWait: submission until the request's bundle starts
-	// executing (zero on the sync and idle-inline paths).
+	// PhaseQueueWait: submission until the request starts executing
+	// (zero on the sync and idle-inline paths).
 	PhaseQueueWait = obs.PhaseQueueWait
-	// PhaseFuse: concatenating a coalesced bundle into one super-request.
+	// PhaseFuse always reads 0: requests are never merged. It keeps its
+	// index so readers that copy phases by position stay aligned.
 	PhaseFuse = obs.PhaseFuse
 	// PhasePlan: plan-cache lookup (or build, on a cold shape).
 	PhasePlan = obs.PhasePlan
@@ -39,7 +40,7 @@ const (
 	PhasePack = obs.PhasePack
 	// PhaseCompute: the native kernel execution.
 	PhaseCompute = obs.PhaseCompute
-	// PhaseScatter: fused-dispatch writeback into each rider's storage.
+	// PhaseScatter always reads 0, like PhaseFuse.
 	PhaseScatter = obs.PhaseScatter
 )
 
@@ -129,7 +130,7 @@ type TenantStats = obs.TenantSnapshot
 // SetTenants installs per-tenant SLO objectives and enables tenant
 // accounting on this engine: every request tagged with WithTenant is
 // classified into its tenant's series, on every resolution path — sync,
-// async, fused rider, fuse-time expiry, queue-full rejection. Origins
+// async, expiry in the queue, queue-full rejection. Origins
 // not in cfg are tracked with a zero objective; nil disables accounting
 // (tagged requests then cost one atomic load).
 func (e *Engine) SetTenants(cfg map[string]TenantObjective) { e.inner.SetTenants(cfg) }

@@ -66,7 +66,7 @@ func oneStageCases[T float32 | float64]() []oneStageCase[T] {
 type oneStageRun[T float32 | float64] struct {
 	out    *iatf.Compact[T]
 	spans  []iatf.Span
-	plan   [3]uint64 // PlanHits, PlanMisses, PlanShared deltas
+	plan   [2]uint64 // PlanHits, PlanMisses deltas
 	shapes []iatf.ShapeStats
 	chain  bool // Stats.Chain moved
 	inline uint64
@@ -102,7 +102,7 @@ func runOneStagePath[T float32 | float64](t *testing.T, c oneStageCase[T], path 
 	}
 	after := eng.Stats()
 	res.out = c.out(a, b, cc)
-	res.plan = [3]uint64{after.PlanHits - before.PlanHits, after.PlanMisses - before.PlanMisses, after.PlanShared - before.PlanShared}
+	res.plan = [2]uint64{after.PlanHits - before.PlanHits, after.PlanMisses - before.PlanMisses}
 	for _, s := range after.Shapes {
 		s.P50, s.P99, s.AvgGFLOPS, s.BestGFLOPS = 0, 0, 0, 0 // timing-dependent
 		res.shapes = append(res.shapes, s)
@@ -121,8 +121,8 @@ func spanShape(sp iatf.Span) string {
 			phases = append(phases, iatf.SpanPhase(p))
 		}
 	}
-	return fmt.Sprintf("%s %s %s %dx%dx%d count=%d workers=%d fused=%d parent=%d prepack=%d/%d err=%q phases=%v",
-		sp.Op, sp.DType, sp.Mode, sp.M, sp.N, sp.K, sp.Count, sp.Workers, sp.Fused, sp.ParentID,
+	return fmt.Sprintf("%s %s %s %dx%dx%d count=%d workers=%d parent=%d prepack=%d/%d err=%q phases=%v",
+		sp.Op, sp.DType, sp.Mode, sp.M, sp.N, sp.K, sp.Count, sp.Workers, sp.ParentID,
 		sp.PrepackHits, sp.PrepackBuilds, sp.Error, phases)
 }
 

@@ -87,16 +87,17 @@ func WithQueueCapacity(n int) EngineOption {
 // WithEDF sets the async queue's drain order: true (the default)
 // executes each drained batch in earliest-deadline-first order, with
 // WithPriority classes breaking ties, so a tight-deadline request never
-// waits behind a loose bundle that merely arrived earlier; false
-// restores FIFO.
+// waits behind a loose one that merely arrived earlier; false restores
+// FIFO.
 func WithEDF(on bool) EngineOption {
 	return func(c *engineConfig) { c.queue.FIFO = !on }
 }
 
 // WithBatchWindow sets the dispatcher's max-batch-window: after a
 // batch's first request arrives the drain stays open for d, so a burst
-// lands in one EDF-ordered batch, trading queue latency for larger
-// fused bundles. 0 (the default) drains only what already accumulated.
+// lands in one EDF-ordered batch, trading queue latency for deadline
+// order across the whole burst. 0 (the default) drains only what already
+// accumulated.
 func WithBatchWindow(d time.Duration) EngineOption {
 	return func(c *engineConfig) { c.queue.Window = d }
 }
