@@ -152,9 +152,10 @@ type submitQueue struct {
 	cancelled  atomic.Uint64
 	rejected   atomic.Uint64
 
-	// inflight is the size of the batch the dispatcher is currently
-	// executing. len(ch) alone goes to zero the instant a batch is drained
-	// even though every request in it is still pending — admission control
+	// inflight counts the requests the dispatcher has drained and not yet
+	// finished or cancelled: runBatch takes each off as it resolves it.
+	// len(ch) alone goes to zero the instant a batch is drained even
+	// though every request in it is still pending — admission control
 	// reading only the channel length would see an "idle" queue in the
 	// middle of a 6ms backlog. Depth reports len(ch) + inflight.
 	inflight atomic.Int64
@@ -195,7 +196,7 @@ type QueueStats struct {
 	Dispatches uint64 // queued requests the dispatcher executed
 	Cancelled  uint64 // requests resolved with ctx.Err() without executing
 	Rejected   uint64 // submissions refused with ErrQueueFull
-	Depth      int    // requests pending: queued plus the batch being executed
+	Depth      int    // requests pending: queued plus those of the drained batch not yet resolved
 	Capacity   int    // queue bound
 
 	// Coalesced and MaxFused always read 0: the queue runs every request
@@ -461,7 +462,6 @@ func (e *Engine) dispatchLoop() {
 					q.busy.Store(true)
 					q.inflight.Store(int64(len(batch)))
 					e.runBatch(batch)
-					q.inflight.Store(0)
 					q.busy.Store(false)
 					for i := range batch {
 						batch[i] = nil
@@ -512,7 +512,6 @@ func (e *Engine) dispatchLoop() {
 			h(len(batch))
 		}
 		e.runBatch(batch)
-		q.inflight.Store(0)
 		q.busy.Store(false)
 		// Drop request references so resolved futures and their operands
 		// are collectible while the dispatcher idles.
@@ -524,12 +523,14 @@ func (e *Engine) dispatchLoop() {
 
 // runBatch resolves the requests whose context died in the queue, orders
 // the rest earliest deadline first unless the queue is FIFO, and runs
-// each on its own.
+// each on its own. Each request leaves the queue's inflight count as it
+// resolves, before its span sink and future see it.
 func (e *Engine) runBatch(batch []*asyncReq) {
 	q := &e.queue
 	live := batch[:0]
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
+			q.inflight.Add(-1)
 			e.cancel(r, err)
 			continue
 		}
@@ -542,6 +543,7 @@ func (e *Engine) runBatch(batch []*asyncReq) {
 		// A request late in the batch waited behind every earlier one, so
 		// a deadline that was live at the dequeue check may be dead now.
 		if err := r.ctx.Err(); err != nil {
+			q.inflight.Add(-1)
 			e.cancel(r, err)
 			continue
 		}
@@ -551,7 +553,9 @@ func (e *Engine) runBatch(batch []*asyncReq) {
 			r.sp.Phases[obs.PhaseQueueWait] += wait
 		}
 		q.dispatches.Add(1)
-		e.finish(r, e.exec(r.ctx, r.stages, &r.id, r.sp))
+		err := e.exec(r.ctx, r.stages, &r.id, r.sp)
+		q.inflight.Add(-1)
+		e.finish(r, err)
 	}
 }
 

@@ -148,6 +148,55 @@ func TestAsyncCancelBeforeDequeue(t *testing.T) {
 	}
 }
 
+// TestAsyncDepthFallsPerRequest: QueueStats.Depth counts a drained
+// batch's requests only until each one resolves. Four GEMMs queue behind
+// a parked dispatcher, the first cancelled while it waits; read from each
+// request's span sink, Depth falls by one per resolved request.
+func TestAsyncDepthFallsPerRequest(t *testing.T) {
+	e := New(core.DefaultTuning())
+	entered, gate := holdDispatcher(e)
+	rng := rand.New(rand.NewSource(53))
+
+	a0, b0, c0 := gemmReqOperands(rng, 8, 4, 4, 4)
+	f0, err := e.Submit(context.Background(), one(asyncGEMMDesc, op32(a0), op32(b0), op32(c0)), Call{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	var depths []int // appended on the dispatcher, read after every future resolved
+	sink := obs.SpanFunc(func(*obs.Span) { depths = append(depths, e.QueueStats().Depth) })
+	ctx, cancel := context.WithCancel(context.Background())
+	futs := make([]*Future, 4)
+	for i := range futs {
+		sctx := context.Background()
+		if i == 0 {
+			sctx = ctx
+		}
+		a, b, c := gemmReqOperands(rng, 8, 4, 4, 4)
+		if futs[i], err = e.Submit(sctx, one(asyncGEMMDesc, op32(a), op32(b), op32(c)), Call{Sink: sink}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := e.QueueStats().Depth; d != 5 {
+		t.Fatalf("depth with the dispatcher parked = %d, want 5", d)
+	}
+	cancel()
+	close(gate)
+
+	if err := f0.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range futs {
+		if err := f.Err(); (i == 0) != errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d: err %v", i, err)
+		}
+	}
+	if want := []int{3, 2, 1, 0}; !slices.Equal(depths, want) {
+		t.Fatalf("depth read from each span sink = %v, want %v", depths, want)
+	}
+}
+
 // TestAsyncCancelAfterDequeue: a request cancelled after the dispatcher
 // drained it (but before it executes) still resolves with ctx.Err()
 // without executing.

@@ -32,87 +32,65 @@ func fms2[E vec.Float](acc *[2]E, a, b *[2]E) {
 	acc[1] -= a[1] * b[1]
 }
 
-// gemm4 is GEMMStrided for 4-lane blocks (single-precision types).
+// gemm4 is GEMMStrided for 4-lane blocks (single-precision types). Each
+// C block accumulates in scalar locals over the K loop, reading A's
+// packed blocks and B's strided blocks in place; every lane sees the
+// generic kernel's sequence of multiply-adds and the same save, so the
+// two agree bit for bit.
 func gemm4[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
-	var acc [16][4]E
-	ao, bo := 0, 0
-	for l := 0; l < k; l++ {
-		var av, bv [4]*[4]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[4]E)(pa[ao:])
-			ao += 4
-		}
-		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[4]E)(pb[bo+cc*ldbc*4:])
-		}
-		bo += ldbk * 4
-		for cc := 0; cc < nc; cc++ {
-			b := bv[cc]
-			for r := 0; r < mc; r++ {
-				fma4(&acc[cc*4+r], av[r], b)
-			}
-		}
-	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			dst := (*[4]E)(c[(cc*strideC+r)*4:])
-			a := &acc[cc*4+r]
+			var s0, s1, s2, s3 E
+			ao, bo := r*4, cc*ldbc*4
+			for l := 0; l < k; l++ {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(pb[bo:])
+				s0 += a[0] * b[0]
+				s1 += a[1] * b[1]
+				s2 += a[2] * b[2]
+				s3 += a[3] * b[3]
+				ao += mc * 4
+				bo += ldbk * 4
+			}
+			d := (*[4]E)(c[(cc*strideC+r)*4:])
 			if ovw {
-				dst[0] = alpha * a[0]
-				dst[1] = alpha * a[1]
-				dst[2] = alpha * a[2]
-				dst[3] = alpha * a[3]
+				d[0], d[1], d[2], d[3] = alpha*s0, alpha*s1, alpha*s2, alpha*s3
 			} else {
-				dst[0] += alpha * a[0]
-				dst[1] += alpha * a[1]
-				dst[2] += alpha * a[2]
-				dst[3] += alpha * a[3]
+				d[0] += alpha * s0
+				d[1] += alpha * s1
+				d[2] += alpha * s2
+				d[3] += alpha * s3
 			}
 		}
 	}
 }
 
-// gemm2 is GEMMStrided for 2-lane blocks (double-precision types).
+// gemm2 is GEMMStrided for 2-lane blocks (double-precision types), in
+// the form of gemm4.
 func gemm2[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alpha E, ovw bool) {
-	var acc [16][2]E
-	ao, bo := 0, 0
-	for l := 0; l < k; l++ {
-		var av, bv [4]*[2]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[2]E)(pa[ao:])
-			ao += 2
-		}
-		for cc := 0; cc < nc; cc++ {
-			bv[cc] = (*[2]E)(pb[bo+cc*ldbc*2:])
-		}
-		bo += ldbk * 2
-		for cc := 0; cc < nc; cc++ {
-			b := bv[cc]
-			for r := 0; r < mc; r++ {
-				fma2(&acc[cc*4+r], av[r], b)
-			}
-		}
-	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			dst := (*[2]E)(c[(cc*strideC+r)*2:])
-			a := &acc[cc*4+r]
+			var s0, s1 E
+			ao, bo := r*2, cc*ldbc*2
+			for l := 0; l < k; l++ {
+				a, b := (*[2]E)(pa[ao:]), (*[2]E)(pb[bo:])
+				s0 += a[0] * b[0]
+				s1 += a[1] * b[1]
+				ao += mc * 2
+				bo += ldbk * 2
+			}
+			d := (*[2]E)(c[(cc*strideC+r)*2:])
 			if ovw {
-				dst[0] = alpha * a[0]
-				dst[1] = alpha * a[1]
+				d[0], d[1] = alpha*s0, alpha*s1
 			} else {
-				dst[0] += alpha * a[0]
-				dst[1] += alpha * a[1]
+				d[0] += alpha * s0
+				d[1] += alpha * s1
 			}
 		}
 	}
 }
 
-// gemmCplx4 is GEMMCplxStrided for 4-lane blocks (cgemm). Each C block
-// accumulates in scalar locals over the K loop, reading A's packed
-// blocks and B's strided blocks in place; every lane sees the generic
-// kernel's sequence of multiply-accumulates and the save's two roundings
-// per component, so the two agree bit for bit.
+// gemmCplx4 is GEMMCplxStrided for 4-lane blocks (cgemm), in the form of
+// gemm4; the save rounds each component twice, as the generic kernel does.
 func gemmCplx4[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, alphaRe, alphaIm E, ovw bool) {
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -164,7 +165,7 @@ func (d *decoder) data(k int, dst *[]float64) error {
 		if n == len(mem) {
 			mem = append(mem, 0)
 		}
-		if err := d.scalar(&mem[n]); err != nil {
+		if err := d.float(&mem[n]); err != nil {
 			return err
 		}
 	}
@@ -180,6 +181,9 @@ func (d *decoder) data(k int, dst *[]float64) error {
 // exponent or an out-of-range value in an integer is an error, as in
 // encoding/json.
 func (d *decoder) scalar(dst any) error {
+	if p, ok := dst.(*float64); ok {
+		return d.float(p)
+	}
 	c := d.next()
 	if c == 'n' {
 		return d.literal("null")
@@ -194,19 +198,29 @@ func (d *decoder) scalar(dst any) error {
 		}
 		return err
 	}
-	tok, err := d.number()
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
 	switch p := dst.(type) {
-	case *float64:
-		*p, err = strconv.ParseFloat(string(tok), 64)
 	case *int64:
-		*p, err = strconv.ParseInt(string(tok), 10, 64)
+		*p, err = strconv.ParseInt(string(n.tok), 10, 64)
 	case *int:
 		var v int64
-		v, err = strconv.ParseInt(string(tok), 10, strconv.IntSize)
+		v, err = strconv.ParseInt(string(n.tok), 10, strconv.IntSize)
 		*p = int(v)
+	}
+	return err
+}
+
+// float decodes a number into dst; null leaves dst as it is.
+func (d *decoder) float(dst *float64) error {
+	if d.next() == 'n' {
+		return d.literal("null")
+	}
+	n, err := d.number()
+	if err == nil {
+		*dst, err = n.float()
 	}
 	return err
 }
@@ -324,34 +338,141 @@ func (d *decoder) quoted() ([]byte, error) {
 	return nil, d.fail("a closing quote")
 }
 
-// number steps over the JSON number at d.i and returns its text.
-func (d *decoder) number() ([]byte, error) {
-	start := d.i
-	d.skipByte('-')
-	if !d.skipByte('0') && !d.digits() {
-		return nil, d.fail("a number")
-	}
-	if d.skipByte('.') && !d.digits() {
-		return nil, d.fail("a digit")
-	}
-	if d.skipByte('e') || d.skipByte('E') {
-		if !d.skipByte('+') {
-			d.skipByte('-')
-		}
-		if !d.digits() {
-			return nil, d.fail("a digit")
-		}
-	}
-	return d.s[start:d.i], nil
+// num is a scanned JSON number: its text, and its value as
+// ±mant·10^exp, where mant holds the first 19 significant digits and
+// trunc reports a nonzero digit after them.
+type num struct {
+	tok   []byte
+	mant  uint64
+	exp   int
+	neg   bool
+	trunc bool
 }
 
-// digits steps over a run of decimal digits, reporting whether there was one.
-func (d *decoder) digits() bool {
+// number steps over the JSON number at d.i and returns it.
+func (d *decoder) number() (n num, err error) {
 	start := d.i
-	for d.i < len(d.s) && '0' <= d.s[d.i] && d.s[d.i] <= '9' {
-		d.i++
+	n.neg = d.skipByte('-')
+	if !d.skipByte('0') && !d.digits(&n, false) {
+		return n, d.fail("a number")
 	}
-	return d.i > start
+	if d.skipByte('.') && !d.digits(&n, true) {
+		return n, d.fail("a digit")
+	}
+	if d.skipByte('e') || d.skipByte('E') {
+		neg := !d.skipByte('+') && d.skipByte('-')
+		x, first := 0, d.i
+		for ; d.i < len(d.s) && '0' <= d.s[d.i] && d.s[d.i] <= '9'; d.i++ {
+			if x < 10000 { // past any exponent a float64 can use; keeps x from overflowing
+				x = x*10 + int(d.s[d.i]-'0')
+			}
+		}
+		if d.i == first {
+			return n, d.fail("a digit")
+		}
+		if neg {
+			x = -x
+		}
+		n.exp += x
+	}
+	n.tok = d.s[start:d.i]
+	return n, nil
+}
+
+// digits steps over a run of decimal digits, reporting whether there was
+// one, and folds them into n: the integer part's (frac false) or the
+// fraction's. Leading zeros leave mant at 0. Once mant holds 19 digits
+// (mant ≥ 10^18), an integer digit scales exp instead and a nonzero
+// digit sets trunc.
+func (d *decoder) digits(n *num, frac bool) bool {
+	s, start, m := d.s, d.i, n.mant
+	i := start
+	for ; i < len(s) && m < 1e18; i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
+	}
+	if frac {
+		n.exp -= i - start
+	}
+	for ; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			break
+		}
+		if !frac {
+			n.exp++
+		}
+		n.trunc = n.trunc || c != 0
+	}
+	n.mant, d.i = m, i
+	return i > start
+}
+
+// float returns the float64 nearest n, ties to even, or ParseFloat's
+// range error: bit for bit what strconv.ParseFloat(string(n.tok), 64)
+// returns. Two exact paths cover the numbers encoding/json writes for
+// float32 and float64 values of moderate size; anything else is parsed
+// by strconv.
+func (n *num) float() (float64, error) {
+	if n.mant <= 1<<53 && -22 <= n.exp && n.exp <= 22 {
+		// Clinger's fast path: mant and 10^|exp| are exact doubles, so
+		// the one IEEE multiply or divide rounds the exact value once.
+		f := float64(n.mant)
+		if n.neg {
+			f = -f
+		}
+		if n.exp < 0 {
+			return f / pow10f[-n.exp], nil
+		}
+		return f * pow10f[n.exp], nil
+	}
+	if !n.trunc && -19 <= n.exp && n.exp < 0 {
+		f := quoPow10(n.mant, -n.exp)
+		if n.neg {
+			f = -f
+		}
+		return f, nil
+	}
+	return strconv.ParseFloat(string(n.tok), 64)
+}
+
+// pow10f holds the powers of ten that are exact float64 values.
+var pow10f = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// pow10u holds the powers of ten below 2^64.
+var pow10u = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// quoPow10 returns m/10^k rounded to nearest, ties to even, for m > 0
+// and 1 ≤ k ≤ 19; the quotient then lies in [10^-19, 2^64), well inside
+// float64's normal range. Both operands are shifted until their top bits
+// are set, and a 128-by-64-bit division yields the quotient's top 64
+// bits exactly: the top 53 are the significand, and the other 11 with
+// the remainder decide the rounding.
+func quoPow10(m uint64, k int) float64 {
+	lm, ld := bits.LeadingZeros64(m), bits.LeadingZeros64(pow10u[k])
+	m, div := m<<lm, pow10u[k]<<ld
+	// The quotient of (hi:lo) = m·2^64 by div lies in [2^63, 2^64) when
+	// m < div; otherwise m·2^63 does, and bits.Div64 needs hi < div.
+	hi, lo, exp := m, uint64(0), ld-lm-64
+	if m >= div {
+		hi, lo, exp = m>>1, m<<63, exp+1
+	}
+	q, r := bits.Div64(hi, lo, div)
+	// m/10^k = (q + r/div)·2^exp, with q's top bit set.
+	mant, low := q>>11, q&(1<<11-1)
+	if low > 1<<10 || low == 1<<10 && (r != 0 || mant&1 != 0) {
+		mant++
+		if mant == 1<<53 {
+			mant, exp = mant>>1, exp+1
+		}
+	}
+	// mant·2^(exp+11), with mant in [2^52, 2^53), is 1.f·2^(exp+63).
+	return math.Float64frombits(uint64(exp+63+1023)<<52 | mant&(1<<52-1))
 }
 
 // skipByte steps over c if it is next, reporting whether it was.

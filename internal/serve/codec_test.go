@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,6 +165,139 @@ func TestDecodeNestingLimit(t *testing.T) {
 	}
 }
 
+// numberTokens returns JSON number tokens for each of the decoder's
+// float conversions: the shortest 'f' and 'e' forms encoding/json writes
+// for float64 and widened float32 values, digit strings of 1–20 digits
+// with the decimal point at every position, exact halfway cases between
+// adjacent doubles and their neighbours, and the edges of the exact paths.
+func numberTokens(rng *rand.Rand) []string {
+	toks := []string{
+		"0", "-0", "0.0", "-0.0", "0e5", "-0e-400", "0.000001234", "-0.000001234", "1e-19", "1e-20",
+		"1e22", "-1e22", "1e-22", "1e23", "1e-23", "1e-400", "-1e-400", "1e400", "-1e400", "1E+2",
+		"1e10000000000000000000", "9007199254740991", "9007199254740992", "9007199254740993",
+		"-9007199254740993", "9007199254740993.0", "9007199254740994", "90071992547409930e-1",
+		"9007199254740993e-1", "0.9007199254740993", "9999999999999999999", "0.9999999999999999999",
+		"9.999999999999999999", "99999999999999999999", "1234567890123456789", "12345678901234567890",
+		"1.234567890123456789", "1.2345678901234567890", "1.2345678901234567891",
+		"1.23456789012345678900001", "12345678901234567890e-5", "123456789012345678900e-7",
+		"0.12345678901234567890123", "18446744073709551615", "18446744073709551616",
+		"1.7976931348623157e308", "1.7976931348623159e308", "4.9e-324", "2.4703282292062327e-324",
+		"2.2250738585072014e-308", "2.2250738585072011e-308", "100000000000000000000000",
+		"0.10000000149011612",
+	}
+	forms := func(v float64) {
+		toks = append(toks, strconv.FormatFloat(v, 'f', -1, 64), strconv.FormatFloat(v, 'e', -1, 64))
+	}
+	for i := 0; i < 4000; i++ {
+		u := 2*rng.Float64() - 1 // the serving benchmark's values
+		forms(u)
+		forms(float64(float32(u)))
+		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			forms(f)
+		}
+		if f := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+			forms(float64(f))
+		}
+	}
+	// Each digit string also with two zeros appended: zeros past the 19th
+	// significant digit scale the integer part but truncate nothing.
+	for nd := 1; nd <= 20; nd++ {
+		for i := 0; i < 40; i++ {
+			digits := make([]byte, nd, nd+2)
+			for j := range digits {
+				digits[j] = byte('0' + rng.Intn(10))
+			}
+			for _, digits := range [][]byte{digits, append(digits, "00"...)} {
+				for p := 0; p <= len(digits); p++ {
+					whole := strings.TrimLeft(string(digits[:p]), "0")
+					if whole == "" {
+						whole = "0"
+					}
+					tok := whole
+					if p < len(digits) {
+						tok += "." + string(digits[p:])
+					}
+					toks = append(toks, tok, tok+"e"+strconv.Itoa(rng.Intn(51)-25))
+				}
+			}
+		}
+	}
+	// Halfway cases: the exact midpoint between f and the next double up,
+	// written in full, and its neighbours one unit away in its last
+	// digit. Half of them lie between 2^40 and 2^64; those in
+	// [2^49, 2^53) fit in 19 digits and take the division path.
+	for i := 0; i < 4000; i++ {
+		e := rng.Intn(140) - 70
+		if i%2 == 0 {
+			e = 40 + rng.Intn(24)
+		}
+		f := math.Ldexp(1+rng.Float64(), e)
+		mid := new(big.Float).SetPrec(128).SetFloat64(f)
+		mid.Add(mid, big.NewFloat((math.Nextafter(f, math.Inf(1))-f)/2))
+		txt := strings.TrimSuffix(strings.TrimRight(mid.Text('f', 200), "0"), ".")
+		toks = append(toks, txt)
+		digits, frac := txt, 0
+		if dot := strings.IndexByte(txt, '.'); dot >= 0 {
+			digits, frac = txt[:dot]+txt[dot+1:], len(txt)-dot-1
+		}
+		for _, delta := range []int64{-1, 1} {
+			v, _ := new(big.Int).SetString(digits, 10)
+			toks = append(toks, v.Add(v, big.NewInt(delta)).String()+"e-"+strconv.Itoa(frac))
+		}
+	}
+	return toks
+}
+
+// TestNumberMatchesParseFloat: the decoder's scan and float conversion of
+// every generated token give the bits strconv.ParseFloat gives, and its
+// range error, and each of the three conversions is exercised. The scan
+// stops at the token's end whatever byte follows it.
+func TestNumberMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ends := []string{",", "]", " ", "}", "/", ":", "\xff"} // '/' and ':' border the digits
+	var fast, quo, slow int
+	for _, tok := range numberTokens(rng) {
+		for _, tok := range []string{tok, "-" + strings.TrimPrefix(tok, "-")} {
+			d := decoder{s: []byte(tok + ends[rng.Intn(len(ends))] + "12345678")}
+			n, err := d.number()
+			if err != nil || d.i != len(tok) {
+				t.Fatalf("%s: scanned %d of %d bytes of %q, err %v", tok, d.i, len(tok), d.s, err)
+			}
+			got, gerr := n.float()
+			want, werr := strconv.ParseFloat(tok, 64)
+			if (gerr == nil) != (werr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: got %v (%#x, err %v), ParseFloat %v (%#x, err %v)",
+					tok, got, math.Float64bits(got), gerr, want, math.Float64bits(want), werr)
+			}
+			switch {
+			case n.mant <= 1<<53 && -22 <= n.exp && n.exp <= 22:
+				fast++
+			case !n.trunc && -19 <= n.exp && n.exp < 0:
+				quo++
+			default:
+				slow++
+			}
+		}
+	}
+	if fast < 1000 || quo < 1000 || slow < 1000 {
+		t.Fatalf("conversions taken: %d fast path, %d division, %d strconv; want 1000 of each", fast, quo, slow)
+	}
+	// quoPow10 alone, on 20-digit significands the scanner never hands
+	// it: a tenth off a midpoint between doubles near 2^60 moves the
+	// quotient by less than its 11 spare bits resolve, so the remainder
+	// alone breaks the tie.
+	for i := 0; i < 100; i++ {
+		mid := 1<<60 + uint64(2*rng.Intn(1<<20)+1)<<7
+		for _, m := range []uint64{10*mid - 1, 10 * mid, 10*mid + 1} {
+			tok := strconv.FormatUint(m/10, 10) + "." + strconv.FormatUint(m%10, 10)
+			want, _ := strconv.ParseFloat(tok, 64)
+			if got := quoPow10(m, 1); got != want {
+				t.Fatalf("quoPow10(%d, 1) = %v, ParseFloat(%s) = %v", m, got, tok, want)
+			}
+		}
+	}
+}
+
 // allocBytes is the fewest heap bytes fn allocated over three runs.
 func allocBytes(fn func()) uint64 {
 	best := uint64(math.MaxUint64)
@@ -210,37 +345,44 @@ func FuzzDoRequest(f *testing.F) {
 	})
 }
 
-// perfbenchBody is a request shaped like the serving benchmark's
-// representative one: f32 GEMM 4×4×4, count 16, uniform values in
-// [-1, 1), with the written operand's element count.
-func perfbenchBody() ([]byte, []float32) {
+// perfbenchBody is a GEMM request shaped like one of the serving
+// benchmark's: n×n×n, count matrices per operand, values uniform in
+// [-1, 1) of element type T, with a result of the written operand's size.
+func perfbenchBody[T float32 | float64](dtype string, n, count int) ([]byte, []T) {
 	rng := rand.New(rand.NewSource(1))
-	const count, n = 16, 4
 	vals := func() []float64 {
 		out := make([]float64, count*n*n)
 		for i := range out {
-			out[i] = float64(float32(2*rng.Float64() - 1))
+			out[i] = float64(T(2*rng.Float64() - 1))
 		}
 		return out
 	}
-	body, _ := json.Marshal(DoRequest{Op: "gemm", DType: "f32", TransA: "N", TransB: "N",
+	body, _ := json.Marshal(DoRequest{Op: "gemm", DType: dtype, TransA: "N", TransB: "N",
 		Side: "L", Uplo: "L", Diag: "N", Alpha: 1, Count: count, DeadlineMs: 250,
 		A: &WireOperand{Rows: n, Cols: n, Data: vals()},
 		B: &WireOperand{Rows: n, Cols: n, Data: vals()},
 		C: &WireOperand{Rows: n, Cols: n, Data: vals()}})
-	result := make([]float32, count*n*n)
+	result := make([]T, count*n*n)
 	for i := range result {
-		result[i] = float32(2*rng.Float64() - 1)
+		result[i] = T(2*rng.Float64() - 1)
 	}
 	return body, result
 }
 
-// BenchmarkDoCodec decodes a perfbench-shaped body and encodes a result
-// of its size, with the codec and with encoding/json as the handler used
-// it before.
+// BenchmarkDoCodec decodes perfbench-shaped bodies and encodes a result
+// of their size, with the codec and with encoding/json as the handler
+// used it before: f32 4×4×4 (count 16) and f64 8×8×8 (count 8). In
+// both, as in the serving benchmark's traffic, about two thirds of the
+// numbers take the decoder's fast path and the rest its division path.
 func BenchmarkDoCodec(b *testing.B) {
-	body, result := perfbenchBody()
-	b.Run("codec", func(b *testing.B) {
+	f32, f32Result := perfbenchBody[float32]("f32", 4, 16)
+	f64, f64Result := perfbenchBody[float64]("f64", 8, 8)
+	benchCodec(b, "f32_4x4x4", f32, f32Result)
+	benchCodec(b, "f64_8x8x8", f64, f64Result)
+}
+
+func benchCodec[T float32 | float64](b *testing.B, name string, body []byte, result []T) {
+	b.Run(name+"/codec", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -256,7 +398,7 @@ func BenchmarkDoCodec(b *testing.B) {
 			putWire(wb)
 		}
 	})
-	b.Run("encoding_json", func(b *testing.B) {
+	b.Run(name+"/encoding_json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
