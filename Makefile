@@ -89,30 +89,26 @@ obsstress:
 	$(GO) run ./cmd/iatf-monitor -demo -once -shards 2
 	$(GO) run ./cmd/iatf-trace -engine -count 64
 
-# The engine's store layer under the race detector, run twice: the
-# atomic-rename/merge writer race, disk round-trip bit-exactness,
-# staleness fallbacks, hostile descriptors and sharded hydration
-# routing. No public option or command reaches the layer; it goes with
-# internal/store (ROADMAP item 2).
+# The plan-descriptor file package under the race detector, run twice:
+# the atomic-rename/merge writer race and the staleness fallbacks.
+# Nothing imports internal/store; the package and this target go
+# together (ROADMAP item 2).
 storestress:
-	$(GO) test -race -count=2 -run 'Store|Tuner|Warm' ./internal/engine/
 	$(GO) test -race -count=2 ./internal/store/
 
 # Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
 # against encoding/json (same accept/reject, equal decoded request) and
 # the handler (no panic, no 500); the traceparent resolver (always a
 # non-zero 32-hex id, the header's trace-id exactly when it is valid);
-# store files through the set loader on one and two shards (no panic,
-# fail soft, same plan keys); one drawn stage list run on one shard, on
-# two shards, as a chain call and as two queued Submits (bit-identical
-# outputs, each run on its own); and the -tenant spec parser (no
-# panic, accepted specs hold a usable objective). The committed corpora
-# under testdata/fuzz, internal/serve/testdata/fuzz and
-# internal/engine/testdata/fuzz replay in every plain `go test`.
+# one drawn stage list run on one shard, on two shards, as a chain call
+# and as two queued Submits (bit-identical outputs, each run on its
+# own); and the -tenant spec parser (no panic, accepted specs hold a
+# usable objective). The committed corpora under testdata/fuzz,
+# internal/serve/testdata/fuzz and internal/engine/testdata/fuzz replay
+# in every plain `go test`.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzDoRequest -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzTraceparent -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzPathParity -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzParseTenantSpec -fuzztime 10s .
 

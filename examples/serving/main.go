@@ -11,11 +11,12 @@
 // request runs first. The example prints the SLO report — per-class
 // p50/p99 against the deadline and the miss rate — for both modes.
 //
-// Phase 2 — admission control over HTTP. The same engine behind the
-// internal/serve tier, hammered with concurrent tight-deadline posts:
-// requests whose predicted queue wait exceeds their deadline are shed
-// with 429 + Retry-After instead of dying in the queue, and the shed
-// rate is reported from the server's own counters.
+// Phase 2 — admission control over HTTP. In-process loops keep heavy
+// dispatches queued on the engine behind the internal/serve tier while
+// concurrent small tight-deadline requests arrive over HTTP: requests
+// whose predicted queue wait exceeds their deadline are shed with 429 +
+// Retry-After instead of dying in the queue, and the shed rate is
+// reported from the server's own counters.
 //
 // Phase 3 — per-tenant SLO accounting. Two tenant classes share one
 // server: "rt" (class 5, 25ms objective, 99% target) posting small
@@ -254,11 +255,38 @@ func phase2(rng *rand.Rand) {
 	defer hs.Close()
 	url := "http://" + ln.Addr().String() + "/v1/do"
 
-	// Wire bodies: every admitted request is a full heavy dispatch, so
-	// the queue-wait histogram sees real backlog.
-	const n = 8
+	// Backlog: heavy loops on the same engine, in process as phase 1's
+	// primer is, keep the queue deep for the whole phase, so the HTTP
+	// posts meet real queue wait and the queue-wait histogram sees it.
+	// Posting the heavy work as JSON instead left the queue nearly
+	// empty: its deadline went on the wire.
+	const n, loaders = 8, 4
+	stop := make(chan struct{})
+	var loops sync.WaitGroup
+	for l := 0; l < loaders; l++ {
+		req := iatf.Request[float32]{
+			Op: iatf.OpGEMM, Alpha: 1 + float32(l)/1000, Beta: 1,
+			A: mkBatch(rng, heavyCount, n), B: mkBatch(rng, heavyCount, n), C: mkBatch(rng, heavyCount, n),
+		}
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := iatf.Do(context.Background(), req, iatf.WithEngine(eng), iatf.WithAsync()); err != nil {
+					log.Fatal(err)
+				}
+			}
+		}()
+	}
+
+	// Wire bodies: the small tight requests, microseconds of compute.
 	data := func() []float64 {
-		d := make([]float64, heavyCount*n*n)
+		d := make([]float64, smallCount*smallN*smallN)
 		for i := range d {
 			d[i] = rng.Float64()
 		}
@@ -267,20 +295,22 @@ func phase2(rng *rand.Rand) {
 	a, b, c := data(), data(), data()
 	body := func(alpha float64, dlMs int64) []byte {
 		j, _ := json.Marshal(serve.DoRequest{
-			Op: "gemm", DType: "f32", Alpha: alpha, Beta: 1, Count: heavyCount,
-			A:          &serve.WireOperand{Rows: n, Cols: n, Data: a},
-			B:          &serve.WireOperand{Rows: n, Cols: n, Data: b},
-			C:          &serve.WireOperand{Rows: n, Cols: n, Data: c},
+			Op: "gemm", DType: "f32", Alpha: alpha, Beta: 1, Count: smallCount,
+			A:          &serve.WireOperand{Rows: smallN, Cols: smallN, Data: a},
+			B:          &serve.WireOperand{Rows: smallN, Cols: smallN, Data: b},
+			C:          &serve.WireOperand{Rows: smallN, Cols: smallN, Data: c},
 			DeadlineMs: dlMs,
 		})
 		return j
 	}
 
 	// Main-traffic deadline ≈ batch window + three heavy dispatches:
-	// achievable while the queue is shallow, missed once backlog grows.
-	// Every fourth post asks for a 1ms deadline — tighter than the batch
-	// window itself, so the predicted wait (floored at the window) can
-	// never be met and admission control sheds it up-front with a 429.
+	// achievable when a post lands just before a drain, missed when it
+	// waits behind a drained batch of heavy work, and shed once the
+	// recent wait tail says so. Every fourth post asks for a 1ms
+	// deadline — tighter than the batch window itself, so the predicted
+	// wait (floored at the window) can never be met and admission
+	// control sheds it up-front with a 429.
 	dlMs := int64((window+3*th)/time.Millisecond) + 1
 	const workers, perWorker = 16, 8
 	var ok, shed, tightShed, timedOut, other int64
@@ -324,11 +354,13 @@ func phase2(rng *rand.Rand) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	loops.Wait()
 
 	st := srv.Stats()
 	total := int64(workers * perWorker)
-	fmt.Printf("HTTP overload: %d workers × %d posts, deadline %dms (every 4th: 1ms), heavy %d-matrix GEMMs\n",
-		workers, perWorker, dlMs, heavyCount)
+	fmt.Printf("HTTP overload: %d workers × %d posts of %d %d×%d GEMMs, deadline %dms (every 4th: 1ms), behind %d in-process loops of %d-matrix GEMMs\n",
+		workers, perWorker, smallCount, smallN, smallN, dlMs, loaders, heavyCount)
 	fmt.Printf("  200 OK: %d   429 shed: %d (%.0f%%, Retry-After %ss; %d of them sub-window 1ms probes)   504: %d   other: %d\n",
 		ok, shed, 100*float64(shed)/float64(total), retryAfter, tightShed, timedOut, other)
 	fmt.Printf("  server counters: admitted %d, done %d, shed %d, queue-full %d, expired %d\n",

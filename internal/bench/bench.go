@@ -49,15 +49,6 @@ type Config struct {
 	Sizes    []int
 }
 
-// DefaultConfig evaluates square sizes 1–33 as in §6.
-func DefaultConfig() Config {
-	sizes := make([]int, 0, 33)
-	for n := 1; n <= 33; n++ {
-		sizes = append(sizes, n)
-	}
-	return Config{Matrices: 64, Sizes: sizes}
-}
-
 func (c Config) groups(dt vec.DType, vl int) int {
 	if vl == 0 {
 		vl = dt.Pack()

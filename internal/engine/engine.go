@@ -192,9 +192,8 @@ type planKey struct {
 // identity hashes the problem a plan key names — every field but the
 // count bucket — and ends in SplitMix64's finalizer, so nearby orders
 // and modes spread evenly. It is the engine's one problem identity: it
-// picks the plan cache's mutex shard, a call's home shard in a Set,
-// the shard store hydration installs a plan on, and each stage's share
-// of a chain's home-shard identity.
+// picks the plan cache's mutex shard, a call's home shard in a Set and
+// each stage's share of a chain's home-shard identity.
 func (k planKey) identity() uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, v := range [...]int{int(k.kind), int(k.dt), k.m, k.n, k.k, int(k.transA), int(k.transB),
@@ -239,19 +238,12 @@ const (
 type planShard struct {
 	mu sync.Mutex
 	m  map[planKey]any
-	// hydrated marks entries installed from a store whose first use is
-	// still pending: that first call reports obs.CacheHydrated so the
-	// per-shape series records the plan's static decisions (ceiling,
-	// packing, batch size) the way a miss would — without ever counting
-	// as a miss. Hydration allocates it; it stays nil otherwise.
-	hydrated map[planKey]bool
 }
 
 // Engine owns a tuning configuration, the plan cache for it and the
 // per-shape observability registry. It is one shard of a Set: the
 // public API reaches engines only through sets (a solo engine is a set
-// of one), while New alone serves tests and the store layer's
-// Warm/Export.
+// of one), while New alone serves tests.
 type Engine struct {
 	tun    core.Tuning
 	rt     *core.Runtime // per-engine worker pool + buffer pools
@@ -263,13 +255,6 @@ type Engine struct {
 	planHits      atomic.Uint64
 	planMisses    atomic.Uint64
 	planEvictions atomic.Uint64
-	planHydrated  atomic.Uint64 // plan-cache entries installed from a store
-
-	// Store attachment (SetStorePath/LoadStore/SaveStore in store.go);
-	// storeState counts store activity.
-	storeMu    sync.Mutex
-	storePath  string
-	storeState StoreStats
 
 	// Chain dispatch counters (multi-stage runs only).
 	chainRuns     atomic.Uint64
@@ -300,9 +285,6 @@ func newEngine(tun core.Tuning, qc QueueConfig) *Engine {
 	return e
 }
 
-// Tuning returns the engine's tuning configuration.
-func (e *Engine) Tuning() core.Tuning { return e.tun }
-
 // Obs returns the engine's per-shape observability registry (span sink,
 // shape snapshots).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
@@ -316,12 +298,6 @@ func (e *Engine) plan(key planKey, build func() (any, error)) (any, obs.CacheOut
 	sh := e.planShard(key)
 	sh.mu.Lock()
 	if p, ok := sh.m[key]; ok {
-		if len(sh.hydrated) > 0 && sh.hydrated[key] {
-			delete(sh.hydrated, key)
-			sh.mu.Unlock()
-			e.planHits.Add(1)
-			return p, obs.CacheHydrated, nil
-		}
 		sh.mu.Unlock()
 		e.planHits.Add(1)
 		return p, obs.CacheHit, nil
@@ -360,17 +336,15 @@ func (e *Engine) planShard(key planKey) *planShard {
 func (sh *planShard) evictOne(e *Engine) {
 	for k := range sh.m {
 		delete(sh.m, k)
-		delete(sh.hydrated, k)
 		e.planEvictions.Add(1)
 		return
 	}
 }
 
 // buildForKey constructs the plan a cache key describes — the one plan
-// constructor behind every miss, one-stage or chained, and behind store
-// hydration and Warm, so a hydrated plan is bit-equal to a freshly tuned
-// one. Plans are built for the key's count bucket with unit scalars
-// (both are spliced per call).
+// constructor behind every miss, one-stage or chained. Plans are built
+// for the key's count bucket with unit scalars (both are spliced per
+// call).
 func (e *Engine) buildForKey(key planKey) (any, error) {
 	switch key.kind {
 	case OpGEMM:
@@ -399,25 +373,15 @@ func (e *Engine) buildForKey(key planKey) (any, error) {
 	return nil, opErr(key.kind, "", ErrOperand, "not a plannable kind")
 }
 
-// Stats is a point-in-time snapshot of the engine counters. Plan-cache
-// counters and per-shape series are per-engine; buffer-pool and
-// worker-pool counters are process-wide (those layers are shared by all
-// engines).
+// Stats is a point-in-time snapshot of one engine's counters: every
+// engine owns its plan cache, per-shape series and core.Runtime, so the
+// buffer-pool and worker-pool counters are this engine's too.
 type Stats struct {
 	// Plan cache (this engine).
 	PlanHits      uint64
 	PlanMisses    uint64
 	PlanEvictions uint64
 	PlanEntries   int
-	// PlanHydrated counts plan-cache entries installed from a store —
-	// kept distinct from PlanMisses so the achieved-vs-CMAR-ceiling
-	// reporting stays honest: a hydrated plan was tuned once, in some
-	// earlier process, not by this call. No public option attaches a
-	// store, so it reads 0 outside the store layer's tests.
-	PlanHydrated uint64
-
-	// Store layer (this engine; see store.go).
-	Store StoreStats
 
 	// Packed-operand cache (this engine).
 	PackCache PackCacheStats
@@ -451,8 +415,6 @@ func (s *Stats) Add(o Stats) {
 	s.PlanMisses += o.PlanMisses
 	s.PlanEvictions += o.PlanEvictions
 	s.PlanEntries += o.PlanEntries
-	s.PlanHydrated += o.PlanHydrated
-	s.Store.Add(o.Store)
 	s.PackCache.Add(o.PackCache)
 	s.Chain.Add(o.Chain)
 	s.Queue.Add(o.Queue)
@@ -507,8 +469,6 @@ func (e *Engine) Stats() Stats {
 		PlanMisses:    e.planMisses.Load(),
 		PlanEvictions: e.planEvictions.Load(),
 		PlanEntries:   entries,
-		PlanHydrated:  e.planHydrated.Load(),
-		Store:         e.storeStats(),
 		PackCache:     e.packs.snapshot(),
 		Chain:         e.chainStats(),
 		Queue:         e.queue.snapshot(),
@@ -626,8 +586,7 @@ func stageKey(st *ChainStage, key *planKey) error {
 	return err
 }
 
-// read zeroes the fields of k its op does not read, for live keys
-// (stageKey) and stored ones (keyOfDesc) alike: TRSM and TRMM skip
+// read zeroes the fields of k its op does not read: TRSM and TRMM skip
 // TransB and K, GEMM Side, Uplo and Diag, SYRK TransB, Side, Diag and N,
 // and a factorization's plan, a per-matrix flop model, keys on its order.
 func (k *planKey) read() {
@@ -828,14 +787,14 @@ func (e *Engine) planFacts(pv any, count int, summary bool) (ceiling float64, pa
 }
 
 // report opens a resolved stage's per-shape series for the call: the
-// series gets the plan outcome, the worker split and — on a miss or a
-// hydrated plan's first use — the plan's static decisions. It returns
-// the work of the stage's count matrices.
+// series gets the plan outcome, the worker split and — on a miss — the
+// plan's static decisions. It returns the work of the stage's count
+// matrices.
 func (e *Engine) report(r *stageRun) (flops float64) {
 	s := e.obs.Series(shapeOf(r.key))
 	s.Plan(r.outcome)
 	s.SetWorkers(sched.Resolve(r.st.Op.Workers))
-	summary := r.outcome == obs.CacheMiss || r.outcome == obs.CacheHydrated
+	summary := r.outcome == obs.CacheMiss
 	ceiling, pack, gpb, flops := e.planFacts(r.pv, r.count, summary)
 	if summary {
 		s.SetPlan(ceiling, pack, gpb)

@@ -111,6 +111,59 @@ func TestScalarsAndCountShareAPlan(t *testing.T) {
 	}
 }
 
+// TestWarmedKeysAreLiveKeys: a call keys its plan on what its op reads,
+// so a twin of a plain call that differs only where the op never looks —
+// a factorization at count 64 after count 1 (its key ignores the count),
+// a TRSM with TransB, a GEMM or a SYRK with Side and Diag — hits the
+// plan the plain call warmed: no miss, one hit, one entry.
+func TestWarmedKeysAreLiveKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(231))
+	factor := func(kind OpKind, count int) []ChainStage {
+		st := one(OpDesc{Kind: kind, Workers: 1}, op32(triCompact(rng, count, 4)))
+		if kind == OpLUPiv {
+			st[0].Piv = new(core.Pivots)
+		}
+		return st
+	}
+	trsm := func(transB matrix.Trans) []ChainStage {
+		return one(OpDesc{Kind: OpTRSM, TransB: transB, Alpha: 1, Workers: 1},
+			op32(triCompact(rng, 8, 4)), op32(randCompact(rng, 8, 4, 3)))
+	}
+	gemm := func(side matrix.Side, diag matrix.Diag) []ChainStage {
+		a, b, c := gemmReqOperands(rng, 8, 4, 5, 3)
+		return one(OpDesc{Kind: OpGEMM, Side: side, Diag: diag, Alpha: 1, Workers: 1}, op32(a), op32(b), op32(c))
+	}
+	syrk := func(side matrix.Side, diag matrix.Diag) []ChainStage {
+		return one(OpDesc{Kind: OpSYRK, Side: side, Diag: diag, Alpha: 1, Workers: 1},
+			op32(randCompact(rng, 8, 4, 3)), op32(randCompact(rng, 8, 4, 4)))
+	}
+	cases := []struct {
+		name       string
+		warm, twin []ChainStage
+	}{
+		{"lu count 64", factor(OpLU, 1), factor(OpLU, 64)},
+		{"cholesky count 64", factor(OpCholesky, 1), factor(OpCholesky, 64)},
+		{"lupiv count 64", factor(OpLUPiv, 1), factor(OpLUPiv, 64)},
+		{"trsm TransB", trsm(matrix.NoTrans), trsm(matrix.Transpose)},
+		{"gemm Side Diag", gemm(matrix.Left, matrix.NonUnit), gemm(matrix.Right, matrix.Unit)},
+		{"syrk Side Diag", syrk(matrix.Left, matrix.NonUnit), syrk(matrix.Right, matrix.Unit)},
+	}
+	for _, c := range cases {
+		e := New(core.DefaultTuning())
+		if err := e.Run(context.Background(), c.warm, Call{}); err != nil {
+			t.Fatalf("%s: warming call: %v", c.name, err)
+		}
+		warmed := e.Stats()
+		if err := e.Run(context.Background(), c.twin, Call{}); err != nil {
+			t.Fatalf("%s: twin call: %v", c.name, err)
+		}
+		s := e.Stats()
+		if misses, hits := s.PlanMisses-warmed.PlanMisses, s.PlanHits-warmed.PlanHits; misses != 0 || hits != 1 || s.PlanEntries != 1 {
+			t.Errorf("%s: the twin call missed %d and hit %d times, %d entries; want 0, 1, 1", c.name, misses, hits, s.PlanEntries)
+		}
+	}
+}
+
 func TestPlanCacheBounded(t *testing.T) {
 	e := New(core.DefaultTuning())
 	// Fake builds: exercise the bound without generating thousands of real

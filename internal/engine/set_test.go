@@ -637,8 +637,9 @@ func TestSetSquareGEMMSpread(t *testing.T) {
 
 // TestSetHomeTable pins where valid stage lists home on two and five
 // shards: one-stage lists of every op (a TRSM with its unread TransB
-// set homes with its plain twin), the queue-fused GEMM→TRSM→TRSM chain,
-// LU→TRSM→TRSM and an aliased GEMM. Each list runs through Set.Run, and
+// set and a GEMM with its unread Side and Diag set home with their plain
+// twins), the queue-fused GEMM→TRSM→TRSM chain, LU→TRSM→TRSM and an
+// aliased GEMM. Each list runs through Set.Run, and
 // its home is the shard whose Routed count rose. A change to how a
 // list's identity is derived must leave this table as it is.
 func TestSetHomeTable(t *testing.T) {
@@ -675,6 +676,7 @@ func TestSetHomeTable(t *testing.T) {
 		home   [2]int // on 2 and 5 shards
 	}{
 		{"gemm s NN 8", one(OpDesc{Kind: OpGEMM, Alpha: 1, Beta: 1}, f32(8, 8), f32(8, 8), f32(8, 8)), [2]int{0, 0}},
+		{"gemm s NN 8 Side Diag", one(OpDesc{Kind: OpGEMM, Side: matrix.Right, Diag: matrix.Unit, Alpha: 1, Beta: 1}, f32(8, 8), f32(8, 8), f32(8, 8)), [2]int{0, 0}},
 		{"gemm s TN 5x7x3", one(OpDesc{Kind: OpGEMM, TransA: matrix.Transpose, Alpha: 1}, f32(3, 5), f32(3, 7), f32(5, 7)), [2]int{0, 3}},
 		{"gemm d NT 4x6x9", one(OpDesc{Kind: OpGEMM, TransB: matrix.Transpose, Alpha: 1}, f64(4, 9), f64(6, 9), f64(4, 6)), [2]int{1, 1}},
 		{"gemm d TT 16", one(OpDesc{Kind: OpGEMM, TransA: matrix.Transpose, TransB: matrix.Transpose, Alpha: 1}, f64(16, 16), f64(16, 16), f64(16, 16)), [2]int{0, 3}},

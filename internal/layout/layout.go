@@ -116,11 +116,6 @@ func (c *Compact[E]) Index(g, i, j int) int {
 	return g*c.GroupLen() + (j*c.Rows+i)*c.BlockLen()
 }
 
-// Group returns the storage slice of group g.
-func (c *Compact[E]) Group(g int) []E {
-	return c.Data[g*c.GroupLen() : (g+1)*c.GroupLen()]
-}
-
 // At returns the (re, im) components of element (i, j) of matrix v. im is
 // zero for real types.
 func (c *Compact[E]) At(v, i, j int) (re, im E) {

@@ -31,10 +31,6 @@ const (
 	CacheMiss CacheOutcome = iota
 	// CacheHit: the plan was already cached.
 	CacheHit
-	// CacheHydrated: first use of a plan loaded from a store — served
-	// from cache, but this call is the one that records the plan's static
-	// decisions (ceiling, packing, batch size) the way a miss would.
-	CacheHydrated
 )
 
 // ShapeKey identifies one observed series: the routine, element type,
@@ -60,9 +56,8 @@ type Series struct {
 	calls  atomic.Uint64
 	errors atomic.Uint64
 
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	hydrated atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 
 	ns    atomic.Uint64 // total latency, nanoseconds
 	flops atomic.Uint64 // total useful flops
@@ -91,12 +86,9 @@ func (s *Series) Prepack(hit bool) {
 
 // Plan records the plan-cache outcome of one call.
 func (s *Series) Plan(o CacheOutcome) {
-	switch o {
-	case CacheHit:
+	if o == CacheHit {
 		s.hits.Add(1)
-	case CacheHydrated:
-		s.hydrated.Add(1)
-	default:
+	} else {
 		s.misses.Add(1)
 	}
 }
@@ -197,9 +189,8 @@ type ShapeSnapshot struct {
 	Calls  uint64 `json:"calls"`
 	Errors uint64 `json:"errors,omitempty"`
 
-	PlanHits     uint64 `json:"plan_hits"`
-	PlanMisses   uint64 `json:"plan_misses"`
-	PlanHydrated uint64 `json:"plan_hydrated,omitempty"` // first uses of store-loaded plans
+	PlanHits   uint64 `json:"plan_hits"`
+	PlanMisses uint64 `json:"plan_misses"`
 
 	P50 time.Duration `json:"p50_ns"`
 	P99 time.Duration `json:"p99_ns"`
@@ -216,26 +207,24 @@ type ShapeSnapshot struct {
 	PrepackBuilds uint64 `json:"prepack_builds,omitempty"`
 }
 
-// HitRatio returns the fraction of calls served from the plan cache
-// (live hits plus first uses of store-hydrated plans).
+// HitRatio returns the fraction of calls served from the plan cache.
 func (s ShapeSnapshot) HitRatio() float64 {
-	tot := s.PlanHits + s.PlanMisses + s.PlanHydrated
+	tot := s.PlanHits + s.PlanMisses
 	if tot == 0 {
 		return 0
 	}
-	return float64(s.PlanHits+s.PlanHydrated) / float64(tot)
+	return float64(s.PlanHits) / float64(tot)
 }
 
 func (s *Series) snapshot(key ShapeKey) ShapeSnapshot {
 	snap := ShapeSnapshot{
-		ShapeKey:     key,
-		Calls:        s.calls.Load(),
-		Errors:       s.errors.Load(),
-		PlanHits:     s.hits.Load(),
-		PlanMisses:   s.misses.Load(),
-		PlanHydrated: s.hydrated.Load(),
-		P50:          s.quantile(0.50),
-		P99:          s.quantile(0.99),
+		ShapeKey:   key,
+		Calls:      s.calls.Load(),
+		Errors:     s.errors.Load(),
+		PlanHits:   s.hits.Load(),
+		PlanMisses: s.misses.Load(),
+		P50:        s.quantile(0.50),
+		P99:        s.quantile(0.99),
 
 		BestGFLOPS:     math.Float64frombits(s.bestGF.Load()),
 		CeilingGFLOPS:  math.Float64frombits(s.ceiling.Load()),
@@ -389,7 +378,6 @@ func AggregateShapes(perShard ...[]ShapeSnapshot) []ShapeSnapshot {
 			t.Errors += s.Errors
 			t.PlanHits += s.PlanHits
 			t.PlanMisses += s.PlanMisses
-			t.PlanHydrated += s.PlanHydrated
 			t.PrepackHits += s.PrepackHits
 			t.PrepackBuilds += s.PrepackBuilds
 			a.flopsW += s.AvgGFLOPS * float64(s.Calls)

@@ -1,16 +1,14 @@
-// Package store is the on-disk plan-descriptor file of the engine's
-// store layer (internal/engine/store.go): the plan descriptors an engine
-// resolved, keyed by a tuning fingerprint. Plans are geometry and carry
-// no kernel programs, so a file holds no kernels either. No public API
-// or command reads or writes a store any more: a cold plan build is
-// faster than loading one (EXPERIMENTS.md), and the package goes with
-// the engine's store layer (ROADMAP item 2).
+// Package store is an on-disk plan-descriptor file: plan-cache keys
+// keyed by a tuning fingerprint. Nothing imports it. The engine layer
+// that wrote and replayed these files is gone, because a plan is
+// geometry and a cold plan build is faster than loading one
+// (EXPERIMENTS.md); this package and its tests go next (ROADMAP item 2).
 //
 // Staleness handling is deliberately forgiving, because the store is a
 // cache, never a source of truth:
 //
 //   - fingerprint mismatch → the file is ignored (ErrMismatch) and the
-//     engine falls back to live tuning;
+//     caller builds its plans live;
 //   - format-version mismatch → same;
 //   - corrupt or truncated file → ErrCorrupt, caller rebuilds;
 //   - concurrent writers → each writes a private temp file in the target
@@ -93,8 +91,7 @@ func DefaultDir() string {
 }
 
 // PathFor returns the store file path for a fingerprint under dir. The
-// fingerprint is already filesystem-safe (see the engine's
-// storeFingerprint).
+// fingerprint must be filesystem-safe.
 func PathFor(dir, fingerprint string) string {
 	return filepath.Join(dir, fingerprint+".json")
 }
