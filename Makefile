@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test purego crossvet race stress asyncstress shardstress chainstress servestress storestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
+.PHONY: all build vet lint test purego crossvet race stress asyncstress shardstress chainstress servestress obsstress fuzzsmoke bench benchsmoke benchdiff info trace monitor metrics loc ci
 
 all: ci
 
@@ -89,13 +89,6 @@ obsstress:
 	$(GO) run ./cmd/iatf-monitor -demo -once -shards 2
 	$(GO) run ./cmd/iatf-trace -engine -count 64
 
-# The plan-descriptor file package under the race detector, run twice:
-# the atomic-rename/merge writer race and the staleness fallbacks.
-# Nothing imports internal/store; the package and this target go
-# together (ROADMAP item 2).
-storestress:
-	$(GO) test -race -count=2 ./internal/store/
-
 # Ten seconds of coverage-guided fuzzing per target: the /v1/do codec
 # against encoding/json (same accept/reject, equal decoded request) and
 # the handler (no panic, no 500); the traceparent resolver (always a
@@ -169,4 +162,4 @@ loc:
 # benchdiff gates ci: the diff tool's 15% tolerance absorbs ordinary
 # run-to-run noise, so a failure means a real regression (or a baseline
 # that needs a deliberate `make bench` refresh alongside the change).
-ci: lint build test purego crossvet race stress asyncstress shardstress chainstress servestress storestress obsstress fuzzsmoke benchsmoke benchdiff
+ci: lint build test purego crossvet race stress asyncstress shardstress chainstress servestress obsstress fuzzsmoke benchsmoke benchdiff

@@ -10,8 +10,9 @@
 //	iatf-asm -op gemm-amd64 > internal/kernels/gemm_amd64.s
 //	iatf-asm -op trmm-amd64 > internal/kernels/trmm_amd64.s
 //
-// -op gemm-amd64 prints the Go assembly of the native amd64 s/d GEMM
-// main kernels, and -op trmm-amd64 that of the s/d TRMM triangles
+// -op gemm-amd64 prints the Go assembly of the native amd64 GEMM main
+// kernels (SSE2, and 256-bit AVX for s/d), and -op trmm-amd64 that of
+// the s/d TRMM triangles
 // (M ≤ 4) and 4×4 rectangles, lowered from the same templates;
 // `go generate ./internal/kernels` writes both files.
 package main

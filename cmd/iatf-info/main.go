@@ -280,7 +280,7 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		return
 	}
 	fmt.Println("# Default engine after a mixed GEMM/TRSM/TRMM/SYRK demo workload")
-	fmt.Printf("generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
+	fmt.Println(generatedKernels())
 	fmt.Println("plan cache:")
 	fmt.Printf("  hits %d, misses %d, evictions %d, entries %d\n",
 		s.PlanHits, s.PlanMisses, s.PlanEvictions, s.PlanEntries)
@@ -572,7 +572,7 @@ func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 	}
 
 	fmt.Printf("# EngineSet of %d shards after the mixed demo workload\n", len(st.Shards))
-	fmt.Printf("generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): %s\n", iatf.Build().GEMMKernel)
+	fmt.Println(generatedKernels())
 	fmt.Printf("routing: fallbacks %d (rejected %d)\n", st.Fallbacks, st.FallbackRejects)
 	fmt.Printf("%-5s %8s %8s %8s %8s %8s %8s %8s %8s %6s\n",
 		"shard", "routed", "planHit", "planMiss", "submit", "inline", "dispatch", "stolenB", "stolenR", "shapes")
@@ -600,4 +600,15 @@ func printEngineSet(st iatf.EngineSetStats, asJSON bool) {
 		fmt.Printf("    %-5s %-2s %-4s %-11s calls %6d  p50 %9v  avgGF %7.1f\n",
 			sh.Op, sh.DType, sh.Mode, shape, sh.Calls, sh.P50, sh.AvgGFLOPS)
 	}
+}
+
+// generatedKernels describes the generated machine code this process
+// runs (iatf.Build().GEMMKernel) and which of its kernels use 256-bit
+// registers.
+func generatedKernels() string {
+	b := iatf.Build().GEMMKernel
+	if b == "amd64-avx" {
+		b += " (256-bit AVX: s/d GEMM 4×4; SSE2: the rest)"
+	}
+	return "generated kernels (GEMM 4×4 and 3×2, TRMM triangle M ≤ 4, TRMM 4×4 rectangle): " + b
 }

@@ -3,8 +3,10 @@ package iatf
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"iatf/internal/kernels"
 	"iatf/internal/matrix"
 )
 
@@ -463,5 +465,21 @@ func TestStageOfReadsOnlyItsOpsFields(t *testing.T) {
 		if got[0] != want {
 			t.Errorf("%s: stageOf = %+v\nconstructor = %+v", tc.op.name(), got[0].Op, want.Op)
 		}
+	}
+}
+
+// The build report and the iatf_build_info metric name the generated
+// kernels this process runs, as the kernels package picked them from
+// CPUID.
+func TestBuildReportsRunTimeKernel(t *testing.T) {
+	if got := Build().GEMMKernel; got != kernels.Backend {
+		t.Fatalf("Build().GEMMKernel = %q, kernels.Backend = %q", got, kernels.Backend)
+	}
+	var b strings.Builder
+	if err := NewEngine().WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := `gemm_kernel="` + kernels.Backend + `"`; !strings.Contains(b.String(), want) {
+		t.Fatalf("iatf_build_info lacks %s:\n%s", want, b.String())
 	}
 }

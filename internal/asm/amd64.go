@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// Lowering of kernel IR to Go amd64 assembly (SSE2).
+// Lowering of kernel IR to Go amd64 assembly (SSE2, and AVX for the real
+// GEMM kernel).
 //
 // The IR is written for the 32-register NEON file; SSE2, which every
-// amd64 CPU has (so the generated code needs no CPU detection), gives
-// X0–X15. Three kernel forms are lowered:
+// amd64 CPU has, gives X0–X15. Three kernel forms are lowered:
 //
 //   - AMD64GEMM, the GEMM main kernel, real or complex: accumulators
 //     zeroed, a K loop over packed A and a B read in place through a
@@ -44,6 +44,10 @@ import (
 // bit-identical to both. A fused VFMADD would not be. An FMUL whose
 // destination is its first source (the triangle's diagonal multiply)
 // becomes one MULPS/MULPD into that register.
+//
+// A real AMD64GEMM with AVX set lowers instead to 256-bit VEX code on
+// Y0–Y15, two rows of a C column per register (ymmGen). The kernels
+// package picks that form or the SSE2 one per process from CPUID.
 
 // numXRegs is the SSE2 register file, X0–X15.
 const numXRegs = 16
@@ -76,6 +80,8 @@ type AMD64GEMM struct {
 	// replaces by ldbk.
 	StrideB, StrideC          int
 	Zero, Step, Save, SaveOvw Prog
+	// AVX lowers a real kernel to 256-bit AVX instead of SSE2.
+	AVX bool
 }
 
 // AMD64RectAdd is the real TRMM rectangle kernel to lower, given as the
@@ -232,6 +238,9 @@ func (k AMD64GEMM) lowerAMD64(g *amd64Gen) error {
 	if k.StrideB < 1 || k.StrideC < 1 {
 		return fmt.Errorf("StrideB %d, StrideC %d", k.StrideB, k.StrideC)
 	}
+	if k.AVX && k.Complex {
+		return fmt.Errorf("AVX cannot pair complex rows: the re and im planes of adjacent rows are not adjacent")
+	}
 	g.ptr[PA] = addressing{base: "SI"}
 	g.streamP = PB
 	sig, alpha := "(pa, pb, c *E, k, ldbk, ldbc, ldc int, alpha E, ovw bool)", []string{"alpha"}
@@ -241,7 +250,14 @@ func (k AMD64GEMM) lowerAMD64(g *amd64Gen) error {
 	for i, name := range alpha {
 		g.alphaArgs = append(g.alphaArgs, fmt.Sprintf("%s+%d(FP)", name, 56+i*k.ElemBytes))
 	}
-	groups, err := g.columnGroups(k.Step)
+	var groups [][]uint8
+	var y *ymmGen
+	var err error
+	if k.AVX {
+		y, err = newYMMGen(g, k.Step)
+	} else {
+		groups, err = g.columnGroups(k.Step)
+	}
 	if err != nil {
 		return err
 	}
@@ -253,6 +269,9 @@ func (k AMD64GEMM) lowerAMD64(g *amd64Gen) error {
 	g.ptr[PB].kstep = "R12"
 	g.blocks("ldbk+32(FP)", "R12")
 	ovw := fmt.Sprintf("ovw+%d(FP)", ovwOff)
+	if k.AVX {
+		return y.lower(k, ovw)
+	}
 	return g.tile(groups, "pb+8(FP)", k.Zero, k.Step, func(i int) error {
 		g.op("CMPB %s, $0", ovw)
 		g.op("JNE ovw%d", i)
@@ -528,8 +547,7 @@ func (g *amd64Gen) reset() {
 }
 
 // step lowers one K step of a tile; pA and the stream pointer advance
-// once, at its end: by the IR's constant, or by the run-time K step when
-// the stream pointer has one (its IR then advances one block).
+// once, at its end (advance).
 func (g *amd64Gen) step(p Prog) error {
 	g.reset()
 	var off [NumPRegs]int
@@ -562,6 +580,13 @@ func (g *amd64Gen) step(p Prog) error {
 			return fmt.Errorf("step holds %v", in.Op)
 		}
 	}
+	return g.advance(off)
+}
+
+// advance moves pA and the stream pointer past one K step: by the IR's
+// constant offsets, or by the run-time K step when the stream pointer
+// has one (its IR then advances one block).
+func (g *amd64Gen) advance(off [NumPRegs]int) error {
 	for _, p := range []PReg{PA, g.streamP} {
 		a := g.ptr[p]
 		switch {
@@ -797,4 +822,411 @@ func (g *amd64Gen) mem(p PReg, off int) (string, error) {
 func (g *amd64Gen) comment(in Instr) {
 	in.Comment = ""
 	fmt.Fprintf(g.w, "\t// %s\n", SyntaxFor(g.eb).Format(in))
+}
+
+// numYRegs is the AVX register file, Y0–Y15.
+const numYRegs = 16
+
+// ymmGen lowers a real AMD64GEMM to 256-bit AVX. The compact layout
+// stores rows 2i and 2i+1 of a column in adjacent 128-bit blocks, in the
+// packed A panel and in C, so one YMM register holds both rows, row 2i
+// in its low half:
+//
+//   - the two rows' accumulators share a register;
+//   - their A blocks load with one VMOVUPx;
+//   - a B block is broadcast into both halves (VBROADCASTF128), and
+//     alpha into every lane (VBROADCASTSS/SD);
+//   - the save loads, updates and stores C's two rows whole.
+//
+// So the IR's arithmetic must come in row pairs: two consecutive
+// instructions of one kind reading one B register, whose row operands
+// are an accumulator pair or two blocks adjacent in memory, each
+// register always with the same partner. A real 4×4 tile takes 8
+// accumulators, 2 A registers, 1 B and 1 temporary, 12 of the 16, so
+// the K loop runs once for all columns; a tile that does not fit is
+// refused. An FMLA is still VMULPx into the temporary, then VADDPx, with
+// the SSE2 form's operand order, so the results are bit-identical to
+// it. VZEROUPPER precedes the RET: Go's scalar float code is legacy SSE.
+type ymmGen struct {
+	*amd64Gen
+	accHi map[uint8]uint8 // accumulator pairs, lo → hi
+	accY  map[uint8]int   // Y register of each accumulator pair, by lo
+	yTmp  int             // Y register of a multiply-accumulate's product
+	yB    int             // Y register of the step's B broadcast
+
+	// Per piece (the step, a save).
+	pairs map[uint8]uint8  // the piece's other row pairs, lo → hi
+	yOf   map[uint8]int    // Y register of a row pair (by lo) or an alpha
+	free  int              // the next Y register yOf hands out
+	src   map[uint8]ymmSrc // where each loaded IR register's block is
+	held  [numYRegs]int    // IR register (a pair's lo) each Y holds, -1 = none
+	lo    *Instr           // arithmetic waiting for its row partner
+	st    *ymmStore        // a stored row waiting for its partner
+}
+
+// ymmSrc is the block an IR load names: element offset off from p, or
+// the alpha argument an LD1R broadcasts.
+type ymmSrc struct {
+	p     PReg
+	off   int
+	alpha string
+}
+
+// ymmStore is the first row of a pair store: its register and element
+// offset from pC.
+type ymmStore struct {
+	lo  uint8
+	off int
+}
+
+// newYMMGen pairs the step's multiply-accumulates into rows and fixes
+// the Y layout: A pairs from Y0, then B, the temporary, and the
+// accumulators in the top registers. Lowering the pieces checks each
+// pair's kind, B register and memory.
+func newYMMGen(g *amd64Gen, step Prog) (*ymmGen, error) {
+	y := &ymmGen{amd64Gen: g, accHi: map[uint8]uint8{}, accY: map[uint8]int{}}
+	var ar []Instr
+	rows := map[uint8]int{}
+	for _, in := range step {
+		if in.Op == FMLA || in.Op == FMLS {
+			ar = append(ar, in)
+			rows[in.B]++
+		}
+	}
+	for b, n := range rows {
+		if n%2 != 0 {
+			return nil, fmt.Errorf("B block V%d multiplies %d rows, which do not pair", b, n)
+		}
+	}
+	aHi := map[uint8]uint8{}
+	var accs []uint8
+	for i := 0; i < len(ar); i += 2 {
+		lo, hi := ar[i], ar[i+1]
+		if _, err := bind(aHi, lo.A, hi.A); err != nil {
+			return nil, err
+		}
+		fresh, err := bind(y.accHi, lo.D, hi.D)
+		if err != nil {
+			return nil, err
+		}
+		if fresh {
+			accs = append(accs, lo.D)
+		}
+	}
+	if len(accs) == 0 {
+		return nil, fmt.Errorf("step has no multiply-accumulate")
+	}
+	if n := len(aHi) + 2 + len(accs); n > numYRegs {
+		return nil, fmt.Errorf("%d A pairs, B, the temporary and %d accumulators need %d Y registers", len(aHi), len(accs), n)
+	}
+	for i, r := range accs {
+		y.accY[r] = numYRegs - len(accs) + i
+	}
+	y.yTmp = numYRegs - len(accs) - 1
+	y.yB = y.yTmp - 1
+	return y, nil
+}
+
+// bind records lo and hi as a row pair of m and reports whether the pair
+// is new; a register already paired otherwise is refused.
+func bind(m map[uint8]uint8, lo, hi uint8) (bool, error) {
+	if h, ok := m[lo]; ok && h == hi {
+		return false, nil
+	}
+	if lo == hi {
+		return false, fmt.Errorf("V%d pairs with itself", lo)
+	}
+	for l, h := range m {
+		if l == lo || l == hi || h == lo || h == hi {
+			return false, fmt.Errorf("V%d and V%d cross the row pair V%d, V%d", lo, hi, l, h)
+		}
+	}
+	m[lo] = hi
+	return true, nil
+}
+
+// lower emits the kernel body after the GEMM prologue: zero the
+// accumulators, run the K loop once, then the save ovw selects.
+func (y *ymmGen) lower(k AMD64GEMM, ovw string) error {
+	g := y.amd64Gen
+	g.op("MOVQ pa+0(FP), SI")
+	g.op("MOVQ pb+8(FP), DI")
+	g.op("MOVQ k+24(FP), CX")
+	if err := y.zero(k.Zero); err != nil {
+		return err
+	}
+	g.op("TESTQ CX, CX")
+	g.op("JEQ save")
+	g.label("loop")
+	if err := y.piece(k.Step, true); err != nil {
+		return err
+	}
+	g.op("DECQ CX")
+	g.op("JNE loop")
+	g.label("save")
+	g.op("CMPB %s, $0", ovw)
+	g.op("JNE ovw")
+	if err := y.piece(k.Save, false); err != nil {
+		return err
+	}
+	g.op("JMP done")
+	g.label("ovw")
+	if err := y.piece(k.SaveOvw, false); err != nil {
+		return err
+	}
+	g.label("done")
+	g.op("VZEROUPPER")
+	g.op("RET")
+	return nil
+}
+
+// zero lowers the accumulator init: one VXORPx per accumulator pair,
+// after both of its MOVIs, which must both be there.
+func (y *ymmGen) zero(p Prog) error {
+	filled := map[uint8]bool{}
+	for _, in := range p {
+		if in.Op != MOVI {
+			return fmt.Errorf("accumulator init holds %v from %v", in.Op, in.P)
+		}
+		if !y.accRow(in.D) {
+			return fmt.Errorf("accumulator init fills V%d, no accumulator", in.D)
+		}
+		y.comment(in)
+		filled[in.D] = true
+		for lo, hi := range y.accHi {
+			if (lo == in.D || hi == in.D) && filled[lo] && filled[hi] {
+				r := y.accY[lo]
+				y.op("VXOR%s Y%d, Y%d, Y%d", y.sfx, r, r, r)
+			}
+		}
+	}
+	for lo, hi := range y.accHi {
+		if !filled[lo] || !filled[hi] {
+			return fmt.Errorf("accumulator init leaves V%d or V%d unfilled", lo, hi)
+		}
+	}
+	return nil
+}
+
+// piece lowers the K step (step) or a save. Loads are recorded and
+// emitted at first use; arithmetic and stores lower at the second
+// instruction of each row pair.
+func (y *ymmGen) piece(p Prog, step bool) error {
+	g := y.amd64Gen
+	y.pairs, y.yOf, y.src, y.free, y.lo, y.st = map[uint8]uint8{}, map[uint8]int{}, map[uint8]ymmSrc{}, 0, nil, nil
+	for i := range y.held {
+		y.held[i] = -1
+	}
+	regElems := 16 / g.eb
+	var off [NumPRegs]int
+	for i := range p {
+		in := &p[i]
+		if y.lo != nil && in.Op != FMLA && in.Op != FMLS && in.Op != FMUL {
+			return fmt.Errorf("%v V%d has no row partner", y.lo.Op, y.lo.D)
+		}
+		if y.st != nil && in.Op != STR && in.Op != STP {
+			return fmt.Errorf("store of V%d has no row partner", y.st.lo)
+		}
+		switch {
+		case in.Op == LD1R && !step:
+			if in.P != PAlpha || in.Off < 0 || int(in.Off) >= len(g.alphaArgs) {
+				return fmt.Errorf("broadcast from %v%+d", in.P, in.Off)
+			}
+			y.define(in.D, ymmSrc{alpha: g.alphaArgs[in.Off]})
+		case (in.Op == LDR || in.Op == LDP) && (step && (in.P == PA || in.P == PB) || !step && in.P == PC):
+			for j, r := range g.regs(*in) {
+				y.define(r, ymmSrc{p: in.P, off: off[in.P] + int(in.Off) + j*regElems})
+			}
+		case in.Op == ADDI && step && (in.P == PA || in.P == PB):
+			off[in.P] += int(in.Off)
+		case in.Op == FMLA || in.Op == FMLS || in.Op == FMUL && !step:
+			if y.lo == nil {
+				y.comment(*in)
+				y.lo = in
+				continue
+			}
+			if err := y.arith(*y.lo, *in); err != nil {
+				return err
+			}
+			y.lo = nil
+		case (in.Op == STR || in.Op == STP) && !step && in.P == PC:
+			for j, r := range g.regs(*in) {
+				if err := y.store(*in, r, int(in.Off)+j*regElems); err != nil {
+					return err
+				}
+			}
+		default:
+			return fmt.Errorf("%v from %v in an AVX piece", in.Op, in.P)
+		}
+	}
+	switch {
+	case y.lo != nil:
+		return fmt.Errorf("%v V%d has no row partner", y.lo.Op, y.lo.D)
+	case y.st != nil:
+		return fmt.Errorf("store of V%d has no row partner", y.st.lo)
+	case step:
+		return g.advance(off)
+	}
+	return nil
+}
+
+// define records a load of r: its old value, and its pair's, is gone.
+func (y *ymmGen) define(r uint8, s ymmSrc) {
+	y.src[r] = s
+	for i, h := range y.held {
+		if h == int(r) || h >= 0 && y.pairs[uint8(h)] == r {
+			y.held[i] = -1
+		}
+	}
+}
+
+// arith lowers the row pair (lo, hi) of FMLA, FMLS or FMUL.
+func (y *ymmGen) arith(lo, hi Instr) error {
+	if lo.Op != hi.Op || lo.B != hi.B {
+		return fmt.Errorf("%v V%d and %v V%d are not one row pair", lo.Op, lo.D, hi.Op, hi.D)
+	}
+	y.comment(hi)
+	ya, err := y.rows(lo.A, hi.A, true)
+	if err != nil {
+		return err
+	}
+	yb, err := y.broadcast(lo.B)
+	if err != nil {
+		return err
+	}
+	yd, err := y.rows(lo.D, hi.D, lo.Op != FMUL)
+	if err != nil {
+		return err
+	}
+	if lo.Op == FMUL {
+		y.op("VMUL%s Y%d, Y%d, Y%d", y.sfx, yb, ya, yd)
+	} else {
+		add := "ADD"
+		if lo.Op == FMLS {
+			add = "SUB"
+		}
+		y.op("VMUL%s Y%d, Y%d, Y%d", y.sfx, yb, ya, y.yTmp)
+		y.op("V%s%s Y%d, Y%d, Y%d", add, y.sfx, y.yTmp, yd, yd)
+	}
+	y.held[yd] = int(lo.D)
+	return nil
+}
+
+// rows returns the Y register of the row pair (lo, hi): an accumulator
+// pair, or a pair of this piece, which read loads with one VMOVUPx from
+// two blocks adjacent in memory unless its register already holds it.
+func (y *ymmGen) rows(lo, hi uint8, read bool) (int, error) {
+	if h, ok := y.accHi[lo]; ok {
+		if h != hi {
+			return 0, fmt.Errorf("accumulator V%d pairs with V%d, not V%d", lo, h, hi)
+		}
+		return y.accY[lo], nil
+	}
+	if y.accRow(lo) || y.accRow(hi) {
+		return 0, fmt.Errorf("V%d and V%d cross an accumulator pair", lo, hi)
+	}
+	if _, err := bind(y.pairs, lo, hi); err != nil {
+		return 0, err
+	}
+	r, err := y.reg(lo)
+	if err != nil || !read || y.held[r] == int(lo) {
+		return r, err
+	}
+	sl, okl := y.src[lo]
+	sh, okh := y.src[hi]
+	switch {
+	case !okl || !okh:
+		return 0, fmt.Errorf("V%d or V%d read before it is loaded", lo, hi)
+	case sl.alpha != "" || sh.alpha != "" || sl.p != sh.p || sh.off != sl.off+16/y.eb:
+		return 0, fmt.Errorf("rows V%d and V%d are not adjacent in memory", lo, hi)
+	}
+	m, err := y.mem(sl.p, sl.off)
+	if err != nil {
+		return 0, err
+	}
+	y.op("VMOVU%s %s, Y%d", y.sfx, m, r)
+	y.held[r] = int(lo)
+	return r, nil
+}
+
+// accRow reports whether r is an accumulator, of either row.
+func (y *ymmGen) accRow(r uint8) bool {
+	for l, h := range y.accHi {
+		if r == l || r == h {
+			return true
+		}
+	}
+	return false
+}
+
+// broadcast returns the Y register holding r in every row: a B block
+// broadcast into both halves, in the one B register, or an alpha
+// broadcast into every lane.
+func (y *ymmGen) broadcast(r uint8) (int, error) {
+	s, ok := y.src[r]
+	if !ok {
+		return 0, fmt.Errorf("V%d read before it is loaded", r)
+	}
+	x := y.yB
+	if s.alpha != "" {
+		var err error
+		if x, err = y.reg(r); err != nil {
+			return 0, err
+		}
+	}
+	if y.held[x] == int(r) {
+		return x, nil
+	}
+	if s.alpha != "" {
+		y.op("VBROADCASTS%s %s, Y%d", y.sfx[1:], s.alpha, x)
+	} else {
+		m, err := y.mem(s.p, s.off)
+		if err != nil {
+			return 0, err
+		}
+		y.op("VBROADCASTF128 %s, Y%d", m, x)
+	}
+	y.held[x] = int(r)
+	return x, nil
+}
+
+// reg returns r's Y register in this piece, handing out the next free
+// one below the B register at first use.
+func (y *ymmGen) reg(r uint8) (int, error) {
+	if x, ok := y.yOf[r]; ok {
+		return x, nil
+	}
+	if y.free >= y.yB {
+		return 0, fmt.Errorf("V%d finds no free Y register below Y%d", r, y.yB)
+	}
+	y.yOf[r] = y.free
+	y.free++
+	return y.yOf[r], nil
+}
+
+// store lowers a save's store of r at element offset off: the row
+// pair's first row waits, the second writes both rows with one VMOVUPx.
+func (y *ymmGen) store(in Instr, r uint8, off int) error {
+	if y.st == nil {
+		x, ok := y.yOf[r]
+		if _, paired := y.pairs[r]; !ok || !paired || y.held[x] != int(r) {
+			return fmt.Errorf("%v of V%d, which holds no computed row pair", in.Op, r)
+		}
+		y.comment(in)
+		y.st = &ymmStore{lo: r, off: off}
+		return nil
+	}
+	if y.pairs[y.st.lo] != r || off != y.st.off+16/y.eb {
+		return fmt.Errorf("stores of V%d and V%d are not one row pair adjacent in memory", y.st.lo, r)
+	}
+	if in.Op == STR {
+		y.comment(in)
+	}
+	m, err := y.mem(PC, y.st.off)
+	if err != nil {
+		return err
+	}
+	y.op("VMOVU%s Y%d, %s", y.sfx, y.yOf[y.st.lo], m)
+	y.st = nil
+	return nil
 }

@@ -323,3 +323,62 @@ func TestLowerAMD64RejectsTRMM(t *testing.T) {
 		}
 	}
 }
+
+// The 256-bit form puts rows 2i and 2i+1 of a C column in one YMM
+// register: a 4×4 tile's 8 accumulators, 2 A pairs, the B broadcast and
+// the temporary fit Y0–Y15, so the K loop runs once, not once per column
+// group. Every FMLA is a VMULPD then a VADDPD (never a fused VFMADD),
+// the overwrite save never loads C, no SSE register is touched, and
+// VZEROUPPER precedes the one RET.
+func TestLowerAMD64AVXPairsRows(t *testing.T) {
+	k := kernelIR(4, 4)
+	k.AVX = true
+	src, err := LowerAMD64("gemm", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	switch {
+	case strings.Count(text, "JNE loop") != 1:
+		t.Errorf("want one K loop:\n%s", text)
+	case strings.Contains(text, "VFMADD") || strings.Count(text, "VMULPD") != 24 || strings.Count(text, "VADDPD") != 16:
+		t.Errorf("want 24 VMULPD (8 step, 8 save, 8 overwrite) and 16 VADDPD:\n%s", text)
+	case strings.Contains(text, " X"):
+		t.Errorf("the AVX form uses an SSE register:\n%s", text)
+	case strings.Count(text, "RET") != 1 || !strings.HasSuffix(text, "\tVZEROUPPER\n\tRET\n"):
+		t.Errorf("want VZEROUPPER right before the one RET:\n%s", text)
+	case strings.Contains(text[strings.Index(text, "ovw:"):], "VMOVUPD (DX), Y"):
+		t.Errorf("overwrite save loads C:\n%s", text)
+	}
+	// Rows 0 and 1 of column 0: one A load, one B broadcast, one
+	// multiply into the temporary Y7 and one add into accumulator Y8.
+	lowersTo(t, k, "fmla v17.2d, v1.2d, v8.2d",
+		"VMOVUPD (SI), Y0", "VBROADCASTF128 (DI), Y6", "VMULPD Y6, Y0, Y7", "VADDPD Y7, Y8, Y8")
+	// Their save: alpha broadcast, C's two rows loaded whole, C + α·acc.
+	lowersTo(t, k, "fmla v2.2d, v17.2d, v0.2d",
+		"VBROADCASTSD alpha+56(FP), Y0", "VMOVUPD (DX), Y1", "VMULPD Y0, Y8, Y7", "VADDPD Y7, Y1, Y1")
+}
+
+// What the 256-bit form cannot pair is refused: complex blocks, an odd
+// row count, A blocks or C rows that are not adjacent in memory, a row
+// without its partner and a tile too large for one K loop.
+func TestLowerAMD64AVXRejects(t *testing.T) {
+	for name, mut := range map[string]func(*AMD64GEMM){
+		"complex":             func(k *AMD64GEMM) { k.Complex = true },
+		"odd rows":            func(k *AMD64GEMM) { *k = kernelIR(3, 4) },
+		"A rows apart":        func(k *AMD64GEMM) { k.Step[1].Off = 6 },
+		"C rows apart":        func(k *AMD64GEMM) { k.Save[2].Off += 2 },
+		"C stores apart":      func(k *AMD64GEMM) { k.Save[10].Off += 2 },
+		"row without partner": func(k *AMD64GEMM) { k.Step = append(k.Step[:11:11], k.Step[12:]...) },
+		"mixed pair":          func(k *AMD64GEMM) { k.Step[12].Op = FMLS },
+		"tile too large":      func(k *AMD64GEMM) { *k = kernelIR(6, 4) },
+		"unzeroed half":       func(k *AMD64GEMM) { k.Zero = k.Zero[1:] },
+	} {
+		k := kernelIR(4, 4)
+		mut(&k)
+		k.AVX = true
+		if _, err := LowerAMD64("gemm", k); err == nil {
+			t.Errorf("%s: lowered without error", name)
+		}
+	}
+}

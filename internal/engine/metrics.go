@@ -35,10 +35,12 @@ type BuildInfo struct {
 	// SIMDBackend names the vector model the kernels execute on
 	// (the portable 128-bit NEON emulation in this reproduction).
 	SIMDBackend string `json:"simd_backend"`
-	// GEMMKernel names the generated machine code compiled in
-	// (kernels.Backend): "amd64-sse2" runs the GEMM main kernels (s/d
-	// 4×4, c/z 3×2), the TRMM triangle for M ≤ 4 and the TRMM 4×4
-	// rectangle as SSE2; "purego" runs every kernel in Go.
+	// GEMMKernel names the generated machine code this process runs
+	// (kernels.Backend, picked once from CPUID): "amd64-sse2" runs the
+	// GEMM main kernels (s/d 4×4, c/z 3×2), the TRMM triangle for M ≤ 4
+	// and the TRMM 4×4 rectangle as SSE2; "amd64-avx" runs the s/d GEMM
+	// 4×4 on 256-bit AVX registers and the rest as SSE2; "purego" runs
+	// every kernel in Go.
 	GEMMKernel string `json:"gemm_kernel"`
 }
 

@@ -54,11 +54,12 @@ func bLen(m bMode, k, nc, bl int) int {
 
 // GEMM must equal the portable reference on ordinary inputs for every
 // tile and B addressing mode, and the 4×4 main kernel it runs (generated
-// machine code on amd64) must match the pure-Go kernel it replaces bit
-// for bit on hostile inputs: signed zeros agree and a NaN stays a NaN.
+// machine code on amd64, in each variant the CPU runs) must match the
+// pure-Go kernel it replaces bit for bit on hostile inputs: signed zeros
+// agree and a NaN stays a NaN.
 func TestGEMMFastMatchesGeneric(t *testing.T) {
-	t.Run("f32", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill32) })
-	t.Run("f64", func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill64) })
+	t.Run("f32", func(t *testing.T) { eachGEMMVariant(t, func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill32) }) })
+	t.Run("f64", func(t *testing.T) { eachGEMMVariant(t, func(t *testing.T) { testGEMMFastMatchesGeneric(t, fill64) }) })
 }
 
 func testGEMMFastMatchesGeneric[E vec.Float](t *testing.T, fill func(*rand.Rand, int) []E) {
@@ -244,22 +245,66 @@ func TestTriFastMatchesGeneric(t *testing.T) {
 	}
 }
 
+// The width-specialized rectangles, Rect's (FMLS) and RectAdd's (FMLA),
+// must equal the portable references bit for bit: every tile up to 4×4,
+// f32 and f64, K 1, 4, 8 and 12, on ordinary and hostile values, with C
+// apart from X and with C inside X's own column tile below its K rows,
+// as triWorker calls them.
 func TestRectFastMatchesGeneric(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { testRectFastMatchesGeneric(t, Rect[float32], rectGeneric[float32]) })
+	t.Run("f64", func(t *testing.T) { testRectFastMatchesGeneric(t, Rect[float64], rectGeneric[float64]) })
+}
+
+func TestRectAddFastMatchesGeneric(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { testRectFastMatchesGeneric(t, rectAddGo[float32], rectAddGeneric[float32]) })
+	t.Run("f64", func(t *testing.T) { testRectFastMatchesGeneric(t, rectAddGo[float64], rectAddGeneric[float64]) })
+}
+
+// rectAddGo is RectAdd without the generated kernel: the pure-Go
+// rectangle of vl's width.
+func rectAddGo[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+	if vl == 4 {
+		rectAdd4(pa, x, c, mc, nc, k, strideC, strideX)
+	} else {
+		rectAdd2(pa, x, c, mc, nc, k, strideC, strideX)
+	}
+}
+
+type rectKernel[E vec.Float] func(pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
+
+func testRectFastMatchesGeneric[E vec.Float](t *testing.T, fast, generic rectKernel[E]) {
 	rng := rand.New(rand.NewSource(4))
+	same := func(name string, got, want []E) {
+		t.Helper()
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: element %d = %v, generic %v", name, i, got[i], want[i])
+			}
+		}
+	}
 	for _, vl := range []int{2, 4} {
-		for mc := 1; mc <= 4; mc++ {
-			for nc := 1; nc <= 4; nc++ {
-				const k = 6
-				strideC, strideX := mc+1, k+1
-				pa := fill64(rng, k*mc*vl)
-				x := fill64(rng, nc*strideX*vl)
-				c := fill64(rng, nc*strideC*vl)
-				cGen := append([]float64(nil), c...)
-				Rect(pa, x, c, mc, nc, k, strideC, strideX, vl)
-				rectGeneric(pa, x, cGen, mc, nc, k, strideC, strideX, vl)
-				for i := range c {
-					if c[i] != cGen[i] {
-						t.Fatalf("vl=%d %dx%d: rect fast/generic diverge at %d", vl, mc, nc, i)
+		for _, k := range []int{1, 4, 8, 12} {
+			for _, p := range []float64{0, 0.05, 0.5} {
+				for mc := 1; mc <= 4; mc++ {
+					for nc := 1; nc <= 4; nc++ {
+						name := fmt.Sprintf("vl=%d %dx%d k=%d hostile p=%v", vl, mc, nc, k, p)
+						strideC, strideX := mc+1, k+1
+						pa := hostile[E](rng, k*mc*vl, p)
+						x := hostile[E](rng, nc*strideX*vl, p)
+						c := hostile[E](rng, nc*strideC*vl, p)
+						want := append([]E(nil), c...)
+						fast(pa, x, c, mc, nc, k, strideC, strideX, vl)
+						generic(pa, x, want, mc, nc, k, strideC, strideX, vl)
+						same(name, c, want)
+
+						// C rows [r0, r0+mc) of X's own columns, r0 ≥ k.
+						r0 := k + mc%2
+						stride := r0 + mc + 1
+						col := hostile[E](rng, nc*stride*vl, p)
+						want = append([]E(nil), col...)
+						fast(pa, col, col[r0*vl:], mc, nc, k, stride, stride, vl)
+						generic(pa, want, want[r0*vl:], mc, nc, k, stride, stride, vl)
+						same(name+" column tile", col, want)
 					}
 				}
 			}

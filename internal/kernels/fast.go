@@ -15,21 +15,9 @@ func fma4[E vec.Float](acc *[4]E, a, b *[4]E) {
 	acc[3] += a[3] * b[3]
 }
 
-func fms4[E vec.Float](acc *[4]E, a, b *[4]E) {
-	acc[0] -= a[0] * b[0]
-	acc[1] -= a[1] * b[1]
-	acc[2] -= a[2] * b[2]
-	acc[3] -= a[3] * b[3]
-}
-
 func fma2[E vec.Float](acc *[2]E, a, b *[2]E) {
 	acc[0] += a[0] * b[0]
 	acc[1] += a[1] * b[1]
-}
-
-func fms2[E vec.Float](acc *[2]E, a, b *[2]E) {
-	acc[0] -= a[0] * b[0]
-	acc[1] -= a[1] * b[1]
 }
 
 // gemm4 is GEMMStrided for 4-lane blocks (single-precision types). Each
@@ -180,64 +168,49 @@ func gemmCplx2[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, a
 	}
 }
 
-// rect4 is Rect for 4-lane blocks.
+// rect4 is Rect for 4-lane blocks. Like gemm4 it keeps one C block's
+// lanes in scalar locals over the K loop, reading A's packed blocks and
+// X's column in place, so a call zero-fills no accumulator or pointer
+// table; every lane sees rectGeneric's sequence of multiply-subtracts,
+// so the two agree bit for bit. It writes each C block before it reads
+// the next, which gives rectGeneric's result whenever C shares no
+// element with pa or X's rows [0, k): C apart from X, or inside X's own
+// column tile below its K rows, as triWorker calls it.
 func rect4[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
-	var acc [16][4]E
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[cc*4+r] = *(*[4]E)(c[(cc*strideC+r)*4:])
-		}
-	}
-	ao := 0
-	for l := 0; l < k; l++ {
-		var av, xv [4]*[4]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[4]E)(pa[ao:])
-			ao += 4
-		}
-		for cc := 0; cc < nc; cc++ {
-			xv[cc] = (*[4]E)(x[(cc*strideX+l)*4:])
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				fms4(&acc[cc*4+r], av[r], xv[cc])
+			d := (*[4]E)(c[(cc*strideC+r)*4:])
+			s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+			ao, xo := r*4, cc*strideX*4
+			for l := 0; l < k; l++ {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(x[xo:])
+				s0 -= a[0] * b[0]
+				s1 -= a[1] * b[1]
+				s2 -= a[2] * b[2]
+				s3 -= a[3] * b[3]
+				ao += mc * 4
+				xo += 4
 			}
-		}
-	}
-	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			*(*[4]E)(c[(cc*strideC+r)*4:]) = acc[cc*4+r]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 		}
 	}
 }
 
-// rect2 is Rect for 2-lane blocks.
+// rect2 is Rect for 2-lane blocks, in the form of rect4.
 func rect2[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
-	var acc [16][2]E
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[cc*4+r] = *(*[2]E)(c[(cc*strideC+r)*2:])
-		}
-	}
-	ao := 0
-	for l := 0; l < k; l++ {
-		var av, xv [4]*[2]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[2]E)(pa[ao:])
-			ao += 2
-		}
-		for cc := 0; cc < nc; cc++ {
-			xv[cc] = (*[2]E)(x[(cc*strideX+l)*2:])
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				fms2(&acc[cc*4+r], av[r], xv[cc])
+			d := (*[2]E)(c[(cc*strideC+r)*2:])
+			s0, s1 := d[0], d[1]
+			ao, xo := r*2, cc*strideX*2
+			for l := 0; l < k; l++ {
+				a, b := (*[2]E)(pa[ao:]), (*[2]E)(x[xo:])
+				s0 -= a[0] * b[0]
+				s1 -= a[1] * b[1]
+				ao += mc * 2
+				xo += 2
 			}
-		}
-	}
-	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			*(*[2]E)(c[(cc*strideC+r)*2:]) = acc[cc*4+r]
+			d[0], d[1] = s0, s1
 		}
 	}
 }

@@ -2,10 +2,14 @@ package kernels
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 
+	"iatf/internal/asm"
 	"iatf/internal/ktmpl"
+	"iatf/internal/vec"
 )
 
 // gemm_amd64.s must be exactly what the ktmpl templates lower to today,
@@ -24,12 +28,69 @@ func TestGEMMAssemblyIsRegenerated(t *testing.T) {
 	}
 }
 
+// In every variant, the 4×4 main kernel GEMMStrided runs matches, bit
+// for bit on hostile values, the VM running the ktmpl loop pieces it is
+// lowered from: Zero, k Steps reading B in place, then Save or SaveOvw.
+func TestGEMMMainKernelMatchesVM(t *testing.T) {
+	eachGEMMVariant(t, func(t *testing.T) {
+		t.Run("f32", func(t *testing.T) { testGEMMMainKernelMatchesVM[float32](t, vec.S, 4) })
+		t.Run("f64", func(t *testing.T) { testGEMMMainKernelMatchesVM[float64](t, vec.D, 2) })
+	})
+}
+
+func testGEMMMainKernelMatchesVM[E vec.Float](t *testing.T, dt vec.DType, vl int) {
+	rng := rand.New(rand.NewSource(31))
+	const strideC = 5
+	for _, k := range []int{1, 4, 7} {
+		ldbc := k + 1 // a NoTrans B read in place
+		l, err := ktmpl.GenGEMMLoop(ktmpl.GEMMSpec{DT: dt, MC: 4, NC: 4, StrideC: strideC}, ldbc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ovw := range []bool{false, true} {
+			prog := append(asm.Prog(nil), l.Zero...)
+			for i := 0; i < k; i++ {
+				prog = append(prog, l.Step...)
+			}
+			if ovw {
+				prog = append(prog, l.SaveOvw...)
+			} else {
+				prog = append(prog, l.Save...)
+			}
+			for _, p := range []float64{0.05, 0.5, 1} {
+				for _, alpha := range gemmAlphas {
+					name := fmt.Sprintf("k=%d ovw=%v hostile p=%v alpha=%v", k, ovw, p, alpha)
+					na, nb, nc := 4*k*vl, (3*ldbc+k)*vl, (3*strideC+4)*vl
+					mem := hostile[E](rng, na+nb+nc+1, p)
+					mem[na+nb+nc] = E(alpha)
+					c := append([]E(nil), mem[na+nb:na+nb+nc]...)
+					GEMMStrided(mem[:na], mem[na:na+nb], c, 4, 4, k, 1, ldbc, strideC, vl, E(alpha), ovw)
+					vm := &asm.VM[E]{Mem: mem}
+					vm.P[asm.PB], vm.P[asm.PC], vm.P[asm.PAlpha] = na, na+nb, na+nb+nc
+					if err := vm.Run(prog); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, v := range c {
+						if !sameBits(v, mem[na+nb+i]) {
+							t.Fatalf("%s: C[%d] = %v, VM %v", name, i, v, mem[na+nb+i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // The generated kernel serves exactly the native-width 4×4 tile of a
-// build that has it (Backend), in every B addressing mode, also when B's
-// last block is the slice's last element; VL overrides, k = 0, overlapping
-// C columns, negative strides and a C sharing memory with pa or pb stay
-// on pure Go.
+// build that has it (Backend), in each variant the CPU runs and every B
+// addressing mode, also when B's last block is the slice's last element;
+// VL overrides, k = 0, overlapping C columns, negative strides and a C
+// sharing memory with pa or pb stay on pure Go.
 func TestGEMMMainKernelDispatch(t *testing.T) {
+	eachGEMMVariant(t, testGEMMMainKernelDispatch)
+}
+
+func testGEMMMainKernelDispatch(t *testing.T) {
 	native := Backend != "purego"
 	s := make([]float32, 3*4*4*8)
 	d := make([]float64, 3*4*4*8)
@@ -111,10 +172,15 @@ func TestGEMMCplxMainKernelDispatch(t *testing.T) {
 	}
 }
 
-// In every B addressing mode, an operand one element short panics
-// before any main kernel, real or complex, writes C; operands of exactly
-// the right length, B's last block ending the slice, run.
+// In each variant and every B addressing mode, an operand one element
+// short panics before any main kernel, real or complex, writes C;
+// operands of exactly the right length, B's last block ending the slice,
+// run.
 func TestGEMMMainKernelBoundsChecked(t *testing.T) {
+	eachGEMMVariant(t, testGEMMMainKernelBoundsChecked)
+}
+
+func testGEMMMainKernelBoundsChecked(t *testing.T) {
 	const k, strideC, vl = 3, 5, 2
 	for _, tc := range []struct {
 		name   string

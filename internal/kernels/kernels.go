@@ -7,8 +7,9 @@
 // model. Some kernels are the generator's own output: on amd64 the GEMM
 // main kernels (s/d 4×4, c/z 3×2, reading B in place through run-time
 // strides) and the s/d TRMM triangle (M ≤ 4) and 4×4 rectangle run as
-// SSE2 assembly lowered from the templates (gemm_amd64.s, trmm_amd64.s,
-// Backend), bit-identical to their Go forms.
+// SSE2 assembly lowered from the templates (gemm_amd64.s, trmm_amd64.s),
+// and on a CPU with AVX the s/d GEMM 4×4 as 256-bit AVX lowered from the
+// same templates (Backend), all bit-identical to their Go forms.
 //
 // All kernels operate on slices of the real component type; complex data
 // uses the split-plane block format of the compact layout.
@@ -39,7 +40,7 @@ func GEMM[E vec.Float](pa, pb, c []E, mc, nc, k, strideC, vl int, alpha E, ovw b
 // blocks while others still read A and B, so an overlapping call's
 // result is unspecified (the native executor packs such an operand).
 // On amd64 the float32/float64 4×4 main kernel at native width runs as
-// generated SSE2 code (Backend); every other case runs pure Go.
+// generated SSE2 or AVX code (Backend); every other case runs pure Go.
 func GEMMStrided[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC, vl int, alpha E, ovw bool) {
 	if mc == 4 && nc == 4 && gemm44asm(pa, pb, c, k, ldbk, ldbc, strideC, vl, alpha, ovw) {
 		return

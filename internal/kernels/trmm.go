@@ -151,6 +151,11 @@ func RectAdd[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
 		rectAdd2(pa, x, c, mc, nc, k, strideC, strideX)
 		return
 	}
+	rectAddGeneric(pa, x, c, mc, nc, k, strideC, strideX, vl)
+}
+
+// rectAddGeneric is the portable reference form of RectAdd.
+func rectAddGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
 	var acc [4][4]vec.V[E]
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
@@ -180,62 +185,44 @@ func RectAdd[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
 	}
 }
 
+// rectAdd4 is RectAdd for 4-lane blocks, in the form of rect4: one C
+// block's lanes in scalar locals over the K loop, A and X read in place,
+// each block written before the next is read.
 func rectAdd4[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
-	var acc [16][4]E
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[cc*4+r] = *(*[4]E)(c[(cc*strideC+r)*4:])
-		}
-	}
-	ao := 0
-	for l := 0; l < k; l++ {
-		var av, xv [4]*[4]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[4]E)(pa[ao:])
-			ao += 4
-		}
-		for cc := 0; cc < nc; cc++ {
-			xv[cc] = (*[4]E)(x[(cc*strideX+l)*4:])
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				fma4(&acc[cc*4+r], av[r], xv[cc])
+			d := (*[4]E)(c[(cc*strideC+r)*4:])
+			s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+			ao, xo := r*4, cc*strideX*4
+			for l := 0; l < k; l++ {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(x[xo:])
+				s0 += a[0] * b[0]
+				s1 += a[1] * b[1]
+				s2 += a[2] * b[2]
+				s3 += a[3] * b[3]
+				ao += mc * 4
+				xo += 4
 			}
-		}
-	}
-	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			*(*[4]E)(c[(cc*strideC+r)*4:]) = acc[cc*4+r]
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 		}
 	}
 }
 
+// rectAdd2 is RectAdd for 2-lane blocks, in the form of rectAdd4.
 func rectAdd2[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
-	var acc [16][2]E
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[cc*4+r] = *(*[2]E)(c[(cc*strideC+r)*2:])
-		}
-	}
-	ao := 0
-	for l := 0; l < k; l++ {
-		var av, xv [4]*[2]E
-		for r := 0; r < mc; r++ {
-			av[r] = (*[2]E)(pa[ao:])
-			ao += 2
-		}
-		for cc := 0; cc < nc; cc++ {
-			xv[cc] = (*[2]E)(x[(cc*strideX+l)*2:])
-		}
-		for cc := 0; cc < nc; cc++ {
-			for r := 0; r < mc; r++ {
-				fma2(&acc[cc*4+r], av[r], xv[cc])
+			d := (*[2]E)(c[(cc*strideC+r)*2:])
+			s0, s1 := d[0], d[1]
+			ao, xo := r*2, cc*strideX*2
+			for l := 0; l < k; l++ {
+				a, b := (*[2]E)(pa[ao:]), (*[2]E)(x[xo:])
+				s0 += a[0] * b[0]
+				s1 += a[1] * b[1]
+				ao += mc * 2
+				xo += 2
 			}
-		}
-	}
-	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			*(*[2]E)(c[(cc*strideC+r)*2:]) = acc[cc*4+r]
+			d[0], d[1] = s0, s1
 		}
 	}
 }

@@ -83,8 +83,8 @@ func triMulAsm[E vec.Float](pa, b []E, m, ncols, strideB, vl int) bool {
 // first two columns before it reads X's last two, so C must share no
 // element with X or pa. The blocked TRMM passes C inside X's own column
 // tile (C rows r0…r0+3 below X rows 0…k−1 of the same columns, k ≤ r0),
-// which is accepted; any other overlap stays on pure Go, which reads all
-// of X before it writes C.
+// which is accepted. Any other overlap stays on pure Go, so that such a
+// call gives the same result in every build.
 func rectAddAsm[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) bool {
 	var e E
 	size := int(unsafe.Sizeof(e))

@@ -403,24 +403,33 @@ func GEMMFirstIsFirstK(s GEMMSpec, p asm.Prog) error {
 
 // GenGEMMAMD64 generates internal/kernels/gemm_amd64.s: the Table 1
 // main kernels, 4×4 for s/d and 3×2 for c/z, lowered to SSE2 Go assembly
-// as gemm4x4s, gemm4x4d, gemm3x2c and gemm3x2z. Each runs one strided-B
+// as gemm4x4s, gemm4x4d, gemm3x2c and gemm3x2z, and the real ones again
+// to 256-bit AVX as gemm4x4sAVX and gemm4x4dAVX. Each runs one strided-B
 // TEMPLATE_SUB per iteration of a run-time K loop, with B's K-step and
 // column strides and C's column stride as run-time arguments.
 func GenGEMMAMD64() ([]byte, error) {
 	var ks []asm.AMD64Kernel
-	for _, dt := range []vec.DType{vec.S, vec.D, vec.C, vec.Z} {
-		sz := MainGEMMKernel(dt)
-		s := GEMMSpec{DT: dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC}
+	for _, v := range []struct {
+		dt  vec.DType
+		avx bool
+	}{{vec.S, false}, {vec.D, false}, {vec.C, false}, {vec.Z, false}, {vec.S, true}, {vec.D, true}} {
+		sz := MainGEMMKernel(v.dt)
+		s := GEMMSpec{DT: v.dt, MC: sz.MC, NC: sz.NC, StrideC: sz.MC}
 		l, err := GenGEMMLoop(s, sz.MC)
 		if err != nil {
 			return nil, err
 		}
+		name := fmt.Sprintf("gemm%dx%d%v", sz.MC, sz.NC, v.dt)
+		if v.avx {
+			name += "AVX"
+		}
 		ks = append(ks, asm.AMD64GEMM{
-			Name:      fmt.Sprintf("gemm%dx%d%v", sz.MC, sz.NC, dt),
-			ElemBytes: dt.ElemBytes(),
-			Complex:   dt.IsComplex(),
+			Name:      name,
+			ElemBytes: v.dt.ElemBytes(),
+			Complex:   v.dt.IsComplex(),
 			StrideB:   sz.MC, StrideC: s.StrideC,
 			Zero: l.Zero, Step: l.Step, Save: l.Save, SaveOvw: l.SaveOvw,
+			AVX: v.avx,
 		})
 	}
 	return asm.LowerAMD64("gemm", ks...)
