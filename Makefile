@@ -62,9 +62,8 @@ shardstress:
 	$(GO) test -race -run 'TestSet|TestEngineSet' -count=2 . ./internal/engine/
 
 # Cross-op chain suite under the race detector, run twice: bit-exact
-# parity against serial execution, packed-handoff elision, mid-chain
-# cancellation re-materialization, queued chains and the shared-engine
-# sync/async stress.
+# parity against serial execution, mid-chain cancellation leaving the
+# serial prefix, queued chains and the shared-engine sync/async stress.
 chainstress:
 	$(GO) test -race -run 'Chain' -count=2 . ./internal/engine/
 

@@ -1,13 +1,11 @@
 package iatf
 
-// Cross-op fusion: Chain executes a sequence of batched operations as
-// one call. Each stage plans through the plan cache and reports as its
-// op; where the packed layouts of adjacent triangular stages over the
-// same B line up, the call elides the producer's scatter and the
-// consumer's re-pack: the intermediate stays in packed interleaved form
-// between stages and results are bit-exact with running the stages one
-// by one. Operands the chain only reads are prepacked once, so
-// iterative solvers pack them on the first iteration only.
+// Chain executes a sequence of batched operations as one call. Every
+// stage plans through the plan cache before any runs, and each reports
+// as its op; each stage reads and writes its operands in place, so
+// results are bit-exact with running the stages one by one. Operands the
+// chain only reads are prepacked once, so iterative solvers pack them on
+// the first iteration only.
 
 import (
 	"context"
@@ -46,9 +44,7 @@ func GEMMStage[T Scalar](ta, tb Trans, alpha T, a, b *Compact[T], beta T, c *Com
 }
 
 // TRSMStage is an op(A)·X = alpha·B (Left) or X·op(A) = alpha·B (Right)
-// solve stage overwriting B — the arguments of TRSM. Adjacent TRSM/TRMM
-// stages over the same B are the fusable pattern: when their packed
-// layouts agree, B hands off in packed form.
+// solve stage overwriting B — the arguments of TRSM.
 func TRSMStage[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) Stage[T] {
 	return Stage[T]{inner: engine.ChainStage{
 		Op: engine.OpDesc{Kind: engine.OpTRSM, Side: side, Uplo: uplo, TransA: ta, Diag: diag,
@@ -59,8 +55,7 @@ func TRSMStage[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, 
 }
 
 // TRMMStage is a B = alpha·op(A)·B (Left) or alpha·B·op(A) (Right)
-// multiply stage — the arguments of TRMM. Fuses with adjacent
-// triangular stages like TRSMStage.
+// multiply stage — the arguments of TRMM.
 func TRMMStage[T Scalar](side Side, uplo Uplo, ta Trans, diag Diag, alpha T, a, b *Compact[T]) Stage[T] {
 	return Stage[T]{inner: engine.ChainStage{
 		Op: engine.OpDesc{Kind: engine.OpTRMM, Side: side, Uplo: uplo, TransA: ta, Diag: diag,
@@ -118,18 +113,14 @@ func lowerStages[T Scalar](buf []engine.ChainStage, stages []Stage[T], workers i
 
 // Chain executes the stages in order as one planned unit and blocks
 // until the chain completes. Results are bit-identical to issuing the
-// stages as individual calls; the win is that fusable handoffs skip a
-// scatter + re-pack round trip per stage boundary, chain-invariant
-// operands (triangular factors reused across stages) are auto-prepacked,
-// and the whole analysis replays from cache on every later iteration.
-// A one-stage chain is exactly its op: same results, counters, spans
-// and per-shape series as Do.
+// stages as individual calls; the win is that every stage plans before
+// any runs and chain-invariant operands (triangular factors reused
+// across stages) are auto-prepacked. A one-stage chain is exactly its
+// op: same results, counters, spans and per-shape series as Do.
 //
-// A failing stage aborts the chain after re-materializing the canonical
-// contents of any operand held in packed form, so operands always hold
-// the prefix of completed stages; the error is a *ChainError locating
-// the stage (for any stage count). ctx is checked before every stage —
-// cancellation also re-materializes before returning.
+// A failing stage aborts the chain, so operands hold the results of the
+// completed stages; the error is a *ChainError locating the stage (for
+// any stage count). ctx is checked before every stage.
 //
 // Options work as in Do: WithWorkers applies to every stage, WithEngine
 // selects the target, WithSpanSink traces the chain as one

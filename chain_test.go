@@ -73,9 +73,8 @@ type chainCase[T float32 | float64] struct {
 func chainCases[T float32 | float64]() []chainCase[T] {
 	return []chainCase[T]{
 		{
-			// The fusable pattern: adjacent triangular stages over one B
-			// with matching packed layouts — B hands off packed.
-			name: "TRMM+TRSM fused",
+			// Adjacent triangular stages over one B, rows read upward.
+			name: "TRMM+TRSM upper",
 			stages: func(a, b, _ *iatf.Compact[T]) []iatf.Stage[T] {
 				return []iatf.Stage[T]{
 					iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 2, a, b),
@@ -90,8 +89,8 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 			},
 		},
 		{
-			// Right-side pair: both stages pack B transposed; also fusable.
-			name: "right-side TRSM+TRMM fused",
+			// Right-side pair: both stages read B along its rows.
+			name: "right-side TRSM+TRMM",
 			stages: func(a, b, _ *iatf.Compact[T]) []iatf.Stage[T] {
 				return []iatf.Stage[T]{
 					iatf.TRSMStage(iatf.Right, iatf.Lower, iatf.NoTrans, iatf.NonUnit, 1, a, b),
@@ -107,8 +106,7 @@ func chainCases[T float32 | float64]() []chainCase[T] {
 			square: true,
 		},
 		{
-			// A non-fusable stage (GEMM reading B) splits the triangular
-			// pair: the producer must re-materialize B before the GEMM.
+			// A GEMM reading B sits between the triangular stages.
 			name: "TRMM+GEMM+TRSM broken",
 			stages: func(a, b, c *iatf.Compact[T]) []iatf.Stage[T] {
 				return []iatf.Stage[T]{
@@ -237,55 +235,6 @@ func TestChainParityAsync(t *testing.T) {
 	runChainParity[float64](t, true)
 }
 
-// TestChainElision asserts the fusable pair actually skips the scatter
-// and re-pack, and that only the first run builds stage plans.
-func TestChainElision(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	e := iatf.NewEngine()
-	a := chainRand[float64](rng, 7, 8, 8, 4)
-	b := chainRand[float64](rng, 7, 8, 4, 0)
-	const iters = 5
-	for i := 0; i < iters; i++ {
-		if err := iatf.Chain(context.Background(), []iatf.Stage[float64]{
-			iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
-			iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
-		}, iatf.WithEngine(e)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats().Chain
-	if st.Runs != iters {
-		t.Fatalf("runs = %d, want %d", st.Runs, iters)
-	}
-	if st.PlanMisses != 1 || st.PlanHits != iters-1 {
-		t.Fatalf("plan cache: %d misses %d hits, want 1/%d", st.PlanMisses, st.PlanHits, iters-1)
-	}
-	if st.ScatterElided != iters || st.PackElided != iters {
-		t.Fatalf("elision: scatter %d pack %d, want %d each", st.ScatterElided, st.PackElided, iters)
-	}
-}
-
-// TestChainNoElisionAcrossBreak asserts a non-fusable middle stage
-// forces the handoff to re-materialize (no elisions counted).
-func TestChainNoElisionAcrossBreak(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	e := iatf.NewEngine()
-	a := chainRand[float64](rng, 7, 8, 8, 4)
-	b := chainRand[float64](rng, 7, 8, 4, 0)
-	c := chainRand[float64](rng, 7, 8, 4, 0)
-	if err := iatf.Chain(context.Background(), []iatf.Stage[float64]{
-		iatf.TRMMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
-		iatf.GEMMStage(iatf.NoTrans, iatf.NoTrans, 1.0, a, b, 1.0, c),
-		iatf.TRSMStage(iatf.Left, iatf.Upper, iatf.NoTrans, iatf.NonUnit, 1.0, a, b),
-	}, iatf.WithEngine(e)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats().Chain
-	if st.ScatterElided != 0 || st.PackElided != 0 {
-		t.Fatalf("broken chain must not elide: %+v", st)
-	}
-}
-
 // TestChainSingular asserts a factor failure surfaces as a *ChainError
 // wrapping ErrSingular with per-matrix info, and that earlier stages'
 // results are preserved (the chain stops at the failing stage).
@@ -394,7 +343,7 @@ func TestChainSpans(t *testing.T) {
 
 // TestChainSharedEngineStress hammers one engine with concurrent
 // identical and distinct chains; run under -race it checks the chain
-// path (plan cache, pack cache handoffs, the async queue) for data
+// path (plan cache, pack cache, the async queue) for data
 // races, and every caller's result must stay bit-exact.
 func TestChainSharedEngineStress(t *testing.T) {
 	const goroutines = 8

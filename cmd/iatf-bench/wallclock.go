@@ -204,14 +204,13 @@ func wcTriBatchU[T iatf.Scalar](count, n int) *iatf.Batch[T] {
 	return b
 }
 
-// wcChainFused times the canonical fusable pair — TRMM(Left,Upper) then
-// TRSM(Left,Upper) over the same B — as two separate engine calls
-// ("unchained") or as one iatf.Chain ("chained"): the chain keeps
-// B packed across the stage boundary, eliding stage 0's scatter and
-// stage 1's repack. U⁻¹(U·B) = B exactly, so the timed loop is stable.
-// Both variants take the same options (wcOn), so the row compares the
-// handoff at one worker count.
-func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
+// wcChainMulSolve times TRMM(Left,Upper) then TRSM(Left,Upper) over the
+// same B as two separate engine calls ("unchained") or as one iatf.Chain
+// ("chained"): both stages read B in place, and the chain auto-prepacks
+// U, which neither stage writes. U⁻¹(U·B) = B exactly, so the timed loop
+// is stable. Both variants take the same options (wcOn), so the row
+// compares the two at one worker count.
+func wcChainMulSolve(n, count, calls int, chained bool) (float64, float64, error) {
 	a := iatf.Pack(wcTriBatchU[float64](count, n))
 	bb := iatf.NewBatch[float64](count, n, n)
 	wcFill(bb.Data(), 5)
@@ -243,11 +242,10 @@ func wcChainFused(n, count, calls int, chained bool) (float64, float64, error) {
 }
 
 // wcChainSolve times the forward/backward solve pair — TRSM with L then
-// TRSM with Lᵀ, the CholeskySolve shape. The two stages want B in
-// different packed forms, so the handoff is NOT elided; the chain's win
-// here is recognizing L as chain-invariant (read by both stages, written
-// by neither) and auto-prepacking its triangle image. Like
-// wcChainFused, both variants take the same options.
+// TRSM with Lᵀ, the CholeskySolve shape. The chain's win is recognizing
+// L as chain-invariant (read by both stages, written by neither) and
+// auto-prepacking its triangle image. Like wcChainMulSolve, both
+// variants take the same options.
 func wcChainSolve(n, count, calls int, chained bool) (float64, float64, error) {
 	a := iatf.Pack(wcTriBatch[float64](count, n))
 	bb := iatf.NewBatch[float64](count, n, n)
@@ -337,8 +335,8 @@ func runWallclock(writeJSON bool, outFile string, count, calls, maxSize int) {
 				Speedup: math.Round(speedup*100) / 100})
 	}
 	// Cross-op chains: the same stages issued as separate calls vs one
-	// iatf.Chain, so the packed-handoff elision and chain auto-prepack
-	// show up in the committed perf trajectory (and benchdiff gates them).
+	// iatf.Chain, so chain auto-prepack shows up in the committed perf
+	// trajectory (and benchdiff gates it).
 	type chainFn func(chained bool) (float64, float64, error)
 	type chainCase struct {
 		op, shape string
@@ -350,14 +348,14 @@ func runWallclock(writeJSON bool, outFile string, count, calls, maxSize int) {
 		shape := fmt.Sprintf("%dx%d", n, n)
 		chains = append(chains,
 			chainCase{"TRMM+TRSM", shape, func(c bool) (float64, float64, error) {
-				return wcChainFused(n, count, calls, c)
+				return wcChainMulSolve(n, count, calls, c)
 			}},
 			chainCase{"TRSM+TRSM", shape, func(c bool) (float64, float64, error) {
 				return wcChainSolve(n, count, calls, c)
 			}},
 		)
 	}
-	fmt.Printf("\n# Cross-op chains: separate calls vs one iatf.Chain (packed handoff, auto-prepack)\n")
+	fmt.Printf("\n# Cross-op chains: separate calls vs one iatf.Chain (auto-prepack)\n")
 	fmt.Printf("%-10s %-3s %-8s %14s %10s %14s %10s %8s\n",
 		"chain", "dt", "shape", "unchain ns/op", "GFLOPS", "chain ns/op", "GFLOPS", "speedup")
 	for _, cc := range chains {

@@ -232,8 +232,8 @@ func demoWorkload(eng *iatf.Engine) {
 		}
 		wg.Wait()
 	}
-	// Chained dispatch: a fusable TRMM→TRSM pair over one B, iterated so
-	// the chain counters and the scatter/pack elision counters move.
+	// Chained dispatch: a TRMM→TRSM pair over one B, iterated so the
+	// chain counters move.
 	chain := func(m, n int) {
 		ca := diagBatch(m)
 		cb := iatf.Pack(iatf.NewBatch[float32](count, m, n))
@@ -300,9 +300,7 @@ func printEngine(eng *iatf.Engine, asJSON bool) {
 		s.PackCache.Hits, s.PackCache.Builds, s.PackCache.Evictions,
 		s.PackCache.Stale, s.PackCache.Entries)
 	fmt.Println("chain dispatch:")
-	fmt.Printf("  runs %d, plan hits %d, misses %d; scatter elided %d, pack elided %d\n",
-		s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses,
-		s.Chain.ScatterElided, s.Chain.PackElided)
+	fmt.Printf("  runs %d, plan hits %d, misses %d\n", s.Chain.Runs, s.Chain.PlanHits, s.Chain.PlanMisses)
 	fmt.Println("async submission queue:")
 	fmt.Printf("  submitted %d (inline %d), dispatches %d\n",
 		s.Queue.Submitted, s.Queue.Inline, s.Queue.Dispatches)
@@ -515,8 +513,16 @@ func printTRMMPlan(dt vec.DType, m, n, count int) {
 	fmt.Printf("# Execution plan: %strmm LNLN %dx%d, batch %d (extension)\n", dt, m, n, count)
 	fmt.Printf("  panels: %v\n", pl.Panels)
 	fmt.Printf("  column tiles: %v\n", pl.ColTiles)
-	fmt.Printf("  pack B: %v, reverse: %v, transpose: %v\n", pl.PackB, pl.ReverseB, pl.TransposeB)
+	printTriB(&pl.TriGeom)
 	fmt.Printf("  super-batch: %d interleave groups\n", pl.GroupsPerBatch)
+}
+
+// printTriB prints where a triangular plan's native kernels read B in
+// place, as -plan-gemm prints B's strides.
+func printTriB(g *core.TriGeom) {
+	o, rs, cs := g.BStrides()
+	fmt.Printf("  B read in place: block (i, j) at %d + i·%d + j·%d blocks (reverse: %v, transpose: %v)\n",
+		o, rs, cs, g.ReverseB, g.TransposeB)
 }
 
 func printTune(dt vec.DType, m, n, k, count int) {
@@ -550,7 +556,7 @@ func printTRSMPlan(dt vec.DType, m, n, count int) {
 	fmt.Printf("# Execution plan: %strsm LNLN %dx%d, batch %d\n", dt, m, n, count)
 	fmt.Printf("  panels: %v (register-resident triangle ≤ %d)\n", pl.Panels, ktmpl.MaxTriM(dt))
 	fmt.Printf("  column tiles: %v\n", pl.ColTiles)
-	fmt.Printf("  pack B: %v, reverse: %v, transpose: %v\n", pl.PackB, pl.ReverseB, pl.TransposeB)
+	printTriB(&pl.TriGeom)
 	fmt.Printf("  super-batch: %d interleave groups\n", pl.GroupsPerBatch)
 }
 

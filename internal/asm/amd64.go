@@ -18,11 +18,14 @@ import (
 //     zeroed, a K loop over packed A and a B read in place through a
 //     run-time K-step and column stride, then the alpha save.
 //   - AMD64RectAdd, the TRMM rectangle: accumulators preloaded from C, a
-//     K loop over packed A and an X read through a per-column stride,
-//     then the tile stored back.
+//     K loop over packed A and an X read through a run-time row and
+//     column stride, then the tile stored back; C's rows share X's row
+//     stride.
 //   - AMD64TriMul, the TRMM triangle: the packed triangle loaded into
-//     registers once, then a loop over B columns ldb blocks apart, each
-//     multiplied in place.
+//     registers once, then a loop over B columns cs blocks apart, each
+//     multiplied in place with its rows rs apart.
+//
+// Row strides may be negative: amd64 addressing adds a signed index.
 //
 // The tile forms split the C tile into column groups, one column per B
 // block (a complex column's re and im B registers count once), and run
@@ -88,16 +91,19 @@ type AMD64GEMM struct {
 // ktmpl.TRMMRectLoop pieces of its spec. The generated TEXT block
 // implements
 //
-//	func Name(pa, x, c *E, k, ldx, ldc int)
+//	func Name(pa, x, c *E, k, rs, ldx, ldc int)
 //
-// C += A·X over k K steps: X columns ldx blocks apart, C columns ldc
-// blocks apart. The group that computes C's first columns stores them
-// before the next group reads X, so X and C must not share elements.
+// C += A·X over k K steps: X block (l, j) at x + l·rs + j·ldx blocks, C
+// block (r, j) at c + r·rs + j·ldc. The group that computes C's first
+// columns stores them before the next group reads X, so X and C must not
+// share elements.
 type AMD64RectAdd struct {
 	Name      string
 	ElemBytes int
 	// StrideC and StrideX are the column distances, in blocks, the C and
 	// X offsets were generated with; the lowered code reads ldc and ldx.
+	// Step advances pX by one block and C's rows are one block apart in
+	// the IR; the lowered code replaces both by rs.
 	StrideC, StrideX     int
 	Preload, Step, Store Prog
 }
@@ -106,11 +112,12 @@ type AMD64RectAdd struct {
 // ktmpl.TRMMTriLoop pieces of its spec. The generated TEXT block
 // implements
 //
-//	func Name(pa, b *E, ncols, ldb int)
+//	func Name(pa, b *E, ncols, rs, cs int)
 //
-// multiplying ncols B columns, ldb blocks apart, in place by the packed
-// triangle at pa. The triangle, the column and the product temporary
-// must fit X0–X15 together.
+// multiplying ncols B columns in place by the packed triangle at pa, B
+// block (i, l) at b + i·rs + l·cs blocks. The triangle, the column and
+// the product temporary must fit X0–X15 together, and the column at most
+// 4 rows.
 type AMD64TriMul struct {
 	Name      string
 	ElemBytes int
@@ -146,12 +153,17 @@ type pending struct {
 // distance between its columns in the IR offsets and the registers
 // holding 1× and 3× the run-time distance in bytes. kstep, when set,
 // holds the run-time K step in bytes, by which a tile step advances the
-// base instead of the one block its IR adds.
+// base instead of the one block its IR adds. rows, when set, holds 1×
+// and 3× the run-time row stride in bytes: IR row r of a column (r
+// blocks on) lies at r·rows[0] from the column's base, which is cols[c]
+// for column c, so no index register is left for the column.
 type addressing struct {
 	base       string
 	colElems   int // 0: contiguous
 	idx1, idx3 string
 	kstep      string
+	rows       [2]string
+	cols       [4]string
 }
 
 type amd64Gen struct {
@@ -301,13 +313,29 @@ func (k AMD64RectAdd) lowerAMD64(g *amd64Gen) error {
 	if err != nil {
 		return err
 	}
-	g.text("(pa, x, c *E, k, ldx, ldc int)", 48)
+	g.text("(pa, x, c *E, k, rs, ldx, ldc int)", 56)
+	// C's columns start at DX, R8, R9 and BX; its rows and X's K steps
+	// are rs apart (R12, 3·rs in R13).
 	g.op("MOVQ c+16(FP), DX")
-	g.columns(PC, "DX", k.StrideC, "ldc+40(FP)", "R8", "R9")
-	g.columns(PX, "DI", k.StrideX, "ldx+32(FP)", "R10", "R11")
+	rows := g.rowStride("rs+32(FP)", "R12", "R13")
+	g.blocks("ldc+48(FP)", "R8")
+	g.op("LEAQ (DX)(R8*2), R9")
+	g.op("LEAQ (R9)(R8*1), BX")
+	g.op("ADDQ DX, R8")
+	g.ptr[PC] = addressing{base: "DX", colElems: k.StrideC * g.bb / g.eb, rows: rows, cols: [4]string{"DX", "R8", "R9", "BX"}}
+	g.columns(PX, "DI", k.StrideX, "ldx+40(FP)", "R10", "R11")
+	g.ptr[PX].kstep = "R12"
 	return g.tile(groups, "x+8(FP)", k.Preload, k.Step, func(int) error {
 		return g.straight(k.Store, PC)
 	})
+}
+
+// rowStride loads the run-time row stride arg, in blocks, as bytes into
+// r1 and three times that into r3: an addressing's rows.
+func (g *amd64Gen) rowStride(arg, r1, r3 string) [2]string {
+	g.blocks(arg, r1)
+	g.op("LEAQ (%s)(%s*2), %s", r1, r1, r3)
+	return [2]string{r1, r3}
 }
 
 func (k AMD64TriMul) lowerAMD64(g *amd64Gen) error {
@@ -343,13 +371,12 @@ func (k AMD64TriMul) lowerAMD64(g *amd64Gen) error {
 		return fmt.Errorf("triangle and column need %d X registers", next+1)
 	}
 	g.ptr[PA] = addressing{base: "SI"}
-	g.ptr[PB] = addressing{base: "DI"}
-	g.text("(pa, b *E, ncols, ldb int)", 32)
+	g.text("(pa, b *E, ncols, rs, cs int)", 40)
 	g.op("MOVQ pa+0(FP), SI")
 	g.op("MOVQ b+8(FP), DI")
 	g.op("MOVQ ncols+16(FP), CX")
-	g.op("MOVQ ldb+24(FP), R8")
-	g.op("SHLQ $4, R8")
+	g.ptr[PB] = addressing{base: "DI", rows: g.rowStride("rs+24(FP)", "R9", "R10"), cols: [4]string{"DI"}}
+	g.blocks("cs+32(FP)", "R8")
 	for _, in := range k.Load {
 		g.comment(in)
 		for i, r := range g.regs(in) {
@@ -798,7 +825,8 @@ func (g *amd64Gen) store(in Instr) error {
 
 // mem addresses element offset off from pointer p. For a tile read by
 // columns, column off/colElems lies at base + column·idx1 (idx3 holds
-// 3·idx1).
+// 3·idx1). For a row-strided operand, its row r lies at r·rows[0] from
+// the column's own base register.
 func (g *amd64Gen) mem(p PReg, off int) (string, error) {
 	a := g.ptr[p]
 	if a.base == "" {
@@ -811,11 +839,24 @@ func (g *amd64Gen) mem(p PReg, off int) (string, error) {
 	if col >= 4 {
 		return "", fmt.Errorf("%v column %d beyond the addressable 4", p, col)
 	}
-	idx := [...]string{"", "(" + a.idx1 + "*1)", "(" + a.idx1 + "*2)", "(" + a.idx3 + "*1)"}[col]
-	if row == 0 {
-		return "(" + a.base + ")" + idx, nil
+	base, idx := a.base, scaled(a.idx1, a.idx3, col)
+	if a.rows[0] != "" {
+		blk := g.bb / g.eb
+		if row/blk >= 4 {
+			return "", fmt.Errorf("%v row %d beyond the addressable 4", p, row/blk)
+		}
+		base, idx, row = a.cols[col], scaled(a.rows[0], a.rows[1], row/blk), row%blk
 	}
-	return fmt.Sprintf("%d(%s)%s", row*g.eb, a.base, idx), nil
+	if row == 0 {
+		return "(" + base + ")" + idx, nil
+	}
+	return fmt.Sprintf("%d(%s)%s", row*g.eb, base, idx), nil
+}
+
+// scaled is the index of the i-th multiple (0…3) of a distance held in
+// r1, with 3× it in r3.
+func scaled(r1, r3 string, i int) string {
+	return [...]string{"", "(" + r1 + "*1)", "(" + r1 + "*2)", "(" + r3 + "*1)"}[i]
 }
 
 // comment writes the IR instruction being lowered, in ARMv8 syntax.

@@ -223,8 +223,9 @@ func triIR(m int) AMD64TriMul {
 }
 
 // The rectangle's accumulators are loaded from C before each group's K
-// loop, never zeroed: group 0 fills X8–X15 from C columns 0–1, group 1
-// from columns 2–3.
+// loop, never zeroed: group 0 fills X8–X15 from C columns 0–1 (bases DX
+// and R8), group 1 from columns 2–3 (R9 and BX), each column's rows rs
+// apart (R12, 3·rs in R13).
 func TestLowerAMD64PreloadsAccumulators(t *testing.T) {
 	src, err := LowerAMD64("trmm", rectIR(5))
 	if err != nil {
@@ -238,13 +239,10 @@ func TestLowerAMD64PreloadsAccumulators(t *testing.T) {
 		text[strings.Index(text, "MOVQ pa+0(FP)"):strings.Index(text, "loop0:")],
 		text[strings.Index(text, "save0:"):strings.Index(text, "loop1:")],
 	} {
-		cols := [2][]string{{"(DX)", "(DX)(R8*1)"}, {"(DX)(R8*2)", "(DX)(R9*1)"}}[g]
+		cols := [2][]string{{"DX", "R8"}, {"R9", "BX"}}[g]
+		rows := []string{"", "(R12*1)", "(R12*2)", "(R13*1)"}
 		for x := 8; x < 16; x++ {
-			col, row := cols[(x-8)/4], (x-8)%4
-			want := fmt.Sprintf("\tMOVUPD %s, X%d\n", col, x)
-			if row > 0 {
-				want = fmt.Sprintf("\tMOVUPD %d%s, X%d\n", 16*row, col, x)
-			}
+			want := fmt.Sprintf("\tMOVUPD (%s)%s, X%d\n", cols[(x-8)/4], rows[(x-8)%4], x)
 			if !strings.Contains(sec, want) {
 				t.Errorf("group %d does not preload X%d with %q:\n%s", g, x, want, sec)
 			}
@@ -253,7 +251,8 @@ func TestLowerAMD64PreloadsAccumulators(t *testing.T) {
 }
 
 // X is read through the run-time column stride: ldx blocks in R10 (3·ldx
-// in R11), column c at DI + c·R10, and DI advances one block per K step.
+// in R11), column c at DI + c·R10, and DI advances by the run-time row
+// stride rs (R12) per K step, not by the one block the IR adds.
 func TestLowerAMD64StridesX(t *testing.T) {
 	src, err := LowerAMD64("trmm", rectIR(7))
 	if err != nil {
@@ -261,7 +260,8 @@ func TestLowerAMD64StridesX(t *testing.T) {
 	}
 	text := string(src)
 	for _, want := range []string{
-		"\tMOVQ ldx+32(FP), R10\n\tSHLQ $4, R10\n\tLEAQ (R10)(R10*2), R11\n",
+		"\tMOVQ rs+32(FP), R12\n\tSHLQ $4, R12\n\tLEAQ (R12)(R12*2), R13\n",
+		"\tMOVQ ldx+40(FP), R10\n\tSHLQ $4, R10\n\tLEAQ (R10)(R10*2), R11\n",
 		"\tMOVUPD (DI), X6\n", "\tMOVUPD (DI)(R10*1), X6\n",
 		"\tMOVUPD (DI)(R10*2), X6\n", "\tMOVUPD (DI)(R11*1), X6\n",
 	} {
@@ -269,8 +269,8 @@ func TestLowerAMD64StridesX(t *testing.T) {
 			t.Errorf("missing %q:\n%s", want, text)
 		}
 	}
-	if n := strings.Count(text, "\tADDQ $16, DI\n"); n != 2 {
-		t.Errorf("DI advances by one block %d times, want once per group's K step (2)", n)
+	if n := strings.Count(text, "\tADDQ R12, DI\n"); n != 2 || strings.Contains(text, "$16, DI") {
+		t.Errorf("DI advances by rs %d times, want once per group's K step (2) and never by one block", n)
 	}
 	if strings.Contains(text, "112(DI)") || strings.Contains(text, "224(DI)") {
 		t.Errorf("an X column is addressed by its generated stride, not ldx:\n%s", text)
@@ -279,7 +279,8 @@ func TestLowerAMD64StridesX(t *testing.T) {
 
 // The diagonal multiply FMUL r, r, d is one MULPD into r's register;
 // only the FMLA's product goes through the temporary (X15 in a
-// triangle). The column loop steps DI by ldb.
+// triangle). Row 1 sits rs (R9) from row 0, and the column loop steps DI
+// by cs (R8).
 func TestLowerAMD64InPlaceFMUL(t *testing.T) {
 	src, err := LowerAMD64("trmm", triIR(2))
 	if err != nil {
@@ -290,10 +291,10 @@ func TestLowerAMD64InPlaceFMUL(t *testing.T) {
 		t.Fatalf("want 3 MULPD (2 FMUL, 1 FMLA), 1 MOVAPD and 1 ADDPD:\n%s", text)
 	}
 	if !strings.Contains(text, "\tMOVAPD X1, X15\n") || !strings.Contains(text, "\tADDQ R8, DI\n\tDECQ CX\n\tJNE loop\n") {
-		t.Fatalf("want the product in X15 and a column loop over ldb:\n%s", text)
+		t.Fatalf("want the product in X15 and a column loop over cs:\n%s", text)
 	}
 	fmul := text[strings.Index(text, "// fmul v1.2d, v1.2d, v6.2d"):]
-	if lines := strings.SplitN(fmul, "\n", 4); lines[1] != "\tMOVUPD 16(DI), X4" || lines[2] != "\tMULPD X2, X4" {
+	if lines := strings.SplitN(fmul, "\n", 4); lines[1] != "\tMOVUPD (DI)(R9*1), X4" || lines[2] != "\tMULPD X2, X4" {
 		t.Fatalf("in-place FMUL lowers to %q, want a load of V1 then MULPD X2, X4", lines[1:3])
 	}
 }

@@ -34,7 +34,7 @@ func trsmLayout(pl *TRSMPlan, groups int) trsmOffsets {
 	o.packTri = o.b + groups*o.lenB
 	o.lenTri = pack.TriLen(bl, pl.Panels)
 	o.packB = o.packTri + pl.GroupsPerBatch*o.lenTri
-	if pl.PackB {
+	if pl.ReverseB || pl.TransposeB { // the model path canonicalizes B
 		o.lenPB = pl.MEff * pl.NEff * bl
 	}
 	o.total = o.packB + pl.GroupsPerBatch*o.lenPB
@@ -66,6 +66,7 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 	nct := len(pl.ColTiles)
 
 	bl := ar.bl
+	canonB := pl.ReverseB || pl.TransposeB // B copied into canonical order (pack.BCopy)
 	gb := pl.GroupsPerBatch
 	for sb := 0; sb < ar.groups; sb += gb {
 		end := sb + gb
@@ -81,7 +82,7 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 
 			geomB := pack.Geom{Off: o.b + g*o.lenB, Rows: p.M, Cols: p.N, BlockLen: bl}
 			target := geomB
-			if pl.PackB {
+			if canonB {
 				pack.BCopy(ctx, geomB, pl.ReverseB, pl.TransposeB, o.packB+slot*o.lenPB)
 				target = pack.Geom{Off: o.packB + slot*o.lenPB, Rows: pl.MEff, Cols: pl.NEff, BlockLen: bl}
 			}
@@ -96,7 +97,7 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 			slot := g - sb
 			triBase := o.packTri + slot*o.lenTri
 			targetOff := o.b + g*o.lenB
-			if pl.PackB {
+			if canonB {
 				targetOff = o.packB + slot*o.lenPB
 			}
 			j0 := 0
@@ -125,7 +126,7 @@ func runTRSM[E vec.Float](pl *TRSMPlan, ar *arena[E], o trsmOffsets, sim *machin
 			}
 		}
 		// Write back canonical buffers.
-		if pl.PackB {
+		if canonB {
 			for g := sb; g < end; g++ {
 				slot := g - sb
 				geomB := pack.Geom{Off: o.b + g*o.lenB, Rows: p.M, Cols: p.N, BlockLen: bl}

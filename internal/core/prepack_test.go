@@ -288,7 +288,7 @@ func TestPrepackReflectsOperandContents(t *testing.T) {
 }
 
 // Every bufpool.Get in the native executors is paired with a Put on all
-// paths (pack-per-call, prepacked, chained): after a quiescent sweep over
+// paths (pack-per-call, prepacked, every B layout): after a quiescent sweep over
 // the op/mode matrix the in-use gauge must return to its baseline and no
 // double-returns may have been counted.
 func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
@@ -351,26 +351,31 @@ func TestNativeExecutorsReturnAllBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Upper triangles reverse B: the worker writes a slot
-			// buffer, and in a chain the handed-over image instead.
-			tp.Uplo, mp.Uplo = matrix.Upper, matrix.Upper
-			utpl, err := NewTRSMPlan(tp, tun)
-			if err != nil {
-				t.Fatal(err)
-			}
-			umpl, err := NewTRMMPlan(mp, tun)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img := make([]float32, len(tb.Data))
-			for _, run := range []func(in, out []float32) error{
-				func(in, out []float32) error { return ExecTRSMNativeChained(utpl, ta, tb, nil, in, out, workers) },
-				func(in, out []float32) error { return ExecTRMMNativeChained(umpl, ta, tb, nil, in, out, workers) },
-			} {
-				for _, io := range [][2][]float32{{nil, nil}, {nil, img}, {img, img}, {img, nil}} {
-					if err := run(io[0], io[1]); err != nil {
-						t.Fatal(err)
-					}
+			// Upper and Right-side plans read B in place through other
+			// strides, on the same worker and buffers.
+			ra := randCompact[float32](rng, vec.S, tp.Count, tp.N, tp.N)
+			for _, md := range []struct {
+				side matrix.Side
+				uplo matrix.Uplo
+			}{{matrix.Left, matrix.Upper}, {matrix.Right, matrix.Lower}, {matrix.Right, matrix.Upper}} {
+				tp.Side, tp.Uplo, mp.Side, mp.Uplo = md.side, md.uplo, md.side, md.uplo
+				a := ta
+				if md.side == matrix.Right {
+					a = ra
+				}
+				utpl, err := NewTRSMPlan(tp, tun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				umpl, err := NewTRMMPlan(mp, tun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ExecTRSMNativePrepacked(utpl, a, tb, nil, workers); err != nil {
+					t.Fatal(err)
+				}
+				if err := ExecTRMMNativePrepacked(umpl, a, tb, nil, workers); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

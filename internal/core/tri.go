@@ -20,7 +20,8 @@ import (
 // canonical B, split the triangle into register-sized panels and B into
 // kernel-width column tiles, and size super-batches with one Batch
 // Counter. TriGeom is that geometry; both plan types embed it and one
-// native worker runs both ops over it. The ops differ in three places:
+// native worker runs both ops over it, reading each group's B where the
+// compact layout stores it (BStrides). The ops differ in three places:
 //   - the packed diagonal: reciprocals for TRSM (the solve kernels
 //     multiply instead of dividing), the true diagonal for TRMM;
 //   - the panel sweep: TRSM solves top-down (rectangle update, then the
@@ -35,7 +36,6 @@ type TriGeom struct {
 	MEff, NEff     int  // triangle dim and B width after side reduction
 	TransposeB     bool // Right side: run against Bᵀ
 	ReverseB       bool // effective-upper: index-reversed
-	PackB          bool // B copied into a canonical buffer
 	Panels         []int
 	ColTiles       []int
 	GroupsPerBatch int
@@ -54,8 +54,8 @@ type triStep struct {
 }
 
 // newTriGeom runs the run-time stage of a triangular problem: side
-// reduction, the Pack Selector's B decision, panels and column tiles,
-// the Batch Counter and each panel's packed-triangle offsets.
+// reduction, panels and column tiles, the Batch Counter and each panel's
+// packed-triangle offsets.
 func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix.Uplo, transA matrix.Trans, count int,
 	tun Tuning) (TriGeom, error) {
 	if m < 1 || n < 1 || count < 1 {
@@ -73,11 +73,6 @@ func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix
 		g.transA = !g.transA
 	}
 	g.ReverseB = (uplo == matrix.Upper) != g.transA // effective triangle is upper
-
-	// Pack Selector: B needs the canonical buffer only when its row order
-	// or orientation changes; the plain lower case runs in place
-	// (§4.4's no-packing strategy for LNLN).
-	g.PackB = g.TransposeB || g.ReverseB
 
 	// Panels: whole triangle in registers when it fits (M ≤ 5 real,
 	// M ≤ 3 complex); otherwise main-kernel-height panels.
@@ -101,6 +96,30 @@ func newTriGeom(op string, dt vec.DType, m, n int, side matrix.Side, uplo matrix
 		r0 += q
 	}
 	return g, nil
+}
+
+// BStrides returns where the native kernels read and write B in place,
+// in every mode (§4.4's no-packing strategy): canonical block (i, j) of
+// a group's B, M×N in the compact layout, sits at o + i·rs + j·cs blocks.
+//
+//	Left, effective lower:   o = 0,        rs = 1,  cs = M
+//	Left, effective upper:   o = M−1,      rs = −1, cs = M
+//	Right, effective lower:  o = 0,        rs = M,  cs = 1
+//	Right, effective upper:  o = (N−1)·M,  rs = −M, cs = 1
+//
+// The VM path copies B into that canonical order instead (pack.BCopy).
+func (g *TriGeom) BStrides() (o, rs, cs int) {
+	if g.TransposeB {
+		m, n := g.NEff, g.MEff
+		if g.ReverseB {
+			return (n - 1) * m, -m, 1
+		}
+		return 0, m, 1
+	}
+	if g.ReverseB {
+		return g.MEff - 1, -1, g.MEff
+	}
+	return 0, 1, g.MEff
 }
 
 // triProgs is one panel's VM programs for one column tile: the
@@ -145,58 +164,14 @@ func (g *TriGeom) programs(tun Tuning, solve bool) ([]triProgs, error) {
 // (group-indexed, per PrepackTriLen) and the per-call triangle pack,
 // reciprocal diagonal included, is skipped; nil packs it per call.
 func ExecTRSMNativePrepacked[E vec.Float](pl *TRSMPlan, a, b *layout.Compact[E], preTri []E, workers int) error {
-	return execTri(pl.call(), a, b, preTri, nil, nil, workers)
+	return execTri(pl.call(), a, b, preTri, workers)
 }
 
 // ExecTRMMNativePrepacked is the TRMM twin of ExecTRSMNativePrepacked:
 // B is overwritten with the product, and preTri holds the output of
 // PrepackTRMMTri.
 func ExecTRMMNativePrepacked[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E], preTri []E, workers int) error {
-	return execTri(pl.call(), a, b, preTri, nil, nil, workers)
-}
-
-// Chained execution for cross-op fusion: when two adjacent triangular
-// stages of a chain canonicalize B the same way (equal ReverseB and
-// TransposeB), the producer's nBUncopy and the consumer's nBCopy are
-// inverse block permutations — BUncopy∘BCopy is the identity on every
-// group, so the pair can be elided bit-exactly by handing the canonical
-// image straight across the stage boundary.
-//
-// The image is a full-batch, group-indexed canonical array of exactly
-// len(b.Data) elements (MEff·NEff == M·N, so the canonical group length
-// equals the compact group length). Ownership stays with the caller
-// (the chain executor), which must either hand the buffer to the next
-// stage or re-materialize it into B with ScatterCanonicalB — while an
-// image is live, b.Data is stale.
-
-// ExecTRSMNativeChained is ExecTRSMNativePrepacked with the B operand's
-// canonical image handed across stage boundaries. inB, when non-nil,
-// holds B's canonical image (per ScatterCanonicalB geometry) and the
-// copy of B into it is skipped; outB, when non-nil, receives the solved
-// canonical image and the write-back into B is skipped. When both are
-// given they must be the same buffer (the solve runs in place on the
-// donated image). Both nil is ExecTRSMNativePrepacked. A handoff
-// requires a plan with PackB.
-func ExecTRSMNativeChained[E vec.Float](pl *TRSMPlan, a, b *layout.Compact[E], preTri, inB, outB []E, workers int) error {
-	return execTri(pl.call(), a, b, preTri, inB, outB, workers)
-}
-
-// ExecTRMMNativeChained is the TRMM twin of ExecTRSMNativeChained.
-func ExecTRMMNativeChained[E vec.Float](pl *TRMMPlan, a, b *layout.Compact[E], preTri, inB, outB []E, workers int) error {
-	return execTri(pl.call(), a, b, preTri, inB, outB, workers)
-}
-
-// ScatterCanonicalB re-materializes a donated canonical image into B —
-// the per-group nBUncopy a producer stage elided. The chain executor
-// calls it when a fused handoff is abandoned (stage error, context
-// cancellation) so B is left exactly as the serial sequence would have
-// left it after the producer stage.
-func ScatterCanonicalB[E vec.Float](b *layout.Compact[E], reverse, transpose bool, canon []E) {
-	bl := b.BlockLen()
-	lenB := b.Rows * b.Cols * bl
-	for g := 0; g < b.Groups(); g++ {
-		nBUncopy(b.Data[g*lenB:(g+1)*lenB], b.Rows, b.Cols, reverse, transpose, bl, canon[g*lenB:])
-	}
+	return execTri(pl.call(), a, b, preTri, workers)
 }
 
 // triCall is one native execution of a triangular plan: its geometry
@@ -227,7 +202,7 @@ func (pl *TRMMPlan) call() triCall {
 
 // execTri validates one native triangular execution and splits its
 // groups over the worker pool in super-batch chunks.
-func execTri[E vec.Float](c triCall, a, b *layout.Compact[E], preTri, inB, outB []E, workers int) error {
+func execTri[E vec.Float](c triCall, a, b *layout.Compact[E], preTri []E, workers int) error {
 	g := c.geo
 	if c.vl != 0 && c.vl != g.dt.Pack() {
 		return fmt.Errorf("core: native execution requires the native lane count")
@@ -238,50 +213,20 @@ func execTri[E vec.Float](c triCall, a, b *layout.Compact[E], preTri, inB, outB 
 	if a.Rows != g.MEff || a.Cols != g.MEff || b.Rows != c.m || b.Cols != c.n {
 		return fmt.Errorf("core: shape mismatch A=%dx%d B=%dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	canon := inB
-	if canon == nil {
-		canon = outB
-	}
-	if canon != nil && !g.PackB {
-		return fmt.Errorf("core: chained B handoff requires a canonicalizing plan (PackB)")
-	}
-	if inB != nil && len(inB) < len(b.Data) {
-		return fmt.Errorf("core: donated canonical B has %d elements, need %d", len(inB), len(b.Data))
-	}
-	if outB != nil && len(outB) < len(b.Data) {
-		return fmt.Errorf("core: canonical B out has %d elements, need %d", len(outB), len(b.Data))
-	}
-	if inB != nil && outB != nil && &inB[0] != &outB[0] {
-		return fmt.Errorf("core: chained in/out images must alias (in-place handoff)")
-	}
 	if preTri != nil && len(preTri) < g.PrepackTriLen(a.Groups()) {
 		return fmt.Errorf("core: prepacked tri has %d elements, need %d", len(preTri), g.PrepackTriLen(a.Groups()))
 	}
-	donated, keep := inB != nil, outB != nil
 	c.rt.Sched.RunLabeled(c.labels, a.Groups(), workers, g.GroupsPerBatch, func(lo, hi int) {
-		triWorker(c, a, b, preTri, canon, donated, keep, lo, hi)
+		triWorker(c, a, b, preTri, lo, hi)
 	})
 	return nil
 }
 
-// triImage returns where group grp's canonical B lives: the chain's
-// image when one is handed over, else the super-batch slot buffer when
-// the plan packs B, else B itself.
-func triImage[E vec.Float](b, canon, slots []E, grp, slot, lenB int) []E {
-	switch {
-	case canon != nil:
-		return canon[grp*lenB : (grp+1)*lenB]
-	case slots != nil:
-		return slots[slot*lenB : (slot+1)*lenB]
-	}
-	return b[grp*lenB : (grp+1)*lenB]
-}
-
 // triWorker runs groups [gLo, gHi) one super-batch at a time on the
-// calling sched worker: pack the chunk (triangle unless prepacked, B's
-// canonical image unless donated, the α scale), sweep its panels, then
-// write it back unless the image is kept for the next chain stage.
-func triWorker[E vec.Float](c triCall, a, b *layout.Compact[E], preTri, canon []E, donated, keep bool, gLo, gHi int) {
+// calling sched worker: pack the chunk (triangle unless prepacked, the α
+// scale), then sweep its panels over each group's B in place, addressed
+// through BStrides.
+func triWorker[E vec.Float](c triCall, a, b *layout.Compact[E], preTri []E, gLo, gHi int) {
 	g := c.geo
 	vl := g.dt.Pack()
 	bl := blockLen(g.dt, vl)
@@ -290,20 +235,16 @@ func triWorker[E vec.Float](c triCall, a, b *layout.Compact[E], preTri, canon []
 	lenB := c.m * c.n * bl
 	lenTri := pack.TriLen(bl, g.Panels)
 	gb := g.GroupsPerBatch
+	o, rs, cs := g.BStrides()
 
-	var packTri, slots []E
+	var packTri []E
 	if preTri == nil {
 		buf := bufpool.Get[E](c.rt.Bufs, gb*lenTri)
 		defer bufpool.Put(c.rt.Bufs, buf)
 		packTri = buf.Slice()
 	}
-	if g.PackB && canon == nil {
-		buf := bufpool.Get[E](c.rt.Bufs, gb*lenB)
-		defer bufpool.Put(c.rt.Bufs, buf)
-		slots = buf.Slice()
-	}
 
-	rect, diag := kernels.Rect[E], kernels.Tri[E]
+	rect, diag := kernels.RectStrided[E], kernels.TriStrided[E]
 	switch {
 	case c.solve && cplx:
 		rect, diag = kernels.RectCplx[E], kernels.TriCplx[E]
@@ -316,55 +257,44 @@ func triWorker[E vec.Float](c triCall, a, b *layout.Compact[E], preTri, canon []
 	for sb := gLo; sb < gHi; sb += gb {
 		end := min(sb+gb, gHi)
 		for grp := sb; grp < end; grp++ {
-			slot := grp - sb
 			if packTri != nil {
 				npackTri(a.Data[grp*lenA:(grp+1)*lenA], g.MEff, g.ReverseB, g.transA,
-					c.unit, c.solve, g.Panels, cplx, vl, bl, packTri[slot*lenTri:])
-			}
-			img := triImage(b.Data, canon, slots, grp, slot, lenB)
-			if g.PackB && !donated {
-				nBCopy(b.Data[grp*lenB:(grp+1)*lenB], c.m, c.n, g.ReverseB, g.TransposeB, bl, img)
+					c.unit, c.solve, g.Panels, cplx, vl, bl, packTri[(grp-sb)*lenTri:])
 			}
 			if c.alpha != 1 {
-				nscale(img, g.MEff*g.NEff, cplx, vl, real(c.alpha), imag(c.alpha))
+				nscale(b.Data[grp*lenB:(grp+1)*lenB], g.MEff*g.NEff, cplx, vl, real(c.alpha), imag(c.alpha))
 			}
 		}
 		for grp := sb; grp < end; grp++ {
-			slot := grp - sb
 			var tri []E
 			if packTri != nil {
-				tri = packTri[slot*lenTri:]
+				tri = packTri[(grp-sb)*lenTri:]
 			} else {
 				tri = preTri[grp*lenTri:]
 			}
-			img := triImage(b.Data, canon, slots, grp, slot, lenB)
-			j0 := 0
-			for _, ct := range g.ColTiles {
-				col := img[j0*g.MEff*bl:]
-				for i := range g.steps {
-					st := &g.steps[i]
-					if !c.solve {
-						// Bottom-up: each panel multiplies its own rows
-						// before any panel above it is touched, so the
-						// rectangle accumulation reads original values.
-						st = &g.steps[len(g.steps)-1-i]
-					}
-					rows := col[st.r0*bl:]
-					if c.solve && st.r0 > 0 {
-						rect(tri[st.rectOff:], col, rows, st.q, ct, st.r0, g.MEff, g.MEff, vl)
-					}
-					diag(tri[st.triOff:], rows, st.q, ct, g.MEff, vl)
-					if !c.solve && st.r0 > 0 {
-						rect(tri[st.rectOff:], col, rows, st.q, ct, st.r0, g.MEff, g.MEff, vl)
-					}
+			img := b.Data[grp*lenB : (grp+1)*lenB]
+			// Panel by panel: columns are independent, so each column sees
+			// the same operations in the same order as in a sweep tile by
+			// tile, and the triangle kernel takes every column in one call.
+			for i := range g.steps {
+				st := &g.steps[i]
+				if !c.solve {
+					// Bottom-up: each panel multiplies its own rows before
+					// any panel above it is touched, so the rectangle
+					// accumulation reads original values.
+					st = &g.steps[len(g.steps)-1-i]
 				}
-				j0 += ct
-			}
-		}
-		if g.PackB && !keep {
-			for grp := sb; grp < end; grp++ {
-				nBUncopy(b.Data[grp*lenB:(grp+1)*lenB], c.m, c.n, g.ReverseB, g.TransposeB, bl,
-					triImage(b.Data, canon, slots, grp, grp-sb, lenB))
+				rows := o + st.r0*rs
+				if !c.solve {
+					diag(tri[st.triOff:], img, rows, st.q, g.NEff, rs, cs, vl)
+				}
+				for j, col := 0, o; st.r0 > 0 && j < len(g.ColTiles); j++ {
+					rect(tri[st.rectOff:], img, img, col, col+st.r0*rs, st.q, g.ColTiles[j], st.r0, rs, cs, cs, vl)
+					col += g.ColTiles[j] * cs
+				}
+				if c.solve {
+					diag(tri[st.triOff:], img, rows, st.q, g.NEff, rs, cs, vl)
+				}
 			}
 		}
 	}
@@ -434,56 +364,5 @@ func npackTri[E vec.Float](src []E, m int, reverse, swap, unit, recip bool, pane
 			}
 		}
 		r0 += q
-	}
-}
-
-// nBCopy/nBUncopy canonicalize B — the native twins of pack.BCopy/BUncopy.
-func nBCopy[E vec.Float](src []E, rows, cols int, reverse, transpose bool, bl int, dst []E) {
-	dr, dc := rows, cols
-	if transpose {
-		dr, dc = dc, dr
-	}
-	for j := 0; j < dc; j++ {
-		for i := 0; i < dr; i++ {
-			si, sj := i, j
-			if transpose {
-				si, sj = j, i
-			}
-			if reverse {
-				if transpose {
-					sj = cols - 1 - sj
-				} else {
-					si = rows - 1 - si
-				}
-			}
-			s := (sj*rows + si) * bl
-			d := (j*dr + i) * bl
-			copy(dst[d:d+bl], src[s:s+bl])
-		}
-	}
-}
-
-func nBUncopy[E vec.Float](dst []E, rows, cols int, reverse, transpose bool, bl int, src []E) {
-	dr, dc := rows, cols
-	if transpose {
-		dr, dc = dc, dr
-	}
-	for j := 0; j < dc; j++ {
-		for i := 0; i < dr; i++ {
-			si, sj := i, j
-			if transpose {
-				si, sj = j, i
-			}
-			if reverse {
-				if transpose {
-					sj = cols - 1 - sj
-				} else {
-					si = rows - 1 - si
-				}
-			}
-			s := (j*dr + i) * bl
-			d := (sj*rows + si) * bl
-			copy(dst[d:d+bl], src[s:s+bl])
-		}
 	}
 }

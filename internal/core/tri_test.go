@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,11 +34,11 @@ func allTriModes() []triMode {
 
 // triShape is the geometry a triangular plan exposes.
 type triShape struct {
-	MEff, NEff                  int
-	TransposeB, ReverseB, PackB bool
-	Panels, ColTiles            []int
-	GroupsPerBatch              int
-	TriLen                      int
+	MEff, NEff           int
+	TransposeB, ReverseB bool
+	Panels, ColTiles     []int
+	GroupsPerBatch       int
+	TriLen               int
 }
 
 // TRSM and TRMM run the same run-time stage up to their kernels, so for
@@ -64,9 +65,9 @@ func TestTRSMAndTRMMPlansShareGeometry(t *testing.T) {
 							continue
 						}
 						built++
-						want := triShape{sp.MEff, sp.NEff, sp.TransposeB, sp.ReverseB, sp.PackB,
+						want := triShape{sp.MEff, sp.NEff, sp.TransposeB, sp.ReverseB,
 							sp.Panels, sp.ColTiles, sp.GroupsPerBatch, sp.PrepackTriLen(count)}
-						got := triShape{mp.MEff, mp.NEff, mp.TransposeB, mp.ReverseB, mp.PackB,
+						got := triShape{mp.MEff, mp.NEff, mp.TransposeB, mp.ReverseB,
 							mp.Panels, mp.ColTiles, mp.GroupsPerBatch, mp.PrepackTriLen(count)}
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%v %s VL=%d count=%d %dx%d: TRMM geometry %+v, TRSM %+v",
@@ -82,13 +83,13 @@ func TestTRSMAndTRMMPlansShareGeometry(t *testing.T) {
 	}
 }
 
-// triOp adapts TRSM or TRMM to the chained-parity check.
+// triOp adapts TRSM or TRMM to the native-against-VM parity check.
 type triOp[E vec.Float] struct {
 	name    string
 	geo     *TriGeom
 	prepack func(a *layout.Compact[E], dst []E) error
-	plain   func(a, b *layout.Compact[E], pre []E, workers int) error
-	chained func(a, b *layout.Compact[E], pre, inB, outB []E, workers int) error
+	native  func(a, b *layout.Compact[E], pre []E, workers int) error
+	vm      func(a, b *layout.Compact[E]) error
 }
 
 func triOps[E vec.Float](t *testing.T, dt vec.DType, md triMode, m, n, count int, tun Tuning) []triOp[E] {
@@ -107,45 +108,30 @@ func triOps[E vec.Float](t *testing.T, dt vec.DType, md triMode, m, n, count int
 		{"TRSM " + sp.P.Mode(), &sp.TriGeom,
 			func(a *layout.Compact[E], dst []E) error { return PrepackTRSMTri(sp, a, dst) },
 			func(a, b *layout.Compact[E], pre []E, w int) error { return ExecTRSMNativePrepacked(sp, a, b, pre, w) },
-			func(a, b *layout.Compact[E], pre, in, out []E, w int) error {
-				return ExecTRSMNativeChained(sp, a, b, pre, in, out, w)
-			}},
+			func(a, b *layout.Compact[E]) error { return ExecTRSM(sp, a, b, nil) }},
 		{"TRMM " + mp.P.Mode(), &mp.TriGeom,
 			func(a *layout.Compact[E], dst []E) error { return PrepackTRMMTri(mp, a, dst) },
 			func(a, b *layout.Compact[E], pre []E, w int) error { return ExecTRMMNativePrepacked(mp, a, b, pre, w) },
-			func(a, b *layout.Compact[E], pre, in, out []E, w int) error {
-				return ExecTRMMNativeChained(mp, a, b, pre, in, out, w)
-			}},
+			func(a, b *layout.Compact[E]) error { return ExecTRMM(mp, a, b, nil) }},
 	}
 }
 
-// canonicalImage gathers B into the group-indexed canonical image a
-// chain hands between stages — what a producer stage leaves in its
-// out-image.
-func canonicalImage[E vec.Float](g *TriGeom, b *layout.Compact[E]) []E {
-	bl := b.BlockLen()
-	lenB := b.Rows * b.Cols * bl
-	img := make([]E, len(b.Data))
-	for grp := 0; grp < b.Groups(); grp++ {
-		nBCopy(b.Data[grp*lenB:(grp+1)*lenB], b.Rows, b.Cols, g.ReverseB, g.TransposeB, bl, img[grp*lenB:])
-	}
-	return img
-}
-
-// The chained entry points are the plain ones with B's canonical image
-// moved across a stage boundary: writing the image out and scattering
-// it, or starting from a gathered image, must reproduce the plain run
-// bit for bit on every mode, dtype, worker split and batch split.
-func TestChainedMatchesPrepacked(t *testing.T) {
+// The native worker reads and writes each group's B in place through
+// BStrides, while the VM path still copies B into canonical order and
+// back (pack.BCopy/BUncopy). Each lane runs the same operations in the
+// same order either way, so the two must agree bit for bit on every
+// side/uplo/trans/diag mode, dtype, worker split, batch split and
+// triangle source (packed per call or prepacked).
+func TestTriNativeMatchesVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(316))
 	for _, dt := range vec.DTypes {
 		for _, md := range allTriModes() {
 			for _, count := range []int{1, 7, 9} {
 				for _, force := range []int{0, 1} {
 					if dt.Real() == vec.S {
-						chainedParity[float32](t, rng, dt, md, count, force)
+						triParity[float32](t, rng, dt, md, count, force)
 					} else {
-						chainedParity[float64](t, rng, dt, md, count, force)
+						triParity[float64](t, rng, dt, md, count, force)
 					}
 				}
 			}
@@ -153,7 +139,7 @@ func TestChainedMatchesPrepacked(t *testing.T) {
 	}
 }
 
-func chainedParity[E vec.Float](t *testing.T, rng *rand.Rand, dt vec.DType, md triMode, count, force int) {
+func triParity[E vec.Float](t *testing.T, rng *rand.Rand, dt vec.DType, md triMode, count, force int) {
 	t.Helper()
 	const m, n = 9, 6
 	tun := DefaultTuning()
@@ -168,51 +154,25 @@ func chainedParity[E vec.Float](t *testing.T, rng *rand.Rand, dt vec.DType, md t
 			}
 		}
 		b := randCompact[E](rng, dt, count, m, n)
+		want := b.Clone()
+		if err := op.vm(a, want); err != nil {
+			t.Fatal(err)
+		}
 		preTri := make([]E, g.PrepackTriLen(a.Groups()))
 		if err := op.prepack(a, preTri); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
 			for _, pre := range [][]E{nil, preTri} {
-				want := b.Clone()
-				if err := op.plain(a, want, pre, workers); err != nil {
-					t.Fatal(err)
-				}
-				label := op.name
+				label := fmt.Sprintf("%s count=%d force=%d", op.name, count, force)
 				if pre != nil {
 					label += " prepacked"
 				}
-				if !g.PackB {
-					if err := op.chained(a, b.Clone(), pre, nil, make([]E, len(b.Data)), workers); err == nil {
-						t.Fatalf("%s %v: handoff accepted by a plan that keeps B in place", label, dt)
-					}
-					continue
-				}
-
-				// Producer: the result stays in the out-image.
 				got := b.Clone()
-				img := make([]E, len(b.Data))
-				if err := op.chained(a, got, pre, nil, img, workers); err != nil {
+				if err := op.native(a, got, pre, workers); err != nil {
 					t.Fatal(err)
 				}
-				ScatterCanonicalB(got, g.ReverseB, g.TransposeB, img)
-				diffCompact(t, label+" out-image", dt.String(), workers, want.Data, got.Data)
-
-				// Consumer: B is stale, the donated image is the truth.
-				got = layout.NewCompact[E](dt, count, m, n)
-				if err := op.chained(a, got, pre, canonicalImage(g, b), nil, workers); err != nil {
-					t.Fatal(err)
-				}
-				diffCompact(t, label+" in-image", dt.String(), workers, want.Data, got.Data)
-
-				// Middle stage: in place on the donated image.
-				got = layout.NewCompact[E](dt, count, m, n)
-				img = canonicalImage(g, b)
-				if err := op.chained(a, got, pre, img, img, workers); err != nil {
-					t.Fatal(err)
-				}
-				ScatterCanonicalB(got, g.ReverseB, g.TransposeB, img)
-				diffCompact(t, label+" in/out-image", dt.String(), workers, want.Data, got.Data)
+				diffCompact(t, label, dt.String(), workers, want.Data, got.Data)
 			}
 		}
 	}

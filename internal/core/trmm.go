@@ -91,7 +91,7 @@ func trmmLayout(pl *TRMMPlan, groups int) trsmOffsets {
 	o.packTri = o.b + groups*o.lenB
 	o.lenTri = pack.TriLen(bl, pl.Panels)
 	o.packB = o.packTri + pl.GroupsPerBatch*o.lenTri
-	if pl.PackB {
+	if pl.ReverseB || pl.TransposeB { // the model path canonicalizes B
 		o.lenPB = pl.MEff * pl.NEff * bl
 	}
 	o.total = o.packB + pl.GroupsPerBatch*o.lenPB
@@ -125,6 +125,7 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 	}
 	nct := len(pl.ColTiles)
 	bl := ar.bl
+	canonB := pl.ReverseB || pl.TransposeB // B copied into canonical order (pack.BCopy)
 	gb := pl.GroupsPerBatch
 	for sb := 0; sb < ar.groups; sb += gb {
 		end := sb + gb
@@ -137,7 +138,7 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 			pack.Tri(ctx, srcA, tm, pl.Panels, o.packTri+slot*o.lenTri)
 			geomB := pack.Geom{Off: o.b + g*o.lenB, Rows: p.M, Cols: p.N, BlockLen: bl}
 			target := geomB
-			if pl.PackB {
+			if canonB {
 				pack.BCopy(ctx, geomB, pl.ReverseB, pl.TransposeB, o.packB+slot*o.lenPB)
 				target = pack.Geom{Off: o.packB + slot*o.lenPB, Rows: pl.MEff, Cols: pl.NEff, BlockLen: bl}
 			}
@@ -151,7 +152,7 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 			slot := g - sb
 			triBase := o.packTri + slot*o.lenTri
 			targetOff := o.b + g*o.lenB
-			if pl.PackB {
+			if canonB {
 				targetOff = o.packB + slot*o.lenPB
 			}
 			j0 := 0
@@ -180,7 +181,7 @@ func runTRMM[E vec.Float](pl *TRMMPlan, ar *arena[E], o trsmOffsets, sim *machin
 				j0 += ct
 			}
 		}
-		if pl.PackB {
+		if canonB {
 			for g := sb; g < end; g++ {
 				slot := g - sb
 				geomB := pack.Geom{Off: o.b + g*o.lenB, Rows: p.M, Cols: p.N, BlockLen: bl}

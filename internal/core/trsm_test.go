@@ -105,9 +105,7 @@ func TestTRSMPlanDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.PackB {
-		t.Error("LNLN must not pack B")
-	}
+	wantStrides(t, "LNLN", pl, 0, 1, 4)
 	if len(pl.Panels) != 1 || pl.Panels[0] != 4 {
 		t.Errorf("M=4 panels = %v, want [4]", pl.Panels)
 	}
@@ -129,15 +127,16 @@ func TestTRSMPlanDecisions(t *testing.T) {
 	if len(pl.Panels) < 2 || pl.Panels[0] != 4 {
 		t.Errorf("M=9 panels = %v", pl.Panels)
 	}
-	// Upper mode canonicalizes through the packed-B buffer.
+	// Upper mode walks B's rows upward from the last.
 	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.D, M: 4, N: 8, Side: matrix.Left,
 		Uplo: matrix.Upper, Alpha: 1, Count: 32}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pl.PackB || !pl.ReverseB {
-		t.Error("LNUN must reverse-pack B")
+	if !pl.ReverseB {
+		t.Error("LNUN must reverse B")
 	}
+	wantStrides(t, "LNUN", pl, 3, -1, 4)
 	// Lower+Trans is effectively upper too.
 	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.D, M: 4, N: 8, Side: matrix.Left,
 		Uplo: matrix.Lower, TransA: matrix.Transpose, Alpha: 1, Count: 32}, tun)
@@ -147,15 +146,17 @@ func TestTRSMPlanDecisions(t *testing.T) {
 	if !pl.ReverseB {
 		t.Error("LTLN must reverse")
 	}
+	wantStrides(t, "LTLN", pl, 3, -1, 4)
 	// Upper+Trans is effectively lower: in-place again.
 	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.D, M: 4, N: 8, Side: matrix.Left,
 		Uplo: matrix.Upper, TransA: matrix.Transpose, Alpha: 1, Count: 32}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.PackB || pl.ReverseB {
-		t.Error("LTUN must solve in place")
+	if pl.ReverseB {
+		t.Error("LTUN must not reverse")
 	}
+	wantStrides(t, "LTUN", pl, 0, 1, 4)
 	// Right side transposes B and swaps dims.
 	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.D, M: 6, N: 3, Side: matrix.Right,
 		Uplo: matrix.Lower, Alpha: 1, Count: 32}, tun)
@@ -165,6 +166,16 @@ func TestTRSMPlanDecisions(t *testing.T) {
 	if !pl.TransposeB || pl.MEff != 3 || pl.NEff != 6 {
 		t.Errorf("right-side reduction wrong: %+v", pl)
 	}
+	// A Right-side B is read along its rows: canonical row i is B's
+	// column i, M = 6 blocks on. Aᵀ of a lower A is upper, so RNLN
+	// starts at B's last column and RNUN at its first.
+	wantStrides(t, "RNLN", pl, 2*6, -6, 1)
+	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.D, M: 6, N: 3, Side: matrix.Right,
+		Uplo: matrix.Upper, Alpha: 1, Count: 32}, tun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStrides(t, "RNUN", pl, 0, 6, 1)
 	// Complex panel heights come from the 2×2 main kernel.
 	pl, err = NewTRSMPlan(TRSMProblem{DT: vec.Z, M: 7, N: 4, Side: matrix.Left,
 		Uplo: matrix.Lower, Alpha: 1, Count: 32}, tun)
@@ -175,6 +186,14 @@ func TestTRSMPlanDecisions(t *testing.T) {
 		if q > 2 {
 			t.Errorf("complex panel %d exceeds kernel height 2", q)
 		}
+	}
+}
+
+// wantStrides checks where a plan's native kernels read B in place.
+func wantStrides(t *testing.T, mode string, pl *TRSMPlan, o, rs, cs int) {
+	t.Helper()
+	if gotO, gotRS, gotCS := pl.BStrides(); gotO != o || gotRS != rs || gotCS != cs {
+		t.Errorf("%s: B at o=%d rs=%d cs=%d, want %d, %d, %d", mode, gotO, gotRS, gotCS, o, rs, cs)
 	}
 }
 

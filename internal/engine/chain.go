@@ -1,36 +1,18 @@
-// Chain dispatch: cross-op fusion via layout propagation. A chain is an
-// ordered list of stages over shared compact operands — a Newton step's
-// LU + two triangular solves, a block-Jacobi preconditioner's two
-// Cholesky solves. Executing the stages as separate calls makes every
-// stage scatter its written operand back to the interleaved user layout
-// only for the next stage to re-canonicalize it: pure memory traffic
-// with zero FLOPs.
+// Chain dispatch. A chain is an ordered list of stages over shared
+// compact operands — a Newton step's LU + two triangular solves, a
+// block-Jacobi preconditioner's two Cholesky solves — run as one call
+// through the stage loop (exec.go): every stage plans before any runs,
+// and each reports as its own op under the chain's span.
 //
-// The stage loop (exec.go) removes that round trip where the layouts
-// provably agree. Once every stage's plan is resolved, planHandoffs finds
-// producer→consumer edges on the written B operand of adjacent
-// triangular stages and marks the pairs whose canonical B images are
-// bit-identical — both plans canonicalize (PackB) with equal ReverseB
-// and TransposeB, so the producer's per-group nBUncopy and the
-// consumer's nBCopy compose to the identity block permutation. For such
-// a pair the producer leaves its result in canonical form
-// (scatter elided) and the consumer starts from the donated image
-// (pack elided); results are bit-exact versus the serial sequence
-// because only an inverse permutation pair was removed.
-//
-// Ownership of a donated image is strict: the stage loop holds the
-// buffer, and whenever the handoff is abandoned — a stage error, a
-// singular factor, context cancellation — it re-materializes the image
-// into B before returning, so the operand is left exactly as the serial
-// sequence would have left it after the producer stage. While an image
-// is live, B's storage is stale and nothing else may read it; the
-// planner therefore only fuses pairs where the consumer directly
-// follows the producer and reads that operand as its B.
+// Each stage reads and writes its operands where the compact layout
+// stores them — the triangular kernels address B in place in every mode
+// — so nothing is handed between stages and a failing or cancelled
+// chain leaves exactly the serial prefix's results.
 //
 // Pure chain inputs — operands read by some stage and written by none —
 // are auto-prepacked, so a chain-invariant triangle (block-Jacobi's
 // Cholesky factor) packs once and later iterations skip the packing.
-// Both decisions are made per call, in O(stages) without allocating.
+// The marks are made per call, in O(stages) without allocating.
 package engine
 
 import (
@@ -124,23 +106,10 @@ func chainWrites(k OpKind) int {
 	return 1 // TRSM/TRMM's B, SYRK's C
 }
 
-// triGeom returns a cached triangular plan's geometry — whether B is
-// canonicalized at all, and the block permutation that does it — or nil
-// for any other plan.
-func triGeom(pv any) *core.TriGeom {
-	switch pl := pv.(type) {
-	case *core.TRSMPlan:
-		return &pl.TriGeom
-	case *core.TRMMPlan:
-		return &pl.TriGeom
-	}
-	return nil
-}
-
-// planHandoffs decides a chain's canonical-B handoffs and auto-prepack
-// marks for one call from its resolved plans and its record's alias
-// pattern.
-func planHandoffs(plans []stagePlan, ids []stageID) {
+// autoPrepack marks, for one call, the stages whose packed operand A is
+// a pure chain input (written by no stage of the list) for auto-prepack:
+// a triangular stage's triangle, a GEMM's packed A panel.
+func autoPrepack(plans []stagePlan, ids []stageID) {
 	w := written(ids)
 	for i := range plans {
 		r, d := &plans[i], &ids[i]
@@ -149,18 +118,6 @@ func planHandoffs(plans []stagePlan, ids []stageID) {
 			r.auto = !w.has(d.alias[0])
 		case OpGEMM:
 			r.auto = r.pv.(*core.GEMMPlan).PackA && !w.has(d.alias[0])
-		}
-		if i+1 == len(plans) {
-			break
-		}
-		// Adjacent triangular stages over the same B whose canonical
-		// images agree. The consumer must read the shared operand only as
-		// its B (its A a different compact), and neither stage may alias
-		// A with B.
-		c, pg, cg := &ids[i+1], triGeom(r.pv), triGeom(plans[i+1].pv)
-		if pg != nil && cg != nil && pg.PackB && cg.PackB && pg.ReverseB == cg.ReverseB && pg.TransposeB == cg.TransposeB &&
-			d.alias[1] == c.alias[1] && d.alias[0] != d.alias[1] && c.alias[0] != c.alias[1] {
-			r.elideOut, plans[i+1].donated = true, true
 		}
 	}
 }

@@ -257,10 +257,8 @@ type Engine struct {
 	planEvictions atomic.Uint64
 
 	// Chain dispatch counters (multi-stage runs only).
-	chainRuns     atomic.Uint64
-	chainMisses   atomic.Uint64 // runs that built a stage plan; the rest hit
-	scatterElided atomic.Uint64
-	packElided    atomic.Uint64
+	chainRuns   atomic.Uint64
+	chainMisses atomic.Uint64 // runs that built a stage plan; the rest hit
 
 	// profLabels gates pprof label application around compute (one atomic
 	// load per dispatch when off). Off by default: building the label set
@@ -426,11 +424,16 @@ func (s *Stats) Add(o Stats) {
 // stages plan through the plan cache like any op; PlanHits and
 // PlanMisses split the chain runs by whether they built a plan.
 type ChainStats struct {
-	Runs          uint64 // multi-stage chains executed (sync and async)
-	PlanHits      uint64 // chain runs that built no stage plan
-	PlanMisses    uint64 // chain runs that built at least one stage plan
-	ScatterElided uint64 // producer stages that skipped the B scatter
-	PackElided    uint64 // consumer stages that started from a donated image
+	Runs       uint64 // multi-stage chains executed (sync and async)
+	PlanHits   uint64 // chain runs that built no stage plan
+	PlanMisses uint64 // chain runs that built at least one stage plan
+
+	// ScatterElided and PackElided always read 0: stages hand no
+	// canonical B across, since the triangular kernels read B in place.
+	// They remain for perfbench, which still reports them; the benchmark
+	// change of ROADMAP item 1 drops that last reader.
+	ScatterElided uint64
+	PackElided    uint64
 }
 
 // Add accumulates another engine's chain counters (EngineSet aggregate).
@@ -438,8 +441,6 @@ func (s *ChainStats) Add(o ChainStats) {
 	s.Runs += o.Runs
 	s.PlanHits += o.PlanHits
 	s.PlanMisses += o.PlanMisses
-	s.ScatterElided += o.ScatterElided
-	s.PackElided += o.PackElided
 }
 
 // chainStats loads misses before runs: a run is counted before its miss,
@@ -447,13 +448,7 @@ func (s *ChainStats) Add(o ChainStats) {
 func (e *Engine) chainStats() ChainStats {
 	misses := e.chainMisses.Load()
 	runs := e.chainRuns.Load()
-	return ChainStats{
-		Runs:          runs,
-		PlanHits:      runs - misses,
-		PlanMisses:    misses,
-		ScatterElided: e.scatterElided.Load(),
-		PackElided:    e.packElided.Load(),
-	}
+	return ChainStats{Runs: runs, PlanHits: runs - misses, PlanMisses: misses}
 }
 
 // Stats returns the current counters.
@@ -763,14 +758,14 @@ func (e *Engine) planFacts(pv any, count int, summary bool) (ceiling float64, pa
 		p := pl.P
 		p.Count = count
 		if summary {
-			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB)
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), "tri"
 		}
 		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
 	case *core.TRMMPlan:
 		p := pl.P
 		p.Count = count
 		if summary {
-			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), triPackDesc(pl.PackB)
+			ceiling, pack = cmarCeiling(e.tun, p.DT, pl.Panels[0], pl.ColTiles[0]), "tri"
 		}
 		return ceiling, pack, pl.GroupsPerBatch, p.FLOPs()
 	case *core.SYRKPlan:
@@ -816,15 +811,6 @@ func gemmPackDesc(packA, packB bool) string {
 		return "B"
 	}
 	return "none"
-}
-
-// triPackDesc names the triangular routines' packing decision: the
-// triangle is always packed; B joins it only in non-canonical modes.
-func triPackDesc(packB bool) string {
-	if packB {
-		return "tri+B"
-	}
-	return "tri"
 }
 
 // gemmDims validates GEMM operand shapes and counts and returns the

@@ -3,7 +3,7 @@
 // loop: pass one resolves each stage's plan, pass two runs the stages,
 // each reporting into its own op's per-shape series. A one-stage list is
 // therefore exactly the op; a chain adds only its parent span and the
-// canonical-B handoff between fusable triangular stages (chain.go).
+// auto-prepack of its pure inputs (chain.go).
 package engine
 
 import (
@@ -12,7 +12,6 @@ import (
 	"slices"
 	"time"
 
-	"iatf/internal/bufpool"
 	"iatf/internal/core"
 	"iatf/internal/layout"
 	"iatf/internal/obs"
@@ -43,9 +42,9 @@ func (e *Engine) run(ctx context.Context, stages []ChainStage, id *listID, call 
 
 // exec runs a stage list under the caller's span (nil = untraced).
 // Pass one resolves every stage's plan through the plan cache, so a plan
-// error returns before any stage runs, and for a chain decides the
-// canonical-B handoffs and auto-prepack marks from those plans. Pass two
-// (runStages) runs the stages.
+// error returns before any stage runs, and for a chain marks the stages
+// whose A is a pure chain input for auto-prepack. Pass two (runStages)
+// runs the stages.
 func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *obs.Span) error {
 	chain := len(stages) > 1
 	if sp != nil {
@@ -97,7 +96,7 @@ func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *
 		if built {
 			e.chainMisses.Add(1)
 		}
-		planHandoffs(plans, ids)
+		autoPrepack(plans, ids)
 	}
 	if stages[0].Ops[0].F32 != nil {
 		return runStages[float32](e, ctx, stages, ids, plans, sp)
@@ -108,12 +107,9 @@ func (e *Engine) exec(ctx context.Context, stages []ChainStage, id *listID, sp *
 // runStages is pass two, typed by the element type: each stage checks
 // the context (in a chain), reports into its op's per-shape series and
 // span — the call's own for a one-stage list, a child of it in a chain —
-// and executes. The canonical-B handoff threads between stages, and
-// every exit re-materializes a live image, so callers always observe
-// serial-prefix semantics.
+// and executes. Each stage leaves its written operand in place, so
+// callers always observe serial-prefix semantics.
 func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage, ids []stageID, plans []stagePlan, sp *obs.Span) error {
-	var cb canonB[E]
-	defer cb.close(e)
 	chain := len(stages) > 1
 	count := stages[0].Ops[0].count()
 	for i := range plans {
@@ -141,7 +137,7 @@ func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage,
 		flops := e.report(&r)
 		e.obs.Mark(child, obs.PhasePlan, t0)
 		start := time.Now()
-		err := execStage(e, &r, &cb)
+		err := execStage[E](e, &r)
 		r.series.Record(time.Since(start), flops, err != nil)
 		if chain {
 			if sp != nil {
@@ -164,9 +160,7 @@ func runStages[E vec.Float](e *Engine, ctx context.Context, stages []ChainStage,
 type stagePlan struct {
 	pv      any // cached core plan; a *factorPlan for factorizations
 	outcome obs.CacheOutcome
-
-	auto              bool // auto-prepack A, a pure chain input
-	donated, elideOut bool // canonical-B handoff in / out
+	auto    bool // auto-prepack A, a pure chain input
 }
 
 // stageRun is one stage's resolved execution state.
@@ -188,37 +182,6 @@ func (e *Engine) clock(sp *obs.Span) time.Time {
 		return time.Time{}
 	}
 	return e.obs.Now()
-}
-
-// canonB is the canonical image of a chain's B operand held between
-// two fusable triangular stages: while live, b's storage is stale and
-// the image is the truth.
-type canonB[E vec.Float] struct {
-	buf        *bufpool.Buf[E]
-	data       []E
-	live       bool
-	b          *layout.Compact[E]
-	rev, trans bool
-}
-
-// drop ends a handoff normally: the consumer scattered into B itself.
-func (c *canonB[E]) drop(e *Engine) {
-	if c == nil || c.buf == nil {
-		return
-	}
-	c.live = false
-	bufpool.Put(e.rt.Bufs, c.buf)
-	c.buf, c.data = nil, nil
-}
-
-// close re-materializes a live image into B — the abort path of an
-// abandoned handoff (stage error, cancellation) — and frees the buffer.
-func (c *canonB[E]) close(e *Engine) {
-	if c.live {
-		core.ScatterCanonicalB(c.b, c.rev, c.trans, c.data)
-		c.b.Invalidate()
-	}
-	c.drop(e)
 }
 
 // prepacked resolves the packed image of A, the only operand a native
@@ -247,9 +210,8 @@ func prepacked[E vec.Float](e *Engine, r *stageRun, c *layout.Compact[E], role p
 // execStage runs one stage on the native kernels: it splices the call's
 // scalars and count into a stack copy of the cached plan, resolves
 // prepacked operands, executes, and retires packed images of the
-// operand the stage wrote. cb carries a chain's canonical-B handoff (a
-// one-stage run never hands off).
-func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
+// operand the stage wrote.
+func execStage[E vec.Float](e *Engine, r *stageRun) error {
 	st, op := r.st, &r.st.Op
 	labels := e.profileLabels(r.key)
 	if labels != nil {
@@ -315,53 +277,28 @@ func execStage[E vec.Float](e *Engine, r *stageRun, cb *canonB[E]) error {
 	var (
 		geo     *core.TriGeom
 		packTri func(dst []E) error
-		run     func(pre, inB, outB []E) error
+		run     func(pre []E) error
 	)
 	if r.key.kind == OpTRSM {
 		pl := *r.pv.(*core.TRSMPlan)
 		pl.P.Alpha, pl.P.Count, pl.RT, pl.Labels = op.Alpha, r.count, e.rt, labels
 		geo = &pl.TriGeom
 		packTri = func(dst []E) error { return core.PrepackTRSMTri(&pl, aC, dst) }
-		run = func(pre, inB, outB []E) error {
-			return core.ExecTRSMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
-		}
+		run = func(pre []E) error { return core.ExecTRSMNativePrepacked(&pl, aC, bC, pre, op.Workers) }
 	} else {
 		pl := *r.pv.(*core.TRMMPlan)
 		pl.P.Alpha, pl.P.Count, pl.RT, pl.Labels = op.Alpha, r.count, e.rt, labels
 		geo = &pl.TriGeom
 		packTri = func(dst []E) error { return core.PrepackTRMMTri(&pl, aC, dst) }
-		run = func(pre, inB, outB []E) error {
-			return core.ExecTRMMNativeChained(&pl, aC, bC, pre, inB, outB, op.Workers)
-		}
+		run = func(pre []E) error { return core.ExecTRMMNativePrepacked(&pl, aC, bC, pre, op.Workers) }
 	}
 	pre, ent, err := prepacked(e, r, aC, roleTri, geo.PrepackTriLen(aC.Groups()), packTri)
 	e.obs.Mark(r.sp, obs.PhasePack, t0)
 	if err == nil {
-		handoff := r.donated || r.elideOut
-		var inB, outB []E
-		if handoff && !r.donated {
-			cb.buf = bufpool.Get[E](e.rt.Bufs, len(bC.Data))
-			cb.data = cb.buf.Slice()[:len(bC.Data)]
-		}
-		if r.donated {
-			inB = cb.data
-		}
-		if r.elideOut {
-			outB = cb.data
-		}
 		t0 = e.clock(r.sp)
-		err = run(pre, inB, outB)
+		err = run(pre)
 		e.obs.Mark(r.sp, obs.PhaseCompute, t0)
-		if err == nil && r.donated {
-			e.packElided.Add(1)
-		}
-		if err == nil && r.elideOut {
-			e.scatterElided.Add(1)
-			cb.live, cb.b, cb.rev, cb.trans = true, bC, geo.ReverseB, geo.TransposeB
-		} else if err == nil || !handoff {
-			cb.drop(e)
-			bC.Invalidate()
-		}
+		bC.Invalidate()
 	}
 	e.packs.release(ent)
 	return err

@@ -220,8 +220,6 @@ func writeOpenMetrics(w io.Writer, entries []metricsEntry, set *SetStats) error 
 		{"iatf_chain_runs", func(st *Stats) uint64 { return st.Chain.Runs }},
 		{"iatf_chain_plan_hits", func(st *Stats) uint64 { return st.Chain.PlanHits }},
 		{"iatf_chain_plan_misses", func(st *Stats) uint64 { return st.Chain.PlanMisses }},
-		{"iatf_chain_scatter_elided", func(st *Stats) uint64 { return st.Chain.ScatterElided }},
-		{"iatf_chain_pack_elided", func(st *Stats) uint64 { return st.Chain.PackElided }},
 		{"iatf_bufpool_gets", func(st *Stats) uint64 { return st.Buffers.Gets }},
 		{"iatf_bufpool_reuses", func(st *Stats) uint64 { return st.Buffers.Reuses }},
 		{"iatf_bufpool_allocs", func(st *Stats) uint64 { return st.Buffers.Allocs }},

@@ -222,9 +222,9 @@ func TestPackCacheOrderCompaction(t *testing.T) {
 	}
 }
 
-// A stale-generation purge must not free a donated image a running
-// chain still holds: the entry's refcount keeps the buffer alive until
-// the last holder releases it.
+// A stale-generation purge must not free a packed image a running call
+// still holds: the entry's refcount keeps the buffer alive until the
+// last holder releases it.
 func TestPackCacheStalePurgeKeepsHeldReference(t *testing.T) {
 	e := New(core.DefaultTuning())
 	ent, data, _, err := acquirePacked(e, testKey(13, 1, 8), 16, func(dst []float32) error {

@@ -98,9 +98,7 @@ func drawPath(kind, modes uint8, m, n, k int, alpha, beta complex128) pathList {
 			pathStage{lo, []int{l.operand(m, m, true), c}},
 			pathStage{up, []int{l.operand(m, m, true), c}})
 	default:
-		// The fusable pair: B stays packed between the stages when both
-		// plans canonicalize it alike (Left, Upper, NoTrans does), else
-		// each stage solves it in place.
+		// Two triangular stages over one B, rows read upward.
 		tri(OpTRMM, OpTRSM)
 	}
 	return l

@@ -103,8 +103,9 @@ func drawSoakReq(rng *rand.Rand) *soakReq {
 // right after Submit, so the inline path, queue-full fallback,
 // rejection, cancellation in the queue and stealing all run. At
 // quiescence every request resolved exactly once, the queue counters
-// balance, no pooled buffer leaked and every request that succeeded is
-// bit-identical to a serial Run.
+// balance, no pooled buffer leaked, no finished span's phases sum past
+// its end-to-end time and every request that succeeded is bit-identical
+// to a serial Run.
 func TestAsyncQueueSoak(t *testing.T) {
 	tun := core.DefaultTuning()
 	set := NewSet(tun, 2, QueueConfig{Capacity: 4})
@@ -117,6 +118,7 @@ func TestAsyncQueueSoak(t *testing.T) {
 		}
 	}
 
+	var overrun atomic.Pointer[obs.Span] // a copy of the first span whose phases exceed its E2E
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, burst := range reqs {
@@ -132,7 +134,13 @@ func TestAsyncQueueSoak(t *testing.T) {
 				}
 				defer cancel() // released once every future of the goroutine resolved
 				stages := r.build(r.ops)
-				call := Call{Chain: len(stages) > 1, Sink: func(*obs.Span) { r.spans.Add(1) }}
+				call := Call{Chain: len(stages) > 1, Sink: func(sp *obs.Span) {
+					r.spans.Add(1)
+					if sp.PhaseTotal() > sp.Duration() {
+						cp := *sp // the registry reuses sp once the sink returns
+						overrun.CompareAndSwap(nil, &cp)
+					}
+				}}
 				r.fut, r.subErr = set.Submit(ctx, stages, call)
 				if r.cancel {
 					cancel()
@@ -192,6 +200,10 @@ func TestAsyncQueueSoak(t *testing.T) {
 				t.Fatalf("Submit: %v", r.subErr)
 			}
 		}
+	}
+
+	if sp := overrun.Load(); sp != nil {
+		t.Errorf("%s span: phases sum to %v, past its end-to-end %v (%v)", sp.Op, sp.PhaseTotal(), sp.Duration(), sp.Phases)
 	}
 
 	st := set.Stats()

@@ -221,23 +221,56 @@ func testGEMMCplxKernelMatchesGo[E vec.Float](t *testing.T, vl int, pure func(pa
 	}
 }
 
+// bLayout is one way the blocked triangular routines address a group's
+// B (core's TriGeom.BStrides): canonical block (i, j) at o + i·rs + j·cs
+// of a compact B of the given block count.
+type bLayout struct {
+	name      string
+	o, rs, cs int
+	blocks    int
+}
+
+// bLayouts are the four layouts of a canonical operand of m rows and n
+// columns, stored with pad spare rows (Left: B is (m+pad)×n, canonical
+// rows are B's rows, reversed when upper) or pad spare B rows (Right: B
+// is (n+pad)×m, canonical rows are B's columns, reversed when upper).
+// For one n and pad every layout's rs is the same whatever m is.
+func bLayouts(m, n, pad int) []bLayout {
+	r, c := m+pad, n+pad
+	return []bLayout{
+		{"left-lower", 0, 1, r, r * n},
+		{"left-upper", r - 1, -1, r, r * n},
+		{"right-lower", 0, c, 1, c * m},
+		{"right-upper", (m - 1) * c, -c, 1, c * m},
+	}
+}
+
+// The width-specialized triangles must equal the portable reference bit
+// for bit in every B layout, on ordinary and hostile values.
 func TestTriFastMatchesGeneric(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { testTriFastMatchesGeneric[float32](t) })
+	t.Run("f64", func(t *testing.T) { testTriFastMatchesGeneric[float64](t) })
+}
+
+func testTriFastMatchesGeneric[E vec.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, vl := range []int{2, 4} {
 		for m := 1; m <= 5; m++ {
 			for _, ncols := range []int{1, 3} {
-				strideB := m + 2
-				tri := m * (m + 1) / 2
-				pa := fill64(rng, tri*vl)
-				// Reciprocal-style diagonal values are already arbitrary
-				// multipliers for the equivalence check.
-				b := fill64(rng, ncols*strideB*vl)
-				bGen := append([]float64(nil), b...)
-				Tri(pa, b, m, ncols, strideB, vl)
-				triGeneric(pa, bGen, m, ncols, strideB, vl)
-				for i := range b {
-					if b[i] != bGen[i] {
-						t.Fatalf("vl=%d m=%d ncols=%d: tri fast/generic diverge at %d", vl, m, ncols, i)
+				for _, p := range []float64{0, 0.05, 0.5} {
+					for _, lay := range bLayouts(m, ncols, 2) {
+						// Reciprocal-style diagonal values are already
+						// arbitrary multipliers for the equivalence check.
+						pa := hostile[E](rng, m*(m+1)/2*vl, p)
+						b := hostile[E](rng, lay.blocks*vl, p)
+						bGen := append([]E(nil), b...)
+						TriStrided(pa, b, lay.o, m, ncols, lay.rs, lay.cs, vl)
+						triGeneric(pa, bGen, lay.o, m, ncols, lay.rs, lay.cs, vl)
+						for i := range b {
+							if !sameBits(b[i], bGen[i]) {
+								t.Fatalf("vl=%d m=%d ncols=%d %s p=%v: tri fast/generic diverge at %d", vl, m, ncols, lay.name, p, i)
+							}
+						}
 					}
 				}
 			}
@@ -245,14 +278,14 @@ func TestTriFastMatchesGeneric(t *testing.T) {
 	}
 }
 
-// The width-specialized rectangles, Rect's (FMLS) and RectAdd's (FMLA),
-// must equal the portable references bit for bit: every tile up to 4×4,
-// f32 and f64, K 1, 4, 8 and 12, on ordinary and hostile values, with C
-// apart from X and with C inside X's own column tile below its K rows,
-// as triWorker calls them.
+// The width-specialized rectangles, RectStrided's (FMLS) and RectAdd's
+// (FMLA), must equal the portable references bit for bit: every tile up
+// to 4×4, f32 and f64, K 1, 4, 8 and 12, in every B layout, on ordinary
+// and hostile values, with C apart from X and with C inside X's own
+// column tile below its K rows, as triWorker calls them.
 func TestRectFastMatchesGeneric(t *testing.T) {
-	t.Run("f32", func(t *testing.T) { testRectFastMatchesGeneric(t, Rect[float32], rectGeneric[float32]) })
-	t.Run("f64", func(t *testing.T) { testRectFastMatchesGeneric(t, Rect[float64], rectGeneric[float64]) })
+	t.Run("f32", func(t *testing.T) { testRectFastMatchesGeneric(t, RectStrided[float32], rectGeneric[float32]) })
+	t.Run("f64", func(t *testing.T) { testRectFastMatchesGeneric(t, RectStrided[float64], rectGeneric[float64]) })
 }
 
 func TestRectAddFastMatchesGeneric(t *testing.T) {
@@ -262,15 +295,15 @@ func TestRectAddFastMatchesGeneric(t *testing.T) {
 
 // rectAddGo is RectAdd without the generated kernel: the pure-Go
 // rectangle of vl's width.
-func rectAddGo[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+func rectAddGo[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
 	if vl == 4 {
-		rectAdd4(pa, x, c, mc, nc, k, strideC, strideX)
+		rectAdd4(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
 	} else {
-		rectAdd2(pa, x, c, mc, nc, k, strideC, strideX)
+		rectAdd2(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
 	}
 }
 
-type rectKernel[E vec.Float] func(pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
+type rectKernel[E vec.Float] func(pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int)
 
 func testRectFastMatchesGeneric[E vec.Float](t *testing.T, fast, generic rectKernel[E]) {
 	rng := rand.New(rand.NewSource(4))
@@ -287,24 +320,27 @@ func testRectFastMatchesGeneric[E vec.Float](t *testing.T, fast, generic rectKer
 			for _, p := range []float64{0, 0.05, 0.5} {
 				for mc := 1; mc <= 4; mc++ {
 					for nc := 1; nc <= 4; nc++ {
-						name := fmt.Sprintf("vl=%d %dx%d k=%d hostile p=%v", vl, mc, nc, k, p)
-						strideC, strideX := mc+1, k+1
-						pa := hostile[E](rng, k*mc*vl, p)
-						x := hostile[E](rng, nc*strideX*vl, p)
-						c := hostile[E](rng, nc*strideC*vl, p)
-						want := append([]E(nil), c...)
-						fast(pa, x, c, mc, nc, k, strideC, strideX, vl)
-						generic(pa, x, want, mc, nc, k, strideC, strideX, vl)
-						same(name, c, want)
-
 						// C rows [r0, r0+mc) of X's own columns, r0 ≥ k.
 						r0 := k + mc%2
-						stride := r0 + mc + 1
-						col := hostile[E](rng, nc*stride*vl, p)
-						want = append([]E(nil), col...)
-						fast(pa, col, col[r0*vl:], mc, nc, k, stride, stride, vl)
-						generic(pa, want, want[r0*vl:], mc, nc, k, stride, stride, vl)
-						same(name+" column tile", col, want)
+						xs, cs, tiles := bLayouts(k, nc, 1), bLayouts(mc, nc, 1), bLayouts(r0+mc, nc, 1)
+						for i := range xs {
+							lx, lc, lt := xs[i], cs[i], tiles[i]
+							name := fmt.Sprintf("vl=%d %dx%d k=%d %s hostile p=%v", vl, mc, nc, k, lx.name, p)
+							pa := hostile[E](rng, k*mc*vl, p)
+							x := hostile[E](rng, lx.blocks*vl, p)
+							c := hostile[E](rng, lc.blocks*vl, p)
+							want := append([]E(nil), c...)
+							fast(pa, x, c, lx.o, lc.o, mc, nc, k, lx.rs, lc.cs, lx.cs, vl)
+							generic(pa, x, want, lx.o, lc.o, mc, nc, k, lx.rs, lc.cs, lx.cs, vl)
+							same(name, c, want)
+
+							col := hostile[E](rng, lt.blocks*vl, p)
+							want = append([]E(nil), col...)
+							co := lt.o + r0*lt.rs
+							fast(pa, col, col, lt.o, co, mc, nc, k, lt.rs, lt.cs, lt.cs, vl)
+							generic(pa, want, want, lt.o, co, mc, nc, k, lt.rs, lt.cs, lt.cs, vl)
+							same(name+" column tile", col, want)
+						}
 					}
 				}
 			}

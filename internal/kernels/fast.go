@@ -168,7 +168,8 @@ func gemmCplx2[E vec.Float](pa, pb, c []E, mc, nc, k, ldbk, ldbc, strideC int, a
 	}
 }
 
-// rect4 is Rect for 4-lane blocks. Like gemm4 it keeps one C block's
+// rect4 is RectStrided for 4-lane blocks with rows one block apart,
+// from X's and C's first blocks. Like gemm4 it keeps one C block's
 // lanes in scalar locals over the K loop, reading A's packed blocks and
 // X's column in place, so a call zero-fills no accumulator or pointer
 // table; every lane sees rectGeneric's sequence of multiply-subtracts,
@@ -215,6 +216,59 @@ func rect2[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
 	}
 }
 
+// rect4s is RectStrided for 4-lane blocks, in the form of rect4, with
+// every offset stepped by its stride.
+func rect4s[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX int) {
+	rs, xo, co = 4*rs, 4*xo, 4*co
+	as := 4 * mc
+	for cc := 0; cc < nc; cc++ {
+		dc := co
+		for r := 0; r < as; r += 4 {
+			d := (*[4]E)(c[dc:])
+			s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+			ao, xi := r, xo
+			for l := k; l > 0; l-- {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(x[xi:])
+				s0 -= a[0] * b[0]
+				s1 -= a[1] * b[1]
+				s2 -= a[2] * b[2]
+				s3 -= a[3] * b[3]
+				ao += as
+				xi += rs
+			}
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+			dc += rs
+		}
+		xo += 4 * strideX
+		co += 4 * strideC
+	}
+}
+
+// rect2s is RectStrided for 2-lane blocks, in the form of rect4s.
+func rect2s[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX int) {
+	rs, xo, co = 2*rs, 2*xo, 2*co
+	as := 2 * mc
+	for cc := 0; cc < nc; cc++ {
+		dc := co
+		for r := 0; r < as; r += 2 {
+			d := (*[2]E)(c[dc:])
+			s0, s1 := d[0], d[1]
+			ao, xi := r, xo
+			for l := k; l > 0; l-- {
+				a, b := (*[2]E)(pa[ao:]), (*[2]E)(x[xi:])
+				s0 -= a[0] * b[0]
+				s1 -= a[1] * b[1]
+				ao += as
+				xi += rs
+			}
+			d[0], d[1] = s0, s1
+			dc += rs
+		}
+		xo += 2 * strideX
+		co += 2 * strideC
+	}
+}
+
 // span returns s[lo:lo+n] after checking lo+n against len(s): a slice
 // expression alone checks only against cap(s).
 func span[E any](s []E, lo, n int) []E {
@@ -222,47 +276,58 @@ func span[E any](s []E, lo, n int) []E {
 	return s[lo : lo+n]
 }
 
-// tri4 is Tri for 4-lane blocks. Like the other width-specialized
+// tri4 is TriStrided for 4-lane blocks. Like the other width-specialized
 // triangle kernels it reads the packed triangle in order and the B
-// column in place, keeping the row being solved in scalar locals, so a
-// call zero-fills no block table or column copy. Row i reads rows j < i,
-// which it has already solved and stored.
-func tri4[E vec.Float](pa, b []E, m, ncols, strideB int) {
+// column in place, stepping row offsets by the row stride and keeping
+// the row being solved in scalar locals, so a call zero-fills no block
+// table or column copy. Row i reads rows j < i, which it has already
+// solved and stored.
+func tri4[E vec.Float](pa, b []E, o, m, ncols, rs, cs int) {
 	pa = span(pa, 0, 2*m*(m+1))
-	for l := 0; l < ncols; l++ {
-		x := span(b, l*strideB*4, 4*m)
-		k := 0
+	rs, cs = 4*rs, 4*cs
+	for col := 4 * o; ncols > 0; ncols-- {
+		k, xi := 0, col
 		for i := 0; i < m; i++ {
-			x0, x1, x2, x3 := x[4*i], x[4*i+1], x[4*i+2], x[4*i+3]
-			for j := 0; j < i; j++ {
-				x0 -= pa[k] * x[4*j]
-				x1 -= pa[k+1] * x[4*j+1]
-				x2 -= pa[k+2] * x[4*j+2]
-				x3 -= pa[k+3] * x[4*j+3]
+			x := (*[4]E)(b[xi:])
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			for j, xj := 0, col; j < i; j++ {
+				y := (*[4]E)(b[xj:])
+				x0 -= pa[k] * y[0]
+				x1 -= pa[k+1] * y[1]
+				x2 -= pa[k+2] * y[2]
+				x3 -= pa[k+3] * y[3]
 				k += 4
+				xj += rs
 			}
-			x[4*i], x[4*i+1], x[4*i+2], x[4*i+3] = x0*pa[k], x1*pa[k+1], x2*pa[k+2], x3*pa[k+3]
+			x[0], x[1], x[2], x[3] = x0*pa[k], x1*pa[k+1], x2*pa[k+2], x3*pa[k+3]
 			k += 4
+			xi += rs
 		}
+		col += cs
 	}
 }
 
-// tri2 is Tri for 2-lane blocks.
-func tri2[E vec.Float](pa, b []E, m, ncols, strideB int) {
+// tri2 is TriStrided for 2-lane blocks.
+func tri2[E vec.Float](pa, b []E, o, m, ncols, rs, cs int) {
 	pa = span(pa, 0, m*(m+1))
-	for l := 0; l < ncols; l++ {
-		x := span(b, l*strideB*2, 2*m)
-		k := 0
+	rs, cs = 2*rs, 2*cs
+	for col := 2 * o; ncols > 0; ncols-- {
+		k, xi := 0, col
 		for i := 0; i < m; i++ {
-			x0, x1 := x[2*i], x[2*i+1]
-			for j := 0; j < i; j++ {
-				x0 -= pa[k] * x[2*j]
-				x1 -= pa[k+1] * x[2*j+1]
+			x := (*[2]E)(b[xi:])
+			x0, x1 := x[0], x[1]
+			for j, xj := 0, col; j < i; j++ {
+				y := (*[2]E)(b[xj:])
+				x0 -= pa[k] * y[0]
+				x1 -= pa[k+1] * y[1]
 				k += 2
+				xj += rs
 			}
-			x[2*i], x[2*i+1] = x0*pa[k], x1*pa[k+1]
+			x[0], x[1] = x0*pa[k], x1*pa[k+1]
 			k += 2
+			xi += rs
 		}
+		col += cs
 	}
 }
 

@@ -246,16 +246,17 @@ func TestTRMMAssemblyIsRegenerated(t *testing.T) {
 }
 
 // The generated TRMM kernels serve float32 at 4 lanes and float64 at 2:
-// triangles of M ≤ 4 and the 4×4 rectangle, also inside the blocked
-// TRMM's column tile (X rows [0, k) and C rows [r0, r0+4) of the same
-// columns, k ≤ r0). VL overrides, M = 5, narrow tiles, a triangle that
-// shares memory with B and a C that overlaps X any other way stay on
-// pure Go.
+// triangles of M ≤ 4 and the 4×4 rectangle, in every B layout the
+// blocked TRMM uses (rows ±1 or ±M blocks apart), also inside its column
+// tile (X rows [0, k) and C rows [r0, r0+4) of the same columns under
+// the same strides, k ≤ r0). VL overrides, M = 5, narrow tiles, blocks
+// that coincide, a triangle that shares memory with B and a C that
+// overlaps X any other way stay on pure Go.
 func TestTRMMKernelDispatch(t *testing.T) {
 	native := Backend != "purego"
 	s := make([]float32, 1024)
 	d := make([]float64, 1024)
-	const k, stride = 3, 8
+	const k, stride, rows = 3, 8, 5
 	sa, da := s[:4*k*4], d[:4*k*2]
 	sb, db := s[128:], d[128:]
 	for _, tc := range []struct {
@@ -263,30 +264,46 @@ func TestTRMMKernelDispatch(t *testing.T) {
 		run       func() bool
 		generated bool
 	}{
-		{"tri f32 vl=4 M=4", func() bool { return triMulAsm(s[:40], sb, 4, 3, 4, 4) }, native},
-		{"tri f64 vl=2 M=1", func() bool { return triMulAsm(d[:2], db, 1, 5, 2, 2) }, native},
-		{"tri f64 vl=2 M=4", func() bool { return triMulAsm(d[:20], db, 4, 2, 6, 2) }, native},
-		{"tri f32 vl=2", func() bool { return triMulAsm(s[:20], sb, 4, 2, 4, 2) }, false},
-		{"tri f64 vl=4", func() bool { return triMulAsm(d[:40], db, 4, 2, 4, 4) }, false},
-		{"tri M=5", func() bool { return triMulAsm(d[:30], db, 5, 2, 5, 2) }, false},
-		{"tri ncols=0", func() bool { return triMulAsm(d[:20], db, 4, 0, 4, 2) }, false},
-		{"tri strideB<M", func() bool { return triMulAsm(d[:20], db, 4, 2, 3, 2) }, false},
-		{"tri overlaps B", func() bool { return triMulAsm(d[120:], db, 4, 2, 4, 2) }, false},
-		{"rect f32 4x4", func() bool { return rectAddAsm(sa, sb, s[512:], 4, 4, k, 4, k, 4) }, native},
-		{"rect f64 4x4", func() bool { return rectAddAsm(da, db, d[512:], 4, 4, k, 5, stride, 2) }, native},
-		{"rect f64 column tile", func() bool { return rectAddAsm(da, db, db[k*2:], 4, 4, k, stride, stride, 2) }, native},
-		{"rect f32 column tile", func() bool { return rectAddAsm(sa, sb, sb[(k+1)*4:], 4, 4, k, stride, stride, 4) }, native},
-		{"rect f32 vl=2", func() bool { return rectAddAsm(sa, sb, s[512:], 4, 4, k, 4, k, 2) }, false},
-		{"rect f64 vl=4", func() bool { return rectAddAsm(da, db, d[512:], 4, 4, k, 4, k, 4) }, false},
-		{"rect 4x3", func() bool { return rectAddAsm(da, db, d[512:], 4, 3, k, 4, k, 2) }, false},
-		{"rect 3x4", func() bool { return rectAddAsm(da, db, d[512:], 3, 4, k, 4, k, 2) }, false},
-		{"rect k=0", func() bool { return rectAddAsm(da, db, d[512:], 4, 4, 0, 4, k, 2) }, false},
-		{"rect C is X", func() bool { return rectAddAsm(da, db, db, 4, 4, k, stride, stride, 2) }, false},
-		{"rect C above X's last row", func() bool { return rectAddAsm(da, db, db[(k-1)*2:], 4, 4, k, stride, stride, 2) }, false},
-		{"rect C runs into X's next column", func() bool { return rectAddAsm(da, db, db[k*2:], 4, 4, k, k+3, k+3, 2) }, false},
-		{"rect C and X strides differ", func() bool { return rectAddAsm(da, db, db[k*2:], 4, 4, k, stride+1, stride, 2) }, false},
-		{"rect C in a lane of X", func() bool { return rectAddAsm(sa, sb, sb[k*4+1:], 4, 4, k, stride, stride, 4) }, false},
-		{"rect C overlaps A", func() bool { return rectAddAsm(da, db, d[16:], 4, 4, k, stride, stride, 2) }, false},
+		{"tri f32 vl=4 M=4", func() bool { return triMulAsm(s[:40], sb, 0, 4, 3, 1, 4, 4) }, native},
+		{"tri f64 vl=2 M=1", func() bool { return triMulAsm(d[:2], db, 0, 1, 5, 1, 2, 2) }, native},
+		{"tri f64 vl=2 M=4", func() bool { return triMulAsm(d[:20], db, 0, 4, 2, 1, 6, 2) }, native},
+		{"tri f32 rs=-1", func() bool { return triMulAsm(s[:40], sb, 3, 4, 3, -1, 4, 4) }, native},
+		{"tri f64 rs=-1", func() bool { return triMulAsm(d[:20], db, 3, 4, 2, -1, 4, 2) }, native},
+		{"tri f32 rs=M", func() bool { return triMulAsm(s[:40], sb, 0, 4, 3, rows, 1, 4) }, native},
+		{"tri f64 rs=M", func() bool { return triMulAsm(d[:20], db, 0, 4, 3, rows, 1, 2) }, native},
+		{"tri f64 rs=-M", func() bool { return triMulAsm(d[:20], db, 3*rows, 4, 3, -rows, 1, 2) }, native},
+		{"tri f32 vl=2", func() bool { return triMulAsm(s[:20], sb, 0, 4, 2, 1, 4, 2) }, false},
+		{"tri f64 vl=4", func() bool { return triMulAsm(d[:40], db, 0, 4, 2, 1, 4, 4) }, false},
+		{"tri M=5", func() bool { return triMulAsm(d[:30], db, 0, 5, 2, 1, 5, 2) }, false},
+		{"tri ncols=0", func() bool { return triMulAsm(d[:20], db, 0, 4, 0, 1, 4, 2) }, false},
+		{"tri columns interleave", func() bool { return triMulAsm(d[:20], db, 0, 4, 2, 1, 3, 2) }, false},
+		{"tri rows coincide", func() bool { return triMulAsm(d[:20], db, 0, 4, 2, 0, 4, 2) }, false},
+		{"tri overlaps B", func() bool { return triMulAsm(d[120:], db, 0, 4, 2, 1, 4, 2) }, false},
+		{"rect f32 4x4", func() bool { return rectAddAsm(sa, sb, s[512:], 0, 0, 4, 4, k, 1, 4, k, 4) }, native},
+		{"rect f64 4x4", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 4, 4, k, 1, 5, stride, 2) }, native},
+		{"rect f64 4x4 rs=-1", func() bool { return rectAddAsm(da, db, d[512:], stride-1, 3, 4, 4, k, -1, stride, stride, 2) }, native},
+		{"rect f64 column tile", func() bool { return rectAddAsm(da, db, db, 0, k, 4, 4, k, 1, stride, stride, 2) }, native},
+		{"rect f32 column tile", func() bool { return rectAddAsm(sa, sb, sb, 0, k+1, 4, 4, k, 1, stride, stride, 4) }, native},
+		{"rect f32 column tile rs=-1", func() bool { return rectAddAsm(sa, sb, sb, stride-1, stride-1-k, 4, 4, k, -1, stride, stride, 4) }, native},
+		{"rect f64 column tile rs=-1", func() bool { return rectAddAsm(da, db, db, stride-1, stride-1-k, 4, 4, k, -1, stride, stride, 2) }, native},
+		{"rect f32 column tile rs=M", func() bool { return rectAddAsm(sa, sb, sb, 0, k*rows, 4, 4, k, rows, 1, 1, 4) }, native},
+		{"rect f64 column tile rs=M", func() bool { return rectAddAsm(da, db, db, 0, k*rows, 4, 4, k, rows, 1, 1, 2) }, native},
+		{"rect f64 column tile rs=-M", func() bool {
+			return rectAddAsm(da, db, db, (k+3)*rows, 3*rows, 4, 4, k, -rows, 1, 1, 2)
+		}, native},
+		{"rect f32 vl=2", func() bool { return rectAddAsm(sa, sb, s[512:], 0, 0, 4, 4, k, 1, 4, k, 2) }, false},
+		{"rect f64 vl=4", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 4, 4, k, 1, 4, k, 4) }, false},
+		{"rect 4x3", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 4, 3, k, 1, 4, k, 2) }, false},
+		{"rect 3x4", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 3, 4, k, 1, 4, k, 2) }, false},
+		{"rect k=0", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 4, 4, 0, 1, 4, k, 2) }, false},
+		{"rect C blocks coincide", func() bool { return rectAddAsm(da, db, d[512:], 0, 0, 4, 4, k, 3, 1, 1, 2) }, false},
+		{"rect C is X", func() bool { return rectAddAsm(da, db, db, 0, 0, 4, 4, k, 1, stride, stride, 2) }, false},
+		{"rect C above X's last row", func() bool { return rectAddAsm(da, db, db, 0, k-1, 4, 4, k, 1, stride, stride, 2) }, false},
+		{"rect C above X's last row rs=M", func() bool { return rectAddAsm(da, db, db, 0, (k-1)*rows, 4, 4, k, rows, 1, 1, 2) }, false},
+		{"rect C runs into X's next column", func() bool { return rectAddAsm(da, db, db, 0, k, 4, 4, k, 1, k+3, k+3, 2) }, false},
+		{"rect C and X strides differ", func() bool { return rectAddAsm(da, db, db, 0, k, 4, 4, k, 1, stride+1, stride, 2) }, false},
+		{"rect C in a lane of X", func() bool { return rectAddAsm(sa, sb, sb[k*4+1:], 0, 0, 4, 4, k, 1, stride, stride, 4) }, false},
+		{"rect C overlaps A", func() bool { return rectAddAsm(da, db, d[16:], 0, 0, 4, 4, k, 1, stride, stride, 2) }, false},
 	} {
 		if got := tc.run(); got != tc.generated {
 			t.Errorf("%s: generated kernel ran = %v, want %v (Backend %q)", tc.name, got, tc.generated, Backend)
@@ -295,7 +312,8 @@ func TestTRMMKernelDispatch(t *testing.T) {
 }
 
 // An operand one element short panics before the generated TRMM kernels
-// write anything.
+// write anything, and so does a B one block short at its low end when
+// rows run upward (rs < 0), where the lowest block is not the first.
 func TestTRMMKernelsBoundsChecked(t *testing.T) {
 	const m, ncols, strideB, k, strideC, strideX, vl = 4, 3, 5, 3, 5, 4, 2
 	for _, tc := range []struct {
@@ -304,35 +322,60 @@ func TestTRMMKernelsBoundsChecked(t *testing.T) {
 		run  func(ops [][]float64)
 	}{
 		{"TriMul", []int{m * (m + 1) / 2 * vl, ((ncols-1)*strideB + m) * vl},
-			func(o [][]float64) { TriMul(o[0], o[1], m, ncols, strideB, vl) }},
+			func(o [][]float64) { TriMul(o[0], o[1], 0, m, ncols, 1, strideB, vl) }},
 		{"RectAdd", []int{4 * k * vl, (3*strideX + k) * vl, (3*strideC + 4) * vl},
-			func(o [][]float64) { RectAdd(o[0], o[1], o[2], 4, 4, k, strideC, strideX, vl) }},
+			func(o [][]float64) { RectAdd(o[0], o[1], o[2], 0, 0, 4, 4, k, 1, strideC, strideX, vl) }},
 	} {
 		for i := range tc.lens {
 			ops := make([][]float64, len(tc.lens))
 			for j, n := range tc.lens {
-				ops[j] = make([]float64, n)
-				for e := range ops[j] {
-					ops[j][e] = 2
-				}
+				ops[j] = twos(n)
 			}
 			ops[i] = ops[i][:len(ops[i])-1]
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s, operand %d short: no panic", tc.name, i)
-					}
-				}()
-				tc.run(ops)
-			}()
-			if Backend == "purego" {
-				continue // the Go kernels may panic part-way
+			panicsUnwritten(t, fmt.Sprintf("%s, operand %d short", tc.name, i), ops[len(ops)-1], func() { tc.run(ops) })
+		}
+	}
+
+	// Rows upward: block 0 of a full B is the lowest one, row m−1 of the
+	// first column (TriMul) or row r0+3 of C (RectAdd in its column tile,
+	// r0 = k); the short B starts one block later.
+	const tile = k + 4
+	tri, pa := twos(m*(m+1)/2*vl), twos(4*k*vl)
+	b := twos(((ncols-1)*strideB + m) * vl)[vl:]
+	panicsUnwritten(t, "TriMul rs<0, B short at its low end", b, func() { TriMul(tri, b, m-2, m, ncols, -1, strideB, vl) })
+	b = twos(4 * tile * vl)[vl:]
+	panicsUnwritten(t, "RectAdd rs<0, B short at its low end", b, func() {
+		RectAdd(pa, b, b, tile-2, tile-2-k, 4, 4, k, -1, tile, tile, vl)
+	})
+}
+
+// twos is n elements of 2.
+func twos(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = 2
+	}
+	return s
+}
+
+// panicsUnwritten requires run to panic and, on a build with generated
+// kernels, to leave out unwritten.
+func panicsUnwritten(t *testing.T, name string, out []float64, run func()) {
+	t.Helper()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
 			}
-			for e, v := range ops[len(ops)-1] {
-				if v != 2 {
-					t.Fatalf("%s, operand %d short: element %d written before the panic", tc.name, i, e)
-				}
-			}
+		}()
+		run()
+	}()
+	if Backend == "purego" {
+		return // the Go kernels may panic part-way
+	}
+	for e, v := range out {
+		if v != 2 {
+			t.Fatalf("%s: element %d written before the panic", name, e)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // backend of the public API; the IR + VM path in internal/asm exists to
 // validate the install-time generator/optimizer and to drive the cycle
 // model. Some kernels are the generator's own output: on amd64 the GEMM
-// main kernels (s/d 4×4, c/z 3×2, reading B in place through run-time
-// strides) and the s/d TRMM triangle (M ≤ 4) and 4×4 rectangle run as
+// main kernels (s/d 4×4, c/z 3×2) and the s/d TRMM triangle (M ≤ 4) and
+// 4×4 rectangle, all reading B in place through run-time strides, run as
 // SSE2 assembly lowered from the templates (gemm_amd64.s, trmm_amd64.s),
 // and on a CPU with AVX the s/d GEMM 4×4 as 256-bit AVX lowered from the
 // same templates (Backend), all bit-identical to their Go forms.
@@ -175,24 +175,38 @@ func Overlaps[E any](x, y []E) bool {
 	return x0 < y0+uintptr(len(y))*unsafe.Sizeof(y[0]) && y0 < x0+uintptr(len(x))*unsafe.Sizeof(x[0])
 }
 
+// The triangle kernels read B where the compact layout stores it: block
+// (i, j) of the canonical Left/Lower/NoTrans operand sits at o + i·rs +
+// j·cs blocks, rows rs apart and columns cs apart. rs may be negative
+// (an effective-upper triangle walks B's rows upward) and cs is never:
+// a Left call has (rs, cs) = (±1, M), a Right call (±M, 1). The offsets
+// step by the strides, so each lane sees the same operations in the
+// same order in every mode.
+
 // Tri solves the canonical lower triangular system for ncols columns of B
 // in place (Algorithm 4): the packed triangle pa holds row-wise blocks
-// with reciprocal diagonals; column c of B lives at c·strideB·vl.
-// m ≤ 5 (real register budget).
+// with reciprocal diagonals; column c of B lives at c·strideB·vl. It is
+// TriStrided with rows one block apart.
 func Tri[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
-	switch vl {
-	case 4:
-		tri4(pa, b, m, ncols, strideB)
-		return
-	case 2:
-		tri2(pa, b, m, ncols, strideB)
-		return
-	}
-	triGeneric(pa, b, m, ncols, strideB, vl)
+	TriStrided(pa, b, 0, m, ncols, 1, strideB, vl)
 }
 
-// triGeneric is the portable reference form of Tri.
-func triGeneric[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+// TriStrided is Tri over B block (i, l) at o + i·rs + l·cs blocks of b.
+// m ≤ 5 (real register budget).
+func TriStrided[E vec.Float](pa, b []E, o, m, ncols, rs, cs, vl int) {
+	switch vl {
+	case 4:
+		tri4(pa, b, o, m, ncols, rs, cs)
+		return
+	case 2:
+		tri2(pa, b, o, m, ncols, rs, cs)
+		return
+	}
+	triGeneric(pa, b, o, m, ncols, rs, cs, vl)
+}
+
+// triGeneric is the portable reference form of TriStrided.
+func triGeneric[E vec.Float](pa, b []E, o, m, ncols, rs, cs, vl int) {
 	var a [15]vec.V[E] // m(m+1)/2 ≤ 15
 	n := m * (m + 1) / 2
 	for i := 0; i < n; i++ {
@@ -200,9 +214,9 @@ func triGeneric[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 	}
 	var x [5]vec.V[E]
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * vl
+		off := o + l*cs
 		for i := 0; i < m; i++ {
-			x[i] = vec.Load(b[off+i*vl:], vl)
+			x[i] = vec.Load(b[(off+i*rs)*vl:], vl)
 		}
 		for i := 0; i < m; i++ {
 			row := i * (i + 1) / 2
@@ -212,13 +226,13 @@ func triGeneric[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 			x[i] = vec.Mul(x[i], a[row+i])
 		}
 		for i := 0; i < m; i++ {
-			vec.Store(b[off+i*vl:], x[i], vl)
+			vec.Store(b[(off+i*rs)*vl:], x[i], vl)
 		}
 	}
 }
 
-// TriCplx is the complex form of Tri; m ≤ 3.
-func TriCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+// TriCplx is the complex form of TriStrided, in blocks of 2·vl; m ≤ 3.
+func TriCplx[E vec.Float](pa, b []E, o, m, ncols, rs, cs, vl int) {
 	bl := 2 * vl
 	var aRe, aIm [6]vec.V[E] // m(m+1)/2 ≤ 6
 	n := m * (m + 1) / 2
@@ -228,10 +242,11 @@ func TriCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 	}
 	var xRe, xIm [3]vec.V[E]
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * bl
+		off := o + l*cs
 		for i := 0; i < m; i++ {
-			xRe[i] = vec.Load(b[off+i*bl:], vl)
-			xIm[i] = vec.Load(b[off+i*bl+vl:], vl)
+			e := (off + i*rs) * bl
+			xRe[i] = vec.Load(b[e:], vl)
+			xIm[i] = vec.Load(b[e+vl:], vl)
 		}
 		for i := 0; i < m; i++ {
 			row := i * (i + 1) / 2
@@ -248,33 +263,47 @@ func TriCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 			xRe[i], xIm[i] = re, im
 		}
 		for i := 0; i < m; i++ {
-			vec.Store(b[off+i*bl:], xRe[i], vl)
-			vec.Store(b[off+i*bl+vl:], xIm[i], vl)
+			e := (off + i*rs) * bl
+			vec.Store(b[e:], xRe[i], vl)
+			vec.Store(b[e+vl:], xIm[i], vl)
 		}
 	}
 }
 
 // Rect applies the TRSM rectangular update (Eq. 4) to a B tile in place:
 // B -= L·X, with L packed column-major (mc blocks per reduction step) and
-// X read strided from the solved rows.
+// X read strided from the solved rows. It is RectStrided with rows one
+// block apart.
 func Rect[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
-	switch vl {
-	case 4:
-		rect4(pa, x, c, mc, nc, k, strideC, strideX)
-		return
-	case 2:
-		rect2(pa, x, c, mc, nc, k, strideC, strideX)
-		return
-	}
-	rectGeneric(pa, x, c, mc, nc, k, strideC, strideX, vl)
+	RectStrided(pa, x, c, 0, 0, mc, nc, k, 1, strideC, strideX, vl)
 }
 
-// rectGeneric is the portable reference form of Rect.
-func rectGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+// RectStrided is Rect over X block (l, j) at xo + l·rs + j·strideX blocks
+// of x and C block (r, j) at co + r·rs + j·strideC blocks of c; x and c
+// may be one buffer. mc, nc ≤ 4. Rows one block apart (every Left call
+// with an effective-lower triangle) run rect4/rect2, whose K loop steps
+// by a constant; the strided loop read 6–11% slower there.
+func RectStrided[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
+	switch {
+	case vl == 4 && rs == 1:
+		rect4(pa, x[4*xo:], c[4*co:], mc, nc, k, strideC, strideX)
+	case vl == 4:
+		rect4s(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
+	case vl == 2 && rs == 1:
+		rect2(pa, x[2*xo:], c[2*co:], mc, nc, k, strideC, strideX)
+	case vl == 2:
+		rect2s(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
+	default:
+		rectGeneric(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX, vl)
+	}
+}
+
+// rectGeneric is the portable reference form of RectStrided.
+func rectGeneric[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
 	var acc [4][4]vec.V[E]
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[r][cc] = vec.Load(c[(cc*strideC+r)*vl:], vl)
+			acc[r][cc] = vec.Load(c[(co+r*rs+cc*strideC)*vl:], vl)
 		}
 	}
 	ao := 0
@@ -285,7 +314,7 @@ func rectGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
 			ao += vl
 		}
 		for cc := 0; cc < nc; cc++ {
-			xv[cc] = vec.Load(x[(cc*strideX+l)*vl:], vl)
+			xv[cc] = vec.Load(x[(xo+l*rs+cc*strideX)*vl:], vl)
 		}
 		for cc := 0; cc < nc; cc++ {
 			for r := 0; r < mc; r++ {
@@ -295,18 +324,19 @@ func rectGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			vec.Store(c[(cc*strideC+r)*vl:], acc[r][cc], vl)
+			vec.Store(c[(co+r*rs+cc*strideC)*vl:], acc[r][cc], vl)
 		}
 	}
 }
 
-// RectCplx is the complex form of Rect; mc, nc ≤ 2.
-func RectCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+// RectCplx is the complex form of RectStrided, in blocks of 2·vl; mc,
+// nc ≤ 2.
+func RectCplx[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
 	bl := 2 * vl
 	var accRe, accIm [2][2]vec.V[E]
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			off := (cc*strideC + r) * bl
+			off := (co + r*rs + cc*strideC) * bl
 			accRe[r][cc] = vec.Load(c[off:], vl)
 			accIm[r][cc] = vec.Load(c[off+vl:], vl)
 		}
@@ -320,7 +350,7 @@ func RectCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
 			ao += bl
 		}
 		for cc := 0; cc < nc; cc++ {
-			off := (cc*strideX + l) * bl
+			off := (xo + l*rs + cc*strideX) * bl
 			xRe[cc] = vec.Load(x[off:], vl)
 			xIm[cc] = vec.Load(x[off+vl:], vl)
 		}
@@ -335,7 +365,7 @@ func RectCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			off := (cc*strideC + r) * bl
+			off := (co + r*rs + cc*strideC) * bl
 			vec.Store(c[off:], accRe[r][cc], vl)
 			vec.Store(c[off+vl:], accIm[r][cc], vl)
 		}

@@ -203,7 +203,7 @@ func TestTriCplxAndRectCplxDirect(t *testing.T) {
 		b[i] = rng.Float64()
 	}
 	orig := append([]float64(nil), b...)
-	TriCplx(pa, b, m, ncols, strideB, vl)
+	TriCplx(pa, b, 0, m, ncols, 1, strideB, vl)
 	for lane := 0; lane < vl; lane++ {
 		for l := 0; l < ncols; l++ {
 			x := make([]complex128, m)
@@ -242,7 +242,7 @@ func TestTriCplxAndRectCplxDirect(t *testing.T) {
 		rc[i] = rng.Float64()
 	}
 	rorig := append([]float64(nil), rc...)
-	RectCplx(rpa, rx, rc, rmc, rnc, rk, rsC, rsX, vl)
+	RectCplx(rpa, rx, rc, 0, 0, rmc, rnc, rk, 1, rsC, rsX, vl)
 	for lane := 0; lane < vl; lane++ {
 		for r := 0; r < rmc; r++ {
 			for cc := 0; cc < rnc; cc++ {

@@ -15,20 +15,21 @@ import "iatf/internal/vec"
 // is pre-scaled into B exactly as in TRSM.
 
 // TriMul multiplies ncols columns of B in place by the register-resident
-// lower triangle (m ≤ 5 real). Rows are processed bottom-up so x_j
-// (j < i) is still the original value when row i consumes it.
+// lower triangle (m ≤ 5 real), B block (i, l) at o + i·rs + l·cs blocks
+// as in TriStrided. Rows are processed bottom-up so x_j (j < i) is still
+// the original value when row i consumes it.
 // On amd64 float32/float64 at native width with m ≤ 4 run as generated
 // SSE2 code (Backend); every other case runs pure Go.
-func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
-	if triMulAsm(pa, b, m, ncols, strideB, vl) {
+func TriMul[E vec.Float](pa, b []E, o, m, ncols, rs, cs, vl int) {
+	if triMulAsm(pa, b, o, m, ncols, rs, cs, vl) {
 		return
 	}
 	if vl == 4 {
-		triMul4(pa, b, m, ncols, strideB)
+		triMul4(pa, b, o, m, ncols, rs, cs)
 		return
 	}
 	if vl == 2 {
-		triMul2(pa, b, m, ncols, strideB)
+		triMul2(pa, b, o, m, ncols, rs, cs)
 		return
 	}
 	var a [15]vec.V[E]
@@ -38,9 +39,9 @@ func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 	}
 	var x [5]vec.V[E]
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * vl
+		off := o + l*cs
 		for i := 0; i < m; i++ {
-			x[i] = vec.Load(b[off+i*vl:], vl)
+			x[i] = vec.Load(b[(off+i*rs)*vl:], vl)
 		}
 		for i := m - 1; i >= 0; i-- {
 			row := i * (i + 1) / 2
@@ -51,7 +52,7 @@ func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 			x[i] = acc
 		}
 		for i := 0; i < m; i++ {
-			vec.Store(b[off+i*vl:], x[i], vl)
+			vec.Store(b[(off+i*rs)*vl:], x[i], vl)
 		}
 	}
 }
@@ -60,47 +61,59 @@ func TriMul[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 // reads the packed triangle and the B column in place and keeps the row
 // in scalar locals; rows run bottom-up, so the rows j < i that row i
 // reads are still original.
-func triMul4[E vec.Float](pa, b []E, m, ncols, strideB int) {
+func triMul4[E vec.Float](pa, b []E, o, m, ncols, rs, cs int) {
 	pa = span(pa, 0, 2*m*(m+1))
-	for l := 0; l < ncols; l++ {
-		x := span(b, l*strideB*4, 4*m)
+	rs, cs = 4*rs, 4*cs
+	for col := 4 * o; ncols > 0; ncols-- {
+		xi := col + (m-1)*rs
 		for i := m - 1; i >= 0; i-- {
 			k := 2 * i * (i + 1)
 			d := k + 4*i
-			x0, x1, x2, x3 := x[4*i]*pa[d], x[4*i+1]*pa[d+1], x[4*i+2]*pa[d+2], x[4*i+3]*pa[d+3]
-			for j := 0; j < i; j++ {
-				x0 += pa[k] * x[4*j]
-				x1 += pa[k+1] * x[4*j+1]
-				x2 += pa[k+2] * x[4*j+2]
-				x3 += pa[k+3] * x[4*j+3]
+			x := (*[4]E)(b[xi:])
+			x0, x1, x2, x3 := x[0]*pa[d], x[1]*pa[d+1], x[2]*pa[d+2], x[3]*pa[d+3]
+			for j, xj := 0, col; j < i; j++ {
+				y := (*[4]E)(b[xj:])
+				x0 += pa[k] * y[0]
+				x1 += pa[k+1] * y[1]
+				x2 += pa[k+2] * y[2]
+				x3 += pa[k+3] * y[3]
 				k += 4
+				xj += rs
 			}
-			x[4*i], x[4*i+1], x[4*i+2], x[4*i+3] = x0, x1, x2, x3
+			x[0], x[1], x[2], x[3] = x0, x1, x2, x3
+			xi -= rs
 		}
+		col += cs
 	}
 }
 
 // triMul2 is TriMul's pure-Go kernel for 2-lane blocks.
-func triMul2[E vec.Float](pa, b []E, m, ncols, strideB int) {
+func triMul2[E vec.Float](pa, b []E, o, m, ncols, rs, cs int) {
 	pa = span(pa, 0, m*(m+1))
-	for l := 0; l < ncols; l++ {
-		x := span(b, l*strideB*2, 2*m)
+	rs, cs = 2*rs, 2*cs
+	for col := 2 * o; ncols > 0; ncols-- {
+		xi := col + (m-1)*rs
 		for i := m - 1; i >= 0; i-- {
 			k := i * (i + 1)
 			d := k + 2*i
-			x0, x1 := x[2*i]*pa[d], x[2*i+1]*pa[d+1]
-			for j := 0; j < i; j++ {
-				x0 += pa[k] * x[2*j]
-				x1 += pa[k+1] * x[2*j+1]
+			x := (*[2]E)(b[xi:])
+			x0, x1 := x[0]*pa[d], x[1]*pa[d+1]
+			for j, xj := 0, col; j < i; j++ {
+				y := (*[2]E)(b[xj:])
+				x0 += pa[k] * y[0]
+				x1 += pa[k+1] * y[1]
 				k += 2
+				xj += rs
 			}
-			x[2*i], x[2*i+1] = x0, x1
+			x[0], x[1] = x0, x1
+			xi -= rs
 		}
+		col += cs
 	}
 }
 
-// TriMulCplx is the complex form of TriMul (m ≤ 3).
-func TriMulCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
+// TriMulCplx is the complex form of TriMul, in blocks of 2·vl (m ≤ 3).
+func TriMulCplx[E vec.Float](pa, b []E, o, m, ncols, rs, cs, vl int) {
 	bl := 2 * vl
 	var aRe, aIm [6]vec.V[E]
 	n := m * (m + 1) / 2
@@ -110,10 +123,11 @@ func TriMulCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 	}
 	var xRe, xIm [3]vec.V[E]
 	for l := 0; l < ncols; l++ {
-		off := l * strideB * bl
+		off := o + l*cs
 		for i := 0; i < m; i++ {
-			xRe[i] = vec.Load(b[off+i*bl:], vl)
-			xIm[i] = vec.Load(b[off+i*bl+vl:], vl)
+			e := (off + i*rs) * bl
+			xRe[i] = vec.Load(b[e:], vl)
+			xIm[i] = vec.Load(b[e+vl:], vl)
 		}
 		for i := m - 1; i >= 0; i-- {
 			row := i * (i + 1) / 2
@@ -129,37 +143,38 @@ func TriMulCplx[E vec.Float](pa, b []E, m, ncols, strideB, vl int) {
 			xRe[i], xIm[i] = accRe, accIm
 		}
 		for i := 0; i < m; i++ {
-			vec.Store(b[off+i*bl:], xRe[i], vl)
-			vec.Store(b[off+i*bl+vl:], xIm[i], vl)
+			e := (off + i*rs) * bl
+			vec.Store(b[e:], xRe[i], vl)
+			vec.Store(b[e+vl:], xIm[i], vl)
 		}
 	}
 }
 
-// RectAdd applies B_tile += L·X — the accumulating (FMLA) form of the
-// TRSM rectangular kernel, used by the blocked TRMM. On amd64 the
-// float32/float64 4×4 tile at native width runs as generated SSE2 code
-// (Backend); every other case runs pure Go.
-func RectAdd[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
-	if rectAddAsm(pa, x, c, mc, nc, k, strideC, strideX, vl) {
+// RectAdd applies B_tile += L·X — the accumulating (FMLA) form of
+// RectStrided, with its addressing, used by the blocked TRMM. On amd64
+// the float32/float64 4×4 tile at native width runs as generated SSE2
+// code (Backend); every other case runs pure Go.
+func RectAdd[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
+	if rectAddAsm(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX, vl) {
 		return
 	}
 	if vl == 4 {
-		rectAdd4(pa, x, c, mc, nc, k, strideC, strideX)
+		rectAdd4(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
 		return
 	}
 	if vl == 2 {
-		rectAdd2(pa, x, c, mc, nc, k, strideC, strideX)
+		rectAdd2(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX)
 		return
 	}
-	rectAddGeneric(pa, x, c, mc, nc, k, strideC, strideX, vl)
+	rectAddGeneric(pa, x, c, xo, co, mc, nc, k, rs, strideC, strideX, vl)
 }
 
 // rectAddGeneric is the portable reference form of RectAdd.
-func rectAddGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+func rectAddGeneric[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
 	var acc [4][4]vec.V[E]
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			acc[r][cc] = vec.Load(c[(cc*strideC+r)*vl:], vl)
+			acc[r][cc] = vec.Load(c[(co+r*rs+cc*strideC)*vl:], vl)
 		}
 	}
 	ao := 0
@@ -170,7 +185,7 @@ func rectAddGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl i
 			ao += vl
 		}
 		for cc := 0; cc < nc; cc++ {
-			xv[cc] = vec.Load(x[(cc*strideX+l)*vl:], vl)
+			xv[cc] = vec.Load(x[(xo+l*rs+cc*strideX)*vl:], vl)
 		}
 		for cc := 0; cc < nc; cc++ {
 			for r := 0; r < mc; r++ {
@@ -180,7 +195,7 @@ func rectAddGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl i
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			vec.Store(c[(cc*strideC+r)*vl:], acc[r][cc], vl)
+			vec.Store(c[(co+r*rs+cc*strideC)*vl:], acc[r][cc], vl)
 		}
 	}
 }
@@ -188,52 +203,65 @@ func rectAddGeneric[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl i
 // rectAdd4 is RectAdd for 4-lane blocks, in the form of rect4: one C
 // block's lanes in scalar locals over the K loop, A and X read in place,
 // each block written before the next is read.
-func rectAdd4[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
+func rectAdd4[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX int) {
+	rs, xo, co = 4*rs, 4*xo, 4*co
+	as := 4 * mc
 	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			d := (*[4]E)(c[(cc*strideC+r)*4:])
+		dc := co
+		for r := 0; r < as; r += 4 {
+			d := (*[4]E)(c[dc:])
 			s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
-			ao, xo := r*4, cc*strideX*4
-			for l := 0; l < k; l++ {
-				a, b := (*[4]E)(pa[ao:]), (*[4]E)(x[xo:])
+			ao, xi := r, xo
+			for l := k; l > 0; l-- {
+				a, b := (*[4]E)(pa[ao:]), (*[4]E)(x[xi:])
 				s0 += a[0] * b[0]
 				s1 += a[1] * b[1]
 				s2 += a[2] * b[2]
 				s3 += a[3] * b[3]
-				ao += mc * 4
-				xo += 4
+				ao += as
+				xi += rs
 			}
 			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+			dc += rs
 		}
+		xo += 4 * strideX
+		co += 4 * strideC
 	}
 }
 
 // rectAdd2 is RectAdd for 2-lane blocks, in the form of rectAdd4.
-func rectAdd2[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX int) {
+func rectAdd2[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX int) {
+	rs, xo, co = 2*rs, 2*xo, 2*co
+	as := 2 * mc
 	for cc := 0; cc < nc; cc++ {
-		for r := 0; r < mc; r++ {
-			d := (*[2]E)(c[(cc*strideC+r)*2:])
+		dc := co
+		for r := 0; r < as; r += 2 {
+			d := (*[2]E)(c[dc:])
 			s0, s1 := d[0], d[1]
-			ao, xo := r*2, cc*strideX*2
-			for l := 0; l < k; l++ {
-				a, b := (*[2]E)(pa[ao:]), (*[2]E)(x[xo:])
+			ao, xi := r, xo
+			for l := k; l > 0; l-- {
+				a, b := (*[2]E)(pa[ao:]), (*[2]E)(x[xi:])
 				s0 += a[0] * b[0]
 				s1 += a[1] * b[1]
-				ao += mc * 2
-				xo += 2
+				ao += as
+				xi += rs
 			}
 			d[0], d[1] = s0, s1
+			dc += rs
 		}
+		xo += 2 * strideX
+		co += 2 * strideC
 	}
 }
 
-// RectAddCplx is the complex form of RectAdd (mc, nc ≤ 2).
-func RectAddCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int) {
+// RectAddCplx is the complex form of RectAdd, in blocks of 2·vl (mc, nc
+// ≤ 2).
+func RectAddCplx[E vec.Float](pa, x, c []E, xo, co, mc, nc, k, rs, strideC, strideX, vl int) {
 	bl := 2 * vl
 	var accRe, accIm [2][2]vec.V[E]
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			off := (cc*strideC + r) * bl
+			off := (co + r*rs + cc*strideC) * bl
 			accRe[r][cc] = vec.Load(c[off:], vl)
 			accIm[r][cc] = vec.Load(c[off+vl:], vl)
 		}
@@ -247,7 +275,7 @@ func RectAddCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
 			ao += bl
 		}
 		for cc := 0; cc < nc; cc++ {
-			off := (cc*strideX + l) * bl
+			off := (xo + l*rs + cc*strideX) * bl
 			xRe[cc] = vec.Load(x[off:], vl)
 			xIm[cc] = vec.Load(x[off+vl:], vl)
 		}
@@ -262,7 +290,7 @@ func RectAddCplx[E vec.Float](pa, x, c []E, mc, nc, k, strideC, strideX, vl int)
 	}
 	for cc := 0; cc < nc; cc++ {
 		for r := 0; r < mc; r++ {
-			off := (cc*strideC + r) * bl
+			off := (co + r*rs + cc*strideC) * bl
 			vec.Store(c[off:], accRe[r][cc], vl)
 			vec.Store(c[off+vl:], accIm[r][cc], vl)
 		}

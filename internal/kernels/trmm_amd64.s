@@ -4,12 +4,15 @@
 
 #include "textflag.h"
 
-// func trmmTri1s(pa, b *float32, ncols, ldb int)
-TEXT ·trmmTri1s(SB), NOSPLIT, $0-32
+// func trmmTri1s(pa, b *float32, ncols, rs, cs int)
+TEXT ·trmmTri1s(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldr q2, [pA]
 	MOVUPS (SI), X0
@@ -27,12 +30,15 @@ loop:
 done:
 	RET
 
-// func trmmTri2s(pa, b *float32, ncols, ldb int)
-TEXT ·trmmTri2s(SB), NOSPLIT, $0-32
+// func trmmTri2s(pa, b *float32, ncols, rs, cs int)
+TEXT ·trmmTri2s(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q4, q5, [pA]
 	MOVUPS (SI), X0
@@ -43,7 +49,7 @@ TEXT ·trmmTri2s(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v1.4s, v1.4s, v6.4s
-	MOVUPS 16(DI), X4
+	MOVUPS (DI)(R9*1), X4
 	MULPS X2, X4
 	// fmla v1.4s, v5.4s, v0.4s
 	MOVUPS (DI), X3
@@ -54,19 +60,22 @@ loop:
 	MULPS X0, X3
 	// stp q0, q1, [pB]
 	MOVUPS X3, (DI)
-	MOVUPS X4, 16(DI)
+	MOVUPS X4, (DI)(R9*1)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmTri3s(pa, b *float32, ncols, ldb int)
-TEXT ·trmmTri3s(SB), NOSPLIT, $0-32
+// func trmmTri3s(pa, b *float32, ncols, rs, cs int)
+TEXT ·trmmTri3s(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q6, q7, [pA]
 	MOVUPS (SI), X0
@@ -81,7 +90,7 @@ TEXT ·trmmTri3s(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v2.4s, v2.4s, v11.4s
-	MOVUPS 32(DI), X8
+	MOVUPS (DI)(R9*2), X8
 	MULPS X5, X8
 	// fmla v2.4s, v9.4s, v0.4s
 	MOVUPS (DI), X6
@@ -89,7 +98,7 @@ loop:
 	MULPS X6, X15
 	ADDPS X15, X8
 	// fmla v2.4s, v10.4s, v1.4s
-	MOVUPS 16(DI), X7
+	MOVUPS (DI)(R9*1), X7
 	MOVAPS X4, X15
 	MULPS X7, X15
 	ADDPS X15, X8
@@ -103,21 +112,24 @@ loop:
 	MULPS X0, X6
 	// stp q0, q1, [pB]
 	MOVUPS X6, (DI)
-	MOVUPS X7, 16(DI)
+	MOVUPS X7, (DI)(R9*1)
 	// str q2, [pB, #32]
-	MOVUPS X8, 32(DI)
+	MOVUPS X8, (DI)(R9*2)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmTri4s(pa, b *float32, ncols, ldb int)
-TEXT ·trmmTri4s(SB), NOSPLIT, $0-32
+// func trmmTri4s(pa, b *float32, ncols, rs, cs int)
+TEXT ·trmmTri4s(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q8, q9, [pA]
 	MOVUPS (SI), X0
@@ -138,7 +150,7 @@ TEXT ·trmmTri4s(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v3.4s, v3.4s, v17.4s
-	MOVUPS 48(DI), X13
+	MOVUPS (DI)(R10*1), X13
 	MULPS X9, X13
 	// fmla v3.4s, v14.4s, v0.4s
 	MOVUPS (DI), X10
@@ -146,12 +158,12 @@ loop:
 	MULPS X10, X15
 	ADDPS X15, X13
 	// fmla v3.4s, v15.4s, v1.4s
-	MOVUPS 16(DI), X11
+	MOVUPS (DI)(R9*1), X11
 	MOVAPS X7, X15
 	MULPS X11, X15
 	ADDPS X15, X13
 	// fmla v3.4s, v16.4s, v2.4s
-	MOVUPS 32(DI), X12
+	MOVUPS (DI)(R9*2), X12
 	MOVAPS X8, X15
 	MULPS X12, X15
 	ADDPS X15, X13
@@ -175,23 +187,28 @@ loop:
 	MULPS X0, X10
 	// stp q0, q1, [pB]
 	MOVUPS X10, (DI)
-	MOVUPS X11, 16(DI)
+	MOVUPS X11, (DI)(R9*1)
 	// stp q2, q3, [pB, #32]
-	MOVUPS X12, 32(DI)
-	MOVUPS X13, 48(DI)
+	MOVUPS X12, (DI)(R9*2)
+	MOVUPS X13, (DI)(R10*1)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmRect4x4s(pa, x, c *float32, k, ldx, ldc int)
-TEXT ·trmmRect4x4s(SB), NOSPLIT, $0-48
+// func trmmRect4x4s(pa, x, c *float32, k, rs, ldx, ldc int)
+TEXT ·trmmRect4x4s(SB), NOSPLIT, $0-56
 	MOVQ c+16(FP), DX
-	MOVQ ldc+40(FP), R8
+	MOVQ rs+32(FP), R12
+	SHLQ $4, R12
+	LEAQ (R12)(R12*2), R13
+	MOVQ ldc+48(FP), R8
 	SHLQ $4, R8
-	LEAQ (R8)(R8*2), R9
-	MOVQ ldx+32(FP), R10
+	LEAQ (DX)(R8*2), R9
+	LEAQ (R9)(R8*1), BX
+	ADDQ DX, R8
+	MOVQ ldx+40(FP), R10
 	SHLQ $4, R10
 	LEAQ (R10)(R10*2), R11
 	MOVQ pa+0(FP), SI
@@ -199,16 +216,16 @@ TEXT ·trmmRect4x4s(SB), NOSPLIT, $0-48
 	MOVQ k+24(FP), CX
 	// ldp q16, q17, [pC]
 	MOVUPS (DX), X8
-	MOVUPS 16(DX), X9
+	MOVUPS (DX)(R12*1), X9
 	// ldp q18, q19, [pC, #32]
-	MOVUPS 32(DX), X10
-	MOVUPS 48(DX), X11
+	MOVUPS (DX)(R12*2), X10
+	MOVUPS (DX)(R13*1), X11
 	// ldp q20, q21, [pC, #64]
-	MOVUPS (DX)(R8*1), X12
-	MOVUPS 16(DX)(R8*1), X13
+	MOVUPS (R8), X12
+	MOVUPS (R8)(R12*1), X13
 	// ldp q22, q23, [pC, #96]
-	MOVUPS 32(DX)(R8*1), X14
-	MOVUPS 48(DX)(R8*1), X15
+	MOVUPS (R8)(R12*2), X14
+	MOVUPS (R8)(R13*1), X15
 	TESTQ CX, CX
 	JEQ save0
 loop0:
@@ -251,37 +268,37 @@ loop0:
 	MULPS X6, X7
 	ADDPS X7, X15
 	ADDQ $64, SI
-	ADDQ $16, DI
+	ADDQ R12, DI
 	DECQ CX
 	JNE loop0
 save0:
 	// stp q16, q17, [pC]
 	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
+	MOVUPS X9, (DX)(R12*1)
 	// stp q18, q19, [pC, #32]
-	MOVUPS X10, 32(DX)
-	MOVUPS X11, 48(DX)
+	MOVUPS X10, (DX)(R12*2)
+	MOVUPS X11, (DX)(R13*1)
 	// stp q20, q21, [pC, #64]
-	MOVUPS X12, (DX)(R8*1)
-	MOVUPS X13, 16(DX)(R8*1)
+	MOVUPS X12, (R8)
+	MOVUPS X13, (R8)(R12*1)
 	// stp q22, q23, [pC, #96]
-	MOVUPS X14, 32(DX)(R8*1)
-	MOVUPS X15, 48(DX)(R8*1)
+	MOVUPS X14, (R8)(R12*2)
+	MOVUPS X15, (R8)(R13*1)
 	MOVQ pa+0(FP), SI
 	MOVQ x+8(FP), DI
 	MOVQ k+24(FP), CX
 	// ldp q24, q25, [pC, #128]
-	MOVUPS (DX)(R8*2), X8
-	MOVUPS 16(DX)(R8*2), X9
+	MOVUPS (R9), X8
+	MOVUPS (R9)(R12*1), X9
 	// ldp q26, q27, [pC, #160]
-	MOVUPS 32(DX)(R8*2), X10
-	MOVUPS 48(DX)(R8*2), X11
+	MOVUPS (R9)(R12*2), X10
+	MOVUPS (R9)(R13*1), X11
 	// ldp q28, q29, [pC, #192]
-	MOVUPS (DX)(R9*1), X12
-	MOVUPS 16(DX)(R9*1), X13
+	MOVUPS (BX), X12
+	MOVUPS (BX)(R12*1), X13
 	// ldp q30, q31, [pC, #224]
-	MOVUPS 32(DX)(R9*1), X14
-	MOVUPS 48(DX)(R9*1), X15
+	MOVUPS (BX)(R12*2), X14
+	MOVUPS (BX)(R13*1), X15
 	TESTQ CX, CX
 	JEQ save1
 loop1:
@@ -324,30 +341,33 @@ loop1:
 	MULPS X6, X7
 	ADDPS X7, X15
 	ADDQ $64, SI
-	ADDQ $16, DI
+	ADDQ R12, DI
 	DECQ CX
 	JNE loop1
 save1:
 	// stp q24, q25, [pC, #128]
-	MOVUPS X8, (DX)(R8*2)
-	MOVUPS X9, 16(DX)(R8*2)
+	MOVUPS X8, (R9)
+	MOVUPS X9, (R9)(R12*1)
 	// stp q26, q27, [pC, #160]
-	MOVUPS X10, 32(DX)(R8*2)
-	MOVUPS X11, 48(DX)(R8*2)
+	MOVUPS X10, (R9)(R12*2)
+	MOVUPS X11, (R9)(R13*1)
 	// stp q28, q29, [pC, #192]
-	MOVUPS X12, (DX)(R9*1)
-	MOVUPS X13, 16(DX)(R9*1)
+	MOVUPS X12, (BX)
+	MOVUPS X13, (BX)(R12*1)
 	// stp q30, q31, [pC, #224]
-	MOVUPS X14, 32(DX)(R9*1)
-	MOVUPS X15, 48(DX)(R9*1)
+	MOVUPS X14, (BX)(R12*2)
+	MOVUPS X15, (BX)(R13*1)
 	RET
 
-// func trmmTri1d(pa, b *float64, ncols, ldb int)
-TEXT ·trmmTri1d(SB), NOSPLIT, $0-32
+// func trmmTri1d(pa, b *float64, ncols, rs, cs int)
+TEXT ·trmmTri1d(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldr q2, [pA]
 	MOVUPD (SI), X0
@@ -365,12 +385,15 @@ loop:
 done:
 	RET
 
-// func trmmTri2d(pa, b *float64, ncols, ldb int)
-TEXT ·trmmTri2d(SB), NOSPLIT, $0-32
+// func trmmTri2d(pa, b *float64, ncols, rs, cs int)
+TEXT ·trmmTri2d(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q4, q5, [pA]
 	MOVUPD (SI), X0
@@ -381,7 +404,7 @@ TEXT ·trmmTri2d(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v1.2d, v1.2d, v6.2d
-	MOVUPD 16(DI), X4
+	MOVUPD (DI)(R9*1), X4
 	MULPD X2, X4
 	// fmla v1.2d, v5.2d, v0.2d
 	MOVUPD (DI), X3
@@ -392,19 +415,22 @@ loop:
 	MULPD X0, X3
 	// stp q0, q1, [pB]
 	MOVUPD X3, (DI)
-	MOVUPD X4, 16(DI)
+	MOVUPD X4, (DI)(R9*1)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmTri3d(pa, b *float64, ncols, ldb int)
-TEXT ·trmmTri3d(SB), NOSPLIT, $0-32
+// func trmmTri3d(pa, b *float64, ncols, rs, cs int)
+TEXT ·trmmTri3d(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q6, q7, [pA]
 	MOVUPD (SI), X0
@@ -419,7 +445,7 @@ TEXT ·trmmTri3d(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v2.2d, v2.2d, v11.2d
-	MOVUPD 32(DI), X8
+	MOVUPD (DI)(R9*2), X8
 	MULPD X5, X8
 	// fmla v2.2d, v9.2d, v0.2d
 	MOVUPD (DI), X6
@@ -427,7 +453,7 @@ loop:
 	MULPD X6, X15
 	ADDPD X15, X8
 	// fmla v2.2d, v10.2d, v1.2d
-	MOVUPD 16(DI), X7
+	MOVUPD (DI)(R9*1), X7
 	MOVAPD X4, X15
 	MULPD X7, X15
 	ADDPD X15, X8
@@ -441,21 +467,24 @@ loop:
 	MULPD X0, X6
 	// stp q0, q1, [pB]
 	MOVUPD X6, (DI)
-	MOVUPD X7, 16(DI)
+	MOVUPD X7, (DI)(R9*1)
 	// str q2, [pB, #32]
-	MOVUPD X8, 32(DI)
+	MOVUPD X8, (DI)(R9*2)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmTri4d(pa, b *float64, ncols, ldb int)
-TEXT ·trmmTri4d(SB), NOSPLIT, $0-32
+// func trmmTri4d(pa, b *float64, ncols, rs, cs int)
+TEXT ·trmmTri4d(SB), NOSPLIT, $0-40
 	MOVQ pa+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ ncols+16(FP), CX
-	MOVQ ldb+24(FP), R8
+	MOVQ rs+24(FP), R9
+	SHLQ $4, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ cs+32(FP), R8
 	SHLQ $4, R8
 	// ldp q8, q9, [pA]
 	MOVUPD (SI), X0
@@ -476,7 +505,7 @@ TEXT ·trmmTri4d(SB), NOSPLIT, $0-32
 	JEQ done
 loop:
 	// fmul v3.2d, v3.2d, v17.2d
-	MOVUPD 48(DI), X13
+	MOVUPD (DI)(R10*1), X13
 	MULPD X9, X13
 	// fmla v3.2d, v14.2d, v0.2d
 	MOVUPD (DI), X10
@@ -484,12 +513,12 @@ loop:
 	MULPD X10, X15
 	ADDPD X15, X13
 	// fmla v3.2d, v15.2d, v1.2d
-	MOVUPD 16(DI), X11
+	MOVUPD (DI)(R9*1), X11
 	MOVAPD X7, X15
 	MULPD X11, X15
 	ADDPD X15, X13
 	// fmla v3.2d, v16.2d, v2.2d
-	MOVUPD 32(DI), X12
+	MOVUPD (DI)(R9*2), X12
 	MOVAPD X8, X15
 	MULPD X12, X15
 	ADDPD X15, X13
@@ -513,23 +542,28 @@ loop:
 	MULPD X0, X10
 	// stp q0, q1, [pB]
 	MOVUPD X10, (DI)
-	MOVUPD X11, 16(DI)
+	MOVUPD X11, (DI)(R9*1)
 	// stp q2, q3, [pB, #32]
-	MOVUPD X12, 32(DI)
-	MOVUPD X13, 48(DI)
+	MOVUPD X12, (DI)(R9*2)
+	MOVUPD X13, (DI)(R10*1)
 	ADDQ R8, DI
 	DECQ CX
 	JNE loop
 done:
 	RET
 
-// func trmmRect4x4d(pa, x, c *float64, k, ldx, ldc int)
-TEXT ·trmmRect4x4d(SB), NOSPLIT, $0-48
+// func trmmRect4x4d(pa, x, c *float64, k, rs, ldx, ldc int)
+TEXT ·trmmRect4x4d(SB), NOSPLIT, $0-56
 	MOVQ c+16(FP), DX
-	MOVQ ldc+40(FP), R8
+	MOVQ rs+32(FP), R12
+	SHLQ $4, R12
+	LEAQ (R12)(R12*2), R13
+	MOVQ ldc+48(FP), R8
 	SHLQ $4, R8
-	LEAQ (R8)(R8*2), R9
-	MOVQ ldx+32(FP), R10
+	LEAQ (DX)(R8*2), R9
+	LEAQ (R9)(R8*1), BX
+	ADDQ DX, R8
+	MOVQ ldx+40(FP), R10
 	SHLQ $4, R10
 	LEAQ (R10)(R10*2), R11
 	MOVQ pa+0(FP), SI
@@ -537,16 +571,16 @@ TEXT ·trmmRect4x4d(SB), NOSPLIT, $0-48
 	MOVQ k+24(FP), CX
 	// ldp q16, q17, [pC]
 	MOVUPD (DX), X8
-	MOVUPD 16(DX), X9
+	MOVUPD (DX)(R12*1), X9
 	// ldp q18, q19, [pC, #32]
-	MOVUPD 32(DX), X10
-	MOVUPD 48(DX), X11
+	MOVUPD (DX)(R12*2), X10
+	MOVUPD (DX)(R13*1), X11
 	// ldp q20, q21, [pC, #64]
-	MOVUPD (DX)(R8*1), X12
-	MOVUPD 16(DX)(R8*1), X13
+	MOVUPD (R8), X12
+	MOVUPD (R8)(R12*1), X13
 	// ldp q22, q23, [pC, #96]
-	MOVUPD 32(DX)(R8*1), X14
-	MOVUPD 48(DX)(R8*1), X15
+	MOVUPD (R8)(R12*2), X14
+	MOVUPD (R8)(R13*1), X15
 	TESTQ CX, CX
 	JEQ save0
 loop0:
@@ -589,37 +623,37 @@ loop0:
 	MULPD X6, X7
 	ADDPD X7, X15
 	ADDQ $64, SI
-	ADDQ $16, DI
+	ADDQ R12, DI
 	DECQ CX
 	JNE loop0
 save0:
 	// stp q16, q17, [pC]
 	MOVUPD X8, (DX)
-	MOVUPD X9, 16(DX)
+	MOVUPD X9, (DX)(R12*1)
 	// stp q18, q19, [pC, #32]
-	MOVUPD X10, 32(DX)
-	MOVUPD X11, 48(DX)
+	MOVUPD X10, (DX)(R12*2)
+	MOVUPD X11, (DX)(R13*1)
 	// stp q20, q21, [pC, #64]
-	MOVUPD X12, (DX)(R8*1)
-	MOVUPD X13, 16(DX)(R8*1)
+	MOVUPD X12, (R8)
+	MOVUPD X13, (R8)(R12*1)
 	// stp q22, q23, [pC, #96]
-	MOVUPD X14, 32(DX)(R8*1)
-	MOVUPD X15, 48(DX)(R8*1)
+	MOVUPD X14, (R8)(R12*2)
+	MOVUPD X15, (R8)(R13*1)
 	MOVQ pa+0(FP), SI
 	MOVQ x+8(FP), DI
 	MOVQ k+24(FP), CX
 	// ldp q24, q25, [pC, #128]
-	MOVUPD (DX)(R8*2), X8
-	MOVUPD 16(DX)(R8*2), X9
+	MOVUPD (R9), X8
+	MOVUPD (R9)(R12*1), X9
 	// ldp q26, q27, [pC, #160]
-	MOVUPD 32(DX)(R8*2), X10
-	MOVUPD 48(DX)(R8*2), X11
+	MOVUPD (R9)(R12*2), X10
+	MOVUPD (R9)(R13*1), X11
 	// ldp q28, q29, [pC, #192]
-	MOVUPD (DX)(R9*1), X12
-	MOVUPD 16(DX)(R9*1), X13
+	MOVUPD (BX), X12
+	MOVUPD (BX)(R12*1), X13
 	// ldp q30, q31, [pC, #224]
-	MOVUPD 32(DX)(R9*1), X14
-	MOVUPD 48(DX)(R9*1), X15
+	MOVUPD (BX)(R12*2), X14
+	MOVUPD (BX)(R13*1), X15
 	TESTQ CX, CX
 	JEQ save1
 loop1:
@@ -662,20 +696,20 @@ loop1:
 	MULPD X6, X7
 	ADDPD X7, X15
 	ADDQ $64, SI
-	ADDQ $16, DI
+	ADDQ R12, DI
 	DECQ CX
 	JNE loop1
 save1:
 	// stp q24, q25, [pC, #128]
-	MOVUPD X8, (DX)(R8*2)
-	MOVUPD X9, 16(DX)(R8*2)
+	MOVUPD X8, (R9)
+	MOVUPD X9, (R9)(R12*1)
 	// stp q26, q27, [pC, #160]
-	MOVUPD X10, 32(DX)(R8*2)
-	MOVUPD X11, 48(DX)(R8*2)
+	MOVUPD X10, (R9)(R12*2)
+	MOVUPD X11, (R9)(R13*1)
 	// stp q28, q29, [pC, #192]
-	MOVUPD X12, (DX)(R9*1)
-	MOVUPD X13, 16(DX)(R9*1)
+	MOVUPD X12, (BX)
+	MOVUPD X13, (BX)(R12*1)
 	// stp q30, q31, [pC, #224]
-	MOVUPD X14, 32(DX)(R9*1)
-	MOVUPD X15, 48(DX)(R9*1)
+	MOVUPD X14, (BX)(R12*2)
+	MOVUPD X15, (BX)(R13*1)
 	RET

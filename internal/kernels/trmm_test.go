@@ -26,7 +26,7 @@ func TestTriMulDirect(t *testing.T) {
 				b[i] = rng.Float64()
 			}
 			orig := append([]float64(nil), b...)
-			TriMul(pa, b, m, ncols, strideB, vl)
+			TriMul(pa, b, 0, m, ncols, 1, strideB, vl)
 			for lane := 0; lane < vl; lane++ {
 				for l := 0; l < ncols; l++ {
 					for i := 0; i < m; i++ {
@@ -73,7 +73,7 @@ func testRectAddDirect(t *testing.T, rng *rand.Rand, mc, nc, vl int) {
 		c[i] = rng.Float64()
 	}
 	orig := append([]float64(nil), c...)
-	RectAdd(pa, x, c, mc, nc, k, strideC, strideX, vl)
+	RectAdd(pa, x, c, 0, 0, mc, nc, k, 1, strideC, strideX, vl)
 	for lane := 0; lane < vl; lane++ {
 		for r := 0; r < mc; r++ {
 			for cc := 0; cc < nc; cc++ {
@@ -105,7 +105,7 @@ func TestTRMMCplxKernels(t *testing.T) {
 		b[i] = rng.Float64()
 	}
 	orig := append([]float64(nil), b...)
-	TriMulCplx(pa, b, m, ncols, strideB, vl)
+	TriMulCplx(pa, b, 0, m, ncols, 1, strideB, vl)
 	cAt := func(s []float64, blockOff, lane int) complex128 {
 		return complex(s[blockOff*bl+lane], s[blockOff*bl+vl+lane])
 	}
@@ -139,7 +139,7 @@ func TestTRMMCplxKernels(t *testing.T) {
 		rc[i] = rng.Float64()
 	}
 	rorig := append([]float64(nil), rc...)
-	RectAddCplx(rpa, rx, rc, mc, nc, k, sC, sX, vl)
+	RectAddCplx(rpa, rx, rc, 0, 0, mc, nc, k, 1, sC, sX, vl)
 	for lane := 0; lane < vl; lane++ {
 		for r := 0; r < mc; r++ {
 			for cc := 0; cc < nc; cc++ {
@@ -157,10 +157,11 @@ func TestTRMMCplxKernels(t *testing.T) {
 }
 
 // TriMul and RectAdd, generated machine code on amd64 at the sizes it
-// serves, must equal the pure-Go kernels bit for bit on hostile inputs:
-// every triangle of M 1–4 over 1–5 columns, and the 4×4 rectangle over
-// K 1–17 on its own buffers and inside the blocked TRMM's column tile,
-// where C is rows r0…r0+3 and X rows 0…K−1 of the same columns.
+// serves, must equal the pure-Go kernels bit for bit on hostile inputs in
+// every B layout: every triangle of M 1–4 over 1–5 columns, and the 4×4
+// rectangle over K 1–17 on its own buffers and inside the blocked TRMM's
+// column tile, where C is rows r0…r0+3 and X rows 0…K−1 of the same
+// columns.
 func TestTRMMKernelsMatchGo(t *testing.T) {
 	t.Run("f32", func(t *testing.T) { testTRMMKernelsMatchGo[float32](t, 4) })
 	t.Run("f64", func(t *testing.T) { testTRMMKernelsMatchGo[float64](t, 2) })
@@ -183,32 +184,39 @@ func testTRMMKernelsMatchGo[E vec.Float](t *testing.T, vl int) {
 	for _, p := range []float64{0.05, 0.5, 1} {
 		for m := 1; m <= 4; m++ {
 			for ncols := 1; ncols <= 5; ncols++ {
-				strideB := m + ncols%2
-				pa := hostile[E](rng, m*(m+1)/2*vl, p)
-				b := hostile[E](rng, ncols*strideB*vl, p)
-				want := append([]E(nil), b...)
-				TriMul(pa, b, m, ncols, strideB, vl)
-				triGo(pa, want, m, ncols, strideB)
-				same(fmt.Sprintf("TriMul p=%v M=%d ncols=%d", p, m, ncols), b, want)
+				for _, lay := range bLayouts(m, ncols, ncols%2) {
+					pa := hostile[E](rng, m*(m+1)/2*vl, p)
+					b := hostile[E](rng, lay.blocks*vl, p)
+					want := append([]E(nil), b...)
+					TriMul(pa, b, lay.o, m, ncols, lay.rs, lay.cs, vl)
+					triGo(pa, want, lay.o, m, ncols, lay.rs, lay.cs)
+					same(fmt.Sprintf("TriMul p=%v M=%d ncols=%d %s", p, m, ncols, lay.name), b, want)
+				}
 			}
 		}
 		for k := 1; k <= 17; k++ {
-			strideC, strideX := 4+k%2, k+1
-			pa := hostile[E](rng, 4*k*vl, p)
-			x := hostile[E](rng, (3*strideX+k)*vl, p)
-			c := hostile[E](rng, 4*strideC*vl, p)
-			want := append([]E(nil), c...)
-			RectAdd(pa, x, c, 4, 4, k, strideC, strideX, vl)
-			rectGo(pa, x, want, 4, 4, k, strideC, strideX)
-			same(fmt.Sprintf("RectAdd p=%v K=%d", p, k), c, want)
+			xs, cs := bLayouts(k, 4, 1), bLayouts(4, 4, 1)
+			for i := range xs {
+				lx, lc := xs[i], cs[i]
+				pa := hostile[E](rng, 4*k*vl, p)
+				x := hostile[E](rng, lx.blocks*vl, p)
+				c := hostile[E](rng, lc.blocks*vl, p)
+				want := append([]E(nil), c...)
+				RectAdd(pa, x, c, lx.o, lc.o, 4, 4, k, lx.rs, lc.cs, lx.cs, vl)
+				rectGo(pa, x, want, lx.o, lc.o, 4, 4, k, lx.rs, lc.cs, lx.cs)
+				same(fmt.Sprintf("RectAdd p=%v K=%d %s", p, k, lx.name), c, want)
+			}
 
+			pa := hostile[E](rng, 4*k*vl, p)
 			for _, r0 := range []int{k, k + 2} {
-				stride := r0 + 4 + r0 - k
-				col := hostile[E](rng, 4*stride*vl, p)
-				want := append([]E(nil), col...)
-				RectAdd(pa, col, col[r0*vl:], 4, 4, k, stride, stride, vl)
-				rectGo(pa, want, want[r0*vl:], 4, 4, k, stride, stride)
-				same(fmt.Sprintf("RectAdd column tile p=%v K=%d r0=%d", p, k, r0), col, want)
+				for _, lay := range bLayouts(r0+4, 4, r0-k) {
+					col := hostile[E](rng, lay.blocks*vl, p)
+					want := append([]E(nil), col...)
+					co := lay.o + r0*lay.rs
+					RectAdd(pa, col, col, lay.o, co, 4, 4, k, lay.rs, lay.cs, lay.cs, vl)
+					rectGo(pa, want, want, lay.o, co, 4, 4, k, lay.rs, lay.cs, lay.cs)
+					same(fmt.Sprintf("RectAdd column tile p=%v K=%d r0=%d %s", p, k, r0, lay.name), col, want)
+				}
 			}
 		}
 	}

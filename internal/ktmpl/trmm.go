@@ -156,7 +156,8 @@ func GenTRMMRectLoop(s RectSpec) (TRMMRectLoop, error) {
 // GenTRMMAMD64 generates internal/kernels/trmm_amd64.s: the s/d TRMM
 // triangles for M = 1…4 and the 4×4 rectangle, lowered to SSE2 Go
 // assembly as trmmTri<M><t> and trmmRect4x4<t>, each with its column or
-// K loop at run time. M = 5 needs 21 X registers and stays in Go.
+// K loop and B's row and column strides at run time. M = 5 needs 21 X
+// registers and stays in Go.
 func GenTRMMAMD64() ([]byte, error) {
 	var ks []asm.AMD64Kernel
 	for _, dt := range []vec.DType{vec.S, vec.D} {
